@@ -28,6 +28,7 @@ import hashlib
 import struct
 from dataclasses import dataclass
 from functools import cached_property
+from typing import Callable
 
 import numpy as np
 
@@ -50,13 +51,6 @@ T2_UPPER = "T2_UPPER"
 T3_UPPER = "T3_UPPER"
 T4_LOWER_A = "T4_LOWER_A"
 T4_LOWER_B = "T4_LOWER_B"
-
-ALL_BOUND_IDS = (T1_EQUALITY, GAIN_LE_1, T2_UPPER, T3_UPPER, T4_LOWER_A, T4_LOWER_B)
-
-EQUALITY_BOUNDS = frozenset({T1_EQUALITY})
-UPPER_BOUNDS = frozenset({GAIN_LE_1, T2_UPPER, T3_UPPER})
-LOWER_BOUNDS = frozenset({T4_LOWER_A, T4_LOWER_B})
-
 
 @dataclass(frozen=True)
 class BoundReport:
@@ -145,51 +139,6 @@ class _PairContext:
         return inputs_digest(self.coeffs, self.phi, self.psi)
 
 
-def _equality_report(
-    bound_id: str, lhs: float, rhs: float, tolerance: float, digest: str
-) -> BoundReport:
-    residual = abs(lhs - rhs)
-    return BoundReport(
-        bound_id=bound_id,
-        lhs=lhs,
-        rhs=rhs,
-        slack=residual,
-        satisfied=residual <= tolerance,
-        tolerance=tolerance,
-        inputs_digest=digest,
-    )
-
-
-def _upper_report(
-    bound_id: str, lhs: float, rhs: float, tolerance: float, digest: str
-) -> BoundReport:
-    slack = rhs - lhs
-    return BoundReport(
-        bound_id=bound_id,
-        lhs=lhs,
-        rhs=rhs,
-        slack=slack,
-        satisfied=slack >= -tolerance,
-        tolerance=tolerance,
-        inputs_digest=digest,
-    )
-
-
-def _lower_report(
-    bound_id: str, lhs: float, rhs: float, tolerance: float, digest: str
-) -> BoundReport:
-    slack = lhs - rhs
-    return BoundReport(
-        bound_id=bound_id,
-        lhs=lhs,
-        rhs=rhs,
-        slack=slack,
-        satisfied=slack >= -tolerance,
-        tolerance=tolerance,
-        inputs_digest=digest,
-    )
-
-
 def _require_disjoint(ctx: _PairContext) -> None:
     if ctx.pair_class.tag is not PairKind.DISJOINT_SUPPORT:
         raise WrongPairClassError(
@@ -197,56 +146,110 @@ def _require_disjoint(ctx: _PairContext) -> None:
         )
 
 
-def _theorem1(ctx: _PairContext, tolerance: float) -> BoundReport:
+def _t1_sides(ctx: _PairContext) -> tuple[float, float]:
     _require_disjoint(ctx)
-    lhs = ctx.coherence_t1
-    rhs = ctx.weighted_mix
-    return _equality_report(T1_EQUALITY, lhs, rhs, tolerance, ctx.digest)
+    return ctx.coherence_t1, ctx.weighted_mix
 
 
-def _max_gain(ctx: _PairContext, tolerance: float) -> BoundReport:
+def _gain_sides(ctx: _PairContext) -> tuple[float, float]:
     _require_disjoint(ctx)
     c = ctx.coeffs
     gain = ctx.coherence_t1 - c.alpha_sq * ctx.coherence_phi - c.beta_sq * ctx.coherence_psi
-    return _upper_report(GAIN_LE_1, gain, 1.0, tolerance, ctx.digest)
+    return gain, 1.0
 
 
-def _theorem2(ctx: _PairContext, tolerance: float) -> BoundReport:
+def _t2_sides(ctx: _PairContext) -> tuple[float, float]:
     if abs(ctx.pair_class.overlap) > TOLERANCES.overlap:
         raise WrongPairClassError(
             f"|<phi|psi>| = {abs(ctx.pair_class.overlap):.3e} exceeds the "
             f"orthogonality threshold {TOLERANCES.overlap:g}"
         )
-    lhs = ctx.coherence_t1
-    rhs = 2.0 * ctx.weighted_mix
-    return _upper_report(T2_UPPER, lhs, rhs, tolerance, ctx.digest)
+    return ctx.coherence_t1, 2.0 * ctx.weighted_mix
 
 
-def _theorem3(ctx: _PairContext, tolerance: float) -> BoundReport:
+def _t3_sides(ctx: _PairContext) -> tuple[float, float]:
+    return ctx.superposed.s ** 2 * ctx.coherence_t1, 2.0 * ctx.weighted_mix
+
+
+def _t4_sides(ctx: _PairContext, w_own: float, c_own: float,
+              w_other: float, c_other: float) -> tuple[float, float]:
     s_sq = ctx.superposed.s ** 2
     lhs = s_sq * ctx.coherence_t1
-    rhs = 2.0 * ctx.weighted_mix
-    return _upper_report(T3_UPPER, lhs, rhs, tolerance, ctx.digest)
+    rhs = (
+        0.5 * w_own * c_own
+        - w_other * c_other
+        - (s_sq + w_other) * binary_entropy(w_other / (s_sq + w_other))
+    )
+    return lhs, rhs
 
 
-def _theorem4(ctx: _PairContext, tolerance: float) -> tuple[BoundReport, BoundReport]:
+def _t4a_sides(ctx: _PairContext) -> tuple[float, float]:
     c = ctx.coeffs
-    s_sq = ctx.superposed.s ** 2
-    lhs = s_sq * ctx.coherence_t1
-    rhs_a = (
-        0.5 * c.alpha_sq * ctx.coherence_phi
-        - c.beta_sq * ctx.coherence_psi
-        - (s_sq + c.beta_sq) * binary_entropy(c.beta_sq / (s_sq + c.beta_sq))
-    )
-    rhs_b = (
-        0.5 * c.beta_sq * ctx.coherence_psi
-        - c.alpha_sq * ctx.coherence_phi
-        - (s_sq + c.alpha_sq) * binary_entropy(c.alpha_sq / (s_sq + c.alpha_sq))
-    )
-    return (
-        _lower_report(T4_LOWER_A, lhs, rhs_a, tolerance, ctx.digest),
-        _lower_report(T4_LOWER_B, lhs, rhs_b, tolerance, ctx.digest),
-    )
+    return _t4_sides(ctx, c.alpha_sq, ctx.coherence_phi, c.beta_sq, ctx.coherence_psi)
+
+
+def _t4b_sides(ctx: _PairContext) -> tuple[float, float]:
+    c = ctx.coeffs
+    return _t4_sides(ctx, c.beta_sq, ctx.coherence_psi, c.alpha_sq, ctx.coherence_phi)
+
+
+@dataclass(frozen=True)
+class Bound:
+    """Everything the package knows about one relation.
+
+    ``kinds`` are the pair kinds a search may sample, ``default_kind`` is the
+    kind ``sweep`` and ``saturate`` sample when none is given, ``direction``
+    is ``"equality"``, ``"upper"`` or ``"lower"``, and ``sides`` computes
+    (lhs, rhs), raising WrongPairClassError outside the hypothesis.
+    """
+
+    kinds: frozenset[PairKind]
+    default_kind: PairKind
+    direction: str
+    sides: Callable[[_PairContext], tuple[float, float]]
+
+
+_DISJOINT = frozenset({PairKind.DISJOINT_SUPPORT})
+
+BOUNDS: dict[str, Bound] = {
+    T1_EQUALITY: Bound(_DISJOINT, PairKind.DISJOINT_SUPPORT, "equality", _t1_sides),
+    GAIN_LE_1: Bound(_DISJOINT, PairKind.DISJOINT_SUPPORT, "upper", _gain_sides),
+    T2_UPPER: Bound(
+        _DISJOINT | {PairKind.ORTHOGONAL_SAME_SPACE},
+        PairKind.ORTHOGONAL_SAME_SPACE,
+        "upper",
+        _t2_sides,
+    ),
+    T3_UPPER: Bound(frozenset(PairKind), PairKind.NON_ORTHOGONAL, "upper", _t3_sides),
+    T4_LOWER_A: Bound(frozenset(PairKind), PairKind.ARBITRARY, "lower", _t4a_sides),
+    T4_LOWER_B: Bound(frozenset(PairKind), PairKind.ARBITRARY, "lower", _t4b_sides),
+}
+
+ALL_BOUND_IDS = tuple(BOUNDS)
+
+
+def _report(ctx: _PairContext, bound_id: str, tolerance: float) -> BoundReport:
+    bound = BOUNDS[bound_id]
+    lhs, rhs = bound.sides(ctx)
+    if bound.direction == "equality":
+        slack = abs(lhs - rhs)
+        satisfied = slack <= tolerance
+    else:
+        slack = rhs - lhs if bound.direction == "upper" else lhs - rhs
+        satisfied = slack >= -tolerance
+    return BoundReport(bound_id, lhs, rhs, slack, satisfied, tolerance, ctx.digest)
+
+
+def evaluate_bound(
+    bound_id: str,
+    coeffs: SuperpositionCoefficients,
+    phi: StateVector,
+    psi: StateVector,
+    *,
+    tolerance: float = TOLERANCES.bound_slack,
+) -> BoundReport:
+    """Evaluate one bound of ``BOUNDS`` on an input triple."""
+    return _report(_PairContext(coeffs, phi, psi), bound_id, tolerance)
 
 
 def theorem1_equality(
@@ -258,7 +261,7 @@ def theorem1_equality(
 ) -> BoundReport:
     """Disjoint-support equality: the superposition coherence equals the
     weighted branch coherences plus the binary entropy of the weight."""
-    return _theorem1(_PairContext(coeffs, phi, psi), tolerance)
+    return evaluate_bound(T1_EQUALITY, coeffs, phi, psi, tolerance=tolerance)
 
 
 def max_gain(
@@ -270,7 +273,7 @@ def max_gain(
 ) -> BoundReport:
     """Coherence gain over the weighted branch average is at most 1 bit,
     independent of dimension (disjoint support)."""
-    return _max_gain(_PairContext(coeffs, phi, psi), tolerance)
+    return evaluate_bound(GAIN_LE_1, coeffs, phi, psi, tolerance=tolerance)
 
 
 def theorem2_upper(
@@ -281,7 +284,7 @@ def theorem2_upper(
     tolerance: float = TOLERANCES.bound_slack,
 ) -> BoundReport:
     """Orthogonal-branch upper bound: twice the weighted mix."""
-    return _theorem2(_PairContext(coeffs, phi, psi), tolerance)
+    return evaluate_bound(T2_UPPER, coeffs, phi, psi, tolerance=tolerance)
 
 
 def theorem3_upper(
@@ -292,7 +295,7 @@ def theorem3_upper(
     tolerance: float = TOLERANCES.bound_slack,
 ) -> BoundReport:
     """General upper bound on s^2 * C(T1), valid for non-orthogonal branches."""
-    return _theorem3(_PairContext(coeffs, phi, psi), tolerance)
+    return evaluate_bound(T3_UPPER, coeffs, phi, psi, tolerance=tolerance)
 
 
 def theorem4_lower(
@@ -308,7 +311,17 @@ def theorem4_lower(
     the larger rhs.  Both are reported even when negative (vacuous), since
     tightness analysis needs the raw values.
     """
-    return _theorem4(_PairContext(coeffs, phi, psi), tolerance)
+    ctx = _PairContext(coeffs, phi, psi)
+    return _report(ctx, T4_LOWER_A, tolerance), _report(ctx, T4_LOWER_B, tolerance)
+
+
+# Bounds evaluate_all applies to each pair class, ahead of the lower bounds.
+# T3 reduces to T2 when s = 1, so it is applied only where T2 is not.
+_CLASS_BOUNDS = {
+    PairKind.DISJOINT_SUPPORT: (T1_EQUALITY, GAIN_LE_1, T2_UPPER),
+    PairKind.ORTHOGONAL_SAME_SPACE: (T2_UPPER,),
+    PairKind.NON_ORTHOGONAL: (T3_UPPER,),
+}
 
 
 def evaluate_all(
@@ -327,16 +340,8 @@ def evaluate_all(
     numerically zero.
     """
     ctx = _PairContext(coeffs, phi, psi)
-    tag = ctx.pair_class.tag
-    reports: list[BoundReport] = []
-    if tag is PairKind.DISJOINT_SUPPORT:
-        reports.append(_theorem1(ctx, tolerance))
-        reports.append(_max_gain(ctx, tolerance))
-        reports.append(_theorem2(ctx, tolerance))
-    elif tag is PairKind.ORTHOGONAL_SAME_SPACE:
-        reports.append(_theorem2(ctx, tolerance))
-    else:
-        reports.append(_theorem3(ctx, tolerance))
+    reports = [_report(ctx, b, tolerance) for b in _CLASS_BOUNDS[ctx.pair_class.tag]]
     if ctx.superposed.s > TOLERANCES.zero_vector:
-        reports.extend(_theorem4(ctx, tolerance))
+        reports.append(_report(ctx, T4_LOWER_A, tolerance))
+        reports.append(_report(ctx, T4_LOWER_B, tolerance))
     return reports

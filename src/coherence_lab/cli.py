@@ -30,27 +30,13 @@ from pathlib import Path
 from typing import Optional
 
 from . import __version__
-from .bounds import (
-    ALL_BOUND_IDS,
-    GAIN_LE_1,
-    T1_EQUALITY,
-    T2_UPPER,
-    T3_UPPER,
-    T4_LOWER_A,
-    T4_LOWER_B,
-    evaluate_all,
-)
-from .ensembles import (
-    EnsembleConfig,
-    TrialRecord,
-    _sample_pair,
-    run_ensemble,
-)
+from .bounds import ALL_BOUND_IDS, BOUNDS, evaluate_all, evaluate_bound
+from .ensembles import EnsembleConfig, TrialRecord, run_ensemble, sample_pair
 from .entropy import pure_state_coherence
 from .errors import CoherenceLabError, ConfigError
 from .linalg import StateVector
 from .rng import make_generator, subseed
-from .search import SearchSpec, _evaluate_bound, minimize_slack
+from .search import SearchSpec, minimize_slack
 from .superpose import PairKind, SuperpositionCoefficients, classify_pair, superpose
 from .tolerances import TOLERANCES
 
@@ -59,15 +45,6 @@ SEED_ENV_VAR = "COHERENCE_LAB_SEED"
 DEFAULT_DIMS = (2, 4, 8, 16)
 DEFAULT_TRIALS = 10_000
 _MAX_RECORDED_VIOLATIONS = 20
-
-_BOUND_DEFAULT_KIND = {
-    T1_EQUALITY: PairKind.DISJOINT_SUPPORT,
-    GAIN_LE_1: PairKind.DISJOINT_SUPPORT,
-    T2_UPPER: PairKind.ORTHOGONAL_SAME_SPACE,
-    T3_UPPER: PairKind.NON_ORTHOGONAL,
-    T4_LOWER_A: PairKind.ARBITRARY,
-    T4_LOWER_B: PairKind.ARBITRARY,
-}
 
 
 def _log(message: str) -> None:
@@ -140,7 +117,10 @@ def _now_iso() -> str:
 
 def _emit(text: str, out_path: Optional[str]) -> None:
     if out_path:
-        Path(out_path).write_text(text, encoding="utf-8")
+        try:
+            Path(out_path).write_text(text, encoding="utf-8")
+        except OSError as exc:
+            raise ConfigError(f"cannot write {out_path}: {exc.strerror or exc}")
         _log(f"wrote {out_path}")
     else:
         sys.stdout.write(text)
@@ -178,9 +158,16 @@ def _parse_pos_float(text: str) -> float:
     return value
 
 
+def _parse_dim(text: str) -> int:
+    value = int(text)
+    if value < 2:
+        raise ValueError(f"dimension must be >= 2, got {value}")
+    return value
+
+
 def _parse_dims(text: str) -> tuple[int, ...]:
-    dims = tuple(int(part.strip()) for part in text.split(",") if part.strip())
-    if not dims or any(d < 2 for d in dims):
+    dims = tuple(_parse_dim(part) for part in text.split(",") if part.strip())
+    if not dims:
         raise ValueError("dims must be a comma list of integers >= 2")
     return dims
 
@@ -233,7 +220,7 @@ _CONFIG_PARSERS = {
     "seed": _parse_u64,
     "trials": _parse_nonneg_int,
     "dims": _parse_dims,
-    "dim": _parse_pos_int,
+    "dim": _parse_dim,
     "pair_kinds": _parse_pair_kinds,
     "tolerance": _parse_pos_float,
     "workers": _parse_pos_int,
@@ -246,6 +233,19 @@ _CONFIG_PARSERS = {
     "format": _parse_format,
     "permute": _parse_bool,
 }
+
+
+def _flag_type(key: str):
+    """argparse ``type=`` for a flag, from the parser of its config key."""
+    parse = _CONFIG_PARSERS[key]
+
+    def convert(text: str):
+        try:
+            return parse(text)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc))
+
+    return convert
 
 
 def parse_config_file(path: str) -> dict:
@@ -271,6 +271,12 @@ def parse_config_file(path: str) -> dict:
         except ValueError as exc:
             raise ConfigError(f"{path}:{lineno}: bad value for key {key!r}: {exc}")
     return values
+
+
+def _setting(args, config: dict, key: str, default=None):
+    """The flag's value if given, else the config key's, else ``default``."""
+    value = getattr(args, key)
+    return value if value is not None else config.get(key, default)
 
 
 def _resolve_seed(flag_seed: Optional[int], config: dict) -> int:
@@ -360,7 +366,6 @@ class VerifySettings:
     dims: tuple[int, ...]
     pair_kinds: tuple[PairKind, ...]
     tolerance: float
-    workers: int
     split: Optional[tuple[int, int]] = None
     permute: bool = False
     out: Optional[str] = None
@@ -374,16 +379,13 @@ def _verify_settings(args, config: dict) -> VerifySettings:
         dims = (config["dim"],)
     settings = VerifySettings(
         seed=_resolve_seed(args.seed, config),
-        trials=args.trials if args.trials is not None else config.get("trials", DEFAULT_TRIALS),
+        trials=_setting(args, config, "trials", DEFAULT_TRIALS),
         dims=dims,
         pair_kinds=config.get("pair_kinds", tuple(PairKind)),
-        tolerance=args.tolerance if args.tolerance is not None else config.get(
-            "tolerance", TOLERANCES.bound_slack
-        ),
-        workers=args.workers if args.workers is not None else config.get("workers", 1),
+        tolerance=_setting(args, config, "tolerance", TOLERANCES.bound_slack),
         split=config.get("split"),
         permute=config.get("permute", False),
-        out=args.out if args.out is not None else config.get("out"),
+        out=_setting(args, config, "out"),
     )
     return settings
 
@@ -448,9 +450,7 @@ def cmd_verify(args) -> int:
                 split=settings.split if kind is PairKind.DISJOINT_SUPPORT else None,
                 permute=settings.permute,
             )
-            records = run_ensemble(
-                ensemble, workers=settings.workers, tolerance=settings.tolerance
-            )
+            records = run_ensemble(ensemble, tolerance=settings.tolerance)
             summary, violations = _summarize_ensemble(records, ensemble)
             summaries.append(summary)
             total_violations += violations
@@ -460,9 +460,8 @@ def cmd_verify(args) -> int:
             )
             combo_index += 1
     finished = _now_iso()
-    # Worker count is an execution detail: it cannot change any result and is
-    # deliberately left out of the echoed config so reports stay byte-identical
-    # across worker settings.
+    # ``workers`` is validated but selects nothing (trials run serially); it is
+    # left out of the echoed config so reports stay byte-identical across it.
     config_echo = {
         "seed": settings.seed,
         "trials": settings.trials,
@@ -513,28 +512,26 @@ def _parse_grid(text: str) -> list[float]:
 
 
 def _sweep_pair(bound_id: str, dim: int, seed: int) -> tuple[StateVector, StateVector]:
-    kind = _BOUND_DEFAULT_KIND[bound_id]
+    kind = BOUNDS[bound_id].default_kind
     ensemble = EnsembleConfig(dim=dim, trials=1, pair_kind=kind, seed=seed)
     gen = make_generator(subseed(seed, 0))
-    return _sample_pair(gen, ensemble)
+    return sample_pair(gen, ensemble)
 
 
 def cmd_sweep(args) -> int:
     config = parse_config_file(args.config) if args.config else {}
-    bound_id = args.bound or config.get("bound")
+    bound_id = _setting(args, config, "bound")
     if bound_id is None:
         raise ConfigError("sweep requires --bound (or a 'bound' config key)")
-    dim = args.dim if args.dim is not None else config.get("dim", 2)
+    dim = _setting(args, config, "dim", 2)
     seed = _resolve_seed(args.seed, config)
-    tolerance = args.tolerance if args.tolerance is not None else config.get(
-        "tolerance", TOLERANCES.bound_slack
-    )
-    grid_text = args.grid or config.get("grid")
+    tolerance = _setting(args, config, "tolerance", TOLERANCES.bound_slack)
+    grid_text = _setting(args, config, "grid")
     if grid_text is None:
         raise ConfigError("sweep requires --grid (or a 'grid' config key)")
     grid = _parse_grid(grid_text)
-    out = args.out if args.out is not None else config.get("out")
-    fmt = args.format or config.get("format", "csv")
+    out = _setting(args, config, "out")
+    fmt = _setting(args, config, "format", "csv")
 
     phi, psi = _sweep_pair(bound_id, dim, seed)
     rows = []
@@ -543,7 +540,7 @@ def cmd_sweep(args) -> int:
         coeffs = SuperpositionCoefficients(
             math.sqrt(alpha_sq), math.sqrt(1.0 - alpha_sq)
         )
-        report = _evaluate_bound(bound_id, coeffs, phi, psi, tolerance)
+        report = evaluate_bound(bound_id, coeffs, phi, psi, tolerance=tolerance)
         rows.append((alpha_sq, report.lhs, report.rhs, report.slack))
         if not report.satisfied:
             violations += 1
@@ -577,28 +574,24 @@ def cmd_sweep(args) -> int:
 
 def cmd_saturate(args) -> int:
     config = parse_config_file(args.config) if args.config else {}
-    bound_id = args.bound or config.get("bound")
+    bound_id = _setting(args, config, "bound")
     if bound_id is None:
         raise ConfigError("saturate requires --bound (or a 'bound' config key)")
-    dim = args.dim if args.dim is not None else config.get("dim", 2)
+    dim = _setting(args, config, "dim", 2)
     seed = _resolve_seed(args.seed, config)
-    tolerance = args.tolerance if args.tolerance is not None else config.get(
-        "tolerance", TOLERANCES.bound_slack
-    )
+    tolerance = _setting(args, config, "tolerance", TOLERANCES.bound_slack)
     if args.pair_kind is not None:
         pair_kind = PairKind(args.pair_kind)
     else:
-        pair_kind = _BOUND_DEFAULT_KIND[bound_id]
+        pair_kind = BOUNDS[bound_id].default_kind
     try:
         spec = SearchSpec(
             bound_id=bound_id,
             dim=dim,
             pair_kind=pair_kind,
             seed=seed,
-            restarts=args.restarts if args.restarts is not None else config.get("restarts", 16),
-            iterations=args.iterations if args.iterations is not None else config.get(
-                "iterations", 2000
-            ),
+            restarts=_setting(args, config, "restarts", 16),
+            iterations=_setting(args, config, "iterations", 2000),
         )
     except ValueError as exc:
         raise ConfigError(str(exc))
@@ -607,7 +600,7 @@ def cmd_saturate(args) -> int:
     result = minimize_slack(spec, tolerance=tolerance)
     finished = _now_iso()
     coeffs, phi, psi = result.best_inputs
-    final_report = _evaluate_bound(bound_id, coeffs, phi, psi, tolerance)
+    final_report = evaluate_bound(bound_id, coeffs, phi, psi, tolerance=tolerance)
     violations = 0 if final_report.satisfied else 1
 
     def complex_pair(z: complex) -> list[float]:
@@ -650,7 +643,7 @@ def cmd_saturate(args) -> int:
         f"saturate: best alpha = {coeffs.alpha.real:.12g}{coeffs.alpha.imag:+.12g}j, "
         f"beta = {coeffs.beta.real:.12g}{coeffs.beta.imag:+.12g}j"
     )
-    _emit(canonical_json(report_obj), args.out if args.out is not None else config.get("out"))
+    _emit(canonical_json(report_obj), _setting(args, config, "out"))
     return 0 if violations == 0 else 1
 
 
@@ -669,12 +662,14 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
+    def option(p: argparse.ArgumentParser, key: str, help: str, **kwargs) -> None:
+        # Flags share their parser with the config key of the same name.
+        p.add_argument(f"--{key}", type=_flag_type(key), help=help, **kwargs)
+
     def add_common(p: argparse.ArgumentParser, *, formats=("json",)) -> None:
         p.add_argument("--out", help="write the payload to this path instead of stdout")
-        p.add_argument("--tolerance", type=float, help="bound verdict tolerance")
-        p.add_argument(
-            "--format", choices=formats, help=f"payload format (default {formats[0]})"
-        )
+        option(p, "tolerance", "bound verdict tolerance")
+        option(p, "format", f"payload format (default {formats[0]})", choices=formats)
         p.add_argument(
             "--timestamps",
             action="store_true",
@@ -687,18 +682,18 @@ def build_parser() -> argparse.ArgumentParser:
 
     verify = sub.add_parser("verify", help="run randomized bound-verification ensembles")
     verify.add_argument("--config", help="flat key = value configuration file")
-    verify.add_argument("--seed", type=int, help="master seed (unsigned 64-bit)")
-    verify.add_argument("--dim", type=int, help="restrict to a single dimension")
-    verify.add_argument("--trials", type=int, help="trials per (pair kind, dimension)")
-    verify.add_argument("--workers", type=int, help="concurrent trial workers")
+    option(verify, "seed", "master seed (unsigned 64-bit)")
+    option(verify, "dim", "restrict to a single dimension")
+    option(verify, "trials", "trials per (pair kind, dimension)")
+    option(verify, "workers", "accepted for compatibility; trials always run serially")
     add_common(verify)
     verify.set_defaults(handler=cmd_verify)
 
     sweep = sub.add_parser("sweep", help="tabulate one bound over a weight grid")
     sweep.add_argument("--config", help="flat key = value configuration file")
-    sweep.add_argument("--bound", choices=ALL_BOUND_IDS, help="bound to tabulate")
-    sweep.add_argument("--dim", type=int, help="state dimension (default 2)")
-    sweep.add_argument("--seed", type=int, help="seed for the fixed state pair")
+    option(sweep, "bound", "bound to tabulate", choices=ALL_BOUND_IDS)
+    option(sweep, "dim", "state dimension (default 2)")
+    option(sweep, "seed", "seed for the fixed state pair")
     sweep.add_argument(
         "--grid",
         help="|alpha|^2 values: 'start:stop:step' or a comma list, all in (0, 1)",
@@ -708,16 +703,16 @@ def build_parser() -> argparse.ArgumentParser:
 
     saturate = sub.add_parser("saturate", help="minimize the slack of one bound")
     saturate.add_argument("--config", help="flat key = value configuration file")
-    saturate.add_argument("--bound", choices=ALL_BOUND_IDS, help="bound to saturate")
-    saturate.add_argument("--dim", type=int, help="state dimension (default 2)")
+    option(saturate, "bound", "bound to saturate", choices=ALL_BOUND_IDS)
+    option(saturate, "dim", "state dimension (default 2)")
     saturate.add_argument(
         "--pair-kind",
         choices=[k.value for k in PairKind],
         help="sampling constraint (default: the bound's natural class)",
     )
-    saturate.add_argument("--restarts", type=int, help="independent restarts (default 16)")
-    saturate.add_argument("--iterations", type=int, help="iterations per restart (default 2000)")
-    saturate.add_argument("--seed", type=int, help="master seed (unsigned 64-bit)")
+    option(saturate, "restarts", "independent restarts (default 16)")
+    option(saturate, "iterations", "iterations per restart (default 2000)")
+    option(saturate, "seed", "master seed (unsigned 64-bit)")
     add_common(saturate)
     saturate.set_defaults(handler=cmd_saturate)
 
@@ -728,8 +723,6 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        if getattr(args, "seed", None) is not None and not 0 <= args.seed < 2**64:
-            raise ConfigError("--seed must fit in an unsigned 64-bit integer")
         return args.handler(args)
     except ConfigError as exc:
         _log(f"error: {exc}")

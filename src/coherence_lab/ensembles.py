@@ -2,14 +2,13 @@
 
 Every trial of an ensemble owns its own Philox generator keyed by a sub-seed
 derived from the master seed and the trial index (see ``rng``), so runs are
-bit-for-bit reproducible and independent of execution order or worker count.
+bit-for-bit reproducible and each trial is independent of every other.
 Within a trial the draw order is fixed: first state, second state (including
 any resampling), then coefficients.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Optional
 
@@ -180,9 +179,10 @@ def random_coefficients(seed: int) -> SuperpositionCoefficients:
     return _coefficients(make_generator(seed))
 
 
-def _sample_pair(
+def sample_pair(
     gen: np.random.Generator, config: EnsembleConfig
 ) -> tuple[StateVector, StateVector]:
+    """Draw one pair of ``config.pair_kind`` from ``gen``, as a trial does."""
     kind = config.pair_kind
     if kind is PairKind.DISJOINT_SUPPORT:
         return _disjoint_pair(gen, config.dim, config.split, config.permute)
@@ -202,7 +202,7 @@ def _run_trial(config: EnsembleConfig, index: int, tolerance: float) -> TrialRec
     trial_seed = subseed(config.seed, index)
     gen = make_generator(trial_seed)
     try:
-        phi, psi = _sample_pair(gen, config)
+        phi, psi = sample_pair(gen, config)
         coeffs = _coefficients(gen)
         pair_class = classify_pair(phi, psi)
         reports = evaluate_all(coeffs, phi, psi, tolerance=tolerance)
@@ -224,19 +224,11 @@ def _run_trial(config: EnsembleConfig, index: int, tolerance: float) -> TrialRec
 
 
 def run_ensemble(
-    config: EnsembleConfig,
-    *,
-    workers: int = 1,
-    tolerance: float = TOLERANCES.bound_slack,
+    config: EnsembleConfig, *, tolerance: float = TOLERANCES.bound_slack
 ) -> list[TrialRecord]:
     """Run all trials of an ensemble, ordered by trial index.
 
     The result is a pure function of ``config`` and ``tolerance``: each trial
-    derives its own generator from (master seed, index), so worker count and
-    scheduling cannot change the records.
+    derives its own generator from (master seed, index).
     """
-    indices = range(config.trials)
-    if workers <= 1 or config.trials == 0:
-        return [_run_trial(config, k, tolerance) for k in indices]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(lambda k: _run_trial(config, k, tolerance), indices))
+    return [_run_trial(config, k, tolerance) for k in range(config.trials)]

@@ -17,10 +17,6 @@ class NotHermitianError(CoherenceLabError):
     """A matrix required to be Hermitian is not, beyond tolerance."""
 
 
-class NoConvergenceError(CoherenceLabError):
-    """The eigensolver did not reach its convergence target within the sweep cap."""
-
-
 class DomainError(CoherenceLabError):
     """A scalar argument lies outside its mathematical domain."""
 

@@ -11,13 +11,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    DimensionMismatchError,
-    NoConvergenceError,
-    NotHermitianError,
-    ZeroVectorError,
-)
-from .tolerances import EIGEN_SWEEP_CAP, TOLERANCES
+from .errors import DimensionMismatchError, NotHermitianError, ZeroVectorError
+from .tolerances import TOLERANCES
 
 
 def _as_complex_vector(values) -> np.ndarray:
@@ -60,19 +55,11 @@ class DensityMatrix:
 
     def __post_init__(self):
         mat = np.array(self.matrix, dtype=np.complex128)
-        if mat.ndim != 2 or mat.shape[0] != mat.shape[1] or mat.shape[0] < 1:
-            raise ValueError(f"expected a square matrix, got shape {mat.shape}")
-        if not np.all(np.isfinite(mat)):
-            raise ValueError("matrix has non-finite entries")
-        herm_defect = float(np.max(np.abs(mat - mat.conj().T)))
-        if herm_defect > TOLERANCES.hermitian:
-            raise NotHermitianError(
-                f"matrix deviates from Hermitian by {herm_defect:.3e}"
-            )
+        # Also rejects non-square, non-finite and non-Hermitian input.
+        eigs = hermitian_eigenvalues(mat)
         trace = complex(np.trace(mat))
         if abs(trace - 1.0) > TOLERANCES.norm:
             raise ValueError(f"trace is {trace!r}, not 1")
-        eigs = hermitian_eigenvalues(mat)
         if eigs[-1] < -TOLERANCES.psd:
             raise ValueError(f"matrix has negative eigenvalue {eigs[-1]:.3e}")
         mat.setflags(write=False)
@@ -150,25 +137,8 @@ def dephase_mixed(rho: DensityMatrix) -> DiagonalDistribution:
     return DiagonalDistribution(rho.matrix.diagonal().real)
 
 
-def _offdiagonal_norm(mat: np.ndarray) -> float:
-    off = mat - np.diag(mat.diagonal())
-    return float(np.linalg.norm(off))
-
-
-def hermitian_eigenvalues(
-    matrix,
-    *,
-    convergence: float = TOLERANCES.eigen_convergence,
-    sweep_cap: int = EIGEN_SWEEP_CAP,
-) -> np.ndarray:
-    """Eigenvalues of a Hermitian matrix, sorted descending.
-
-    Cyclic Jacobi rotations on the full complex matrix: each sweep visits all
-    upper-triangle pivots in row order and annihilates them with a unitary
-    plane rotation.  Iteration stops once the off-diagonal Frobenius norm
-    drops below ``convergence``; exceeding ``sweep_cap`` sweeps raises
-    NoConvergenceError.
-    """
+def hermitian_eigenvalues(matrix) -> np.ndarray:
+    """Eigenvalues of a Hermitian matrix, sorted descending (LAPACK ``eigvalsh``)."""
     a = np.array(matrix, dtype=np.complex128)
     if a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape[0] < 1:
         raise ValueError(f"expected a square matrix, got shape {a.shape}")
@@ -177,50 +147,4 @@ def hermitian_eigenvalues(
     defect = float(np.max(np.abs(a - a.conj().T)))
     if defect > TOLERANCES.hermitian:
         raise NotHermitianError(f"matrix deviates from Hermitian by {defect:.3e}")
-    d = a.shape[0]
-    if d == 1:
-        return np.array([a[0, 0].real])
-
-    # Fold round-off dust into an exactly Hermitian iterate.
-    a = (a + a.conj().T) / 2.0
-
-    sweeps = 0
-    while _offdiagonal_norm(a) > convergence:
-        if sweeps >= sweep_cap:
-            raise NoConvergenceError(
-                f"off-diagonal norm {_offdiagonal_norm(a):.3e} after {sweep_cap} sweeps"
-            )
-        for p in range(d - 1):
-            for q in range(p + 1, d):
-                apq = a[p, q]
-                r = abs(apq)
-                if r < 1e-300:
-                    continue
-                phase = apq / r
-                app = a[p, p].real
-                aqq = a[q, q].real
-                tau = (aqq - app) / (2.0 * r)
-                sign = 1.0 if tau >= 0.0 else -1.0
-                t = sign / (abs(tau) + np.sqrt(1.0 + tau * tau))
-                c = 1.0 / np.sqrt(1.0 + t * t)
-                s = t * c
-                # Unitary V = [[c, s], [-s*conj(phase), c*conj(phase)]] acting
-                # on the (p, q) plane; A <- V^dagger A V.
-                w = np.conj(phase)
-                col_p = a[:, p].copy()
-                col_q = a[:, q].copy()
-                a[:, p] = c * col_p - s * w * col_q
-                a[:, q] = s * col_p + c * w * col_q
-                row_p = a[p, :].copy()
-                row_q = a[q, :].copy()
-                a[p, :] = c * row_p - s * phase * row_q
-                a[q, :] = s * row_p + c * phase * row_q
-                # The rotation annihilates the pivot; clear the residual dust.
-                a[p, q] = 0.0
-                a[q, p] = 0.0
-                a[p, p] = a[p, p].real
-                a[q, q] = a[q, q].real
-        sweeps += 1
-
-    eigs = np.sort(a.diagonal().real)[::-1].copy()
-    return eigs
+    return np.linalg.eigvalsh(a)[::-1]

@@ -14,36 +14,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bounds import (
-    ALL_BOUND_IDS,
-    GAIN_LE_1,
-    T1_EQUALITY,
-    T2_UPPER,
-    T3_UPPER,
-    T4_LOWER_A,
-    T4_LOWER_B,
-    BoundReport,
-    max_gain,
-    theorem1_equality,
-    theorem2_upper,
-    theorem3_upper,
-    theorem4_lower,
-)
+from .bounds import BOUNDS, evaluate_bound
 from .ensembles import default_split
 from .errors import ConsistencyError, ZeroVectorError
 from .linalg import StateVector, normalize
 from .rng import make_generator, standard_normals, subseed
 from .superpose import PairKind, SuperpositionCoefficients
 from .tolerances import TOLERANCES
-
-COMPATIBLE_KINDS: dict[str, frozenset[PairKind]] = {
-    T1_EQUALITY: frozenset({PairKind.DISJOINT_SUPPORT}),
-    GAIN_LE_1: frozenset({PairKind.DISJOINT_SUPPORT}),
-    T2_UPPER: frozenset({PairKind.DISJOINT_SUPPORT, PairKind.ORTHOGONAL_SAME_SPACE}),
-    T3_UPPER: frozenset(PairKind),
-    T4_LOWER_A: frozenset(PairKind),
-    T4_LOWER_B: frozenset(PairKind),
-}
 
 _SIMPLEX_OFFSET = 0.1
 _DIAMETER_TOL = 1e-10
@@ -61,9 +38,9 @@ class SearchSpec:
     iterations: int = 2000
 
     def __post_init__(self):
-        if self.bound_id not in ALL_BOUND_IDS:
+        if self.bound_id not in BOUNDS:
             raise ValueError(f"unknown bound id {self.bound_id!r}")
-        if self.pair_kind not in COMPATIBLE_KINDS[self.bound_id]:
+        if self.pair_kind not in BOUNDS[self.bound_id].kinds:
             raise ValueError(
                 f"bound {self.bound_id} cannot be searched over "
                 f"{self.pair_kind.value} pairs"
@@ -167,25 +144,6 @@ def encode_inputs(
     return x
 
 
-def _evaluate_bound(
-    bound_id: str,
-    coeffs: SuperpositionCoefficients,
-    phi: StateVector,
-    psi: StateVector,
-    tolerance: float,
-) -> BoundReport:
-    if bound_id == T1_EQUALITY:
-        return theorem1_equality(coeffs, phi, psi, tolerance=tolerance)
-    if bound_id == GAIN_LE_1:
-        return max_gain(coeffs, phi, psi, tolerance=tolerance)
-    if bound_id == T2_UPPER:
-        return theorem2_upper(coeffs, phi, psi, tolerance=tolerance)
-    if bound_id == T3_UPPER:
-        return theorem3_upper(coeffs, phi, psi, tolerance=tolerance)
-    branch_a, branch_b = theorem4_lower(coeffs, phi, psi, tolerance=tolerance)
-    return branch_a if bound_id == T4_LOWER_A else branch_b
-
-
 def _nelder_mead(objective, x0: np.ndarray, iterations: int):
     """Classic simplex descent; returns (best_x, best_f, trace, evaluations)."""
     n = x0.size
@@ -270,7 +228,7 @@ def minimize_slack(
     def objective(x: np.ndarray) -> float:
         try:
             coeffs, phi, psi = parameterize(x, spec.dim, spec.pair_kind, split)
-            return _evaluate_bound(spec.bound_id, coeffs, phi, psi, tolerance).slack
+            return evaluate_bound(spec.bound_id, coeffs, phi, psi, tolerance=tolerance).slack
         except ZeroVectorError:
             # Degenerate projection; steer the simplex elsewhere.
             return float("inf")
@@ -290,7 +248,7 @@ def minimize_slack(
             best_x = x
 
     coeffs, phi, psi = parameterize(best_x, spec.dim, spec.pair_kind, split)
-    refreshed = _evaluate_bound(spec.bound_id, coeffs, phi, psi, tolerance).slack
+    refreshed = evaluate_bound(spec.bound_id, coeffs, phi, psi, tolerance=tolerance).slack
     if abs(refreshed - best_slack) > 1e-12:
         raise ConsistencyError(
             f"re-evaluated slack {refreshed!r} differs from search value {best_slack!r}"

@@ -17,14 +17,10 @@ class Tolerances:
     support: float = 1e-12            # per-index amplitude threshold for disjoint support
     zero_vector: float = 1e-12        # norms at or below this are degenerate
     identity_residual: float = 1e-12  # algebraic identity residuals
-    eigen_convergence: float = 1e-12  # off-diagonal Frobenius norm target
     psd: float = 1e-10                # eigenvalues >= -psd pass positivity
     prob_floor: float = 1e-15         # probabilities below this contribute 0 to entropies
     entropy_slop: float = 1e-12       # clamp window for entropy round-off
     coherence_slop: float = 1e-9      # clamp window for coherence round-off
 
-
-# Jacobi sweeps allowed before the eigensolver gives up.
-EIGEN_SWEEP_CAP = 100
 
 TOLERANCES = Tolerances()

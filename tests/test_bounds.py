@@ -6,6 +6,8 @@ import numpy as np
 import pytest
 
 from coherence_lab import (
+    ALL_BOUND_IDS,
+    BOUNDS,
     GAIN_LE_1,
     T1_EQUALITY,
     T2_UPPER,
@@ -19,6 +21,7 @@ from coherence_lab import (
     WrongPairClassError,
     ZeroVectorError,
     evaluate_all,
+    evaluate_bound,
     haar_random_state,
     inputs_digest,
     max_gain,
@@ -304,3 +307,23 @@ def test_inputs_digest_is_stable_and_discriminating():
     assert all(ch in "0123456789abcdef" for ch in first)
     report = theorem1_equality(EQUAL, E0, E1)
     assert report.inputs_digest == first
+
+
+def test_bounds_registry_covers_every_bound():
+    assert set(BOUNDS) == set(ALL_BOUND_IDS)
+    for bound in BOUNDS.values():
+        assert bound.default_kind in bound.kinds
+        assert bound.direction in ("equality", "upper", "lower")
+
+
+def test_evaluate_bound_matches_evaluate_all():
+    config = EnsembleConfig(dim=4, trials=1, pair_kind=PairKind.DISJOINT_SUPPORT, seed=17)
+    pairs = [
+        random_disjoint_support_pair(config),
+        random_orthogonal_pair(4, 18),
+        (haar_random_state(4, 19), haar_random_state(4, 20)),
+    ]
+    coeffs = random_coefficients(21)
+    for phi, psi in pairs:
+        for report in evaluate_all(coeffs, phi, psi):
+            assert evaluate_bound(report.bound_id, coeffs, phi, psi) == report

@@ -139,6 +139,44 @@ def test_verify_flag_overrides_config(tmp_path):
     assert report["config"]["seed"] == 31
 
 
+@pytest.mark.parametrize(
+    "argv, config",
+    [
+        (["verify", "--dim", "1", "--trials", "1"], None),
+        (["verify", "--trials", "-1"], None),
+        (["sweep", "--bound", "T2_UPPER", "--dim", "1", "--grid", "0.5"], None),
+        (["verify", "--trials", "1"], "dim = 1\n"),
+        (["verify", "--trials", "1", "--tolerance", "-1"], None),
+        (["verify", "--trials", "1", "--tolerance", "nan"], None),
+        (["verify", "--trials", "1", "--workers", "0"], None),
+        (["verify", "--trials", "1"], "workers = 0\n"),
+        (["verify", "--trials", "1", "--seed", str(2**64)], None),
+    ],
+    ids=[
+        "verify-dim-1", "verify-trials-negative", "sweep-dim-1", "config-dim-1",
+        "tolerance-negative", "tolerance-nan", "workers-0", "config-workers-0",
+        "seed-too-large",
+    ],
+)
+def test_bad_flag_or_config_value_is_a_usage_error(tmp_path, capsys, argv, config):
+    if config is not None:
+        path = tmp_path / "bad.cfg"
+        path.write_text(config, encoding="utf-8")
+        argv = argv + ["--config", str(path)]
+    try:
+        code = run_cli(argv + ["--out", str(tmp_path / "out")])
+    except SystemExit as exc:  # argparse rejects a bad flag value this way
+        code = exc.code
+    assert code == 2
+    assert "Traceback" not in capsys.readouterr().err
+
+
+def test_out_into_missing_directory_is_a_usage_error(tmp_path, capsys):
+    out = tmp_path / "missing" / "demo.json"
+    assert run_cli(["demo", "--out", str(out)]) == 2
+    assert "error: cannot write" in capsys.readouterr().err
+
+
 # --- seed resolution --------------------------------------------------------------
 
 

@@ -182,9 +182,10 @@ def test_run_ensemble_is_deterministic():
     assert run_ensemble(config) == run_ensemble(config)
 
 
-def test_run_ensemble_is_worker_invariant():
-    config = EnsembleConfig(dim=3, trials=60, pair_kind=PairKind.ARBITRARY, seed=12)
-    assert run_ensemble(config, workers=1) == run_ensemble(config, workers=4)
+def test_run_ensemble_trials_do_not_depend_on_trial_count():
+    short = EnsembleConfig(dim=3, trials=20, pair_kind=PairKind.ARBITRARY, seed=12)
+    long = EnsembleConfig(dim=3, trials=60, pair_kind=PairKind.ARBITRARY, seed=12)
+    assert run_ensemble(long)[:20] == run_ensemble(short)
 
 
 def test_run_ensemble_disjoint_equality_residuals():
@@ -202,7 +203,7 @@ def test_run_ensemble_disjoint_equality_residuals():
 
 def test_run_ensemble_records_are_indexed_in_order():
     config = EnsembleConfig(dim=2, trials=25, pair_kind=PairKind.ORTHOGONAL_SAME_SPACE, seed=3)
-    records = run_ensemble(config, workers=3)
+    records = run_ensemble(config)
     assert [r.index for r in records] == list(range(25))
     assert all(r.seed == subseed(3, r.index) for r in records)
 

@@ -9,7 +9,6 @@ from coherence_lab import (
     DensityMatrix,
     DiagonalDistribution,
     DimensionMismatchError,
-    NoConvergenceError,
     NotHermitianError,
     StateVector,
     ZeroVectorError,
@@ -200,11 +199,6 @@ def test_eigenvalues_one_dimensional():
 def test_eigenvalues_reject_non_hermitian():
     with pytest.raises(NotHermitianError):
         hermitian_eigenvalues([[0.0, 1.0], [0.0, 0.0]])
-
-
-def test_eigenvalues_no_convergence_with_zero_sweep_cap():
-    with pytest.raises(NoConvergenceError):
-        hermitian_eigenvalues([[0.5, 0.5], [0.5, 0.5]], sweep_cap=0)
 
 
 # --- type invariants ---------------------------------------------------------

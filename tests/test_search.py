@@ -14,6 +14,7 @@ from coherence_lab import (
     SearchSpec,
     ZeroVectorError,
     encode_inputs,
+    evaluate_bound,
     max_gain,
     minimize_slack,
     parameter_count,
@@ -21,7 +22,6 @@ from coherence_lab import (
     theorem1_equality,
 )
 from coherence_lab.rng import make_generator, standard_normals
-from coherence_lab.search import _evaluate_bound
 
 
 def random_vector(seed, dim):
@@ -185,5 +185,5 @@ def test_search_result_reevaluates_consistently():
     )
     result = minimize_slack(spec)
     coeffs, phi, psi = result.best_inputs
-    report = _evaluate_bound(T4_LOWER_A, coeffs, phi, psi, 1e-9)
+    report = evaluate_bound(T4_LOWER_A, coeffs, phi, psi, tolerance=1e-9)
     assert abs(report.slack - result.best_slack) <= 1e-12
