@@ -252,69 +252,6 @@ def evaluate_bound(
     return _report(_PairContext(coeffs, phi, psi), bound_id, tolerance)
 
 
-def theorem1_equality(
-    coeffs: SuperpositionCoefficients,
-    phi: StateVector,
-    psi: StateVector,
-    *,
-    tolerance: float = TOLERANCES.bound_slack,
-) -> BoundReport:
-    """Disjoint-support equality: the superposition coherence equals the
-    weighted branch coherences plus the binary entropy of the weight."""
-    return evaluate_bound(T1_EQUALITY, coeffs, phi, psi, tolerance=tolerance)
-
-
-def max_gain(
-    coeffs: SuperpositionCoefficients,
-    phi: StateVector,
-    psi: StateVector,
-    *,
-    tolerance: float = TOLERANCES.bound_slack,
-) -> BoundReport:
-    """Coherence gain over the weighted branch average is at most 1 bit,
-    independent of dimension (disjoint support)."""
-    return evaluate_bound(GAIN_LE_1, coeffs, phi, psi, tolerance=tolerance)
-
-
-def theorem2_upper(
-    coeffs: SuperpositionCoefficients,
-    phi: StateVector,
-    psi: StateVector,
-    *,
-    tolerance: float = TOLERANCES.bound_slack,
-) -> BoundReport:
-    """Orthogonal-branch upper bound: twice the weighted mix."""
-    return evaluate_bound(T2_UPPER, coeffs, phi, psi, tolerance=tolerance)
-
-
-def theorem3_upper(
-    coeffs: SuperpositionCoefficients,
-    phi: StateVector,
-    psi: StateVector,
-    *,
-    tolerance: float = TOLERANCES.bound_slack,
-) -> BoundReport:
-    """General upper bound on s^2 * C(T1), valid for non-orthogonal branches."""
-    return evaluate_bound(T3_UPPER, coeffs, phi, psi, tolerance=tolerance)
-
-
-def theorem4_lower(
-    coeffs: SuperpositionCoefficients,
-    phi: StateVector,
-    psi: StateVector,
-    *,
-    tolerance: float = TOLERANCES.bound_slack,
-) -> tuple[BoundReport, BoundReport]:
-    """Two-branch lower bound on s^2 * C(T1) for arbitrary normalized inputs.
-
-    Both branch inequalities hold individually; the effective lower bound is
-    the larger rhs.  Both are reported even when negative (vacuous), since
-    tightness analysis needs the raw values.
-    """
-    ctx = _PairContext(coeffs, phi, psi)
-    return _report(ctx, T4_LOWER_A, tolerance), _report(ctx, T4_LOWER_B, tolerance)
-
-
 # Bounds evaluate_all applies to each pair class, ahead of the lower bounds.
 # T3 reduces to T2 when s = 1, so it is applied only where T2 is not.
 _CLASS_BOUNDS = {

@@ -4,12 +4,12 @@ Commands:
 
 * ``demo``     evaluate the two built-in qubit examples end to end
 * ``verify``   run randomized bound-verification ensembles, emit a JSON report
-* ``sweep``    tabulate one bound over a grid of weights, emit CSV
+* ``sweep``    tabulate one bound over a grid of weights, emit CSV or JSON
 * ``saturate`` search for minimal slack of one bound, emit a JSON report
 
 Machine-readable payloads go to stdout or ``--out``; log lines go to stderr.
 Exit codes: 0 success, 1 at least one bound report unsatisfied, 2 usage or
-configuration error.
+configuration error, 3 an internal invariant failed (``ConsistencyError``).
 
 Reports are byte-reproducible: canonical JSON uses sorted keys and fixed
 17-significant-digit floats, and the ``started_at`` / ``finished_at`` fields
@@ -20,11 +20,11 @@ byte-identical re-runs).
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import math
 import os
 import sys
-from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
 from typing import Optional
@@ -33,18 +33,17 @@ from . import __version__
 from .bounds import ALL_BOUND_IDS, BOUNDS, evaluate_all, evaluate_bound
 from .ensembles import EnsembleConfig, TrialRecord, run_ensemble, sample_pair
 from .entropy import pure_state_coherence
-from .errors import CoherenceLabError, ConfigError
+from .errors import CoherenceLabError, ConfigError, ConsistencyError
 from .linalg import StateVector
 from .rng import make_generator, subseed
 from .search import SearchSpec, minimize_slack
 from .superpose import PairKind, SuperpositionCoefficients, classify_pair, superpose
 from .tolerances import TOLERANCES
 
-DEFAULT_SEED = 42
 SEED_ENV_VAR = "COHERENCE_LAB_SEED"
-DEFAULT_DIMS = (2, 4, 8, 16)
-DEFAULT_TRIALS = 10_000
 _MAX_RECORDED_VIOLATIONS = 20
+# A range grid with more points than this is rejected before it is built.
+_MAX_GRID_POINTS = 10**6
 
 
 def _log(message: str) -> None:
@@ -52,7 +51,7 @@ def _log(message: str) -> None:
 
 
 # ---------------------------------------------------------------------------
-# canonical JSON
+# canonical JSON and the report envelope
 
 
 def format_float(value: float) -> str:
@@ -98,21 +97,9 @@ def canonical_json(obj) -> str:
     return render(obj, 0) + "\n"
 
 
-def build_report(command: str, config_echo: dict, results, violations: int,
-                 timestamps: bool, started: Optional[str], finished: Optional[str]) -> dict:
-    return {
-        "version": __version__,
-        "command": command,
-        "config": config_echo,
-        "results": results,
-        "violations": violations,
-        "started_at": started if timestamps else None,
-        "finished_at": finished if timestamps else None,
-    }
-
-
-def _now_iso() -> str:
-    return datetime.now(timezone.utc).isoformat()
+def _now(args) -> Optional[str]:
+    """Wall-clock time for the report, or None unless ``--timestamps``."""
+    return datetime.now(timezone.utc).isoformat() if args.timestamps else None
 
 
 def _emit(text: str, out_path: Optional[str]) -> None:
@@ -126,6 +113,22 @@ def _emit(text: str, out_path: Optional[str]) -> None:
         sys.stdout.write(text)
 
 
+def _finish(args, config: dict, echo: dict, results, violations: int,
+            started: Optional[str]) -> int:
+    """Write the JSON report envelope; return the exit code."""
+    report = {
+        "version": __version__,
+        "command": args.command,
+        "config": echo,
+        "results": results,
+        "violations": violations,
+        "started_at": started,
+        "finished_at": _now(args),
+    }
+    _emit(canonical_json(report), _setting(args, config, "out"))
+    return 0 if violations == 0 else 1
+
+
 # ---------------------------------------------------------------------------
 # configuration
 
@@ -137,18 +140,14 @@ def _parse_u64(text: str) -> int:
     return value
 
 
-def _parse_nonneg_int(text: str) -> int:
-    value = int(text)
-    if value < 0:
-        raise ValueError("must be >= 0")
-    return value
+def _int_at_least(low: int):
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise ValueError(f"must be >= {low}, got {value}")
+        return value
 
-
-def _parse_pos_int(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise ValueError("must be >= 1")
-    return value
+    return parse
 
 
 def _parse_pos_float(text: str) -> float:
@@ -158,15 +157,8 @@ def _parse_pos_float(text: str) -> float:
     return value
 
 
-def _parse_dim(text: str) -> int:
-    value = int(text)
-    if value < 2:
-        raise ValueError(f"dimension must be >= 2, got {value}")
-    return value
-
-
 def _parse_dims(text: str) -> tuple[int, ...]:
-    dims = tuple(_parse_dim(part) for part in text.split(",") if part.strip())
+    dims = tuple(_int_at_least(2)(part) for part in text.split(",") if part.strip())
     if not dims:
         raise ValueError("dims must be a comma list of integers >= 2")
     return dims
@@ -216,28 +208,30 @@ def _parse_bool(text: str) -> bool:
     raise ValueError("expected true or false")
 
 
-_CONFIG_PARSERS = {
-    "seed": _parse_u64,
-    "trials": _parse_nonneg_int,
-    "dims": _parse_dims,
-    "dim": _parse_dim,
-    "pair_kinds": _parse_pair_kinds,
-    "tolerance": _parse_pos_float,
-    "workers": _parse_pos_int,
-    "out": str,
-    "bound": _parse_bound,
-    "split": _parse_split,
-    "restarts": _parse_pos_int,
-    "iterations": _parse_pos_int,
-    "grid": str,
-    "format": _parse_format,
-    "permute": _parse_bool,
+# Config key (and flag of the same name) -> (parser, default). A default of
+# None means the setting is optional or, for ``bound`` and ``grid``, required.
+_SETTINGS = {
+    "seed": (_parse_u64, 42),
+    "trials": (_int_at_least(0), 10_000),
+    "dims": (_parse_dims, (2, 4, 8, 16)),
+    "dim": (_int_at_least(2), 2),
+    "pair_kinds": (_parse_pair_kinds, tuple(PairKind)),
+    "tolerance": (_parse_pos_float, TOLERANCES.bound_slack),
+    "workers": (_int_at_least(1), 1),
+    "out": (str, None),
+    "bound": (_parse_bound, None),
+    "split": (_parse_split, None),
+    "restarts": (_int_at_least(1), 16),
+    "iterations": (_int_at_least(1), 2000),
+    "grid": (str, None),
+    "format": (_parse_format, "csv"),
+    "permute": (_parse_bool, False),
 }
 
 
 def _flag_type(key: str):
     """argparse ``type=`` for a flag, from the parser of its config key."""
-    parse = _CONFIG_PARSERS[key]
+    parse = _SETTINGS[key][0]
 
     def convert(text: str):
         try:
@@ -252,7 +246,7 @@ def parse_config_file(path: str) -> dict:
     """Flat ``key = value`` file; '#' starts a comment line."""
     try:
         lines = Path(path).read_text(encoding="utf-8").splitlines()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config file {path!r}: {exc}")
     values: dict = {}
     for lineno, raw in enumerate(lines, 1):
@@ -264,50 +258,58 @@ def parse_config_file(path: str) -> dict:
         key, _, text = line.partition("=")
         key = key.strip()
         text = text.strip()
-        if key not in _CONFIG_PARSERS:
+        if key not in _SETTINGS:
             raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
         try:
-            values[key] = _CONFIG_PARSERS[key](text)
+            values[key] = _SETTINGS[key][0](text)
         except ValueError as exc:
             raise ConfigError(f"{path}:{lineno}: bad value for key {key!r}: {exc}")
     return values
 
 
-def _setting(args, config: dict, key: str, default=None):
-    """The flag's value if given, else the config key's, else ``default``."""
-    value = getattr(args, key)
-    return value if value is not None else config.get(key, default)
+def _given(args, config: dict, key: str):
+    """The flag's value if given, else the config key's, else None."""
+    value = getattr(args, key, None)
+    return value if value is not None else config.get(key)
 
 
-def _resolve_seed(flag_seed: Optional[int], config: dict) -> int:
-    if flag_seed is not None:
-        return flag_seed
-    if "seed" in config:
-        return config["seed"]
+def _setting(args, config: dict, key: str):
+    """The flag's value if given, else the config key's, else the default."""
+    value = _given(args, config, key)
+    return value if value is not None else _SETTINGS[key][1]
+
+
+def _required(args, config: dict, key: str):
+    value = _given(args, config, key)
+    if value is None:
+        raise ConfigError(f"{args.command} requires --{key} (or a '{key}' config key)")
+    return value
+
+
+def _seed(args, config: dict) -> int:
+    """Flag, then config key, then ``COHERENCE_LAB_SEED``, then the default."""
     env = os.environ.get(SEED_ENV_VAR)
-    if env is not None:
+    if env is not None and _given(args, config, "seed") is None:
         try:
             return _parse_u64(env)
         except ValueError as exc:
             raise ConfigError(f"bad {SEED_ENV_VAR} value {env!r}: {exc}")
-    return DEFAULT_SEED
+    return _setting(args, config, "seed")
 
 
 # ---------------------------------------------------------------------------
 # demo
 
 
-def _demo_entries(tolerance: float) -> list[dict]:
+def cmd_demo(args, config: dict) -> int:
+    tolerance = _setting(args, config, "tolerance")
+    started = _now(args)
     inv = 1.0 / math.sqrt(2.0)
-    basis_0 = StateVector([1.0, 0.0])
-    basis_1 = StateVector([0.0, 1.0])
-    plus = StateVector([inv, inv])
-    minus = StateVector([inv, -inv])
     coeffs = SuperpositionCoefficients(inv, inv)
     cases = [
-        ("omega_1", basis_0, basis_1,
+        ("omega_1", StateVector([1.0, 0.0]), StateVector([0.0, 1.0]),
          "equal superposition of two incoherent basis states"),
-        ("omega_2", plus, minus,
+        ("omega_2", StateVector([inv, inv]), StateVector([inv, -inv]),
          "equal superposition of the two maximally coherent qubit states"),
     ]
     entries = []
@@ -331,63 +333,12 @@ def _demo_entries(tolerance: float) -> list[dict]:
             f"{name}: term coherences = {term_coherences[0]:.6f}, "
             f"{term_coherences[1]:.6f}; superposition coherence = {omega_coherence:.6f}"
         )
-    return entries
-
-
-def cmd_demo(args) -> int:
-    tolerance = args.tolerance if args.tolerance is not None else TOLERANCES.bound_slack
-    started = _now_iso()
-    entries = _demo_entries(tolerance)
-    finished = _now_iso()
-    violations = sum(
-        1 for entry in entries for rep in entry["reports"] if not rep["satisfied"]
-    )
-    report = build_report(
-        "demo",
-        {"tolerance": tolerance},
-        entries,
-        violations,
-        args.timestamps,
-        started,
-        finished,
-    )
-    _emit(canonical_json(report), args.out)
-    return 0 if violations == 0 else 1
+    violations = sum(not r["satisfied"] for e in entries for r in e["reports"])
+    return _finish(args, config, {"tolerance": tolerance}, entries, violations, started)
 
 
 # ---------------------------------------------------------------------------
 # verify
-
-
-@dataclass(frozen=True)
-class VerifySettings:
-    seed: int
-    trials: int
-    dims: tuple[int, ...]
-    pair_kinds: tuple[PairKind, ...]
-    tolerance: float
-    split: Optional[tuple[int, int]] = None
-    permute: bool = False
-    out: Optional[str] = None
-
-
-def _verify_settings(args, config: dict) -> VerifySettings:
-    dims = config.get("dims", DEFAULT_DIMS)
-    if args.dim is not None:
-        dims = (args.dim,)
-    elif "dim" in config:
-        dims = (config["dim"],)
-    settings = VerifySettings(
-        seed=_resolve_seed(args.seed, config),
-        trials=_setting(args, config, "trials", DEFAULT_TRIALS),
-        dims=dims,
-        pair_kinds=config.get("pair_kinds", tuple(PairKind)),
-        tolerance=_setting(args, config, "tolerance", TOLERANCES.bound_slack),
-        split=config.get("split"),
-        permute=config.get("permute", False),
-        out=_setting(args, config, "out"),
-    )
-    return settings
 
 
 def _summarize_ensemble(
@@ -433,55 +384,47 @@ def _summarize_ensemble(
     return summary, violations
 
 
-def cmd_verify(args) -> int:
-    config = parse_config_file(args.config) if args.config else {}
-    settings = _verify_settings(args, config)
-    started = _now_iso()
+def cmd_verify(args, config: dict) -> int:
+    seed = _seed(args, config)
+    trials = _setting(args, config, "trials")
+    one_dim = _given(args, config, "dim")
+    dims = (one_dim,) if one_dim is not None else _setting(args, config, "dims")
+    pair_kinds = _setting(args, config, "pair_kinds")
+    tolerance = _setting(args, config, "tolerance")
+    split = _setting(args, config, "split")
+    permute = _setting(args, config, "permute")
+    started = _now(args)
     summaries = []
     total_violations = 0
-    combo_index = 0
-    for kind in settings.pair_kinds:
-        for dim in settings.dims:
-            ensemble = EnsembleConfig(
-                dim=dim,
-                trials=settings.trials,
-                pair_kind=kind,
-                seed=subseed(settings.seed, combo_index),
-                split=settings.split if kind is PairKind.DISJOINT_SUPPORT else None,
-                permute=settings.permute,
-            )
-            records = run_ensemble(ensemble, tolerance=settings.tolerance)
-            summary, violations = _summarize_ensemble(records, ensemble)
-            summaries.append(summary)
-            total_violations += violations
-            _log(
-                f"verify: {kind.value} d={dim}: {ensemble.trials} trials, "
-                f"{violations} violations, {summary['errors']} errors"
-            )
-            combo_index += 1
-    finished = _now_iso()
+    for combo_index, (kind, dim) in enumerate(itertools.product(pair_kinds, dims)):
+        ensemble = EnsembleConfig(
+            dim=dim,
+            trials=trials,
+            pair_kind=kind,
+            seed=subseed(seed, combo_index),
+            split=split if kind is PairKind.DISJOINT_SUPPORT else None,
+            permute=permute,
+        )
+        records = run_ensemble(ensemble, tolerance=tolerance)
+        summary, violations = _summarize_ensemble(records, ensemble)
+        summaries.append(summary)
+        total_violations += violations
+        _log(
+            f"verify: {kind.value} d={dim}: {ensemble.trials} trials, "
+            f"{violations} violations, {summary['errors']} errors"
+        )
     # ``workers`` is validated but selects nothing (trials run serially); it is
     # left out of the echoed config so reports stay byte-identical across it.
-    config_echo = {
-        "seed": settings.seed,
-        "trials": settings.trials,
-        "dims": list(settings.dims),
-        "pair_kinds": [k.value for k in settings.pair_kinds],
-        "tolerance": settings.tolerance,
-        "split": list(settings.split) if settings.split else None,
-        "permute": settings.permute,
+    echo = {
+        "seed": seed,
+        "trials": trials,
+        "dims": list(dims),
+        "pair_kinds": [k.value for k in pair_kinds],
+        "tolerance": tolerance,
+        "split": list(split) if split else None,
+        "permute": permute,
     }
-    report = build_report(
-        "verify",
-        config_echo,
-        {"ensembles": summaries},
-        total_violations,
-        args.timestamps,
-        started,
-        finished,
-    )
-    _emit(canonical_json(report), settings.out)
-    return 0 if total_violations == 0 else 1
+    return _finish(args, config, echo, {"ensembles": summaries}, total_violations, started)
 
 
 # ---------------------------------------------------------------------------
@@ -495,10 +438,12 @@ def _parse_grid(text: str) -> list[float]:
             if len(parts) != 3:
                 raise ValueError("range grid must be start:stop:step")
             start, stop, step = parts
-            if step <= 0 or stop < start:
+            if not (step > 0 and stop >= start):
                 raise ValueError("grid requires step > 0 and stop >= start")
-            count = int(math.floor((stop - start) / step + 0.5)) + 1
-            values = [start + i * step for i in range(count)]
+            points = (stop - start) / step + 0.5
+            if not points < _MAX_GRID_POINTS:
+                raise ValueError(f"range grid has more than {_MAX_GRID_POINTS} points")
+            values = [start + i * step for i in range(int(math.floor(points)) + 1)]
         else:
             values = [float(p) for p in text.split(",") if p.strip()]
     except ValueError as exc:
@@ -511,29 +456,18 @@ def _parse_grid(text: str) -> list[float]:
     return values
 
 
-def _sweep_pair(bound_id: str, dim: int, seed: int) -> tuple[StateVector, StateVector]:
-    kind = BOUNDS[bound_id].default_kind
-    ensemble = EnsembleConfig(dim=dim, trials=1, pair_kind=kind, seed=seed)
-    gen = make_generator(subseed(seed, 0))
-    return sample_pair(gen, ensemble)
+def cmd_sweep(args, config: dict) -> int:
+    bound_id = _required(args, config, "bound")
+    dim = _setting(args, config, "dim")
+    seed = _seed(args, config)
+    tolerance = _setting(args, config, "tolerance")
+    grid = _parse_grid(_required(args, config, "grid"))
+    started = _now(args)
 
-
-def cmd_sweep(args) -> int:
-    config = parse_config_file(args.config) if args.config else {}
-    bound_id = _setting(args, config, "bound")
-    if bound_id is None:
-        raise ConfigError("sweep requires --bound (or a 'bound' config key)")
-    dim = _setting(args, config, "dim", 2)
-    seed = _resolve_seed(args.seed, config)
-    tolerance = _setting(args, config, "tolerance", TOLERANCES.bound_slack)
-    grid_text = _setting(args, config, "grid")
-    if grid_text is None:
-        raise ConfigError("sweep requires --grid (or a 'grid' config key)")
-    grid = _parse_grid(grid_text)
-    out = _setting(args, config, "out")
-    fmt = _setting(args, config, "format", "csv")
-
-    phi, psi = _sweep_pair(bound_id, dim, seed)
+    ensemble = EnsembleConfig(
+        dim=dim, trials=1, pair_kind=BOUNDS[bound_id].default_kind, seed=seed
+    )
+    phi, psi = sample_pair(make_generator(subseed(seed, 0)), ensemble)
     rows = []
     violations = 0
     for alpha_sq in grid:
@@ -545,41 +479,26 @@ def cmd_sweep(args) -> int:
         if not report.satisfied:
             violations += 1
 
-    if fmt == "csv":
+    if _setting(args, config, "format") == "csv":
         lines = ["alpha_sq,lhs,rhs,slack"]
         lines += [f"{a!r},{l!r},{r!r},{s!r}" for a, l, r, s in rows]
-        _emit("\n".join(lines) + "\n", out)
-    else:
-        started = _now_iso()
-        payload = [
-            {"alpha_sq": a, "lhs": l, "rhs": r, "slack": s} for a, l, r, s in rows
-        ]
-        report_obj = build_report(
-            "sweep",
-            {"bound": bound_id, "dim": dim, "seed": seed, "tolerance": tolerance,
-             "grid": grid},
-            payload,
-            violations,
-            args.timestamps,
-            started,
-            started,
-        )
-        _emit(canonical_json(report_obj), out)
-    return 0 if violations == 0 else 1
+        _emit("\n".join(lines) + "\n", _setting(args, config, "out"))
+        return 0 if violations == 0 else 1
+    echo = {"bound": bound_id, "dim": dim, "seed": seed, "tolerance": tolerance,
+            "grid": grid}
+    payload = [{"alpha_sq": a, "lhs": l, "rhs": r, "slack": s} for a, l, r, s in rows]
+    return _finish(args, config, echo, payload, violations, started)
 
 
 # ---------------------------------------------------------------------------
 # saturate
 
 
-def cmd_saturate(args) -> int:
-    config = parse_config_file(args.config) if args.config else {}
-    bound_id = _setting(args, config, "bound")
-    if bound_id is None:
-        raise ConfigError("saturate requires --bound (or a 'bound' config key)")
-    dim = _setting(args, config, "dim", 2)
-    seed = _resolve_seed(args.seed, config)
-    tolerance = _setting(args, config, "tolerance", TOLERANCES.bound_slack)
+def cmd_saturate(args, config: dict) -> int:
+    bound_id = _required(args, config, "bound")
+    dim = _setting(args, config, "dim")
+    seed = _seed(args, config)
+    tolerance = _setting(args, config, "tolerance")
     if args.pair_kind is not None:
         pair_kind = PairKind(args.pair_kind)
     else:
@@ -590,15 +509,14 @@ def cmd_saturate(args) -> int:
             dim=dim,
             pair_kind=pair_kind,
             seed=seed,
-            restarts=_setting(args, config, "restarts", 16),
-            iterations=_setting(args, config, "iterations", 2000),
+            restarts=_setting(args, config, "restarts"),
+            iterations=_setting(args, config, "iterations"),
         )
     except ValueError as exc:
         raise ConfigError(str(exc))
 
-    started = _now_iso()
+    started = _now(args)
     result = minimize_slack(spec, tolerance=tolerance)
-    finished = _now_iso()
     coeffs, phi, psi = result.best_inputs
     final_report = evaluate_bound(bound_id, coeffs, phi, psi, tolerance=tolerance)
     violations = 0 if final_report.satisfied else 1
@@ -623,17 +541,9 @@ def cmd_saturate(args) -> int:
         "evaluations": result.evaluations,
         "report": final_report.to_dict(),
     }
-    report_obj = build_report(
-        "saturate",
-        {"bound": bound_id, "pair_kind": pair_kind.value, "dim": dim, "seed": seed,
-         "restarts": spec.restarts, "iterations": spec.iterations,
-         "tolerance": tolerance},
-        payload,
-        violations,
-        args.timestamps,
-        started,
-        finished,
-    )
+    echo = {"bound": bound_id, "pair_kind": pair_kind.value, "dim": dim, "seed": seed,
+            "restarts": spec.restarts, "iterations": spec.iterations,
+            "tolerance": tolerance}
     _log(f"saturate: {bound_id} best slack = {result.best_slack:.6e}")
     amps = ", ".join(f"{z.real:.12g}{z.imag:+.12g}j" for z in phi.amps)
     _log(f"saturate: best phi = [{amps}]")
@@ -643,8 +553,7 @@ def cmd_saturate(args) -> int:
         f"saturate: best alpha = {coeffs.alpha.real:.12g}{coeffs.alpha.imag:+.12g}j, "
         f"beta = {coeffs.beta.real:.12g}{coeffs.beta.imag:+.12g}j"
     )
-    _emit(canonical_json(report_obj), _setting(args, config, "out"))
-    return 0 if violations == 0 else 1
+    return _finish(args, config, echo, payload, violations, started)
 
 
 # ---------------------------------------------------------------------------
@@ -661,75 +570,69 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
+    bound_ids = ", ".join(ALL_BOUND_IDS)
 
-    def option(p: argparse.ArgumentParser, key: str, help: str, **kwargs) -> None:
-        # Flags share their parser with the config key of the same name.
-        p.add_argument(f"--{key}", type=_flag_type(key), help=help, **kwargs)
+    def option(p: argparse.ArgumentParser, key: str, help: str) -> None:
+        # Flags share their parser and default with the config key of the same
+        # name; "{default}" in the help text names that default.
+        p.add_argument(f"--{key}", type=_flag_type(key),
+                       help=help.format(default=_SETTINGS[key][1]))
 
-    def add_common(p: argparse.ArgumentParser, *, formats=("json",)) -> None:
-        p.add_argument("--out", help="write the payload to this path instead of stdout")
-        option(p, "tolerance", "bound verdict tolerance")
-        option(p, "format", f"payload format (default {formats[0]})", choices=formats)
+    def command(name: str, help: str, handler) -> argparse.ArgumentParser:
+        p = sub.add_parser(name, help=help)
+        p.set_defaults(handler=handler)
+        option(p, "out", "write the payload to this path instead of stdout")
+        option(p, "tolerance", "bound verdict tolerance (default {default})")
         p.add_argument(
             "--timestamps",
             action="store_true",
             help="fill started_at/finished_at (breaks byte-identical re-runs)",
         )
+        return p
 
-    demo = sub.add_parser("demo", help="evaluate the built-in qubit examples")
-    add_common(demo)
-    demo.set_defaults(handler=cmd_demo)
+    command("demo", "evaluate the built-in qubit examples", cmd_demo)
 
-    verify = sub.add_parser("verify", help="run randomized bound-verification ensembles")
-    verify.add_argument("--config", help="flat key = value configuration file")
+    verify = command("verify", "run randomized bound-verification ensembles", cmd_verify)
     option(verify, "seed", "master seed (unsigned 64-bit)")
     option(verify, "dim", "restrict to a single dimension")
-    option(verify, "trials", "trials per (pair kind, dimension)")
+    option(verify, "trials", "trials per (pair kind, dimension) (default {default})")
     option(verify, "workers", "accepted for compatibility; trials always run serially")
-    add_common(verify)
-    verify.set_defaults(handler=cmd_verify)
 
-    sweep = sub.add_parser("sweep", help="tabulate one bound over a weight grid")
-    sweep.add_argument("--config", help="flat key = value configuration file")
-    option(sweep, "bound", "bound to tabulate", choices=ALL_BOUND_IDS)
-    option(sweep, "dim", "state dimension (default 2)")
+    sweep = command("sweep", "tabulate one bound over a weight grid", cmd_sweep)
+    option(sweep, "bound", f"bound to tabulate: one of {bound_ids}")
+    option(sweep, "dim", "state dimension (default {default})")
     option(sweep, "seed", "seed for the fixed state pair")
-    sweep.add_argument(
-        "--grid",
-        help="|alpha|^2 values: 'start:stop:step' or a comma list, all in (0, 1)",
-    )
-    add_common(sweep, formats=("csv", "json"))
-    sweep.set_defaults(handler=cmd_sweep)
+    option(sweep, "grid", "|alpha|^2 values: 'start:stop:step' or a comma list, all in (0, 1)")
+    option(sweep, "format", "payload format, csv or json (default {default})")
 
-    saturate = sub.add_parser("saturate", help="minimize the slack of one bound")
-    saturate.add_argument("--config", help="flat key = value configuration file")
-    option(saturate, "bound", "bound to saturate", choices=ALL_BOUND_IDS)
-    option(saturate, "dim", "state dimension (default 2)")
+    saturate = command("saturate", "minimize the slack of one bound", cmd_saturate)
+    option(saturate, "bound", f"bound to saturate: one of {bound_ids}")
+    option(saturate, "dim", "state dimension (default {default})")
     saturate.add_argument(
         "--pair-kind",
         choices=[k.value for k in PairKind],
         help="sampling constraint (default: the bound's natural class)",
     )
-    option(saturate, "restarts", "independent restarts (default 16)")
-    option(saturate, "iterations", "iterations per restart (default 2000)")
+    option(saturate, "restarts", "independent restarts (default {default})")
+    option(saturate, "iterations", "iterations per restart (default {default})")
     option(saturate, "seed", "master seed (unsigned 64-bit)")
-    add_common(saturate)
-    saturate.set_defaults(handler=cmd_saturate)
 
+    for p in (verify, sweep, saturate):
+        p.add_argument("--config", help="flat key = value configuration file")
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.handler(args)
+        config = parse_config_file(args.config) if getattr(args, "config", None) else {}
+        return args.handler(args, config)
     except ConfigError as exc:
         _log(f"error: {exc}")
         return 2
     except CoherenceLabError as exc:
         _log(f"error: {type(exc).__name__}: {exc}")
-        return 2
+        return 3 if isinstance(exc, ConsistencyError) else 2
 
 
 if __name__ == "__main__":

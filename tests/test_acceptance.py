@@ -14,14 +14,16 @@ import numpy as np
 import pytest
 
 from coherence_lab import (
+    GAIN_LE_1,
+    T4_LOWER_A,
     EnsembleConfig,
     PairKind,
     SearchSpec,
     SuperpositionCoefficients,
     StateVector,
+    evaluate_bound,
     haar_random_state,
     hermitian_eigenvalues,
-    max_gain,
     minimize_slack,
     mixing_identity_residual,
     norm_identity_residual,
@@ -29,7 +31,6 @@ from coherence_lab import (
     random_coefficients,
     relative_entropy_coherence,
     run_ensemble,
-    theorem4_lower,
 )
 from coherence_lab.linalg import DensityMatrix
 from coherence_lab.rng import make_generator
@@ -143,7 +144,7 @@ def test_acceptance_4_gain_ceiling_and_saturation(disjoint_ensembles):
     )
     result = minimize_slack(spec)
     coeffs, phi, psi = result.best_inputs
-    best_gain = max_gain(coeffs, phi, psi).lhs
+    best_gain = evaluate_bound(GAIN_LE_1, coeffs, phi, psi).lhs
     assert best_gain >= 1.0 - 1e-6
     assert result.best_slack >= -1e-9
     elapsed = build_time + (time.perf_counter() - started)
@@ -210,8 +211,11 @@ def test_acceptance_6_two_branch_lower_bound():
 
     # Hand-checked point: uniform weights on two basis states.
     inv = 1.0 / math.sqrt(2.0)
-    branch_a, _ = theorem4_lower(
-        SuperpositionCoefficients(inv, inv), StateVector([1, 0]), StateVector([0, 1])
+    branch_a = evaluate_bound(
+        T4_LOWER_A,
+        SuperpositionCoefficients(inv, inv),
+        StateVector([1, 0]),
+        StateVector([0, 1]),
     )
     expected = -1.5 * (math.log2(3.0) - 2.0 / 3.0)  # = -1.3774437510817346
     assert abs(branch_a.rhs - expected) <= 1e-6

@@ -24,14 +24,9 @@ from coherence_lab import (
     evaluate_bound,
     haar_random_state,
     inputs_digest,
-    max_gain,
     random_coefficients,
     random_disjoint_support_pair,
     random_orthogonal_pair,
-    theorem1_equality,
-    theorem2_upper,
-    theorem3_upper,
-    theorem4_lower,
 )
 
 INV_SQRT2 = 1.0 / math.sqrt(2.0)
@@ -55,7 +50,7 @@ def h_oracle(x) -> float:
 
 
 def test_equality_on_uniform_basis_pair():
-    report = theorem1_equality(EQUAL, E0, E1)
+    report = evaluate_bound(T1_EQUALITY, EQUAL, E0, E1)
     assert abs(report.lhs - 1.0) < 1e-12
     assert abs(report.rhs - 1.0) < 1e-12
     assert report.slack <= 1e-12
@@ -64,7 +59,7 @@ def test_equality_on_uniform_basis_pair():
 
 def test_equality_with_degenerate_weight():
     coeffs = SuperpositionCoefficients(1.0, 0.0)
-    report = theorem1_equality(coeffs, E0, E1)
+    report = evaluate_bound(T1_EQUALITY, coeffs, E0, E1)
     assert report.lhs == report.rhs == 0.0
 
 
@@ -75,7 +70,7 @@ def test_equality_four_dimensional_example():
     expected = 0.3 + 0.7 + h_oracle(0.3)  # = 1.8812908992306927
     omega_probs = [0.15, 0.15, 0.35, 0.35]
     assert abs(shannon_oracle(omega_probs) - expected) < 1e-12
-    report = theorem1_equality(coeffs, phi, psi)
+    report = evaluate_bound(T1_EQUALITY, coeffs, phi, psi)
     assert abs(report.lhs - expected) < 1e-12
     assert abs(report.rhs - expected) < 1e-12
     assert report.slack <= 1e-12
@@ -83,11 +78,11 @@ def test_equality_four_dimensional_example():
 
 def test_equality_rejects_non_disjoint_pairs():
     with pytest.raises(WrongPairClassError):
-        theorem1_equality(EQUAL, PLUS, MINUS)
+        evaluate_bound(T1_EQUALITY, EQUAL, PLUS, MINUS)
 
 
 def test_equality_verdict_uses_residual_rule():
-    report = theorem1_equality(EQUAL, E0, E1, tolerance=1e-20)
+    report = evaluate_bound(T1_EQUALITY, EQUAL, E0, E1, tolerance=1e-20)
     assert report.slack > 1e-20
     assert not report.satisfied
 
@@ -96,7 +91,7 @@ def test_equality_verdict_uses_residual_rule():
 
 
 def test_gain_saturates_on_uniform_basis_pair():
-    report = max_gain(EQUAL, E0, E1)
+    report = evaluate_bound(GAIN_LE_1, EQUAL, E0, E1)
     assert abs(report.lhs - 1.0) < 1e-12
     assert report.rhs == 1.0
     assert abs(report.slack) < 1e-12
@@ -104,13 +99,13 @@ def test_gain_saturates_on_uniform_basis_pair():
 
 
 def test_gain_zero_for_degenerate_weight():
-    report = max_gain(SuperpositionCoefficients(1.0, 0.0), E0, E1)
+    report = evaluate_bound(GAIN_LE_1, SuperpositionCoefficients(1.0, 0.0), E0, E1)
     assert report.lhs == 0.0
 
 
 def test_gain_rejects_non_disjoint_pairs():
     with pytest.raises(WrongPairClassError):
-        max_gain(EQUAL, E0, PLUS)
+        evaluate_bound(GAIN_LE_1, EQUAL, E0, PLUS)
 
 
 def test_gain_sweep_never_exceeds_one():
@@ -120,7 +115,7 @@ def test_gain_sweep_never_exceeds_one():
             dim=dim, trials=1, pair_kind=PairKind.DISJOINT_SUPPORT, seed=seed
         )
         phi, psi = random_disjoint_support_pair(config)
-        report = max_gain(random_coefficients(seed + 1), phi, psi)
+        report = evaluate_bound(GAIN_LE_1, random_coefficients(seed + 1), phi, psi)
         assert report.lhs <= 1.0 + 1e-9
         assert report.satisfied
 
@@ -129,28 +124,28 @@ def test_gain_sweep_never_exceeds_one():
 
 
 def test_orthogonal_bound_on_plus_minus_pair():
-    report = theorem2_upper(EQUAL, PLUS, MINUS)
+    report = evaluate_bound(T2_UPPER, EQUAL, PLUS, MINUS)
     assert report.lhs <= 1e-12
     assert abs(report.rhs - 4.0) < 1e-12
     assert report.satisfied
 
 
 def test_orthogonal_bound_on_disjoint_pair():
-    report = theorem2_upper(EQUAL, E0, E1)
+    report = evaluate_bound(T2_UPPER, EQUAL, E0, E1)
     assert abs(report.lhs - 1.0) < 1e-12
     assert abs(report.rhs - 2.0) < 1e-12
 
 
 def test_orthogonal_bound_rejects_overlapping_pairs():
     with pytest.raises(WrongPairClassError):
-        theorem2_upper(EQUAL, E0, PLUS)
+        evaluate_bound(T2_UPPER, EQUAL, E0, PLUS)
 
 
 def test_orthogonal_bound_sweep():
     for seed in range(300):
         dim = 2 + seed % 15
         phi, psi = random_orthogonal_pair(dim, seed)
-        report = theorem2_upper(random_coefficients(seed + 7), phi, psi)
+        report = evaluate_bound(T2_UPPER, random_coefficients(seed + 7), phi, psi)
         assert report.slack >= -1e-9
 
 
@@ -158,7 +153,7 @@ def test_orthogonal_bound_sweep():
 
 
 def test_general_bound_on_parallel_plus_states():
-    report = theorem3_upper(EQUAL, PLUS, PLUS)
+    report = evaluate_bound(T3_UPPER, EQUAL, PLUS, PLUS)
     assert abs(report.lhs - 2.0) < 1e-12
     assert abs(report.rhs - 4.0) < 1e-12
     assert report.satisfied
@@ -169,7 +164,7 @@ def test_general_bound_on_zero_plus_example():
     s_sq = float(raw @ raw)
     probs = raw**2 / s_sq
     expected_lhs = s_sq * shannon_oracle(probs)
-    report = theorem3_upper(EQUAL, E0, PLUS)
+    report = evaluate_bound(T3_UPPER, EQUAL, E0, PLUS)
     assert abs(report.lhs - expected_lhs) < 1e-12
     assert abs(report.rhs - 3.0) < 1e-12
     assert report.slack >= 0.0
@@ -180,7 +175,7 @@ def test_general_bound_sweep():
         dim = 2 + seed % 15
         phi = haar_random_state(dim, seed)
         psi = haar_random_state(dim, seed + 50_021)
-        report = theorem3_upper(random_coefficients(seed + 11), phi, psi)
+        report = evaluate_bound(T3_UPPER, random_coefficients(seed + 11), phi, psi)
         assert report.slack >= -1e-9
 
 
@@ -188,7 +183,8 @@ def test_general_bound_sweep():
 
 
 def test_lower_bound_on_uniform_basis_pair():
-    branch_a, branch_b = theorem4_lower(EQUAL, E0, E1)
+    branch_a = evaluate_bound(T4_LOWER_A, EQUAL, E0, E1)
+    branch_b = evaluate_bound(T4_LOWER_B, EQUAL, E0, E1)
     expected_rhs = -1.5 * h_oracle(1.0 / 3.0)  # = -1.3774437510817346
     assert abs(expected_rhs - (-1.377443751)) < 1e-6
     assert abs(branch_a.rhs - expected_rhs) < 1e-12
@@ -199,7 +195,7 @@ def test_lower_bound_on_uniform_basis_pair():
 def test_lower_bound_with_degenerate_weight():
     phi = StateVector([math.sqrt(0.4), math.sqrt(0.6)])
     coeffs = SuperpositionCoefficients(1.0, 0.0)
-    branch_a, _ = theorem4_lower(coeffs, phi, E1)
+    branch_a = evaluate_bound(T4_LOWER_A, coeffs, phi, E1)
     coherence = shannon_oracle([0.4, 0.6])
     assert abs(branch_a.lhs - coherence) < 1e-12
     assert abs(branch_a.rhs - coherence / 2.0) < 1e-12
@@ -211,7 +207,9 @@ def test_lower_bound_sweep():
         dim = 2 + seed % 15
         phi = haar_random_state(dim, seed)
         psi = haar_random_state(dim, seed + 90_001)
-        branch_a, branch_b = theorem4_lower(random_coefficients(seed + 13), phi, psi)
+        coeffs = random_coefficients(seed + 13)
+        branch_a = evaluate_bound(T4_LOWER_A, coeffs, phi, psi)
+        branch_b = evaluate_bound(T4_LOWER_B, coeffs, phi, psi)
         assert branch_a.slack >= -1e-9
         assert branch_b.slack >= -1e-9
 
@@ -222,8 +220,8 @@ def test_lower_bound_coefficient_symmetry():
         psi = haar_random_state(4, seed + 777)
         coeffs = random_coefficients(seed + 3)
         swapped = SuperpositionCoefficients(coeffs.beta, coeffs.alpha)
-        branch_a, _ = theorem4_lower(coeffs, phi, psi)
-        _, swapped_b = theorem4_lower(swapped, psi, phi)
+        branch_a = evaluate_bound(T4_LOWER_A, coeffs, phi, psi)
+        swapped_b = evaluate_bound(T4_LOWER_B, swapped, psi, phi)
         assert abs(branch_a.lhs - swapped_b.lhs) < 1e-12
         assert abs(branch_a.rhs - swapped_b.rhs) < 1e-12
 
@@ -261,8 +259,8 @@ def test_orthogonal_bound_never_tighter_than_equality():
         )
         phi, psi = random_disjoint_support_pair(config)
         coeffs = random_coefficients(seed)
-        equality = theorem1_equality(coeffs, phi, psi)
-        upper = theorem2_upper(coeffs, phi, psi)
+        equality = evaluate_bound(T1_EQUALITY, coeffs, phi, psi)
+        upper = evaluate_bound(T2_UPPER, coeffs, phi, psi)
         assert upper.slack >= equality.slack - 1e-9
 
 
@@ -277,22 +275,22 @@ def test_reports_are_phase_invariant():
         rotated_coeffs = SuperpositionCoefficients(
             coeffs.alpha * np.conj(rotation), coeffs.beta
         )
-        base = theorem3_upper(coeffs, phi, psi)
-        rotated = theorem3_upper(rotated_coeffs, rotated_phi, psi)
+        base = evaluate_bound(T3_UPPER, coeffs, phi, psi)
+        rotated = evaluate_bound(T3_UPPER, rotated_coeffs, rotated_phi, psi)
         assert abs(base.lhs - rotated.lhs) < 1e-12
         assert abs(base.rhs - rotated.rhs) < 1e-12
-        base_a, _ = theorem4_lower(coeffs, phi, psi)
-        rotated_a, _ = theorem4_lower(rotated_coeffs, rotated_phi, psi)
+        base_a = evaluate_bound(T4_LOWER_A, coeffs, phi, psi)
+        rotated_a = evaluate_bound(T4_LOWER_A, rotated_coeffs, rotated_phi, psi)
         assert abs(base_a.lhs - rotated_a.lhs) < 1e-12
         assert abs(base_a.rhs - rotated_a.rhs) < 1e-12
 
 
 def test_slack_sign_conventions():
-    upper = theorem2_upper(EQUAL, E0, E1)
+    upper = evaluate_bound(T2_UPPER, EQUAL, E0, E1)
     assert upper.slack == upper.rhs - upper.lhs
-    lower, _ = theorem4_lower(EQUAL, E0, E1)
+    lower = evaluate_bound(T4_LOWER_A, EQUAL, E0, E1)
     assert lower.slack == lower.lhs - lower.rhs
-    equality = theorem1_equality(EQUAL, E0, E1)
+    equality = evaluate_bound(T1_EQUALITY, EQUAL, E0, E1)
     assert equality.slack == abs(equality.lhs - equality.rhs)
     assert equality.slack >= 0.0
 
@@ -305,7 +303,7 @@ def test_inputs_digest_is_stable_and_discriminating():
     assert first != other
     assert len(first) == 16
     assert all(ch in "0123456789abcdef" for ch in first)
-    report = theorem1_equality(EQUAL, E0, E1)
+    report = evaluate_bound(T1_EQUALITY, EQUAL, E0, E1)
     assert report.inputs_digest == first
 
 

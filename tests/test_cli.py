@@ -2,10 +2,13 @@
 
 import json
 import math
+from datetime import datetime, timedelta
 
 import pytest
 
+from coherence_lab import cli
 from coherence_lab.cli import canonical_json, format_float, main
+from coherence_lab.errors import ConsistencyError
 
 INV_SQRT2 = 1.0 / math.sqrt(2.0)
 
@@ -109,6 +112,14 @@ def test_verify_rejects_bad_config_value(tmp_path, capsys):
 
 def test_verify_rejects_missing_config_file():
     assert run_cli(["verify", "--config", "/nonexistent/path.cfg"]) == 2
+
+
+def test_verify_rejects_config_file_that_is_not_utf8(tmp_path, capsys):
+    config = tmp_path / "bad.cfg"
+    config.write_bytes(b"\xff\xfetrials = 5\n")
+    assert run_cli(["verify", "--config", str(config)]) == 2
+    err = capsys.readouterr().err
+    assert "cannot read config file" in err and "Traceback" not in err
 
 
 def test_verify_is_byte_reproducible(tmp_path):
@@ -243,6 +254,32 @@ def test_sweep_rejects_out_of_range_grid(capsys):
     assert "grid" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("step", ["1e-300", "1e-320"])
+def test_sweep_rejects_range_grid_with_too_many_points(capsys, step):
+    argv = ["sweep", "--bound", "T2_UPPER", "--grid", f"0.1:0.9:{step}"]
+    assert run_cli(argv) == 2
+    err = capsys.readouterr().err
+    assert "more than" in err and "Traceback" not in err
+
+
+def test_sweep_json_timestamps_bracket_the_work(tmp_path, monkeypatch):
+    ticks = iter(range(100))
+
+    class Clock:
+        @staticmethod
+        def now(tz):
+            return datetime(2000, 1, 1, tzinfo=tz) + timedelta(seconds=next(ticks))
+
+    monkeypatch.setattr(cli, "datetime", Clock)
+    out = tmp_path / "sweep.json"
+    run_cli(
+        ["sweep", "--bound", "T2_UPPER", "--grid", "0.5", "--format", "json",
+         "--timestamps", "--out", str(out)]
+    )
+    report = read_json(out)
+    assert report["started_at"] < report["finished_at"]
+
+
 def test_sweep_requires_bound_and_grid():
     assert run_cli(["sweep", "--grid", "0.5"]) == 2
     assert run_cli(["sweep", "--bound", "T2_UPPER"]) == 2
@@ -283,6 +320,43 @@ def test_saturate_is_byte_reproducible(tmp_path):
     assert run_cli(args + ["--out", str(out_a)]) == 0
     assert run_cli(args + ["--out", str(out_b)]) == 0
     assert out_a.read_bytes() == out_b.read_bytes()
+
+
+def test_saturate_reads_settings_from_config(tmp_path, monkeypatch):
+    monkeypatch.delenv("COHERENCE_LAB_SEED", raising=False)
+    config = tmp_path / "sat.cfg"
+    config.write_text(
+        "bound = GAIN_LE_1\ndim = 4\nrestarts = 1\niterations = 20\n", encoding="utf-8"
+    )
+    out = tmp_path / "sat.json"
+    code = run_cli(
+        ["saturate", "--config", str(config), "--dim", "3", "--out", str(out)]
+    )
+    assert code == 0
+    report = read_json(out)
+    assert report["config"] == {
+        "bound": "GAIN_LE_1",
+        "pair_kind": "DisjointSupport",
+        "dim": 3,
+        "seed": 42,
+        "restarts": 1,
+        "iterations": 20,
+        "tolerance": 1e-9,
+    }
+    assert len(report["results"]["restart_best"]) == 1
+
+
+def test_internal_invariant_failure_exits_three(monkeypatch, capsys):
+    def fail(spec, tolerance):
+        raise ConsistencyError("simulated invariant failure")
+
+    monkeypatch.setattr(cli, "minimize_slack", fail)
+    code = run_cli(
+        ["saturate", "--bound", "GAIN_LE_1", "--restarts", "1", "--iterations", "10"]
+    )
+    assert code == 3
+    err = capsys.readouterr().err
+    assert "ConsistencyError" in err and "Traceback" not in err
 
 
 def test_saturate_rejects_incompatible_pair_kind():

@@ -15,11 +15,9 @@ from coherence_lab import (
     ZeroVectorError,
     encode_inputs,
     evaluate_bound,
-    max_gain,
     minimize_slack,
     parameter_count,
     parameterize,
-    theorem1_equality,
 )
 from coherence_lab.rng import make_generator, standard_normals
 
@@ -109,7 +107,7 @@ def test_gain_search_saturates_quickly():
     )
     result = minimize_slack(spec)
     coeffs, phi, psi = result.best_inputs
-    gain = max_gain(coeffs, phi, psi).lhs
+    gain = evaluate_bound(GAIN_LE_1, coeffs, phi, psi).lhs
     assert gain >= 1.0 - 1e-6
     assert result.best_slack >= -1e-9
 
@@ -126,7 +124,7 @@ def test_equality_search_finds_zero_residual_immediately():
     result = minimize_slack(spec)
     assert 0.0 <= result.best_slack <= 1e-9
     coeffs, phi, psi = result.best_inputs
-    assert theorem1_equality(coeffs, phi, psi).slack <= 1e-9
+    assert evaluate_bound(T1_EQUALITY, coeffs, phi, psi).slack <= 1e-9
 
 
 def test_upper_bound_search_never_goes_negative():
