@@ -31,7 +31,7 @@ from typing import Optional
 
 from . import __version__
 from .bounds import ALL_BOUND_IDS, BOUNDS, evaluate_all, evaluate_bound
-from .ensembles import EnsembleConfig, TrialRecord, run_ensemble, sample_pair
+from .ensembles import EnsembleConfig, sample_pair, summarize_ensemble
 from .entropy import pure_state_coherence
 from .errors import CoherenceLabError, ConfigError, ConsistencyError
 from .linalg import StateVector
@@ -41,7 +41,6 @@ from .superpose import PairKind, SuperpositionCoefficients, classify_pair, super
 from .tolerances import TOLERANCES
 
 SEED_ENV_VAR = "COHERENCE_LAB_SEED"
-_MAX_RECORDED_VIOLATIONS = 20
 # A range grid with more points than this is rejected before it is built.
 _MAX_GRID_POINTS = 10**6
 
@@ -140,14 +139,22 @@ def _parse_u64(text: str) -> int:
     return value
 
 
-def _int_at_least(low: int):
+def _int_in(low: int, high: float = math.inf):
     def parse(text: str) -> int:
         value = int(text)
         if value < low:
             raise ValueError(f"must be >= {low}, got {value}")
+        if value > high:
+            raise ValueError(f"must be <= {high}, got {value}")
         return value
 
     return parse
+
+
+# A state of the largest accepted dimension holds 1 MiB of amplitudes; without
+# a ceiling a huge value ends in a numpy allocation error.
+_MAX_DIM = 2**16
+_parse_dim = _int_in(2, _MAX_DIM)
 
 
 def _parse_pos_float(text: str) -> float:
@@ -158,9 +165,9 @@ def _parse_pos_float(text: str) -> float:
 
 
 def _parse_dims(text: str) -> tuple[int, ...]:
-    dims = tuple(_int_at_least(2)(part) for part in text.split(",") if part.strip())
+    dims = tuple(_parse_dim(part) for part in text.split(",") if part.strip())
     if not dims:
-        raise ValueError("dims must be a comma list of integers >= 2")
+        raise ValueError(f"dims must be a comma list of integers in [2, {_MAX_DIM}]")
     return dims
 
 
@@ -212,17 +219,17 @@ def _parse_bool(text: str) -> bool:
 # None means the setting is optional or, for ``bound`` and ``grid``, required.
 _SETTINGS = {
     "seed": (_parse_u64, 42),
-    "trials": (_int_at_least(0), 10_000),
+    "trials": (_int_in(0), 10_000),
     "dims": (_parse_dims, (2, 4, 8, 16)),
-    "dim": (_int_at_least(2), 2),
+    "dim": (_parse_dim, 2),
     "pair_kinds": (_parse_pair_kinds, tuple(PairKind)),
     "tolerance": (_parse_pos_float, TOLERANCES.bound_slack),
-    "workers": (_int_at_least(1), 1),
+    "workers": (_int_in(1), 1),
     "out": (str, None),
     "bound": (_parse_bound, None),
     "split": (_parse_split, None),
-    "restarts": (_int_at_least(1), 16),
-    "iterations": (_int_at_least(1), 2000),
+    "restarts": (_int_in(1), 16),
+    "iterations": (_int_in(1), 2000),
     "grid": (str, None),
     "format": (_parse_format, "csv"),
     "permute": (_parse_bool, False),
@@ -341,49 +348,6 @@ def cmd_demo(args, config: dict) -> int:
 # verify
 
 
-def _summarize_ensemble(
-    records: list[TrialRecord], config: EnsembleConfig
-) -> tuple[dict, int]:
-    bound_stats: dict[str, dict] = {}
-    violating: list[dict] = []
-    errors = 0
-    error_samples: list[str] = []
-    violations = 0
-    for record in records:
-        if record.error is not None:
-            errors += 1
-            if len(error_samples) < 5:
-                error_samples.append(record.error)
-            continue
-        trial_violated = False
-        for rep in record.reports:
-            stats = bound_stats.setdefault(
-                rep.bound_id,
-                {"count": 0, "violations": 0, "min_slack": math.inf, "max_slack": -math.inf},
-            )
-            stats["count"] += 1
-            stats["min_slack"] = min(stats["min_slack"], rep.slack)
-            stats["max_slack"] = max(stats["max_slack"], rep.slack)
-            if not rep.satisfied:
-                stats["violations"] += 1
-                violations += 1
-                trial_violated = True
-        if trial_violated and len(violating) < _MAX_RECORDED_VIOLATIONS:
-            violating.append(record.to_dict())
-    summary = {
-        "pair_kind": config.pair_kind.value,
-        "dim": config.dim,
-        "seed": config.seed,
-        "trials": config.trials,
-        "errors": errors,
-        "error_samples": error_samples,
-        "violations": violations,
-        "bounds": bound_stats,
-        "violating_trials": violating,
-    }
-    return summary, violations
-
-
 def cmd_verify(args, config: dict) -> int:
     seed = _seed(args, config)
     trials = _setting(args, config, "trials")
@@ -405,13 +369,12 @@ def cmd_verify(args, config: dict) -> int:
             split=split if kind is PairKind.DISJOINT_SUPPORT else None,
             permute=permute,
         )
-        records = run_ensemble(ensemble, tolerance=tolerance)
-        summary, violations = _summarize_ensemble(records, ensemble)
+        summary = summarize_ensemble(ensemble, tolerance=tolerance)
         summaries.append(summary)
-        total_violations += violations
+        total_violations += summary["violations"]
         _log(
             f"verify: {kind.value} d={dim}: {ensemble.trials} trials, "
-            f"{violations} violations, {summary['errors']} errors"
+            f"{summary['violations']} violations, {summary['errors']} errors"
         )
     # ``workers`` is validated but selects nothing (trials run serially); it is
     # left out of the echoed config so reports stay byte-identical across it.

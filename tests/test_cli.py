@@ -162,11 +162,17 @@ def test_verify_flag_overrides_config(tmp_path):
         (["verify", "--trials", "1", "--workers", "0"], None),
         (["verify", "--trials", "1"], "workers = 0\n"),
         (["verify", "--trials", "1", "--seed", str(2**64)], None),
+        (["verify", "--dim", str(10**12), "--trials", "1"], None),
+        (["verify", "--dim", str(2**16 + 1), "--trials", "1"], None),
+        (["saturate", "--bound", "T3_UPPER", "--dim", str(10**12)], None),
+        (["verify", "--trials", "1"], f"dim = {10**12}\n"),
+        (["verify", "--trials", "1"], f"dims = 2,{2**16 + 1}\n"),
     ],
     ids=[
         "verify-dim-1", "verify-trials-negative", "sweep-dim-1", "config-dim-1",
         "tolerance-negative", "tolerance-nan", "workers-0", "config-workers-0",
-        "seed-too-large",
+        "seed-too-large", "verify-dim-1e12", "verify-dim-above-ceiling",
+        "saturate-dim-1e12", "config-dim-1e12", "config-dims-above-ceiling",
     ],
 )
 def test_bad_flag_or_config_value_is_a_usage_error(tmp_path, capsys, argv, config):
@@ -180,6 +186,16 @@ def test_bad_flag_or_config_value_is_a_usage_error(tmp_path, capsys, argv, confi
         code = exc.code
     assert code == 2
     assert "Traceback" not in capsys.readouterr().err
+
+
+def test_dim_ceiling_is_accepted(tmp_path):
+    out = tmp_path / "r.json"
+    assert run_cli(["verify", "--dim", str(2**16), "--trials", "1", "--out", str(out)]) == 0
+    assert read_json(out)["config"]["dims"] == [2**16]
+    config = tmp_path / "run.cfg"
+    config.write_text(f"trials = 0\ndims = 2,{2**16}\n", encoding="utf-8")
+    assert run_cli(["verify", "--config", str(config), "--out", str(out)]) == 0
+    assert read_json(out)["config"]["dims"] == [2, 2**16]
 
 
 def test_out_into_missing_directory_is_a_usage_error(tmp_path, capsys):

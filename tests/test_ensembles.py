@@ -1,7 +1,14 @@
 """Seeded sampling distributions, determinism, and trial aggregation."""
 
+import math
+from dataclasses import replace
+
 import numpy as np
 import pytest
+
+from coherence_lab import ensembles
+from coherence_lab.bounds import BOUNDS, GAIN_LE_1
+from coherence_lab.cli import canonical_json
 
 from coherence_lab import (
     BadSplitError,
@@ -16,7 +23,7 @@ from coherence_lab import (
     random_orthogonal_pair,
     run_ensemble,
 )
-from coherence_lab.ensembles import _coefficients, _haar_state
+from coherence_lab.ensembles import _coefficients, _haar_state, summarize_ensemble
 from coherence_lab.rng import MASK64, make_generator, subseed
 
 
@@ -238,3 +245,171 @@ def test_generated_pairs_match_declared_kind():
         config = EnsembleConfig(dim=5, trials=30, pair_kind=kind, seed=21)
         for record in run_ensemble(config):
             assert record.pair_class == tag
+
+
+# --- batched summaries against the scalar path ------------------------------------
+
+
+def scalar_summary(config, tolerance):
+    """The reference: a fold over every ``run_ensemble`` record."""
+    bound_stats = {}
+    violating = []
+    errors = 0
+    error_samples = []
+    violations = 0
+    for record in run_ensemble(config, tolerance=tolerance):
+        if record.error is not None:
+            errors += 1
+            if len(error_samples) < 5:
+                error_samples.append(record.error)
+            continue
+        trial_violated = False
+        for rep in record.reports:
+            stats = bound_stats.setdefault(
+                rep.bound_id,
+                {"count": 0, "violations": 0, "min_slack": math.inf, "max_slack": -math.inf},
+            )
+            stats["count"] += 1
+            stats["min_slack"] = min(stats["min_slack"], rep.slack)
+            stats["max_slack"] = max(stats["max_slack"], rep.slack)
+            if not rep.satisfied:
+                stats["violations"] += 1
+                violations += 1
+                trial_violated = True
+        if trial_violated and len(violating) < 20:
+            violating.append(record.to_dict())
+    return {
+        "pair_kind": config.pair_kind.value,
+        "dim": config.dim,
+        "seed": config.seed,
+        "trials": config.trials,
+        "errors": errors,
+        "error_samples": error_samples,
+        "violations": violations,
+        "bounds": bound_stats,
+        "violating_trials": violating,
+    }
+
+
+def assert_matches_scalar(config, tolerance=1e-9, exact=False):
+    """Everything equal, records byte-equal; slack extremes within 1e-12
+    (bit-equal when ``exact``, i.e. when every trial takes the scalar path)."""
+    got = summarize_ensemble(config, tolerance=tolerance)
+    want = scalar_summary(config, tolerance)
+    assert canonical_json(got["violating_trials"]) == canonical_json(want["violating_trials"])
+    if exact:
+        assert got == want
+        return got
+    assert {k: v for k, v in got.items() if k != "bounds"} == {
+        k: v for k, v in want.items() if k != "bounds"
+    }
+    assert got["bounds"].keys() == want["bounds"].keys()
+    for bound_id, stats in want["bounds"].items():
+        mine = got["bounds"][bound_id]
+        assert (mine["count"], mine["violations"]) == (stats["count"], stats["violations"])
+        for key in ("min_slack", "max_slack"):
+            assert abs(mine[key] - stats[key]) <= 1e-12, (bound_id, key)
+    return got
+
+
+@pytest.mark.parametrize("kind", list(PairKind), ids=lambda k: k.value)
+def test_summary_matches_scalar_path(kind):
+    for dim in range(2, 17):
+        config = EnsembleConfig(dim=dim, trials=60, pair_kind=kind, seed=dim * 7919)
+        assert_matches_scalar(config)
+
+
+@pytest.mark.parametrize(
+    "dim, split", [(d, (1, d - 1)) for d in range(2, 17)] + [(5, (1, 1)), (8, (2, 3)), (16, (3, 9))]
+)
+def test_summary_matches_scalar_path_for_splits(dim, split):
+    config = EnsembleConfig(
+        dim=dim, trials=30, pair_kind=PairKind.DISJOINT_SUPPORT, seed=dim + 101, split=split
+    )
+    assert_matches_scalar(config)
+
+
+def test_summary_of_zero_trials():
+    config = EnsembleConfig(dim=3, trials=0, pair_kind=PairKind.ARBITRARY, seed=4)
+    assert_matches_scalar(config, exact=True)
+
+
+def _count_scalar_trials(monkeypatch):
+    calls = []
+    scalar_trial = ensembles._run_trial
+
+    def counted(config, index, tolerance):
+        calls.append(index)
+        return scalar_trial(config, index, tolerance)
+
+    monkeypatch.setattr(ensembles, "_run_trial", counted)
+    return calls
+
+
+def test_clean_summary_builds_no_trial_records(monkeypatch):
+    calls = _count_scalar_trials(monkeypatch)
+    config = EnsembleConfig(dim=4, trials=300, pair_kind=PairKind.ARBITRARY, seed=5)
+    summary = summarize_ensemble(config)
+    assert summary["violations"] == 0 and summary["errors"] == 0
+    assert calls == []
+
+
+@pytest.mark.parametrize("floor", [1.0, 2.5])
+def test_summary_with_forced_resamples_matches_scalar_path(monkeypatch, floor):
+    # A high projection floor makes orthogonal trials resample. At 1.0 about
+    # a third of the trials come near it and take the scalar path; at 2.5 all
+    # of them do, most resample and some run out of resamples and error.
+    monkeypatch.setattr(ensembles, "_PROJECTION_FLOOR", floor)
+    monkeypatch.setattr(ensembles, "_CHUNK_ELEMENTS", 64)
+    config = EnsembleConfig(dim=4, trials=200, pair_kind=PairKind.ORTHOGONAL_SAME_SPACE, seed=77)
+    calls = _count_scalar_trials(monkeypatch)
+    summarize_ensemble(config)
+    scalar_trials = len(calls)
+    summary = assert_matches_scalar(config)
+    if floor < 2:
+        assert 0 < scalar_trials < config.trials
+    else:
+        assert summary["errors"] > 5
+
+
+def test_summary_of_permuted_ensemble_is_the_scalar_one():
+    config = EnsembleConfig(
+        dim=6, trials=40, pair_kind=PairKind.DISJOINT_SUPPORT, seed=8, permute=True
+    )
+    assert_matches_scalar(config, exact=True)
+
+
+def test_summary_keeps_first_twenty_violating_trials(monkeypatch):
+    # At tolerance 1e-300 the equality's round-off residuals are violations.
+    monkeypatch.setattr(ensembles, "_CHUNK_ELEMENTS", 32)
+    config = EnsembleConfig(dim=4, trials=90, pair_kind=PairKind.DISJOINT_SUPPORT, seed=13)
+    summary = assert_matches_scalar(config, tolerance=1e-300)
+    assert len(summary["violating_trials"]) == 20
+    assert summary["violations"] > 20
+
+
+def test_summary_keeps_first_twenty_batched_violations(monkeypatch):
+    # Read as a lower bound, the gain ceiling is violated by every disjoint
+    # pair on both paths, far from its verdict threshold, so the batched path
+    # decides these violations itself.
+    monkeypatch.setitem(BOUNDS, GAIN_LE_1, replace(BOUNDS[GAIN_LE_1], direction="lower"))
+    monkeypatch.setattr(ensembles, "_CHUNK_ELEMENTS", 32)
+    calls = _count_scalar_trials(monkeypatch)
+    config = EnsembleConfig(dim=4, trials=90, pair_kind=PairKind.DISJOINT_SUPPORT, seed=21)
+    summarize_ensemble(config)
+    assert sorted(calls) == list(range(20))
+    summary = assert_matches_scalar(config)
+    assert summary["bounds"][GAIN_LE_1]["violations"] == 90
+
+
+def test_summary_keeps_first_five_errors(monkeypatch):
+    def explode(*args, **kwargs):
+        raise CoherenceLabError("synthetic failure")
+
+    monkeypatch.setattr(ensembles, "evaluate_all", explode)
+    monkeypatch.setattr(ensembles, "_CHUNK_ELEMENTS", 8)
+    config = EnsembleConfig(
+        dim=4, trials=12, pair_kind=PairKind.DISJOINT_SUPPORT, seed=3, permute=True
+    )
+    summary = assert_matches_scalar(config, exact=True)
+    assert summary["errors"] == 12 and len(summary["error_samples"]) == 5
