@@ -228,16 +228,33 @@ BOUNDS: dict[str, Bound] = {
 ALL_BOUND_IDS = tuple(BOUNDS)
 
 
-def _report(ctx: _PairContext, bound_id: str, tolerance: float) -> BoundReport:
-    bound = BOUNDS[bound_id]
+def _sides_and_slack(ctx: _PairContext, bound: Bound) -> tuple[float, float, float]:
     lhs, rhs = bound.sides(ctx)
     if bound.direction == "equality":
-        slack = abs(lhs - rhs)
-        satisfied = slack <= tolerance
-    else:
-        slack = rhs - lhs if bound.direction == "upper" else lhs - rhs
-        satisfied = slack >= -tolerance
+        return lhs, rhs, abs(lhs - rhs)
+    return lhs, rhs, (rhs - lhs if bound.direction == "upper" else lhs - rhs)
+
+
+def _report(ctx: _PairContext, bound_id: str, tolerance: float) -> BoundReport:
+    bound = BOUNDS[bound_id]
+    lhs, rhs, slack = _sides_and_slack(ctx, bound)
+    satisfied = slack <= tolerance if bound.direction == "equality" else slack >= -tolerance
     return BoundReport(bound_id, lhs, rhs, slack, satisfied, tolerance, ctx.digest)
+
+
+def bound_slack(
+    bound_id: str,
+    coeffs: SuperpositionCoefficients,
+    phi: StateVector,
+    psi: StateVector,
+) -> float:
+    """The slack ``evaluate_bound`` reports, without building the report.
+
+    Runs the same checks (pair class, zero superposition norm) and returns
+    the same float; no verdict and no ``inputs_digest`` is computed, which is
+    what a search that reads only the slack needs.
+    """
+    return _sides_and_slack(_PairContext(coeffs, phi, psi), BOUNDS[bound_id])[2]
 
 
 def evaluate_bound(

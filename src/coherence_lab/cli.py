@@ -481,8 +481,7 @@ def cmd_saturate(args, config: dict) -> int:
     started = _now(args)
     result = minimize_slack(spec, tolerance=tolerance)
     coeffs, phi, psi = result.best_inputs
-    final_report = evaluate_bound(bound_id, coeffs, phi, psi, tolerance=tolerance)
-    violations = 0 if final_report.satisfied else 1
+    violations = 0 if result.report.satisfied else 1
 
     def complex_pair(z: complex) -> list[float]:
         return [z.real, z.imag]
@@ -502,7 +501,7 @@ def cmd_saturate(args, config: dict) -> int:
         },
         "restart_best": [trace[-1] for trace in result.trace],
         "evaluations": result.evaluations,
-        "report": final_report.to_dict(),
+        "report": result.report.to_dict(),
     }
     echo = {"bound": bound_id, "pair_kind": pair_kind.value, "dim": dim, "seed": seed,
             "restarts": spec.restarts, "iterations": spec.iterations,

@@ -6,6 +6,14 @@ orthogonality) is handled by projection inside ``parameterize`` so every
 evaluated point is a valid input triple.  Nelder-Mead with standard
 coefficients is used because the slack landscape is non-smooth where entropy
 terms hit their boundary.
+
+The simplex is one (n + 1, n) array, n = 4 * dim + 2, updated in place: a
+step rewrites the worst row (a shrink, every row but the best) and only rows
+that change rank move, so rows stay in stable value order.  The centroid is
+then the mean of a contiguous slice and the diameter two column reductions.
+The array holds about 8 * n^2 bytes, hence the ``SearchSpec`` dimension
+ceiling of 1024.  Each evaluation computes only the slack (``bound_slack``);
+the one ``BoundReport`` is built for the best point at the end.
 """
 
 from __future__ import annotations
@@ -14,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bounds import BOUNDS, evaluate_bound
+from .bounds import BOUNDS, BoundReport, bound_slack, evaluate_bound
 from .ensembles import default_split
 from .errors import ConsistencyError, ZeroVectorError
 from .linalg import StateVector, normalize
@@ -24,6 +32,9 @@ from .tolerances import TOLERANCES
 
 _SIMPLEX_OFFSET = 0.1
 _DIAMETER_TOL = 1e-10
+# The simplex holds 8 * (4 * dim + 2)^2 bytes: 134 MB at this ceiling, about
+# 550 GB at the 2^16 that verify and sweep accept.
+_MAX_SEARCH_DIM = 1024
 
 
 @dataclass(frozen=True)
@@ -45,25 +56,33 @@ class SearchSpec:
                 f"bound {self.bound_id} cannot be searched over "
                 f"{self.pair_kind.value} pairs"
             )
-        if self.dim < 2:
-            raise ValueError(f"dimension must be >= 2, got {self.dim}")
+        if not 2 <= self.dim <= _MAX_SEARCH_DIM:
+            raise ValueError(
+                f"dimension must be in [2, {_MAX_SEARCH_DIM}] (the search simplex holds "
+                f"8 * (4 * dim + 2)^2 bytes), got {self.dim}"
+            )
         if self.restarts < 1 or self.iterations < 1:
             raise ValueError("restarts and iterations must be positive")
 
 
 @dataclass(frozen=True)
 class SearchResult:
-    """Best slack found, the inputs achieving it, and per-restart traces.
+    """Best inputs found, their bound report, and per-restart traces.
 
+    ``report`` is ``evaluate_bound`` re-run on ``best_inputs`` at the
+    caller's tolerance; its slack agrees with the search's value to 1e-12.
     ``trace[r]`` is the best-so-far slack after each iteration of restart r,
-    hence non-increasing.  ``best_slack`` is re-evaluated from
-    ``best_inputs`` before being stored.
+    hence non-increasing.
     """
 
-    best_slack: float
     best_inputs: tuple[SuperpositionCoefficients, StateVector, StateVector]
+    report: BoundReport
     trace: tuple[tuple[float, ...], ...]
     evaluations: int
+
+    @property
+    def best_slack(self) -> float:
+        return self.report.slack
 
 
 def parameter_count(dim: int) -> int:
@@ -144,31 +163,40 @@ def encode_inputs(
     return x
 
 
+def _diameter(simplex: np.ndarray) -> float:
+    """max over rows i and columns j of |simplex[i, j] - simplex[0, j]|.
+
+    Two column reductions give it exactly: rounding is monotone, so
+    fl(colmax - best) and fl(best - colmin) are the largest of the per-vertex
+    differences, bit for bit.
+    """
+    best = simplex[0]
+    return float(max(np.max(simplex.max(axis=0) - best), np.max(best - simplex.min(axis=0))))
+
+
 def _nelder_mead(objective, x0: np.ndarray, iterations: int):
-    """Classic simplex descent; returns (best_x, best_f, trace, evaluations)."""
+    """Classic simplex descent; returns (best_x, best_f, trace, evaluations).
+
+    The simplex is one (n + 1, n) array whose rows stay in stable value order.
+    """
     n = x0.size
-    simplex = [x0.copy()]
-    for i in range(n):
-        vertex = x0.copy()
-        vertex[i] += _SIMPLEX_OFFSET
-        simplex.append(vertex)
-    values = [objective(v) for v in simplex]
+    simplex = np.tile(x0, (n + 1, 1))
+    np.fill_diagonal(simplex[1:], x0 + _SIMPLEX_OFFSET)
+    values = np.array([objective(v) for v in simplex], dtype=float)
     evaluations = n + 1
     trace: list[float] = []
 
     for _ in range(iterations):
         order = np.argsort(values, kind="stable")
-        simplex = [simplex[i] for i in order]
-        values = [values[i] for i in order]
-        trace.append(values[0] if not trace else min(trace[-1], values[0]))
-
-        diameter = max(
-            float(np.max(np.abs(vertex - simplex[0]))) for vertex in simplex[1:]
-        )
-        if diameter < _DIAMETER_TOL:
+        moved = np.flatnonzero(order != np.arange(n + 1))  # copy only these rows
+        simplex[moved] = simplex[order[moved]]
+        values = values[order]
+        best_f = float(values[0])
+        trace.append(best_f if not trace else min(trace[-1], best_f))
+        if _diameter(simplex) < _DIAMETER_TOL:
             break
 
-        centroid = np.mean(simplex[:-1], axis=0)
+        centroid = simplex[:-1].mean(axis=0)
         worst = simplex[-1]
         reflected = centroid + (centroid - worst)
         f_reflected = objective(reflected)
@@ -200,17 +228,17 @@ def _nelder_mead(objective, x0: np.ndarray, iterations: int):
             if f_contracted < values[-1]:
                 simplex[-1], values[-1] = contracted, f_contracted
                 continue
-        # Shrink toward the best vertex.
-        for i in range(1, n + 1):
-            simplex[i] = simplex[0] + 0.5 * (simplex[i] - simplex[0])
-            values[i] = objective(simplex[i])
-            evaluations += 1
+        # Shrink toward the best vertex, in place: no (n, n) temporaries.
+        simplex[1:] -= simplex[0]
+        simplex[1:] *= 0.5
+        simplex[1:] += simplex[0]
+        values[1:] = [objective(v) for v in simplex[1:]]
+        evaluations += n
 
-    order = np.argsort(values, kind="stable")
-    best = int(order[0])
-    final_best = values[best]
+    best = int(np.argsort(values, kind="stable")[0])
+    final_best = float(values[best])
     trace.append(final_best if not trace else min(trace[-1], final_best))
-    return simplex[best], final_best, trace, evaluations
+    return simplex[best].copy(), final_best, trace, evaluations
 
 
 def minimize_slack(
@@ -227,8 +255,7 @@ def minimize_slack(
 
     def objective(x: np.ndarray) -> float:
         try:
-            coeffs, phi, psi = parameterize(x, spec.dim, spec.pair_kind, split)
-            return evaluate_bound(spec.bound_id, coeffs, phi, psi, tolerance=tolerance).slack
+            return bound_slack(spec.bound_id, *parameterize(x, spec.dim, spec.pair_kind, split))
         except ZeroVectorError:
             # Degenerate projection; steer the simplex elsewhere.
             return float("inf")
@@ -248,14 +275,14 @@ def minimize_slack(
             best_x = x
 
     coeffs, phi, psi = parameterize(best_x, spec.dim, spec.pair_kind, split)
-    refreshed = evaluate_bound(spec.bound_id, coeffs, phi, psi, tolerance=tolerance).slack
-    if abs(refreshed - best_slack) > 1e-12:
+    report = evaluate_bound(spec.bound_id, coeffs, phi, psi, tolerance=tolerance)
+    if abs(report.slack - best_slack) > 1e-12:
         raise ConsistencyError(
-            f"re-evaluated slack {refreshed!r} differs from search value {best_slack!r}"
+            f"re-evaluated slack {report.slack!r} differs from search value {best_slack!r}"
         )
     return SearchResult(
-        best_slack=refreshed,
         best_inputs=(coeffs, phi, psi),
+        report=report,
         trace=tuple(traces),
         evaluations=total_evaluations,
     )

@@ -20,6 +20,7 @@ from coherence_lab import (
     SuperpositionCoefficients,
     WrongPairClassError,
     ZeroVectorError,
+    bound_slack,
     evaluate_all,
     evaluate_bound,
     haar_random_state,
@@ -325,3 +326,22 @@ def test_evaluate_bound_matches_evaluate_all():
     for phi, psi in pairs:
         for report in evaluate_all(coeffs, phi, psi):
             assert evaluate_bound(report.bound_id, coeffs, phi, psi) == report
+
+
+def test_bound_slack_is_the_reported_slack():
+    config = EnsembleConfig(dim=4, trials=1, pair_kind=PairKind.DISJOINT_SUPPORT, seed=17)
+    cases = [
+        (random_coefficients(21), *random_disjoint_support_pair(config)),
+        (random_coefficients(22), *random_orthogonal_pair(4, 18)),
+        (random_coefficients(23), haar_random_state(4, 19), haar_random_state(4, 20)),
+        (SuperpositionCoefficients(INV_SQRT2, -INV_SQRT2), PLUS, PLUS),  # s = 0
+    ]
+    for coeffs, phi, psi in cases:
+        for bound_id in ALL_BOUND_IDS:
+            try:
+                expected = evaluate_bound(bound_id, coeffs, phi, psi).slack
+            except (WrongPairClassError, ZeroVectorError) as exc:
+                with pytest.raises(type(exc)):
+                    bound_slack(bound_id, coeffs, phi, psi)
+            else:
+                assert bound_slack(bound_id, coeffs, phi, psi) == expected

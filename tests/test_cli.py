@@ -167,12 +167,15 @@ def test_verify_flag_overrides_config(tmp_path):
         (["saturate", "--bound", "T3_UPPER", "--dim", str(10**12)], None),
         (["verify", "--trials", "1"], f"dim = {10**12}\n"),
         (["verify", "--trials", "1"], f"dims = 2,{2**16 + 1}\n"),
+        (["saturate", "--bound", "T3_UPPER", "--dim", "1025"], None),
+        (["saturate", "--bound", "T3_UPPER"], "dim = 1025\n"),
     ],
     ids=[
         "verify-dim-1", "verify-trials-negative", "sweep-dim-1", "config-dim-1",
         "tolerance-negative", "tolerance-nan", "workers-0", "config-workers-0",
         "seed-too-large", "verify-dim-1e12", "verify-dim-above-ceiling",
         "saturate-dim-1e12", "config-dim-1e12", "config-dims-above-ceiling",
+        "saturate-dim-above-search-ceiling", "config-saturate-dim-above-search-ceiling",
     ],
 )
 def test_bad_flag_or_config_value_is_a_usage_error(tmp_path, capsys, argv, config):
@@ -360,6 +363,22 @@ def test_saturate_reads_settings_from_config(tmp_path, monkeypatch):
         "tolerance": 1e-9,
     }
     assert len(report["results"]["restart_best"]) == 1
+
+
+def test_saturate_reports_the_search_results_final_report(monkeypatch, tmp_path):
+    def fail(*args, **kwargs):
+        raise AssertionError("saturate must not evaluate the best point again")
+
+    monkeypatch.setattr(cli, "evaluate_bound", fail)
+    out = tmp_path / "sat.json"
+    code = run_cli(
+        ["saturate", "--bound", "T4_LOWER_A", "--dim", "2", "--restarts", "1",
+         "--iterations", "50", "--tolerance", "1e-8", "--out", str(out)]
+    )
+    assert code == 0
+    payload = read_json(out)["results"]
+    assert payload["report"]["slack"] == payload["best_slack"]
+    assert payload["report"]["tolerance"] == 1e-8
 
 
 def test_internal_invariant_failure_exits_three(monkeypatch, capsys):

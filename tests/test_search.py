@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from coherence_lab import (
+    BOUNDS,
     GAIN_LE_1,
     T1_EQUALITY,
     T2_UPPER,
@@ -19,7 +20,9 @@ from coherence_lab import (
     parameter_count,
     parameterize,
 )
+from coherence_lab import bounds, search
 from coherence_lab.rng import make_generator, standard_normals
+from coherence_lab.search import _DIAMETER_TOL, _SIMPLEX_OFFSET, _diameter, _nelder_mead
 
 
 def random_vector(seed, dim):
@@ -94,6 +97,14 @@ def test_spec_validates_bound_kind_compatibility():
         SearchSpec(bound_id=T1_EQUALITY, dim=2, pair_kind=PairKind.ARBITRARY, seed=0)
     with pytest.raises(ValueError):
         SearchSpec(bound_id="NO_SUCH_BOUND", dim=2, pair_kind=PairKind.ARBITRARY, seed=0)
+
+
+def test_spec_caps_dimension_by_simplex_memory():
+    # The simplex holds 8 * (4 * dim + 2)^2 bytes; only the spec is built here.
+    SearchSpec(bound_id=T4_LOWER_A, dim=1024, pair_kind=PairKind.ARBITRARY, seed=0)
+    for dim in (1, 1025, 2**16):
+        with pytest.raises(ValueError, match="dimension"):
+            SearchSpec(bound_id=T4_LOWER_A, dim=dim, pair_kind=PairKind.ARBITRARY, seed=0)
 
 
 def test_gain_search_saturates_quickly():
@@ -172,7 +183,15 @@ def test_search_traces_are_monotone_non_increasing():
         assert all(later <= earlier for earlier, later in zip(trace, trace[1:]))
 
 
-def test_search_result_reevaluates_consistently():
+def test_search_result_reevaluates_consistently(monkeypatch):
+    digests = []
+    real_digest = bounds.inputs_digest
+
+    def counted_digest(*args):
+        digests.append(args)
+        return real_digest(*args)
+
+    monkeypatch.setattr(bounds, "inputs_digest", counted_digest)
     spec = SearchSpec(
         bound_id=T4_LOWER_A,
         dim=2,
@@ -181,7 +200,164 @@ def test_search_result_reevaluates_consistently():
         restarts=2,
         iterations=150,
     )
-    result = minimize_slack(spec)
+    result = minimize_slack(spec, tolerance=1e-9)
     coeffs, phi, psi = result.best_inputs
     report = evaluate_bound(T4_LOWER_A, coeffs, phi, psi, tolerance=1e-9)
+    assert result.report == report
     assert abs(report.slack - result.best_slack) <= 1e-12
+    # The search objective builds no report; only the final one has a digest.
+    assert len(digests) == 2  # the final report, then the one rebuilt here
+
+
+# --- the array simplex against the list-based reference -------------------------------
+
+
+def list_nelder_mead(objective, x0, iterations):
+    """The list-of-vertices Nelder-Mead that ``_nelder_mead`` replaced.
+
+    Returns ``_nelder_mead``'s tuple plus the number of shrink steps.
+    """
+    n = x0.size
+    simplex = [x0.copy()]
+    for i in range(n):
+        vertex = x0.copy()
+        vertex[i] += _SIMPLEX_OFFSET
+        simplex.append(vertex)
+    values = [objective(v) for v in simplex]
+    evaluations = n + 1
+    trace = []
+    shrinks = 0
+
+    for _ in range(iterations):
+        order = np.argsort(values, kind="stable")
+        simplex = [simplex[i] for i in order]
+        values = [values[i] for i in order]
+        trace.append(values[0] if not trace else min(trace[-1], values[0]))
+
+        diameter = max(
+            float(np.max(np.abs(vertex - simplex[0]))) for vertex in simplex[1:]
+        )
+        if diameter < _DIAMETER_TOL:
+            break
+
+        centroid = np.mean(simplex[:-1], axis=0)
+        worst = simplex[-1]
+        reflected = centroid + (centroid - worst)
+        f_reflected = objective(reflected)
+        evaluations += 1
+
+        if values[0] <= f_reflected < values[-2]:
+            simplex[-1], values[-1] = reflected, f_reflected
+            continue
+        if f_reflected < values[0]:
+            expanded = centroid + 2.0 * (centroid - worst)
+            f_expanded = objective(expanded)
+            evaluations += 1
+            if f_expanded < f_reflected:
+                simplex[-1], values[-1] = expanded, f_expanded
+            else:
+                simplex[-1], values[-1] = reflected, f_reflected
+            continue
+        if f_reflected < values[-1]:
+            contracted = centroid + 0.5 * (centroid - worst)
+            f_contracted = objective(contracted)
+            evaluations += 1
+            if f_contracted <= f_reflected:
+                simplex[-1], values[-1] = contracted, f_contracted
+                continue
+        else:
+            contracted = centroid - 0.5 * (centroid - worst)
+            f_contracted = objective(contracted)
+            evaluations += 1
+            if f_contracted < values[-1]:
+                simplex[-1], values[-1] = contracted, f_contracted
+                continue
+        shrinks += 1
+        for i in range(1, n + 1):
+            simplex[i] = simplex[0] + 0.5 * (simplex[i] - simplex[0])
+            values[i] = objective(simplex[i])
+            evaluations += 1
+
+    order = np.argsort(values, kind="stable")
+    best = int(order[0])
+    final_best = values[best]
+    trace.append(final_best if not trace else min(trace[-1], final_best))
+    return simplex[best], final_best, trace, evaluations, shrinks
+
+
+def compared_descent(objective, x0, iterations):
+    """``_nelder_mead``'s result, checked bit for bit against the reference,
+    and the reference's shrink count."""
+    result = _nelder_mead(objective, x0, iterations)
+    x, f, trace, evaluations = result
+    ref_x, ref_f, ref_trace, ref_evaluations, shrinks = list_nelder_mead(
+        objective, x0, iterations
+    )
+    assert x.tobytes() == ref_x.tobytes()
+    assert (f, trace, evaluations) == (ref_f, ref_trace, ref_evaluations)
+    assert type(f) is float and all(type(t) is float for t in trace)
+    return result, shrinks
+
+
+SEARCHABLE = [(b, k) for b in BOUNDS for k in PairKind if k in BOUNDS[b].kinds]
+
+
+@pytest.mark.parametrize(
+    "bound_id, pair_kind", SEARCHABLE, ids=[f"{b}-{k.value}" for b, k in SEARCHABLE]
+)
+def test_nelder_mead_matches_list_reference_on_slack(monkeypatch, bound_id, pair_kind):
+    runs = []
+
+    def checked(objective, x0, iterations):
+        runs.append(x0.size)
+        return compared_descent(objective, x0, iterations)[0]
+
+    monkeypatch.setattr(search, "_nelder_mead", checked)
+    for dim in (2, 3, 4):
+        for seed in (0, 9):
+            spec = SearchSpec(bound_id=bound_id, dim=dim, pair_kind=pair_kind, seed=seed,
+                              restarts=2, iterations=60)
+            minimize_slack(spec)
+    assert runs == [parameter_count(dim) for dim in (2, 3, 4) for _ in range(4)]
+
+
+def test_nelder_mead_matches_list_reference_across_an_infinite_region():
+    seen = []
+
+    def walled(x):
+        value = math.inf if x[0] > 0.2 else float(np.sum((x - 1.0) ** 2))
+        seen.append(value)
+        return value
+
+    for seed in range(3):
+        x0 = 0.05 * random_vector(seed, 1)
+        compared_descent(walled, x0, 300)
+    assert math.inf in seen and any(v < math.inf for v in seen)
+
+
+def test_nelder_mead_matches_list_reference_through_shrinks_and_ties():
+    def plateaus(x):
+        # Integer levels: many vertices tie, and reflections rarely improve.
+        return float(np.floor(4.0 * np.sum(x * x)))
+
+    for seed in range(3):
+        assert compared_descent(plateaus, random_vector(seed, 1), 200)[1] > 0
+
+
+def test_two_reduction_diameter_equals_per_vertex_maximum():
+    rng = np.random.default_rng(2024)
+    huge = np.finfo(np.float64).max
+    tiny = np.finfo(np.float64).smallest_subnormal
+    for trial in range(300):
+        rows, cols = rng.integers(2, 12), rng.integers(1, 9)
+        simplex = rng.normal(size=(rows, cols)) * 10.0 ** rng.integers(-300, 300)
+        if trial % 3 == 0:  # ties: repeated rows and repeated column values
+            simplex[rng.integers(rows, size=rows // 2)] = simplex[0]
+            simplex[:, rng.integers(cols)] = simplex[0, 0]
+        if trial % 5 == 0:  # extremes, still finite
+            picks = rng.choice([huge, -huge, tiny, -tiny, 0.0, -0.0], size=simplex.shape)
+            mask = rng.random(simplex.shape) < 0.5
+            simplex[mask] = picks[mask]
+        with np.errstate(over="ignore"):  # huge - (-huge) rounds to inf on both sides
+            expected = max(float(np.max(np.abs(v - simplex[0]))) for v in simplex[1:])
+            assert _diameter(simplex) == expected
