@@ -27,7 +27,6 @@ from __future__ import annotations
 import hashlib
 import struct
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -90,6 +89,21 @@ def inputs_digest(
     return digest.hexdigest()[:16]
 
 
+class _cached:
+    """``functools.cached_property`` minus the lock it takes on first access
+    before Python 3.12 (a context is never shared between threads); the value
+    stored in the instance then shadows this non-data descriptor."""
+
+    def __init__(self, func):
+        self.func, self.name = func, func.__name__
+
+    def __get__(self, ctx, owner=None):
+        if ctx is None:
+            return self
+        value = ctx.__dict__[self.name] = self.func(ctx)
+        return value
+
+
 class _PairContext:
     """Shared quantities for evaluating several bounds on one input triple."""
 
@@ -103,29 +117,29 @@ class _PairContext:
         self.phi = phi
         self.psi = psi
 
-    @cached_property
+    @_cached
     def pair_class(self) -> PairClass:
         return classify_pair(self.phi, self.psi)
 
-    @cached_property
+    @_cached
     def superposed(self) -> SuperposedState:
         return superpose(self.coeffs, self.phi, self.psi)
 
-    @cached_property
+    @_cached
     def coherence_phi(self) -> float:
         return pure_state_coherence(self.phi)
 
-    @cached_property
+    @_cached
     def coherence_psi(self) -> float:
         return pure_state_coherence(self.psi)
 
-    @cached_property
+    @_cached
     def coherence_t1(self) -> float:
         if self.superposed.normalized is None:
             raise ZeroVectorError("superposition norm is numerically zero")
         return pure_state_coherence(self.superposed.normalized)
 
-    @cached_property
+    @_cached
     def weighted_mix(self) -> float:
         c = self.coeffs
         return (
@@ -134,7 +148,7 @@ class _PairContext:
             + binary_entropy(c.alpha_sq)
         )
 
-    @cached_property
+    @_cached
     def digest(self) -> str:
         return inputs_digest(self.coeffs, self.phi, self.psi)
 

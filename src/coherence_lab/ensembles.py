@@ -33,7 +33,7 @@ from .bounds import (
     evaluate_all,
 )
 from .errors import BadSplitError, CoherenceLabError, DegeneratePairError
-from .linalg import StateVector, normalize
+from .linalg import StateVector, norm, normalize
 from .rng import complex_normals, make_generator, philox_uniforms, subseed, subseeds
 from .superpose import PairKind, SuperpositionCoefficients, classify_pair
 from .tolerances import TOLERANCES
@@ -119,7 +119,7 @@ def default_split(dim: int) -> tuple[int, int]:
 def _haar_state(gen: np.random.Generator, dim: int) -> StateVector:
     for _ in range(_MAX_RESAMPLES):
         raw = complex_normals(gen, dim)
-        if float(np.linalg.norm(raw)) > TOLERANCES.zero_vector:
+        if norm(raw) > TOLERANCES.zero_vector:
             return normalize(raw)
     raise DegeneratePairError("Gaussian sampling produced only degenerate vectors")
 
@@ -141,7 +141,7 @@ def _orthogonal_pair(
     for _ in range(_MAX_RESAMPLES):
         raw = complex_normals(gen, dim)
         projected = raw - np.vdot(phi.amps, raw) * phi.amps
-        if float(np.linalg.norm(projected)) <= _PROJECTION_FLOOR:
+        if norm(projected) <= _PROJECTION_FLOOR:
             continue
         # One re-orthogonalization pass scrubs the first projection's round-off.
         projected = projected - np.vdot(phi.amps, projected) * phi.amps
@@ -325,9 +325,9 @@ def _near(x: np.ndarray, threshold: float) -> np.ndarray:
 def _unit_rows(raw: np.ndarray, floor: float) -> tuple[np.ndarray, np.ndarray]:
     """Rows scaled to unit norm, and the rows to redo: a norm near or below
     ``floor``, or a result that could fail the ``StateVector`` norm check."""
-    norm = _row_norms(raw)
-    amps = raw / norm[:, None]
-    redo = ~(norm > _GUARD * floor)
+    norms = _row_norms(raw)
+    amps = raw / norms[:, None]
+    redo = ~(norms > _GUARD * floor)
     redo |= ~(np.abs(_row_norms(amps) - 1.0) <= TOLERANCES.norm / _GUARD)
     return amps, redo
 

@@ -7,6 +7,7 @@ threads; every operation here is a pure function of its inputs.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,9 +20,26 @@ def _as_complex_vector(values) -> np.ndarray:
     vec = np.array(values, dtype=np.complex128)
     if vec.ndim != 1 or vec.size < 1:
         raise ValueError(f"expected a 1-d complex vector, got shape {vec.shape}")
-    if not np.all(np.isfinite(vec)):
+    if not np.isfinite(vec).all():
         raise ValueError("vector has non-finite components")
     return vec
+
+
+def norm(vec: np.ndarray) -> float:
+    """Euclidean norm of a 1-d complex vector: ``np.linalg.norm``'s own formula,
+    so the same float bit for bit (overflow included), minus its dispatch."""
+    re, im = vec.real, vec.imag
+    return math.sqrt(re.dot(re) + im.dot(im))
+
+
+def _seal(state: "StateVector", amps: np.ndarray) -> "StateVector":
+    """Freeze finite 1-d complex128 ``amps`` into ``state`` after the unit-norm check."""
+    n = norm(amps)
+    if abs(n - 1.0) > TOLERANCES.norm:
+        raise ValueError(f"state vector norm is {n!r}, not 1")
+    amps.setflags(write=False)
+    object.__setattr__(state, "amps", amps)
+    return state
 
 
 @dataclass(frozen=True, eq=False)
@@ -31,12 +49,7 @@ class StateVector:
     amps: np.ndarray
 
     def __post_init__(self):
-        amps = _as_complex_vector(self.amps)
-        norm = float(np.linalg.norm(amps))
-        if abs(norm - 1.0) > TOLERANCES.norm:
-            raise ValueError(f"state vector norm is {norm!r}, not 1")
-        amps.setflags(write=False)
-        object.__setattr__(self, "amps", amps)
+        _seal(self, _as_complex_vector(self.amps))
 
     @property
     def dim(self) -> int:
@@ -111,13 +124,14 @@ def normalize(raw) -> StateVector:
     """Scale a raw complex vector to unit norm, preserving its direction.
 
     Raises ZeroVectorError when the norm is at or below the degeneracy
-    threshold.
+    threshold.  ``vec / n`` is finite for a finite ``vec`` and such ``n``, so the
+    state gets only the unit-norm check, which an overflowed ``n = inf`` fails.
     """
     vec = _as_complex_vector(raw)
-    norm = float(np.linalg.norm(vec))
-    if norm <= TOLERANCES.zero_vector:
-        raise ZeroVectorError(f"cannot normalize vector with norm {norm:.3e}")
-    return StateVector(vec / norm)
+    n = norm(vec)
+    if n <= TOLERANCES.zero_vector:
+        raise ZeroVectorError(f"cannot normalize vector with norm {n:.3e}")
+    return _seal(object.__new__(StateVector), vec / n)
 
 
 def inner_product(a: StateVector, b: StateVector) -> complex:

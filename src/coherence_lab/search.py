@@ -13,7 +13,8 @@ that change rank move, so rows stay in stable value order.  The centroid is
 then the mean of a contiguous slice and the diameter two column reductions.
 The array holds about 8 * n^2 bytes, hence the ``SearchSpec`` dimension
 ceiling of 1024.  Each evaluation computes only the slack (``bound_slack``);
-the one ``BoundReport`` is built for the best point at the end.
+the one ``BoundReport`` is built for the best point at the end.  It validates
+each of phi, psi and the superposition once, in ``normalize``.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ import numpy as np
 from .bounds import BOUNDS, BoundReport, bound_slack, evaluate_bound
 from .ensembles import default_split
 from .errors import ConsistencyError, ZeroVectorError
-from .linalg import StateVector, normalize
+from .linalg import StateVector, norm, normalize
 from .rng import make_generator, standard_normals, subseed
 from .superpose import PairKind, SuperpositionCoefficients
 from .tolerances import TOLERANCES
@@ -130,7 +131,7 @@ def parameterize(
     phi = normalize(raw_phi)
     if pair_kind is PairKind.ORTHOGONAL_SAME_SPACE:
         projected = raw_psi - np.vdot(phi.amps, raw_psi) * phi.amps
-        if float(np.linalg.norm(projected)) <= TOLERANCES.zero_vector:
+        if norm(projected) <= TOLERANCES.zero_vector:
             raise ZeroVectorError("second state degenerated under orthogonal projection")
         projected = projected - np.vdot(phi.amps, projected) * phi.amps
         psi = normalize(projected)
@@ -171,7 +172,7 @@ def _diameter(simplex: np.ndarray) -> float:
     differences, bit for bit.
     """
     best = simplex[0]
-    return float(max(np.max(simplex.max(axis=0) - best), np.max(best - simplex.min(axis=0))))
+    return float(max((simplex.max(axis=0) - best).max(), (best - simplex.min(axis=0)).max()))
 
 
 def _nelder_mead(objective, x0: np.ndarray, iterations: int):
@@ -196,7 +197,7 @@ def _nelder_mead(objective, x0: np.ndarray, iterations: int):
         if _diameter(simplex) < _DIAMETER_TOL:
             break
 
-        centroid = simplex[:-1].mean(axis=0)
+        centroid = np.add.reduce(simplex[:-1], axis=0) / n  # ndarray.mean's arithmetic
         worst = simplex[-1]
         reflected = centroid + (centroid - worst)
         f_reflected = objective(reflected)

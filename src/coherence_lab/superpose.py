@@ -16,6 +16,7 @@ checks.
 
 from __future__ import annotations
 
+import cmath
 import enum
 from dataclasses import dataclass
 from typing import Optional
@@ -23,7 +24,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import DimensionMismatchError, ZeroVectorError
-from .linalg import StateVector, inner_product, normalize
+from .linalg import StateVector, inner_product, norm, normalize
 from .tolerances import TOLERANCES
 
 
@@ -57,7 +58,7 @@ class SuperpositionCoefficients:
         alpha = complex(self.alpha)
         beta = complex(self.beta)
         for name, value in (("alpha", alpha), ("beta", beta)):
-            if not (np.isfinite(value.real) and np.isfinite(value.imag)):
+            if not cmath.isfinite(value):
                 raise ValueError(f"{name} has non-finite components: {value!r}")
         total = abs(alpha) ** 2 + abs(beta) ** 2
         if abs(total - 1.0) > TOLERANCES.norm:
@@ -104,8 +105,8 @@ def superpose(
     """Form alpha*|phi> + beta*|psi> and record its norm."""
     _require_same_dim(phi, psi)
     raw = coeffs.alpha * phi.amps + coeffs.beta * psi.amps
-    s = float(np.linalg.norm(raw))
-    normalized = StateVector(raw / s) if s > TOLERANCES.zero_vector else None
+    s = norm(raw)
+    normalized = normalize(raw) if s > TOLERANCES.zero_vector else None
     return SuperposedState(raw=raw, s=s, normalized=normalized)
 
 
@@ -120,9 +121,9 @@ def t_states(
     _require_same_dim(phi, psi)
     raw_plus = coeffs.alpha * phi.amps + coeffs.beta * psi.amps
     raw_minus = coeffs.alpha * phi.amps - coeffs.beta * psi.amps
-    if float(np.linalg.norm(raw_plus)) <= TOLERANCES.zero_vector:
+    if norm(raw_plus) <= TOLERANCES.zero_vector:
         raise ZeroVectorError("sum branch (T1) of the superposition is degenerate")
-    if float(np.linalg.norm(raw_minus)) <= TOLERANCES.zero_vector:
+    if norm(raw_minus) <= TOLERANCES.zero_vector:
         raise ZeroVectorError("difference branch (T2) of the superposition is degenerate")
     return normalize(raw_plus), normalize(raw_minus)
 
@@ -171,6 +172,6 @@ def norm_identity_residual(
     _require_same_dim(phi, psi)
     raw_plus = coeffs.alpha * phi.amps + coeffs.beta * psi.amps
     raw_minus = coeffs.alpha * phi.amps - coeffs.beta * psi.amps
-    s_plus_sq = float(np.linalg.norm(raw_plus) ** 2)
-    s_minus_sq = float(np.linalg.norm(raw_minus) ** 2)
+    s_plus_sq = norm(raw_plus) ** 2
+    s_minus_sq = norm(raw_minus) ** 2
     return abs(s_plus_sq + s_minus_sq - 2.0)

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from coherence_lab import bounds as bounds_module
 from coherence_lab import (
     ALL_BOUND_IDS,
     BOUNDS,
@@ -345,3 +346,37 @@ def test_bound_slack_is_the_reported_slack():
                     bound_slack(bound_id, coeffs, phi, psi)
             else:
                 assert bound_slack(bound_id, coeffs, phi, psi) == expected
+
+
+def count_calls(monkeypatch, module, name):
+    calls = []
+    original = getattr(module, name)
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def test_each_context_computes_each_quantity_once(monkeypatch):
+    coherences = count_calls(monkeypatch, bounds_module, "pure_state_coherence")
+    superposes = count_calls(monkeypatch, bounds_module, "superpose")
+    config = EnsembleConfig(dim=4, trials=1, pair_kind=PairKind.DISJOINT_SUPPORT, seed=17)
+    phi, psi = random_disjoint_support_pair(config)
+    coeffs = random_coefficients(21)
+
+    bound_slack(T4_LOWER_A, coeffs, phi, psi)
+    assert (len(coherences), len(superposes)) == (3, 1)
+    reports = evaluate_all(coeffs, phi, psi)
+    assert [r.bound_id for r in reports] == [
+        T1_EQUALITY, GAIN_LE_1, T2_UPPER, T4_LOWER_A, T4_LOWER_B
+    ]
+    assert (len(coherences), len(superposes)) == (6, 2)
+
+    # A second context recomputes from its own inputs rather than reusing values.
+    other = random_coefficients(22)
+    assert evaluate_all(other, phi, psi) != reports
+    assert (len(coherences), len(superposes)) == (9, 3)
+    assert superposes[-1][0] is other

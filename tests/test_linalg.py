@@ -1,10 +1,12 @@
 """State, density-matrix, and eigensolver contracts."""
 
 import math
+import struct
 
 import numpy as np
 import pytest
 
+from coherence_lab import linalg
 from coherence_lab import (
     DensityMatrix,
     DiagonalDistribution,
@@ -70,6 +72,80 @@ def test_normalize_idempotent():
         once = normalize(raw)
         twice = normalize(once.amps)
         assert np.max(np.abs(once.amps - twice.amps)) < 1e-12
+
+
+@pytest.mark.parametrize(
+    "raw, error, message",
+    [
+        ([np.nan, 1.0], ValueError, "vector has non-finite components"),
+        ([np.inf, 0.0], ValueError, "vector has non-finite components"),
+        ([1.0, complex(0.0, -np.inf)], ValueError, "vector has non-finite components"),
+        ([0.0, 1e-13], ZeroVectorError, "cannot normalize vector with norm 1.000e-13"),
+        ([1e-12, 0.0], ZeroVectorError, "cannot normalize vector with norm 1.000e-12"),
+        ([0.0, 0.0], ZeroVectorError, "cannot normalize vector with norm 0.000e+00"),
+        # Finite entries whose norm overflows: vec / inf is zeros, not a unit state.
+        ([1e200, 1e200], ValueError, "state vector norm is 0.0, not 1"),
+        ([1.5e308, -1.5e308j], ValueError, "state vector norm is 0.0, not 1"),
+    ],
+)
+def test_normalize_errors_are_unchanged(raw, error, message):
+    with np.errstate(over="ignore"):
+        with pytest.raises(error) as exc:
+            normalize(raw)
+    assert type(exc.value) is error
+    assert str(exc.value) == message
+
+
+def test_normalize_returns_the_checked_state_of_vec_over_norm():
+    rng = np.random.default_rng(12)
+    for dim in (1, 2, 5, 64):
+        raw = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
+        state = normalize(raw)
+        assert type(state) is StateVector
+        reference = StateVector(raw / np.linalg.norm(raw)).amps
+        assert state.amps.tobytes() == reference.tobytes()
+        assert not state.amps.flags.writeable
+        assert not np.shares_memory(state.amps, raw)
+
+
+# --- norm ----------------------------------------------------------------------
+
+
+def same_float(a: float, b: float) -> bool:
+    """Equal bit for bit, or both NaN."""
+    if math.isnan(a) or math.isnan(b):
+        return math.isnan(a) and math.isnan(b)
+    return struct.pack("<d", a) == struct.pack("<d", b)
+
+
+def norm_cases():
+    rng = np.random.default_rng(20240601)
+    for dim in [*range(1, 71), 128, 1024]:
+        for scale in np.logspace(-300, 300, 13):
+            yield scale * (rng.standard_normal(dim) + 1j * rng.standard_normal(dim))
+    tiny = np.nextafter(0.0, 1.0)
+    yield np.array([tiny, -tiny * 1j, 2.5e-310 + 1e-320j])  # subnormals
+    yield np.array([0.0, -0.0, complex(-0.0, 0.0)])
+    yield np.zeros(3, dtype=complex)
+    yield np.array([1e200, 1.0])  # a square overflows to inf
+    yield np.array([1.7e308, 1.7e308j])
+    yield np.full(1024, 1e154 + 1e154j)  # the sum overflows, no single square does
+    yield np.array([np.nan, 1.0])
+    yield np.array([complex(1.0, np.nan)])
+    yield np.array([np.inf, 1.0])
+    yield np.array([complex(0.0, -np.inf), np.nan])
+
+
+def test_norm_is_numpy_norm_bit_for_bit():
+    count = 0
+    with np.errstate(over="ignore", invalid="ignore"):
+        for vec in norm_cases():
+            vec = np.asarray(vec, dtype=np.complex128)
+            got = linalg.norm(vec)
+            assert type(got) is float
+            assert same_float(got, float(np.linalg.norm(vec))), vec
+            count += 1
+    assert count == 72 * 13 + 10
 
 
 # --- inner product -----------------------------------------------------------
@@ -212,6 +288,42 @@ def test_state_vector_rejects_bad_norm():
 def test_state_vector_rejects_non_finite():
     with pytest.raises(ValueError):
         StateVector([np.nan, 0.0])
+
+
+def read_only(values):
+    arr = np.array(values, dtype=np.complex128)
+    arr.setflags(write=False)
+    return arr
+
+
+@pytest.mark.parametrize(
+    "amps, message",
+    [
+        ([np.nan, 0.0], "vector has non-finite components"),
+        ([1.0, np.inf], "vector has non-finite components"),
+        ([complex(np.nan, 0.0)], "vector has non-finite components"),
+        (read_only([complex(0.0, np.inf), 0.0]), "vector has non-finite components"),
+        (read_only([1.0, 1.0]), f"state vector norm is {math.sqrt(2.0)!r}, not 1"),
+        ([0.5, 0.0], "state vector norm is 0.5, not 1"),
+        (1.0, "expected a 1-d complex vector, got shape ()"),
+        (read_only(1.0), "expected a 1-d complex vector, got shape ()"),
+        ([], "expected a 1-d complex vector, got shape (0,)"),
+        (read_only([]), "expected a 1-d complex vector, got shape (0,)"),
+        ([[1.0, 0.0]], "expected a 1-d complex vector, got shape (1, 2)"),
+    ],
+)
+def test_state_vector_still_validates_outside_input(amps, message):
+    with pytest.raises(ValueError) as exc:
+        StateVector(amps)
+    assert type(exc.value) is ValueError
+    assert str(exc.value) == message
+
+
+def test_state_vector_copies_read_only_unit_input():
+    amps = read_only([INV_SQRT2, 1j * INV_SQRT2])
+    state = StateVector(amps)
+    assert state.amps.tobytes() == amps.tobytes()
+    assert not np.shares_memory(state.amps, amps)
 
 
 def test_state_vector_is_immutable():

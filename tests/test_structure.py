@@ -1,4 +1,5 @@
-"""Package structure: modules use each other only through public names."""
+"""Package structure: modules use each other only through public names, and
+every vector norm goes through ``linalg.norm``."""
 
 import ast
 from pathlib import Path
@@ -24,3 +25,38 @@ def test_no_module_imports_a_private_name_from_a_sibling():
     modules = sorted(PACKAGE.glob("*.py"))
     assert len(modules) > 1
     assert [hit for path in modules for hit in private_imports(path)] == []
+
+
+def numpy_norm_lines(source):
+    """Lines that use ``<x>.linalg.norm`` or import ``norm`` from ``numpy.linalg``."""
+    for node in ast.walk(ast.parse(source)):
+        if (
+            isinstance(node, ast.Attribute)
+            and node.attr == "norm"
+            and isinstance(node.value, ast.Attribute)
+            and node.value.attr == "linalg"
+        ):
+            yield node.lineno
+        if isinstance(node, ast.ImportFrom) and node.module == "numpy.linalg":
+            if any(alias.name == "norm" for alias in node.names):
+                yield node.lineno
+
+
+def test_numpy_norm_scan_finds_each_spelling():
+    source = (
+        "import numpy as np\n"
+        "from numpy.linalg import norm\n"
+        "a = float(np.linalg.norm(v))\n"
+        "b = numpy.linalg.norm\n"
+        "c = linalg.norm(v)\n"  # the package's own helper
+    )
+    assert sorted(numpy_norm_lines(source)) == [2, 3, 4]
+
+
+def test_every_vector_norm_goes_through_linalg_norm():
+    hits = [
+        f"{path.name}:{line}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        for line in numpy_norm_lines(path.read_text(encoding="utf-8"))
+    ]
+    assert hits == []

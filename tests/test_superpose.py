@@ -10,6 +10,7 @@ from coherence_lab import (
     PairKind,
     StateVector,
     SuperpositionCoefficients,
+    TOLERANCES,
     ZeroVectorError,
     classify_pair,
     haar_random_state,
@@ -44,6 +45,20 @@ def test_coefficients_validate_constraint():
         SuperpositionCoefficients(1.0, 1.0)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("where", ["alpha.real", "alpha.imag", "beta.real", "beta.imag"])
+def test_coefficients_reject_non_finite_parts(bad, where):
+    parts = {"alpha.real": 1.0, "alpha.imag": 0.0, "beta.real": 0.0, "beta.imag": 0.0}
+    parts[where] = bad
+    alpha = complex(parts["alpha.real"], parts["alpha.imag"])
+    beta = complex(parts["beta.real"], parts["beta.imag"])
+    name = where.split(".")[0]
+    with pytest.raises(ValueError) as exc:
+        SuperpositionCoefficients(alpha, beta)
+    value = alpha if name == "alpha" else beta
+    assert str(exc.value) == f"{name} has non-finite components: {value!r}"
+
+
 def test_coefficients_weights():
     coeffs = SuperpositionCoefficients(math.sqrt(0.3), 1j * math.sqrt(0.7))
     assert abs(coeffs.alpha_sq - 0.3) < 1e-12
@@ -71,6 +86,21 @@ def test_superpose_exact_cancellation_yields_absent_normalized():
     sup = superpose(coeffs, E0, E0)
     assert sup.s == 0.0
     assert sup.normalized is None
+
+
+@pytest.mark.parametrize("eps", [1e-12, 1.4e-12, 1.5e-12, 1e-11])
+def test_superpose_normalizes_only_above_the_zero_vector_threshold(eps):
+    # s = ||(E0 - psi) / sqrt(2)|| = eps / sqrt(2) for psi = (1, eps).
+    psi = StateVector([1.0, eps])
+    sup = superpose(SuperpositionCoefficients(INV_SQRT2, -INV_SQRT2), E0, psi)
+    assert sup.s == float(np.linalg.norm(sup.raw))
+    if sup.s <= TOLERANCES.zero_vector:
+        assert eps < 1.5e-12
+        assert sup.normalized is None
+    else:
+        assert eps >= 1.5e-12
+        expected = StateVector(sup.raw / sup.s).amps
+        assert sup.normalized.amps.tobytes() == expected.tobytes()
 
 
 def test_superpose_norm_formula():
