@@ -31,8 +31,8 @@ from typing import Callable
 
 import numpy as np
 
-from .entropy import binary_entropy, pure_state_coherence
-from .errors import WrongPairClassError, ZeroVectorError
+from .entropy import binary_entropy, pure_state_coherence, row_coherences
+from .errors import CoherenceLabError, WrongPairClassError, ZeroVectorError
 from .linalg import StateVector
 from .superpose import (
     PairClass,
@@ -40,7 +40,9 @@ from .superpose import (
     SuperposedState,
     SuperpositionCoefficients,
     classify_pair,
+    classify_rows,
     superpose,
+    superpose_rows,
 )
 from .tolerances import TOLERANCES
 
@@ -126,6 +128,18 @@ class _PairContext:
         return superpose(self.coeffs, self.phi, self.psi)
 
     @_cached
+    def s(self) -> float:
+        return self.superposed.s
+
+    @_cached
+    def alpha_sq(self) -> float:
+        return self.coeffs.alpha_sq
+
+    @_cached
+    def beta_sq(self) -> float:
+        return self.coeffs.beta_sq
+
+    @_cached
     def coherence_phi(self) -> float:
         return pure_state_coherence(self.phi)
 
@@ -141,11 +155,10 @@ class _PairContext:
 
     @_cached
     def weighted_mix(self) -> float:
-        c = self.coeffs
         return (
-            c.alpha_sq * self.coherence_phi
-            + c.beta_sq * self.coherence_psi
-            + binary_entropy(c.alpha_sq)
+            self.alpha_sq * self.coherence_phi
+            + self.beta_sq * self.coherence_psi
+            + binary_entropy(self.alpha_sq)
         )
 
     @_cached
@@ -167,8 +180,7 @@ def _t1_sides(ctx: _PairContext) -> tuple[float, float]:
 
 def _gain_sides(ctx: _PairContext) -> tuple[float, float]:
     _require_disjoint(ctx)
-    c = ctx.coeffs
-    gain = ctx.coherence_t1 - c.alpha_sq * ctx.coherence_phi - c.beta_sq * ctx.coherence_psi
+    gain = ctx.coherence_t1 - ctx.alpha_sq * ctx.coherence_phi - ctx.beta_sq * ctx.coherence_psi
     return gain, 1.0
 
 
@@ -182,12 +194,12 @@ def _t2_sides(ctx: _PairContext) -> tuple[float, float]:
 
 
 def _t3_sides(ctx: _PairContext) -> tuple[float, float]:
-    return ctx.superposed.s ** 2 * ctx.coherence_t1, 2.0 * ctx.weighted_mix
+    return ctx.s ** 2 * ctx.coherence_t1, 2.0 * ctx.weighted_mix
 
 
 def _t4_sides(ctx: _PairContext, w_own: float, c_own: float,
               w_other: float, c_other: float) -> tuple[float, float]:
-    s_sq = ctx.superposed.s ** 2
+    s_sq = ctx.s ** 2
     lhs = s_sq * ctx.coherence_t1
     rhs = (
         0.5 * w_own * c_own
@@ -198,13 +210,11 @@ def _t4_sides(ctx: _PairContext, w_own: float, c_own: float,
 
 
 def _t4a_sides(ctx: _PairContext) -> tuple[float, float]:
-    c = ctx.coeffs
-    return _t4_sides(ctx, c.alpha_sq, ctx.coherence_phi, c.beta_sq, ctx.coherence_psi)
+    return _t4_sides(ctx, ctx.alpha_sq, ctx.coherence_phi, ctx.beta_sq, ctx.coherence_psi)
 
 
 def _t4b_sides(ctx: _PairContext) -> tuple[float, float]:
-    c = ctx.coeffs
-    return _t4_sides(ctx, c.beta_sq, ctx.coherence_psi, c.alpha_sq, ctx.coherence_phi)
+    return _t4_sides(ctx, ctx.beta_sq, ctx.coherence_psi, ctx.alpha_sq, ctx.coherence_phi)
 
 
 @dataclass(frozen=True)
@@ -271,6 +281,76 @@ def bound_slack(
     return _sides_and_slack(_PairContext(coeffs, phi, psi), BOUNDS[bound_id])[2]
 
 
+class _RowContext(_PairContext):
+    """A ``_PairContext`` seeded with one row's values from a batch.
+
+    The values were computed on rows, bit for bit the scalar ones, so
+    ``Bound.sides`` stays the one place each formula is written.  The pair
+    class is built for the whole batch the first time a row asks for it.
+    """
+
+    def __init__(self, batch: "_RowBatch", i: int, values: dict):
+        self.__dict__.update(values)
+        self._batch, self._i = batch, i
+
+    @_cached
+    def pair_class(self) -> PairClass:
+        return self._batch.pair_classes[self._i]
+
+
+class _RowBatch:
+    def __init__(self, phi: np.ndarray, psi: np.ndarray):
+        self.phi, self.psi = phi, psi
+
+    @_cached
+    def pair_classes(self) -> list[PairClass]:
+        return classify_rows(self.phi, self.psi)
+
+
+def row_slacks(
+    bound_id: str,
+    alpha: np.ndarray,
+    beta: np.ndarray,
+    phi: np.ndarray,
+    psi: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray]:
+    """``bound_slack`` of each row triple: (slacks, ok).
+
+    ``alpha``/``beta`` are (R,) coefficients and ``phi``/``psi`` (R, d) arrays
+    of rows that ``SuperpositionCoefficients`` and ``StateVector`` accept.
+    Where ``ok`` holds, slacks[i] is ``bound_slack`` on row i bit for bit.
+    Elsewhere the row's superposition is degenerate, a coherence is not one
+    ``entropy.row_coherences`` vouches for, or the sides raised; then
+    ``bound_slack`` on that row gives the value or raises the exception.
+    """
+    bound = BOUNDS[bound_id]
+    s, t1, ok = superpose_rows(alpha, beta, phi, psi)
+    coherence, vouched = row_coherences(
+        np.concatenate((phi[:, None], psi[:, None], t1[:, None]), axis=1)
+    )
+    ok &= vouched
+    batch = _RowBatch(phi, psi)
+    slacks = []
+    for i, (good, a, b, s_i, (c_phi, c_psi, c_t1)) in enumerate(
+        zip(ok.tolist(), alpha.tolist(), beta.tolist(), s.tolist(), coherence.tolist())
+    ):
+        if not good:
+            slacks.append(np.nan)
+            continue
+        # abs(z) ** 2 in Python, as SuperpositionCoefficients computes it:
+        # numpy rounds it differently.
+        ctx = _RowContext(batch, i, {
+            "alpha_sq": abs(a) ** 2, "beta_sq": abs(b) ** 2, "s": s_i,
+            "coherence_phi": c_phi, "coherence_psi": c_psi, "coherence_t1": c_t1,
+        })
+        try:
+            slacks.append(_sides_and_slack(ctx, bound)[2])
+        except CoherenceLabError:  # bound_slack raises it again, for this row alone
+            slacks.append(np.nan)
+            ok[i] = False
+    return np.array(slacks), ok
+
+
 def evaluate_bound(
     bound_id: str,
     coeffs: SuperpositionCoefficients,
@@ -309,7 +389,7 @@ def evaluate_all(
     """
     ctx = _PairContext(coeffs, phi, psi)
     reports = [_report(ctx, b, tolerance) for b in _CLASS_BOUNDS[ctx.pair_class.tag]]
-    if ctx.superposed.s > TOLERANCES.zero_vector:
+    if ctx.s > TOLERANCES.zero_vector:
         reports.append(_report(ctx, T4_LOWER_A, tolerance))
         reports.append(_report(ctx, T4_LOWER_B, tolerance))
     return reports

@@ -81,3 +81,36 @@ def pure_state_coherence(state: StateVector) -> float:
     needs no eigensolver.
     """
     return _entropy_of_probs(np.abs(state.amps) ** 2)
+
+
+def row_coherences(amps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``pure_state_coherence`` of each (R, k, d) row state: (values (R, k), ok (R,)).
+
+    A column of one of the k states that is exactly zero in all R rows lies
+    outside that state's support and is left out, as the scalar path leaves
+    out p = 0.  Where ``ok`` holds, every other probability of the row is
+    above ``prob_floor``, so each value sums the terms the scalar path sums,
+    in the same order, to the same float.  Elsewhere the row has a
+    probability inside a support that the floor drops, or an entropy below
+    the clamp window.  Such rows may make numpy warn.
+    """
+    p = np.abs(amps) ** 2
+    small = p <= TOLERANCES.prob_floor
+    if not np.count_nonzero(small):  # every column is in every support
+        value = -np.add.reduce(p * np.log2(p), axis=-1)
+        ok = np.logical_and.reduce(value >= -TOLERANCES.entropy_slop, axis=1)
+    else:
+        support = np.logical_or.reduce(p, axis=0)
+        value = np.empty(p.shape[:2])
+        inside = np.empty(p.shape[:2], dtype=bool)  # a dropped probability in the support
+        for j, columns in enumerate(support):
+            # compress keeps rows contiguous (a boolean index would not), so
+            # each row sums in the scalar path's pairwise order.
+            block = p[:, j].compress(columns, axis=1)
+            value[:, j] = -np.add.reduce(block * np.log2(block), axis=-1)
+            inside[:, j] = np.logical_or.reduce(small[:, j].compress(columns, axis=1), axis=-1)
+        ok = ~np.logical_or.reduce(inside, axis=1) & np.logical_and.reduce(
+            value >= -TOLERANCES.entropy_slop, axis=1
+        )
+    # _clamped_nonnegative: value + 0.0 folds -0.0 into +0.0.
+    return np.maximum(value + 0.0, 0.0), ok

@@ -120,18 +120,59 @@ class DiagonalDistribution:
         return self.probs.size
 
 
+def scaled_state(vec: np.ndarray, n: float) -> StateVector:
+    """The state ``vec / n`` of a finite 1-d complex128 ``vec`` whose norm ``n``
+    is above the degeneracy threshold.
+
+    ``vec / n`` is then finite, so the state gets only the unit-norm check,
+    which an overflowed ``n = inf`` fails.
+    """
+    return _seal(object.__new__(StateVector), vec / n)
+
+
 def normalize(raw) -> StateVector:
     """Scale a raw complex vector to unit norm, preserving its direction.
 
     Raises ZeroVectorError when the norm is at or below the degeneracy
-    threshold.  ``vec / n`` is finite for a finite ``vec`` and such ``n``, so the
-    state gets only the unit-norm check, which an overflowed ``n = inf`` fails.
+    threshold.
     """
     vec = _as_complex_vector(raw)
     n = norm(vec)
     if n <= TOLERANCES.zero_vector:
         raise ZeroVectorError(f"cannot normalize vector with norm {n:.3e}")
-    return _seal(object.__new__(StateVector), vec / n)
+    return scaled_state(vec, n)
+
+
+def row_vdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``np.vdot`` of each pair of rows (``ndarray.dot`` for real rows).
+
+    ``np.vecdot`` runs the BLAS ``zdotc``/``ddot`` kernel that ``np.vdot`` and
+    ``ndarray.dot`` run on one vector, row by row, so each entry is the scalar
+    call's float bit for bit; a row-sum formula is not.
+    """
+    return np.vecdot(a, b)
+
+
+def row_norms(rows: np.ndarray) -> np.ndarray:
+    """``norm`` of each row (last axis) of a complex array, bit for bit."""
+    re, im = rows.real, rows.imag
+    return np.sqrt(row_vdot(re, re) + row_vdot(im, im))
+
+
+def normalize_rows(raw: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``normalize`` on each row (last axis) of a complex array: (states, norms, ok).
+
+    Where ``ok`` holds, a row of ``states`` is ``normalize(row).amps`` bit for
+    bit.  Elsewhere ``normalize`` rejects the row: its norm is at or below the
+    degeneracy threshold, or the unit-norm check fails.  A non-finite entry
+    makes the norm NaN (failing the first test) or inf (the scaled row then
+    holds NaN or zeros, failing the second), so no separate scan is needed.
+    Rows that are not ok may hold NaN or inf; numpy warns as usual about them.
+    """
+    n = row_norms(raw)
+    states = raw / n[..., None]
+    ok = (n > TOLERANCES.zero_vector) & (np.abs(row_norms(states) - 1.0) <= TOLERANCES.norm)
+    return states, n, ok
 
 
 def inner_product(a: StateVector, b: StateVector) -> complex:

@@ -24,7 +24,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import DimensionMismatchError, ZeroVectorError
-from .linalg import StateVector, inner_product, norm, normalize
+from .linalg import StateVector, inner_product, norm, normalize_rows, row_vdot, scaled_state
 from .tolerances import TOLERANCES
 
 
@@ -106,8 +106,22 @@ def superpose(
     _require_same_dim(phi, psi)
     raw = coeffs.alpha * phi.amps + coeffs.beta * psi.amps
     s = norm(raw)
-    normalized = normalize(raw) if s > TOLERANCES.zero_vector else None
+    # raw is finite (unit states, finite coefficients): seal raw / s directly.
+    normalized = scaled_state(raw, s) if s > TOLERANCES.zero_vector else None
     return SuperposedState(raw=raw, s=s, normalized=normalized)
+
+
+def superpose_rows(
+    alpha: np.ndarray, beta: np.ndarray, phi: np.ndarray, psi: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``superpose`` on rows: (s, normalized rows, ok).
+
+    ``alpha``/``beta`` are (R,) coefficients, ``phi``/``psi`` (R, d) unit rows.
+    Where ``ok`` holds, s[i] and row i are ``superpose``'s ``s`` and
+    ``normalized.amps`` bit for bit; elsewhere ``normalized`` is None.
+    """
+    normalized, s, ok = normalize_rows(alpha[:, None] * phi + beta[:, None] * psi)
+    return s, normalized, ok
 
 
 def t_states(
@@ -121,11 +135,13 @@ def t_states(
     _require_same_dim(phi, psi)
     raw_plus = coeffs.alpha * phi.amps + coeffs.beta * psi.amps
     raw_minus = coeffs.alpha * phi.amps - coeffs.beta * psi.amps
-    if norm(raw_plus) <= TOLERANCES.zero_vector:
+    s_plus = norm(raw_plus)
+    if s_plus <= TOLERANCES.zero_vector:
         raise ZeroVectorError("sum branch (T1) of the superposition is degenerate")
-    if norm(raw_minus) <= TOLERANCES.zero_vector:
+    s_minus = norm(raw_minus)
+    if s_minus <= TOLERANCES.zero_vector:
         raise ZeroVectorError("difference branch (T2) of the superposition is degenerate")
-    return normalize(raw_plus), normalize(raw_minus)
+    return scaled_state(raw_plus, s_plus), scaled_state(raw_minus, s_minus)
 
 
 def classify_pair(phi: StateVector, psi: StateVector) -> PairClass:
@@ -138,13 +154,22 @@ def classify_pair(phi: StateVector, psi: StateVector) -> PairClass:
     _require_same_dim(phi, psi)
     overlap = inner_product(phi, psi)
     shared = float(np.minimum(np.abs(phi.amps), np.abs(psi.amps)).max())
+    return PairClass(tag=_pair_tag(shared, overlap), overlap=overlap)
+
+
+def classify_rows(phi: np.ndarray, psi: np.ndarray) -> list[PairClass]:
+    """``classify_pair`` of each pair of rows of two (R, d) unit arrays, bit for bit."""
+    overlaps = row_vdot(phi, psi).tolist()
+    shared = np.minimum(np.abs(phi), np.abs(psi)).max(axis=1).tolist()
+    return [PairClass(tag=_pair_tag(s, o), overlap=o) for s, o in zip(shared, overlaps)]
+
+
+def _pair_tag(shared: float, overlap: complex) -> PairKind:
     if shared <= TOLERANCES.support:
-        tag = PairKind.DISJOINT_SUPPORT
-    elif abs(overlap) <= TOLERANCES.overlap:
-        tag = PairKind.ORTHOGONAL_SAME_SPACE
-    else:
-        tag = PairKind.NON_ORTHOGONAL
-    return PairClass(tag=tag, overlap=overlap)
+        return PairKind.DISJOINT_SUPPORT
+    if abs(overlap) <= TOLERANCES.overlap:
+        return PairKind.ORTHOGONAL_SAME_SPACE
+    return PairKind.NON_ORTHOGONAL
 
 
 def mixing_identity_residual(

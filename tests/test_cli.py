@@ -4,9 +4,10 @@ import json
 import math
 from datetime import datetime, timedelta
 
+import numpy as np
 import pytest
 
-from coherence_lab import cli
+from coherence_lab import cli, search
 from coherence_lab.cli import canonical_json, format_float, main
 from coherence_lab.errors import ConsistencyError
 
@@ -392,6 +393,29 @@ def test_internal_invariant_failure_exits_three(monkeypatch, capsys):
     assert code == 3
     err = capsys.readouterr().err
     assert "ConsistencyError" in err and "Traceback" not in err
+
+
+def test_invariant_failure_inside_a_restart_exits_three(monkeypatch, capsys):
+    calls = []
+    real_slack = search.bound_slack
+
+    def failing(*args):
+        calls.append(args[0])
+        if len(calls) == 25:  # in restart 2's initial simplex (11 points each)
+            raise ConsistencyError("simulated invariant failure in a restart")
+        return real_slack(*args)
+
+    # The batch vouches for no row, so every point takes the scalar path.
+    monkeypatch.setattr(search, "row_slacks", lambda bound_id, alpha, *rest: (
+        np.full(len(alpha), np.nan), np.zeros(len(alpha), dtype=bool)))
+    monkeypatch.setattr(search, "bound_slack", failing)
+    code = run_cli(
+        ["saturate", "--bound", "GAIN_LE_1", "--restarts", "3", "--iterations", "50"]
+    )
+    assert code == 3
+    err = capsys.readouterr().err
+    assert "ConsistencyError" in err and "in a restart" in err and "Traceback" not in err
+    assert len(calls) > 25  # the other restarts went on in lockstep
 
 
 def test_saturate_rejects_incompatible_pair_kind():

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from coherence_lab import entropy
 from coherence_lab import (
     DensityMatrix,
     DiagonalDistribution,
@@ -151,6 +152,50 @@ def test_pure_coherence_biased_superposition():
     expected = shannon_oracle([0.9, 0.1])  # = h(0.9) = 0.46899559358928117
     assert abs(pure_state_coherence(state) - expected) < 1e-12
     assert abs(expected - 0.468996) < 1e-6
+
+
+# --- row coherences: the batched search's entropies ---------------------------
+
+
+def test_row_sums_of_entropy_terms_equal_the_one_row_sums():
+    # The row form of _entropy_of_probs's sum gives each row's bits whatever
+    # the batch around it; the lockstep search relies on it.
+    rng = np.random.default_rng(31)
+    for dim in [*range(1, 71), 128, 1024]:
+        for rows in (1, 3, 16):
+            p = rng.random((rows, dim)) ** 3 + 1e-300
+            p /= p.sum(axis=1, keepdims=True)
+            rowwise = (p * np.log2(p)).sum(axis=1)
+            for i in range(rows):
+                assert rowwise[i].tobytes() == (p[i] * np.log2(p[i])).sum().tobytes()
+
+
+def unit_rows(rng, shape):
+    raw = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    return raw / np.sqrt((np.abs(raw) ** 2).sum(axis=-1, keepdims=True))
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3, 8, 9, 33, 130])
+def test_row_coherences_match_pure_state_coherence(dim):
+    rng = np.random.default_rng(dim)
+    full = unit_rows(rng, (6, 3, dim))
+    # Zero columns in every row, as parameterize leaves outside a disjoint
+    # support: dropped like p = 0 on the scalar path.
+    gapped = full.copy()
+    gapped[:, 0, dim // 2 + 1 :] = 0.0
+    gapped[:, 1, : dim // 3] = 0.0
+    gapped[:, 0] /= np.sqrt((np.abs(gapped[:, 0]) ** 2).sum(axis=-1, keepdims=True))
+    gapped[:, 1] /= np.sqrt((np.abs(gapped[:, 1]) ** 2).sum(axis=-1, keepdims=True))
+    for amps in (full, gapped):
+        if dim > 1:
+            amps[4, 2, -1] = 1e-9  # p = 1e-18, dropped by the floor inside the support
+        values, ok = entropy.row_coherences(amps)
+        assert values.shape == (6, 3)
+        assert ok.tolist() == [True] * 4 + [dim == 1, True]
+        for r in np.flatnonzero(ok):
+            for j in range(3):
+                expected = pure_state_coherence(StateVector(amps[r, j]))
+                assert values[r, j].tobytes() == np.float64(expected).tobytes()
 
 
 # --- mixing inequalities -------------------------------------------------------

@@ -148,6 +148,78 @@ def test_norm_is_numpy_norm_bit_for_bit():
     assert count == 72 * 13 + 10
 
 
+# --- row helpers: the batched search's arithmetic, bit for bit -----------------
+# These pin the platform facts the lockstep search relies on.  If one fails on
+# a platform, the batched search there no longer reproduces the scalar bytes.
+
+
+def row_blocks():
+    """(R, d) complex blocks: d in 1..70, 128 and 1024, 1-16 rows, each row at
+    its own scale in 1e-300..1e300, and rows of subnormals."""
+    rng = np.random.default_rng(20261018)
+    tiny = np.finfo(np.float64).smallest_subnormal
+    for dim in [*range(1, 71), 128, 1024]:
+        for rows in (1, 2, 5, 16):
+            scale = 10.0 ** rng.uniform(-300, 300, size=(rows, 1))
+            block = scale * (rng.standard_normal((rows, dim))
+                             + 1j * rng.standard_normal((rows, dim)))
+            if rows > 1:
+                block[-1] = tiny * (rng.integers(-9, 10, dim) + 1j * rng.integers(-9, 10, dim))
+            yield block
+
+
+def test_row_helpers_equal_norm_and_vdot_bit_for_bit():
+    rng = np.random.default_rng(5)
+    count = 0
+    for block in row_blocks():
+        other = rng.standard_normal(block.shape) + 1j * rng.standard_normal(block.shape)
+        with np.errstate(over="ignore", invalid="ignore"):  # squares overflow at 1e300
+            norms, dots = linalg.row_norms(block), linalg.row_vdot(block, other)
+            for row, other_row, n, dot in zip(block, other, norms.tolist(), dots.tolist()):
+                assert same_float(n, linalg.norm(row))
+                assert np.asarray(dot).tobytes() == np.vdot(row, other_row).tobytes()
+                count += 1
+    assert count == 72 * (1 + 2 + 5 + 16)
+
+
+def test_normalize_rows_matches_normalize_row_by_row():
+    rng = np.random.default_rng(8)
+    for dim in (1, 2, 7, 64):
+        block = rng.standard_normal((12, dim)) + 1j * rng.standard_normal((12, dim))
+        block[1] = 0.0
+        block[2] *= 1e-14  # below the degeneracy threshold
+        block[3, 0] = np.nan
+        block[4, -1] = complex(0.0, np.inf)
+        block[5] *= 1e160  # the norm overflows
+        block[6] *= 1e-300  # so does the norm, to 0
+        with np.errstate(all="ignore"):
+            states, norms, ok = linalg.normalize_rows(block)
+            for row, state, n, good in zip(block, states, norms.tolist(), ok.tolist()):
+                try:
+                    expected = normalize(row)
+                except (ValueError, ZeroVectorError):
+                    assert not good
+                    continue
+                assert good
+                assert state.tobytes() == expected.amps.tobytes()
+                assert same_float(n, linalg.norm(row))
+        assert ok.tolist() == [True] + [False] * 6 + [True] * 5
+
+
+def test_array_trig_and_exp_equal_the_scalar_calls():
+    rng = np.random.default_rng(9)
+    theta = np.concatenate([rng.uniform(-20.0, 20.0, 3000), 10.0 ** rng.uniform(-300, 300, 500),
+                            [0.0, -0.0, math.pi, -math.pi / 2, 1e-320, 1e300]])
+    phase = rng.permutation(theta)
+    cos, sin, unit = np.cos(theta), np.sin(theta), np.exp(1j * phase)
+    beta = sin * unit  # parameterize's beta, on rows
+    for i, (t, p) in enumerate(zip(theta.tolist(), phase.tolist())):
+        assert cos[i].tobytes() == np.cos(t).tobytes()
+        assert sin[i].tobytes() == np.sin(t).tobytes()
+        assert unit[i].tobytes() == np.exp(1j * p).tobytes()
+        assert beta[i].tobytes() == np.asarray(complex(np.sin(t)) * np.exp(1j * p)).tobytes()
+
+
 # --- inner product -----------------------------------------------------------
 
 

@@ -1,5 +1,6 @@
 """Parameter projection and saturation-search behavior."""
 
+import importlib
 import math
 
 import numpy as np
@@ -20,9 +21,21 @@ from coherence_lab import (
     parameter_count,
     parameterize,
 )
-from coherence_lab import bounds, search
+from coherence_lab import bounds, entropy, linalg, search
+from coherence_lab.ensembles import default_split
+from coherence_lab.errors import ConsistencyError
 from coherence_lab.rng import make_generator, standard_normals
-from coherence_lab.search import _DIAMETER_TOL, _SIMPLEX_OFFSET, _diameter, _nelder_mead
+from coherence_lab.search import (
+    _DIAMETER_TOL,
+    _MAX_SEARCH_DIM,
+    _SIMPLEX_OFFSET,
+    _diameter,
+    _group_width,
+    _lockstep,
+    _parameterize_rows,
+    _worst_gap,
+)
+from coherence_lab.tolerances import Tolerances
 
 
 def random_vector(seed, dim):
@@ -209,13 +222,13 @@ def test_search_result_reevaluates_consistently(monkeypatch):
     assert len(digests) == 2  # the final report, then the one rebuilt here
 
 
-# --- the array simplex against the list-based reference -------------------------------
+# --- the lockstep simplex against the list-based reference ----------------------------
 
 
 def list_nelder_mead(objective, x0, iterations):
-    """The list-of-vertices Nelder-Mead that ``_nelder_mead`` replaced.
+    """The list-of-vertices Nelder-Mead for one start, run on a scalar objective.
 
-    Returns ``_nelder_mead``'s tuple plus the number of shrink steps.
+    Returns ``_lockstep``'s per-start tuple plus the number of shrink steps.
     """
     n = x0.size
     simplex = [x0.copy()]
@@ -285,18 +298,39 @@ def list_nelder_mead(objective, x0, iterations):
     return simplex[best], final_best, trace, evaluations, shrinks
 
 
-def compared_descent(objective, x0, iterations):
-    """``_nelder_mead``'s result, checked bit for bit against the reference,
-    and the reference's shrink count."""
-    result = _nelder_mead(objective, x0, iterations)
-    x, f, trace, evaluations = result
-    ref_x, ref_f, ref_trace, ref_evaluations, shrinks = list_nelder_mead(
-        objective, x0, iterations
-    )
-    assert x.tobytes() == ref_x.tobytes()
-    assert (f, trace, evaluations) == (ref_f, ref_trace, ref_evaluations)
-    assert type(f) is float and all(type(t) is float for t in trace)
-    return result, shrinks
+def batched(objective):
+    """A ``slack_rows`` for ``_lockstep`` that vouches for every row."""
+    return lambda X: (np.array([objective(x) for x in X]), np.ones(len(X), dtype=bool))
+
+
+def compared_lockstep(slack_rows, objective, starts, iterations):
+    """``_lockstep``'s results, each checked bit for bit against the reference
+    run alone from its start on the scalar objective, and the reference's
+    shrink counts."""
+    results = _lockstep(slack_rows, objective, np.asarray(starts), iterations)
+    assert len(results) == len(starts)
+    shrinks = []
+    for x0, (x, f, trace, evaluations) in zip(starts, results):
+        ref_x, ref_f, ref_trace, ref_evaluations, ref_shrinks = list_nelder_mead(
+            objective, x0, iterations
+        )
+        assert x.tobytes() == ref_x.tobytes()
+        assert (f, trace, evaluations) == (ref_f, ref_trace, ref_evaluations)
+        assert type(f) is float and all(type(t) is float for t in trace)
+        assert type(evaluations) is int
+        shrinks.append(ref_shrinks)
+    return results, shrinks
+
+
+def checked_lockstep(groups):
+    """A stand-in for ``search._lockstep`` that compares every group it runs
+    and records (n, group size)."""
+
+    def checked(slack_rows, objective, starts, iterations):
+        groups.append(starts.shape[::-1])
+        return compared_lockstep(slack_rows, objective, starts, iterations)[0]
+
+    return checked
 
 
 SEARCHABLE = [(b, k) for b in BOUNDS for k in PairKind if k in BOUNDS[b].kinds]
@@ -307,18 +341,13 @@ SEARCHABLE = [(b, k) for b in BOUNDS for k in PairKind if k in BOUNDS[b].kinds]
 )
 def test_nelder_mead_matches_list_reference_on_slack(monkeypatch, bound_id, pair_kind):
     runs = []
-
-    def checked(objective, x0, iterations):
-        runs.append(x0.size)
-        return compared_descent(objective, x0, iterations)[0]
-
-    monkeypatch.setattr(search, "_nelder_mead", checked)
+    monkeypatch.setattr(search, "_lockstep", checked_lockstep(runs))
     for dim in (2, 3, 4):
         for seed in (0, 9):
             spec = SearchSpec(bound_id=bound_id, dim=dim, pair_kind=pair_kind, seed=seed,
                               restarts=2, iterations=60)
             minimize_slack(spec)
-    assert runs == [parameter_count(dim) for dim in (2, 3, 4) for _ in range(4)]
+    assert runs == [(parameter_count(dim), 2) for dim in (2, 3, 4) for _ in range(2)]
 
 
 def test_nelder_mead_matches_list_reference_across_an_infinite_region():
@@ -329,23 +358,243 @@ def test_nelder_mead_matches_list_reference_across_an_infinite_region():
         seen.append(value)
         return value
 
-    for seed in range(3):
-        x0 = 0.05 * random_vector(seed, 1)
-        compared_descent(walled, x0, 300)
+    starts = [0.05 * random_vector(seed, 1) for seed in range(3)]
+    compared_lockstep(batched(walled), walled, starts, 300)
     assert math.inf in seen and any(v < math.inf for v in seen)
 
 
-def test_nelder_mead_matches_list_reference_through_shrinks_and_ties():
-    def plateaus(x):
-        # Integer levels: many vertices tie, and reflections rarely improve.
-        return float(np.floor(4.0 * np.sum(x * x)))
+def plateaus(x):
+    # Integer levels: many vertices tie, and reflections rarely improve.
+    return float(np.floor(4.0 * np.sum(x * x)))
 
-    for seed in range(3):
-        assert compared_descent(plateaus, random_vector(seed, 1), 200)[1] > 0
+
+def test_nelder_mead_matches_list_reference_through_shrinks_and_ties():
+    starts = [random_vector(seed, 1) for seed in range(3)]
+    _, shrinks = compared_lockstep(batched(plateaus), plateaus, starts, 200)
+    assert all(count > 0 for count in shrinks)
+
+
+def test_lockstep_restarts_stop_at_different_iterations():
+    def bowl(x):
+        return float(np.sum((x - 0.3) ** 2))
+
+    # Starts at different distances from the minimum meet the diameter stop
+    # at different iterations; the rest of the group goes on without them.
+    starts = [scale * random_vector(seed, 1) for seed, scale in enumerate((1.0, 30.0, 1e-3))]
+    results, _ = compared_lockstep(batched(bowl), bowl, starts, 2000)
+    lengths = [len(trace) for _, _, trace, _ in results]
+    assert len(set(lengths)) == 3 and max(lengths) < 2001
+
+
+def test_lockstep_shrinks_in_only_some_restarts():
+    def half_plateau(x):
+        return plateaus(x) if x[0] > 0.0 else float(np.sum((x + 2.0) ** 2))
+
+    starts = []
+    for seed in range(6):
+        x0 = random_vector(seed, 1)
+        x0[0] = (1.0 if seed % 2 else -1.0) * (2.0 + abs(x0[0]))
+        starts.append(x0)
+    _, shrinks = compared_lockstep(batched(half_plateau), half_plateau, starts, 300)
+    assert any(count == 0 for count in shrinks) and any(count > 0 for count in shrinks)
+
+
+def test_lockstep_keeps_each_restarts_first_exception():
+    class Wall(Exception):
+        pass
+
+    def fenced(x):
+        if x[1] > 3.0:
+            raise Wall(f"crossed at {x[0]!r}")
+        return float(np.sum(x**2))
+
+    starts = [random_vector(seed, 1) for seed in range(4)]
+    starts[2][1] = 5.0  # fails on its very first point
+    results = _lockstep(batched_or_raise(fenced), fenced, np.array(starts), 400)
+    raised = 0
+    for x0, outcome in zip(starts, results):
+        try:
+            expected = list_nelder_mead(fenced, x0, 400)[:4]
+        except Wall as exc:
+            assert type(outcome) is Wall and str(outcome) == str(exc)
+            raised += 1
+            continue
+        x, f, trace, evaluations = outcome
+        assert x.tobytes() == expected[0].tobytes()
+        assert (f, trace, evaluations) == expected[1:]
+    assert 1 <= raised < len(starts)
+
+
+def batched_or_raise(objective):
+    """A ``slack_rows`` that vouches only for the rows ``objective`` does not
+    raise on, so ``_lockstep`` re-runs the others one by one."""
+
+    def rows(X):
+        values, ok = np.full(len(X), np.nan), np.zeros(len(X), dtype=bool)
+        for i, x in enumerate(X):
+            try:
+                values[i], ok[i] = objective(x), True
+            except Exception:
+                pass
+        return values, ok
+
+    return rows
+
+
+FALLBACKS = {
+    # A floor this high drops probabilities inside the support.
+    "prob_floor": Tolerances(prob_floor=0.02),
+    # Blocks and superpositions this short are degenerate: the objective is inf.
+    "zero_vector": Tolerances(zero_vector=0.99),
+}
+
+
+@pytest.mark.parametrize(
+    "bound_id, pair_kind, threshold",
+    [(GAIN_LE_1, PairKind.DISJOINT_SUPPORT, "prob_floor"),
+     (GAIN_LE_1, PairKind.DISJOINT_SUPPORT, "zero_vector"),
+     (T2_UPPER, PairKind.ORTHOGONAL_SAME_SPACE, "prob_floor"),  # s = 1: no zero_vector case
+     (T4_LOWER_A, PairKind.ARBITRARY, "prob_floor"),
+     (T4_LOWER_A, PairKind.ARBITRARY, "zero_vector")],
+)
+def test_lockstep_matches_reference_through_fallback_rows(
+    monkeypatch, bound_id, pair_kind, threshold
+):
+    # Every module that reads a tolerance, so both paths see the same ones
+    # (the package re-exports a function named ``superpose``).
+    for module in (bounds, entropy, linalg, search,
+                   importlib.import_module("coherence_lab.superpose")):
+        monkeypatch.setattr(module, "TOLERANCES", FALLBACKS[threshold])
+    counts = {"batched": 0, "fallback": 0}
+    runs = []
+    checked = checked_lockstep(runs)
+
+    def counting(slack_rows, objective, starts, iterations):
+        def rows(X):
+            values, ok = slack_rows(X)
+            counts["batched"] += int(ok.sum())
+            counts["fallback"] += int((~ok).sum())
+            return values, ok
+
+        return checked(rows, objective, starts, iterations)
+
+    monkeypatch.setattr(search, "_lockstep", counting)
+    minimize_slack(SearchSpec(bound_id=bound_id, dim=3, pair_kind=pair_kind, seed=4,
+                              restarts=3, iterations=80))
+    assert runs == [(parameter_count(3), 3)]
+    assert counts["batched"] > 0 and counts["fallback"] > 0
+
+
+@pytest.mark.parametrize(
+    "bound_id, pair_kind", SEARCHABLE, ids=[f"{b}-{k.value}" for b, k in SEARCHABLE]
+)
+def test_batched_rows_equal_the_scalar_objective_bit_for_bit(bound_id, pair_kind):
+    rng = np.random.default_rng(7)
+    for dim in (2, 5, 16):
+        split = default_split(dim) if pair_kind is PairKind.DISJOINT_SUPPORT else None
+        X = rng.standard_normal((24, parameter_count(dim)))
+        X[1] *= 1e-12  # blocks near the degeneracy threshold, on either side
+        X[2, 2:] = 0.0  # zero blocks
+        X[3, 0] = math.inf
+        X[4, 2] = math.nan
+        X[5] *= 1e160  # norms overflow
+        X[6, 1] = -0.0
+        with np.errstate(all="ignore"):
+            alpha, beta, phi, psi, ok = _parameterize_rows(X, dim, pair_kind, split)
+            slacks, vouched = bounds.row_slacks(
+                bound_id, alpha[ok], beta[ok], phi[ok], psi[ok]
+            )
+        assert not ok[2:6].any() and ok[6:].all()
+        assert vouched.sum() >= 16
+        for i, slack, good in zip(np.flatnonzero(ok), slacks, vouched):
+            coeffs, phi_i, psi_i = parameterize(X[i], dim, pair_kind, split)
+            assert np.float64(coeffs.alpha.real).tobytes() == alpha[i].tobytes()
+            assert coeffs.alpha.imag == 0.0
+            assert np.complex128(coeffs.beta).tobytes() == beta[i].tobytes()
+            assert phi[i].tobytes() == phi_i.amps.tobytes()
+            assert psi[i].tobytes() == psi_i.amps.tobytes()
+            if good:
+                expected = bounds.bound_slack(bound_id, coeffs, phi_i, psi_i)
+                assert struct_bits(slack) == struct_bits(expected)
+
+
+def struct_bits(value: float) -> bytes:
+    return np.float64(value).tobytes()
+
+
+# --- groups and the stopping test ---------------------------------------------------
+
+
+def simplex_elements(dim):
+    n = parameter_count(dim)
+    return (n + 1) * n
+
+
+@pytest.mark.parametrize("dim, width", [(2, 152706), (8, 14115), (512, 3), (1024, 1)])
+def test_group_width_fits_one_simplex_at_the_dimension_ceiling(dim, width):
+    assert _group_width(parameter_count(dim)) == width
+    budget = simplex_elements(_MAX_SEARCH_DIM)
+    assert width * simplex_elements(dim) <= budget < (width + 1) * simplex_elements(dim)
+
+
+@pytest.mark.parametrize("dim, groups", [(512, [3, 3, 1]), (1024, [1] * 3)])
+def test_large_searches_run_in_groups_of_the_width(monkeypatch, dim, groups):
+    seen = []
+
+    def first_points(slack_rows, objective, starts, iterations):
+        # Only the group sizes matter here; no simplex is built.
+        seen.append(len(starts))
+        return [(x0, objective(x0), [objective(x0)], 1) for x0 in starts]
+
+    monkeypatch.setattr(search, "_lockstep", first_points)
+    result = minimize_slack(SearchSpec(bound_id=T4_LOWER_A, dim=dim, pair_kind=PairKind.ARBITRARY,
+                                       seed=3, restarts=sum(groups), iterations=5))
+    assert seen == groups
+    assert result.evaluations == sum(groups)
+
+
+def test_a_restart_that_raises_ends_the_search_with_its_exception(monkeypatch):
+    calls = []
+
+    def failing(bound_id, coeffs, phi, psi):
+        calls.append(bound_id)
+        if len(calls) == 20:
+            raise ConsistencyError("simulated invariant failure in a restart")
+        return 1.0
+
+    # Every row goes through the scalar path, whose bound_slack fails once.
+    monkeypatch.setattr(search, "row_slacks", lambda bound_id, a, b, phi, psi: (
+        np.full(len(a), np.nan), np.zeros(len(a), dtype=bool)))
+    monkeypatch.setattr(search, "bound_slack", failing)
+    spec = SearchSpec(bound_id=GAIN_LE_1, dim=2, pair_kind=PairKind.DISJOINT_SUPPORT, seed=1,
+                      restarts=3, iterations=50)
+    with pytest.raises(ConsistencyError, match="in a restart"):
+        minimize_slack(spec)
+    assert len(calls) > 20
 
 
 def test_two_reduction_diameter_equals_per_vertex_maximum():
     rng = np.random.default_rng(2024)
+    for simplex in extreme_simplices(rng):
+        with np.errstate(over="ignore"):  # huge - (-huge) rounds to inf on both sides
+            expected = max(float(np.max(np.abs(v - simplex[0]))) for v in simplex[1:])
+            assert _diameter(simplex) == expected
+
+
+def test_worst_gap_never_exceeds_the_diameter():
+    rng = np.random.default_rng(2025)
+    checked = 0
+    for simplex in extreme_simplices(rng):
+        with np.errstate(over="ignore"):
+            gap, diameter = _worst_gap(simplex[None])[0], _diameter(simplex)
+        assert gap <= diameter
+        checked += gap == diameter
+    assert checked > 0  # the bound is reached, so the test can see a violation
+
+
+def extreme_simplices(rng):
+    """Finite simplices with ties (repeated rows and column values), +-0,
+    subnormals and +-max float."""
     huge = np.finfo(np.float64).max
     tiny = np.finfo(np.float64).smallest_subnormal
     for trial in range(300):
@@ -358,6 +607,4 @@ def test_two_reduction_diameter_equals_per_vertex_maximum():
             picks = rng.choice([huge, -huge, tiny, -tiny, 0.0, -0.0], size=simplex.shape)
             mask = rng.random(simplex.shape) < 0.5
             simplex[mask] = picks[mask]
-        with np.errstate(over="ignore"):  # huge - (-huge) rounds to inf on both sides
-            expected = max(float(np.max(np.abs(v - simplex[0]))) for v in simplex[1:])
-            assert _diameter(simplex) == expected
+        yield simplex

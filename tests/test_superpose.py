@@ -7,6 +7,7 @@ import pytest
 
 from coherence_lab import (
     DimensionMismatchError,
+    normalize,
     PairKind,
     StateVector,
     SuperpositionCoefficients,
@@ -20,6 +21,7 @@ from coherence_lab import (
     superpose,
     t_states,
 )
+from coherence_lab.superpose import classify_rows, superpose_rows
 
 INV_SQRT2 = 1.0 / math.sqrt(2.0)
 
@@ -122,6 +124,35 @@ def test_superpose_dimension_mismatch():
         superpose(EQUAL, E0, StateVector([1.0, 0.0, 0.0]))
 
 
+def test_superpose_seals_the_state_normalize_would_return():
+    for seed in range(40):
+        coeffs, phi, psi = random_triple(seed, 2 + seed % 9)
+        state = superpose(coeffs, phi, psi)
+        expected = normalize(coeffs.alpha * phi.amps + coeffs.beta * psi.amps)
+        assert state.normalized.amps.tobytes() == expected.amps.tobytes()
+        assert not state.normalized.amps.flags.writeable
+
+
+def test_superpose_rows_match_superpose_row_by_row():
+    triples = [random_triple(seed, 6) for seed in range(12)]
+    uniform = StateVector(np.full(6, 1.0 / math.sqrt(6.0)))
+    triples.append((SuperpositionCoefficients(INV_SQRT2, -INV_SQRT2), uniform, uniform))
+    alpha = np.array([c.alpha for c, _, _ in triples])
+    beta = np.array([c.beta for c, _, _ in triples])
+    phi = np.array([p.amps for _, p, _ in triples])
+    psi = np.array([q.amps for _, _, q in triples])
+    with np.errstate(all="ignore"):
+        s, normalized, ok = superpose_rows(alpha, beta, phi, psi)
+    assert ok.tolist() == [True] * (len(triples) - 1) + [False]
+    for (coeffs, p, q), s_i, row, good in zip(triples, s.tolist(), normalized, ok.tolist()):
+        state = superpose(coeffs, p, q)
+        assert s_i == state.s
+        if good:
+            assert row.tobytes() == state.normalized.amps.tobytes()
+        else:
+            assert state.normalized is None
+
+
 # --- t_states -------------------------------------------------------------------
 
 
@@ -188,6 +219,21 @@ def test_classify_symmetric_with_conjugated_overlap():
         backward = classify_pair(psi, phi)
         assert forward.tag is backward.tag
         assert forward.overlap == np.conj(backward.overlap)
+
+
+def test_classify_rows_match_classify_pair():
+    pairs = [random_triple(seed, 4)[1:] for seed in range(10)]
+    disjoint = (StateVector([1.0, 0.0, 0.0, 0.0]), StateVector([0.0, 0.6, 0.8j, 0.0]))
+    orthogonal = (StateVector([0.5, 0.5, 0.5, 0.5]), StateVector([0.5, -0.5, 0.5, -0.5]))
+    pairs += [disjoint, orthogonal]
+    phi = np.array([p.amps for p, _ in pairs])
+    psi = np.array([q.amps for _, q in pairs])
+    classes = classify_rows(phi, psi)
+    assert [c.tag for c in classes[-2:]] == [PairKind.DISJOINT_SUPPORT,
+                                             PairKind.ORTHOGONAL_SAME_SPACE]
+    for (p, q), got in zip(pairs, classes):
+        assert got == classify_pair(p, q)
+        assert type(got.overlap) is complex
 
 
 # --- identities -------------------------------------------------------------------
