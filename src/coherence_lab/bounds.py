@@ -19,7 +19,9 @@ the raw superposition, the evaluated relations are:
 Slack sign conventions: upper bounds report rhs - lhs, lower bounds report
 lhs - rhs, and the equality reports the absolute residual |lhs - rhs|.  A
 report is satisfied when slack >= -tolerance (equality: residual <=
-tolerance).
+tolerance).  Each relation is written once, as ``Bound.sides``: on one
+triple's floats for ``evaluate_all``, and on (R,) arrays of one pair class
+for ``evaluate_rows``, which gives the same floats.
 """
 
 from __future__ import annotations
@@ -31,9 +33,9 @@ from typing import Callable
 
 import numpy as np
 
-from .entropy import binary_entropy, pure_state_coherence, row_coherences
+from .entropy import binary_entropy, binary_entropy_rows, pure_state_coherence, row_coherences
 from .errors import CoherenceLabError, WrongPairClassError, ZeroVectorError
-from .linalg import StateVector
+from .linalg import StateVector, moduli
 from .superpose import (
     PairClass,
     PairKind,
@@ -107,7 +109,11 @@ class _cached:
 
 
 class _PairContext:
-    """Shared quantities for evaluating several bounds on one input triple."""
+    """Shared quantities for evaluating several bounds on one input triple.
+
+    ``entropy`` and ``require_orthogonal`` are the only steps of the bound
+    formulas that are not plain arithmetic; ``_ClassRows`` runs them on arrays.
+    """
 
     def __init__(
         self,
@@ -158,8 +164,21 @@ class _PairContext:
         return (
             self.alpha_sq * self.coherence_phi
             + self.beta_sq * self.coherence_psi
-            + binary_entropy(self.alpha_sq)
+            + self.entropy(self.alpha_sq)
         )
+
+    def entropy(self, x: float) -> float:
+        """``binary_entropy``, which raises outside [0, 1]."""
+        return binary_entropy(x)
+
+    def require_orthogonal(self) -> None:
+        """T2's hypothesis: raise unless |<phi|psi>| is within the threshold."""
+        overlap = abs(self.pair_class.overlap)
+        if overlap > TOLERANCES.overlap:
+            raise WrongPairClassError(
+                f"|<phi|psi>| = {overlap:.3e} exceeds the "
+                f"orthogonality threshold {TOLERANCES.overlap:g}"
+            )
 
     @_cached
     def digest(self) -> str:
@@ -185,26 +204,23 @@ def _gain_sides(ctx: _PairContext) -> tuple[float, float]:
 
 
 def _t2_sides(ctx: _PairContext) -> tuple[float, float]:
-    if abs(ctx.pair_class.overlap) > TOLERANCES.overlap:
-        raise WrongPairClassError(
-            f"|<phi|psi>| = {abs(ctx.pair_class.overlap):.3e} exceeds the "
-            f"orthogonality threshold {TOLERANCES.overlap:g}"
-        )
+    ctx.require_orthogonal()
     return ctx.coherence_t1, 2.0 * ctx.weighted_mix
 
 
+# s * s, not s ** 2: numpy squares arrays by multiplying, and pow rounds differently.
 def _t3_sides(ctx: _PairContext) -> tuple[float, float]:
-    return ctx.s ** 2 * ctx.coherence_t1, 2.0 * ctx.weighted_mix
+    return ctx.s * ctx.s * ctx.coherence_t1, 2.0 * ctx.weighted_mix
 
 
 def _t4_sides(ctx: _PairContext, w_own: float, c_own: float,
               w_other: float, c_other: float) -> tuple[float, float]:
-    s_sq = ctx.s ** 2
+    s_sq = ctx.s * ctx.s
     lhs = s_sq * ctx.coherence_t1
     rhs = (
         0.5 * w_own * c_own
         - w_other * c_other
-        - (s_sq + w_other) * binary_entropy(w_other / (s_sq + w_other))
+        - (s_sq + w_other) * ctx.entropy(w_other / (s_sq + w_other))
     )
     return lhs, rhs
 
@@ -259,10 +275,14 @@ def _sides_and_slack(ctx: _PairContext, bound: Bound) -> tuple[float, float, flo
     return lhs, rhs, (rhs - lhs if bound.direction == "upper" else lhs - rhs)
 
 
+def _satisfied(bound: Bound, slack, tolerance: float):
+    return slack <= tolerance if bound.direction == "equality" else slack >= -tolerance
+
+
 def _report(ctx: _PairContext, bound_id: str, tolerance: float) -> BoundReport:
     bound = BOUNDS[bound_id]
     lhs, rhs, slack = _sides_and_slack(ctx, bound)
-    satisfied = slack <= tolerance if bound.direction == "equality" else slack >= -tolerance
+    satisfied = _satisfied(bound, slack, tolerance)
     return BoundReport(bound_id, lhs, rhs, slack, satisfied, tolerance, ctx.digest)
 
 
@@ -337,10 +357,10 @@ def row_slacks(
         if not good:
             slacks.append(np.nan)
             continue
-        # abs(z) ** 2 in Python, as SuperpositionCoefficients computes it:
-        # numpy rounds it differently.
+        # The weights as SuperpositionCoefficients computes them: on a few
+        # rows, Python floats cost less than coefficient_weights.
         ctx = _RowContext(batch, i, {
-            "alpha_sq": abs(a) ** 2, "beta_sq": abs(b) ** 2, "s": s_i,
+            "alpha_sq": abs(a) * abs(a), "beta_sq": abs(b) * abs(b), "s": s_i,
             "coherence_phi": c_phi, "coherence_psi": c_psi, "coherence_t1": c_t1,
         })
         try:
@@ -370,6 +390,7 @@ _CLASS_BOUNDS = {
     PairKind.ORTHOGONAL_SAME_SPACE: (T2_UPPER,),
     PairKind.NON_ORTHOGONAL: (T3_UPPER,),
 }
+_LOWER_BOUNDS = (T4_LOWER_A, T4_LOWER_B)
 
 
 def evaluate_all(
@@ -390,6 +411,46 @@ def evaluate_all(
     ctx = _PairContext(coeffs, phi, psi)
     reports = [_report(ctx, b, tolerance) for b in _CLASS_BOUNDS[ctx.pair_class.tag]]
     if ctx.s > TOLERANCES.zero_vector:
-        reports.append(_report(ctx, T4_LOWER_A, tolerance))
-        reports.append(_report(ctx, T4_LOWER_B, tolerance))
+        reports += [_report(ctx, b, tolerance) for b in _LOWER_BOUNDS]
     return reports
+
+
+class _ClassRows(_PairContext):
+    """A ``_PairContext`` whose quantities are (R,) arrays over rows of one
+    pair class.  Where the scalar context raises on a row, ``ok`` goes False."""
+
+    def __init__(self, kind: PairKind, overlap: np.ndarray, values: dict):
+        self.__dict__.update(values)
+        self.pair_class = PairClass(kind, overlap)
+        self.ok = self.s > TOLERANCES.zero_vector  # else coherence_t1 raises
+
+    def entropy(self, x: np.ndarray) -> np.ndarray:
+        value, ok = binary_entropy_rows(x)
+        self.ok &= ok
+        return value
+
+    def require_orthogonal(self) -> None:
+        self.ok &= ~(moduli(self.pair_class.overlap) > TOLERANCES.overlap)
+
+
+def evaluate_rows(
+    kind: PairKind,
+    overlap: np.ndarray,
+    values: dict[str, np.ndarray],
+    tolerance: float = TOLERANCES.bound_slack,
+) -> tuple[dict[str, tuple[np.ndarray, np.ndarray]], np.ndarray]:
+    """``evaluate_all`` on R input triples of pair class ``kind``, each formula
+    run once on (R,) arrays: ``overlap`` holds <phi|psi> and ``values`` the
+    other quantities of a context (``alpha_sq``, ``beta_sq``, ``s`` and
+    ``coherence_phi``/``_psi``/``_t1``).  Returns (slacks, satisfied) per
+    bound id, and ``ok``: where it holds, row i is ``evaluate_all``'s bit for
+    bit; elsewhere that raises for triple i (a degenerate superposition, an
+    entropy argument outside [0, 1], a disjoint pair against T2's hypothesis).
+    """
+    ctx = _ClassRows(kind, overlap, values)
+    verdicts = {}
+    for bound_id in _CLASS_BOUNDS[kind] + _LOWER_BOUNDS:
+        bound = BOUNDS[bound_id]
+        slack = _sides_and_slack(ctx, bound)[2]
+        verdicts[bound_id] = slack, _satisfied(bound, slack, tolerance)
+    return verdicts, ctx.ok

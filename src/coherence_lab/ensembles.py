@@ -8,9 +8,11 @@ any resampling), then coefficients.
 
 ``run_ensemble`` runs trials one at a time and is the reference.
 ``summarize_ensemble`` computes the same summary from chunks of trials held
-in (trials, dim) arrays, and hands back to the scalar path every trial whose
-batched values come near a threshold at which the scalar path would resample,
-raise, or give another verdict.
+in (trials, dim) arrays.  The batched values are the scalar path's floats bit
+for bit (the row forms in ``linalg``, ``superpose``, ``entropy`` and
+``bounds.evaluate_rows``), so every comparison comes out as it does there, and
+exactly the trials at which the scalar path would resample or raise are
+handed back to it.
 """
 
 from __future__ import annotations
@@ -21,21 +23,19 @@ from typing import Optional
 
 import numpy as np
 
-from .bounds import (
-    BOUNDS,
-    GAIN_LE_1,
-    T1_EQUALITY,
-    T2_UPPER,
-    T3_UPPER,
-    T4_LOWER_A,
-    T4_LOWER_B,
-    BoundReport,
-    evaluate_all,
-)
+from .bounds import BoundReport, evaluate_all, evaluate_rows
+from .entropy import row_coherences
 from .errors import BadSplitError, CoherenceLabError, DegeneratePairError
-from .linalg import StateVector, norm, normalize
+from .linalg import StateVector, moduli, norm, normalize, normalize_rows, row_norms, row_vdot
 from .rng import complex_normals, make_generator, philox_uniforms, subseed, subseeds
-from .superpose import PairKind, SuperpositionCoefficients, classify_pair
+from .superpose import (
+    PairKind,
+    SuperpositionCoefficients,
+    class_masks,
+    classify_pair,
+    coefficient_weights,
+    superpose_rows,
+)
 from .tolerances import TOLERANCES
 
 _MAX_RESAMPLES = 8
@@ -48,12 +48,6 @@ _MAX_ERROR_SAMPLES = 5
 # Trials per batched chunk times the dimension stays at or below this, which
 # bounds the kernel's memory whatever the trial count.
 _CHUNK_ELEMENTS = 2**14
-# Batched sums and norms round differently from the scalar path (by ~1e-15
-# here). A batched value within this factor of a sampling or classification
-# threshold, or a slack within _VERDICT_GUARD of its verdict threshold, sends
-# the trial to the scalar path, so no decision can differ between the two.
-_GUARD = 2.0
-_VERDICT_GUARD = 1e-12
 
 
 @dataclass(frozen=True)
@@ -195,11 +189,16 @@ def random_disjoint_support_pair(config: EnsembleConfig) -> tuple[StateVector, S
     )
 
 
-def _coefficients(gen: np.random.Generator) -> SuperpositionCoefficients:
+def _coefficient_pair(gen):
+    """alpha and beta from the next two uniforms: floats from a generator,
+    (trials,) arrays from ``_Rows``."""
     theta = 0.5 * np.pi * gen.random()
     phase_angle = 2.0 * np.pi * gen.random()
-    alpha = complex(np.cos(theta))
-    beta = complex(np.sin(theta)) * np.exp(1j * phase_angle)
+    return np.cos(theta), np.sin(theta) * np.exp(1j * phase_angle)
+
+
+def _coefficients(gen: np.random.Generator) -> SuperpositionCoefficients:
+    alpha, beta = _coefficient_pair(gen)
     return SuperpositionCoefficients(alpha=alpha, beta=beta)
 
 
@@ -268,30 +267,6 @@ def run_ensemble(
 # batched path
 
 
-def _class_routes() -> dict[PairKind, tuple[str, ...]]:
-    """Bound ids ``evaluate_all`` reports for each pair class when s > 0.
-
-    Read off the scalar path with one exemplar pair per class, so that the
-    routing is written only in ``bounds``.
-    """
-    r = math.sqrt(0.5)
-    e0, e1 = StateVector([1.0, 0.0]), StateVector([0.0, 1.0])
-    plus, minus = StateVector([r, r]), StateVector([r, -r])
-    coeffs = SuperpositionCoefficients(r, r)
-    exemplars = {
-        PairKind.DISJOINT_SUPPORT: (e0, e1),
-        PairKind.ORTHOGONAL_SAME_SPACE: (plus, minus),
-        PairKind.NON_ORTHOGONAL: (e0, plus),
-    }
-    return {
-        kind: tuple(rep.bound_id for rep in evaluate_all(coeffs, phi, psi))
-        for kind, (phi, psi) in exemplars.items()
-    }
-
-
-_ROUTES = _class_routes()
-
-
 class _Rows:
     """Pre-drawn uniforms, one trial per row, read like a trial's generator.
 
@@ -309,152 +284,54 @@ class _Rows:
         return self.uniforms[:, start] if n is None else self.uniforms[:, start:self.pos]
 
 
-def _row_norms(x: np.ndarray) -> np.ndarray:
-    return np.sqrt((x.real ** 2 + x.imag ** 2).sum(axis=1))
-
-
-def _row_vdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    return (a.conj() * b).sum(axis=1)
-
-
-def _near(x: np.ndarray, threshold: float) -> np.ndarray:
-    """Values that may fall on either side of ``threshold`` (NaN included)."""
-    return ~((x <= threshold / _GUARD) | (x > threshold * _GUARD))
-
-
-def _unit_rows(raw: np.ndarray, floor: float) -> tuple[np.ndarray, np.ndarray]:
-    """Rows scaled to unit norm, and the rows to redo: a norm near or below
-    ``floor``, or a result that could fail the ``StateVector`` norm check."""
-    norms = _row_norms(raw)
-    amps = raw / norms[:, None]
-    redo = ~(norms > _GUARD * floor)
-    redo |= ~(np.abs(_row_norms(amps) - 1.0) <= TOLERANCES.norm / _GUARD)
-    return amps, redo
-
-
-def _clamped(value: np.ndarray, slop: float) -> tuple[np.ndarray, np.ndarray]:
-    """Round-off below 0 clamped as the scalar entropies do; rows to redo
-    are those it could raise on."""
-    return np.where(value < 0.0, 0.0, value) + 0.0, ~(value >= -slop / _GUARD)
-
-
-def _entropy_terms(p: np.ndarray) -> np.ndarray:
-    """p log2 p, with 0 for p at or below ``TOLERANCES.prob_floor``."""
-    keep = p > TOLERANCES.prob_floor
-    return np.where(keep, p * np.log2(np.where(keep, p, 1.0)), 0.0)
-
-
-def _coherence(amps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Batched ``pure_state_coherence``."""
-    return _clamped(-_entropy_terms(np.abs(amps) ** 2).sum(axis=1), TOLERANCES.entropy_slop)
-
-
-def _binary_entropy(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Batched ``binary_entropy``; rows to redo are those it could raise on."""
-    slop = TOLERANCES.entropy_slop / _GUARD
-    redo = ~((x >= -slop) & (x <= 1.0 + slop))
-    x = np.clip(x, 0.0, 1.0)
-    value, clamp_redo = _clamped(0.0 - _entropy_terms(x) - _entropy_terms(1.0 - x),
-                                 TOLERANCES.entropy_slop)
-    return value, redo | clamp_redo
-
-
-def _verdicts(direction: str, lhs, rhs, tolerance: float):
-    """Slack, verdict and nearness to the verdict threshold, as ``bounds``
-    computes them for one report."""
-    if direction == "equality":
-        slack = np.abs(lhs - rhs)
-        satisfied, threshold = slack <= tolerance, tolerance
-    else:
-        slack = rhs - lhs if direction == "upper" else lhs - rhs
-        satisfied, threshold = slack >= -tolerance, -tolerance
-    return slack, satisfied, ~(np.abs(slack - threshold) > _VERDICT_GUARD)
-
-
 def _batch(config: EnsembleConfig, indices: np.ndarray, tolerance: float):
     """Evaluate trials ``indices`` of an ensemble on (trials, dim) arrays.
 
-    Returns the mask of trials the scalar path must recompute, and for each
-    bound id the mask of trials it applies to with their slacks and verdicts.
+    Returns the mask of trials at which the scalar path resamples or raises,
+    which it must run, and for the others, per class and bound id, the
+    trials' positions, slacks and verdicts: the scalar path's, bit for bit.
     """
     kind, dim, n = config.pair_kind, config.dim, indices.size
     blocks = config.split if kind is PairKind.DISJOINT_SUPPORT else (dim, dim)
     stream = _Rows(philox_uniforms(subseeds(config.seed, indices), 2 * sum(blocks) + 2))
 
-    phi, redo = _unit_rows(complex_normals(stream, blocks[0]), TOLERANCES.zero_vector)
+    phi, _, ok = normalize_rows(complex_normals(stream, blocks[0]))
+    raw = complex_normals(stream, blocks[1])
     if kind is PairKind.ORTHOGONAL_SAME_SPACE:
-        raw = complex_normals(stream, dim)
-        projected = raw - _row_vdot(phi, raw)[:, None] * phi
-        redo |= ~(_row_norms(projected) > _GUARD * _PROJECTION_FLOOR)
-        projected = projected - _row_vdot(phi, projected)[:, None] * phi
-        psi, psi_redo = _unit_rows(projected, TOLERANCES.zero_vector)
-    else:
-        psi, psi_redo = _unit_rows(complex_normals(stream, blocks[1]), TOLERANCES.zero_vector)
-    redo |= psi_redo
+        raw = raw - row_vdot(phi, raw)[:, None] * phi
+        ok &= row_norms(raw) > _PROJECTION_FLOOR
+        raw = raw - row_vdot(phi, raw)[:, None] * phi
+    psi, _, psi_ok = normalize_rows(raw)
+    ok &= psi_ok
     if kind is PairKind.DISJOINT_SUPPORT:
         d1, d2 = blocks
         phi = np.concatenate([phi, np.zeros((n, dim - d1))], axis=1)
         psi = np.concatenate([np.zeros((n, d1)), psi, np.zeros((n, dim - d1 - d2))], axis=1)
-    overlap = np.abs(_row_vdot(phi, psi))
+    classes, overlap = class_masks(phi, psi)
     if kind is PairKind.NON_ORTHOGONAL:
-        redo |= ~(overlap > _GUARD * TOLERANCES.overlap)
+        ok &= moduli(overlap) > TOLERANCES.overlap
 
-    theta = 0.5 * np.pi * stream.random()
-    phase_angle = 2.0 * np.pi * stream.random()
-    alpha = np.cos(theta)
-    beta = np.sin(theta) * np.exp(1j * phase_angle)
-    a, b = alpha ** 2, np.abs(beta) ** 2
-    redo |= ~(np.abs(a + b - 1.0) <= TOLERANCES.norm / _GUARD)
+    alpha, beta = _coefficient_pair(stream)
+    alpha_sq, beta_sq, weights_ok = coefficient_weights(alpha, beta)
+    s, omega, superposed = superpose_rows(alpha, beta, phi, psi)
+    ok &= weights_ok & superposed
+    values = {"alpha_sq": alpha_sq, "beta_sq": beta_sq, "s": s}
+    for name, state in (("phi", phi), ("psi", psi), ("t1", omega)):
+        coherence, vouched = row_coherences(state[:, None])
+        values["coherence_" + name] = coherence[:, 0]
+        ok &= vouched
 
-    shared = np.minimum(np.abs(phi), np.abs(psi)).max(axis=1)
-    disjoint = shared <= TOLERANCES.support
-    orthogonal = ~disjoint & (overlap <= TOLERANCES.overlap)
-    redo |= _near(shared, TOLERANCES.support) | (~disjoint & _near(overlap, TOLERANCES.overlap))
-    # T2's hypothesis, which a disjoint pair meets unless its overlap is large.
-    redo |= disjoint & ~(overlap <= TOLERANCES.overlap / _GUARD)
-    classes = {
-        PairKind.DISJOINT_SUPPORT: disjoint,
-        PairKind.ORTHOGONAL_SAME_SPACE: orthogonal,
-        PairKind.NON_ORTHOGONAL: ~disjoint & ~orthogonal,
-    }
-
-    raw = alpha[:, None] * phi + beta[:, None] * psi
-    s = _row_norms(raw)
-    omega, omega_redo = _unit_rows(raw, TOLERANCES.zero_vector)
-    c_phi, c_phi_redo = _coherence(phi)
-    c_psi, c_psi_redo = _coherence(psi)
-    c_omega, c_omega_redo = _coherence(omega)
-    h_a, h_a_redo = _binary_entropy(a)
-    redo |= omega_redo | c_phi_redo | c_psi_redo | c_omega_redo | h_a_redo
-    mix = a * c_phi + b * c_psi + h_a
-    s_sq = s ** 2
-
-    def t4_rhs(w_own, c_own, w_other, c_other):
-        h, h_redo = _binary_entropy(w_other / (s_sq + w_other))
-        return 0.5 * w_own * c_own - w_other * c_other - (s_sq + w_other) * h, h_redo
-
-    rhs_a, rhs_a_redo = t4_rhs(a, c_phi, b, c_psi)
-    rhs_b, rhs_b_redo = t4_rhs(b, c_psi, a, c_phi)
-    redo |= rhs_a_redo | rhs_b_redo
-    sides = {
-        T1_EQUALITY: (c_omega, mix),
-        GAIN_LE_1: (c_omega - a * c_phi - b * c_psi, 1.0),
-        T2_UPPER: (c_omega, 2.0 * mix),
-        T3_UPPER: (s_sq * c_omega, 2.0 * mix),
-        T4_LOWER_A: (s_sq * c_omega, rhs_a),
-        T4_LOWER_B: (s_sq * c_omega, rhs_b),
-    }
-
-    applies = {}
+    results = []
     for pair_class, members in classes.items():
-        for bound_id in _ROUTES[pair_class]:
-            applies[bound_id] = applies.get(bound_id, False) | members
-    results = {}
-    for bound_id, members in applies.items():
-        slack, satisfied, near = _verdicts(BOUNDS[bound_id].direction, *sides[bound_id], tolerance)
-        redo |= members & near
-        results[bound_id] = (members, slack, satisfied)
-    return redo, results
+        rows = np.flatnonzero(members & ok)
+        if rows.size:
+            verdicts, vouched = evaluate_rows(
+                pair_class, overlap[rows], {k: v[rows] for k, v in values.items()}, tolerance
+            )
+            ok[rows] = vouched
+            results += [(bound_id, rows[vouched], slack[vouched], satisfied[vouched])
+                        for bound_id, (slack, satisfied) in verdicts.items()]
+    return ~ok, results
 
 
 def _fold(summary: dict, bound_id: str, count: int, violations: int,
@@ -473,18 +350,17 @@ def _fold_chunk(summary: dict, config: EnsembleConfig, indices: np.ndarray,
                 tolerance: float) -> None:
     if config.permute:
         # gen.permutation is not reproduced in the batched kernel.
-        redo, results = np.ones(indices.size, dtype=bool), {}
+        redo, results = np.ones(indices.size, dtype=bool), []
     else:
         with np.errstate(all="ignore"):  # rows that overflow or divide by 0 are redone
             redo, results = _batch(config, indices, tolerance)
     violated = np.zeros(indices.size, dtype=bool)
-    for bound_id, (members, slack, satisfied) in results.items():
-        members = members & ~redo
-        if members.any():
-            unsatisfied = members & ~satisfied
-            _fold(summary, bound_id, int(members.sum()), int(unsatisfied.sum()),
-                  float(slack[members].min()), float(slack[members].max()))
-            violated |= unsatisfied
+    for bound_id, rows, slack, satisfied in results:
+        if rows.size:
+            unsatisfied = rows[~satisfied]
+            _fold(summary, bound_id, rows.size, unsatisfied.size,
+                  float(slack.min()), float(slack.max()))
+            violated[unsatisfied] = True
     records = {}
     for position in np.flatnonzero(redo):
         record = records[position] = _run_trial(config, int(indices[position]), tolerance)
@@ -508,9 +384,8 @@ def summarize_ensemble(
 
     Per-bound report counts, violations and slack extremes, the error count,
     the first error strings and the records of the first violating trials,
-    all as a fold over ``run_ensemble(config, tolerance=tolerance)`` gives
-    them. Only kept trials get a record. Slack extremes of batched trials
-    may differ from the scalar path in the last digits.
+    all equal to what a fold over ``run_ensemble(config, tolerance=tolerance)``
+    gives. Only kept trials get a record.
     """
     summary = {
         "pair_kind": config.pair_kind.value,

@@ -5,6 +5,11 @@ entropy peaks at exactly 1, which is what makes the dimension-independent
 coherence-gain ceiling come out as 1.  The 0*log(0) = 0 convention is applied
 pointwise, and probabilities below ``TOLERANCES.prob_floor`` are treated as
 exactly zero so round-off dust cannot inject -inf terms.
+
+Every logarithm is ``np.log2``, on a scalar as on an array (``math.log2``
+rounds differently), and this is the only module that takes one.  The row
+forms ``row_coherences`` and ``binary_entropy_rows`` therefore give the scalar
+functions' floats bit for bit, and say where the scalar function would raise.
 """
 
 from __future__ import annotations
@@ -24,6 +29,11 @@ def _clamped_nonnegative(value: float, slop: float, what: str) -> float:
         raise ConsistencyError(f"{what} = {value!r} is below the -{slop:g} slop window")
     # value + 0.0 folds -0.0 into +0.0.
     return 0.0 if value < 0.0 else value + 0.0
+
+
+def _clamped_rows(value: np.ndarray, slop: float) -> tuple[np.ndarray, np.ndarray]:
+    """``_clamped_nonnegative`` on an array: (values, ok); it raises where not ok."""
+    return np.maximum(value + 0.0, 0.0), value >= -slop
 
 
 def _entropy_of_probs(probs: np.ndarray) -> float:
@@ -51,8 +61,27 @@ def binary_entropy(x: float) -> float:
     value = 0.0
     for p in (x, 1.0 - x):
         if p > TOLERANCES.prob_floor:
-            value -= p * math.log2(p)
+            value -= p * float(np.log2(p))
     return _clamped_nonnegative(value, TOLERANCES.entropy_slop, "binary entropy")
+
+
+def binary_entropy_rows(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``binary_entropy`` of each entry of a float array: (values, ok).
+
+    Where ``ok`` holds, values[i] is ``binary_entropy(x[i])`` bit for bit;
+    elsewhere ``binary_entropy`` raises (a non-finite or out-of-domain
+    argument).
+    """
+    slop = TOLERANCES.entropy_slop
+    inside = (x >= -slop) & (x <= 1.0 + slop)
+    x = np.minimum(np.maximum(x, 0.0), 1.0)
+    value = 0.0
+    for p in (x, 1.0 - x):
+        keep = p > TOLERANCES.prob_floor
+        # Subtracting 0.0 leaves any value as it is, so a dropped term is skipped.
+        value = value - np.where(keep, p * np.log2(np.where(keep, p, 1.0)), 0.0)
+    value, ok = _clamped_rows(value, slop)
+    return value, inside & ok
 
 
 def von_neumann_entropy(rho: DensityMatrix) -> float:
@@ -96,9 +125,9 @@ def row_coherences(amps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """
     p = np.abs(amps) ** 2
     small = p <= TOLERANCES.prob_floor
+    supported = True  # no probability inside a support that the floor drops
     if not np.count_nonzero(small):  # every column is in every support
         value = -np.add.reduce(p * np.log2(p), axis=-1)
-        ok = np.logical_and.reduce(value >= -TOLERANCES.entropy_slop, axis=1)
     else:
         support = np.logical_or.reduce(p, axis=0)
         value = np.empty(p.shape[:2])
@@ -109,8 +138,6 @@ def row_coherences(amps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
             block = p[:, j].compress(columns, axis=1)
             value[:, j] = -np.add.reduce(block * np.log2(block), axis=-1)
             inside[:, j] = np.logical_or.reduce(small[:, j].compress(columns, axis=1), axis=-1)
-        ok = ~np.logical_or.reduce(inside, axis=1) & np.logical_and.reduce(
-            value >= -TOLERANCES.entropy_slop, axis=1
-        )
-    # _clamped_nonnegative: value + 0.0 folds -0.0 into +0.0.
-    return np.maximum(value + 0.0, 0.0), ok
+        supported = ~np.logical_or.reduce(inside, axis=1)
+    value, clamp_ok = _clamped_rows(value, TOLERANCES.entropy_slop)
+    return value, supported & np.logical_and.reduce(clamp_ok, axis=1)

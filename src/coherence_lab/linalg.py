@@ -153,6 +153,12 @@ def row_vdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.vecdot(a, b)
 
 
+def moduli(z: np.ndarray) -> np.ndarray:
+    """``abs`` of each complex entry, as Python's ``abs(complex)`` and numpy's
+    complex scalar compute it (``hypot``), bit for bit; ``np.abs`` is not."""
+    return np.hypot(z.real, z.imag)
+
+
 def row_norms(rows: np.ndarray) -> np.ndarray:
     """``norm`` of each row (last axis) of a complex array, bit for bit."""
     re, im = rows.real, rows.imag

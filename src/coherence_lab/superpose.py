@@ -24,7 +24,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import DimensionMismatchError, ZeroVectorError
-from .linalg import StateVector, inner_product, norm, normalize_rows, row_vdot, scaled_state
+from .linalg import StateVector, moduli, norm, normalize_rows, row_vdot, scaled_state
 from .tolerances import TOLERANCES
 
 
@@ -60,19 +60,31 @@ class SuperpositionCoefficients:
         for name, value in (("alpha", alpha), ("beta", beta)):
             if not cmath.isfinite(value):
                 raise ValueError(f"{name} has non-finite components: {value!r}")
-        total = abs(alpha) ** 2 + abs(beta) ** 2
+        total = abs(alpha) * abs(alpha) + abs(beta) * abs(beta)
         if abs(total - 1.0) > TOLERANCES.norm:
             raise ValueError(f"|alpha|^2 + |beta|^2 = {total!r}, not 1")
         object.__setattr__(self, "alpha", alpha)
         object.__setattr__(self, "beta", beta)
 
+    # |z| * |z|, as numpy computes it on arrays (abs(z) ** 2 is pow, which
+    # rounds differently).
     @property
     def alpha_sq(self) -> float:
-        return abs(self.alpha) ** 2
+        return abs(self.alpha) * abs(self.alpha)
 
     @property
     def beta_sq(self) -> float:
-        return abs(self.beta) ** 2
+        return abs(self.beta) * abs(self.beta)
+
+
+def coefficient_weights(
+    alpha: np.ndarray, beta: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``SuperpositionCoefficients`` on (R,) arrays: (alpha_sq, beta_sq, ok), the
+    weights bit for bit where ``ok`` holds, and rejected by it elsewhere."""
+    m_alpha, m_beta = moduli(alpha), moduli(beta)
+    a, b = m_alpha * m_alpha, m_beta * m_beta
+    return a, b, np.abs(a + b - 1.0) <= TOLERANCES.norm
 
 
 @dataclass(frozen=True, eq=False)
@@ -152,9 +164,7 @@ def classify_pair(phi: StateVector, psi: StateVector) -> PairClass:
     is NonOrthogonal.
     """
     _require_same_dim(phi, psi)
-    overlap = inner_product(phi, psi)
-    shared = float(np.minimum(np.abs(phi.amps), np.abs(psi.amps)).max())
-    return PairClass(tag=_pair_tag(shared, overlap), overlap=overlap)
+    return classify_rows(phi.amps[None], psi.amps[None])[0]
 
 
 def classify_rows(phi: np.ndarray, psi: np.ndarray) -> list[PairClass]:
@@ -162,6 +172,23 @@ def classify_rows(phi: np.ndarray, psi: np.ndarray) -> list[PairClass]:
     overlaps = row_vdot(phi, psi).tolist()
     shared = np.minimum(np.abs(phi), np.abs(psi)).max(axis=1).tolist()
     return [PairClass(tag=_pair_tag(s, o), overlap=o) for s, o in zip(shared, overlaps)]
+
+
+def class_masks(
+    phi: np.ndarray, psi: np.ndarray
+) -> tuple[dict[PairKind, np.ndarray], np.ndarray]:
+    """``classify_pair`` of each pair of rows of two (R, d) unit arrays as
+    (the mask of the rows of each class, the overlaps), bit for bit: for many
+    rows, where one ``PairClass`` per row would cost more than the work."""
+    overlaps = row_vdot(phi, psi)
+    disjoint = np.minimum(np.abs(phi), np.abs(psi)).max(axis=1) <= TOLERANCES.support
+    orthogonal = moduli(overlaps) <= TOLERANCES.overlap
+    classes = {
+        PairKind.DISJOINT_SUPPORT: disjoint,
+        PairKind.ORTHOGONAL_SAME_SPACE: orthogonal & ~disjoint,
+        PairKind.NON_ORTHOGONAL: ~(disjoint | orthogonal),
+    }
+    return classes, overlaps
 
 
 def _pair_tag(shared: float, overlap: complex) -> PairKind:

@@ -16,6 +16,7 @@ from coherence_lab import (
     T4_LOWER_A,
     T4_LOWER_B,
     EnsembleConfig,
+    PairClass,
     PairKind,
     StateVector,
     SuperpositionCoefficients,
@@ -380,3 +381,59 @@ def test_each_context_computes_each_quantity_once(monkeypatch):
     assert evaluate_all(other, phi, psi) != reports
     assert (len(coherences), len(superposes)) == (9, 3)
     assert superposes[-1][0] is other
+
+
+# --- the bound formulas on arrays ---------------------------------------------------
+
+
+def seeded_context(kind, overlap, values):
+    """A scalar context holding given quantities, as ``_RowContext`` does."""
+    ctx = object.__new__(bounds_module._PairContext)
+    ctx.__dict__.update(values, pair_class=PairClass(kind, overlap), digest="")
+    return ctx
+
+
+CLASS_EXEMPLARS = {
+    PairKind.DISJOINT_SUPPORT: (E0, E1),
+    PairKind.ORTHOGONAL_SAME_SPACE: (PLUS, MINUS),
+    PairKind.NON_ORTHOGONAL: (E0, PLUS),
+}
+
+
+@pytest.mark.parametrize("kind", list(CLASS_EXEMPLARS), ids=lambda k: k.value)
+def test_evaluate_rows_runs_the_scalar_formulas_on_arrays(kind):
+    # Rows where s ** 2 (pow) and s * s round differently are kept on
+    # purpose: the formulas must square by multiplying, as numpy does.
+    rng = np.random.default_rng(17)
+    n = 20000
+    s = rng.uniform(0.01, 1.99, n)
+    a = rng.random(n)
+    values = {
+        "alpha_sq": a, "beta_sq": 1.0 - a, "s": s,
+        "coherence_phi": rng.uniform(0.0, 3.0, n), "coherence_psi": rng.uniform(0.0, 3.0, n),
+        "coherence_t1": rng.uniform(0.0, 3.0, n),
+    }
+    overlap = rng.uniform(0.0, 2e-10, n) * np.exp(2j * np.pi * rng.random(n))
+    pow_rows = [i for i, x in enumerate(s.tolist()) if x ** 2 != x * x]
+    assert len(pow_rows) >= 5
+    rows = np.array(pow_rows + list(range(200)))
+    values = {k: v[rows] for k, v in values.items()}
+    verdicts, ok = bounds_module.evaluate_rows(kind, overlap[rows], values, tolerance=1e-9)
+    # The bounds evaluate_all reports for the class, in its order.
+    assert list(verdicts) == [rep.bound_id for rep in evaluate_all(EQUAL, *CLASS_EXEMPLARS[kind])]
+    for i in range(len(rows)):
+        ctx = seeded_context(kind, complex(overlap[rows[i]]),
+                             {k: v[i].item() for k, v in values.items()})
+        raised = False
+        for bound_id, (slack, satisfied) in verdicts.items():
+            try:
+                report = bounds_module._report(ctx, bound_id, 1e-9)
+            except WrongPairClassError:
+                raised = True
+                continue
+            assert (slack[i].hex(), bool(satisfied[i])) == (report.slack.hex(), report.satisfied)
+        assert bool(ok[i]) is not raised
+    if kind is PairKind.NON_ORTHOGONAL:
+        assert ok.all()
+    else:  # T2's overlap hypothesis fails on some rows and holds on others
+        assert 0 < np.count_nonzero(ok) < len(rows)

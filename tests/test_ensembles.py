@@ -1,12 +1,13 @@
 """Seeded sampling distributions, determinism, and trial aggregation."""
 
+import importlib
 import math
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from coherence_lab import ensembles
+from coherence_lab import bounds, ensembles, entropy, linalg
 from coherence_lab.bounds import BOUNDS, GAIN_LE_1
 from coherence_lab.cli import canonical_json
 
@@ -15,6 +16,7 @@ from coherence_lab import (
     CoherenceLabError,
     EnsembleConfig,
     PairKind,
+    Tolerances,
     classify_pair,
     default_split,
     haar_random_state,
@@ -291,24 +293,13 @@ def scalar_summary(config, tolerance):
     }
 
 
-def assert_matches_scalar(config, tolerance=1e-9, exact=False):
-    """Everything equal, records byte-equal; slack extremes within 1e-12
-    (bit-equal when ``exact``, i.e. when every trial takes the scalar path)."""
+def assert_matches_scalar(config, tolerance=1e-9):
+    """The batched summary is the scalar fold: equal as dicts (floats bit for
+    bit) and as canonical bytes."""
     got = summarize_ensemble(config, tolerance=tolerance)
     want = scalar_summary(config, tolerance)
-    assert canonical_json(got["violating_trials"]) == canonical_json(want["violating_trials"])
-    if exact:
-        assert got == want
-        return got
-    assert {k: v for k, v in got.items() if k != "bounds"} == {
-        k: v for k, v in want.items() if k != "bounds"
-    }
-    assert got["bounds"].keys() == want["bounds"].keys()
-    for bound_id, stats in want["bounds"].items():
-        mine = got["bounds"][bound_id]
-        assert (mine["count"], mine["violations"]) == (stats["count"], stats["violations"])
-        for key in ("min_slack", "max_slack"):
-            assert abs(mine[key] - stats[key]) <= 1e-12, (bound_id, key)
+    assert got == want
+    assert canonical_json(got) == canonical_json(want)
     return got
 
 
@@ -331,7 +322,69 @@ def test_summary_matches_scalar_path_for_splits(dim, split):
 
 def test_summary_of_zero_trials():
     config = EnsembleConfig(dim=3, trials=0, pair_kind=PairKind.ARBITRARY, seed=4)
-    assert_matches_scalar(config, exact=True)
+    assert_matches_scalar(config)
+
+
+def assert_batch_matches_records(config):
+    """Per trial, not only the extremes a summary keeps: every batched slack
+    and verdict is the scalar report's, and a trial the batch keeps is one the
+    scalar path evaluates without resampling or error.  Returns the mask of
+    trials the batch hands to the scalar path."""
+    with np.errstate(all="ignore"):
+        redo, results = ensembles._batch(config, np.arange(config.trials), 1e-9)
+    got = {
+        (index, bound_id): (value.hex(), verdict)
+        for bound_id, rows, slack, satisfied in results
+        for index, value, verdict in zip(rows.tolist(), slack.tolist(), satisfied.tolist())
+    }
+    want = {
+        (record.index, rep.bound_id): (rep.slack.hex(), rep.satisfied)
+        for record in run_ensemble(config)
+        if not redo[record.index]
+        for rep in record.reports
+    }
+    assert got == want
+    return redo
+
+
+@pytest.mark.parametrize("dim", [2, 3, 16, 33])
+@pytest.mark.parametrize("kind", list(PairKind), ids=lambda k: k.value)
+def test_batched_trials_equal_the_scalar_reports_bit_for_bit(monkeypatch, kind, dim):
+    # Small chunks: many batched calls per ensemble, a partial last chunk,
+    # and at d = 33 a single trial per chunk.
+    monkeypatch.setattr(ensembles, "_CHUNK_ELEMENTS", 40)
+    config = EnsembleConfig(dim=dim, trials=150, pair_kind=kind, seed=2000 + dim)
+    redo = assert_batch_matches_records(config)
+    assert np.count_nonzero(redo) < config.trials // 10
+    assert_matches_scalar(config)
+
+
+THRESHOLDS = {
+    # Many Haar pairs count as orthogonal: NonOrthogonal resamples, and T2
+    # applies to Arbitrary pairs with a sizeable overlap.
+    "overlap": Tolerances(overlap=0.3),
+    # Pairs that share small amplitudes count as disjoint; a NonOrthogonal
+    # one then fails T2's overlap hypothesis and errors.
+    "support": Tolerances(support=0.4),
+    # Probabilities inside a support are dropped: the scalar path decides.
+    "prob_floor": Tolerances(prob_floor=0.02),
+    # Short raw vectors resample or error, short superpositions error.
+    "zero_vector": Tolerances(zero_vector=0.9),
+}
+
+
+@pytest.mark.parametrize("threshold", list(THRESHOLDS))
+@pytest.mark.parametrize("kind", list(PairKind), ids=lambda k: k.value)
+def test_summary_matches_scalar_path_at_moved_thresholds(monkeypatch, kind, threshold):
+    # Every module that reads a tolerance, so both paths see the same ones
+    # (the package re-exports a function named ``superpose``).
+    for module in (bounds, ensembles, entropy, linalg,
+                   importlib.import_module("coherence_lab.superpose")):
+        monkeypatch.setattr(module, "TOLERANCES", THRESHOLDS[threshold])
+    monkeypatch.setattr(ensembles, "_CHUNK_ELEMENTS", 60)
+    config = EnsembleConfig(dim=3, trials=120, pair_kind=kind, seed=7 + len(threshold))
+    assert_batch_matches_records(config)
+    assert_matches_scalar(config)
 
 
 def _count_scalar_trials(monkeypatch):
@@ -356,9 +409,10 @@ def test_clean_summary_builds_no_trial_records(monkeypatch):
 
 @pytest.mark.parametrize("floor", [1.0, 2.5])
 def test_summary_with_forced_resamples_matches_scalar_path(monkeypatch, floor):
-    # A high projection floor makes orthogonal trials resample. At 1.0 about
-    # a third of the trials come near it and take the scalar path; at 2.5 all
-    # of them do, most resample and some run out of resamples and error.
+    # A high projection floor makes orthogonal trials resample. The batch
+    # hands the scalar path exactly the trials whose projected norm is at or
+    # below the floor: at 1.0 some of them, at 2.5 all, most of which
+    # resample and some of which run out of resamples and error.
     monkeypatch.setattr(ensembles, "_PROJECTION_FLOOR", floor)
     monkeypatch.setattr(ensembles, "_CHUNK_ELEMENTS", 64)
     config = EnsembleConfig(dim=4, trials=200, pair_kind=PairKind.ORTHOGONAL_SAME_SPACE, seed=77)
@@ -376,7 +430,7 @@ def test_summary_of_permuted_ensemble_is_the_scalar_one():
     config = EnsembleConfig(
         dim=6, trials=40, pair_kind=PairKind.DISJOINT_SUPPORT, seed=8, permute=True
     )
-    assert_matches_scalar(config, exact=True)
+    assert_matches_scalar(config)
 
 
 def test_summary_keeps_first_twenty_violating_trials(monkeypatch):
@@ -411,5 +465,5 @@ def test_summary_keeps_first_five_errors(monkeypatch):
     config = EnsembleConfig(
         dim=4, trials=12, pair_kind=PairKind.DISJOINT_SUPPORT, seed=3, permute=True
     )
-    summary = assert_matches_scalar(config, exact=True)
+    summary = assert_matches_scalar(config)
     assert summary["errors"] == 12 and len(summary["error_samples"]) == 5

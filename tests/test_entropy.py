@@ -1,6 +1,7 @@
 """Entropy functionals: frozen oracle values and the two mixing inequalities."""
 
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from coherence_lab import (
     DiagonalDistribution,
     DomainError,
     StateVector,
+    TOLERANCES,
     binary_entropy,
     normalize,
     pure_state_coherence,
@@ -88,6 +90,31 @@ def test_binary_entropy_domain():
         binary_entropy(-0.1)
     # Round-off beyond an endpoint is tolerated and clamped.
     assert binary_entropy(1.0 + 1e-13) == 0.0
+
+
+def test_binary_entropy_rows_match_the_scalar_function_bit_for_bit():
+    slop, floor = TOLERANCES.entropy_slop, TOLERANCES.prob_floor
+    edges = [
+        0.0, -0.0, 5e-324, 1e-16, floor, np.nextafter(floor, 1.0), 0.5,
+        1.0 - 2.0**-53, 1.0 - floor, 1.0,
+        -slop, np.nextafter(-slop, -1.0), 1.0 + slop, np.nextafter(1.0 + slop, 2.0),
+        np.nextafter(-slop, 0.0), np.nextafter(1.0 + slop, 1.0),
+        math.nan, math.inf, -math.inf,
+    ]
+    x = np.concatenate([edges, np.random.default_rng(11).random(2000),
+                        np.geomspace(1e-300, 1e-3, 500)])
+    values, ok = entropy.binary_entropy_rows(x)
+    for xi, value, good in zip(x.tolist(), values.tolist(), ok.tolist()):
+        try:
+            want = binary_entropy(xi)
+        except DomainError:
+            assert not good, xi
+            continue
+        assert good, xi
+        assert type(want) is float
+        assert struct.pack("<d", value) == struct.pack("<d", want), xi
+    # Inside and outside each end of the slop window, and NaN.
+    assert ok[10:19].tolist() == [True, False, True, False, True, True, False, False, False]
 
 
 # --- von Neumann -------------------------------------------------------------

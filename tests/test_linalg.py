@@ -168,6 +168,19 @@ def row_blocks():
             yield block
 
 
+def test_moduli_equal_python_abs_bit_for_bit():
+    # What the batched paths compare with a threshold or square, so it must
+    # be the scalar path's abs(complex) exactly (np.abs need not be).
+    rng = np.random.default_rng(41)
+    z = (rng.standard_normal(20000) + 1j * rng.standard_normal(20000)) * np.exp(
+        rng.uniform(-700.0, 700.0, 20000)
+    )
+    z = np.concatenate([z, [0j, -0.0 + 0j, 5e-324j, 3.0, -4.0j, complex(1e308, 1e308)]])
+    got = linalg.moduli(z).tolist()
+    assert [value.hex() for value in got] == [abs(complex(v)).hex() for v in z.tolist()]
+    assert [value.hex() for value in got] == [float(abs(v)).hex() for v in z]
+
+
 def test_row_helpers_equal_norm_and_vdot_bit_for_bit():
     rng = np.random.default_rng(5)
     count = 0

@@ -1,5 +1,6 @@
-"""Package structure: modules use each other only through public names, and
-every vector norm goes through ``linalg.norm``."""
+"""Package structure: modules use each other only through public names, every
+vector norm goes through ``linalg.norm``, and only ``entropy`` takes a
+logarithm."""
 
 import ast
 from pathlib import Path
@@ -58,5 +59,37 @@ def test_every_vector_norm_goes_through_linalg_norm():
         f"{path.name}:{line}"
         for path in sorted(PACKAGE.glob("*.py"))
         for line in numpy_norm_lines(path.read_text(encoding="utf-8"))
+    ]
+    assert hits == []
+
+
+def log2_lines(source):
+    """Lines that use ``<x>.log2`` or import ``log2`` (from ``math`` or ``numpy``)."""
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Attribute) and node.attr == "log2":
+            yield node.lineno
+        if isinstance(node, ast.ImportFrom) and any(a.name == "log2" for a in node.names):
+            yield node.lineno
+
+
+def test_log2_scan_finds_each_spelling():
+    source = (
+        "import math\n"
+        "from math import log2\n"
+        "from numpy import log2 as lg\n"
+        "a = math.log2(x)\n"
+        "b = np.log2(p)\n"
+        "c = log2\n"  # a bare name is only ever one of the imports above
+    )
+    assert sorted(log2_lines(source)) == [2, 3, 4, 5]
+
+
+def test_only_entropy_takes_logarithms():
+    # One module computes every log2, so the scalar and batched paths share it.
+    hits = [
+        f"{path.name}:{line}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        if path.name != "entropy.py"
+        for line in log2_lines(path.read_text(encoding="utf-8"))
     ]
     assert hits == []

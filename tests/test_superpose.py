@@ -1,5 +1,6 @@
 """Superposition construction, pair classification, and the exact identities."""
 
+import importlib
 import math
 
 import numpy as np
@@ -12,6 +13,7 @@ from coherence_lab import (
     StateVector,
     SuperpositionCoefficients,
     TOLERANCES,
+    Tolerances,
     ZeroVectorError,
     classify_pair,
     haar_random_state,
@@ -21,7 +23,7 @@ from coherence_lab import (
     superpose,
     t_states,
 )
-from coherence_lab.superpose import classify_rows, superpose_rows
+from coherence_lab.superpose import class_masks, classify_rows, superpose_rows
 
 INV_SQRT2 = 1.0 / math.sqrt(2.0)
 
@@ -222,6 +224,7 @@ def test_classify_symmetric_with_conjugated_overlap():
 
 
 def test_classify_rows_match_classify_pair():
+    # Both row forms: one PairClass per row, and the mask of each class.
     pairs = [random_triple(seed, 4)[1:] for seed in range(10)]
     disjoint = (StateVector([1.0, 0.0, 0.0, 0.0]), StateVector([0.0, 0.6, 0.8j, 0.0]))
     orthogonal = (StateVector([0.5, 0.5, 0.5, 0.5]), StateVector([0.5, -0.5, 0.5, -0.5]))
@@ -234,6 +237,27 @@ def test_classify_rows_match_classify_pair():
     for (p, q), got in zip(pairs, classes):
         assert got == classify_pair(p, q)
         assert type(got.overlap) is complex
+    masks, overlaps = class_masks(phi, psi)
+    assert overlaps.tolist() == [c.overlap for c in classes]
+    for i, got in enumerate(classes):
+        assert [kind for kind, rows in masks.items() if rows[i]] == [got.tag]
+
+
+def test_class_masks_compare_the_overlap_as_abs_does(monkeypatch):
+    # With the orthogonality threshold set to |<phi|psi>| itself, the pair is
+    # orthogonal to classify_pair; a modulus rounded the other way (np.abs
+    # on some platforms) would call it non-orthogonal.
+    module = importlib.import_module("coherence_lab.superpose")
+    rng = np.random.default_rng(3)
+    overlaps = 0.3 * np.exp(2j * np.pi * rng.random(400))
+    rounded_apart = np.abs(overlaps) != np.hypot(overlaps.real, overlaps.imag)
+    for o in overlaps[rounded_apart][:20].tolist() + [0.3j]:
+        phi, psi = StateVector([1.0, 0.0]), StateVector([o, math.sqrt(1.0 - abs(o) ** 2)])
+        monkeypatch.setattr(module, "TOLERANCES", Tolerances(overlap=abs(o)))
+        want = classify_pair(phi, psi)
+        assert want.tag is PairKind.ORTHOGONAL_SAME_SPACE
+        masks, _ = class_masks(phi.amps[None], psi.amps[None])
+        assert [kind for kind, rows in masks.items() if rows[0]] == [want.tag]
 
 
 # --- identities -------------------------------------------------------------------
