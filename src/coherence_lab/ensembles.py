@@ -33,6 +33,7 @@ from .superpose import (
     SuperpositionCoefficients,
     class_masks,
     classify_pair,
+    coefficient_map,
     coefficient_weights,
     superpose_rows,
 )
@@ -193,8 +194,7 @@ def _coefficient_pair(gen):
     """alpha and beta from the next two uniforms: floats from a generator,
     (trials,) arrays from ``_Rows``."""
     theta = 0.5 * np.pi * gen.random()
-    phase_angle = 2.0 * np.pi * gen.random()
-    return np.cos(theta), np.sin(theta) * np.exp(1j * phase_angle)
+    return coefficient_map(theta, 2.0 * np.pi * gen.random())
 
 
 def _coefficients(gen: np.random.Generator) -> SuperpositionCoefficients:

@@ -38,7 +38,7 @@ from .ensembles import default_split
 from .errors import ConsistencyError, ZeroVectorError
 from .linalg import StateVector, norm, normalize, normalize_rows, row_norms, row_vdot
 from .rng import make_generator, standard_normals, subseed
-from .superpose import PairKind, SuperpositionCoefficients
+from .superpose import PairKind, SuperpositionCoefficients, coefficient_map
 from .tolerances import TOLERANCES
 
 _SIMPLEX_OFFSET = 0.1
@@ -117,19 +117,18 @@ def parameterize(
     """Map an unconstrained real vector to a valid input triple.
 
     Layout: (theta, phase) for the coefficients, then interleaved re/im
-    amplitudes for each state.  Coefficients become (cos theta,
-    sin theta * e^{i phase}); states are normalized after the pair-kind
-    projection (zeroed out-of-block amplitudes for disjoint support,
-    Gram-Schmidt for orthogonal same-space pairs).
+    amplitudes for each state.  Coefficients become
+    ``coefficient_map(theta, phase)`` = (cos theta, sin theta * e^{i phase});
+    states are normalized after the pair-kind projection (zeroed out-of-block
+    amplitudes for disjoint support, Gram-Schmidt for orthogonal same-space
+    pairs).
     """
     x = np.asarray(x, dtype=np.float64)
     if x.shape != (parameter_count(dim),):
         raise ValueError(
             f"parameter vector must have length {parameter_count(dim)}, got {x.shape}"
         )
-    theta, phase = float(x[0]), float(x[1])
-    alpha = complex(np.cos(theta))
-    beta = complex(np.sin(theta)) * np.exp(1j * phase)
+    alpha, beta = coefficient_map(float(x[0]), float(x[1]))
     coeffs = SuperpositionCoefficients(alpha=alpha, beta=beta)
 
     raw_phi = _complex_block(x[2 : 2 + 2 * dim])
@@ -167,9 +166,7 @@ def _parameterize_rows(
     cannot fail on a row marked ok.  alpha stays real: numpy multiplies a
     real by a complex array as (alpha + 0j) times it, as the scalar path does.
     """
-    theta, phase = X[:, 0], X[:, 1]
-    alpha = np.cos(theta)
-    beta = np.sin(theta) * np.exp(1j * phase)
+    alpha, beta = coefficient_map(X[:, 0], X[:, 1])
     raw = _complex_block(X[:, 2:]).reshape(len(X), 2, dim)  # the phi and psi blocks
     if pair_kind is PairKind.DISJOINT_SUPPORT:
         d1, d2 = split if split is not None else default_split(dim)

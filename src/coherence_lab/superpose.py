@@ -77,6 +77,15 @@ class SuperpositionCoefficients:
         return abs(self.beta) * abs(self.beta)
 
 
+def coefficient_map(theta, phase):
+    """(alpha, beta) = (cos theta, sin theta * e^{i phase}) on floats or arrays.
+
+    Trials draw their coefficients through this map and a search
+    parameterizes them by it, so floats and (R,) rows give the same bits.
+    """
+    return np.cos(theta), np.sin(theta) * np.exp(1j * phase)
+
+
 def coefficient_weights(
     alpha: np.ndarray, beta: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -23,7 +23,7 @@ from coherence_lab import (
     superpose,
     t_states,
 )
-from coherence_lab.superpose import class_masks, classify_rows, superpose_rows
+from coherence_lab.superpose import class_masks, classify_rows, coefficient_map, superpose_rows
 
 INV_SQRT2 = 1.0 / math.sqrt(2.0)
 
@@ -299,3 +299,18 @@ def test_norm_identity_sweep():
         dim = 2 + seed % 15
         coeffs, phi, psi = random_triple(seed, dim)
         assert norm_identity_residual(coeffs, phi, psi) <= 1e-12
+
+
+def test_coefficient_map_gives_the_same_bits_on_floats_and_on_rows():
+    angles = (0.0, -0.0, math.pi / 2, math.pi, 1e-300, 0.3)
+    pairs = [(theta, phase) for theta in angles for phase in angles]
+    thetas, phases = np.array(pairs).T
+    alphas, betas = coefficient_map(thetas, phases)
+
+    def bits(z):  # float.hex keeps the sign of zero
+        return float(np.real(z)).hex(), float(np.imag(z)).hex()
+
+    for (theta, phase), alpha, beta in zip(pairs, alphas, betas):
+        scalar_alpha, scalar_beta = coefficient_map(theta, phase)
+        assert bits(scalar_alpha) == bits(alpha), (theta, phase)
+        assert bits(scalar_beta) == bits(beta), (theta, phase)
