@@ -340,7 +340,8 @@ def row_slacks(
     of rows that ``SuperpositionCoefficients`` and ``StateVector`` accept.
     Where ``ok`` holds, slacks[i] is ``bound_slack`` on row i bit for bit.
     Elsewhere the row's superposition is degenerate, a coherence is not one
-    ``entropy.row_coherences`` vouches for, or the sides raised; then
+    ``entropy.row_coherences`` vouches for (a zero probability inside a
+    support, an entropy below the clamp window), or the sides raised; then
     ``bound_slack`` on that row gives the value or raises the exception.
     """
     bound = BOUNDS[bound_id]

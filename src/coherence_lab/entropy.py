@@ -3,13 +3,14 @@
 All entropies are in bits (logarithm base 2); with that convention the binary
 entropy peaks at exactly 1, which is what makes the dimension-independent
 coherence-gain ceiling come out as 1.  The 0*log(0) = 0 convention is applied
-pointwise, and probabilities below ``TOLERANCES.prob_floor`` are treated as
-exactly zero so round-off dust cannot inject -inf terms.
+pointwise at p = 0 exactly: log2 of a positive double, subnormals included,
+is finite, so every p > 0 contributes its term.
 
 Every logarithm is ``np.log2``, on a scalar as on an array (``math.log2``
 rounds differently), and this is the only module that takes one.  The row
 forms ``row_coherences`` and ``binary_entropy_rows`` therefore give the scalar
-functions' floats bit for bit, and say where the scalar function would raise.
+functions' floats bit for bit, and say where they cannot: a zero probability
+inside a support makes a row's value NaN (0 * log2 0), hence not ok.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ def _clamped_rows(value: np.ndarray, slop: float) -> tuple[np.ndarray, np.ndarra
 
 
 def _entropy_of_probs(probs: np.ndarray) -> float:
-    p = probs[probs > TOLERANCES.prob_floor]
+    p = probs[probs > 0.0]
     if p.size == 0:
         return 0.0
     value = float(-(p * np.log2(p)).sum())
@@ -60,7 +61,7 @@ def binary_entropy(x: float) -> float:
     x = min(max(x, 0.0), 1.0)
     value = 0.0
     for p in (x, 1.0 - x):
-        if p > TOLERANCES.prob_floor:
+        if p > 0.0:
             value -= p * float(np.log2(p))
     return _clamped_nonnegative(value, TOLERANCES.entropy_slop, "binary entropy")
 
@@ -77,9 +78,9 @@ def binary_entropy_rows(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     x = np.minimum(np.maximum(x, 0.0), 1.0)
     value = 0.0
     for p in (x, 1.0 - x):
-        keep = p > TOLERANCES.prob_floor
-        # Subtracting 0.0 leaves any value as it is, so a dropped term is skipped.
-        value = value - np.where(keep, p * np.log2(np.where(keep, p, 1.0)), 0.0)
+        # At p = 0 the term is 0 * log2(1) = 0.0, and subtracting 0.0 leaves
+        # any value as it is, as the scalar function skips the term.
+        value = value - p * np.log2(np.where(p > 0.0, p, 1.0))
     value, ok = _clamped_rows(value, slop)
     return value, inside & ok
 
@@ -117,27 +118,21 @@ def row_coherences(amps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
     A column of one of the k states that is exactly zero in all R rows lies
     outside that state's support and is left out, as the scalar path leaves
-    out p = 0.  Where ``ok`` holds, every other probability of the row is
-    above ``prob_floor``, so each value sums the terms the scalar path sums,
-    in the same order, to the same float.  Elsewhere the row has a
-    probability inside a support that the floor drops, or an entropy below
-    the clamp window.  Such rows may make numpy warn.
+    out p = 0.  Where ``ok`` holds, each value sums the terms the scalar path
+    sums, in the same order, to the same float.  Elsewhere the row has p = 0
+    in a column another row supports, which makes its value NaN (0 * log2 0)
+    and numpy warn, or an entropy below the clamp window.
     """
     p = np.abs(amps) ** 2
-    small = p <= TOLERANCES.prob_floor
-    supported = True  # no probability inside a support that the floor drops
-    if not np.count_nonzero(small):  # every column is in every support
+    support = np.logical_or.reduce(p, axis=0)
+    if support.all():
         value = -np.add.reduce(p * np.log2(p), axis=-1)
     else:
-        support = np.logical_or.reduce(p, axis=0)
         value = np.empty(p.shape[:2])
-        inside = np.empty(p.shape[:2], dtype=bool)  # a dropped probability in the support
         for j, columns in enumerate(support):
             # compress keeps rows contiguous (a boolean index would not), so
             # each row sums in the scalar path's pairwise order.
             block = p[:, j].compress(columns, axis=1)
             value[:, j] = -np.add.reduce(block * np.log2(block), axis=-1)
-            inside[:, j] = np.logical_or.reduce(small[:, j].compress(columns, axis=1), axis=-1)
-        supported = ~np.logical_or.reduce(inside, axis=1)
-    value, clamp_ok = _clamped_rows(value, TOLERANCES.entropy_slop)
-    return value, supported & np.logical_and.reduce(clamp_ok, axis=1)
+    value, ok = _clamped_rows(value, TOLERANCES.entropy_slop)
+    return value, np.logical_and.reduce(ok, axis=1)

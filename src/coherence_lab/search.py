@@ -14,8 +14,8 @@ evaluates the points of all live restarts in batched calls.  Every restart
 still takes exactly the steps, values, trace and evaluation count it takes
 when run alone.  A batched call runs ``parameterize`` and ``bound_slack`` on
 rows with the scalar path's arithmetic; a row it cannot vouch for (a
-degenerate or non-finite block, a probability the floor drops inside a
-support, a failed unit-norm or clamp check, sides that raise) goes through
+degenerate or non-finite block, a zero probability inside a support, a
+failed unit-norm or clamp check, sides that raise) goes through
 the scalar objective, which gives its value or raises its exception.  A
 restart whose point raised stops there, and the search raises the exception
 of the lowest such restart.
@@ -84,7 +84,7 @@ class SearchResult:
     """Best inputs found, their bound report, and per-restart traces.
 
     ``report`` is ``evaluate_bound`` re-run on ``best_inputs`` at the
-    caller's tolerance; its slack agrees with the search's value to 1e-12.
+    caller's tolerance; its slack is the search's value bit for bit.
     ``trace[r]`` is the best-so-far slack after each iteration of restart r,
     hence non-increasing.
     """
@@ -457,7 +457,7 @@ def minimize_slack(
 
     coeffs, phi, psi = parameterize(best_x, spec.dim, spec.pair_kind, split)
     report = evaluate_bound(spec.bound_id, coeffs, phi, psi, tolerance=tolerance)
-    if abs(report.slack - best_slack) > 1e-12:
+    if report.slack != best_slack:
         raise ConsistencyError(
             f"re-evaluated slack {report.slack!r} differs from search value {best_slack!r}"
         )

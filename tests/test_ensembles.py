@@ -366,8 +366,6 @@ THRESHOLDS = {
     # Pairs that share small amplitudes count as disjoint; a NonOrthogonal
     # one then fails T2's overlap hypothesis and errors.
     "support": Tolerances(support=0.4),
-    # Probabilities inside a support are dropped: the scalar path decides.
-    "prob_floor": Tolerances(prob_floor=0.02),
     # Short raw vectors resample or error, short superpositions error.
     "zero_vector": Tolerances(zero_vector=0.9),
 }

@@ -93,10 +93,10 @@ def test_binary_entropy_domain():
 
 
 def test_binary_entropy_rows_match_the_scalar_function_bit_for_bit():
-    slop, floor = TOLERANCES.entropy_slop, TOLERANCES.prob_floor
+    slop = TOLERANCES.entropy_slop
     edges = [
-        0.0, -0.0, 5e-324, 1e-16, floor, np.nextafter(floor, 1.0), 0.5,
-        1.0 - 2.0**-53, 1.0 - floor, 1.0,
+        0.0, -0.0, 5e-324, 1e-16, np.nextafter(1e-15, 0.0), 1e-15, np.nextafter(1e-15, 1.0),
+        0.5, 1.0 - 2.0**-53, 1.0 - 1e-15, 1.0,
         -slop, np.nextafter(-slop, -1.0), 1.0 + slop, np.nextafter(1.0 + slop, 2.0),
         np.nextafter(-slop, 0.0), np.nextafter(1.0 + slop, 1.0),
         math.nan, math.inf, -math.inf,
@@ -114,7 +114,7 @@ def test_binary_entropy_rows_match_the_scalar_function_bit_for_bit():
         assert type(want) is float
         assert struct.pack("<d", value) == struct.pack("<d", want), xi
     # Inside and outside each end of the slop window, and NaN.
-    assert ok[10:19].tolist() == [True, False, True, False, True, True, False, False, False]
+    assert ok[11:20].tolist() == [True, False, True, False, True, True, False, False, False]
 
 
 # --- von Neumann -------------------------------------------------------------
@@ -215,10 +215,18 @@ def test_row_coherences_match_pure_state_coherence(dim):
     gapped[:, 1] /= np.sqrt((np.abs(gapped[:, 1]) ** 2).sum(axis=-1, keepdims=True))
     for amps in (full, gapped):
         if dim > 1:
-            amps[4, 2, -1] = 1e-9  # p = 1e-18, dropped by the floor inside the support
-        values, ok = entropy.row_coherences(amps)
+            # p = 0 inside the other rows' support: exactly, and by underflow
+            # (1e-170 squared). The scalar path drops it; the row value is NaN.
+            amps[4, 2, -1] = 0.0
+            amps[3, 2, 0] = 1e-170
+            amps[3:5, 2] /= np.sqrt((np.abs(amps[3:5, 2]) ** 2).sum(axis=-1, keepdims=True))
+        with np.errstate(all="ignore"):
+            values, ok = entropy.row_coherences(amps)
         assert values.shape == (6, 3)
-        assert ok.tolist() == [True] * 4 + [dim == 1, True]
+        assert ok.tolist() == [True] * 3 + [dim == 1] * 2 + [True]
+        assert np.isnan(values[3:5, 2]).all() == (dim > 1)
+        for r in (3, 4):
+            assert math.isfinite(pure_state_coherence(StateVector(amps[r, 2])))
         for r in np.flatnonzero(ok):
             for j in range(3):
                 expected = pure_state_coherence(StateVector(amps[r, j]))

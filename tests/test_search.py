@@ -1,5 +1,6 @@
 """Parameter projection and saturation-search behavior."""
 
+import dataclasses
 import importlib
 import math
 
@@ -442,8 +443,6 @@ def batched_or_raise(objective):
 
 
 FALLBACKS = {
-    # A floor this high drops probabilities inside the support.
-    "prob_floor": Tolerances(prob_floor=0.02),
     # Blocks and superpositions this short are degenerate: the objective is inf.
     "zero_vector": Tolerances(zero_vector=0.99),
 }
@@ -451,10 +450,7 @@ FALLBACKS = {
 
 @pytest.mark.parametrize(
     "bound_id, pair_kind, threshold",
-    [(GAIN_LE_1, PairKind.DISJOINT_SUPPORT, "prob_floor"),
-     (GAIN_LE_1, PairKind.DISJOINT_SUPPORT, "zero_vector"),
-     (T2_UPPER, PairKind.ORTHOGONAL_SAME_SPACE, "prob_floor"),  # s = 1: no zero_vector case
-     (T4_LOWER_A, PairKind.ARBITRARY, "prob_floor"),
+    [(GAIN_LE_1, PairKind.DISJOINT_SUPPORT, "zero_vector"),
      (T4_LOWER_A, PairKind.ARBITRARY, "zero_vector")],
 )
 def test_lockstep_matches_reference_through_fallback_rows(
@@ -499,6 +495,13 @@ def test_batched_rows_equal_the_scalar_objective_bit_for_bit(bound_id, pair_kind
         X[4, 2] = math.nan
         X[5] *= 1e160  # norms overflow
         X[6, 1] = -0.0
+        # One exact-zero amplitude inside the other rows' support: phi[0], or
+        # at d = 2 with disjoint support (phi's block is one amplitude) T1's
+        # psi amplitude, through beta = 0.
+        if pair_kind is PairKind.DISJOINT_SUPPORT and dim == 2:
+            X[7, 0] = 0.0
+        else:
+            X[7, 2:4] = 0.0
         with np.errstate(all="ignore"):
             alpha, beta, phi, psi, ok = _parameterize_rows(X, dim, pair_kind, split)
             slacks, vouched = bounds.row_slacks(
@@ -506,6 +509,10 @@ def test_batched_rows_equal_the_scalar_objective_bit_for_bit(bound_id, pair_kind
             )
         assert not ok[2:6].any() and ok[6:].all()
         assert vouched.sum() >= 16
+        zero = np.flatnonzero(np.flatnonzero(ok) == 7)[0]
+        assert not vouched[zero] and math.isnan(slacks[zero])
+        inputs = parameterize(X[7], dim, pair_kind, split)
+        assert math.isfinite(bounds.bound_slack(bound_id, *inputs))
         for i, slack, good in zip(np.flatnonzero(ok), slacks, vouched):
             coeffs, phi_i, psi_i = parameterize(X[i], dim, pair_kind, split)
             assert np.float64(coeffs.alpha.real).tobytes() == alpha[i].tobytes()
@@ -571,6 +578,20 @@ def test_a_restart_that_raises_ends_the_search_with_its_exception(monkeypatch):
     with pytest.raises(ConsistencyError, match="in a restart"):
         minimize_slack(spec)
     assert len(calls) > 20
+
+
+def test_a_re_evaluated_slack_one_ulp_off_is_an_inconsistency(monkeypatch):
+    # Batched and scalar slacks are bit-identical, so the best point's report
+    # must reproduce the search's value exactly.
+    def off_by_one_ulp(*args, **kwargs):
+        report = evaluate_bound(*args, **kwargs)
+        return dataclasses.replace(report, slack=float(np.nextafter(report.slack, 1.0)))
+
+    monkeypatch.setattr(search, "evaluate_bound", off_by_one_ulp)
+    spec = SearchSpec(bound_id=GAIN_LE_1, dim=2, pair_kind=PairKind.DISJOINT_SUPPORT, seed=1,
+                      restarts=2, iterations=50)
+    with pytest.raises(ConsistencyError, match="differs from search value"):
+        minimize_slack(spec)
 
 
 def test_two_reduction_diameter_equals_per_vertex_maximum():
