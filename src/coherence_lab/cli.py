@@ -499,7 +499,7 @@ def cmd_saturate(args, config: dict) -> int:
             "phi": [complex_pair(z) for z in phi.amps],
             "psi": [complex_pair(z) for z in psi.amps],
         },
-        "restart_best": [trace[-1] for trace in result.trace],
+        "restart_best": list(result.restart_best),
         "evaluations": result.evaluations,
         "report": result.report.to_dict(),
     }

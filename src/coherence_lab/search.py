@@ -8,17 +8,16 @@ coefficients (Lagarias, Reeds, Wright & Wright, SIAM J. Optim. 9, 1998) is
 used because the slack landscape is non-smooth where entropy terms hit their
 boundary.
 
-The restarts of a search run in lockstep (``_lockstep``): their simplices
-are one (restarts, n + 1, n) array, n = 4 * dim + 2, and each iteration
+The objective (``_objective``) gives the slacks at a batch of points with
+the scalar path's arithmetic; a row it cannot vouch for (a degenerate or
+non-finite block, a zero probability inside a support, a failed unit-norm or
+clamp check, sides that raise) goes once through the scalar path.  The
+restarts of a search run in lockstep (``_lockstep``): their simplices are
+one (restarts, n + 1, n) array, n = 4 * dim + 2, and each iteration
 evaluates the points of all live restarts in batched calls.  Every restart
-still takes exactly the steps, values, trace and evaluation count it takes
-when run alone.  A batched call runs ``parameterize`` and ``bound_slack`` on
-rows with the scalar path's arithmetic; a row it cannot vouch for (a
-degenerate or non-finite block, a zero probability inside a support, a
-failed unit-norm or clamp check, sides that raise) goes through
-the scalar objective, which gives its value or raises its exception.  A
-restart whose point raised stops there, and the search raises the exception
-of the lowest such restart.
+still takes exactly the steps, values and evaluation count it takes when run
+alone.  A restart whose point raised stops there, and the search raises the
+exception of the lowest such restart.
 
 A simplex holds about 8 * n^2 bytes, hence the ``SearchSpec`` dimension
 ceiling of 1024.  Restarts run in groups whose simplices fit in the bytes of
@@ -30,6 +29,8 @@ best point at the end.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
+from operator import itemgetter
 
 import numpy as np
 
@@ -81,17 +82,17 @@ class SearchSpec:
 
 @dataclass(frozen=True)
 class SearchResult:
-    """Best inputs found, their bound report, and per-restart traces.
+    """Best inputs found, their bound report, and each restart's best slack.
 
     ``report`` is ``evaluate_bound`` re-run on ``best_inputs`` at the
-    caller's tolerance; its slack is the search's value bit for bit.
-    ``trace[r]`` is the best-so-far slack after each iteration of restart r,
-    hence non-increasing.
+    caller's tolerance; its slack is the search's value bit for bit, and
+    ``min(restart_best)``.  ``restart_best[r]`` is the lowest slack restart r
+    reached.
     """
 
     best_inputs: tuple[SuperpositionCoefficients, StateVector, StateVector]
     report: BoundReport
-    trace: tuple[tuple[float, ...], ...]
+    restart_best: tuple[float, ...]
     evaluations: int
 
     @property
@@ -188,6 +189,40 @@ def _parameterize_rows(
     return alpha, beta, phi, psi, ok & np.isfinite(beta)
 
 
+def _objective(
+    spec: SearchSpec, split: tuple[int, int] | None, X: np.ndarray
+) -> tuple[np.ndarray, dict[int, Exception]]:
+    """The slack of ``spec``'s bound at each row of X: (values, errors).
+
+    Rows that ``_parameterize_rows`` and ``row_slacks`` vouch for keep their
+    batched value.  Every other row runs once through ``parameterize`` and
+    ``bound_slack``, outside ``np.errstate``, so it warns as it always has:
+    ``ZeroVectorError`` reads as +inf, which steers the simplex elsewhere, and
+    any other exception goes into ``errors[row]`` (in row order) with value NaN.
+    """
+    with np.errstate(all="ignore"):
+        alpha, beta, phi, psi, ok = _parameterize_rows(X, spec.dim, spec.pair_kind, split)
+        if np.logical_and.reduce(ok):
+            values, ok = row_slacks(spec.bound_id, alpha, beta, phi, psi)
+        else:
+            values = np.full(len(X), np.nan)
+            values[ok], ok[ok] = row_slacks(
+                spec.bound_id, alpha[ok], beta[ok], phi[ok], psi[ok]
+            )
+    errors: dict[int, Exception] = {}
+    for i in (~ok).nonzero()[0].tolist():
+        try:
+            values[i] = bound_slack(
+                spec.bound_id, *parameterize(X[i], spec.dim, spec.pair_kind, split)
+            )
+        except ZeroVectorError:
+            values[i] = np.inf
+        except Exception as exc:  # the caller decides what a failed row means
+            values[i] = np.nan
+            errors[i] = exc
+    return values, errors
+
+
 def encode_inputs(
     coeffs: SuperpositionCoefficients, phi: StateVector, psi: StateVector
 ) -> np.ndarray:
@@ -246,20 +281,20 @@ def _group_width(n: int) -> int:
     return max(1, (largest + 1) * largest // ((n + 1) * n))
 
 
-def _lockstep(slack_rows, objective, starts: np.ndarray, iterations: int) -> list:
+def _lockstep(objective, starts: np.ndarray, iterations: int) -> list:
     """Nelder-Mead from each row of ``starts``, all starts in lockstep.
 
     Result r is what the classic one-start descent from starts[r] returns,
-    bit for bit: (best_x, best_f, trace, evaluations), where trace[k] is the
-    best value seen after iteration k.  If the objective raised at one of
-    start r's points, result r is that exception instead: the first one in
-    the order the one-start descent evaluates its points.
+    bit for bit: (best_x, best_f, evaluations).  If the objective failed at
+    one of start r's points, result r is that exception instead: the first
+    one in the order the one-start descent evaluates its points.
 
-    An iteration evaluates the reflections of all live starts in one batched
-    call, then the second points (an expansion or a contraction) of the
-    starts that need one, then the shrunk simplices; a call takes at most
-    ``_group_width`` rows.  ``slack_rows(X)`` returns (values, ok), and the
-    rows where ok is False are evaluated by ``objective`` one at a time.
+    ``objective(X)`` returns (values, errors) for the rows of X, where
+    ``errors`` maps each row that failed to its exception, in row order.  An
+    iteration evaluates the reflections of all live starts in one call, then
+    the second points (an expansion or a contraction) of the starts that
+    need one, then the shrunk simplices; a call takes at most
+    ``_group_width`` rows.
 
     Slot k of the simplex array S holds start ids[k].  The first ``live``
     slots hold the starts still descending, each simplex sorted by value
@@ -273,25 +308,17 @@ def _lockstep(slack_rows, objective, starts: np.ndarray, iterations: int) -> lis
     V = np.empty((count, n + 1))
     E = [n + 1] * count  # evaluations per slot
     ids = np.arange(count)
-    traces: list[list[float]] = [[] for _ in range(count)]
     results: list = [None] * count
     failed: dict[int, Exception] = {}  # slot -> its first exception
 
     def evaluate(slots: list[int], rows) -> np.ndarray:
         """Values at the points rows(lo, hi) of slots[lo:hi].  A point that
-        raises records the exception for its slot and reads as NaN."""
+        failed records its exception for its slot, unless the slot has one."""
         parts = []
         for lo in range(0, len(slots), chunk):
-            X = rows(lo, min(lo + chunk, len(slots)))
-            part, ok = slack_rows(X)
-            if not np.logical_and.reduce(ok):
-                for i in (~ok).nonzero()[0].tolist():
-                    slot = slots[lo + i]
-                    try:
-                        part[i] = np.nan if slot in failed else objective(X[i])
-                    except Exception as exc:  # raised for its start once the group is done
-                        failed[slot] = exc
-                        part[i] = np.nan
+            part, errors = objective(rows(lo, min(lo + chunk, len(slots))))
+            for i, exc in errors.items():  # raised for its start once the group is done
+                failed.setdefault(slots[lo + i], exc)
             parts.append(part)
         return parts[0] if len(parts) == 1 else np.concatenate(parts)
 
@@ -304,10 +331,7 @@ def _lockstep(slack_rows, objective, starts: np.ndarray, iterations: int) -> lis
                 results[start] = failed.pop(slot)
             else:
                 best = int(np.argsort(V[slot], kind="stable")[0])
-                final_best = float(V[slot, best])
-                trace = traces[start]
-                trace.append(final_best if not trace else min(trace[-1], final_best))
-                results[start] = (S[slot, best].copy(), final_best, trace, E[slot])
+                results[start] = (S[slot, best].copy(), float(V[slot, best]), E[slot])
             live -= 1
             if slot != live:  # the retired simplex is no longer needed
                 S[slot], V[slot], ids[slot] = S[live], V[live], ids[live]
@@ -331,9 +355,6 @@ def _lockstep(slack_rows, objective, starts: np.ndarray, iterations: int) -> lis
         slot, rank = (order != ranks).nonzero()  # copy only these rows
         S[slot, rank] = S[slot, order[slot, rank]]
         V[:live] = V[slot_index[:live], order]
-        for start, best_f in zip(ids[:live].tolist(), V[:live, 0].tolist()):
-            trace = traces[start]
-            trace.append(best_f if not trace else min(trace[-1], best_f))
         near = (_worst_gap(S[:live]) < _DIAMETER_TOL).nonzero()[0].tolist()
         if near:
             retire([k for k in near if _diameter(S[k]) < _DIAMETER_TOL])
@@ -368,6 +389,8 @@ def _lockstep(slack_rows, objective, starts: np.ndarray, iterations: int) -> lis
             second = centroid + factors[:, None] * step
             f_second = evaluate(again, lambda lo, hi: second[lo:hi]).tolist()
             for j, (k, branch, f_c) in enumerate(zip(again, branches, f_second)):
+                if k in failed:
+                    continue
                 f_r, worst = f_reflected[k], corners[k][2]
                 if branch == "expand":
                     if f_c < f_r:
@@ -406,34 +429,13 @@ def minimize_slack(
 
     Restart r starts from a Gaussian point drawn from sub-seed (spec.seed, r);
     the global best is the minimum across restarts with ties broken by the
-    lowest restart index.  A slack below -tolerance in the result indicates
-    an implementation bug, not a counterexample.  If restarts raise, the
-    exception of the lowest such restart is raised.
+    lowest restart index.  Every point is evaluated by ``_objective``, which
+    owns the fallback to the scalar path.  A slack below -tolerance in the
+    result indicates an implementation bug, not a counterexample.  If
+    restarts raise, the exception of the lowest such restart is raised.
     """
     split = default_split(spec.dim) if spec.pair_kind is PairKind.DISJOINT_SUPPORT else None
-
-    def objective(x: np.ndarray) -> float:
-        try:
-            return bound_slack(spec.bound_id, *parameterize(x, spec.dim, spec.pair_kind, split))
-        except ZeroVectorError:
-            # Degenerate projection; steer the simplex elsewhere.
-            return float("inf")
-
-    def slack_rows(X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        # Rows the batch does not vouch for are re-run one by one on the
-        # scalar path, which warns (or raises) for them as it always has.
-        with np.errstate(all="ignore"):
-            alpha, beta, phi, psi, ok = _parameterize_rows(
-                X, spec.dim, spec.pair_kind, split
-            )
-            if np.logical_and.reduce(ok):
-                return row_slacks(spec.bound_id, alpha, beta, phi, psi)
-            values = np.full(len(X), np.nan)
-            values[ok], ok[ok] = row_slacks(
-                spec.bound_id, alpha[ok], beta[ok], phi[ok], psi[ok]
-            )
-        return values, ok
-
+    objective = partial(_objective, spec, split)
     n = parameter_count(spec.dim)
     starts = np.array([
         standard_normals(make_generator(subseed(spec.seed, restart)), n)
@@ -442,19 +444,12 @@ def minimize_slack(
     width = _group_width(n)
     results = []
     for first in range(0, spec.restarts, width):
-        group = starts[first : first + width]
-        for outcome in _lockstep(slack_rows, objective, group, spec.iterations):
+        for outcome in _lockstep(objective, starts[first : first + width], spec.iterations):
             if isinstance(outcome, Exception):
                 raise outcome  # the lowest failing restart, as run one after another
             results.append(outcome)
 
-    best_x = None
-    best_slack = float("inf")
-    for x, value, trace, evaluations in results:
-        if best_x is None or value < best_slack:
-            best_slack = value
-            best_x = x
-
+    best_x, best_slack, _ = min(results, key=itemgetter(1))  # the first of equal minima
     coeffs, phi, psi = parameterize(best_x, spec.dim, spec.pair_kind, split)
     report = evaluate_bound(spec.bound_id, coeffs, phi, psi, tolerance=tolerance)
     if report.slack != best_slack:
@@ -464,6 +459,6 @@ def minimize_slack(
     return SearchResult(
         best_inputs=(coeffs, phi, psi),
         report=report,
-        trace=tuple(tuple(trace) for _, _, trace, _ in results),
+        restart_best=tuple(value for _, value, _ in results),
         evaluations=sum(evaluations for *_, evaluations in results),
     )

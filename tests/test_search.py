@@ -177,24 +177,10 @@ def test_search_is_deterministic():
     first = minimize_slack(spec)
     second = minimize_slack(spec)
     assert first.best_slack == second.best_slack
-    assert first.trace == second.trace
+    assert first.restart_best == second.restart_best
+    assert first.best_slack == min(first.restart_best)
     assert np.array_equal(first.best_inputs[1].amps, second.best_inputs[1].amps)
     assert np.array_equal(first.best_inputs[2].amps, second.best_inputs[2].amps)
-
-
-def test_search_traces_are_monotone_non_increasing():
-    spec = SearchSpec(
-        bound_id=T2_UPPER,
-        dim=2,
-        pair_kind=PairKind.ORTHOGONAL_SAME_SPACE,
-        seed=13,
-        restarts=3,
-        iterations=200,
-    )
-    result = minimize_slack(spec)
-    assert len(result.trace) == 3
-    for trace in result.trace:
-        assert all(later <= earlier for earlier, later in zip(trace, trace[1:]))
 
 
 def test_search_result_reevaluates_consistently(monkeypatch):
@@ -218,7 +204,7 @@ def test_search_result_reevaluates_consistently(monkeypatch):
     coeffs, phi, psi = result.best_inputs
     report = evaluate_bound(T4_LOWER_A, coeffs, phi, psi, tolerance=1e-9)
     assert result.report == report
-    assert abs(report.slack - result.best_slack) <= 1e-12
+    assert report.slack == result.best_slack
     # The search objective builds no report; only the final one has a digest.
     assert len(digests) == 2  # the final report, then the one rebuilt here
 
@@ -229,7 +215,8 @@ def test_search_result_reevaluates_consistently(monkeypatch):
 def list_nelder_mead(objective, x0, iterations):
     """The list-of-vertices Nelder-Mead for one start, run on a scalar objective.
 
-    Returns ``_lockstep``'s per-start tuple plus the number of shrink steps.
+    Returns ``_lockstep``'s per-start tuple plus the number of iterations
+    begun and of shrink steps.
     """
     n = x0.size
     simplex = [x0.copy()]
@@ -239,14 +226,13 @@ def list_nelder_mead(objective, x0, iterations):
         simplex.append(vertex)
     values = [objective(v) for v in simplex]
     evaluations = n + 1
-    trace = []
-    shrinks = 0
+    begun = shrinks = 0
 
     for _ in range(iterations):
+        begun += 1
         order = np.argsort(values, kind="stable")
         simplex = [simplex[i] for i in order]
         values = [values[i] for i in order]
-        trace.append(values[0] if not trace else min(trace[-1], values[0]))
 
         diameter = max(
             float(np.max(np.abs(vertex - simplex[0]))) for vertex in simplex[1:]
@@ -294,42 +280,74 @@ def list_nelder_mead(objective, x0, iterations):
 
     order = np.argsort(values, kind="stable")
     best = int(order[0])
-    final_best = values[best]
-    trace.append(final_best if not trace else min(trace[-1], final_best))
-    return simplex[best], final_best, trace, evaluations, shrinks
+    return simplex[best], values[best], evaluations, begun, shrinks
 
 
 def batched(objective):
-    """A ``slack_rows`` for ``_lockstep`` that vouches for every row."""
-    return lambda X: (np.array([objective(x) for x in X]), np.ones(len(X), dtype=bool))
+    """A batched objective for ``_lockstep`` from a scalar one: each row's
+    value, or its exception in ``errors`` and NaN."""
+
+    def rows(X):
+        values, errors = np.full(len(X), np.nan), {}
+        for i, x in enumerate(X):
+            try:
+                values[i] = objective(x)
+            except Exception as exc:
+                errors[i] = exc
+        return values, errors
+
+    return rows
 
 
-def compared_lockstep(slack_rows, objective, starts, iterations):
-    """``_lockstep``'s results, each checked bit for bit against the reference
-    run alone from its start on the scalar objective, and the reference's
-    shrink counts."""
-    results = _lockstep(slack_rows, objective, np.asarray(starts), iterations)
+def scalar_objective(spec):
+    """The search's objective at one point on the scalar path alone."""
+    split = default_split(spec.dim) if spec.pair_kind is PairKind.DISJOINT_SUPPORT else None
+
+    def objective(x):
+        try:
+            inputs = parameterize(x, spec.dim, spec.pair_kind, split)
+            return bounds.bound_slack(spec.bound_id, *inputs)
+        except ZeroVectorError:
+            return math.inf
+
+    return objective
+
+
+def compare_to_reference(results, objective, starts, iterations):
+    """Check each of ``_lockstep``'s results bit for bit against the reference
+    run alone from its start on the scalar ``objective``; returns the
+    reference's iteration and shrink counts."""
     assert len(results) == len(starts)
-    shrinks = []
-    for x0, (x, f, trace, evaluations) in zip(starts, results):
-        ref_x, ref_f, ref_trace, ref_evaluations, ref_shrinks = list_nelder_mead(
+    begun, shrinks = [], []
+    for x0, (x, f, evaluations) in zip(starts, results):
+        ref_x, ref_f, ref_evaluations, ref_begun, ref_shrinks = list_nelder_mead(
             objective, x0, iterations
         )
         assert x.tobytes() == ref_x.tobytes()
-        assert (f, trace, evaluations) == (ref_f, ref_trace, ref_evaluations)
-        assert type(f) is float and all(type(t) is float for t in trace)
-        assert type(evaluations) is int
+        assert (f, evaluations) == (ref_f, ref_evaluations)
+        assert type(f) is float and type(evaluations) is int
+        begun.append(ref_begun)
         shrinks.append(ref_shrinks)
-    return results, shrinks
+    return begun, shrinks
 
 
-def checked_lockstep(groups):
-    """A stand-in for ``search._lockstep`` that compares every group it runs
-    and records (n, group size)."""
+def compared_lockstep(objective, starts, iterations):
+    """``_lockstep`` on the scalar ``objective`` batched row by row, checked
+    against the reference: (results, iterations begun, shrinks)."""
+    results = _lockstep(batched(objective), np.asarray(starts), iterations)
+    return (results, *compare_to_reference(results, objective, starts, iterations))
 
-    def checked(slack_rows, objective, starts, iterations):
+
+def checked_lockstep(groups, spec):
+    """A stand-in for ``search._lockstep`` that runs it on the search's own
+    objective, checks every group against the reference on ``spec``'s scalar
+    objective, and records (n, group size)."""
+
+    def checked(objective, starts, iterations):
         groups.append(starts.shape[::-1])
-        return compared_lockstep(slack_rows, objective, starts, iterations)[0]
+        results = _lockstep(objective, starts, iterations)
+        compare_to_reference(results, scalar_objective(spec), starts, iterations)
+        return results
 
     return checked
 
@@ -342,11 +360,11 @@ SEARCHABLE = [(b, k) for b in BOUNDS for k in PairKind if k in BOUNDS[b].kinds]
 )
 def test_nelder_mead_matches_list_reference_on_slack(monkeypatch, bound_id, pair_kind):
     runs = []
-    monkeypatch.setattr(search, "_lockstep", checked_lockstep(runs))
     for dim in (2, 3, 4):
         for seed in (0, 9):
             spec = SearchSpec(bound_id=bound_id, dim=dim, pair_kind=pair_kind, seed=seed,
                               restarts=2, iterations=60)
+            monkeypatch.setattr(search, "_lockstep", checked_lockstep(runs, spec))
             minimize_slack(spec)
     assert runs == [(parameter_count(dim), 2) for dim in (2, 3, 4) for _ in range(2)]
 
@@ -360,7 +378,7 @@ def test_nelder_mead_matches_list_reference_across_an_infinite_region():
         return value
 
     starts = [0.05 * random_vector(seed, 1) for seed in range(3)]
-    compared_lockstep(batched(walled), walled, starts, 300)
+    compared_lockstep(walled, starts, 300)
     assert math.inf in seen and any(v < math.inf for v in seen)
 
 
@@ -371,7 +389,7 @@ def plateaus(x):
 
 def test_nelder_mead_matches_list_reference_through_shrinks_and_ties():
     starts = [random_vector(seed, 1) for seed in range(3)]
-    _, shrinks = compared_lockstep(batched(plateaus), plateaus, starts, 200)
+    *_, shrinks = compared_lockstep(plateaus, starts, 200)
     assert all(count > 0 for count in shrinks)
 
 
@@ -382,9 +400,8 @@ def test_lockstep_restarts_stop_at_different_iterations():
     # Starts at different distances from the minimum meet the diameter stop
     # at different iterations; the rest of the group goes on without them.
     starts = [scale * random_vector(seed, 1) for seed, scale in enumerate((1.0, 30.0, 1e-3))]
-    results, _ = compared_lockstep(batched(bowl), bowl, starts, 2000)
-    lengths = [len(trace) for _, _, trace, _ in results]
-    assert len(set(lengths)) == 3 and max(lengths) < 2001
+    _, begun, _ = compared_lockstep(bowl, starts, 2000)
+    assert len(set(begun)) == 3 and max(begun) < 2000
 
 
 def test_lockstep_shrinks_in_only_some_restarts():
@@ -396,7 +413,7 @@ def test_lockstep_shrinks_in_only_some_restarts():
         x0 = random_vector(seed, 1)
         x0[0] = (1.0 if seed % 2 else -1.0) * (2.0 + abs(x0[0]))
         starts.append(x0)
-    _, shrinks = compared_lockstep(batched(half_plateau), half_plateau, starts, 300)
+    *_, shrinks = compared_lockstep(half_plateau, starts, 300)
     assert any(count == 0 for count in shrinks) and any(count > 0 for count in shrinks)
 
 
@@ -411,35 +428,19 @@ def test_lockstep_keeps_each_restarts_first_exception():
 
     starts = [random_vector(seed, 1) for seed in range(4)]
     starts[2][1] = 5.0  # fails on its very first point
-    results = _lockstep(batched_or_raise(fenced), fenced, np.array(starts), 400)
+    results = _lockstep(batched(fenced), np.array(starts), 400)
     raised = 0
     for x0, outcome in zip(starts, results):
         try:
-            expected = list_nelder_mead(fenced, x0, 400)[:4]
+            expected = list_nelder_mead(fenced, x0, 400)[:3]
         except Wall as exc:
             assert type(outcome) is Wall and str(outcome) == str(exc)
             raised += 1
             continue
-        x, f, trace, evaluations = outcome
+        x, f, evaluations = outcome
         assert x.tobytes() == expected[0].tobytes()
-        assert (f, trace, evaluations) == expected[1:]
+        assert (f, evaluations) == expected[1:]
     assert 1 <= raised < len(starts)
-
-
-def batched_or_raise(objective):
-    """A ``slack_rows`` that vouches only for the rows ``objective`` does not
-    raise on, so ``_lockstep`` re-runs the others one by one."""
-
-    def rows(X):
-        values, ok = np.full(len(X), np.nan), np.zeros(len(X), dtype=bool)
-        for i, x in enumerate(X):
-            try:
-                values[i], ok[i] = objective(x), True
-            except Exception:
-                pass
-        return values, ok
-
-    return rows
 
 
 FALLBACKS = {
@@ -462,21 +463,33 @@ def test_lockstep_matches_reference_through_fallback_rows(
                    importlib.import_module("coherence_lab.superpose")):
         monkeypatch.setattr(module, "TOLERANCES", FALLBACKS[threshold])
     counts = {"batched": 0, "fallback": 0}
+    real_row_slacks, real_parameterize = search.row_slacks, search.parameterize
+
+    def counted_rows(*args):
+        values, ok = real_row_slacks(*args)
+        counts["batched"] += int(ok.sum())
+        return values, ok
+
+    def counted_scalar(*args):
+        counts["fallback"] += 1
+        return bounds.bound_slack(*args)
+
+    def counted_parameterize(*args):
+        # A degenerate row ends here; the final best point's call does not.
+        try:
+            return real_parameterize(*args)
+        except ZeroVectorError:
+            counts["fallback"] += 1
+            raise
+
+    monkeypatch.setattr(search, "row_slacks", counted_rows)
+    monkeypatch.setattr(search, "bound_slack", counted_scalar)
+    monkeypatch.setattr(search, "parameterize", counted_parameterize)
+    spec = SearchSpec(bound_id=bound_id, dim=3, pair_kind=pair_kind, seed=4,
+                      restarts=3, iterations=80)
     runs = []
-    checked = checked_lockstep(runs)
-
-    def counting(slack_rows, objective, starts, iterations):
-        def rows(X):
-            values, ok = slack_rows(X)
-            counts["batched"] += int(ok.sum())
-            counts["fallback"] += int((~ok).sum())
-            return values, ok
-
-        return checked(rows, objective, starts, iterations)
-
-    monkeypatch.setattr(search, "_lockstep", counting)
-    minimize_slack(SearchSpec(bound_id=bound_id, dim=3, pair_kind=pair_kind, seed=4,
-                              restarts=3, iterations=80))
+    monkeypatch.setattr(search, "_lockstep", checked_lockstep(runs, spec))
+    minimize_slack(spec)
     assert runs == [(parameter_count(3), 3)]
     assert counts["batched"] > 0 and counts["fallback"] > 0
 
@@ -524,6 +537,24 @@ def test_batched_rows_equal_the_scalar_objective_bit_for_bit(bound_id, pair_kind
                 expected = bounds.bound_slack(bound_id, coeffs, phi_i, psi_i)
                 assert struct_bits(slack) == struct_bits(expected)
 
+        # The search's objective gives every row the scalar path's outcome.
+        spec = SearchSpec(bound_id=bound_id, dim=dim, pair_kind=pair_kind, seed=0)
+        values, errors = search._objective(spec, split, X)
+        degenerate = []
+        for i, x in enumerate(X):
+            try:
+                expected = bounds.bound_slack(bound_id, *parameterize(x, dim, pair_kind, split))
+            except ZeroVectorError:
+                expected = math.inf
+                degenerate.append(i)
+            except Exception as exc:
+                assert type(errors[i]) is type(exc) and str(errors[i]) == str(exc)
+                assert math.isnan(values[i])
+                continue
+            assert i not in errors
+            assert struct_bits(values[i]) == struct_bits(expected)
+        assert sorted(errors) == [3, 4, 5] and 2 in degenerate
+
 
 def struct_bits(value: float) -> bytes:
     return np.float64(value).tobytes()
@@ -548,10 +579,11 @@ def test_group_width_fits_one_simplex_at_the_dimension_ceiling(dim, width):
 def test_large_searches_run_in_groups_of_the_width(monkeypatch, dim, groups):
     seen = []
 
-    def first_points(slack_rows, objective, starts, iterations):
+    def first_points(objective, starts, iterations):
         # Only the group sizes matter here; no simplex is built.
         seen.append(len(starts))
-        return [(x0, objective(x0), [objective(x0)], 1) for x0 in starts]
+        values, _ = objective(starts)
+        return [(x0, f, 1) for x0, f in zip(starts, values.tolist())]
 
     monkeypatch.setattr(search, "_lockstep", first_points)
     result = minimize_slack(SearchSpec(bound_id=T4_LOWER_A, dim=dim, pair_kind=PairKind.ARBITRARY,
