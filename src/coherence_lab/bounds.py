@@ -341,8 +341,8 @@ def row_slacks(
     Where ``ok`` holds, slacks[i] is ``bound_slack`` on row i bit for bit.
     Elsewhere the row's superposition is degenerate, a coherence is not one
     ``entropy.row_coherences`` vouches for (a zero probability inside a
-    support, an entropy below the clamp window), or the sides raised; then
-    ``bound_slack`` on that row gives the value or raises the exception.
+    support), or the sides raised; then ``bound_slack`` on that row gives the
+    value or raises the exception.
     """
     bound = BOUNDS[bound_id]
     s, t1, ok = superpose_rows(alpha, beta, phi, psi)
@@ -426,8 +426,8 @@ class _ClassRows(_PairContext):
         self.ok = self.s > TOLERANCES.zero_vector  # else coherence_t1 raises
 
     def entropy(self, x: np.ndarray) -> np.ndarray:
-        value, ok = binary_entropy_rows(x)
-        self.ok &= ok
+        value, inside = binary_entropy_rows(x)
+        self.ok &= inside
         return value
 
     def require_orthogonal(self) -> None:

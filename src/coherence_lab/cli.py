@@ -171,20 +171,20 @@ def _parse_dims(text: str) -> tuple[int, ...]:
     return dims
 
 
+def _parse_pair_kind(text: str) -> PairKind:
+    name = text.strip()
+    try:
+        return PairKind(name)
+    except ValueError:
+        valid = ", ".join(k.value for k in PairKind)
+        raise ValueError(f"unknown pair kind {name!r} (expected one of: {valid})")
+
+
 def _parse_pair_kinds(text: str) -> tuple[PairKind, ...]:
-    kinds = []
-    for part in text.split(","):
-        name = part.strip()
-        if not name:
-            continue
-        try:
-            kinds.append(PairKind(name))
-        except ValueError:
-            valid = ", ".join(k.value for k in PairKind)
-            raise ValueError(f"unknown pair kind {name!r} (expected one of: {valid})")
+    kinds = tuple(_parse_pair_kind(part) for part in text.split(",") if part.strip())
     if not kinds:
         raise ValueError("pair_kinds must name at least one kind")
-    return tuple(kinds)
+    return kinds
 
 
 def _parse_bound(text: str) -> str:
@@ -215,21 +215,23 @@ def _parse_bool(text: str) -> bool:
     raise ValueError("expected true or false")
 
 
-# Config key (and flag of the same name) -> (parser, default). A default of
-# None means the setting is optional or, for ``bound`` and ``grid``, required.
+# Config key (and flag of the same name, with '-' for '_') -> (parser,
+# default). A default of None means the setting is optional, is required
+# (``bound``, ``grid``) or, for ``pair_kind``, depends on the bound.
 _SETTINGS = {
     "seed": (_parse_u64, 42),
     "trials": (_int_in(0), 10_000),
     "dims": (_parse_dims, (2, 4, 8, 16)),
     "dim": (_parse_dim, 2),
     "pair_kinds": (_parse_pair_kinds, tuple(PairKind)),
+    "pair_kind": (_parse_pair_kind, None),
     "tolerance": (_parse_pos_float, TOLERANCES.bound_slack),
     "workers": (_int_in(1), 1),
     "out": (str, None),
     "bound": (_parse_bound, None),
     "split": (_parse_split, None),
-    "restarts": (_int_in(1), 16),
-    "iterations": (_int_in(1), 2000),
+    "restarts": (_int_in(1), SearchSpec.restarts),
+    "iterations": (_int_in(1), SearchSpec.iterations),
     "grid": (str, None),
     "format": (_parse_format, "csv"),
     "permute": (_parse_bool, False),
@@ -462,10 +464,7 @@ def cmd_saturate(args, config: dict) -> int:
     dim = _setting(args, config, "dim")
     seed = _seed(args, config)
     tolerance = _setting(args, config, "tolerance")
-    if args.pair_kind is not None:
-        pair_kind = PairKind(args.pair_kind)
-    else:
-        pair_kind = BOUNDS[bound_id].default_kind
+    pair_kind = _given(args, config, "pair_kind") or BOUNDS[bound_id].default_kind
     try:
         spec = SearchSpec(
             bound_id=bound_id,
@@ -537,7 +536,7 @@ def build_parser() -> argparse.ArgumentParser:
     def option(p: argparse.ArgumentParser, key: str, help: str) -> None:
         # Flags share their parser and default with the config key of the same
         # name; "{default}" in the help text names that default.
-        p.add_argument(f"--{key}", type=_flag_type(key),
+        p.add_argument(f"--{key.replace('_', '-')}", type=_flag_type(key),
                        help=help.format(default=_SETTINGS[key][1]))
 
     def command(name: str, help: str, handler) -> argparse.ArgumentParser:
@@ -570,11 +569,9 @@ def build_parser() -> argparse.ArgumentParser:
     saturate = command("saturate", "minimize the slack of one bound", cmd_saturate)
     option(saturate, "bound", f"bound to saturate: one of {bound_ids}")
     option(saturate, "dim", "state dimension (default {default})")
-    saturate.add_argument(
-        "--pair-kind",
-        choices=[k.value for k in PairKind],
-        help="sampling constraint (default: the bound's natural class)",
-    )
+    kinds = ", ".join(k.value for k in PairKind)
+    option(saturate, "pair_kind",
+           f"sampling constraint: one of {kinds} (default: the bound's natural class)")
     option(saturate, "restarts", "independent restarts (default {default})")
     option(saturate, "iterations", "iterations per restart (default {default})")
     option(saturate, "seed", "master seed (unsigned 64-bit)")

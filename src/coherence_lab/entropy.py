@@ -6,6 +6,12 @@ coherence-gain ceiling come out as 1.  The 0*log(0) = 0 convention is applied
 pointwise at p = 0 exactly: log2 of a positive double, subnormals included,
 is finite, so every p > 0 contributes its term.
 
+No entropy is negative: a validated input may hold a probability above 1 (its
+norm or trace is checked to ``TOLERANCES.norm``), so each p is clipped to 1 at
+its logarithm, and each sum is written ``0.0 - sum`` so an all-zero sum is
++0.0.  The one clamp left is ``relative_entropy_coherence``'s, a difference of
+two entropies that can round below 0.
+
 Every logarithm is ``np.log2``, on a scalar as on an array (``math.log2``
 rounds differently), and this is the only module that takes one.  The row
 forms ``row_coherences`` and ``binary_entropy_rows`` therefore give the scalar
@@ -32,17 +38,9 @@ def _clamped_nonnegative(value: float, slop: float, what: str) -> float:
     return 0.0 if value < 0.0 else value + 0.0
 
 
-def _clamped_rows(value: np.ndarray, slop: float) -> tuple[np.ndarray, np.ndarray]:
-    """``_clamped_nonnegative`` on an array: (values, ok); it raises where not ok."""
-    return np.maximum(value + 0.0, 0.0), value >= -slop
-
-
-def _entropy_of_probs(probs: np.ndarray) -> float:
-    p = probs[probs > 0.0]
-    if p.size == 0:
-        return 0.0
-    value = float(-(p * np.log2(p)).sum())
-    return _clamped_nonnegative(value, TOLERANCES.entropy_slop, "entropy")
+def _entropy_of_probs(probs: np.ndarray, cut: float = 0.0) -> float:
+    p = np.minimum(probs[probs > cut], 1.0)
+    return float(0.0 - (p * np.log2(p)).sum())
 
 
 def shannon_entropy(dist: DiagonalDistribution) -> float:
@@ -63,13 +61,13 @@ def binary_entropy(x: float) -> float:
     for p in (x, 1.0 - x):
         if p > 0.0:
             value -= p * float(np.log2(p))
-    return _clamped_nonnegative(value, TOLERANCES.entropy_slop, "binary entropy")
+    return value
 
 
 def binary_entropy_rows(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``binary_entropy`` of each entry of a float array: (values, ok).
+    """``binary_entropy`` of each entry of a float array: (values, inside).
 
-    Where ``ok`` holds, values[i] is ``binary_entropy(x[i])`` bit for bit;
+    Where ``inside`` holds, values[i] is ``binary_entropy(x[i])`` bit for bit;
     elsewhere ``binary_entropy`` raises (a non-finite or out-of-domain
     argument).
     """
@@ -81,14 +79,17 @@ def binary_entropy_rows(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         # At p = 0 the term is 0 * log2(1) = 0.0, and subtracting 0.0 leaves
         # any value as it is, as the scalar function skips the term.
         value = value - p * np.log2(np.where(p > 0.0, p, 1.0))
-    value, ok = _clamped_rows(value, slop)
-    return value, inside & ok
+    return value, inside
 
 
 def von_neumann_entropy(rho: DensityMatrix) -> float:
-    """S(rho): Shannon entropy of the eigenvalue spectrum, in bits."""
-    eigs = np.clip(rho.eigenvalues(), 0.0, None)
-    return _entropy_of_probs(eigs)
+    """S(rho): Shannon entropy of the eigenvalue spectrum, in bits.
+
+    Eigenvalues at or below d * eps * lambda_max, the eigensolver's own error,
+    are left out; -lambda log2 lambda turns each into ~5e-15 bits of noise.
+    """
+    eigs = rho.eigenvalues()  # descending
+    return _entropy_of_probs(eigs, eigs.size * 2.0**-52 * eigs[0])
 
 
 def relative_entropy_coherence(rho: DensityMatrix) -> float:
@@ -121,18 +122,17 @@ def row_coherences(amps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     out p = 0.  Where ``ok`` holds, each value sums the terms the scalar path
     sums, in the same order, to the same float.  Elsewhere the row has p = 0
     in a column another row supports, which makes its value NaN (0 * log2 0)
-    and numpy warn, or an entropy below the clamp window.
+    and numpy warn.
     """
-    p = np.abs(amps) ** 2
+    p = np.minimum(np.abs(amps) ** 2, 1.0)
     support = np.logical_or.reduce(p, axis=0)
     if support.all():
-        value = -np.add.reduce(p * np.log2(p), axis=-1)
+        value = 0.0 - np.add.reduce(p * np.log2(p), axis=-1)
     else:
         value = np.empty(p.shape[:2])
         for j, columns in enumerate(support):
             # compress keeps rows contiguous (a boolean index would not), so
             # each row sums in the scalar path's pairwise order.
             block = p[:, j].compress(columns, axis=1)
-            value[:, j] = -np.add.reduce(block * np.log2(block), axis=-1)
-    value, ok = _clamped_rows(value, TOLERANCES.entropy_slop)
-    return value, np.logical_and.reduce(ok, axis=1)
+            value[:, j] = 0.0 - np.add.reduce(block * np.log2(block), axis=-1)
+    return value, ~np.isnan(value).any(axis=1)

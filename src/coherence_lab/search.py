@@ -10,8 +10,8 @@ boundary.
 
 The objective (``_objective``) gives the slacks at a batch of points with
 the scalar path's arithmetic; a row it cannot vouch for (a degenerate or
-non-finite block, a zero probability inside a support, a failed unit-norm or
-clamp check, sides that raise) goes once through the scalar path.  The
+non-finite block, a zero probability inside a support, a failed unit-norm
+check, sides that raise) goes once through the scalar path.  The
 restarts of a search run in lockstep (``_lockstep``): their simplices are
 one (restarts, n + 1, n) array, n = 4 * dim + 2, and each iteration
 evaluates the points of all live restarts in batched calls.  Every restart

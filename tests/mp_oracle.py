@@ -1,4 +1,4 @@
-"""A 50-digit mpmath oracle for coherences, binary entropy and four bounds.
+"""A 50-digit mpmath oracle for entropies, coherences and four bounds.
 
 Every function starts from the float inputs exactly as given (a double is
 exact in mpmath) and computes with 50 significant digits, so comparing a
@@ -40,10 +40,29 @@ def binary_entropy(x):
         return _h(mpmath.mpf(x))
 
 
-def pure_state_coherence(amps):
-    """Shannon entropy of |amps|^2: a pure state's relative entropy of coherence."""
+def pure_state_coherence(amps, renormalize=False):
+    """Shannon entropy of |amps|^2: a pure state's relative entropy of coherence.
+
+    With ``renormalize=True``, of the amplitudes first scaled to unit norm."""
     with mpmath.workdps(DIGITS):
-        return _coherence(_mp(amps))
+        amps = _mp(amps)
+        return _coherence(_unit(amps) if renormalize else amps)
+
+
+def von_neumann_entropy(states, weights):
+    """Entropy of the mixture sum_k weights[k] |states[k]><states[k]|, in bits.
+
+    The projectors are built from the amplitudes as given, so a rounding error
+    of the float density matrix counts as an error of the float entropy."""
+    with mpmath.workdps(DIGITS):
+        dim = len(states[0])
+        rho = mpmath.matrix(dim, dim)
+        for weight, amps in zip(weights, states):
+            amps = _mp(amps)
+            for i in range(dim):
+                for j in range(dim):
+                    rho[i, j] += mpmath.mpf(weight) * amps[i] * mpmath.conj(amps[j])
+        return _entropy(mpmath.eighe(rho, eigvals_only=True))
 
 
 def slack(bound_id, alpha, beta, phi, psi, renormalize=False):

@@ -21,6 +21,7 @@ from coherence_lab import (
     SearchSpec,
     SuperpositionCoefficients,
     StateVector,
+    TOLERANCES,
     evaluate_bound,
     haar_random_state,
     hermitian_eigenvalues,
@@ -30,7 +31,7 @@ from coherence_lab import (
     pure_state_coherence,
     random_coefficients,
     relative_entropy_coherence,
-    run_ensemble,
+    summarize_ensemble,
 )
 from coherence_lab.linalg import DensityMatrix
 from coherence_lab.rng import make_generator
@@ -56,22 +57,34 @@ def _spread_trials(total: int, dims) -> int:
     return math.ceil(total / len(dims))
 
 
+def _summary(config: EnsembleConfig, bound_ids) -> dict:
+    """``verify``'s summary of an ensemble, after the checks every criterion
+    shares: no trial raised, and each of ``bound_ids`` was reported by every
+    trial."""
+    summary = summarize_ensemble(config)
+    assert summary["errors"] == 0, summary["error_samples"]
+    for bound_id in bound_ids:
+        assert summary["bounds"][bound_id]["count"] == config.trials
+    return summary
+
+
 @pytest.fixture(scope="module")
 def disjoint_ensembles():
     """10^4 disjoint-support trials per dimension, shared by criteria 3 and 4."""
     started = time.perf_counter()
-    records = {
-        dim: run_ensemble(
+    summaries = {
+        dim: _summary(
             EnsembleConfig(
                 dim=dim,
                 trials=TRIALS_PER_DIM,
                 pair_kind=PairKind.DISJOINT_SUPPORT,
                 seed=1_000 + dim,
-            )
+            ),
+            ("T1_EQUALITY", "GAIN_LE_1"),
         )
         for dim in SWEEP_DIMS
     }
-    return records, time.perf_counter() - started
+    return summaries, time.perf_counter() - started
 
 
 def test_acceptance_1_demo_uniform_basis_example():
@@ -105,34 +118,29 @@ def test_acceptance_2_demo_plus_minus_example():
 
 
 def test_acceptance_3_disjoint_support_equality(disjoint_ensembles):
-    records_by_dim, build_time = disjoint_ensembles
+    summaries, build_time = disjoint_ensembles
     started = time.perf_counter()
     worst = 0.0
     checked = 0
-    for dim, records in records_by_dim.items():
-        assert len(records) == TRIALS_PER_DIM
-        for record in records:
-            assert record.error is None, record.error
-            residuals = [r.slack for r in record.reports if r.bound_id == "T1_EQUALITY"]
-            assert len(residuals) == 1
-            assert residuals[0] <= 1e-9
-            worst = max(worst, residuals[0])
-            checked += 1
+    for summary in summaries.values():
+        stats = summary["bounds"]["T1_EQUALITY"]
+        assert stats["max_slack"] <= 1e-9
+        worst = max(worst, stats["max_slack"])
+        checked += stats["count"]
     elapsed = build_time + (time.perf_counter() - started)
     assert elapsed < 60.0
     _announce(3, f"{checked} trials, max residual {worst:.2e}, {elapsed:.1f}s")
 
 
 def test_acceptance_4_gain_ceiling_and_saturation(disjoint_ensembles):
-    records_by_dim, build_time = disjoint_ensembles
+    summaries, build_time = disjoint_ensembles
     started = time.perf_counter()
-    max_observed_gain = -math.inf
-    for records in records_by_dim.values():
-        for record in records:
-            gains = [r.lhs for r in record.reports if r.bound_id == "GAIN_LE_1"]
-            assert len(gains) == 1
-            assert gains[0] <= 1.0 + 1e-9
-            max_observed_gain = max(max_observed_gain, gains[0])
+    worst = math.inf
+    for summary in summaries.values():
+        # The slack is 1 - gain, so this is gain <= 1 + 1e-9.
+        stats = summary["bounds"]["GAIN_LE_1"]
+        assert stats["min_slack"] >= -1e-9
+        worst = min(worst, stats["min_slack"])
 
     spec = SearchSpec(
         bound_id="GAIN_LE_1",
@@ -151,7 +159,7 @@ def test_acceptance_4_gain_ceiling_and_saturation(disjoint_ensembles):
     assert elapsed < 60.0
     _announce(
         4,
-        f"ensemble max gain {max_observed_gain:.9f}, search best {best_gain:.9f}, "
+        f"ensemble min slack {worst:.3e}, search best gain {best_gain:.9f}, "
         f"{elapsed:.1f}s",
     )
 
@@ -167,16 +175,14 @@ def test_acceptance_5_orthogonal_and_general_upper_bounds():
     ]
     for kind, bound_id, seed_base in plans:
         for dim in ALL_DIMS:
-            records = run_ensemble(
-                EnsembleConfig(dim=dim, trials=per_dim, pair_kind=kind, seed=seed_base + dim)
+            summary = _summary(
+                EnsembleConfig(dim=dim, trials=per_dim, pair_kind=kind, seed=seed_base + dim),
+                (bound_id,),
             )
-            for record in records:
-                assert record.error is None, record.error
-                slacks = [r.slack for r in record.reports if r.bound_id == bound_id]
-                assert len(slacks) == 1
-                assert slacks[0] >= -1e-9
-                totals[bound_id] += 1
-                worst[bound_id] = min(worst[bound_id], slacks[0])
+            stats = summary["bounds"][bound_id]
+            assert stats["min_slack"] >= -1e-9
+            totals[bound_id] += stats["count"]
+            worst[bound_id] = min(worst[bound_id], stats["min_slack"])
     elapsed = time.perf_counter() - started
     assert totals["T2_UPPER"] >= TRIALS_PER_DIM
     assert totals["T3_UPPER"] >= TRIALS_PER_DIM
@@ -193,21 +199,16 @@ def test_acceptance_6_two_branch_lower_bound():
     per_dim = _spread_trials(TRIALS_PER_DIM, ALL_DIMS)
     checked = 0
     worst = math.inf
+    lower = ("T4_LOWER_A", "T4_LOWER_B")
     for dim in ALL_DIMS:
-        records = run_ensemble(
-            EnsembleConfig(dim=dim, trials=per_dim, pair_kind=PairKind.ARBITRARY, seed=6_000 + dim)
+        summary = _summary(
+            EnsembleConfig(dim=dim, trials=per_dim, pair_kind=PairKind.ARBITRARY, seed=6_000 + dim),
+            lower,
         )
-        for record in records:
-            assert record.error is None, record.error
-            slacks = [
-                r.slack
-                for r in record.reports
-                if r.bound_id in ("T4_LOWER_A", "T4_LOWER_B")
-            ]
-            assert len(slacks) == 2
-            assert min(slacks) >= -1e-9
-            worst = min(worst, min(slacks))
-            checked += 1
+        for bound_id in lower:
+            assert summary["bounds"][bound_id]["min_slack"] >= -1e-9
+            worst = min(worst, summary["bounds"][bound_id]["min_slack"])
+        checked += per_dim
 
     # Hand-checked point: uniform weights on two basis states.
     inv = 1.0 / math.sqrt(2.0)
@@ -242,8 +243,8 @@ def test_acceptance_7_proof_identity_suite():
             coeffs = random_coefficients(seed + 900_000)
             mixing = mixing_identity_residual(coeffs, phi, psi)
             norm = norm_identity_residual(coeffs, phi, psi)
-            assert mixing <= 1e-12
-            assert norm <= 1e-12
+            assert mixing <= TOLERANCES.identity_residual
+            assert norm <= TOLERANCES.identity_residual
             worst_mixing = max(worst_mixing, mixing)
             worst_norm = max(worst_norm, norm)
             checked += 1

@@ -170,6 +170,9 @@ def test_verify_flag_overrides_config(tmp_path):
         (["verify", "--trials", "1"], f"dims = 2,{2**16 + 1}\n"),
         (["saturate", "--bound", "T3_UPPER", "--dim", "1025"], None),
         (["saturate", "--bound", "T3_UPPER"], "dim = 1025\n"),
+        (["saturate", "--bound", "T3_UPPER", "--pair-kind", "Bogus"], None),
+        (["saturate", "--bound", "T3_UPPER"], "pair_kind = Bogus\n"),
+        (["saturate", "--bound", "T1_EQUALITY"], "pair_kind = Arbitrary\n"),
     ],
     ids=[
         "verify-dim-1", "verify-trials-negative", "sweep-dim-1", "config-dim-1",
@@ -177,6 +180,8 @@ def test_verify_flag_overrides_config(tmp_path):
         "seed-too-large", "verify-dim-1e12", "verify-dim-above-ceiling",
         "saturate-dim-1e12", "config-dim-1e12", "config-dims-above-ceiling",
         "saturate-dim-above-search-ceiling", "config-saturate-dim-above-search-ceiling",
+        "saturate-pair-kind-unknown", "config-pair-kind-unknown",
+        "config-pair-kind-incompatible",
     ],
 )
 def test_bad_flag_or_config_value_is_a_usage_error(tmp_path, capsys, argv, config):
@@ -364,6 +369,20 @@ def test_saturate_reads_settings_from_config(tmp_path, monkeypatch):
         "tolerance": 1e-9,
     }
     assert len(report["results"]["restart_best"]) == 1
+
+
+def test_saturate_pair_kind_config_key_equals_the_flag(tmp_path):
+    args = ["saturate", "--bound", "T4_LOWER_A", "--dim", "3", "--restarts", "2",
+            "--iterations", "40"]
+    config = tmp_path / "sat.cfg"
+    config.write_text("pair_kind = NonOrthogonal\n", encoding="utf-8")
+    by_flag, by_key, natural = (tmp_path / name for name in ("flag", "key", "natural"))
+    assert run_cli(args + ["--pair-kind", "NonOrthogonal", "--out", str(by_flag)]) == 0
+    assert run_cli(args + ["--config", str(config), "--out", str(by_key)]) == 0
+    assert run_cli(args + ["--out", str(natural)]) == 0
+    assert by_key.read_bytes() == by_flag.read_bytes()
+    assert read_json(by_key)["config"]["pair_kind"] == "NonOrthogonal"
+    assert read_json(natural)["config"]["pair_kind"] == "Arbitrary"
 
 
 def test_saturate_reports_the_search_results_final_report(monkeypatch, tmp_path):

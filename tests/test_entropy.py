@@ -233,6 +233,67 @@ def test_row_coherences_match_pure_state_coherence(dim):
                 assert values[r, j].tobytes() == np.float64(expected).tobytes()
 
 
+# --- validated inputs with a probability above 1 --------------------------------
+
+
+def _nonnegative(value) -> bool:
+    """value >= 0 and not -0.0."""
+    return value >= 0.0 and math.copysign(1.0, value) == 1.0
+
+
+def test_pure_coherence_of_a_state_above_unit_norm_is_zero():
+    assert pure_state_coherence(StateVector([1 + 5e-11, 0])) == 0.0
+
+
+def test_shannon_entropy_of_a_probability_above_one_is_zero():
+    assert shannon_entropy(DiagonalDistribution([1 + 5e-11])) == 0.0
+
+
+def test_von_neumann_entropy_of_a_trace_above_one_is_zero():
+    assert von_neumann_entropy(DensityMatrix([[1 + 5e-11]])) == 0.0
+
+
+def _at_edge(values, size, limit):
+    """Each array scaled so that size(array) is as close to 1 + limit as
+    ``abs(size - 1) <= TOLERANCES.norm`` accepts (limit may be negative)."""
+    edged = []
+    for value in values:
+        value = np.asarray(value) / size(np.asarray(value))
+        scale = 1.0 + limit
+        while abs(size(value * scale) - 1.0) > TOLERANCES.norm:
+            scale = np.nextafter(scale, 1.0)
+        edged.append(value * scale)
+    return edged
+
+
+def test_inputs_at_the_edges_of_the_norm_tolerance_have_nonnegative_entropies():
+    # One-hot and near-one-hot, real and complex: some |a|^2 or trace is
+    # above 1 on the upper edge.
+    tiny = [1e-300, 1e-170, 1e-9, 1e-5]
+    real = [[1.0], [1.0, 0.0], [0.0, 0.0, 1.0]]
+    real += [[1.0, t] for t in tiny] + [[t, 1.0, t] for t in tiny]
+    phase = np.exp(0.7j)
+    states = real + [[phase * a for a in amps] for amps in real]
+    states += [[phase, 1j * t] for t in tiny]
+    probs = [[1.0], [1.0, 0.0], [0.5, 0.5]] + [[1.0, t * t] for t in tiny]
+    matrices = [np.diag(p) for p in probs]
+    matrices += [np.outer(v, v.conj()) for v in map(np.asarray, states)]
+    for limit in (TOLERANCES.norm, -TOLERANCES.norm):
+        for amps in _at_edge(states, lambda v: float(np.linalg.norm(v)), limit):
+            state = StateVector(amps)
+            value = pure_state_coherence(state)
+            assert _nonnegative(value), (amps, value)
+            rows, ok = entropy.row_coherences(state.amps[None, None])
+            assert ok.all() and rows[0, 0].tobytes() == np.float64(value).tobytes()
+    for limit in (TOLERANCES.norm / 2, -TOLERANCES.norm / 2):
+        for p in _at_edge(probs, lambda v: float(v.sum()), limit):
+            assert _nonnegative(shannon_entropy(DiagonalDistribution(p))), p
+        for matrix in _at_edge(matrices, lambda m: float(np.trace(m).real), limit):
+            rho = DensityMatrix(matrix)
+            assert _nonnegative(von_neumann_entropy(rho)), matrix
+            assert _nonnegative(relative_entropy_coherence(rho)), matrix
+
+
 # --- mixing inequalities -------------------------------------------------------
 
 

@@ -264,41 +264,41 @@ def test_class_masks_compare_the_overlap_as_abs_does(monkeypatch):
 
 
 def test_mixing_identity_on_plus_minus_example():
-    assert mixing_identity_residual(EQUAL, PLUS, MINUS) <= 1e-12
+    assert mixing_identity_residual(EQUAL, PLUS, MINUS) <= TOLERANCES.identity_residual
 
 
 def test_mixing_identity_on_random_inputs():
     coeffs, phi, psi = random_triple(99, 4)
-    assert mixing_identity_residual(coeffs, phi, psi) <= 1e-12
+    assert mixing_identity_residual(coeffs, phi, psi) <= TOLERANCES.identity_residual
 
 
 def test_mixing_identity_sweep():
     for seed in range(200):
         dim = 2 + seed % 15
         coeffs, phi, psi = random_triple(seed, dim)
-        assert mixing_identity_residual(coeffs, phi, psi) <= 1e-12
+        assert mixing_identity_residual(coeffs, phi, psi) <= TOLERANCES.identity_residual
 
 
 def test_norm_identity_on_uniform_basis_pair():
-    assert norm_identity_residual(EQUAL, E0, E1) <= 1e-12
+    assert norm_identity_residual(EQUAL, E0, E1) <= TOLERANCES.identity_residual
 
 
 def test_norm_identity_non_orthogonal_example():
-    assert norm_identity_residual(EQUAL, E0, PLUS) <= 1e-12
+    assert norm_identity_residual(EQUAL, E0, PLUS) <= TOLERANCES.identity_residual
 
 
 def test_norm_identity_parallel_states():
     coeffs = SuperpositionCoefficients(INV_SQRT2, INV_SQRT2)
     sup_plus = superpose(coeffs, E0, E0)
     assert abs(sup_plus.s**2 - 2.0) < 1e-12
-    assert norm_identity_residual(coeffs, E0, E0) <= 1e-12
+    assert norm_identity_residual(coeffs, E0, E0) <= TOLERANCES.identity_residual
 
 
 def test_norm_identity_sweep():
     for seed in range(200):
         dim = 2 + seed % 15
         coeffs, phi, psi = random_triple(seed, dim)
-        assert norm_identity_residual(coeffs, phi, psi) <= 1e-12
+        assert norm_identity_residual(coeffs, phi, psi) <= TOLERANCES.identity_residual
 
 
 def test_coefficient_map_gives_the_same_bits_on_floats_and_on_rows():
