@@ -206,15 +206,6 @@ def _parse_format(text: str) -> str:
     return text
 
 
-def _parse_bool(text: str) -> bool:
-    lowered = text.lower()
-    if lowered in ("true", "yes", "1"):
-        return True
-    if lowered in ("false", "no", "0"):
-        return False
-    raise ValueError("expected true or false")
-
-
 # Config key (and flag of the same name, with '-' for '_') -> (parser,
 # default). A default of None means the setting is optional, is required
 # (``bound``, ``grid``) or, for ``pair_kind``, depends on the bound.
@@ -234,7 +225,6 @@ _SETTINGS = {
     "iterations": (_int_in(1), SearchSpec.iterations),
     "grid": (str, None),
     "format": (_parse_format, "csv"),
-    "permute": (_parse_bool, False),
 }
 
 
@@ -358,7 +348,6 @@ def cmd_verify(args, config: dict) -> int:
     pair_kinds = _setting(args, config, "pair_kinds")
     tolerance = _setting(args, config, "tolerance")
     split = _setting(args, config, "split")
-    permute = _setting(args, config, "permute")
     started = _now(args)
     summaries = []
     total_violations = 0
@@ -369,7 +358,6 @@ def cmd_verify(args, config: dict) -> int:
             pair_kind=kind,
             seed=subseed(seed, combo_index),
             split=split if kind is PairKind.DISJOINT_SUPPORT else None,
-            permute=permute,
         )
         summary = summarize_ensemble(ensemble, tolerance=tolerance)
         summaries.append(summary)
@@ -387,7 +375,6 @@ def cmd_verify(args, config: dict) -> int:
         "pair_kinds": [k.value for k in pair_kinds],
         "tolerance": tolerance,
         "split": list(split) if split else None,
-        "permute": permute,
     }
     return _finish(args, config, echo, {"ensembles": summaries}, total_violations, started)
 

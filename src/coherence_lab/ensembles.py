@@ -53,19 +53,13 @@ _CHUNK_ELEMENTS = 2**14
 
 @dataclass(frozen=True)
 class EnsembleConfig:
-    """Specification of one randomized verification ensemble.
-
-    ``permute`` scatters the contiguous disjoint-support blocks over random
-    basis indices; coherence is invariant under index permutation, so it is
-    off by default and exists only to decouple results from block placement.
-    """
+    """Specification of one randomized verification ensemble."""
 
     dim: int
     trials: int
     pair_kind: PairKind
     seed: int
     split: Optional[tuple[int, int]] = None
-    permute: bool = False
 
     def __post_init__(self):
         if self.dim < 2:
@@ -159,7 +153,7 @@ def random_orthogonal_pair(dim: int, seed: int) -> tuple[StateVector, StateVecto
 
 
 def _disjoint_pair(
-    gen: np.random.Generator, dim: int, split: tuple[int, int], permute: bool = False
+    gen: np.random.Generator, dim: int, split: tuple[int, int]
 ) -> tuple[StateVector, StateVector]:
     d1, d2 = split
     phi_block = _haar_state(gen, d1)
@@ -168,11 +162,6 @@ def _disjoint_pair(
     psi = np.zeros(dim, dtype=np.complex128)
     phi[:d1] = phi_block.amps
     psi[d1 : d1 + d2] = psi_block.amps
-    if permute:
-        # Drawn after both blocks; keeps the unpermuted stream unchanged.
-        order = gen.permutation(dim)
-        phi = phi[order]
-        psi = psi[order]
     return StateVector(phi), StateVector(psi)
 
 
@@ -185,9 +174,7 @@ def random_disjoint_support_pair(config: EnsembleConfig) -> tuple[StateVector, S
         raise BadSplitError(
             f"config.pair_kind is {config.pair_kind.value}, not DisjointSupport"
         )
-    return _disjoint_pair(
-        make_generator(config.seed), config.dim, config.split, config.permute
-    )
+    return _disjoint_pair(make_generator(config.seed), config.dim, config.split)
 
 
 def _coefficient_pair(gen):
@@ -214,7 +201,7 @@ def sample_pair(
     """Draw one pair of ``config.pair_kind`` from ``gen``, as a trial does."""
     kind = config.pair_kind
     if kind is PairKind.DISJOINT_SUPPORT:
-        return _disjoint_pair(gen, config.dim, config.split, config.permute)
+        return _disjoint_pair(gen, config.dim, config.split)
     if kind is PairKind.ORTHOGONAL_SAME_SPACE:
         return _orthogonal_pair(gen, config.dim)
     if kind is PairKind.NON_ORTHOGONAL:
@@ -348,12 +335,8 @@ def _fold(summary: dict, bound_id: str, count: int, violations: int,
 
 def _fold_chunk(summary: dict, config: EnsembleConfig, indices: np.ndarray,
                 tolerance: float) -> None:
-    if config.permute:
-        # gen.permutation is not reproduced in the batched kernel.
-        redo, results = np.ones(indices.size, dtype=bool), []
-    else:
-        with np.errstate(all="ignore"):  # rows that overflow or divide by 0 are redone
-            redo, results = _batch(config, indices, tolerance)
+    with np.errstate(all="ignore"):  # rows that overflow or divide by 0 are redone
+        redo, results = _batch(config, indices, tolerance)
     violated = np.zeros(indices.size, dtype=bool)
     for bound_id, rows, slack, satisfied in results:
         if rows.size:

@@ -110,19 +110,16 @@ def _complex_block(x: np.ndarray) -> np.ndarray:
 
 
 def parameterize(
-    x,
-    dim: int,
-    pair_kind: PairKind,
-    split: tuple[int, int] | None = None,
+    x, dim: int, pair_kind: PairKind
 ) -> tuple[SuperpositionCoefficients, StateVector, StateVector]:
     """Map an unconstrained real vector to a valid input triple.
 
     Layout: (theta, phase) for the coefficients, then interleaved re/im
     amplitudes for each state.  Coefficients become
     ``coefficient_map(theta, phase)`` = (cos theta, sin theta * e^{i phase});
-    states are normalized after the pair-kind projection (zeroed out-of-block
-    amplitudes for disjoint support, Gram-Schmidt for orthogonal same-space
-    pairs).
+    states are normalized after the pair-kind projection (amplitudes outside
+    the blocks of ``default_split(dim)`` zeroed for disjoint support,
+    Gram-Schmidt for orthogonal same-space pairs).
     """
     x = np.asarray(x, dtype=np.float64)
     if x.shape != (parameter_count(dim),):
@@ -135,12 +132,11 @@ def parameterize(
     raw_phi = _complex_block(x[2 : 2 + 2 * dim])
     raw_psi = _complex_block(x[2 + 2 * dim :])
     if pair_kind is PairKind.DISJOINT_SUPPORT:
-        d1, d2 = split if split is not None else default_split(dim)
+        d1 = default_split(dim)[0]
         raw_phi = raw_phi.copy()
         raw_psi = raw_psi.copy()
         raw_phi[d1:] = 0.0
         raw_psi[:d1] = 0.0
-        raw_psi[d1 + d2 :] = 0.0
     phi = normalize(raw_phi)
     if pair_kind is PairKind.ORTHOGONAL_SAME_SPACE:
         projected = raw_psi - np.vdot(phi.amps, raw_psi) * phi.amps
@@ -154,7 +150,7 @@ def parameterize(
 
 
 def _parameterize_rows(
-    X: np.ndarray, dim: int, pair_kind: PairKind, split: tuple[int, int] | None
+    X: np.ndarray, dim: int, pair_kind: PairKind
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """``parameterize`` on each row of X: (alpha, beta, phi, psi, ok).
 
@@ -170,10 +166,9 @@ def _parameterize_rows(
     alpha, beta = coefficient_map(X[:, 0], X[:, 1])
     raw = _complex_block(X[:, 2:]).reshape(len(X), 2, dim)  # the phi and psi blocks
     if pair_kind is PairKind.DISJOINT_SUPPORT:
-        d1, d2 = split if split is not None else default_split(dim)
+        d1 = default_split(dim)[0]
         raw[:, 0, d1:] = 0.0
         raw[:, 1, :d1] = 0.0
-        raw[:, 1, d1 + d2 :] = 0.0
     if pair_kind is PairKind.ORTHOGONAL_SAME_SPACE:
         phi, _, ok = normalize_rows(raw[:, 0])
         raw_psi = raw[:, 1]
@@ -189,9 +184,7 @@ def _parameterize_rows(
     return alpha, beta, phi, psi, ok & np.isfinite(beta)
 
 
-def _objective(
-    spec: SearchSpec, split: tuple[int, int] | None, X: np.ndarray
-) -> tuple[np.ndarray, dict[int, Exception]]:
+def _objective(spec: SearchSpec, X: np.ndarray) -> tuple[np.ndarray, dict[int, Exception]]:
     """The slack of ``spec``'s bound at each row of X: (values, errors).
 
     Rows that ``_parameterize_rows`` and ``row_slacks`` vouch for keep their
@@ -201,7 +194,7 @@ def _objective(
     any other exception goes into ``errors[row]`` (in row order) with value NaN.
     """
     with np.errstate(all="ignore"):
-        alpha, beta, phi, psi, ok = _parameterize_rows(X, spec.dim, spec.pair_kind, split)
+        alpha, beta, phi, psi, ok = _parameterize_rows(X, spec.dim, spec.pair_kind)
         if np.logical_and.reduce(ok):
             values, ok = row_slacks(spec.bound_id, alpha, beta, phi, psi)
         else:
@@ -213,7 +206,7 @@ def _objective(
     for i in (~ok).nonzero()[0].tolist():
         try:
             values[i] = bound_slack(
-                spec.bound_id, *parameterize(X[i], spec.dim, spec.pair_kind, split)
+                spec.bound_id, *parameterize(X[i], spec.dim, spec.pair_kind)
             )
         except ZeroVectorError:
             values[i] = np.inf
@@ -434,8 +427,7 @@ def minimize_slack(
     result indicates an implementation bug, not a counterexample.  If
     restarts raise, the exception of the lowest such restart is raised.
     """
-    split = default_split(spec.dim) if spec.pair_kind is PairKind.DISJOINT_SUPPORT else None
-    objective = partial(_objective, spec, split)
+    objective = partial(_objective, spec)
     n = parameter_count(spec.dim)
     starts = np.array([
         standard_normals(make_generator(subseed(spec.seed, restart)), n)
@@ -450,7 +442,7 @@ def minimize_slack(
             results.append(outcome)
 
     best_x, best_slack, _ = min(results, key=itemgetter(1))  # the first of equal minima
-    coeffs, phi, psi = parameterize(best_x, spec.dim, spec.pair_kind, split)
+    coeffs, phi, psi = parameterize(best_x, spec.dim, spec.pair_kind)
     report = evaluate_bound(spec.bound_id, coeffs, phi, psi, tolerance=tolerance)
     if report.slack != best_slack:
         raise ConsistencyError(

@@ -18,7 +18,6 @@ class Tolerances:
     zero_vector: float = 1e-12        # norms at or below this are degenerate
     identity_residual: float = 1e-12  # algebraic identity residuals
     psd: float = 1e-10                # eigenvalues >= -psd pass positivity
-    entropy_slop: float = 1e-12       # binary entropy accepts [-slop, 1 + slop]
     coherence_slop: float = 1e-9      # clamp window for coherence round-off
 
 

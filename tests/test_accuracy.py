@@ -86,6 +86,23 @@ def test_rows_with_a_probability_above_one_match_the_scalar_path_and_the_oracle(
         assert abs(value - mp_oracle.pure_state_coherence(state.amps, renormalize=True)) <= 1e-15
 
 
+@pytest.mark.parametrize("amps, above", [([0.6, 0.8], -9.9e-11), ([1.0, 1e-5], -1.4427e-10)])
+def test_coherence_off_unit_norm_stays_in_the_documented_envelope(amps, above):
+    # StateVector accepts a norm within 1e-10 of 1, and the entropy takes
+    # |a|^2 as given: the error against the unit state is the norm's, within
+    # |n^2 - 1| max(log2 e, log2 d) (``entropy``'s docstring), not round-off.
+    unit = np.array(amps) / np.linalg.norm(amps)
+    for n in (1.0 + 0.99e-10, 1.0 - 0.99e-10):
+        state = StateVector(unit * n)
+        eps = float(np.vdot(state.amps, state.amps).real) - 1.0
+        error = pure_state_coherence(state) - float(
+            mp_oracle.pure_state_coherence(state.amps, renormalize=True)
+        )
+        assert abs(error) <= abs(eps) * max(np.log2(np.e), np.log2(state.dim)) + 1e-15
+        if n > 1.0:
+            assert error == pytest.approx(above, rel=1e-3)
+
+
 def test_von_neumann_entropy_of_projectors_and_branch_mixtures_matches_the_oracle():
     # The T1/T2 branches of random pairs, alone and in the equal mixture, as
     # the mixed-state benchmark builds them.  Over 60 pairs per dimension the

@@ -23,6 +23,7 @@ from coherence_lab import (
     WrongPairClassError,
     ZeroVectorError,
     bound_slack,
+    classify_pair,
     evaluate_all,
     evaluate_bound,
     haar_random_state,
@@ -31,6 +32,8 @@ from coherence_lab import (
     random_disjoint_support_pair,
     random_orthogonal_pair,
 )
+from coherence_lab.ensembles import sample_pair
+from coherence_lab.rng import make_generator
 
 INV_SQRT2 = 1.0 / math.sqrt(2.0)
 
@@ -286,6 +289,39 @@ def test_reports_are_phase_invariant():
         rotated_a = evaluate_bound(T4_LOWER_A, rotated_coeffs, rotated_phi, psi)
         assert abs(base_a.lhs - rotated_a.lhs) < 1e-12
         assert abs(base_a.rhs - rotated_a.rhs) < 1e-12
+
+
+@pytest.mark.parametrize("kind", list(PairKind), ids=lambda k: k.value)
+def test_reports_are_invariant_under_a_basis_permutation(kind):
+    # A permutation of the incoherent basis is an incoherent unitary: it keeps
+    # every coherence, weight, norm and overlap, so every report.
+    for dim in range(2, 17):
+        config = EnsembleConfig(dim=dim, trials=1, pair_kind=kind, seed=dim)
+        for seed in range(40):
+            gen = make_generator(1000 * dim + seed)
+            phi, psi = sample_pair(gen, config)
+            coeffs = random_coefficients(seed)
+            order = np.random.default_rng(seed).permutation(dim)
+            moved_phi, moved_psi = StateVector(phi.amps[order]), StateVector(psi.amps[order])
+            assert classify_pair(moved_phi, moved_psi).tag is classify_pair(phi, psi).tag
+            base = evaluate_all(coeffs, phi, psi)
+            moved = evaluate_all(coeffs, moved_phi, moved_psi)
+            assert [(r.bound_id, r.satisfied) for r in moved] == [
+                (r.bound_id, r.satisfied) for r in base
+            ]
+            for b, m in zip(base, moved):
+                assert abs(b.slack - m.slack) <= 1e-13, (dim, seed, b.bound_id)
+
+
+def test_weight_at_the_edge_of_validation_is_evaluated():
+    # |alpha|^2 = 1 + 8e-11 passes the coefficient check (TOLERANCES.norm),
+    # so the binary entropies of the weights must take it too.
+    coeffs = SuperpositionCoefficients(1.0 + 4e-11, 0.0)
+    reports = evaluate_all(coeffs, E0, E1)
+    assert [r.bound_id for r in reports] == [T1_EQUALITY, GAIN_LE_1, T2_UPPER, T4_LOWER_A, T4_LOWER_B]
+    assert all(r.satisfied for r in reports)
+    for bound_id in (T1_EQUALITY, T2_UPPER, T3_UPPER):
+        assert evaluate_bound(bound_id, coeffs, E0, E1).satisfied
 
 
 def test_slack_sign_conventions():

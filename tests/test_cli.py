@@ -2,7 +2,9 @@
 
 import json
 import math
+import re
 from datetime import datetime, timedelta
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,6 +14,7 @@ from coherence_lab.cli import canonical_json, format_float, main
 from coherence_lab.errors import ConsistencyError
 
 INV_SQRT2 = 1.0 / math.sqrt(2.0)
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def run_cli(args):
@@ -123,6 +126,12 @@ def test_verify_rejects_config_file_that_is_not_utf8(tmp_path, capsys):
     assert "cannot read config file" in err and "Traceback" not in err
 
 
+def test_readme_key_list_is_the_settings_table():
+    text = " ".join(README.read_text(encoding="utf-8").split())
+    (sentence,) = re.findall(r"Keys: ([^.]*)\.", text)
+    assert sorted(re.findall(r"`(\w+)`", sentence)) == sorted(cli._SETTINGS)
+
+
 def test_verify_is_byte_reproducible(tmp_path):
     config = tmp_path / "run.cfg"
     config.write_text(
@@ -173,6 +182,7 @@ def test_verify_flag_overrides_config(tmp_path):
         (["saturate", "--bound", "T3_UPPER", "--pair-kind", "Bogus"], None),
         (["saturate", "--bound", "T3_UPPER"], "pair_kind = Bogus\n"),
         (["saturate", "--bound", "T1_EQUALITY"], "pair_kind = Arbitrary\n"),
+        (["verify", "--trials", "1"], "permute = true\n"),
     ],
     ids=[
         "verify-dim-1", "verify-trials-negative", "sweep-dim-1", "config-dim-1",
@@ -181,7 +191,7 @@ def test_verify_flag_overrides_config(tmp_path):
         "saturate-dim-1e12", "config-dim-1e12", "config-dims-above-ceiling",
         "saturate-dim-above-search-ceiling", "config-saturate-dim-above-search-ceiling",
         "saturate-pair-kind-unknown", "config-pair-kind-unknown",
-        "config-pair-kind-incompatible",
+        "config-pair-kind-incompatible", "config-key-unknown",
     ],
 )
 def test_bad_flag_or_config_value_is_a_usage_error(tmp_path, capsys, argv, config):

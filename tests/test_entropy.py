@@ -88,12 +88,19 @@ def test_binary_entropy_domain():
         binary_entropy(1.1)
     with pytest.raises(DomainError):
         binary_entropy(-0.1)
-    # Round-off beyond an endpoint is tolerated and clamped.
+    # A weight |alpha|^2 passes validation within TOLERANCES.norm of [0, 1];
+    # the entropy takes that window and clips it to the endpoints.
+    window = TOLERANCES.norm
     assert binary_entropy(1.0 + 1e-13) == 0.0
+    assert binary_entropy(1.0 + 0.99 * window) == 0.0
+    assert binary_entropy(-0.99 * window) == 0.0
+    for x in (1.0 + 1.01 * window, -1.01 * window):
+        with pytest.raises(DomainError):
+            binary_entropy(x)
 
 
 def test_binary_entropy_rows_match_the_scalar_function_bit_for_bit():
-    slop = TOLERANCES.entropy_slop
+    slop = TOLERANCES.norm
     edges = [
         0.0, -0.0, 5e-324, 1e-16, np.nextafter(1e-15, 0.0), 1e-15, np.nextafter(1e-15, 1.0),
         0.5, 1.0 - 2.0**-53, 1.0 - 1e-15, 1.0,

@@ -23,7 +23,6 @@ from coherence_lab import (
     parameterize,
 )
 from coherence_lab import bounds, entropy, linalg, search
-from coherence_lab.ensembles import default_split
 from coherence_lab.errors import ConsistencyError
 from coherence_lab.rng import make_generator, standard_normals
 from coherence_lab.search import (
@@ -301,11 +300,10 @@ def batched(objective):
 
 def scalar_objective(spec):
     """The search's objective at one point on the scalar path alone."""
-    split = default_split(spec.dim) if spec.pair_kind is PairKind.DISJOINT_SUPPORT else None
 
     def objective(x):
         try:
-            inputs = parameterize(x, spec.dim, spec.pair_kind, split)
+            inputs = parameterize(x, spec.dim, spec.pair_kind)
             return bounds.bound_slack(spec.bound_id, *inputs)
         except ZeroVectorError:
             return math.inf
@@ -500,7 +498,6 @@ def test_lockstep_matches_reference_through_fallback_rows(
 def test_batched_rows_equal_the_scalar_objective_bit_for_bit(bound_id, pair_kind):
     rng = np.random.default_rng(7)
     for dim in (2, 5, 16):
-        split = default_split(dim) if pair_kind is PairKind.DISJOINT_SUPPORT else None
         X = rng.standard_normal((24, parameter_count(dim)))
         X[1] *= 1e-12  # blocks near the degeneracy threshold, on either side
         X[2, 2:] = 0.0  # zero blocks
@@ -516,7 +513,7 @@ def test_batched_rows_equal_the_scalar_objective_bit_for_bit(bound_id, pair_kind
         else:
             X[7, 2:4] = 0.0
         with np.errstate(all="ignore"):
-            alpha, beta, phi, psi, ok = _parameterize_rows(X, dim, pair_kind, split)
+            alpha, beta, phi, psi, ok = _parameterize_rows(X, dim, pair_kind)
             slacks, vouched = bounds.row_slacks(
                 bound_id, alpha[ok], beta[ok], phi[ok], psi[ok]
             )
@@ -524,10 +521,10 @@ def test_batched_rows_equal_the_scalar_objective_bit_for_bit(bound_id, pair_kind
         assert vouched.sum() >= 16
         zero = np.flatnonzero(np.flatnonzero(ok) == 7)[0]
         assert not vouched[zero] and math.isnan(slacks[zero])
-        inputs = parameterize(X[7], dim, pair_kind, split)
+        inputs = parameterize(X[7], dim, pair_kind)
         assert math.isfinite(bounds.bound_slack(bound_id, *inputs))
         for i, slack, good in zip(np.flatnonzero(ok), slacks, vouched):
-            coeffs, phi_i, psi_i = parameterize(X[i], dim, pair_kind, split)
+            coeffs, phi_i, psi_i = parameterize(X[i], dim, pair_kind)
             assert np.float64(coeffs.alpha.real).tobytes() == alpha[i].tobytes()
             assert coeffs.alpha.imag == 0.0
             assert np.complex128(coeffs.beta).tobytes() == beta[i].tobytes()
@@ -539,11 +536,11 @@ def test_batched_rows_equal_the_scalar_objective_bit_for_bit(bound_id, pair_kind
 
         # The search's objective gives every row the scalar path's outcome.
         spec = SearchSpec(bound_id=bound_id, dim=dim, pair_kind=pair_kind, seed=0)
-        values, errors = search._objective(spec, split, X)
+        values, errors = search._objective(spec, X)
         degenerate = []
         for i, x in enumerate(X):
             try:
-                expected = bounds.bound_slack(bound_id, *parameterize(x, dim, pair_kind, split))
+                expected = bounds.bound_slack(bound_id, *parameterize(x, dim, pair_kind))
             except ZeroVectorError:
                 expected = math.inf
                 degenerate.append(i)
