@@ -31,7 +31,7 @@ from typing import Optional
 
 from . import __version__
 from .bounds import ALL_BOUND_IDS, BOUNDS, evaluate_all, evaluate_bound
-from .ensembles import EnsembleConfig, sample_pair, summarize_ensemble
+from .ensembles import EnsembleConfig, sample_pair, summarize_ensembles
 from .entropy import pure_state_coherence
 from .errors import CoherenceLabError, ConfigError, ConsistencyError
 from .linalg import StateVector
@@ -349,23 +349,23 @@ def cmd_verify(args, config: dict) -> int:
     tolerance = _setting(args, config, "tolerance")
     split = _setting(args, config, "split")
     started = _now(args)
-    summaries = []
-    total_violations = 0
-    for combo_index, (kind, dim) in enumerate(itertools.product(pair_kinds, dims)):
-        ensemble = EnsembleConfig(
+    ensembles = [
+        EnsembleConfig(
             dim=dim,
             trials=trials,
             pair_kind=kind,
             seed=subseed(seed, combo_index),
             split=split if kind is PairKind.DISJOINT_SUPPORT else None,
         )
-        summary = summarize_ensemble(ensemble, tolerance=tolerance)
-        summaries.append(summary)
-        total_violations += summary["violations"]
+        for combo_index, (kind, dim) in enumerate(itertools.product(pair_kinds, dims))
+    ]
+    summaries = summarize_ensembles(ensembles, tolerance=tolerance)
+    for summary in summaries:
         _log(
-            f"verify: {kind.value} d={dim}: {ensemble.trials} trials, "
+            f"verify: {summary['pair_kind']} d={summary['dim']}: {summary['trials']} trials, "
             f"{summary['violations']} violations, {summary['errors']} errors"
         )
+    total_violations = sum(summary["violations"] for summary in summaries)
     # ``workers`` is validated but selects nothing (trials run serially); it is
     # left out of the echoed config so reports stay byte-identical across it.
     echo = {

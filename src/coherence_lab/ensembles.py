@@ -7,19 +7,22 @@ Within a trial the draw order is fixed: first state, second state (including
 any resampling), then coefficients.
 
 ``run_ensemble`` runs trials one at a time and is the reference.
-``summarize_ensemble`` computes the same summary from chunks of trials held
-in (trials, dim) arrays.  The batched values are the scalar path's floats bit
-for bit (the row forms in ``linalg``, ``superpose``, ``entropy`` and
-``bounds.evaluate_rows``), so every comparison comes out as it does there, and
-exactly the trials at which the scalar path would resample or raise are
-handed back to it.
+``summarize_ensembles`` computes the same summaries from chunks of trials
+held in (trials, dim) arrays.  The batched values are the scalar path's
+floats bit for bit (the row forms in ``linalg``, ``superpose``, ``entropy``
+and ``bounds.evaluate_rows``), so every comparison comes out as it does there,
+and exactly the trials at which the scalar path would resample or raise are
+handed back to it.  ``verify`` passes all its ensembles in one call, which
+draws the streams of same-length chunks of every ensemble in one Philox pass
+of at most ``_PACK_WORDS`` words, so memory still does not grow with the
+trial count or the number of ensembles.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -49,6 +52,10 @@ _MAX_ERROR_SAMPLES = 5
 # Trials per batched chunk times the dimension stays at or below this, which
 # bounds the kernel's memory whatever the trial count.
 _CHUNK_ELEMENTS = 2**14
+# One Philox call draws at most this many words for a pack of chunks: the
+# d = 2 chunk's 4 d + 2 per trial, the most any chunk of 2 or more trials
+# asks for.  A chunk of one trial with a larger stream is drawn alone.
+_PACK_WORDS = 5 * _CHUNK_ELEMENTS
 
 
 @dataclass(frozen=True)
@@ -271,16 +278,29 @@ class _Rows:
         return self.uniforms[:, start] if n is None else self.uniforms[:, start:self.pos]
 
 
-def _batch(config: EnsembleConfig, indices: np.ndarray, tolerance: float):
-    """Evaluate trials ``indices`` of an ensemble on (trials, dim) arrays.
+def _blocks(config: EnsembleConfig) -> tuple[int, int]:
+    """The lengths of the two raw Gaussian vectors a trial draws."""
+    if config.pair_kind is PairKind.DISJOINT_SUPPORT:
+        return config.split
+    return config.dim, config.dim
+
+
+def _stream_length(config: EnsembleConfig) -> int:
+    """Uniforms per batched trial: a pair per complex normal, then theta and phase."""
+    return 2 * sum(_blocks(config)) + 2
+
+
+def _batch(config: EnsembleConfig, uniforms: np.ndarray, tolerance: float):
+    """Evaluate trials of an ensemble on (trials, dim) arrays, one per row of
+    ``uniforms``, which holds each trial's first ``_stream_length`` uniforms.
 
     Returns the mask of trials at which the scalar path resamples or raises,
     which it must run, and for the others, per class and bound id, the
     trials' positions, slacks and verdicts: the scalar path's, bit for bit.
     """
-    kind, dim, n = config.pair_kind, config.dim, indices.size
-    blocks = config.split if kind is PairKind.DISJOINT_SUPPORT else (dim, dim)
-    stream = _Rows(philox_uniforms(subseeds(config.seed, indices), 2 * sum(blocks) + 2))
+    kind, dim, n = config.pair_kind, config.dim, len(uniforms)
+    blocks = _blocks(config)
+    stream = _Rows(uniforms)
 
     phi, _, ok = normalize_rows(complex_normals(stream, blocks[0]))
     raw = complex_normals(stream, blocks[1])
@@ -333,11 +353,13 @@ def _fold(summary: dict, bound_id: str, count: int, violations: int,
     summary["violations"] += violations
 
 
-def _fold_chunk(summary: dict, config: EnsembleConfig, indices: np.ndarray,
-                tolerance: float) -> None:
+def _fold_chunk(summary: dict, config: EnsembleConfig, first: int,
+                uniforms: np.ndarray, tolerance: float) -> None:
+    """Fold trials ``first``, ``first + 1``, ... of an ensemble, one per row
+    of ``uniforms``, into its summary."""
     with np.errstate(all="ignore"):  # rows that overflow or divide by 0 are redone
-        redo, results = _batch(config, indices, tolerance)
-    violated = np.zeros(indices.size, dtype=bool)
+        redo, results = _batch(config, uniforms, tolerance)
+    violated = np.zeros(len(uniforms), dtype=bool)
     for bound_id, rows, slack, satisfied in results:
         if rows.size:
             unsatisfied = rows[~satisfied]
@@ -346,7 +368,7 @@ def _fold_chunk(summary: dict, config: EnsembleConfig, indices: np.ndarray,
             violated[unsatisfied] = True
     records = {}
     for position in np.flatnonzero(redo):
-        record = records[position] = _run_trial(config, int(indices[position]), tolerance)
+        record = records[position] = _run_trial(config, first + int(position), tolerance)
         if record.error is not None:
             summary["errors"] += 1
             if len(summary["error_samples"]) < _MAX_ERROR_SAMPLES:
@@ -356,33 +378,78 @@ def _fold_chunk(summary: dict, config: EnsembleConfig, indices: np.ndarray,
             violated[position] |= not rep.satisfied
     kept = summary["violating_trials"]
     for position in np.flatnonzero(violated)[: _MAX_RECORDED_VIOLATIONS - len(kept)]:
-        record = records.get(position) or _run_trial(config, int(indices[position]), tolerance)
+        record = records.get(position) or _run_trial(config, first + int(position), tolerance)
         kept.append(record.to_dict())
 
 
-def summarize_ensemble(
-    config: EnsembleConfig, *, tolerance: float = TOLERANCES.bound_slack
-) -> dict:
-    """The verify report's summary of an ensemble, streamed over trial chunks.
+def _fold_pack(pack: list, length: int, tolerance: float) -> None:
+    """Draw the streams of same-length chunks in one Philox call, then fold
+    each chunk into its summary.  ``pack`` holds (summary, config, trials),
+    with the chunk's trial indices as a ``range``."""
+    keys = np.concatenate(
+        [subseeds(config.seed, np.arange(trials.start, trials.stop)) for _, config, trials in pack]
+    )
+    uniforms = philox_uniforms(keys, length)
+    start = 0
+    for summary, config, trials in pack:
+        _fold_chunk(summary, config, trials.start, uniforms[start : start + len(trials)], tolerance)
+        start += len(trials)
+
+
+def summarize_ensembles(
+    configs: Sequence[EnsembleConfig], *, tolerance: float = TOLERANCES.bound_slack
+) -> list[dict]:
+    """The verify report's summary of each ensemble, streamed over trial chunks.
 
     Per-bound report counts, violations and slack extremes, the error count,
     the first error strings and the records of the first violating trials,
     all equal to what a fold over ``run_ensemble(config, tolerance=tolerance)``
     gives. Only kept trials get a record.
+
+    The chunks run in rounds, chunk c of every ensemble before chunk c + 1,
+    so each ensemble folds its own chunks in index order.  Within a round,
+    chunks whose trials draw streams of one length share one Philox call of
+    at most ``_PACK_WORDS`` words, which pays numpy's per-call cost once per
+    length rather than once per ensemble while memory stays bounded.
     """
-    summary = {
-        "pair_kind": config.pair_kind.value,
-        "dim": config.dim,
-        "seed": config.seed,
-        "trials": config.trials,
-        "errors": 0,
-        "error_samples": [],
-        "violations": 0,
-        "bounds": {},
-        "violating_trials": [],
-    }
-    step = max(1, _CHUNK_ELEMENTS // config.dim)
-    for start in range(0, config.trials, step):
-        indices = np.arange(start, min(start + step, config.trials))
-        _fold_chunk(summary, config, indices, tolerance)
-    return summary
+    summaries = [
+        {
+            "pair_kind": config.pair_kind.value,
+            "dim": config.dim,
+            "seed": config.seed,
+            "trials": config.trials,
+            "errors": 0,
+            "error_samples": [],
+            "violations": 0,
+            "bounds": {},
+            "violating_trials": [],
+        }
+        for config in configs
+    ]
+    steps = [max(1, _CHUNK_ELEMENTS // config.dim) for config in configs]
+    rounds = max((-(-c.trials // step) for c, step in zip(configs, steps)), default=0)
+    for chunk in range(rounds):
+        lengths: dict[int, list] = {}
+        for summary, config, step in zip(summaries, configs, steps):
+            start = chunk * step
+            if start < config.trials:
+                trials = range(start, min(start + step, config.trials))
+                lengths.setdefault(_stream_length(config), []).append((summary, config, trials))
+        for length, members in lengths.items():
+            pack, words = [], 0
+            for member in members:
+                size = len(member[2]) * length
+                if pack and words + size > _PACK_WORDS:
+                    _fold_pack(pack, length, tolerance)
+                    pack, words = [], 0
+                pack.append(member)
+                words += size
+            _fold_pack(pack, length, tolerance)
+    return summaries
+
+
+def summarize_ensemble(
+    config: EnsembleConfig, *, tolerance: float = TOLERANCES.bound_slack
+) -> dict:
+    """``summarize_ensembles`` of one ensemble."""
+    return summarize_ensembles([config], tolerance=tolerance)[0]

@@ -33,7 +33,12 @@ def norm(vec: np.ndarray) -> float:
 
 
 def _seal(state: "StateVector", amps: np.ndarray) -> "StateVector":
-    """Freeze finite 1-d complex128 ``amps`` into ``state`` after the unit-norm check."""
+    """Freeze finite 1-d complex128 ``amps`` into ``state`` after the unit-norm check.
+
+    The check stays although a vector scaled by its own finite norm above the
+    degeneracy threshold always passes it (to within (d + 4) u, u = 2^-53, see
+    ``normalize_rows``): ``StateVector`` also validates the caller's amplitudes.
+    """
     n = norm(amps)
     if abs(n - 1.0) > TOLERANCES.norm:
         raise ValueError(f"state vector norm is {n!r}, not 1")
@@ -170,15 +175,17 @@ def normalize_rows(raw: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]
 
     Where ``ok`` holds, a row of ``states`` is ``normalize(row).amps`` bit for
     bit.  Elsewhere ``normalize`` rejects the row: its norm is at or below the
-    degeneracy threshold, or the unit-norm check fails.  A non-finite entry
-    makes the norm NaN (failing the first test) or inf (the scaled row then
-    holds NaN or zeros, failing the second), so no separate scan is needed.
-    Rows that are not ok may hold NaN or inf; numpy warns as usual about them.
+    degeneracy threshold, or it is not finite.  A non-finite entry makes the
+    norm NaN or inf, and so does a finite row whose norm overflows (its scaled
+    row then holds zeros, which the unit-norm check rejects), so no separate
+    scan is needed.  A finite norm n above the threshold passes that check:
+    the scaled row's norm is 1 to within about (d + 4) u, u = 2^-53, for d
+    entries (7e-12 at d = 2^16), far inside ``TOLERANCES.norm``.  Rows that
+    are not ok may hold NaN or inf; numpy warns as usual about them.
     """
     n = row_norms(raw)
-    states = raw / n[..., None]
-    ok = (n > TOLERANCES.zero_vector) & (np.abs(row_norms(states) - 1.0) <= TOLERANCES.norm)
-    return states, n, ok
+    ok = (n > TOLERANCES.zero_vector) & (n < np.inf)
+    return raw / n[..., None], n, ok
 
 
 def inner_product(a: StateVector, b: StateVector) -> complex:

@@ -61,7 +61,10 @@ def standard_normals(gen: np.random.Generator, n: int) -> np.ndarray:
 def complex_normals(gen: np.random.Generator, n: int) -> np.ndarray:
     """n independent standard complex Gaussians (N(0,1) real and imaginary parts)."""
     first, second = _box_muller(gen, n)
-    return first + 1j * second
+    out = np.empty(first.shape, dtype=np.complex128)
+    out.real = first
+    out.imag = second
+    return out
 
 
 _U64 = np.uint64
@@ -154,6 +157,7 @@ def philox_raw(keys: np.ndarray, n: int) -> np.ndarray:
         np.bitwise_xor(hi[::-1], b, out=b)
         b ^= key
         a, b = b, lo[::-1]
+    del hi, scratch  # so the words below can take the scratch's memory
 
     # words[j, p, h] is word 4j + 2p + h, c_{2p+h} of block j, for every key:
     # row p of lane h.  Both copies run along contiguous rows of keys.

@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from coherence_lab import cli, search
+from coherence_lab import cli, ensembles, search
 from coherence_lab.cli import canonical_json, format_float, main
 from coherence_lab.errors import ConsistencyError
 
@@ -148,6 +148,20 @@ def test_verify_is_byte_reproducible(tmp_path):
         ["verify", "--config", str(config), "--workers", "4", "--out", str(out_c)]
     ) == 0
     assert out_a.read_bytes() == out_b.read_bytes() == out_c.read_bytes()
+
+
+def test_verify_report_is_the_per_ensemble_summaries(monkeypatch, capsys):
+    # At d = 2 three of the four ensembles share one Philox call.
+    argv = ["verify", "--trials", "30", "--dim", "2", "--seed", "8"]
+    assert run_cli(argv) == 0
+    together = capsys.readouterr().out
+
+    def one_by_one(configs, *, tolerance):
+        return [ensembles.summarize_ensemble(c, tolerance=tolerance) for c in configs]
+
+    monkeypatch.setattr(cli, "summarize_ensembles", one_by_one)
+    assert run_cli(argv) == 0
+    assert capsys.readouterr().out == together
 
 
 def test_verify_flag_overrides_config(tmp_path):

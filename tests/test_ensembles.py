@@ -25,8 +25,13 @@ from coherence_lab import (
     random_orthogonal_pair,
     run_ensemble,
 )
-from coherence_lab.ensembles import _coefficients, _haar_state, summarize_ensemble
-from coherence_lab.rng import MASK64, make_generator, subseed
+from coherence_lab.ensembles import (
+    _coefficients,
+    _haar_state,
+    summarize_ensemble,
+    summarize_ensembles,
+)
+from coherence_lab.rng import MASK64, make_generator, philox_uniforms, subseed, subseeds
 
 
 # --- sub-seed mixing -----------------------------------------------------------
@@ -305,13 +310,79 @@ def test_summary_of_zero_trials():
     assert_matches_scalar(config)
 
 
+def _record_draws(monkeypatch, draw=philox_uniforms):
+    """Wrap the Philox call ``ensembles`` makes; returns the (keys, words) of each."""
+    draws = []
+
+    def recorded(keys, n):
+        draws.append((keys.size, keys.size * n))
+        return draw(keys, n)
+
+    monkeypatch.setattr(ensembles, "philox_uniforms", recorded)
+    return draws
+
+
+MIXED = [
+    # Stream length 10: three kinds at d = 2 and two disjoint pairs, one with
+    # an explicit split, share packs; the d = 3 ones (length 14, one of them
+    # with 0 trials) do not.
+    EnsembleConfig(dim=2, trials=50, pair_kind=PairKind.ARBITRARY, seed=1),
+    EnsembleConfig(dim=2, trials=40, pair_kind=PairKind.NON_ORTHOGONAL, seed=2),
+    EnsembleConfig(dim=2, trials=30, pair_kind=PairKind.ORTHOGONAL_SAME_SPACE, seed=3),
+    EnsembleConfig(dim=4, trials=45, pair_kind=PairKind.DISJOINT_SUPPORT, seed=4),
+    EnsembleConfig(dim=5, trials=20, pair_kind=PairKind.DISJOINT_SUPPORT, seed=5, split=(1, 3)),
+    EnsembleConfig(dim=3, trials=0, pair_kind=PairKind.ARBITRARY, seed=6),
+    EnsembleConfig(dim=3, trials=25, pair_kind=PairKind.NON_ORTHOGONAL, seed=7),
+]
+
+
+def test_summaries_of_many_ensembles_are_each_ones_scalar_fold(monkeypatch):
+    # Chunks of 8, 4, 3 and 5 trials; a pack holds at most 200 words, so a
+    # round of length-10 chunks splits into packs of two and three.
+    monkeypatch.setattr(ensembles, "_CHUNK_ELEMENTS", 16)
+    monkeypatch.setattr(ensembles, "_PACK_WORDS", 200)
+    draws = _record_draws(monkeypatch)
+    got = summarize_ensembles(MIXED, tolerance=1e-9)
+    assert len(got) == len(MIXED)
+    for summary, config in zip(got, MIXED):
+        want = scalar_summary(config, 1e-9)
+        assert summary == want
+        assert canonical_json(summary) == canonical_json(want)
+    assert max(words for _, words in draws) <= 200
+    chunks = sum(-(-c.trials // max(1, 16 // c.dim)) for c in MIXED)
+    assert len(draws) < chunks
+    assert sum(keys for keys, _ in draws) == sum(c.trials for c in MIXED)
+
+
+def test_default_verify_draws_stay_under_the_pack_cap(monkeypatch):
+    draws = _record_draws(monkeypatch, lambda keys, n: np.zeros((keys.size, n)))
+    folded = {}
+
+    def fold(summary, config, first, uniforms, tolerance):
+        assert uniforms.shape[1] == ensembles._stream_length(config)
+        folded.setdefault(config, []).append(range(first, first + len(uniforms)))
+
+    monkeypatch.setattr(ensembles, "_fold_chunk", fold)
+    configs = [
+        EnsembleConfig(dim=dim, trials=10**4, pair_kind=kind, seed=dim)
+        for kind in PairKind
+        for dim in (2, 4, 8, 16)
+    ]
+    summarize_ensembles(configs)
+    assert max(words for _, words in draws) <= ensembles._PACK_WORDS
+    for config in configs:  # each ensemble's chunks, in index order
+        assert [k for trials in folded[config] for k in trials] == list(range(config.trials))
+
+
 def assert_batch_matches_records(config):
     """Per trial, not only the extremes a summary keeps: every batched slack
     and verdict is the scalar report's, and a trial the batch keeps is one the
     scalar path evaluates without resampling or error.  Returns the mask of
     trials the batch hands to the scalar path."""
     with np.errstate(all="ignore"):
-        redo, results = ensembles._batch(config, np.arange(config.trials), 1e-9)
+        keys = subseeds(config.seed, np.arange(config.trials))
+        uniforms = philox_uniforms(keys, ensembles._stream_length(config))
+        redo, results = ensembles._batch(config, uniforms, 1e-9)
     got = {
         (index, bound_id): (value.hex(), verdict)
         for bound_id, rows, slack, satisfied in results
@@ -431,8 +502,8 @@ def test_summary_keeps_first_five_errors(monkeypatch):
     def explode(*args, **kwargs):
         raise CoherenceLabError("synthetic failure")
 
-    def scalar_only(config, indices, tolerance):
-        return np.ones(indices.size, dtype=bool), []
+    def scalar_only(config, uniforms, tolerance):
+        return np.ones(len(uniforms), dtype=bool), []
 
     monkeypatch.setattr(ensembles, "evaluate_all", explode)
     monkeypatch.setattr(ensembles, "_batch", scalar_only)  # every trial runs evaluate_all

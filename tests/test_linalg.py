@@ -195,28 +195,42 @@ def test_row_helpers_equal_norm_and_vdot_bit_for_bit():
     assert count == 72 * (1 + 2 + 5 + 16)
 
 
+def assert_normalize_rows_is_normalize(block):
+    with np.errstate(all="ignore"):
+        states, norms, ok = linalg.normalize_rows(block)
+        for row, state, n, good in zip(block, states, norms.tolist(), ok.tolist()):
+            try:
+                expected = normalize(row)
+            except (ValueError, ZeroVectorError):
+                assert not good
+                continue
+            assert good
+            assert state.tobytes() == expected.amps.tobytes()
+            assert same_float(n, linalg.norm(row))
+    return ok.tolist()
+
+
 def test_normalize_rows_matches_normalize_row_by_row():
     rng = np.random.default_rng(8)
+    edge = []
     for dim in (1, 2, 7, 64):
-        block = rng.standard_normal((12, dim)) + 1j * rng.standard_normal((12, dim))
+        block = rng.standard_normal((14, dim)) + 1j * rng.standard_normal((14, dim))
         block[1] = 0.0
         block[2] *= 1e-14  # below the degeneracy threshold
         block[3, 0] = np.nan
         block[4, -1] = complex(0.0, np.inf)
         block[5] *= 1e160  # the norm overflows
         block[6] *= 1e-300  # so does the norm, to 0
-        with np.errstate(all="ignore"):
-            states, norms, ok = linalg.normalize_rows(block)
-            for row, state, n, good in zip(block, states, norms.tolist(), ok.tolist()):
-                try:
-                    expected = normalize(row)
-                except (ValueError, ZeroVectorError):
-                    assert not good
-                    continue
-                assert good
-                assert state.tobytes() == expected.amps.tobytes()
-                assert same_float(n, linalg.norm(row))
-        assert ok.tolist() == [True] + [False] * 6 + [True] * 5
+        block[12] *= 1e153  # at the overflow edge: the norm is finite or not
+        block[13] *= 1e154
+        ok = assert_normalize_rows_is_normalize(block)
+        assert ok[:12] == [True] + [False] * 6 + [True] * 5
+        edge += ok[12:]
+    assert True in edge and False in edge
+    # The widest state the CLI accepts: the scaled row's norm is furthest from 1.
+    wide = rng.standard_normal((2, 2**16)) + 1j * rng.standard_normal((2, 2**16))
+    wide[1] *= 1e150
+    assert assert_normalize_rows_is_normalize(wide) == [True, True]
 
 
 def test_array_trig_and_exp_equal_the_scalar_calls():

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from coherence_lab import rng
 from coherence_lab.rng import MASK64, make_generator, philox_raw, philox_uniforms, subseed, subseeds
 
 KEYS = 10_000
@@ -57,3 +58,36 @@ def test_subseeds_match_subseed():
         got = subseeds(master, indices)
         assert got.dtype == np.uint64
         assert [int(z) for z in got] == [subseed(master, int(k)) for k in indices]
+
+
+class _Stub:
+    """A generator whose ``random(n)`` hands out fixed uniform blocks in turn."""
+
+    def __init__(self, *blocks):
+        self.blocks = list(blocks)
+
+    def random(self, n):
+        return self.blocks.pop(0)
+
+
+@pytest.mark.parametrize("shape", [(16,), (125, 1), (125, 2), (125, 8), (125, 16), (8192, 2)])
+def test_complex_normals_equal_the_sum_of_their_parts(shape):
+    # At verify's shapes, the one-buffer build equals first + 1j * second bit
+    # for bit whenever no uniform is exactly 0.
+    u1, u2 = np.random.default_rng(len(shape) + shape[-1]).random((2,) + shape)
+    first, second = rng._box_muller(_Stub(u1, u2), shape[-1])
+    got = rng.complex_normals(_Stub(u1, u2), shape[-1])
+    assert got.dtype == np.complex128 and got.shape == shape
+    assert got.tobytes() == (first + 1j * second).tobytes()
+
+
+def test_complex_normals_at_zero_radius_keep_the_signs_of_their_parts():
+    # A first uniform of exactly 0 gives radius sqrt(-0.0) = -0.0, so both
+    # parts are signed zeros; they land in the result as they are.
+    u2 = np.array([0.1, 0.3, 0.6, 0.9])  # one angle per quadrant
+    first, second = rng._box_muller(_Stub(np.zeros(4), u2), 4)
+    got = rng.complex_normals(_Stub(np.zeros(4), u2), 4)
+    assert not got.any()
+    assert got.real.tobytes() == first.tobytes()
+    assert got.imag.tobytes() == second.tobytes()
+    assert len(set(zip(np.signbit(got.real), np.signbit(got.imag)))) == 4
