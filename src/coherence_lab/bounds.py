@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import hashlib
 import struct
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Callable
 
 import numpy as np
@@ -68,15 +68,7 @@ class BoundReport:
     inputs_digest: str
 
     def to_dict(self) -> dict:
-        return {
-            "bound_id": self.bound_id,
-            "lhs": self.lhs,
-            "rhs": self.rhs,
-            "slack": self.slack,
-            "satisfied": self.satisfied,
-            "tolerance": self.tolerance,
-            "inputs_digest": self.inputs_digest,
-        }
+        return asdict(self)
 
 
 def inputs_digest(
@@ -406,14 +398,13 @@ def evaluate_all(
     Disjoint support: equality, gain ceiling, orthogonal upper bound, and
     both lower-bound branches.  Orthogonal same-space: orthogonal upper bound
     plus lower bounds.  Non-orthogonal: general upper bound plus lower
-    bounds.  The lower bounds are skipped when the superposition norm is
-    numerically zero.
+    bounds.  Every class bound reads the normalized superposition, so when
+    the branches cancel (norm numerically zero) this raises
+    ``ZeroVectorError``.
     """
     ctx = _PairContext(coeffs, phi, psi)
-    reports = [_report(ctx, b, tolerance) for b in _CLASS_BOUNDS[ctx.pair_class.tag]]
-    if ctx.s > TOLERANCES.zero_vector:
-        reports += [_report(ctx, b, tolerance) for b in _LOWER_BOUNDS]
-    return reports
+    bound_ids = _CLASS_BOUNDS[ctx.pair_class.tag] + _LOWER_BOUNDS
+    return [_report(ctx, b, tolerance) for b in bound_ids]
 
 
 class _ClassRows(_PairContext):

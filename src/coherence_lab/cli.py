@@ -11,10 +11,11 @@ Machine-readable payloads go to stdout or ``--out``; log lines go to stderr.
 Exit codes: 0 success, 1 at least one bound report unsatisfied, 2 usage or
 configuration error, 3 an internal invariant failed (``ConsistencyError``).
 
-Reports are byte-reproducible: canonical JSON uses sorted keys and fixed
-17-significant-digit floats, and the ``started_at`` / ``finished_at`` fields
-stay null unless ``--timestamps`` is passed (wall-clock time would break
-byte-identical re-runs).
+Reports are byte-reproducible: canonical JSON uses sorted keys and writes
+each float as Python's shortest round-trip ``repr``, the format of ``sweep``'s
+CSV, and the ``started_at`` / ``finished_at`` fields stay null unless
+``--timestamps`` is passed (wall-clock time would break byte-identical
+re-runs).
 """
 
 from __future__ import annotations
@@ -53,47 +54,10 @@ def _log(message: str) -> None:
 # canonical JSON and the report envelope
 
 
-def format_float(value: float) -> str:
-    """Fixed 17-significant-digit decimal; always re-parses to the same bits."""
-    if math.isnan(value) or math.isinf(value):
-        raise ValueError("reports must not contain NaN or infinity")
-    text = f"{value:.17g}"
-    if not any(ch in text for ch in ".eE"):
-        text += ".0"
-    return text
-
-
 def canonical_json(obj) -> str:
-    """Deterministic JSON: sorted keys, 2-space indent, fixed float format."""
-
-    def render(node, level: int) -> str:
-        pad = "  " * level
-        if node is None:
-            return "null"
-        if isinstance(node, bool):
-            return "true" if node else "false"
-        if isinstance(node, int):
-            return str(node)
-        if isinstance(node, float):
-            return format_float(node)
-        if isinstance(node, str):
-            return json.dumps(node)
-        if isinstance(node, (list, tuple)):
-            if not node:
-                return "[]"
-            body = ",\n".join(f"{pad}  {render(v, level + 1)}" for v in node)
-            return "[\n" + body + "\n" + pad + "]"
-        if isinstance(node, dict):
-            if not node:
-                return "{}"
-            body = ",\n".join(
-                f"{pad}  {json.dumps(str(k))}: {render(v, level + 1)}"
-                for k, v in sorted(node.items())
-            )
-            return "{\n" + body + "\n" + pad + "}"
-        raise TypeError(f"cannot serialize {type(node).__name__} canonically")
-
-    return render(obj, 0) + "\n"
+    """Deterministic JSON: sorted keys, 2-space indent, floats as Python's
+    shortest round-trip ``repr``; NaN and infinity raise ``ValueError``."""
+    return json.dumps(obj, sort_keys=True, indent=2, allow_nan=False) + "\n"
 
 
 def _now(args) -> Optional[str]:

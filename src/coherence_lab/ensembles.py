@@ -21,7 +21,7 @@ trial count or the number of ensembles.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Optional, Sequence
 
 import numpy as np
@@ -98,13 +98,9 @@ class TrialRecord:
     error: Optional[str]
 
     def to_dict(self) -> dict:
-        return {
-            "index": self.index,
-            "seed": self.seed,
-            "pair_class": self.pair_class,
-            "reports": [r.to_dict() for r in self.reports],
-            "error": self.error,
-        }
+        record = asdict(self)
+        record["reports"] = list(record["reports"])  # asdict keeps the tuple
+        return record
 
 
 def default_split(dim: int) -> tuple[int, int]:

@@ -145,6 +145,15 @@ def superpose_rows(
     return s, normalized, ok
 
 
+def _branches(
+    coeffs: SuperpositionCoefficients, phi: StateVector, psi: StateVector
+) -> tuple[np.ndarray, np.ndarray]:
+    """The raw sum and difference branches alpha*phi + beta*psi, alpha*phi - beta*psi."""
+    _require_same_dim(phi, psi)
+    alpha_phi, beta_psi = coeffs.alpha * phi.amps, coeffs.beta * psi.amps
+    return alpha_phi + beta_psi, alpha_phi - beta_psi
+
+
 def t_states(
     coeffs: SuperpositionCoefficients, phi: StateVector, psi: StateVector
 ) -> tuple[StateVector, StateVector]:
@@ -153,9 +162,7 @@ def t_states(
     T1 = (alpha*phi + beta*psi)/||.||, T2 = (alpha*phi - beta*psi)/||.||.
     Raises ZeroVectorError naming the branch that degenerated.
     """
-    _require_same_dim(phi, psi)
-    raw_plus = coeffs.alpha * phi.amps + coeffs.beta * psi.amps
-    raw_minus = coeffs.alpha * phi.amps - coeffs.beta * psi.amps
+    raw_plus, raw_minus = _branches(coeffs, phi, psi)
     s_plus = norm(raw_plus)
     if s_plus <= TOLERANCES.zero_vector:
         raise ZeroVectorError("sum branch (T1) of the superposition is degenerate")
@@ -218,9 +225,7 @@ def mixing_identity_residual(
     raw (unnormalized) branches, this covers the normalized form too: the
     branch norms are exactly the weights the normalized version uses.
     """
-    _require_same_dim(phi, psi)
-    raw_plus = coeffs.alpha * phi.amps + coeffs.beta * psi.amps
-    raw_minus = coeffs.alpha * phi.amps - coeffs.beta * psi.amps
+    raw_plus, raw_minus = _branches(coeffs, phi, psi)
     lhs = 0.5 * np.abs(raw_plus) ** 2 + 0.5 * np.abs(raw_minus) ** 2
     rhs = coeffs.alpha_sq * np.abs(phi.amps) ** 2 + coeffs.beta_sq * np.abs(psi.amps) ** 2
     return float(np.max(np.abs(lhs - rhs)))
@@ -230,9 +235,7 @@ def norm_identity_residual(
     coeffs: SuperpositionCoefficients, phi: StateVector, psi: StateVector
 ) -> float:
     """|s_plus^2 + s_minus^2 - 2| for the sum and difference branches."""
-    _require_same_dim(phi, psi)
-    raw_plus = coeffs.alpha * phi.amps + coeffs.beta * psi.amps
-    raw_minus = coeffs.alpha * phi.amps - coeffs.beta * psi.amps
+    raw_plus, raw_minus = _branches(coeffs, phi, psi)
     s_plus_sq = norm(raw_plus) ** 2
     s_minus_sq = norm(raw_minus) ** 2
     return abs(s_plus_sq + s_minus_sq - 2.0)

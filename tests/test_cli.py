@@ -3,6 +3,7 @@
 import json
 import math
 import re
+import struct
 from datetime import datetime, timedelta
 from pathlib import Path
 
@@ -10,7 +11,7 @@ import numpy as np
 import pytest
 
 from coherence_lab import cli, ensembles, search
-from coherence_lab.cli import canonical_json, format_float, main
+from coherence_lab.cli import canonical_json, main
 from coherence_lab.errors import ConsistencyError
 
 INV_SQRT2 = 1.0 / math.sqrt(2.0)
@@ -336,10 +337,10 @@ def test_sweep_requires_bound_and_grid():
 
 def test_sweep_json_format_round_trips(tmp_path):
     out = tmp_path / "sweep.json"
-    run_cli(
+    assert run_cli(
         ["sweep", "--bound", "T2_UPPER", "--dim", "2", "--seed", "3",
          "--grid", "0.25,0.5,0.75", "--format", "json", "--out", str(out)]
-    )
+    ) == 0
     raw = out.read_text(encoding="utf-8")
     assert canonical_json(json.loads(raw)) == raw
 
@@ -485,19 +486,30 @@ def test_csv_format_rejected_where_unsupported():
 
 
 def test_canonical_json_round_trips_parsed_reports(tmp_path):
-    out = tmp_path / "demo.json"
-    run_cli(["demo", "--out", str(out)])
-    raw = out.read_text(encoding="utf-8")
-    assert canonical_json(json.loads(raw)) == raw
+    commands = {
+        "demo": ["demo"],
+        "verify": ["verify", "--dim", "4", "--trials", "40", "--seed", "3"],
+        "saturate": ["saturate", "--bound", "GAIN_LE_1", "--restarts", "1",
+                     "--iterations", "20"],
+    }
+    for name, args in commands.items():
+        out = tmp_path / f"{name}.json"
+        assert run_cli(args + ["--out", str(out)]) == 0, name
+        raw = out.read_text(encoding="utf-8")
+        assert canonical_json(json.loads(raw)) == raw, name
 
 
-def test_format_float_is_reparse_stable():
-    for value in (0.1, 1.0, -0.0, 1e-300, 123456.789, 2.0 / 3.0, 1e22):
-        text = format_float(value)
-        assert float(text) == value or (value == -0.0 and float(text) == 0.0)
-        assert format_float(float(text)) == text
+@pytest.mark.parametrize(
+    "value", [0.1, 1.0, -0.0, 1e-300, 5e-324, 123456.789, 2.0 / 3.0, 1e22, 1e-9]
+)
+def test_canonical_json_writes_each_float_as_its_repr(value):
+    text = canonical_json({"x": value})
+    assert text == f'{{\n  "x": {value!r}\n}}\n'
+    parsed = json.loads(text)["x"]
+    assert struct.pack("<d", parsed) == struct.pack("<d", value)
 
 
 def test_canonical_json_rejects_non_finite():
-    with pytest.raises(ValueError):
-        canonical_json({"bad": float("nan")})
+    for value in (float("nan"), float("inf"), float("-inf")):
+        with pytest.raises(ValueError):
+            canonical_json({"bad": value})
