@@ -7,19 +7,28 @@ Within a trial the draw order is fixed: first state, second state (including
 any resampling), then coefficients.
 
 ``run_ensemble`` runs trials one at a time and is the reference.
-``summarize_ensembles`` computes the same summaries from chunks of trials
-held in (trials, dim) arrays.  The batched values are the scalar path's
-floats bit for bit (the row forms in ``linalg``, ``superpose``, ``entropy``
-and ``bounds.evaluate_rows``), so every comparison comes out as it does there,
-and exactly the trials at which the scalar path would resample or raise are
-handed back to it.  ``verify`` passes all its ensembles in one call, which
-draws the streams of same-length chunks of every ensemble in one Philox pass
-of at most ``_PACK_WORDS`` words, so memory still does not grow with the
-trial count or the number of ensembles.
+``summarize_ensembles`` computes the same summaries in passes over the trials
+of all its ensembles, held in (trials, dim) arrays.  The batched values are
+the scalar path's floats bit for bit (the row-local forms in ``linalg``,
+``superpose``, ``entropy`` and ``bounds.evaluate_rows``), so every comparison
+comes out as it does there, and exactly the trials at which the scalar path
+would resample or raise are handed back to it.
+
+A pass holds at most ``_CHUNK_ELEMENTS`` trial x dim elements, or one trial,
+so memory grows neither with the trial count nor with the ensembles, and
+pays numpy's per-call cost per pass, not per ensemble.  It draws once per
+stream length (at most 5 ``_CHUNK_ELEMENTS`` words, 4 d + 2 per trial), runs
+the Box-Muller draws, projection, ``class_masks``, ``superpose_rows`` and
+``row_coherences`` once per group (one dimension and pair of raw block
+lengths, disjoint or not), and the coefficients and ``evaluate_rows`` (per
+class) once.  Disjoint rows keep their own coherence call: beside Haar rows,
+which support every column, their zero amplitudes would be NaN, and they
+would fall back to the scalar path.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import asdict, dataclass
 from typing import Optional, Sequence
@@ -49,13 +58,9 @@ _PROJECTION_FLOOR = 1e-6
 # error strings, the first ones in trial-index order.
 _MAX_RECORDED_VIOLATIONS = 20
 _MAX_ERROR_SAMPLES = 5
-# Trials per batched chunk times the dimension stays at or below this, which
-# bounds the kernel's memory whatever the trial count.
+# A pass holds trials whose dimensions sum to at most this (unless it is one
+# trial), which bounds the kernel's memory whatever the trial count.
 _CHUNK_ELEMENTS = 2**14
-# One Philox call draws at most this many words for a pack of chunks: the
-# d = 2 chunk's 4 d + 2 per trial, the most any chunk of 2 or more trials
-# asks for.  A chunk of one trial with a larger stream is drawn alone.
-_PACK_WORDS = 5 * _CHUNK_ELEMENTS
 
 
 @dataclass(frozen=True)
@@ -286,43 +291,84 @@ def _stream_length(config: EnsembleConfig) -> int:
     return 2 * sum(_blocks(config)) + 2
 
 
-def _batch(config: EnsembleConfig, uniforms: np.ndarray, tolerance: float):
-    """Evaluate trials of an ensemble on (trials, dim) arrays, one per row of
-    ``uniforms``, which holds each trial's first ``_stream_length`` uniforms.
+def _group(config: EnsembleConfig) -> tuple[int, int, tuple[int, int]]:
+    """Trials that share a pass's row-wise stages: of one dimension and pair
+    of raw block lengths, hence disjoint or not.  The stream length leads, so
+    groups that share a Philox call sort side by side."""
+    return _stream_length(config), config.dim, _blocks(config)
 
-    Returns the mask of trials at which the scalar path resamples or raises,
-    which it must run, and for the others, per class and bound id, the
-    trials' positions, slacks and verdicts: the scalar path's, bit for bit.
-    """
-    kind, dim, n = config.pair_kind, config.dim, len(uniforms)
-    blocks = _blocks(config)
+
+def _group_rows(members: list, uniforms: np.ndarray, alpha: np.ndarray, beta: np.ndarray):
+    """Per-row values of one group's segments, orthogonal ones last, one trial
+    per row of ``uniforms`` and of the coefficients: (the class masks, the
+    overlaps, ``ok`` and the values ``evaluate_rows`` reads)."""
+    _, dim, (d1, d2) = _group(members[0][1])
+    kinds = [(config.pair_kind, len(trials)) for _, config, trials in members]
     stream = _Rows(uniforms)
-
-    phi, _, ok = normalize_rows(complex_normals(stream, blocks[0]))
-    raw = complex_normals(stream, blocks[1])
-    if kind is PairKind.ORTHOGONAL_SAME_SPACE:
-        raw = raw - row_vdot(phi, raw)[:, None] * phi
-        ok &= row_norms(raw) > _PROJECTION_FLOOR
-        raw = raw - row_vdot(phi, raw)[:, None] * phi
+    phi, _, ok = normalize_rows(complex_normals(stream, d1))
+    raw = complex_normals(stream, d2)
+    orthogonal = sum(n for kind, n in kinds if kind is PairKind.ORTHOGONAL_SAME_SPACE)
+    if orthogonal:
+        last = slice(len(raw) - orthogonal, None)
+        base, drawn = phi[last], raw[last]
+        projected = drawn - row_vdot(base, drawn)[:, None] * base
+        ok[last] &= row_norms(projected) > _PROJECTION_FLOOR
+        np.subtract(projected, row_vdot(base, projected)[:, None] * base, out=drawn)
     psi, _, psi_ok = normalize_rows(raw)
     ok &= psi_ok
-    if kind is PairKind.DISJOINT_SUPPORT:
-        d1, d2 = blocks
+    if members[0][1].pair_kind is PairKind.DISJOINT_SUPPORT:
+        n = len(raw)
         phi = np.concatenate([phi, np.zeros((n, dim - d1))], axis=1)
         psi = np.concatenate([np.zeros((n, d1)), psi, np.zeros((n, dim - d1 - d2))], axis=1)
     classes, overlap = class_masks(phi, psi)
-    if kind is PairKind.NON_ORTHOGONAL:
-        ok &= moduli(overlap) > TOLERANCES.overlap
-
-    alpha, beta = _coefficient_pair(stream)
-    alpha_sq, beta_sq, weights_ok = coefficient_weights(alpha, beta)
+    start = 0
+    for kind, n in kinds:
+        if kind is PairKind.NON_ORTHOGONAL:
+            ok[start : start + n] &= moduli(overlap[start : start + n]) > TOLERANCES.overlap
+        start += n
     s, omega, superposed = superpose_rows(alpha, beta, phi, psi)
-    ok &= weights_ok & superposed
-    values = {"alpha_sq": alpha_sq, "beta_sq": beta_sq, "s": s}
+    values = {"overlap": overlap, "ok": ok & superposed, "s": s}
     for name, state in (("phi", phi), ("psi", psi), ("t1", omega)):
+        # The group's own call: beside Haar rows, a disjoint row's zeros are NaN.
         coherence, vouched = row_coherences(state[:, None])
         values["coherence_" + name] = coherence[:, 0]
-        ok &= vouched
+        values["ok"] &= vouched
+    return classes, values
+
+
+def _joined(parts: list) -> np.ndarray:
+    """``np.concatenate(parts)``, without its copy when there is one part."""
+    return parts[0] if len(parts) == 1 else np.concatenate(parts)
+
+
+def _pass(segments: list, tolerance: float):
+    """Evaluate a pass on arrays, one trial per row in segment order.
+    ``segments`` holds (summary, config, trials), each segment's trial indices
+    as a ``range``, sorted by ``_group`` with orthogonal ones last in a group.
+
+    Returns the mask of rows at which the scalar path resamples or raises,
+    which it must run, and for the others, per class and bound id, the rows,
+    slacks and verdicts: the scalar path's, bit for bit.
+    """
+    groups = [list(members) for _, members in itertools.groupby(segments, lambda seg: _group(seg[1]))]
+    uniforms = []
+    for length, same in itertools.groupby(groups, lambda members: _stream_length(members[0][1])):
+        same = list(same)
+        drawn = philox_uniforms(np.concatenate([
+            subseeds(config.seed, np.arange(trials.start, trials.stop))
+            for members in same for _, config, trials in members
+        ]), length)
+        sizes = [sum(len(trials) for _, _, trials in members) for members in same]
+        uniforms += np.split(drawn, np.cumsum(sizes)[:-1])
+    alpha, beta = _coefficient_pair(_Rows(_joined([u[:, -2:] for u in uniforms])))
+    alpha_sq, beta_sq, ok = coefficient_weights(alpha, beta)
+    edges = np.cumsum([len(u) for u in uniforms])[:-1]
+    parts = list(map(_group_rows, groups, uniforms, np.split(alpha, edges), np.split(beta, edges)))
+    classes = {kind: _joined([c[kind] for c, _ in parts]) for kind in parts[0][0]}
+    values = {name: _joined([v[name] for _, v in parts]) for name in parts[0][1]}
+    overlap = values.pop("overlap")
+    ok &= values.pop("ok")
+    values.update(alpha_sq=alpha_sq, beta_sq=beta_sq)
 
     results = []
     for pair_class, members in classes.items():
@@ -349,19 +395,10 @@ def _fold(summary: dict, bound_id: str, count: int, violations: int,
     summary["violations"] += violations
 
 
-def _fold_chunk(summary: dict, config: EnsembleConfig, first: int,
-                uniforms: np.ndarray, tolerance: float) -> None:
-    """Fold trials ``first``, ``first + 1``, ... of an ensemble, one per row
-    of ``uniforms``, into its summary."""
-    with np.errstate(all="ignore"):  # rows that overflow or divide by 0 are redone
-        redo, results = _batch(config, uniforms, tolerance)
-    violated = np.zeros(len(uniforms), dtype=bool)
-    for bound_id, rows, slack, satisfied in results:
-        if rows.size:
-            unsatisfied = rows[~satisfied]
-            _fold(summary, bound_id, rows.size, unsatisfied.size,
-                  float(slack.min()), float(slack.max()))
-            violated[unsatisfied] = True
+def _fold_scalar(summary: dict, config: EnsembleConfig, first: int, redo: np.ndarray,
+                 violated: np.ndarray, tolerance: float) -> None:
+    """Fold in the trials ``first + i`` that ``redo[i]`` marks, run on the
+    scalar path, then record the violating trials up to the cap."""
     records = {}
     for position in np.flatnonzero(redo):
         record = records[position] = _run_trial(config, first + int(position), tolerance)
@@ -378,35 +415,41 @@ def _fold_chunk(summary: dict, config: EnsembleConfig, first: int,
         kept.append(record.to_dict())
 
 
-def _fold_pack(pack: list, length: int, tolerance: float) -> None:
-    """Draw the streams of same-length chunks in one Philox call, then fold
-    each chunk into its summary.  ``pack`` holds (summary, config, trials),
-    with the chunk's trial indices as a ``range``."""
-    keys = np.concatenate(
-        [subseeds(config.seed, np.arange(trials.start, trials.stop)) for _, config, trials in pack]
-    )
-    uniforms = philox_uniforms(keys, length)
-    start = 0
-    for summary, config, trials in pack:
-        _fold_chunk(summary, config, trials.start, uniforms[start : start + len(trials)], tolerance)
-        start += len(trials)
+def _fold_pass(segments: list, tolerance: float) -> None:
+    """Fold a pass's trials into their ensembles' summaries."""
+    with np.errstate(all="ignore"):  # rows that overflow or divide by 0 are redone
+        redo, results = _pass(segments, tolerance)
+    edges = np.cumsum([0] + [len(trials) for _, _, trials in segments])
+    violated = np.zeros(len(redo), dtype=bool)
+    for bound_id, rows, slack, satisfied in results:
+        unsatisfied = rows[~satisfied]
+        violated[unsatisfied] = True
+        cuts = np.searchsorted(rows, edges).tolist()
+        bad = np.searchsorted(unsatisfied, edges).tolist()
+        for i, (summary, _, _) in enumerate(segments):
+            lo, hi = cuts[i], cuts[i + 1]
+            if hi > lo:
+                _fold(summary, bound_id, hi - lo, bad[i + 1] - bad[i],
+                      float(slack[lo:hi].min()), float(slack[lo:hi].max()))
+    for (summary, config, trials), first in zip(segments, edges.tolist()):
+        rows = slice(first, first + len(trials))
+        _fold_scalar(summary, config, trials.start, redo[rows], violated[rows], tolerance)
 
 
 def summarize_ensembles(
     configs: Sequence[EnsembleConfig], *, tolerance: float = TOLERANCES.bound_slack
 ) -> list[dict]:
-    """The verify report's summary of each ensemble, streamed over trial chunks.
+    """The verify report's summary of each ensemble, streamed over passes.
 
     Per-bound report counts, violations and slack extremes, the error count,
     the first error strings and the records of the first violating trials,
     all equal to what a fold over ``run_ensemble(config, tolerance=tolerance)``
     gives. Only kept trials get a record.
 
-    The chunks run in rounds, chunk c of every ensemble before chunk c + 1,
-    so each ensemble folds its own chunks in index order.  Within a round,
-    chunks whose trials draw streams of one length share one Philox call of
-    at most ``_PACK_WORDS`` words, which pays numpy's per-call cost once per
-    length rather than once per ensemble while memory stays bounded.
+    A pass takes the next trials of each ensemble in turn, ordered by
+    ``_group``, up to ``_CHUNK_ELEMENTS`` trial x dim elements and at least
+    one trial, so each ensemble folds its trials in index order.  Its stages
+    run per stream length, per group and per pass (module docstring).
     """
     summaries = [
         {
@@ -422,26 +465,22 @@ def summarize_ensembles(
         }
         for config in configs
     ]
-    steps = [max(1, _CHUNK_ELEMENTS // config.dim) for config in configs]
-    rounds = max((-(-c.trials // step) for c, step in zip(configs, steps)), default=0)
-    for chunk in range(rounds):
-        lengths: dict[int, list] = {}
-        for summary, config, step in zip(summaries, configs, steps):
-            start = chunk * step
-            if start < config.trials:
-                trials = range(start, min(start + step, config.trials))
-                lengths.setdefault(_stream_length(config), []).append((summary, config, trials))
-        for length, members in lengths.items():
-            pack, words = [], 0
-            for member in members:
-                size = len(member[2]) * length
-                if pack and words + size > _PACK_WORDS:
-                    _fold_pack(pack, length, tolerance)
-                    pack, words = [], 0
-                pack.append(member)
-                words += size
-            _fold_pack(pack, length, tolerance)
-    return summaries
+    order = sorted(range(len(configs)), key=lambda i: (
+        _group(configs[i]), configs[i].pair_kind is PairKind.ORTHOGONAL_SAME_SPACE))
+    done = [0] * len(configs)
+    while True:
+        segments, elements = [], 0
+        for i in order:
+            config = configs[i]
+            take = min(config.trials - done[i], max(0, _CHUNK_ELEMENTS - elements) // config.dim)
+            if take or (not segments and done[i] < config.trials):
+                take = max(take, 1)
+                segments.append((summaries[i], config, range(done[i], done[i] + take)))
+                done[i] += take
+                elements += take * config.dim
+        if not segments:
+            return summaries
+        _fold_pass(segments, tolerance)
 
 
 def summarize_ensemble(

@@ -1,5 +1,6 @@
 """Seeded sampling distributions, determinism, and trial aggregation."""
 
+import collections
 import importlib
 import math
 from dataclasses import replace
@@ -323,9 +324,9 @@ def _record_draws(monkeypatch, draw=philox_uniforms):
 
 
 MIXED = [
-    # Stream length 10: three kinds at d = 2 and two disjoint pairs, one with
-    # an explicit split, share packs; the d = 3 ones (length 14, one of them
-    # with 0 trials) do not.
+    # Stream length 10: three kinds at d = 2 (one group) and two disjoint
+    # groups, one with an explicit split, share a pass's Philox call; the
+    # d = 3 ones (length 14, one of them with 0 trials) do not.
     EnsembleConfig(dim=2, trials=50, pair_kind=PairKind.ARBITRARY, seed=1),
     EnsembleConfig(dim=2, trials=40, pair_kind=PairKind.NON_ORTHOGONAL, seed=2),
     EnsembleConfig(dim=2, trials=30, pair_kind=PairKind.ORTHOGONAL_SAME_SPACE, seed=3),
@@ -337,10 +338,10 @@ MIXED = [
 
 
 def test_summaries_of_many_ensembles_are_each_ones_scalar_fold(monkeypatch):
-    # Chunks of 8, 4, 3 and 5 trials; a pack holds at most 200 words, so a
-    # round of length-10 chunks splits into packs of two and three.
+    # Passes of at most 16 trial x dim elements: d = 2 and d = 4 ensembles
+    # share passes, and the length-10 streams of a pass share one Philox call
+    # of at most 5 x 16 words.
     monkeypatch.setattr(ensembles, "_CHUNK_ELEMENTS", 16)
-    monkeypatch.setattr(ensembles, "_PACK_WORDS", 200)
     draws = _record_draws(monkeypatch)
     got = summarize_ensembles(MIXED, tolerance=1e-9)
     assert len(got) == len(MIXED)
@@ -348,66 +349,160 @@ def test_summaries_of_many_ensembles_are_each_ones_scalar_fold(monkeypatch):
         want = scalar_summary(config, 1e-9)
         assert summary == want
         assert canonical_json(summary) == canonical_json(want)
-    assert max(words for _, words in draws) <= 200
+    assert max(words for _, words in draws) <= 5 * 16
     chunks = sum(-(-c.trials // max(1, 16 // c.dim)) for c in MIXED)
     assert len(draws) < chunks
     assert sum(keys for keys, _ in draws) == sum(c.trials for c in MIXED)
 
 
+def _record_passes(monkeypatch):
+    """Wrap ``ensembles._pass``; returns the (segments, redo, results) of each."""
+    passes = []
+    evaluate = ensembles._pass
+
+    def recorded(segments, tolerance):
+        redo, results = evaluate(segments, tolerance)
+        passes.append((segments, redo, results))
+        return redo, results
+
+    monkeypatch.setattr(ensembles, "_pass", recorded)
+    return passes
+
+
+def _folded_trials(passes, summaries):
+    """Each summary's trial indices, in the order its passes folded them."""
+    folded = {id(summary): [] for summary in summaries}
+    for segments, _, _ in passes:
+        for summary, _, trials in segments:
+            folded[id(summary)].extend(trials)
+    return [folded[id(summary)] for summary in summaries]
+
+
 def test_default_verify_draws_stay_under_the_pack_cap(monkeypatch):
+    # Zero uniforms make every row degenerate, and the scalar fallback is
+    # replaced by a no-op, so this runs the passes and their draws only.
     draws = _record_draws(monkeypatch, lambda keys, n: np.zeros((keys.size, n)))
-    folded = {}
-
-    def fold(summary, config, first, uniforms, tolerance):
-        assert uniforms.shape[1] == ensembles._stream_length(config)
-        folded.setdefault(config, []).append(range(first, first + len(uniforms)))
-
-    monkeypatch.setattr(ensembles, "_fold_chunk", fold)
+    passes = _record_passes(monkeypatch)
+    monkeypatch.setattr(ensembles, "_fold_scalar", lambda *args: None)
     configs = [
         EnsembleConfig(dim=dim, trials=10**4, pair_kind=kind, seed=dim)
         for kind in PairKind
         for dim in (2, 4, 8, 16)
     ]
-    summarize_ensembles(configs)
-    assert max(words for _, words in draws) <= ensembles._PACK_WORDS
-    for config in configs:  # each ensemble's chunks, in index order
-        assert [k for trials in folded[config] for k in trials] == list(range(config.trials))
+    summaries = summarize_ensembles(configs)
+    assert max(words for _, words in draws) <= 5 * ensembles._CHUNK_ELEMENTS
+    drawn, want = collections.Counter(), collections.Counter()
+    for keys, words in draws:  # every trial's stream, once, at its length
+        drawn[words // keys] += keys
+    for config in configs:
+        want[ensembles._stream_length(config)] += config.trials
+    assert drawn == want
+    for segments, _, _ in passes:
+        assert sum(len(trials) * config.dim for _, config, trials in segments) <= ensembles._CHUNK_ELEMENTS
+    # each ensemble's trials, once and in index order
+    for trials, config in zip(_folded_trials(passes, summaries), configs):
+        assert trials == list(range(config.trials))
 
 
-def assert_batch_matches_records(config):
-    """Per trial, not only the extremes a summary keeps: every batched slack
-    and verdict is the scalar report's, and a trial the batch keeps is one the
-    scalar path evaluates without resampling or error.  Returns the mask of
-    trials the batch hands to the scalar path."""
-    with np.errstate(all="ignore"):
-        keys = subseeds(config.seed, np.arange(config.trials))
-        uniforms = philox_uniforms(keys, ensembles._stream_length(config))
-        redo, results = ensembles._batch(config, uniforms, 1e-9)
+def test_a_pass_over_the_budget_holds_one_trial(monkeypatch):
+    # A d = 33 trial alone exceeds a 16-element budget: its pass holds just
+    # that trial, the d = 2 trials fill passes of their own, and every
+    # trial folds once, in index order.
+    monkeypatch.setattr(ensembles, "_CHUNK_ELEMENTS", 16)
+    draws = _record_draws(monkeypatch)
+    passes = _record_passes(monkeypatch)
+    configs = [
+        EnsembleConfig(dim=2, trials=21, pair_kind=PairKind.NON_ORTHOGONAL, seed=8),
+        EnsembleConfig(dim=33, trials=3, pair_kind=PairKind.ARBITRARY, seed=9),
+        EnsembleConfig(dim=33, trials=2, pair_kind=PairKind.DISJOINT_SUPPORT, seed=10),
+    ]
+    summaries = summarize_ensembles(configs, tolerance=1e-9)
+    for segments, _, _ in passes:
+        if any(config.dim == 33 for _, config, _ in segments):
+            assert [len(trials) for _, _, trials in segments] == [1]
+        else:
+            assert sum(len(trials) * config.dim for _, config, trials in segments) <= 16
+    assert len(passes) == 3 + 2 + 3  # 21 d = 2 trials, 8 per pass
+    for trials, config in zip(_folded_trials(passes, summaries), configs):
+        assert trials == list(range(config.trials))
+    for keys, words in draws:
+        assert words <= 5 * 16 or (keys == 1 and words == 4 * 33 + 2)
+    for summary, config in zip(summaries, configs):
+        assert summary == scalar_summary(config, 1e-9)
+
+
+def assert_pass_matches_records(monkeypatch, configs):
+    """Per trial, not only the extremes a summary keeps: in one pass over
+    every trial of ``configs``, every batched slack and verdict is the scalar
+    report's, and a trial the pass keeps is one the scalar path evaluates
+    without resampling or error.  Each summary is its scalar fold.  Returns,
+    per ensemble, the mask of trials the pass hands to the scalar path."""
+    monkeypatch.setattr(ensembles, "_CHUNK_ELEMENTS", sum(c.trials * c.dim for c in configs))
+    passes = _record_passes(monkeypatch)
+    summaries = summarize_ensembles(configs, tolerance=1e-9)
+    [(segments, redo, results)] = passes
+    position = {id(summary): i for i, summary in enumerate(summaries)}
+    owner = [(position[id(summary)], index) for summary, _, trials in segments for index in trials]
     got = {
-        (index, bound_id): (value.hex(), verdict)
+        (*owner[row], bound_id): (value.hex(), verdict)
         for bound_id, rows, slack, satisfied in results
-        for index, value, verdict in zip(rows.tolist(), slack.tolist(), satisfied.tolist())
+        for row, value, verdict in zip(rows.tolist(), slack.tolist(), satisfied.tolist())
     }
+    masks = [np.zeros(config.trials, dtype=bool) for config in configs]
+    for row in np.flatnonzero(redo):
+        i, index = owner[row]
+        masks[i][index] = True
     want = {
-        (record.index, rep.bound_id): (rep.slack.hex(), rep.satisfied)
-        for record in run_ensemble(config)
-        if not redo[record.index]
+        (i, record.index, rep.bound_id): (rep.slack.hex(), rep.satisfied)
+        for i, config in enumerate(configs)
+        for record in run_ensemble(config, tolerance=1e-9)
+        if not masks[i][record.index]
         for rep in record.reports
     }
     assert got == want
-    return redo
+    for summary, config in zip(summaries, configs):
+        assert summary == scalar_summary(config, 1e-9)
+    return masks
 
 
 @pytest.mark.parametrize("dim", [2, 3, 16, 33])
 @pytest.mark.parametrize("kind", list(PairKind), ids=lambda k: k.value)
 def test_batched_trials_equal_the_scalar_reports_bit_for_bit(monkeypatch, kind, dim):
-    # Small chunks: many batched calls per ensemble, a partial last chunk,
-    # and at d = 33 a single trial per chunk.
-    monkeypatch.setattr(ensembles, "_CHUNK_ELEMENTS", 40)
+    # One pass holds the ensemble and a disjoint one of its dimension (or a
+    # Haar one, for a disjoint ensemble): groups of one dimension share the
+    # pass, each with its own coherence call.
+    other = PairKind.ARBITRARY if kind is PairKind.DISJOINT_SUPPORT else PairKind.DISJOINT_SUPPORT
     config = EnsembleConfig(dim=dim, trials=150, pair_kind=kind, seed=2000 + dim)
-    redo = assert_batch_matches_records(config)
-    assert np.count_nonzero(redo) < config.trials // 10
+    pair = [config, EnsembleConfig(dim=dim, trials=40, pair_kind=other, seed=3000 + dim)]
+    redo = assert_pass_matches_records(monkeypatch, pair)
+    assert np.count_nonzero(redo[0]) < config.trials // 10
+    # Small passes: many per ensemble, a partial last one, and at d = 33 a
+    # single trial per pass.
+    monkeypatch.setattr(ensembles, "_CHUNK_ELEMENTS", 40)
     assert_matches_scalar(config)
+
+
+def test_one_pass_of_mixed_ensembles_equals_the_scalar_reports_bit_for_bit(monkeypatch):
+    # Mixed kinds, odd dims, the (1, 3) split and an empty ensemble.
+    assert_pass_matches_records(monkeypatch, MIXED)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 7])
+def test_the_benchmark_shape_runs_no_trial_on_the_scalar_path(monkeypatch, seed):
+    # README's default kinds and dims at 125 trials fit in one pass.  A row
+    # the pass cannot vouch for (a disjoint row sharing a coherence call
+    # with Haar rows, say) would keep every summary right but run the scalar
+    # path.
+    calls = _count_scalar_trials(monkeypatch)
+    passes = _record_passes(monkeypatch)
+    configs = [
+        EnsembleConfig(dim=dim, trials=125, pair_kind=kind, seed=subseed(seed, index))
+        for index, (kind, dim) in enumerate((k, d) for k in PairKind for d in (2, 4, 8, 16))
+    ]
+    summaries = summarize_ensembles(configs)
+    assert calls == [] and len(passes) == 1
+    for summary, config in zip(summaries, configs):
+        assert summary == scalar_summary(config, 1e-9)
 
 
 THRESHOLDS = {
@@ -430,9 +525,14 @@ def test_summary_matches_scalar_path_at_moved_thresholds(monkeypatch, kind, thre
     for module in (bounds, ensembles, entropy, linalg,
                    importlib.import_module("coherence_lab.superpose")):
         monkeypatch.setattr(module, "TOLERANCES", THRESHOLDS[threshold])
-    monkeypatch.setattr(ensembles, "_CHUNK_ELEMENTS", 60)
     config = EnsembleConfig(dim=3, trials=120, pair_kind=kind, seed=7 + len(threshold))
-    assert_batch_matches_records(config)
+    # One pass holds the ensemble and the three other kinds at d = 3 and 4.
+    others = [
+        EnsembleConfig(dim=3 + i % 2, trials=30, pair_kind=other, seed=70 + i)
+        for i, other in enumerate(k for k in PairKind if k is not kind)
+    ]
+    assert_pass_matches_records(monkeypatch, [config, *others])
+    monkeypatch.setattr(ensembles, "_CHUNK_ELEMENTS", 60)
     assert_matches_scalar(config)
 
 
@@ -502,11 +602,11 @@ def test_summary_keeps_first_five_errors(monkeypatch):
     def explode(*args, **kwargs):
         raise CoherenceLabError("synthetic failure")
 
-    def scalar_only(config, uniforms, tolerance):
-        return np.ones(len(uniforms), dtype=bool), []
+    def scalar_only(segments, tolerance):
+        return np.ones(sum(len(trials) for _, _, trials in segments), dtype=bool), []
 
     monkeypatch.setattr(ensembles, "evaluate_all", explode)
-    monkeypatch.setattr(ensembles, "_batch", scalar_only)  # every trial runs evaluate_all
+    monkeypatch.setattr(ensembles, "_pass", scalar_only)  # every trial runs evaluate_all
     monkeypatch.setattr(ensembles, "_CHUNK_ELEMENTS", 8)
     config = EnsembleConfig(dim=4, trials=12, pair_kind=PairKind.DISJOINT_SUPPORT, seed=3)
     summary = assert_matches_scalar(config)
