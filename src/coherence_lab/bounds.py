@@ -21,28 +21,32 @@ lhs - rhs, and the equality reports the absolute residual |lhs - rhs|.  A
 report is satisfied when slack >= -tolerance (equality: residual <=
 tolerance).  Each relation is written once, as ``Bound.sides``: on one
 triple's floats for ``evaluate_all``, and on (R,) arrays of one pair class
-for ``evaluate_rows``, which gives the same floats.
+for ``evaluate_rows``, which gives the same floats.  Its hypothesis on the
+pair (disjoint support, orthogonal branches, or none) is written once too,
+as ``Bound.hypothesis``: ``_sides_and_slack`` checks it before the sides,
+through ``_meets``, on a pair (raising WrongPairClassError) or on rows
+(masking them out).
 """
 
 from __future__ import annotations
 
 import hashlib
 import struct
-from dataclasses import asdict, dataclass
-from typing import Callable
+from dataclasses import asdict, dataclass, replace
+from typing import Callable, Optional
 
 import numpy as np
 
 from .entropy import binary_entropy, binary_entropy_rows, pure_state_coherence, row_coherences
 from .errors import CoherenceLabError, WrongPairClassError, ZeroVectorError
-from .linalg import StateVector, moduli
+from .linalg import StateVector, moduli, row_vdot
 from .superpose import (
     PairClass,
     PairKind,
     SuperposedState,
     SuperpositionCoefficients,
     classify_pair,
-    classify_rows,
+    disjoint_rows,
     superpose,
     superpose_rows,
 )
@@ -100,11 +104,21 @@ class _cached:
         return value
 
 
+def _meets(hypothesis: PairKind, disjoint, overlap):
+    """Whether pairs meet ``hypothesis`` (``DISJOINT_SUPPORT`` or
+    ``ORTHOGONAL_SAME_SPACE``), given whether their supports are disjoint and
+    <phi|psi>: as a bool and a complex, or as (R,) arrays."""
+    if hypothesis is PairKind.DISJOINT_SUPPORT:
+        return disjoint
+    return ~(moduli(overlap) > TOLERANCES.overlap)
+
+
 class _PairContext:
     """Shared quantities for evaluating several bounds on one input triple.
 
-    ``entropy`` and ``require_orthogonal`` are the only steps of the bound
-    formulas that are not plain arithmetic; ``_ClassRows`` runs them on arrays.
+    ``entropy`` and ``require`` (a bound's hypothesis) are the only steps of
+    the bound formulas that are not plain arithmetic; ``_ClassRows`` runs them
+    on arrays.  ``row_slacks`` seeds a context with one row's quantities.
     """
 
     def __init__(
@@ -163,40 +177,35 @@ class _PairContext:
         """``binary_entropy``, which raises outside [0, 1]."""
         return binary_entropy(x)
 
-    def require_orthogonal(self) -> None:
-        """T2's hypothesis: raise unless |<phi|psi>| is within the threshold."""
-        overlap = abs(self.pair_class.overlap)
-        if overlap > TOLERANCES.overlap:
+    def require(self, hypothesis: PairKind) -> None:
+        """Raise WrongPairClassError unless the pair meets ``hypothesis``."""
+        tag, overlap = self.pair_class.tag, self.pair_class.overlap
+        if _meets(hypothesis, tag is PairKind.DISJOINT_SUPPORT, overlap):
+            return
+        if hypothesis is PairKind.DISJOINT_SUPPORT:
             raise WrongPairClassError(
-                f"|<phi|psi>| = {overlap:.3e} exceeds the "
-                f"orthogonality threshold {TOLERANCES.overlap:g}"
+                f"pair classified as {tag.value}; disjoint support required"
             )
+        raise WrongPairClassError(
+            f"|<phi|psi>| = {abs(overlap):.3e} exceeds the "
+            f"orthogonality threshold {TOLERANCES.overlap:g}"
+        )
 
     @_cached
     def digest(self) -> str:
         return inputs_digest(self.coeffs, self.phi, self.psi)
 
 
-def _require_disjoint(ctx: _PairContext) -> None:
-    if ctx.pair_class.tag is not PairKind.DISJOINT_SUPPORT:
-        raise WrongPairClassError(
-            f"pair classified as {ctx.pair_class.tag.value}; disjoint support required"
-        )
-
-
 def _t1_sides(ctx: _PairContext) -> tuple[float, float]:
-    _require_disjoint(ctx)
     return ctx.coherence_t1, ctx.weighted_mix
 
 
 def _gain_sides(ctx: _PairContext) -> tuple[float, float]:
-    _require_disjoint(ctx)
     gain = ctx.coherence_t1 - ctx.alpha_sq * ctx.coherence_phi - ctx.beta_sq * ctx.coherence_psi
     return gain, 1.0
 
 
 def _t2_sides(ctx: _PairContext) -> tuple[float, float]:
-    ctx.require_orthogonal()
     return ctx.coherence_t1, 2.0 * ctx.weighted_mix
 
 
@@ -229,38 +238,49 @@ def _t4b_sides(ctx: _PairContext) -> tuple[float, float]:
 class Bound:
     """Everything the package knows about one relation.
 
-    ``kinds`` are the pair kinds a search may sample, ``default_kind`` is the
-    kind ``sweep`` and ``saturate`` sample when none is given, ``direction``
-    is ``"equality"``, ``"upper"`` or ``"lower"``, and ``sides`` computes
-    (lhs, rhs), raising WrongPairClassError outside the hypothesis.
+    ``hypothesis`` is what a pair must meet: None (any pair),
+    ``DISJOINT_SUPPORT``, or ``ORTHOGONAL_SAME_SPACE``, which means
+    |<phi|psi>| <= ``TOLERANCES.overlap``.  ``default_kind`` is the kind
+    ``sweep`` and ``saturate`` sample when none is given, ``direction`` is
+    ``"equality"``, ``"upper"`` or ``"lower"``, and ``sides`` computes
+    (lhs, rhs) of a pair that meets the hypothesis; ``_sides_and_slack``
+    raises WrongPairClassError on one that does not.
     """
 
-    kinds: frozenset[PairKind]
+    hypothesis: Optional[PairKind]
     default_kind: PairKind
     direction: str
     sides: Callable[[_PairContext], tuple[float, float]]
 
+    @property
+    def kinds(self) -> frozenset[PairKind]:
+        """The pair kinds a search may sample: every kind without a
+        hypothesis, else disjoint pairs (whose overlap is 0 as sampled) and
+        the hypothesis's own kind."""
+        if self.hypothesis is None:
+            return frozenset(PairKind)
+        return frozenset({PairKind.DISJOINT_SUPPORT, self.hypothesis})
 
-_DISJOINT = frozenset({PairKind.DISJOINT_SUPPORT})
 
 BOUNDS: dict[str, Bound] = {
-    T1_EQUALITY: Bound(_DISJOINT, PairKind.DISJOINT_SUPPORT, "equality", _t1_sides),
-    GAIN_LE_1: Bound(_DISJOINT, PairKind.DISJOINT_SUPPORT, "upper", _gain_sides),
-    T2_UPPER: Bound(
-        _DISJOINT | {PairKind.ORTHOGONAL_SAME_SPACE},
-        PairKind.ORTHOGONAL_SAME_SPACE,
-        "upper",
-        _t2_sides,
+    T1_EQUALITY: Bound(
+        PairKind.DISJOINT_SUPPORT, PairKind.DISJOINT_SUPPORT, "equality", _t1_sides
     ),
-    T3_UPPER: Bound(frozenset(PairKind), PairKind.NON_ORTHOGONAL, "upper", _t3_sides),
-    T4_LOWER_A: Bound(frozenset(PairKind), PairKind.ARBITRARY, "lower", _t4a_sides),
-    T4_LOWER_B: Bound(frozenset(PairKind), PairKind.ARBITRARY, "lower", _t4b_sides),
+    GAIN_LE_1: Bound(PairKind.DISJOINT_SUPPORT, PairKind.DISJOINT_SUPPORT, "upper", _gain_sides),
+    T2_UPPER: Bound(
+        PairKind.ORTHOGONAL_SAME_SPACE, PairKind.ORTHOGONAL_SAME_SPACE, "upper", _t2_sides
+    ),
+    T3_UPPER: Bound(None, PairKind.NON_ORTHOGONAL, "upper", _t3_sides),
+    T4_LOWER_A: Bound(None, PairKind.ARBITRARY, "lower", _t4a_sides),
+    T4_LOWER_B: Bound(None, PairKind.ARBITRARY, "lower", _t4b_sides),
 }
 
 ALL_BOUND_IDS = tuple(BOUNDS)
 
 
 def _sides_and_slack(ctx: _PairContext, bound: Bound) -> tuple[float, float, float]:
+    if bound.hypothesis is not None:
+        ctx.require(bound.hypothesis)
     lhs, rhs = bound.sides(ctx)
     if bound.direction == "equality":
         return lhs, rhs, abs(lhs - rhs)
@@ -293,32 +313,6 @@ def bound_slack(
     return _sides_and_slack(_PairContext(coeffs, phi, psi), BOUNDS[bound_id])[2]
 
 
-class _RowContext(_PairContext):
-    """A ``_PairContext`` seeded with one row's values from a batch.
-
-    The values were computed on rows, bit for bit the scalar ones, so
-    ``Bound.sides`` stays the one place each formula is written.  The pair
-    class is built for the whole batch the first time a row asks for it.
-    """
-
-    def __init__(self, batch: "_RowBatch", i: int, values: dict):
-        self.__dict__.update(values)
-        self._batch, self._i = batch, i
-
-    @_cached
-    def pair_class(self) -> PairClass:
-        return self._batch.pair_classes[self._i]
-
-
-class _RowBatch:
-    def __init__(self, phi: np.ndarray, psi: np.ndarray):
-        self.phi, self.psi = phi, psi
-
-    @_cached
-    def pair_classes(self) -> list[PairClass]:
-        return classify_rows(self.phi, self.psi)
-
-
 def row_slacks(
     bound_id: str,
     alpha: np.ndarray,
@@ -333,8 +327,11 @@ def row_slacks(
     Where ``ok`` holds, slacks[i] is ``bound_slack`` on row i bit for bit.
     Elsewhere the row's superposition is degenerate, a coherence is not one
     ``entropy.row_coherences`` vouches for (a zero probability inside a
-    support), or the sides raised; then ``bound_slack`` on that row gives the
-    value or raises the exception.
+    support), the pair does not meet the bound's hypothesis, or the sides
+    raised; then ``bound_slack`` on that row gives the value or raises the
+    exception.  The hypothesis is checked on arrays, before the rows run one
+    at a time through ``Bound.sides`` on a ``_PairContext`` seeded with their
+    quantities.
     """
     bound = BOUNDS[bound_id]
     s, t1, ok = superpose_rows(alpha, beta, phi, psi)
@@ -342,7 +339,9 @@ def row_slacks(
         np.concatenate((phi[:, None], psi[:, None], t1[:, None]), axis=1)
     )
     ok &= vouched
-    batch = _RowBatch(phi, psi)
+    if bound.hypothesis is not None:
+        ok &= _meets(bound.hypothesis, disjoint_rows(phi, psi), row_vdot(phi, psi))
+        bound = replace(bound, hypothesis=None)  # met by every row ok keeps
     slacks = []
     for i, (good, a, b, s_i, (c_phi, c_psi, c_t1)) in enumerate(
         zip(ok.tolist(), alpha.tolist(), beta.tolist(), s.tolist(), coherence.tolist())
@@ -352,10 +351,11 @@ def row_slacks(
             continue
         # The weights as SuperpositionCoefficients computes them: on a few
         # rows, Python floats cost less than coefficient_weights.
-        ctx = _RowContext(batch, i, {
-            "alpha_sq": abs(a) * abs(a), "beta_sq": abs(b) * abs(b), "s": s_i,
-            "coherence_phi": c_phi, "coherence_psi": c_psi, "coherence_t1": c_t1,
-        })
+        ctx = object.__new__(_PairContext)
+        ctx.__dict__.update(
+            alpha_sq=abs(a) * abs(a), beta_sq=abs(b) * abs(b), s=s_i,
+            coherence_phi=c_phi, coherence_psi=c_psi, coherence_t1=c_t1,
+        )
         try:
             slacks.append(_sides_and_slack(ctx, bound)[2])
         except CoherenceLabError:  # bound_slack raises it again, for this row alone
@@ -413,7 +413,7 @@ class _ClassRows(_PairContext):
 
     def __init__(self, kind: PairKind, overlap: np.ndarray, values: dict):
         self.__dict__.update(values)
-        self.pair_class = PairClass(kind, overlap)
+        self.kind, self.overlap = kind, overlap
         self.ok = self.s > TOLERANCES.zero_vector  # else coherence_t1 raises
 
     def entropy(self, x: np.ndarray) -> np.ndarray:
@@ -421,8 +421,8 @@ class _ClassRows(_PairContext):
         self.ok &= inside
         return value
 
-    def require_orthogonal(self) -> None:
-        self.ok &= ~(moduli(self.pair_class.overlap) > TOLERANCES.overlap)
+    def require(self, hypothesis: PairKind) -> None:
+        self.ok &= _meets(hypothesis, self.kind is PairKind.DISJOINT_SUPPORT, self.overlap)
 
 
 def evaluate_rows(

@@ -38,7 +38,7 @@ import numpy as np
 from .bounds import BoundReport, evaluate_all, evaluate_rows
 from .entropy import row_coherences
 from .errors import BadSplitError, CoherenceLabError, DegeneratePairError
-from .linalg import StateVector, moduli, norm, normalize, normalize_rows, row_norms, row_vdot
+from .linalg import StateVector, moduli, norm, normalize, normalize_rows, project_out_rows
 from .rng import complex_normals, make_generator, philox_uniforms, subseed, subseeds
 from .superpose import (
     PairKind,
@@ -310,10 +310,8 @@ def _group_rows(members: list, uniforms: np.ndarray, alpha: np.ndarray, beta: np
     orthogonal = sum(n for kind, n in kinds if kind is PairKind.ORTHOGONAL_SAME_SPACE)
     if orthogonal:
         last = slice(len(raw) - orthogonal, None)
-        base, drawn = phi[last], raw[last]
-        projected = drawn - row_vdot(base, drawn)[:, None] * base
-        ok[last] &= row_norms(projected) > _PROJECTION_FLOOR
-        np.subtract(projected, row_vdot(base, projected)[:, None] * base, out=drawn)
+        raw[last], norms = project_out_rows(phi[last], raw[last])
+        ok[last] &= norms > _PROJECTION_FLOOR
     psi, _, psi_ok = normalize_rows(raw)
     ok &= psi_ok
     if members[0][1].pair_kind is PairKind.DISJOINT_SUPPORT:

@@ -170,6 +170,14 @@ def row_norms(rows: np.ndarray) -> np.ndarray:
     return np.sqrt(row_vdot(re, re) + row_vdot(im, im))
 
 
+def project_out_rows(base: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each row minus its projection on the unit row of ``base``, taken twice
+    (Gram-Schmidt, then again for round-off): (the projected rows, their
+    norms after the first projection), which a caller holds to its floor."""
+    projected = rows - row_vdot(base, rows)[:, None] * base
+    return projected - row_vdot(base, projected)[:, None] * base, row_norms(projected)
+
+
 def normalize_rows(raw: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """``normalize`` on each row (last axis) of a complex array: (states, norms, ok).
 

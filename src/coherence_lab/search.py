@@ -37,7 +37,7 @@ import numpy as np
 from .bounds import BOUNDS, BoundReport, bound_slack, evaluate_bound, row_slacks
 from .ensembles import default_split
 from .errors import ConsistencyError, ZeroVectorError
-from .linalg import StateVector, norm, normalize, normalize_rows, row_norms, row_vdot
+from .linalg import StateVector, norm, normalize, normalize_rows, project_out_rows
 from .rng import make_generator, standard_normals, subseed
 from .superpose import PairKind, SuperpositionCoefficients, coefficient_map
 from .tolerances import TOLERANCES
@@ -171,10 +171,8 @@ def _parameterize_rows(
         raw[:, 1, :d1] = 0.0
     if pair_kind is PairKind.ORTHOGONAL_SAME_SPACE:
         phi, _, ok = normalize_rows(raw[:, 0])
-        raw_psi = raw[:, 1]
-        projected = raw_psi - row_vdot(phi, raw_psi)[:, None] * phi
-        ok &= row_norms(projected) > TOLERANCES.zero_vector
-        projected = projected - row_vdot(phi, projected)[:, None] * phi
+        projected, norms = project_out_rows(phi, raw[:, 1])
+        ok &= norms > TOLERANCES.zero_vector
         psi, _, ok_psi = normalize_rows(projected)
         ok &= ok_psi
     else:

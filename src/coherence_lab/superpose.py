@@ -180,24 +180,25 @@ def classify_pair(phi: StateVector, psi: StateVector) -> PairClass:
     is NonOrthogonal.
     """
     _require_same_dim(phi, psi)
-    return classify_rows(phi.amps[None], psi.amps[None])[0]
+    masks, overlaps = class_masks(phi.amps[None], psi.amps[None])
+    tag = next(kind for kind, rows in masks.items() if rows[0])
+    return PairClass(tag=tag, overlap=overlaps.tolist()[0])
 
 
-def classify_rows(phi: np.ndarray, psi: np.ndarray) -> list[PairClass]:
-    """``classify_pair`` of each pair of rows of two (R, d) unit arrays, bit for bit."""
-    overlaps = row_vdot(phi, psi).tolist()
-    shared = np.minimum(np.abs(phi), np.abs(psi)).max(axis=1).tolist()
-    return [PairClass(tag=_pair_tag(s, o), overlap=o) for s, o in zip(shared, overlaps)]
+def disjoint_rows(phi: np.ndarray, psi: np.ndarray) -> np.ndarray:
+    """Whether each pair of rows of two (R, d) arrays has disjoint support: at
+    no index are both amplitudes above ``TOLERANCES.support``."""
+    return np.minimum(np.abs(phi), np.abs(psi)).max(axis=1) <= TOLERANCES.support
 
 
 def class_masks(
     phi: np.ndarray, psi: np.ndarray
 ) -> tuple[dict[PairKind, np.ndarray], np.ndarray]:
-    """``classify_pair`` of each pair of rows of two (R, d) unit arrays as
-    (the mask of the rows of each class, the overlaps), bit for bit: for many
-    rows, where one ``PairClass`` per row would cost more than the work."""
+    """The class of each pair of rows of two (R, d) unit arrays as (the mask
+    of the rows of each class, the overlaps <phi|psi>); ``classify_pair`` is
+    this on one row."""
     overlaps = row_vdot(phi, psi)
-    disjoint = np.minimum(np.abs(phi), np.abs(psi)).max(axis=1) <= TOLERANCES.support
+    disjoint = disjoint_rows(phi, psi)
     orthogonal = moduli(overlaps) <= TOLERANCES.overlap
     classes = {
         PairKind.DISJOINT_SUPPORT: disjoint,
@@ -205,14 +206,6 @@ def class_masks(
         PairKind.NON_ORTHOGONAL: ~(disjoint | orthogonal),
     }
     return classes, overlaps
-
-
-def _pair_tag(shared: float, overlap: complex) -> PairKind:
-    if shared <= TOLERANCES.support:
-        return PairKind.DISJOINT_SUPPORT
-    if abs(overlap) <= TOLERANCES.overlap:
-        return PairKind.ORTHOGONAL_SAME_SPACE
-    return PairKind.NON_ORTHOGONAL
 
 
 def mixing_identity_residual(

@@ -1,5 +1,6 @@
 """Bound reports: frozen examples, slack conventions, and random sweeps."""
 
+import importlib
 import math
 
 import numpy as np
@@ -20,6 +21,7 @@ from coherence_lab import (
     PairKind,
     StateVector,
     SuperpositionCoefficients,
+    Tolerances,
     WrongPairClassError,
     ZeroVectorError,
     bound_slack,
@@ -28,6 +30,7 @@ from coherence_lab import (
     evaluate_bound,
     haar_random_state,
     inputs_digest,
+    normalize,
     random_coefficients,
     random_disjoint_support_pair,
     random_orthogonal_pair,
@@ -346,11 +349,35 @@ def test_inputs_digest_is_stable_and_discriminating():
     assert report.inputs_digest == first
 
 
+# The pair kinds each bound may be searched over, as a literal.
+SEARCH_KINDS = {
+    T1_EQUALITY: {PairKind.DISJOINT_SUPPORT},
+    GAIN_LE_1: {PairKind.DISJOINT_SUPPORT},
+    T2_UPPER: {PairKind.DISJOINT_SUPPORT, PairKind.ORTHOGONAL_SAME_SPACE},
+    T3_UPPER: set(PairKind),
+    T4_LOWER_A: set(PairKind),
+    T4_LOWER_B: set(PairKind),
+}
+
+
 def test_bounds_registry_covers_every_bound():
     assert set(BOUNDS) == set(ALL_BOUND_IDS)
-    for bound in BOUNDS.values():
+    for bound_id, bound in BOUNDS.items():
+        assert bound.kinds == SEARCH_KINDS[bound_id]
         assert bound.default_kind in bound.kinds
         assert bound.direction in ("equality", "upper", "lower")
+    # A sampled pair of a kind a bound does not take is outside its hypothesis.
+    coeffs = random_coefficients(5)
+    for kind in set(PairKind) - {PairKind.ARBITRARY}:
+        config = EnsembleConfig(dim=4, trials=1, pair_kind=kind, seed=3)
+        for seed in range(5):
+            phi, psi = sample_pair(make_generator(seed), config)
+            for bound_id, bound in BOUNDS.items():
+                if kind in bound.kinds:
+                    assert math.isfinite(bound_slack(bound_id, coeffs, phi, psi))
+                else:
+                    with pytest.raises(WrongPairClassError):
+                        bound_slack(bound_id, coeffs, phi, psi)
 
 
 def test_evaluate_bound_matches_evaluate_all():
@@ -423,7 +450,8 @@ def test_each_context_computes_each_quantity_once(monkeypatch):
 
 
 def seeded_context(kind, overlap, values):
-    """A scalar context holding given quantities, as ``_RowContext`` does."""
+    """A scalar context holding given quantities, as ``row_slacks`` seeds one
+    per row, and the pair class ``evaluate_all`` reads."""
     ctx = object.__new__(bounds_module._PairContext)
     ctx.__dict__.update(values, pair_class=PairClass(kind, overlap), digest="")
     return ctx
@@ -473,3 +501,87 @@ def test_evaluate_rows_runs_the_scalar_formulas_on_arrays(kind):
         assert ok.all()
     else:  # T2's overlap hypothesis fails on some rows and holds on others
         assert 0 < np.count_nonzero(ok) < len(rows)
+
+
+def largest_shared(phi, psi) -> float:
+    """max_i min(|phi_i|, |psi_i|): disjoint support when at most the threshold."""
+    return max(min(abs(p), abs(q)) for p, q in zip(phi.amps.tolist(), psi.amps.tolist()))
+
+
+def overlap_modulus(phi, psi) -> float:
+    return abs(complex(np.vdot(phi.amps, psi.amps)))
+
+
+def hypothesis_rows():
+    """Pairs of every kind at d = 4, some exactly at the support or overlap
+    threshold they are returned with, and no zero amplitude in any of them:
+    beside supported columns, a zero makes ``row_coherences`` decline the row.
+    Returns (pairs, moved tolerances)."""
+    pairs = []
+    for kind in (PairKind.ORTHOGONAL_SAME_SPACE, PairKind.NON_ORTHOGONAL, PairKind.ARBITRARY):
+        config = EnsembleConfig(dim=4, trials=1, pair_kind=kind, seed=0)
+        pairs += [sample_pair(make_generator(seed), config) for seed in range(3)]
+
+    def shared(x):  # disjoint but for the real amplitude x in the other's block
+        return normalize([0.8, 0.6j, x, x]), normalize([x, x, 0.6, -0.8j])
+
+    def overlapping(x):  # |<phi|psi>| close to x, every amplitude near 1/2
+        return normalize([1.0, 1.0, 1.0, 1.0]), normalize([1 + x, x - 1, 1 + x, x - 1])
+
+    support_pair, overlap_pair = shared(1e-3), overlapping(1e-6)
+    pairs += [support_pair, shared(1e-12), shared(2e-3),
+              overlap_pair, overlapping(1e-8), overlapping(2e-6)]
+    return pairs, Tolerances(support=largest_shared(*support_pair),
+                             overlap=overlap_modulus(*overlap_pair))
+
+
+def test_the_three_paths_agree_on_each_hypothesis(monkeypatch):
+    # One row_slacks call per bound over rows of every pair kind.  A row is
+    # vouched, with bound_slack's bits, exactly where it meets the bound's
+    # hypothesis by the rule written out here; elsewhere bound_slack raises
+    # WrongPairClassError.  evaluate_rows keeps the same rows of each class.
+    pairs, moved = hypothesis_rows()
+    for module in (bounds_module, importlib.import_module("coherence_lab.superpose")):
+        monkeypatch.setattr(module, "TOLERANCES", moved)
+    coeffs = [random_coefficients(40 + i) for i in range(len(pairs))]
+    disjoint = [largest_shared(phi, psi) <= moved.support for phi, psi in pairs]
+    orthogonal = [overlap_modulus(phi, psi) <= moved.overlap for phi, psi in pairs]
+    # The support row is disjoint and fails T2's overlap test; the overlap row is orthogonal.
+    assert disjoint[-6:] == [True, True, False, False, False, False]
+    assert orthogonal[-6:] == [False, True, False, True, True, False]
+    meets = {
+        None: [True] * len(pairs),
+        PairKind.DISJOINT_SUPPORT: disjoint,
+        PairKind.ORTHOGONAL_SAME_SPACE: orthogonal,
+    }
+    alpha = np.array([c.alpha for c in coeffs])
+    beta = np.array([c.beta for c in coeffs])
+    phi = np.array([p.amps for p, _ in pairs])
+    psi = np.array([q.amps for _, q in pairs])
+    vouched_slacks = {}
+    for bound_id, bound in BOUNDS.items():
+        slacks, vouched = bounds_module.row_slacks(bound_id, alpha, beta, phi, psi)
+        assert vouched.tolist() == meets[bound.hypothesis], bound_id
+        for i, (c, (p, q)) in enumerate(zip(coeffs, pairs)):
+            if vouched[i]:
+                assert slacks[i].hex() == bound_slack(bound_id, c, p, q).hex()
+            else:
+                assert math.isnan(slacks[i])
+                with pytest.raises(WrongPairClassError):
+                    bound_slack(bound_id, c, p, q)
+        vouched_slacks[bound_id] = vouched, slacks
+
+    contexts = [bounds_module._PairContext(c, p, q) for c, (p, q) in zip(coeffs, pairs)]
+    names = ("alpha_sq", "beta_sq", "s", "coherence_phi", "coherence_psi", "coherence_t1")
+    for kind in (PairKind.DISJOINT_SUPPORT, PairKind.ORTHOGONAL_SAME_SPACE, PairKind.NON_ORTHOGONAL):
+        rows = [i for i, ctx in enumerate(contexts) if ctx.pair_class.tag is kind]
+        values = {name: np.array([getattr(contexts[i], name) for i in rows]) for name in names}
+        overlaps = np.array([contexts[i].pair_class.overlap for i in rows])
+        verdicts, ok = bounds_module.evaluate_rows(kind, overlaps, values)
+        for j, i in enumerate(rows):
+            assert bool(ok[j]) is all(vouched_slacks[b][0][i] for b in verdicts), (kind, i)
+            if ok[j]:
+                for bound_id, (slack, _) in verdicts.items():
+                    assert slack[j].hex() == vouched_slacks[bound_id][1][i].hex()
+        if kind is PairKind.DISJOINT_SUPPORT:
+            assert ok.tolist() == [False, True]  # the support row fails T2

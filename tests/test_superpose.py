@@ -23,7 +23,7 @@ from coherence_lab import (
     superpose,
     t_states,
 )
-from coherence_lab.superpose import class_masks, classify_rows, coefficient_map, superpose_rows
+from coherence_lab.superpose import class_masks, coefficient_map, superpose_rows
 
 INV_SQRT2 = 1.0 / math.sqrt(2.0)
 
@@ -223,24 +223,42 @@ def test_classify_symmetric_with_conjugated_overlap():
         assert forward.overlap == np.conj(backward.overlap)
 
 
-def test_classify_rows_match_classify_pair():
-    # Both row forms: one PairClass per row, and the mask of each class.
+def classification_rule(phi, psi) -> PairKind:
+    """The rule, written out: a shared amplitude above the support threshold
+    rules out disjoint support, then the overlap decides."""
+    shared = max(min(abs(p), abs(q)) for p, q in zip(phi.amps.tolist(), psi.amps.tolist()))
+    if shared <= TOLERANCES.support:
+        return PairKind.DISJOINT_SUPPORT
+    if abs(complex(np.vdot(phi.amps, psi.amps))) <= TOLERANCES.overlap:
+        return PairKind.ORTHOGONAL_SAME_SPACE
+    return PairKind.NON_ORTHOGONAL
+
+
+def test_class_masks_and_classify_pair_follow_the_rule():
     pairs = [random_triple(seed, 4)[1:] for seed in range(10)]
     disjoint = (StateVector([1.0, 0.0, 0.0, 0.0]), StateVector([0.0, 0.6, 0.8j, 0.0]))
     orthogonal = (StateVector([0.5, 0.5, 0.5, 0.5]), StateVector([0.5, -0.5, 0.5, -0.5]))
-    pairs += [disjoint, orthogonal]
-    phi = np.array([p.amps for p, _ in pairs])
-    psi = np.array([q.amps for _, q in pairs])
-    classes = classify_rows(phi, psi)
-    assert [c.tag for c in classes[-2:]] == [PairKind.DISJOINT_SUPPORT,
-                                             PairKind.ORTHOGONAL_SAME_SPACE]
-    for (p, q), got in zip(pairs, classes):
-        assert got == classify_pair(p, q)
-        assert type(got.overlap) is complex
-    masks, overlaps = class_masks(phi, psi)
-    assert overlaps.tolist() == [c.overlap for c in classes]
-    for i, got in enumerate(classes):
-        assert [kind for kind, rows in masks.items() if rows[i]] == [got.tag]
+    # A shared amplitude at the support threshold, and one just above it.
+    edge = math.sqrt(1.0 - TOLERANCES.support**2)
+    at_support = (StateVector([edge, TOLERANCES.support]), StateVector([TOLERANCES.support, edge]))
+    above = np.nextafter(TOLERANCES.support, 1.0)
+    over_support = (StateVector([edge, above]), StateVector([above, edge]))
+    pairs += [disjoint, orthogonal, at_support, over_support]
+    expected = [classification_rule(p, q) for p, q in pairs]
+    assert expected[-4:] == [PairKind.DISJOINT_SUPPORT, PairKind.ORTHOGONAL_SAME_SPACE,
+                             PairKind.DISJOINT_SUPPORT, PairKind.ORTHOGONAL_SAME_SPACE]
+    assert PairKind.NON_ORTHOGONAL in expected
+    for (p, q), tag in zip(pairs, expected):
+        got = classify_pair(p, q)
+        assert got.tag is tag
+        assert type(got.overlap) is complex and got.overlap == complex(np.vdot(p.amps, q.amps))
+    for dim in (2, 4):
+        rows = [(p, q) for p, q in pairs if p.dim == dim]
+        masks, overlaps = class_masks(np.array([p.amps for p, _ in rows]),
+                                      np.array([q.amps for _, q in rows]))
+        assert overlaps.tolist() == [classify_pair(p, q).overlap for p, q in rows]
+        for i, (p, q) in enumerate(rows):
+            assert [kind for kind, mask in masks.items() if mask[i]] == [classification_rule(p, q)]
 
 
 def test_class_masks_compare_the_overlap_as_abs_does(monkeypatch):
