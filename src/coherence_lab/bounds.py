@@ -19,34 +19,35 @@ the raw superposition, the evaluated relations are:
 Slack sign conventions: upper bounds report rhs - lhs, lower bounds report
 lhs - rhs, and the equality reports the absolute residual |lhs - rhs|.  A
 report is satisfied when slack >= -tolerance (equality: residual <=
-tolerance).  Each relation is written once, as ``Bound.sides``: on one
-triple's floats for ``evaluate_all``, and on (R,) arrays of one pair class
-for ``evaluate_rows``, which gives the same floats.  Its hypothesis on the
-pair (disjoint support, orthogonal branches, or none) is written once too,
-as ``Bound.hypothesis``: ``_sides_and_slack`` checks it before the sides,
-through ``_meets``, on a pair (raising WrongPairClassError) or on rows
-(masking them out).
+tolerance).  Each relation is written once, as ``Bound.sides``: a function
+of one record of the six numbers a, b, s, C(phi), C(psi) and C(T1).  The
+record holds one triple's floats for ``evaluate_all``, ``evaluate_bound``,
+``bound_slack`` and each row of ``row_slacks``, and (R,) arrays of one pair
+class for ``evaluate_rows``, which gives the same floats.  Its hypothesis on
+the pair (disjoint support, orthogonal branches, or none) is written once
+too, as ``Bound.hypothesis``, and checked through ``_meets``: on a pair
+(raising WrongPairClassError) or on rows (masking them out).
 """
 
 from __future__ import annotations
 
 import hashlib
 import struct
-from dataclasses import asdict, dataclass, replace
-from typing import Callable, Optional
+from dataclasses import asdict, dataclass
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
 from .entropy import binary_entropy, binary_entropy_rows, pure_state_coherence, row_coherences
 from .errors import CoherenceLabError, WrongPairClassError, ZeroVectorError
-from .linalg import StateVector, moduli, row_vdot
+from .linalg import StateVector, row_vdot
 from .superpose import (
     PairClass,
     PairKind,
-    SuperposedState,
     SuperpositionCoefficients,
     classify_pair,
     disjoint_rows,
+    is_orthogonal,
     superpose,
     superpose_rows,
 )
@@ -89,19 +90,16 @@ def inputs_digest(
     return digest.hexdigest()[:16]
 
 
-class _cached:
-    """``functools.cached_property`` minus the lock it takes on first access
-    before Python 3.12 (a context is never shared between threads); the value
-    stored in the instance then shadows this non-data descriptor."""
+class _Quantities(NamedTuple):
+    """The six numbers the relations read: floats of one input triple, or (R,)
+    arrays over rows."""
 
-    def __init__(self, func):
-        self.func, self.name = func, func.__name__
-
-    def __get__(self, ctx, owner=None):
-        if ctx is None:
-            return self
-        value = ctx.__dict__[self.name] = self.func(ctx)
-        return value
+    alpha_sq: float
+    beta_sq: float
+    s: float
+    coherence_phi: float
+    coherence_psi: float
+    coherence_t1: float
 
 
 def _meets(hypothesis: PairKind, disjoint, overlap):
@@ -110,128 +108,88 @@ def _meets(hypothesis: PairKind, disjoint, overlap):
     <phi|psi>: as a bool and a complex, or as (R,) arrays."""
     if hypothesis is PairKind.DISJOINT_SUPPORT:
         return disjoint
-    return ~(moduli(overlap) > TOLERANCES.overlap)
+    return is_orthogonal(overlap)
 
 
-class _PairContext:
-    """Shared quantities for evaluating several bounds on one input triple.
-
-    ``entropy`` and ``require`` (a bound's hypothesis) are the only steps of
-    the bound formulas that are not plain arithmetic; ``_ClassRows`` runs them
-    on arrays.  ``row_slacks`` seeds a context with one row's quantities.
-    """
-
-    def __init__(
-        self,
-        coeffs: SuperpositionCoefficients,
-        phi: StateVector,
-        psi: StateVector,
-    ):
-        self.coeffs = coeffs
-        self.phi = phi
-        self.psi = psi
-
-    @_cached
-    def pair_class(self) -> PairClass:
-        return classify_pair(self.phi, self.psi)
-
-    @_cached
-    def superposed(self) -> SuperposedState:
-        return superpose(self.coeffs, self.phi, self.psi)
-
-    @_cached
-    def s(self) -> float:
-        return self.superposed.s
-
-    @_cached
-    def alpha_sq(self) -> float:
-        return self.coeffs.alpha_sq
-
-    @_cached
-    def beta_sq(self) -> float:
-        return self.coeffs.beta_sq
-
-    @_cached
-    def coherence_phi(self) -> float:
-        return pure_state_coherence(self.phi)
-
-    @_cached
-    def coherence_psi(self) -> float:
-        return pure_state_coherence(self.psi)
-
-    @_cached
-    def coherence_t1(self) -> float:
-        if self.superposed.normalized is None:
-            raise ZeroVectorError("superposition norm is numerically zero")
-        return pure_state_coherence(self.superposed.normalized)
-
-    @_cached
-    def weighted_mix(self) -> float:
-        return (
-            self.alpha_sq * self.coherence_phi
-            + self.beta_sq * self.coherence_psi
-            + self.entropy(self.alpha_sq)
-        )
-
-    def entropy(self, x: float) -> float:
-        """``binary_entropy``, which raises outside [0, 1]."""
-        return binary_entropy(x)
-
-    def require(self, hypothesis: PairKind) -> None:
-        """Raise WrongPairClassError unless the pair meets ``hypothesis``."""
-        tag, overlap = self.pair_class.tag, self.pair_class.overlap
-        if _meets(hypothesis, tag is PairKind.DISJOINT_SUPPORT, overlap):
-            return
-        if hypothesis is PairKind.DISJOINT_SUPPORT:
-            raise WrongPairClassError(
-                f"pair classified as {tag.value}; disjoint support required"
-            )
+def _require(hypothesis: Optional[PairKind], pair_class: PairClass) -> None:
+    """Raise WrongPairClassError unless the pair meets ``hypothesis``."""
+    tag, overlap = pair_class.tag, pair_class.overlap
+    if hypothesis is None or _meets(hypothesis, tag is PairKind.DISJOINT_SUPPORT, overlap):
+        return
+    if hypothesis is PairKind.DISJOINT_SUPPORT:
         raise WrongPairClassError(
-            f"|<phi|psi>| = {abs(overlap):.3e} exceeds the "
-            f"orthogonality threshold {TOLERANCES.overlap:g}"
+            f"pair classified as {tag.value}; disjoint support required"
         )
-
-    @_cached
-    def digest(self) -> str:
-        return inputs_digest(self.coeffs, self.phi, self.psi)
-
-
-def _t1_sides(ctx: _PairContext) -> tuple[float, float]:
-    return ctx.coherence_t1, ctx.weighted_mix
+    raise WrongPairClassError(
+        f"|<phi|psi>| = {abs(overlap):.3e} exceeds the "
+        f"orthogonality threshold {TOLERANCES.overlap:g}"
+    )
 
 
-def _gain_sides(ctx: _PairContext) -> tuple[float, float]:
-    gain = ctx.coherence_t1 - ctx.alpha_sq * ctx.coherence_phi - ctx.beta_sq * ctx.coherence_psi
-    return gain, 1.0
+def _record(
+    coeffs: SuperpositionCoefficients,
+    phi: StateVector,
+    psi: StateVector,
+    hypothesis: Optional[PairKind] = None,
+) -> _Quantities:
+    """The record of one input triple whose pair meets ``hypothesis``.
+
+    The pair is classified only when there is a hypothesis, and
+    WrongPairClassError says why it is not met; ZeroVectorError is raised when
+    the branches cancel.
+    """
+    if hypothesis is not None:
+        _require(hypothesis, classify_pair(phi, psi))
+    superposed = superpose(coeffs, phi, psi)
+    if superposed.normalized is None:
+        raise ZeroVectorError("superposition norm is numerically zero")
+    return _Quantities(
+        coeffs.alpha_sq, coeffs.beta_sq, superposed.s, pure_state_coherence(phi),
+        pure_state_coherence(psi), pure_state_coherence(superposed.normalized),
+    )
 
 
-def _t2_sides(ctx: _PairContext) -> tuple[float, float]:
-    return ctx.coherence_t1, 2.0 * ctx.weighted_mix
+# Each ``entropy`` below is ``binary_entropy`` on floats, which raises outside
+# [0, 1], and on arrays ``binary_entropy_rows``, which marks such rows not ok.
+def _weighted_mix(q: _Quantities, entropy) -> float:
+    return q.alpha_sq * q.coherence_phi + q.beta_sq * q.coherence_psi + entropy(q.alpha_sq)
+
+
+def _t1_sides(q: _Quantities, entropy) -> tuple[float, float]:
+    return q.coherence_t1, _weighted_mix(q, entropy)
+
+
+def _gain_sides(q: _Quantities, entropy) -> tuple[float, float]:
+    return q.coherence_t1 - q.alpha_sq * q.coherence_phi - q.beta_sq * q.coherence_psi, 1.0
+
+
+def _t2_sides(q: _Quantities, entropy) -> tuple[float, float]:
+    return q.coherence_t1, 2.0 * _weighted_mix(q, entropy)
 
 
 # s * s, not s ** 2: numpy squares arrays by multiplying, and pow rounds differently.
-def _t3_sides(ctx: _PairContext) -> tuple[float, float]:
-    return ctx.s * ctx.s * ctx.coherence_t1, 2.0 * ctx.weighted_mix
+def _t3_sides(q: _Quantities, entropy) -> tuple[float, float]:
+    return q.s * q.s * q.coherence_t1, 2.0 * _weighted_mix(q, entropy)
 
 
-def _t4_sides(ctx: _PairContext, w_own: float, c_own: float,
+def _t4_sides(q: _Quantities, entropy, w_own: float, c_own: float,
               w_other: float, c_other: float) -> tuple[float, float]:
-    s_sq = ctx.s * ctx.s
-    lhs = s_sq * ctx.coherence_t1
+    s_sq = q.s * q.s
+    lhs = s_sq * q.coherence_t1
     rhs = (
         0.5 * w_own * c_own
         - w_other * c_other
-        - (s_sq + w_other) * ctx.entropy(w_other / (s_sq + w_other))
+        - (s_sq + w_other) * entropy(w_other / (s_sq + w_other))
     )
     return lhs, rhs
 
 
-def _t4a_sides(ctx: _PairContext) -> tuple[float, float]:
-    return _t4_sides(ctx, ctx.alpha_sq, ctx.coherence_phi, ctx.beta_sq, ctx.coherence_psi)
+def _t4a_sides(q: _Quantities, entropy) -> tuple[float, float]:
+    return _t4_sides(q, entropy, q.alpha_sq, q.coherence_phi, q.beta_sq, q.coherence_psi)
 
 
-def _t4b_sides(ctx: _PairContext) -> tuple[float, float]:
-    return _t4_sides(ctx, ctx.beta_sq, ctx.coherence_psi, ctx.alpha_sq, ctx.coherence_phi)
+def _t4b_sides(q: _Quantities, entropy) -> tuple[float, float]:
+    return _t4_sides(q, entropy, q.beta_sq, q.coherence_psi, q.alpha_sq, q.coherence_phi)
 
 
 @dataclass(frozen=True)
@@ -242,15 +200,16 @@ class Bound:
     ``DISJOINT_SUPPORT``, or ``ORTHOGONAL_SAME_SPACE``, which means
     |<phi|psi>| <= ``TOLERANCES.overlap``.  ``default_kind`` is the kind
     ``sweep`` and ``saturate`` sample when none is given, ``direction`` is
-    ``"equality"``, ``"upper"`` or ``"lower"``, and ``sides`` computes
-    (lhs, rhs) of a pair that meets the hypothesis; ``_sides_and_slack``
-    raises WrongPairClassError on one that does not.
+    ``"equality"``, ``"upper"`` or ``"lower"``, and ``sides(q, entropy)``
+    computes (lhs, rhs) from the record ``q`` of a pair that meets the
+    hypothesis, with ``entropy`` as the binary entropy: floats or arrays in,
+    the same out.
     """
 
     hypothesis: Optional[PairKind]
     default_kind: PairKind
     direction: str
-    sides: Callable[[_PairContext], tuple[float, float]]
+    sides: Callable[[_Quantities, Callable], tuple[float, float]]
 
     @property
     def kinds(self) -> frozenset[PairKind]:
@@ -278,24 +237,23 @@ BOUNDS: dict[str, Bound] = {
 ALL_BOUND_IDS = tuple(BOUNDS)
 
 
-def _sides_and_slack(ctx: _PairContext, bound: Bound) -> tuple[float, float, float]:
-    if bound.hypothesis is not None:
-        ctx.require(bound.hypothesis)
-    lhs, rhs = bound.sides(ctx)
+def _slack(bound: Bound, lhs, rhs):
     if bound.direction == "equality":
-        return lhs, rhs, abs(lhs - rhs)
-    return lhs, rhs, (rhs - lhs if bound.direction == "upper" else lhs - rhs)
+        return abs(lhs - rhs)
+    return rhs - lhs if bound.direction == "upper" else lhs - rhs
 
 
 def _satisfied(bound: Bound, slack, tolerance: float):
     return slack <= tolerance if bound.direction == "equality" else slack >= -tolerance
 
 
-def _report(ctx: _PairContext, bound_id: str, tolerance: float) -> BoundReport:
+def _report(bound_id: str, q: _Quantities, tolerance: float, digest: str) -> BoundReport:
     bound = BOUNDS[bound_id]
-    lhs, rhs, slack = _sides_and_slack(ctx, bound)
-    satisfied = _satisfied(bound, slack, tolerance)
-    return BoundReport(bound_id, lhs, rhs, slack, satisfied, tolerance, ctx.digest)
+    lhs, rhs = bound.sides(q, binary_entropy)
+    slack = _slack(bound, lhs, rhs)
+    return BoundReport(
+        bound_id, lhs, rhs, slack, _satisfied(bound, slack, tolerance), tolerance, digest
+    )
 
 
 def bound_slack(
@@ -310,7 +268,9 @@ def bound_slack(
     the same float; no verdict and no ``inputs_digest`` is computed, which is
     what a search that reads only the slack needs.
     """
-    return _sides_and_slack(_PairContext(coeffs, phi, psi), BOUNDS[bound_id])[2]
+    bound = BOUNDS[bound_id]
+    q = _record(coeffs, phi, psi, bound.hypothesis)
+    return _slack(bound, *bound.sides(q, binary_entropy))
 
 
 def row_slacks(
@@ -330,8 +290,7 @@ def row_slacks(
     support), the pair does not meet the bound's hypothesis, or the sides
     raised; then ``bound_slack`` on that row gives the value or raises the
     exception.  The hypothesis is checked on arrays, before the rows run one
-    at a time through ``Bound.sides`` on a ``_PairContext`` seeded with their
-    quantities.
+    at a time through ``Bound.sides`` on a record of their floats.
     """
     bound = BOUNDS[bound_id]
     s, t1, ok = superpose_rows(alpha, beta, phi, psi)
@@ -341,9 +300,8 @@ def row_slacks(
     ok &= vouched
     if bound.hypothesis is not None:
         ok &= _meets(bound.hypothesis, disjoint_rows(phi, psi), row_vdot(phi, psi))
-        bound = replace(bound, hypothesis=None)  # met by every row ok keeps
     slacks = []
-    for i, (good, a, b, s_i, (c_phi, c_psi, c_t1)) in enumerate(
+    for i, (good, a, b, s_i, c) in enumerate(
         zip(ok.tolist(), alpha.tolist(), beta.tolist(), s.tolist(), coherence.tolist())
     ):
         if not good:
@@ -351,13 +309,9 @@ def row_slacks(
             continue
         # The weights as SuperpositionCoefficients computes them: on a few
         # rows, Python floats cost less than coefficient_weights.
-        ctx = object.__new__(_PairContext)
-        ctx.__dict__.update(
-            alpha_sq=abs(a) * abs(a), beta_sq=abs(b) * abs(b), s=s_i,
-            coherence_phi=c_phi, coherence_psi=c_psi, coherence_t1=c_t1,
-        )
+        q = _Quantities(abs(a) * abs(a), abs(b) * abs(b), s_i, *c)
         try:
-            slacks.append(_sides_and_slack(ctx, bound)[2])
+            slacks.append(_slack(bound, *bound.sides(q, binary_entropy)))
         except CoherenceLabError:  # bound_slack raises it again, for this row alone
             slacks.append(np.nan)
             ok[i] = False
@@ -373,7 +327,8 @@ def evaluate_bound(
     tolerance: float = TOLERANCES.bound_slack,
 ) -> BoundReport:
     """Evaluate one bound of ``BOUNDS`` on an input triple."""
-    return _report(_PairContext(coeffs, phi, psi), bound_id, tolerance)
+    q = _record(coeffs, phi, psi, BOUNDS[bound_id].hypothesis)
+    return _report(bound_id, q, tolerance, inputs_digest(coeffs, phi, psi))
 
 
 # Bounds evaluate_all applies to each pair class, ahead of the lower bounds.
@@ -402,27 +357,14 @@ def evaluate_all(
     the branches cancel (norm numerically zero) this raises
     ``ZeroVectorError``.
     """
-    ctx = _PairContext(coeffs, phi, psi)
-    bound_ids = _CLASS_BOUNDS[ctx.pair_class.tag] + _LOWER_BOUNDS
-    return [_report(ctx, b, tolerance) for b in bound_ids]
-
-
-class _ClassRows(_PairContext):
-    """A ``_PairContext`` whose quantities are (R,) arrays over rows of one
-    pair class.  Where the scalar context raises on a row, ``ok`` goes False."""
-
-    def __init__(self, kind: PairKind, overlap: np.ndarray, values: dict):
-        self.__dict__.update(values)
-        self.kind, self.overlap = kind, overlap
-        self.ok = self.s > TOLERANCES.zero_vector  # else coherence_t1 raises
-
-    def entropy(self, x: np.ndarray) -> np.ndarray:
-        value, inside = binary_entropy_rows(x)
-        self.ok &= inside
-        return value
-
-    def require(self, hypothesis: PairKind) -> None:
-        self.ok &= _meets(hypothesis, self.kind is PairKind.DISJOINT_SUPPORT, self.overlap)
+    pair_class = classify_pair(phi, psi)
+    # The class meets its first bound's hypothesis; a disjoint pair may fail T2's.
+    q, digest = _record(coeffs, phi, psi), inputs_digest(coeffs, phi, psi)
+    reports = []
+    for bound_id in _CLASS_BOUNDS[pair_class.tag] + _LOWER_BOUNDS:
+        _require(BOUNDS[bound_id].hypothesis, pair_class)
+        reports.append(_report(bound_id, q, tolerance, digest))
+    return reports
 
 
 def evaluate_rows(
@@ -433,16 +375,26 @@ def evaluate_rows(
 ) -> tuple[dict[str, tuple[np.ndarray, np.ndarray]], np.ndarray]:
     """``evaluate_all`` on R input triples of pair class ``kind``, each formula
     run once on (R,) arrays: ``overlap`` holds <phi|psi> and ``values`` the
-    other quantities of a context (``alpha_sq``, ``beta_sq``, ``s`` and
+    six fields of the record (``alpha_sq``, ``beta_sq``, ``s`` and
     ``coherence_phi``/``_psi``/``_t1``).  Returns (slacks, satisfied) per
     bound id, and ``ok``: where it holds, row i is ``evaluate_all``'s bit for
     bit; elsewhere that raises for triple i (a degenerate superposition, an
     entropy argument outside [0, 1], a disjoint pair against T2's hypothesis).
     """
-    ctx = _ClassRows(kind, overlap, values)
+    q = _Quantities(**values)
+    ok = q.s > TOLERANCES.zero_vector  # else _record raises
+
+    def entropy(x: np.ndarray) -> np.ndarray:
+        nonlocal ok
+        value, inside = binary_entropy_rows(x)
+        ok &= inside
+        return value
+
     verdicts = {}
     for bound_id in _CLASS_BOUNDS[kind] + _LOWER_BOUNDS:
         bound = BOUNDS[bound_id]
-        slack = _sides_and_slack(ctx, bound)[2]
+        if bound.hypothesis is not None:
+            ok &= _meets(bound.hypothesis, kind is PairKind.DISJOINT_SUPPORT, overlap)
+        slack = _slack(bound, *bound.sides(q, entropy))
         verdicts[bound_id] = slack, _satisfied(bound, slack, tolerance)
-    return verdicts, ctx.ok
+    return verdicts, ok

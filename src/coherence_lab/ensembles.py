@@ -38,7 +38,7 @@ import numpy as np
 from .bounds import BoundReport, evaluate_all, evaluate_rows
 from .entropy import row_coherences
 from .errors import BadSplitError, CoherenceLabError, DegeneratePairError
-from .linalg import StateVector, moduli, norm, normalize, normalize_rows, project_out_rows
+from .linalg import StateVector, norm, normalize, normalize_rows, project_out_rows
 from .rng import complex_normals, make_generator, philox_uniforms, subseed, subseeds
 from .superpose import (
     PairKind,
@@ -47,6 +47,7 @@ from .superpose import (
     classify_pair,
     coefficient_map,
     coefficient_weights,
+    is_orthogonal,
     superpose_rows,
 )
 from .tolerances import TOLERANCES
@@ -216,7 +217,7 @@ def sample_pair(
         phi = _haar_state(gen, config.dim)
         for _ in range(_MAX_RESAMPLES):
             psi = _haar_state(gen, config.dim)
-            if abs(np.vdot(phi.amps, psi.amps)) > TOLERANCES.overlap:
+            if not is_orthogonal(np.vdot(phi.amps, psi.amps)):
                 return phi, psi
         raise DegeneratePairError("every resample was accidentally orthogonal")
     return _haar_state(gen, config.dim), _haar_state(gen, config.dim)
@@ -322,7 +323,7 @@ def _group_rows(members: list, uniforms: np.ndarray, alpha: np.ndarray, beta: np
     start = 0
     for kind, n in kinds:
         if kind is PairKind.NON_ORTHOGONAL:
-            ok[start : start + n] &= moduli(overlap[start : start + n]) > TOLERANCES.overlap
+            ok[start : start + n] &= ~is_orthogonal(overlap[start : start + n])
         start += n
     s, omega, superposed = superpose_rows(alpha, beta, phi, psi)
     values = {"overlap": overlap, "ok": ok & superposed, "s": s}

@@ -191,6 +191,12 @@ def disjoint_rows(phi: np.ndarray, psi: np.ndarray) -> np.ndarray:
     return np.minimum(np.abs(phi), np.abs(psi)).max(axis=1) <= TOLERANCES.support
 
 
+def is_orthogonal(overlap):
+    """Whether overlaps <phi|psi> (a complex or an array) count as orthogonal:
+    |<phi|psi>| <= ``TOLERANCES.overlap``.  A NaN overlap does not."""
+    return moduli(overlap) <= TOLERANCES.overlap
+
+
 def class_masks(
     phi: np.ndarray, psi: np.ndarray
 ) -> tuple[dict[PairKind, np.ndarray], np.ndarray]:
@@ -199,7 +205,7 @@ def class_masks(
     this on one row."""
     overlaps = row_vdot(phi, psi)
     disjoint = disjoint_rows(phi, psi)
-    orthogonal = moduli(overlaps) <= TOLERANCES.overlap
+    orthogonal = is_orthogonal(overlaps)
     classes = {
         PairKind.DISJOINT_SUPPORT: disjoint,
         PairKind.ORTHOGONAL_SAME_SPACE: orthogonal & ~disjoint,

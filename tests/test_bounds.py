@@ -1,5 +1,6 @@
 """Bound reports: frozen examples, slack conventions, and random sweeps."""
 
+import dataclasses
 import importlib
 import math
 
@@ -24,6 +25,7 @@ from coherence_lab import (
     Tolerances,
     WrongPairClassError,
     ZeroVectorError,
+    binary_entropy,
     bound_slack,
     classify_pair,
     evaluate_all,
@@ -449,14 +451,6 @@ def test_each_context_computes_each_quantity_once(monkeypatch):
 # --- the bound formulas on arrays ---------------------------------------------------
 
 
-def seeded_context(kind, overlap, values):
-    """A scalar context holding given quantities, as ``row_slacks`` seeds one
-    per row, and the pair class ``evaluate_all`` reads."""
-    ctx = object.__new__(bounds_module._PairContext)
-    ctx.__dict__.update(values, pair_class=PairClass(kind, overlap), digest="")
-    return ctx
-
-
 CLASS_EXEMPLARS = {
     PairKind.DISJOINT_SUPPORT: (E0, E1),
     PairKind.ORTHOGONAL_SAME_SPACE: (PLUS, MINUS),
@@ -486,15 +480,18 @@ def test_evaluate_rows_runs_the_scalar_formulas_on_arrays(kind):
     # The bounds evaluate_all reports for the class, in its order.
     assert list(verdicts) == [rep.bound_id for rep in evaluate_all(EQUAL, *CLASS_EXEMPLARS[kind])]
     for i in range(len(rows)):
-        ctx = seeded_context(kind, complex(overlap[rows[i]]),
-                             {k: v[i].item() for k, v in values.items()})
+        # Row i's floats as a scalar record, as row_slacks builds one per row,
+        # and the pair class evaluate_all checks each hypothesis on.
+        record = bounds_module._Quantities(**{k: v[i].item() for k, v in values.items()})
+        pair_class = PairClass(kind, complex(overlap[rows[i]]))
         raised = False
         for bound_id, (slack, satisfied) in verdicts.items():
             try:
-                report = bounds_module._report(ctx, bound_id, 1e-9)
+                bounds_module._require(BOUNDS[bound_id].hypothesis, pair_class)
             except WrongPairClassError:
                 raised = True
                 continue
+            report = bounds_module._report(bound_id, record, 1e-9, "")
             assert (slack[i].hex(), bool(satisfied[i])) == (report.slack.hex(), report.satisfied)
         assert bool(ok[i]) is not raised
     if kind is PairKind.NON_ORTHOGONAL:
@@ -571,12 +568,13 @@ def test_the_three_paths_agree_on_each_hypothesis(monkeypatch):
                     bound_slack(bound_id, c, p, q)
         vouched_slacks[bound_id] = vouched, slacks
 
-    contexts = [bounds_module._PairContext(c, p, q) for c, (p, q) in zip(coeffs, pairs)]
-    names = ("alpha_sq", "beta_sq", "s", "coherence_phi", "coherence_psi", "coherence_t1")
+    classes = [classify_pair(p, q) for p, q in pairs]
+    records = [bounds_module._record(c, p, q) for c, (p, q) in zip(coeffs, pairs)]
     for kind in (PairKind.DISJOINT_SUPPORT, PairKind.ORTHOGONAL_SAME_SPACE, PairKind.NON_ORTHOGONAL):
-        rows = [i for i, ctx in enumerate(contexts) if ctx.pair_class.tag is kind]
-        values = {name: np.array([getattr(contexts[i], name) for i in rows]) for name in names}
-        overlaps = np.array([contexts[i].pair_class.overlap for i in rows])
+        rows = [i for i, pair_class in enumerate(classes) if pair_class.tag is kind]
+        values = {name: np.array([getattr(records[i], name) for i in rows])
+                  for name in bounds_module._Quantities._fields}
+        overlaps = np.array([classes[i].overlap for i in rows])
         verdicts, ok = bounds_module.evaluate_rows(kind, overlaps, values)
         for j, i in enumerate(rows):
             assert bool(ok[j]) is all(vouched_slacks[b][0][i] for b in verdicts), (kind, i)
@@ -585,3 +583,43 @@ def test_the_three_paths_agree_on_each_hypothesis(monkeypatch):
                     assert slack[j].hex() == vouched_slacks[bound_id][1][i].hex()
         if kind is PairKind.DISJOINT_SUPPORT:
             assert ok.tolist() == [False, True]  # the support row fails T2
+
+
+def test_one_mutant_reaches_every_evaluator(monkeypatch):
+    # Each relation is written once: T2 loosened from 2 to 2.1 in BOUNDS alone
+    # moves the slack of every evaluator, scalar and batched, to the same bits.
+    triples = [(random_coefficients(60 + i), *random_orthogonal_pair(2, 60 + i)) for i in range(4)]
+    assert all(classify_pair(phi, psi).tag is PairKind.ORTHOGONAL_SAME_SPACE
+               for _, phi, psi in triples)
+    before = [bound_slack(T2_UPPER, *triple) for triple in triples]
+
+    def loose_t2_sides(q, entropy):
+        return q.coherence_t1, 2.1 * bounds_module._weighted_mix(q, entropy)
+
+    loose = dataclasses.replace(BOUNDS[T2_UPPER], sides=loose_t2_sides)
+    monkeypatch.setattr(bounds_module, "BOUNDS", {**BOUNDS, T2_UPPER: loose})
+    records = [bounds_module._record(*triple) for triple in triples]
+    expected = [
+        2.1 * (r.alpha_sq * r.coherence_phi + r.beta_sq * r.coherence_psi
+               + binary_entropy(r.alpha_sq)) - r.coherence_t1
+        for r in records
+    ]
+    rows, ok = bounds_module.row_slacks(
+        T2_UPPER,
+        np.array([c.alpha for c, _, _ in triples]), np.array([c.beta for c, _, _ in triples]),
+        np.array([p.amps for _, p, _ in triples]), np.array([q.amps for _, _, q in triples]),
+    )
+    verdicts, vouched = bounds_module.evaluate_rows(
+        PairKind.ORTHOGONAL_SAME_SPACE,
+        np.array([classify_pair(p, q).overlap for _, p, q in triples]),
+        {name: np.array([getattr(r, name) for r in records])
+         for name in bounds_module._Quantities._fields},
+    )
+    assert ok.all() and vouched.all()
+    for i, triple in enumerate(triples):
+        report = evaluate_all(*triple)[0]
+        assert report.bound_id == T2_UPPER
+        slacks = [bound_slack(T2_UPPER, *triple), evaluate_bound(T2_UPPER, *triple).slack,
+                  report.slack, rows[i].item(), verdicts[T2_UPPER][0][i].item()]
+        assert {slack.hex() for slack in slacks} == {expected[i].hex()}
+        assert expected[i] != before[i]

@@ -23,7 +23,7 @@ from coherence_lab import (
     superpose,
     t_states,
 )
-from coherence_lab.superpose import class_masks, coefficient_map, superpose_rows
+from coherence_lab.superpose import class_masks, coefficient_map, is_orthogonal, superpose_rows
 
 INV_SQRT2 = 1.0 / math.sqrt(2.0)
 
@@ -276,6 +276,17 @@ def test_class_masks_compare_the_overlap_as_abs_does(monkeypatch):
         assert want.tag is PairKind.ORTHOGONAL_SAME_SPACE
         masks, _ = class_masks(phi.amps[None], psi.amps[None])
         assert [kind for kind, rows in masks.items() if rows[0]] == [want.tag]
+
+
+def test_is_orthogonal_at_the_overlap_threshold():
+    # The one orthogonality test, on complexes and on an array: a modulus at
+    # the threshold is orthogonal, the next float above it is not, nor is NaN.
+    above = np.nextafter(TOLERANCES.overlap, 1.0)
+    overlaps = [complex(TOLERANCES.overlap, 0.0), complex(0.0, -TOLERANCES.overlap),
+                complex(above, 0.0), complex(math.nan, 0.0)]
+    expected = [True, True, False, False]
+    assert [bool(is_orthogonal(z)) for z in overlaps] == expected
+    assert is_orthogonal(np.array(overlaps)).tolist() == expected
 
 
 # --- identities -------------------------------------------------------------------
