@@ -11,23 +11,23 @@ boundary.
 The objective (``_objective``) gives the slacks at a batch of points with
 the scalar path's arithmetic; a row it cannot vouch for (a degenerate or
 non-finite block, a zero probability inside a support, a failed unit-norm
-check, sides that raise) goes once through the scalar path.  The
-restarts of a search run in lockstep (``_lockstep``): their simplices are
-one (restarts, n + 1, n) array, n = 4 * dim + 2, and each iteration
-evaluates the points of all live restarts in batched calls.  Every restart
-still takes exactly the steps, values and evaluation count it takes when run
-alone.  A restart whose point raised stops there, and the search raises the
-exception of the lowest such restart.
+check, sides that raise) goes once through the scalar path.  Each restart is
+a generator (``_descent``) that runs the one-start descent and yields the
+points it needs; ``_lockstep`` runs a group of restarts in rounds and puts
+the points of all live restarts through batched objective calls.  A restart
+whose point raised stops there, and the search raises the exception of the
+lowest such restart.
 
-A simplex holds about 8 * n^2 bytes, hence the ``SearchSpec`` dimension
-ceiling of 1024.  Restarts run in groups whose simplices fit in the bytes of
-one simplex at that ceiling (one restart at a time at d = 1024).  Each
-evaluation computes only the slack; the one ``BoundReport`` is built for the
-best point at the end.
+A simplex holds about 8 * n^2 bytes, n = 4 * dim + 2, hence the
+``SearchSpec`` dimension ceiling of 1024.  Restarts run in groups whose
+simplices fit in the bytes of one simplex at that ceiling (one restart at a
+time at d = 1024).  Each evaluation computes only the slack; the one
+``BoundReport`` is built for the best point at the end.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from functools import partial
 from operator import itemgetter
@@ -43,9 +43,6 @@ from .superpose import PairKind, SuperpositionCoefficients, coefficient_map
 from .tolerances import TOLERANCES
 
 _SIMPLEX_OFFSET = 0.1
-# A second point is centroid + factor * (centroid - worst); the inside
-# contraction c - (c - w)/2 equals c + (-(c - w)/2) bit for bit.
-_SECOND_POINT = {"expand": 2.0, "outside": 0.5, "inside": -0.5}
 _DIAMETER_TOL = 1e-10
 # The simplex holds 8 * (4 * dim + 2)^2 bytes: 134 MB at this ceiling, about
 # 550 GB at the 2^16 that verify and sweep accept.
@@ -249,18 +246,6 @@ def _diameter(simplex: np.ndarray) -> float:
     return float(max((simplex.max(axis=0) - best).max(), (best - simplex.min(axis=0)).max()))
 
 
-def _worst_gap(simplices: np.ndarray) -> np.ndarray:
-    """max_j |S[r, -1, j] - S[r, 0, j]| for each simplex S[r] of a 3-d array.
-
-    Never above ``_diameter(S[r])``: rounding is monotone and
-    fl(b - w) = -fl(w - b), so each |fl(w_j - b_j)| is at most
-    fl(colmax_j - b_j) or fl(b_j - colmin_j).  A gap at or above the stopping
-    tolerance therefore settles that the descent goes on, without the two
-    column reductions over the whole simplex.
-    """
-    return np.maximum.reduce(np.abs(simplices[:, -1] - simplices[:, 0]), axis=1)
-
-
 def _group_width(n: int) -> int:
     """Restarts that run in lockstep: as many (n + 1, n) simplices as fit in
     the bytes of one simplex at ``_MAX_SEARCH_DIM``, and at least one.
@@ -272,144 +257,119 @@ def _group_width(n: int) -> int:
     return max(1, (largest + 1) * largest // ((n + 1) * n))
 
 
-def _lockstep(objective, starts: np.ndarray, iterations: int) -> list:
-    """Nelder-Mead from each row of ``starts``, all starts in lockstep.
+def _sort(S: np.ndarray, V: list) -> None:
+    """Sort the simplex S and its values V in place, by value with stable ties."""
+    order = np.argsort(V, kind="stable").tolist()
+    S[:], V[:] = S[order], [V[i] for i in order]
 
-    Result r is what the classic one-start descent from starts[r] returns,
-    bit for bit: (best_x, best_f, evaluations).  If the objective failed at
-    one of start r's points, result r is that exception instead: the first
-    one in the order the one-start descent evaluates its points.
+
+def _descent(start: np.ndarray, iterations: int):
+    """The one-start Nelder-Mead descent from ``start``, as a generator.
+
+    It yields each batch of points it needs (the initial simplex, a
+    reflection, a second point, or the n shrunk vertices) as the rows of an
+    array, is sent their values as a list of floats, and returns
+    (best_x, best_f, evaluations).  The simplex stays sorted by value with
+    stable ties: wholly after the initial evaluation and after a shrink, else
+    by moving the new vertex to the rank a stable sort gives it.
+    """
+    n = start.size
+    S = np.repeat(start[None], n + 1, axis=0)
+    np.fill_diagonal(S[1:], start + _SIMPLEX_OFFSET)
+    best, worst = S[0], S[-1]  # views: S only ever changes in place
+    V = yield S
+    _sort(S, V)
+    evaluations = n + 1
+    for _ in range(iterations):
+        # max|worst - best| <= the diameter, so it settles most iterations alone; a
+        # NaN it skips comes from a non-finite column, where the diameter is not small.
+        if max(map(abs, (worst - best).tolist())) < _DIAMETER_TOL and _diameter(S) < _DIAMETER_TOL:
+            break
+        centroid = np.add.reduce(S[:-1], axis=0) / n  # ndarray.mean's arithmetic
+        step = centroid - worst
+        x = centroid + step
+        [f] = yield x[None]
+        evaluations += 1
+        if f < V[0]:
+            expanded = centroid + 2.0 * step
+            [f_expanded] = yield expanded[None]
+            evaluations += 1
+            if f_expanded < f:
+                x, f = expanded, f_expanded
+        elif not f < V[-2]:
+            # The inside contraction c - (c - w)/2 is c + (-0.5)(c - w) bit for bit.
+            outside = f < V[-1]
+            contracted = centroid + (0.5 if outside else -0.5) * step
+            [f_contracted] = yield contracted[None]
+            evaluations += 1
+            if f_contracted <= f if outside else f_contracted < V[-1]:
+                x, f = contracted, f_contracted
+            else:  # shrink toward the best vertex, in place
+                S[1:] -= best
+                S[1:] *= 0.5
+                S[1:] += best
+                V[1:] = yield S[1:]
+                _sort(S, V)
+                evaluations += n
+                continue
+        # A new best goes first, ahead of any NaN (NaN sorts last); any other
+        # new vertex goes after the first n values that it does not undercut.
+        rank = 0 if f < V[0] else bisect_right(V, f, 1, n)
+        S[rank + 1 :] = S[rank:-1]
+        S[rank] = x
+        V.pop()
+        V.insert(rank, f)
+    return best.copy(), V[0], evaluations
+
+
+def _calls(batches: list, width: int):
+    """The rows of ``batches`` in order, in arrays of at most ``width`` rows."""
+    parts, room = [], width
+    for X in batches:
+        while len(X) >= room:
+            yield np.concatenate([*parts, X[:room]])
+            X, parts, room = X[room:], [], width
+        parts.append(X)
+        room -= len(X)
+    if room < width:
+        yield np.concatenate(parts)
+
+
+def _lockstep(objective, starts: np.ndarray, iterations: int) -> list:
+    """Nelder-Mead from each row of ``starts``, one ``_descent`` per start.
+
+    Result r is what ``_descent(starts[r], iterations)`` returns or, if the
+    objective failed at one of its points, the first such exception in the
+    order the descent evaluates them, which ends that descent.
 
     ``objective(X)`` returns (values, errors) for the rows of X, where
-    ``errors`` maps each row that failed to its exception, in row order.  An
-    iteration evaluates the reflections of all live starts in one call, then
-    the second points (an expansion or a contraction) of the starts that
-    need one, then the shrunk simplices; a call takes at most
-    ``_group_width`` rows.
-
-    Slot k of the simplex array S holds start ids[k].  The first ``live``
-    slots hold the starts still descending, each simplex sorted by value
-    with stable ties, moving only the rows that change rank.
+    ``errors`` maps each row that failed to its exception, in row order.
+    Each round packs the points that all live descents ask for, in start
+    order, into calls of at most ``_group_width`` rows, and sends each
+    descent its values.
     """
-    count, n = starts.shape
-    chunk = _group_width(n)
-    S = np.repeat(starts[:, None, :], n + 1, axis=1)
-    diagonal = np.arange(n)
-    S[:, diagonal + 1, diagonal] = starts + _SIMPLEX_OFFSET
-    V = np.empty((count, n + 1))
-    E = [n + 1] * count  # evaluations per slot
-    ids = np.arange(count)
-    results: list = [None] * count
-    failed: dict[int, Exception] = {}  # slot -> its first exception
-
-    def evaluate(slots: list[int], rows) -> np.ndarray:
-        """Values at the points rows(lo, hi) of slots[lo:hi].  A point that
-        failed records its exception for its slot, unless the slot has one."""
-        parts = []
-        for lo in range(0, len(slots), chunk):
-            part, errors = objective(rows(lo, min(lo + chunk, len(slots))))
-            for i, exc in errors.items():  # raised for its start once the group is done
-                failed.setdefault(slots[lo + i], exc)
-            parts.append(part)
-        return parts[0] if len(parts) == 1 else np.concatenate(parts)
-
-    def retire(slots) -> None:
-        """Record the results of ``slots`` and close up the live slots."""
-        nonlocal live
-        for slot in sorted(slots, reverse=True):
-            start = ids[slot]
-            if slot in failed:
-                results[start] = failed.pop(slot)
-            else:
-                best = int(np.argsort(V[slot], kind="stable")[0])
-                results[start] = (S[slot, best].copy(), float(V[slot, best]), E[slot])
-            live -= 1
-            if slot != live:  # the retired simplex is no longer needed
-                S[slot], V[slot], ids[slot] = S[live], V[live], ids[live]
-                E[slot] = E[live]
-
-    live = count
-    owner = np.repeat(np.arange(count), n + 1)
-    vertex = np.tile(np.arange(n + 1), count)
-    V[:] = evaluate(owner.tolist(), lambda lo, hi: S[owner[lo:hi], vertex[lo:hi]]).reshape(
-        count, n + 1
-    )
-    retire(list(failed))
-    ranks = np.arange(n + 1)
-    corner_columns = np.array([0, n - 1, n])  # best, second worst, worst
-    slot_index = np.arange(count)[:, None]
-
-    for _ in range(iterations):
-        if not live:
-            break
-        order = V[:live].argsort(axis=1, kind="stable")
-        slot, rank = (order != ranks).nonzero()  # copy only these rows
-        S[slot, rank] = S[slot, order[slot, rank]]
-        V[:live] = V[slot_index[:live], order]
-        near = (_worst_gap(S[:live]) < _DIAMETER_TOL).nonzero()[0].tolist()
-        if near:
-            retire([k for k in near if _diameter(S[k]) < _DIAMETER_TOL])
-            if not live:
-                break
-
-        slots = list(range(live))
-        centroid = np.add.reduce(S[:live, :-1], axis=1) / n  # ndarray.mean's arithmetic
-        step = centroid - S[:live, -1]
-        reflected = centroid + step
-        f_reflected = evaluate(slots, lambda lo, hi: reflected[lo:hi]).tolist()
-
-        # Each start takes its branch as the one-start descent does.
-        accepted = []  # (slot, value) of reflections that replace the worst row
-        again, branches = [], []
-        corners = V[:live].take(corner_columns, axis=1).tolist()
-        for k, f_r, (best, second_worst, worst) in zip(slots, f_reflected, corners):
-            E[k] += 1
-            if k in failed:
+    width = _group_width(starts.shape[1])
+    results: list = [None] * len(starts)
+    descents = enumerate(_descent(start, iterations) for start in starts)
+    live = [(r, descent, next(descent)) for r, descent in descents]  # (start, descent, its points)
+    while live:
+        values, raised = [], {}  # this round's values; the exception of each point that failed
+        for X in _calls([X for *_, X in live], width):
+            part, errors = objective(X)
+            raised.update((len(values) + i, exc) for i, exc in errors.items())
+            values += part.tolist()
+        going, end = [], 0
+        for r, descent, X in live:
+            first, end = end, end + len(X)
+            failed = [raised[i] for i in raised if first <= i < end]
+            if failed:
+                results[r] = failed[0]
                 continue
-            if best <= f_r < second_worst:
-                accepted.append((k, f_r))
-                continue
-            again.append(k)
-            E[k] += 1
-            branches.append("expand" if f_r < best else "outside" if f_r < worst else "inside")
-        shrink = []
-        if again:
-            if len(again) < live:
-                centroid, step = centroid[again], step[again]
-            factors = np.array([_SECOND_POINT[branch] for branch in branches])
-            second = centroid + factors[:, None] * step
-            f_second = evaluate(again, lambda lo, hi: second[lo:hi]).tolist()
-            for j, (k, branch, f_c) in enumerate(zip(again, branches, f_second)):
-                if k in failed:
-                    continue
-                f_r, worst = f_reflected[k], corners[k][2]
-                if branch == "expand":
-                    if f_c < f_r:
-                        S[k, -1], V[k, -1] = second[j], f_c
-                    else:
-                        accepted.append((k, f_r))
-                elif f_c <= f_r if branch == "outside" else f_c < worst:
-                    S[k, -1], V[k, -1] = second[j], f_c
-                else:
-                    shrink.append(k)
-        for k, f_r in accepted:
-            S[k, -1], V[k, -1] = reflected[k], f_r
-
-        if shrink:
-            for k in shrink:  # toward the best vertex, in place
-                S[k, 1:] -= S[k, 0]
-                S[k, 1:] *= 0.5
-                S[k, 1:] += S[k, 0]
-                E[k] += n
-            owner = np.repeat(shrink, n)
-            vertex = np.tile(np.arange(1, n + 1), len(shrink))
-            V[shrink, 1:] = evaluate(
-                owner.tolist(), lambda lo, hi: S[owner[lo:hi], vertex[lo:hi]]
-            ).reshape(len(shrink), n)
-        if failed:
-            retire(list(failed))
-
-    retire(range(live))
+            try:
+                going.append((r, descent, descent.send(values[first:end])))
+            except StopIteration as stop:
+                results[r] = stop.value
+        live = going
     return results
 
 

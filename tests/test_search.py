@@ -33,7 +33,6 @@ from coherence_lab.search import (
     _group_width,
     _lockstep,
     _parameterize_rows,
-    _worst_gap,
 )
 from coherence_lab.tolerances import Tolerances
 
@@ -380,6 +379,17 @@ def test_nelder_mead_matches_list_reference_across_an_infinite_region():
     assert math.inf in seen and any(v < math.inf for v in seen)
 
 
+def test_nelder_mead_matches_list_reference_with_nan_values():
+    def walled(x):
+        # Five of the seven initial vertices read NaN, and the first
+        # reflection and its expansion are new bests that rank ahead of them.
+        if np.max(x[1:]) > 0.05:
+            return math.nan
+        return -float(x[0] + 10.0 * np.sum(x[1:5]))
+
+    compared_lockstep(walled, [np.zeros(parameter_count(1))], 40)
+
+
 def plateaus(x):
     # Integer levels: many vertices tie, and reflections rarely improve.
     return float(np.floor(4.0 * np.sum(x * x)))
@@ -589,6 +599,36 @@ def test_large_searches_run_in_groups_of_the_width(monkeypatch, dim, groups):
     assert result.evaluations == sum(groups)
 
 
+def test_objective_calls_hold_at_most_the_group_width(monkeypatch):
+    spec = SearchSpec(bound_id=T4_LOWER_A, dim=4, pair_kind=PairKind.ARBITRARY, seed=5,
+                      restarts=5, iterations=100)
+    unpatched = minimize_slack(spec)
+    monkeypatch.setattr(search, "_MAX_SEARCH_DIM", 8)
+    assert _group_width(parameter_count(4)) == 3
+    rows = []
+    real_objective = search._objective
+
+    def counted(spec, X):
+        rows.append(len(X))
+        return real_objective(spec, X)
+
+    monkeypatch.setattr(search, "_objective", counted)
+    capped = minimize_slack(spec)
+    assert max(rows) <= 3
+    # Restart 0's initial simplex, n + 1 = 19 points, opens the search and
+    # spans seven calls.
+    assert rows[:7] == [3] * 7
+    assert result_bits(capped) == result_bits(unpatched)
+
+
+def result_bits(result):
+    """The best inputs, best slack, restart bests and evaluations of a search, as bytes."""
+    coeffs, phi, psi = result.best_inputs
+    return (np.complex128([coeffs.alpha, coeffs.beta]).tobytes(), phi.amps.tobytes(),
+            psi.amps.tobytes(), struct_bits(result.best_slack),
+            [struct_bits(value) for value in result.restart_best], result.evaluations)
+
+
 def test_a_restart_that_raises_ends_the_search_with_its_exception(monkeypatch):
     calls = []
 
@@ -632,11 +672,14 @@ def test_two_reduction_diameter_equals_per_vertex_maximum():
 
 
 def test_worst_gap_never_exceeds_the_diameter():
+    # The descent's first stopping test, max|S[-1] - S[0]|, may only settle
+    # that it goes on: a gap at or above the tolerance implies the diameter is.
     rng = np.random.default_rng(2025)
     checked = 0
     for simplex in extreme_simplices(rng):
         with np.errstate(over="ignore"):
-            gap, diameter = _worst_gap(simplex[None])[0], _diameter(simplex)
+            gap = max(map(abs, (simplex[-1] - simplex[0]).tolist()))
+            diameter = _diameter(simplex)
         assert gap <= diameter
         checked += gap == diameter
     assert checked > 0  # the bound is reached, so the test can see a violation
