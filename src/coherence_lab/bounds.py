@@ -31,8 +31,6 @@ too, as ``Bound.hypothesis``, and checked through ``_meets``: on a pair
 
 from __future__ import annotations
 
-import hashlib
-import struct
 from dataclasses import asdict, dataclass
 from typing import Callable, NamedTuple, Optional
 
@@ -79,7 +77,11 @@ class BoundReport:
 def inputs_digest(
     coeffs: SuperpositionCoefficients, phi: StateVector, psi: StateVector
 ) -> str:
-    """Stable hex digest of an input triple (little-endian complex128 bytes)."""
+    """Stable hex digest of an input triple (little-endian complex128 bytes);
+    ``verify``'s batched path builds none, so it never loads OpenSSL."""
+    import hashlib  # here, so a process loads OpenSSL only at its first digest
+    import struct
+
     payload = np.concatenate(
         [np.array([coeffs.alpha, coeffs.beta]), phi.amps, psi.amps]
     ).astype("<c16")

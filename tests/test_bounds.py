@@ -349,6 +349,10 @@ def test_inputs_digest_is_stable_and_discriminating():
     assert all(ch in "0123456789abcdef" for ch in first)
     report = evaluate_bound(T1_EQUALITY, EQUAL, E0, E1)
     assert report.inputs_digest == first
+    # The values for demo's two triples, so that a change to the tag, the dim
+    # packing or the byte order fails here and not only in a report's bytes.
+    assert first == "42b3452fe32113e3"
+    assert inputs_digest(EQUAL, PLUS, MINUS) == "e1c469cee24995b5"
 
 
 # The pair kinds each bound may be searched over, as a literal.

@@ -2,8 +2,11 @@
 
 import json
 import math
+import os
 import re
 import struct
+import subprocess
+import sys
 from datetime import datetime, timedelta
 from pathlib import Path
 
@@ -16,6 +19,7 @@ from coherence_lab.errors import ConsistencyError
 
 INV_SQRT2 = 1.0 / math.sqrt(2.0)
 README = Path(__file__).resolve().parents[1] / "README.md"
+SRC = README.parent / "src"
 
 
 def run_cli(args):
@@ -163,6 +167,32 @@ def test_verify_report_is_the_per_ensemble_summaries(monkeypatch, capsys):
     monkeypatch.setattr(cli, "summarize_ensembles", one_by_one)
     assert run_cli(argv) == 0
     assert capsys.readouterr().out == together
+
+
+# Run in a fresh interpreter: the modules loaded after each command, by name.
+FOOTPRINT = """
+import contextlib, io, json, sys
+from coherence_lab import cli
+HEAVY = ("hashlib", "_hashlib", "numpy.random")
+steps = []
+for argv in (["verify", "--trials", "125", "--seed", "3"], ["demo"]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = cli.main(argv)
+    steps.append([code, [name for name in HEAVY if name in sys.modules]])
+print(json.dumps(steps))
+"""
+
+
+def test_batched_verify_loads_neither_openssl_nor_numpy_random():
+    # At seeds 0-31 this shape runs every trial on the batched path, which
+    # draws with the package's own Philox and builds no input digest.
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    run = subprocess.run([sys.executable, "-c", FOOTPRINT], env=env,
+                         capture_output=True, text=True)
+    assert run.returncode == 0, run.stderr
+    (verify_code, after_verify), (demo_code, after_demo) = json.loads(run.stdout)
+    assert verify_code == 0 and after_verify == []
+    assert demo_code == 0 and "hashlib" in after_demo
 
 
 def test_verify_flag_overrides_config(tmp_path):
