@@ -5,7 +5,7 @@ Commands:
 * ``demo``     evaluate the two built-in qubit examples end to end
 * ``verify``   run randomized bound-verification ensembles, emit a JSON report
 * ``sweep``    tabulate one bound over a grid of weights, emit CSV or JSON
-* ``saturate`` search for minimal slack of one bound, emit a JSON report
+* ``saturate`` search one bound for its least slack (equality: largest residual), emit JSON
 
 Machine-readable payloads go to stdout or ``--out``; log lines go to stderr.
 Exit codes: 0 success, 1 at least one bound report unsatisfied, 2 usage or

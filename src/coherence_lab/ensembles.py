@@ -39,7 +39,7 @@ from .bounds import BoundReport, evaluate_all, evaluate_rows
 from .entropy import row_coherences
 from .errors import BadSplitError, CoherenceLabError, DegeneratePairError
 from .linalg import StateVector, norm, normalize, normalize_rows, project_out_rows
-from .rng import complex_normals, make_generator, philox_uniforms, subseed, subseeds
+from .rng import UniformRows, complex_normals, make_generator, philox_uniforms, subseed, subseeds
 from .superpose import (
     PairKind,
     SuperpositionCoefficients,
@@ -188,7 +188,7 @@ def random_disjoint_support_pair(config: EnsembleConfig) -> tuple[StateVector, S
 
 def _coefficient_pair(gen):
     """alpha and beta from the next two uniforms: floats from a generator,
-    (trials,) arrays from ``_Rows``."""
+    (trials,) arrays from ``UniformRows``."""
     theta = 0.5 * np.pi * gen.random()
     return coefficient_map(theta, 2.0 * np.pi * gen.random())
 
@@ -263,23 +263,6 @@ def run_ensemble(
 # batched path
 
 
-class _Rows:
-    """Pre-drawn uniforms, one trial per row, read like a trial's generator.
-
-    ``random(n)`` returns the next n columns and ``random()`` the next one,
-    so the scalar draw helpers consume them in a trial's draw order.
-    """
-
-    def __init__(self, uniforms: np.ndarray):
-        self.uniforms = uniforms
-        self.pos = 0
-
-    def random(self, n: Optional[int] = None) -> np.ndarray:
-        start = self.pos
-        self.pos += 1 if n is None else n
-        return self.uniforms[:, start] if n is None else self.uniforms[:, start:self.pos]
-
-
 def _blocks(config: EnsembleConfig) -> tuple[int, int]:
     """The lengths of the two raw Gaussian vectors a trial draws."""
     if config.pair_kind is PairKind.DISJOINT_SUPPORT:
@@ -305,7 +288,7 @@ def _group_rows(members: list, uniforms: np.ndarray, alpha: np.ndarray, beta: np
     overlaps, ``ok`` and the values ``evaluate_rows`` reads)."""
     _, dim, (d1, d2) = _group(members[0][1])
     kinds = [(config.pair_kind, len(trials)) for _, config, trials in members]
-    stream = _Rows(uniforms)
+    stream = UniformRows(uniforms)
     phi, _, ok = normalize_rows(complex_normals(stream, d1))
     raw = complex_normals(stream, d2)
     orthogonal = sum(n for kind, n in kinds if kind is PairKind.ORTHOGONAL_SAME_SPACE)
@@ -359,7 +342,7 @@ def _pass(segments: list, tolerance: float):
         ]), length)
         sizes = [sum(len(trials) for _, _, trials in members) for members in same]
         uniforms += np.split(drawn, np.cumsum(sizes)[:-1])
-    alpha, beta = _coefficient_pair(_Rows(_joined([u[:, -2:] for u in uniforms])))
+    alpha, beta = _coefficient_pair(UniformRows(_joined([u[:, -2:] for u in uniforms])))
     alpha_sq, beta_sq, ok = coefficient_weights(alpha, beta)
     edges = np.cumsum([len(u) for u in uniforms])[:-1]
     parts = list(map(_group_rows, groups, uniforms, np.split(alpha, edges), np.split(beta, edges)))

@@ -13,15 +13,19 @@ Generator scheme (stable by construction, documented here on purpose):
   exactly one uniform pair (radius and angle).
 
 ``subseeds`` and ``philox_uniforms`` compute the same sub-seeds and uniform
-streams for a whole array of trials at once: SplitMix64 and Philox4x64-10
-(Salmon et al., "Parallel Random Numbers: As Easy as 1, 2, 3", SC'11) written
-in numpy over a vector of keys, bit-exact with ``subseed`` and numpy's
-``Philox``.  numpy's zero words in the counter and key make Philox rounds 1-2
-per-key and per-block products, computed on (keys,) and (blocks,) arrays;
-rounds 3-10 run in place on two paired lanes, (c0, c2) and (c1, c3).
+streams for a whole array of keys at once (``verify``'s batched pass and the
+starts of search restarts draw so, read row by row through ``UniformRows``;
+single-stream scalar draws use numpy's ``Generator``): SplitMix64 and
+Philox4x64-10 (Salmon et al., "Parallel Random Numbers: As Easy as 1, 2, 3",
+SC'11) written in numpy over a vector of keys, bit-exact with ``subseed`` and
+numpy's ``Philox``.  numpy's zero words in the counter and key make Philox
+rounds 1-2 per-key and per-block products, computed on (keys,) and (blocks,)
+arrays; rounds 3-10 run in place on two paired lanes, (c0, c2) and (c1, c3).
 """
 
 from __future__ import annotations
+
+from typing import Optional
 
 import numpy as np
 
@@ -38,8 +42,23 @@ def subseed(master: int, index: int) -> int:
 
 
 def make_generator(seed: int) -> np.random.Generator:
-    """Counter-based Philox stream keyed by a 64-bit seed."""
+    """Counter-based Philox stream keyed by a 64-bit seed, for scalar draws from
+    one stream; batched draws use ``philox_uniforms``, without ``numpy.random``."""
     return np.random.Generator(np.random.Philox(key=seed & MASK64))
+
+
+class UniformRows:
+    """Pre-drawn uniforms, one stream per row, read like a generator: ``random(n)``
+    returns the next n columns and ``random()`` the next one."""
+
+    def __init__(self, uniforms: np.ndarray):
+        self.uniforms = uniforms
+        self.pos = 0
+
+    def random(self, n: Optional[int] = None) -> np.ndarray:
+        start = self.pos
+        self.pos += 1 if n is None else n
+        return self.uniforms[:, start] if n is None else self.uniforms[:, start:self.pos]
 
 
 def _box_muller(gen: np.random.Generator, pairs: int) -> tuple[np.ndarray, np.ndarray]:
@@ -52,10 +71,10 @@ def _box_muller(gen: np.random.Generator, pairs: int) -> tuple[np.ndarray, np.nd
 
 
 def standard_normals(gen: np.random.Generator, n: int) -> np.ndarray:
-    """n independent N(0, 1) reals via Box-Muller."""
+    """n independent N(0, 1) reals via Box-Muller (n per row from ``UniformRows``)."""
     pairs = (n + 1) // 2
     first, second = _box_muller(gen, pairs)
-    return np.concatenate([first, second])[:n]
+    return np.concatenate([first, second], axis=-1)[..., :n]
 
 
 def complex_normals(gen: np.random.Generator, n: int) -> np.ndarray:

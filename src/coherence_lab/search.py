@@ -1,9 +1,10 @@
 """Derivative-free saturation search over bound slack.
 
 The slack of a bound is minimized as a function of an unconstrained real
-parameter vector; feasibility (normalization, index-block support,
-orthogonality) is handled by projection inside ``parameterize`` so every
-evaluated point is a valid input triple.  Nelder-Mead with standard
+parameter vector; an equality's residual |lhs - rhs| is maximized, so that the
+search reports its worst residual.  Feasibility (normalization, index-block
+support, orthogonality) is handled by projection inside ``parameterize`` so
+every evaluated point is a valid input triple.  Nelder-Mead with standard
 coefficients (Lagarias, Reeds, Wright & Wright, SIAM J. Optim. 9, 1998) is
 used because the slack landscape is non-smooth where entropy terms hit their
 boundary.
@@ -38,7 +39,7 @@ from .bounds import BOUNDS, BoundReport, bound_slack, evaluate_bound, row_slacks
 from .ensembles import default_split
 from .errors import ConsistencyError, ZeroVectorError
 from .linalg import StateVector, norm, normalize, normalize_rows, project_out_rows
-from .rng import make_generator, standard_normals, subseed
+from .rng import UniformRows, philox_uniforms, standard_normals, subseeds
 from .superpose import PairKind, SuperpositionCoefficients, coefficient_map
 from .tolerances import TOLERANCES
 
@@ -47,6 +48,8 @@ _DIAMETER_TOL = 1e-10
 # The simplex holds 8 * (4 * dim + 2)^2 bytes: 134 MB at this ceiling, about
 # 550 GB at the 2^16 that verify and sweep accept.
 _MAX_SEARCH_DIM = 1024
+# The objective is the slack times this sign: an equality's worst residual is its largest.
+_SIGN = {"equality": -1.0, "upper": 1.0, "lower": 1.0}
 
 
 @dataclass(frozen=True)
@@ -84,7 +87,8 @@ class SearchResult:
     ``report`` is ``evaluate_bound`` re-run on ``best_inputs`` at the
     caller's tolerance; its slack is the search's value bit for bit, and
     ``min(restart_best)``.  ``restart_best[r]`` is the lowest slack restart r
-    reached.
+    reached.  An equality's are its largest residuals instead, and its slack
+    is ``max(restart_best)``.
     """
 
     best_inputs: tuple[SuperpositionCoefficients, StateVector, StateVector]
@@ -180,7 +184,7 @@ def _parameterize_rows(
 
 
 def _objective(spec: SearchSpec, X: np.ndarray) -> tuple[np.ndarray, dict[int, Exception]]:
-    """The slack of ``spec``'s bound at each row of X: (values, errors).
+    """The slack of ``spec``'s bound at each row of X, times its ``_SIGN``: (values, errors).
 
     Rows that ``_parameterize_rows`` and ``row_slacks`` vouch for keep their
     batched value.  Every other row runs once through ``parameterize`` and
@@ -188,6 +192,7 @@ def _objective(spec: SearchSpec, X: np.ndarray) -> tuple[np.ndarray, dict[int, E
     ``ZeroVectorError`` reads as +inf, which steers the simplex elsewhere, and
     any other exception goes into ``errors[row]`` (in row order) with value NaN.
     """
+    sign = _SIGN[BOUNDS[spec.bound_id].direction]
     with np.errstate(all="ignore"):
         alpha, beta, phi, psi, ok = _parameterize_rows(X, spec.dim, spec.pair_kind)
         if np.logical_and.reduce(ok):
@@ -197,10 +202,12 @@ def _objective(spec: SearchSpec, X: np.ndarray) -> tuple[np.ndarray, dict[int, E
             values[ok], ok[ok] = row_slacks(
                 spec.bound_id, alpha[ok], beta[ok], phi[ok], psi[ok]
             )
+    if sign < 0:
+        values = -values
     errors: dict[int, Exception] = {}
     for i in (~ok).nonzero()[0].tolist():
         try:
-            values[i] = bound_slack(
+            values[i] = sign * bound_slack(
                 spec.bound_id, *parameterize(X[i], spec.dim, spec.pair_kind)
             )
         except ZeroVectorError:
@@ -373,33 +380,39 @@ def _lockstep(objective, starts: np.ndarray, iterations: int) -> list:
     return results
 
 
+def _starts(seed: int, first: int, stop: int, n: int) -> np.ndarray:
+    """Row r: ``standard_normals`` of n on the stream of sub-seed (seed, first + r)."""
+    keys = subseeds(seed, np.arange(first, stop))
+    return standard_normals(UniformRows(philox_uniforms(keys, 2 * ((n + 1) // 2))), n)
+
+
 def minimize_slack(
     spec: SearchSpec, *, tolerance: float = TOLERANCES.bound_slack
 ) -> SearchResult:
     """Seeded multi-restart Nelder-Mead over the slack of one bound.
 
-    Restart r starts from a Gaussian point drawn from sub-seed (spec.seed, r);
-    the global best is the minimum across restarts with ties broken by the
-    lowest restart index.  Every point is evaluated by ``_objective``, which
-    owns the fallback to the scalar path.  A slack below -tolerance in the
-    result indicates an implementation bug, not a counterexample.  If
-    restarts raise, the exception of the lowest such restart is raised.
+    Restart r starts from a Gaussian point drawn from sub-seed (spec.seed, r),
+    in one Philox call per lockstep group; the global best is the minimum
+    across restarts with ties broken by the lowest restart index.  Every point
+    is evaluated by ``_objective``, which owns the fallback to the scalar path
+    and negates an equality's residual, so that its worst one is sought.  An
+    inequality's slack below -tolerance indicates an implementation bug, not a
+    counterexample.  If restarts raise, the lowest one's exception is raised.
     """
     objective = partial(_objective, spec)
     n = parameter_count(spec.dim)
-    starts = np.array([
-        standard_normals(make_generator(subseed(spec.seed, restart)), n)
-        for restart in range(spec.restarts)
-    ])
     width = _group_width(n)
     results = []
     for first in range(0, spec.restarts, width):
-        for outcome in _lockstep(objective, starts[first : first + width], spec.iterations):
+        starts = _starts(spec.seed, first, min(first + width, spec.restarts), n)
+        for outcome in _lockstep(objective, starts, spec.iterations):
             if isinstance(outcome, Exception):
                 raise outcome  # the lowest failing restart, as run one after another
             results.append(outcome)
 
+    sign = _SIGN[BOUNDS[spec.bound_id].direction]
     best_x, best_slack, _ = min(results, key=itemgetter(1))  # the first of equal minima
+    best_slack *= sign
     coeffs, phi, psi = parameterize(best_x, spec.dim, spec.pair_kind)
     report = evaluate_bound(spec.bound_id, coeffs, phi, psi, tolerance=tolerance)
     if report.slack != best_slack:
@@ -409,6 +422,6 @@ def minimize_slack(
     return SearchResult(
         best_inputs=(coeffs, phi, psi),
         report=report,
-        restart_best=tuple(value for _, value, _ in results),
+        restart_best=tuple(sign * value for _, value, _ in results),
         evaluations=sum(evaluations for *_, evaluations in results),
     )

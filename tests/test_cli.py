@@ -1,5 +1,6 @@
 """CLI contracts: payload values, exit codes, config parsing, reproducibility."""
 
+import dataclasses
 import json
 import math
 import os
@@ -13,7 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from coherence_lab import cli, ensembles, search
+from coherence_lab import bounds, cli, ensembles, search
 from coherence_lab.cli import canonical_json, main
 from coherence_lab.errors import ConsistencyError
 
@@ -173,9 +174,11 @@ def test_verify_report_is_the_per_ensemble_summaries(monkeypatch, capsys):
 FOOTPRINT = """
 import contextlib, io, json, sys
 from coherence_lab import cli
-HEAVY = ("hashlib", "_hashlib", "numpy.random")
+HEAVY = ("hashlib", "_hashlib", "numpy.random", "secrets")
 steps = []
-for argv in (["verify", "--trials", "125", "--seed", "3"], ["demo"]):
+for argv in (["verify", "--trials", "125", "--seed", "3"],
+             ["saturate", "--bound", "GAIN_LE_1", "--restarts", "2", "--iterations", "50"],
+             ["demo"], ["sweep", "--bound", "T2_UPPER", "--grid", "0.5"]):
     with contextlib.redirect_stdout(io.StringIO()):
         code = cli.main(argv)
     steps.append([code, [name for name in HEAVY if name in sys.modules]])
@@ -185,14 +188,18 @@ print(json.dumps(steps))
 
 def test_batched_verify_loads_neither_openssl_nor_numpy_random():
     # At seeds 0-31 this shape runs every trial on the batched path, which
-    # draws with the package's own Philox and builds no input digest.
+    # draws with the package's own Philox and builds no input digest.  A
+    # search draws its restarts' starts with that Philox too, and loads
+    # hashlib only at its report's digest; sweep reads one numpy Generator.
     env = dict(os.environ, PYTHONPATH=str(SRC))
     run = subprocess.run([sys.executable, "-c", FOOTPRINT], env=env,
                          capture_output=True, text=True)
     assert run.returncode == 0, run.stderr
-    (verify_code, after_verify), (demo_code, after_demo) = json.loads(run.stdout)
-    assert verify_code == 0 and after_verify == []
-    assert demo_code == 0 and "hashlib" in after_demo
+    verify, saturate, demo, sweep = json.loads(run.stdout)
+    assert verify == [0, []]
+    assert saturate == [0, ["hashlib", "_hashlib"]]
+    assert demo[0] == 0 and "hashlib" in demo[1]
+    assert sweep == [0, ["hashlib", "_hashlib", "numpy.random", "secrets"]]
 
 
 def test_verify_flag_overrides_config(tmp_path):
@@ -490,6 +497,23 @@ def test_invariant_failure_inside_a_restart_exits_three(monkeypatch, capsys):
     err = capsys.readouterr().err
     assert "ConsistencyError" in err and "in a restart" in err and "Traceback" not in err
     assert len(calls) > 25  # the other restarts went on in lockstep
+
+
+def test_saturate_finds_an_equality_that_is_off_by_a_millionth(monkeypatch, capsys):
+    # The search seeks the equality's largest residual, so a rhs scaled by
+    # 1 + 1e-6, patched in here only, is a violation it must report.
+    t1 = bounds.BOUNDS[bounds.T1_EQUALITY]
+
+    def loosened(q, entropy):
+        lhs, rhs = t1.sides(q, entropy)
+        return lhs, rhs * (1.0 + 1e-6)
+
+    monkeypatch.setitem(bounds.BOUNDS, bounds.T1_EQUALITY, dataclasses.replace(t1, sides=loosened))
+    argv = ["saturate", "--bound", "T1_EQUALITY", "--restarts", "2", "--iterations", "200"]
+    assert run_cli(argv) == 1
+    payload = json.loads(capsys.readouterr().out)["results"]
+    assert payload["best_slack"] > 1e-9 and not payload["report"]["satisfied"]
+    assert payload["best_slack"] == max(payload["restart_best"])
 
 
 def test_saturate_rejects_incompatible_pair_kind():

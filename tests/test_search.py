@@ -24,7 +24,9 @@ from coherence_lab import (
 )
 from coherence_lab import bounds, entropy, linalg, search
 from coherence_lab.errors import ConsistencyError
-from coherence_lab.rng import make_generator, standard_normals
+from coherence_lab.rng import (
+    MASK64, UniformRows, make_generator, philox_uniforms, standard_normals, subseed
+)
 from coherence_lab.search import (
     _DIAMETER_TOL,
     _MAX_SEARCH_DIM,
@@ -33,6 +35,7 @@ from coherence_lab.search import (
     _group_width,
     _lockstep,
     _parameterize_rows,
+    _starts,
 )
 from coherence_lab.tolerances import Tolerances
 
@@ -135,7 +138,7 @@ def test_gain_search_saturates_quickly():
     assert result.best_slack >= -1e-9
 
 
-def test_equality_search_finds_zero_residual_immediately():
+def test_equality_search_reports_its_largest_residual():
     spec = SearchSpec(
         bound_id=T1_EQUALITY,
         dim=2,
@@ -145,9 +148,12 @@ def test_equality_search_finds_zero_residual_immediately():
         iterations=50,
     )
     result = minimize_slack(spec)
-    assert 0.0 <= result.best_slack <= 1e-9
+    # The relation holds, so the worst residual is round-off, but not zero.
+    assert 0.0 < result.best_slack <= 1e-9
+    assert result.best_slack == max(result.restart_best)
+    assert all(value >= 0.0 for value in result.restart_best)
     coeffs, phi, psi = result.best_inputs
-    assert evaluate_bound(T1_EQUALITY, coeffs, phi, psi).slack <= 1e-9
+    assert evaluate_bound(T1_EQUALITY, coeffs, phi, psi).slack == result.best_slack
 
 
 def test_upper_bound_search_never_goes_negative():
@@ -297,13 +303,18 @@ def batched(objective):
     return rows
 
 
+def signed_slack(bound_id, *inputs):
+    """``bound_slack``, negated for an equality: the value the search minimizes."""
+    slack = bounds.bound_slack(bound_id, *inputs)
+    return -slack if BOUNDS[bound_id].direction == "equality" else slack
+
+
 def scalar_objective(spec):
     """The search's objective at one point on the scalar path alone."""
 
     def objective(x):
         try:
-            inputs = parameterize(x, spec.dim, spec.pair_kind)
-            return bounds.bound_slack(spec.bound_id, *inputs)
+            return signed_slack(spec.bound_id, *parameterize(x, spec.dim, spec.pair_kind))
         except ZeroVectorError:
             return math.inf
 
@@ -550,7 +561,7 @@ def test_batched_rows_equal_the_scalar_objective_bit_for_bit(bound_id, pair_kind
         degenerate = []
         for i, x in enumerate(X):
             try:
-                expected = bounds.bound_slack(bound_id, *parameterize(x, dim, pair_kind))
+                expected = signed_slack(bound_id, *parameterize(x, dim, pair_kind))
             except ZeroVectorError:
                 expected = math.inf
                 degenerate.append(i)
@@ -565,6 +576,48 @@ def test_batched_rows_equal_the_scalar_objective_bit_for_bit(bound_id, pair_kind
 
 def struct_bits(value: float) -> bytes:
     return np.float64(value).tobytes()
+
+
+# --- restart starts -----------------------------------------------------------------
+
+
+def hex_rows(rows):
+    return [[value.hex() for value in row] for row in np.atleast_2d(rows).tolist()]
+
+
+def box_muller(seed, n):
+    """n Box-Muller normals from the stream keyed by ``seed``, written out here."""
+    pairs = (n + 1) // 2
+    u = make_generator(seed).random(2 * pairs)
+    radius = np.sqrt(-2.0 * np.log(1.0 - u[:pairs]))
+    angle = 2.0 * np.pi * u[pairs:]
+    return np.concatenate([radius * np.cos(angle), radius * np.sin(angle)])[:n]
+
+
+@pytest.mark.parametrize("seed", [0, 42, MASK64])
+@pytest.mark.parametrize("first", [0, 3])
+@pytest.mark.parametrize("count", [1, 3, 17])
+def test_starts_are_each_restarts_own_stream_bit_for_bit(seed, first, count):
+    for n in (10, 34, 2050):
+        keys = [subseed(seed, restart) for restart in range(first, first + count)]
+        expected = [standard_normals(make_generator(key), n) for key in keys]
+        assert hex_rows(expected) == hex_rows([box_muller(key, n) for key in keys])
+        # At n = 2050 the group width is 3, so a search draws these in split groups.
+        width = _group_width(n)
+        groups = [_starts(seed, lo, min(lo + width, first + count), n)
+                  for lo in range(first, first + count, width)]
+        assert hex_rows(np.concatenate(groups)) == hex_rows(expected)
+        assert hex_rows(_starts(seed, first, first + count, n)) == hex_rows(expected)
+    assert _group_width(2050) == 3
+
+
+def test_standard_normals_reads_rows_like_generators():
+    seeds = [5, 6]
+    streams = UniformRows(philox_uniforms(np.array(seeds, dtype=np.uint64), 8))
+    rows = standard_normals(streams, 7)
+    assert rows.shape == (2, 7)
+    expected = [standard_normals(make_generator(seed), 7) for seed in seeds]
+    assert hex_rows(rows) == hex_rows(expected)
 
 
 # --- groups and the stopping test ---------------------------------------------------
