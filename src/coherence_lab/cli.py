@@ -21,6 +21,7 @@ re-runs).
 from __future__ import annotations
 
 import argparse
+import functools
 import itertools
 import json
 import math
@@ -472,7 +473,10 @@ def cmd_saturate(args, config: dict) -> int:
 # parser
 
 
-def build_parser() -> argparse.ArgumentParser:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The command tree, built at the first ``main`` call and reused: it holds
+    no per-call state (the seed variable, config files and clock are read per run)."""
     parser = argparse.ArgumentParser(
         prog="coherence-lab",
         description=(
@@ -533,7 +537,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         config = parse_config_file(args.config) if getattr(args, "config", None) else {}
         return args.handler(args, config)

@@ -1,5 +1,6 @@
 """CLI contracts: payload values, exit codes, config parsing, reproducibility."""
 
+import argparse
 import dataclasses
 import json
 import math
@@ -290,6 +291,62 @@ def test_env_seed_is_default_and_flag_wins(tmp_path, monkeypatch):
 def test_bad_env_seed_is_a_config_error(tmp_path, monkeypatch):
     monkeypatch.setenv("COHERENCE_LAB_SEED", "not-a-number")
     assert run_cli(["verify", "--trials", "0", "--dim", "2"]) == 2
+
+
+# --- one parser per process ------------------------------------------------------
+
+
+def test_parser_reuse_keeps_no_state_across_calls(monkeypatch, capsys):
+    # The payload a valid call writes in a fresh interpreter is what it writes
+    # in this one: twice in a row, and after a usage error that had already
+    # parsed a seed and after --help, both of which leave through SystemExit.
+    monkeypatch.delenv("COHERENCE_LAB_SEED", raising=False)
+    argv = ["verify", "--trials", "5", "--dim", "2"]
+    env = {k: v for k, v in os.environ.items() if k != "COHERENCE_LAB_SEED"}
+    env["PYTHONPATH"] = str(SRC)
+    fresh = subprocess.run([sys.executable, "-m", "coherence_lab", *argv], env=env,
+                           capture_output=True, text=True)
+    assert fresh.returncode == 0, fresh.stderr
+    assert run_cli(argv) == 0
+    assert capsys.readouterr().out == fresh.stdout
+    assert run_cli(argv) == 0
+    assert capsys.readouterr().out == fresh.stdout
+    for bad, code in ((["verify", "--seed", "9", "--trials", "-1"], 2), (["verify", "--help"], 0)):
+        with pytest.raises(SystemExit) as excinfo:
+            run_cli(bad)
+        assert excinfo.value.code == code
+    capsys.readouterr()
+    assert run_cli(argv) == 0
+    assert capsys.readouterr().out == fresh.stdout
+
+
+def test_env_seed_is_read_on_every_call(monkeypatch, capsys):
+    seeds = []
+    for value in ("777", None, "778"):
+        if value is None:
+            monkeypatch.delenv("COHERENCE_LAB_SEED")
+        else:
+            monkeypatch.setenv("COHERENCE_LAB_SEED", value)
+        assert run_cli(["verify", "--trials", "0", "--dim", "2"]) == 0
+        seeds.append(json.loads(capsys.readouterr().out)["config"]["seed"])
+    assert seeds == [777, cli._SETTINGS["seed"][1], 778]
+
+
+def test_second_call_builds_no_parser(monkeypatch, capsys):
+    calls = []
+    add_argument = argparse.ArgumentParser.add_argument
+
+    def counted(self, *args, **kwargs):
+        calls.append(args)
+        return add_argument(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "add_argument", counted)
+    cli._parser.cache_clear()
+    assert run_cli(["demo"]) == 0
+    assert calls  # the first call built the command tree
+    calls.clear()
+    assert run_cli(["demo"]) == 0
+    assert calls == []
 
 
 # --- sweep ---------------------------------------------------------------------------
