@@ -21,12 +21,13 @@ lhs - rhs, and the equality reports the absolute residual |lhs - rhs|.  A
 report is satisfied when slack >= -tolerance (equality: residual <=
 tolerance).  Each relation is written once, as ``Bound.sides``: a function
 of one record of the six numbers a, b, s, C(phi), C(psi) and C(T1).  The
-record holds one triple's floats for ``evaluate_all``, ``evaluate_bound``,
-``bound_slack`` and each row of ``row_slacks``, and (R,) arrays of one pair
-class for ``evaluate_rows``, which gives the same floats.  Its hypothesis on
-the pair (disjoint support, orthogonal branches, or none) is written once
-too, as ``Bound.hypothesis``, and checked through ``_meets``: on a pair
-(raising WrongPairClassError) or on rows (masking them out).
+record holds one triple's floats for ``evaluate_all``, ``evaluate_bound``
+and each row of ``row_slacks``, and (R,) arrays of one pair class for
+``evaluate_rows``, which gives the same floats.  ``evaluate_bound(...).slack``
+is the scalar reference for one triple's slack.  Its hypothesis on the pair
+(disjoint support, orthogonal branches, or none) is written once too, as
+``Bound.hypothesis``, and checked through ``_meets``: on a pair (raising
+WrongPairClassError) or on rows (masking them out).
 """
 
 from __future__ import annotations
@@ -68,28 +69,9 @@ class BoundReport:
     slack: float
     satisfied: bool
     tolerance: float
-    inputs_digest: str
 
     def to_dict(self) -> dict:
         return asdict(self)
-
-
-def inputs_digest(
-    coeffs: SuperpositionCoefficients, phi: StateVector, psi: StateVector
-) -> str:
-    """Stable hex digest of an input triple (little-endian complex128 bytes);
-    ``verify``'s batched path builds none, so it never loads OpenSSL."""
-    import hashlib  # here, so a process loads OpenSSL only at its first digest
-    import struct
-
-    payload = np.concatenate(
-        [np.array([coeffs.alpha, coeffs.beta]), phi.amps, psi.amps]
-    ).astype("<c16")
-    digest = hashlib.sha256()
-    digest.update(b"coherence-lab/1:")
-    digest.update(struct.pack("<I", phi.dim))
-    digest.update(payload.tobytes())
-    return digest.hexdigest()[:16]
 
 
 class _Quantities(NamedTuple):
@@ -249,30 +231,11 @@ def _satisfied(bound: Bound, slack, tolerance: float):
     return slack <= tolerance if bound.direction == "equality" else slack >= -tolerance
 
 
-def _report(bound_id: str, q: _Quantities, tolerance: float, digest: str) -> BoundReport:
+def _report(bound_id: str, q: _Quantities, tolerance: float) -> BoundReport:
     bound = BOUNDS[bound_id]
     lhs, rhs = bound.sides(q, binary_entropy)
     slack = _slack(bound, lhs, rhs)
-    return BoundReport(
-        bound_id, lhs, rhs, slack, _satisfied(bound, slack, tolerance), tolerance, digest
-    )
-
-
-def bound_slack(
-    bound_id: str,
-    coeffs: SuperpositionCoefficients,
-    phi: StateVector,
-    psi: StateVector,
-) -> float:
-    """The slack ``evaluate_bound`` reports, without building the report.
-
-    Runs the same checks (pair class, zero superposition norm) and returns
-    the same float; no verdict and no ``inputs_digest`` is computed, which is
-    what a search that reads only the slack needs.
-    """
-    bound = BOUNDS[bound_id]
-    q = _record(coeffs, phi, psi, bound.hypothesis)
-    return _slack(bound, *bound.sides(q, binary_entropy))
+    return BoundReport(bound_id, lhs, rhs, slack, _satisfied(bound, slack, tolerance), tolerance)
 
 
 def row_slacks(
@@ -282,15 +245,15 @@ def row_slacks(
     phi: np.ndarray,
     psi: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """``bound_slack`` of each row triple: (slacks, ok).
+    """``evaluate_bound(...).slack`` of each row triple: (slacks, ok).
 
     ``alpha``/``beta`` are (R,) coefficients and ``phi``/``psi`` (R, d) arrays
     of rows that ``SuperpositionCoefficients`` and ``StateVector`` accept.
-    Where ``ok`` holds, slacks[i] is ``bound_slack`` on row i bit for bit.
+    Where ``ok`` holds, slacks[i] is that slack on row i bit for bit.
     Elsewhere the row's superposition is degenerate, a coherence is not one
     ``entropy.row_coherences`` vouches for (a zero probability inside a
     support), the pair does not meet the bound's hypothesis, or the sides
-    raised; then ``bound_slack`` on that row gives the value or raises the
+    raised; then ``evaluate_bound`` on that row gives the value or raises the
     exception.  The hypothesis is checked on arrays, before the rows run one
     at a time through ``Bound.sides`` on a record of their floats.
     """
@@ -314,7 +277,7 @@ def row_slacks(
         q = _Quantities(abs(a) * abs(a), abs(b) * abs(b), s_i, *c)
         try:
             slacks.append(_slack(bound, *bound.sides(q, binary_entropy)))
-        except CoherenceLabError:  # bound_slack raises it again, for this row alone
+        except CoherenceLabError:  # evaluate_bound raises it again, for this row alone
             slacks.append(np.nan)
             ok[i] = False
     return np.array(slacks), ok
@@ -330,7 +293,7 @@ def evaluate_bound(
 ) -> BoundReport:
     """Evaluate one bound of ``BOUNDS`` on an input triple."""
     q = _record(coeffs, phi, psi, BOUNDS[bound_id].hypothesis)
-    return _report(bound_id, q, tolerance, inputs_digest(coeffs, phi, psi))
+    return _report(bound_id, q, tolerance)
 
 
 # Bounds evaluate_all applies to each pair class, ahead of the lower bounds.
@@ -361,11 +324,11 @@ def evaluate_all(
     """
     pair_class = classify_pair(phi, psi)
     # The class meets its first bound's hypothesis; a disjoint pair may fail T2's.
-    q, digest = _record(coeffs, phi, psi), inputs_digest(coeffs, phi, psi)
+    q = _record(coeffs, phi, psi)
     reports = []
     for bound_id in _CLASS_BOUNDS[pair_class.tag] + _LOWER_BOUNDS:
         _require(BOUNDS[bound_id].hypothesis, pair_class)
-        reports.append(_report(bound_id, q, tolerance, digest))
+        reports.append(_report(bound_id, q, tolerance))
     return reports
 
 

@@ -22,7 +22,8 @@ lowest such restart.
 A simplex holds about 8 * n^2 bytes, n = 4 * dim + 2, hence the
 ``SearchSpec`` dimension ceiling of 1024.  Restarts run in groups whose
 simplices fit in the bytes of one simplex at that ceiling (one restart at a
-time at d = 1024).  Each evaluation computes only the slack; the one
+time at d = 1024).  A batched evaluation computes only the slack (a row
+on the scalar path reads ``evaluate_bound(...).slack``); the search's
 ``BoundReport`` is built for the best point at the end.
 """
 
@@ -35,7 +36,7 @@ from operator import itemgetter
 
 import numpy as np
 
-from .bounds import BOUNDS, BoundReport, bound_slack, evaluate_bound, row_slacks
+from .bounds import BOUNDS, BoundReport, evaluate_bound, row_slacks
 from .ensembles import default_split
 from .errors import ConsistencyError, ZeroVectorError
 from .linalg import StateVector, norm, normalize, normalize_rows, project_out_rows
@@ -188,7 +189,7 @@ def _objective(spec: SearchSpec, X: np.ndarray) -> tuple[np.ndarray, dict[int, E
 
     Rows that ``_parameterize_rows`` and ``row_slacks`` vouch for keep their
     batched value.  Every other row runs once through ``parameterize`` and
-    ``bound_slack``, outside ``np.errstate``, so it warns as it always has:
+    ``evaluate_bound``, outside ``np.errstate``, so it warns as it always has:
     ``ZeroVectorError`` reads as +inf, which steers the simplex elsewhere, and
     any other exception goes into ``errors[row]`` (in row order) with value NaN.
     """
@@ -207,9 +208,9 @@ def _objective(spec: SearchSpec, X: np.ndarray) -> tuple[np.ndarray, dict[int, E
     errors: dict[int, Exception] = {}
     for i in (~ok).nonzero()[0].tolist():
         try:
-            values[i] = sign * bound_slack(
+            values[i] = sign * evaluate_bound(
                 spec.bound_id, *parameterize(X[i], spec.dim, spec.pair_kind)
-            )
+            ).slack
         except ZeroVectorError:
             values[i] = np.inf
         except Exception as exc:  # the caller decides what a failed row means

@@ -26,12 +26,10 @@ from coherence_lab import (
     WrongPairClassError,
     ZeroVectorError,
     binary_entropy,
-    bound_slack,
     classify_pair,
     evaluate_all,
     evaluate_bound,
     haar_random_state,
-    inputs_digest,
     normalize,
     random_coefficients,
     random_disjoint_support_pair,
@@ -339,22 +337,6 @@ def test_slack_sign_conventions():
     assert equality.slack >= 0.0
 
 
-def test_inputs_digest_is_stable_and_discriminating():
-    first = inputs_digest(EQUAL, E0, E1)
-    again = inputs_digest(EQUAL, E0, E1)
-    other = inputs_digest(EQUAL, E0, PLUS)
-    assert first == again
-    assert first != other
-    assert len(first) == 16
-    assert all(ch in "0123456789abcdef" for ch in first)
-    report = evaluate_bound(T1_EQUALITY, EQUAL, E0, E1)
-    assert report.inputs_digest == first
-    # The values for demo's two triples, so that a change to the tag, the dim
-    # packing or the byte order fails here and not only in a report's bytes.
-    assert first == "42b3452fe32113e3"
-    assert inputs_digest(EQUAL, PLUS, MINUS) == "e1c469cee24995b5"
-
-
 # The pair kinds each bound may be searched over, as a literal.
 SEARCH_KINDS = {
     T1_EQUALITY: {PairKind.DISJOINT_SUPPORT},
@@ -380,10 +362,10 @@ def test_bounds_registry_covers_every_bound():
             phi, psi = sample_pair(make_generator(seed), config)
             for bound_id, bound in BOUNDS.items():
                 if kind in bound.kinds:
-                    assert math.isfinite(bound_slack(bound_id, coeffs, phi, psi))
+                    assert math.isfinite(evaluate_bound(bound_id, coeffs, phi, psi).slack)
                 else:
                     with pytest.raises(WrongPairClassError):
-                        bound_slack(bound_id, coeffs, phi, psi)
+                        evaluate_bound(bound_id, coeffs, phi, psi)
 
 
 def test_evaluate_bound_matches_evaluate_all():
@@ -397,25 +379,6 @@ def test_evaluate_bound_matches_evaluate_all():
     for phi, psi in pairs:
         for report in evaluate_all(coeffs, phi, psi):
             assert evaluate_bound(report.bound_id, coeffs, phi, psi) == report
-
-
-def test_bound_slack_is_the_reported_slack():
-    config = EnsembleConfig(dim=4, trials=1, pair_kind=PairKind.DISJOINT_SUPPORT, seed=17)
-    cases = [
-        (random_coefficients(21), *random_disjoint_support_pair(config)),
-        (random_coefficients(22), *random_orthogonal_pair(4, 18)),
-        (random_coefficients(23), haar_random_state(4, 19), haar_random_state(4, 20)),
-        (SuperpositionCoefficients(INV_SQRT2, -INV_SQRT2), PLUS, PLUS),  # s = 0
-    ]
-    for coeffs, phi, psi in cases:
-        for bound_id in ALL_BOUND_IDS:
-            try:
-                expected = evaluate_bound(bound_id, coeffs, phi, psi).slack
-            except (WrongPairClassError, ZeroVectorError) as exc:
-                with pytest.raises(type(exc)):
-                    bound_slack(bound_id, coeffs, phi, psi)
-            else:
-                assert bound_slack(bound_id, coeffs, phi, psi) == expected
 
 
 def count_calls(monkeypatch, module, name):
@@ -437,7 +400,7 @@ def test_each_context_computes_each_quantity_once(monkeypatch):
     phi, psi = random_disjoint_support_pair(config)
     coeffs = random_coefficients(21)
 
-    bound_slack(T4_LOWER_A, coeffs, phi, psi)
+    evaluate_bound(T4_LOWER_A, coeffs, phi, psi)
     assert (len(coherences), len(superposes)) == (3, 1)
     reports = evaluate_all(coeffs, phi, psi)
     assert [r.bound_id for r in reports] == [
@@ -495,7 +458,7 @@ def test_evaluate_rows_runs_the_scalar_formulas_on_arrays(kind):
             except WrongPairClassError:
                 raised = True
                 continue
-            report = bounds_module._report(bound_id, record, 1e-9, "")
+            report = bounds_module._report(bound_id, record, 1e-9)
             assert (slack[i].hex(), bool(satisfied[i])) == (report.slack.hex(), report.satisfied)
         assert bool(ok[i]) is not raised
     if kind is PairKind.NON_ORTHOGONAL:
@@ -538,9 +501,9 @@ def hypothesis_rows():
 
 def test_the_three_paths_agree_on_each_hypothesis(monkeypatch):
     # One row_slacks call per bound over rows of every pair kind.  A row is
-    # vouched, with bound_slack's bits, exactly where it meets the bound's
-    # hypothesis by the rule written out here; elsewhere bound_slack raises
-    # WrongPairClassError.  evaluate_rows keeps the same rows of each class.
+    # vouched, with evaluate_bound's slack bits, exactly where it meets the
+    # bound's hypothesis by the rule written out here; elsewhere evaluate_bound
+    # raises WrongPairClassError.  evaluate_rows keeps the same rows of each class.
     pairs, moved = hypothesis_rows()
     for module in (bounds_module, importlib.import_module("coherence_lab.superpose")):
         monkeypatch.setattr(module, "TOLERANCES", moved)
@@ -565,11 +528,11 @@ def test_the_three_paths_agree_on_each_hypothesis(monkeypatch):
         assert vouched.tolist() == meets[bound.hypothesis], bound_id
         for i, (c, (p, q)) in enumerate(zip(coeffs, pairs)):
             if vouched[i]:
-                assert slacks[i].hex() == bound_slack(bound_id, c, p, q).hex()
+                assert slacks[i].hex() == evaluate_bound(bound_id, c, p, q).slack.hex()
             else:
                 assert math.isnan(slacks[i])
                 with pytest.raises(WrongPairClassError):
-                    bound_slack(bound_id, c, p, q)
+                    evaluate_bound(bound_id, c, p, q)
         vouched_slacks[bound_id] = vouched, slacks
 
     classes = [classify_pair(p, q) for p, q in pairs]
@@ -591,11 +554,12 @@ def test_the_three_paths_agree_on_each_hypothesis(monkeypatch):
 
 def test_one_mutant_reaches_every_evaluator(monkeypatch):
     # Each relation is written once: T2 loosened from 2 to 2.1 in BOUNDS alone
-    # moves the slack of every evaluator, scalar and batched, to the same bits.
+    # moves the slack of all four evaluators (evaluate_bound, evaluate_all,
+    # row_slacks, evaluate_rows), scalar and batched, to the same bits.
     triples = [(random_coefficients(60 + i), *random_orthogonal_pair(2, 60 + i)) for i in range(4)]
     assert all(classify_pair(phi, psi).tag is PairKind.ORTHOGONAL_SAME_SPACE
                for _, phi, psi in triples)
-    before = [bound_slack(T2_UPPER, *triple) for triple in triples]
+    before = [evaluate_bound(T2_UPPER, *triple).slack for triple in triples]
 
     def loose_t2_sides(q, entropy):
         return q.coherence_t1, 2.1 * bounds_module._weighted_mix(q, entropy)
@@ -623,7 +587,7 @@ def test_one_mutant_reaches_every_evaluator(monkeypatch):
     for i, triple in enumerate(triples):
         report = evaluate_all(*triple)[0]
         assert report.bound_id == T2_UPPER
-        slacks = [bound_slack(T2_UPPER, *triple), evaluate_bound(T2_UPPER, *triple).slack,
-                  report.slack, rows[i].item(), verdicts[T2_UPPER][0][i].item()]
+        slacks = [evaluate_bound(T2_UPPER, *triple).slack, report.slack, rows[i].item(),
+                  verdicts[T2_UPPER][0][i].item()]
         assert {slack.hex() for slack in slacks} == {expected[i].hex()}
         assert expected[i] != before[i]

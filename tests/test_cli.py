@@ -187,19 +187,20 @@ print(json.dumps(steps))
 """
 
 
-def test_batched_verify_loads_neither_openssl_nor_numpy_random():
+def test_only_sweep_loads_openssl_or_numpy_random():
     # At seeds 0-31 this shape runs every trial on the batched path, which
-    # draws with the package's own Philox and builds no input digest.  A
-    # search draws its restarts' starts with that Philox too, and loads
-    # hashlib only at its report's digest; sweep reads one numpy Generator.
+    # draws with the package's own Philox.  A search draws its restarts'
+    # starts with that Philox too, and demo's cases are fixed, so none of the
+    # three loads a heavy module; sweep reads one numpy Generator, and
+    # numpy.random brings in hashlib.
     env = dict(os.environ, PYTHONPATH=str(SRC))
     run = subprocess.run([sys.executable, "-c", FOOTPRINT], env=env,
                          capture_output=True, text=True)
     assert run.returncode == 0, run.stderr
     verify, saturate, demo, sweep = json.loads(run.stdout)
     assert verify == [0, []]
-    assert saturate == [0, ["hashlib", "_hashlib"]]
-    assert demo[0] == 0 and "hashlib" in demo[1]
+    assert saturate == [0, []]
+    assert demo == [0, []]
     assert sweep == [0, ["hashlib", "_hashlib", "numpy.random", "secrets"]]
 
 
@@ -535,18 +536,18 @@ def test_internal_invariant_failure_exits_three(monkeypatch, capsys):
 
 def test_invariant_failure_inside_a_restart_exits_three(monkeypatch, capsys):
     calls = []
-    real_slack = search.bound_slack
+    real_evaluate_bound = search.evaluate_bound
 
-    def failing(*args):
+    def failing(*args, **kwargs):
         calls.append(args[0])
         if len(calls) == 25:  # in restart 2's initial simplex (11 points each)
             raise ConsistencyError("simulated invariant failure in a restart")
-        return real_slack(*args)
+        return real_evaluate_bound(*args, **kwargs)
 
     # The batch vouches for no row, so every point takes the scalar path.
     monkeypatch.setattr(search, "row_slacks", lambda bound_id, alpha, *rest: (
         np.full(len(alpha), np.nan), np.zeros(len(alpha), dtype=bool)))
-    monkeypatch.setattr(search, "bound_slack", failing)
+    monkeypatch.setattr(search, "evaluate_bound", failing)
     code = run_cli(
         ["saturate", "--bound", "GAIN_LE_1", "--restarts", "3", "--iterations", "50"]
     )

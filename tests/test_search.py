@@ -3,6 +3,7 @@
 import dataclasses
 import importlib
 import math
+import types
 
 import numpy as np
 import pytest
@@ -188,14 +189,14 @@ def test_search_is_deterministic():
 
 
 def test_search_result_reevaluates_consistently(monkeypatch):
-    digests = []
-    real_digest = bounds.inputs_digest
+    reports = []
+    real_evaluate_bound = search.evaluate_bound
 
-    def counted_digest(*args):
-        digests.append(args)
-        return real_digest(*args)
+    def counted_evaluate_bound(*args, **kwargs):
+        reports.append(args)
+        return real_evaluate_bound(*args, **kwargs)
 
-    monkeypatch.setattr(bounds, "inputs_digest", counted_digest)
+    monkeypatch.setattr(search, "evaluate_bound", counted_evaluate_bound)
     spec = SearchSpec(
         bound_id=T4_LOWER_A,
         dim=2,
@@ -209,8 +210,9 @@ def test_search_result_reevaluates_consistently(monkeypatch):
     report = evaluate_bound(T4_LOWER_A, coeffs, phi, psi, tolerance=1e-9)
     assert result.report == report
     assert report.slack == result.best_slack
-    # The search objective builds no report; only the final one has a digest.
-    assert len(digests) == 2  # the final report, then the one rebuilt here
+    # Every row is vouched for, so the objective builds no report: the search's
+    # one evaluate_bound call is its final report.
+    assert len(reports) == 1
 
 
 # --- the lockstep simplex against the list-based reference ----------------------------
@@ -304,8 +306,8 @@ def batched(objective):
 
 
 def signed_slack(bound_id, *inputs):
-    """``bound_slack``, negated for an equality: the value the search minimizes."""
-    slack = bounds.bound_slack(bound_id, *inputs)
+    """``evaluate_bound(...).slack``, negated for an equality: the value the search minimizes."""
+    slack = bounds.evaluate_bound(bound_id, *inputs).slack
     return -slack if BOUNDS[bound_id].direction == "equality" else slack
 
 
@@ -483,15 +485,17 @@ def test_lockstep_matches_reference_through_fallback_rows(
         monkeypatch.setattr(module, "TOLERANCES", FALLBACKS[threshold])
     counts = {"batched": 0, "fallback": 0}
     real_row_slacks, real_parameterize = search.row_slacks, search.parameterize
+    real_evaluate_bound = search.evaluate_bound
 
     def counted_rows(*args):
         values, ok = real_row_slacks(*args)
         counts["batched"] += int(ok.sum())
         return values, ok
 
-    def counted_scalar(*args):
-        counts["fallback"] += 1
-        return bounds.bound_slack(*args)
+    def counted_scalar(*args, **kwargs):
+        # The final report's call passes its tolerance; the objective's do not.
+        counts["fallback"] += not kwargs
+        return real_evaluate_bound(*args, **kwargs)
 
     def counted_parameterize(*args):
         # A degenerate row ends here; the final best point's call does not.
@@ -502,7 +506,7 @@ def test_lockstep_matches_reference_through_fallback_rows(
             raise
 
     monkeypatch.setattr(search, "row_slacks", counted_rows)
-    monkeypatch.setattr(search, "bound_slack", counted_scalar)
+    monkeypatch.setattr(search, "evaluate_bound", counted_scalar)
     monkeypatch.setattr(search, "parameterize", counted_parameterize)
     spec = SearchSpec(bound_id=bound_id, dim=3, pair_kind=pair_kind, seed=4,
                       restarts=3, iterations=80)
@@ -543,7 +547,7 @@ def test_batched_rows_equal_the_scalar_objective_bit_for_bit(bound_id, pair_kind
         zero = np.flatnonzero(np.flatnonzero(ok) == 7)[0]
         assert not vouched[zero] and math.isnan(slacks[zero])
         inputs = parameterize(X[7], dim, pair_kind)
-        assert math.isfinite(bounds.bound_slack(bound_id, *inputs))
+        assert math.isfinite(bounds.evaluate_bound(bound_id, *inputs).slack)
         for i, slack, good in zip(np.flatnonzero(ok), slacks, vouched):
             coeffs, phi_i, psi_i = parameterize(X[i], dim, pair_kind)
             assert np.float64(coeffs.alpha.real).tobytes() == alpha[i].tobytes()
@@ -552,7 +556,7 @@ def test_batched_rows_equal_the_scalar_objective_bit_for_bit(bound_id, pair_kind
             assert phi[i].tobytes() == phi_i.amps.tobytes()
             assert psi[i].tobytes() == psi_i.amps.tobytes()
             if good:
-                expected = bounds.bound_slack(bound_id, coeffs, phi_i, psi_i)
+                expected = bounds.evaluate_bound(bound_id, coeffs, phi_i, psi_i).slack
                 assert struct_bits(slack) == struct_bits(expected)
 
         # The search's objective gives every row the scalar path's outcome.
@@ -689,12 +693,12 @@ def test_a_restart_that_raises_ends_the_search_with_its_exception(monkeypatch):
         calls.append(bound_id)
         if len(calls) == 20:
             raise ConsistencyError("simulated invariant failure in a restart")
-        return 1.0
+        return types.SimpleNamespace(slack=1.0)
 
-    # Every row goes through the scalar path, whose bound_slack fails once.
+    # Every row goes through the scalar path, whose evaluate_bound fails once.
     monkeypatch.setattr(search, "row_slacks", lambda bound_id, a, b, phi, psi: (
         np.full(len(a), np.nan), np.zeros(len(a), dtype=bool)))
-    monkeypatch.setattr(search, "bound_slack", failing)
+    monkeypatch.setattr(search, "evaluate_bound", failing)
     spec = SearchSpec(bound_id=GAIN_LE_1, dim=2, pair_kind=PairKind.DISJOINT_SUPPORT, seed=1,
                       restarts=3, iterations=50)
     with pytest.raises(ConsistencyError, match="in a restart"):
