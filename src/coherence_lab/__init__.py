@@ -27,17 +27,14 @@ from .ensembles import (
     default_split,
     haar_random_state,
     random_coefficients,
-    random_disjoint_support_pair,
     random_orthogonal_pair,
     run_ensemble,
-    summarize_ensemble,
     summarize_ensembles,
 )
 from .entropy import (
     binary_entropy,
     pure_state_coherence,
     relative_entropy_coherence,
-    shannon_entropy,
     von_neumann_entropy,
 )
 from .errors import (
@@ -54,18 +51,13 @@ from .errors import (
 )
 from .linalg import (
     DensityMatrix,
-    DiagonalDistribution,
     StateVector,
-    dephase_mixed,
-    dephase_pure,
     hermitian_eigenvalues,
-    inner_product,
     normalize,
 )
 from .search import (
     SearchResult,
     SearchSpec,
-    encode_inputs,
     minimize_slack,
     parameter_count,
     parameterize,
@@ -99,7 +91,6 @@ __all__ = [
     "ConsistencyError",
     "DegeneratePairError",
     "DensityMatrix",
-    "DiagonalDistribution",
     "DimensionMismatchError",
     "DomainError",
     "EnsembleConfig",
@@ -119,14 +110,10 @@ __all__ = [
     "binary_entropy",
     "classify_pair",
     "default_split",
-    "dephase_mixed",
-    "dephase_pure",
-    "encode_inputs",
     "evaluate_all",
     "evaluate_bound",
     "haar_random_state",
     "hermitian_eigenvalues",
-    "inner_product",
     "minimize_slack",
     "mixing_identity_residual",
     "norm_identity_residual",
@@ -135,12 +122,9 @@ __all__ = [
     "parameterize",
     "pure_state_coherence",
     "random_coefficients",
-    "random_disjoint_support_pair",
     "random_orthogonal_pair",
     "relative_entropy_coherence",
     "run_ensemble",
-    "shannon_entropy",
-    "summarize_ensemble",
     "summarize_ensembles",
     "superpose",
     "t_states",

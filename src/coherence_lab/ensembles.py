@@ -174,18 +174,6 @@ def _disjoint_pair(
     return StateVector(phi), StateVector(psi)
 
 
-def random_disjoint_support_pair(config: EnsembleConfig) -> tuple[StateVector, StateVector]:
-    """Pair supported on the two contiguous index blocks of ``config.split``.
-
-    Out-of-block amplitudes are exactly zero.
-    """
-    if config.pair_kind is not PairKind.DISJOINT_SUPPORT:
-        raise BadSplitError(
-            f"config.pair_kind is {config.pair_kind.value}, not DisjointSupport"
-        )
-    return _disjoint_pair(make_generator(config.seed), config.dim, config.split)
-
-
 def _coefficient_pair(gen):
     """alpha and beta from the next two uniforms: floats from a generator,
     (trials,) arrays from ``UniformRows``."""
@@ -464,9 +452,3 @@ def summarize_ensembles(
             return summaries
         _fold_pass(segments, tolerance)
 
-
-def summarize_ensemble(
-    config: EnsembleConfig, *, tolerance: float = TOLERANCES.bound_slack
-) -> dict:
-    """``summarize_ensembles`` of one ensemble."""
-    return summarize_ensembles([config], tolerance=tolerance)[0]

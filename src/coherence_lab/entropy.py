@@ -4,7 +4,10 @@ All entropies are in bits (logarithm base 2); with that convention the binary
 entropy peaks at exactly 1, which is what makes the dimension-independent
 coherence-gain ceiling come out as 1.  The 0*log(0) = 0 convention is applied
 pointwise at p = 0 exactly: log2 of a positive double, subnormals included,
-is finite, so every p > 0 contributes its term.
+is finite, so every p > 0 contributes its term.  The Shannon entropy
+H(p) = -sum_i p_i log2 p_i has no public spelling of its own:
+``pure_state_coherence`` is H of a state's squared amplitudes, and
+``von_neumann_entropy`` H of a spectrum.
 
 No entropy is negative: a validated input may hold a probability above 1 (its
 norm or trace is checked to ``TOLERANCES.norm``), so each p is clipped to 1 at
@@ -37,7 +40,7 @@ import math
 import numpy as np
 
 from .errors import ConsistencyError, DomainError
-from .linalg import DensityMatrix, DiagonalDistribution, StateVector
+from .linalg import DensityMatrix, StateVector
 from .tolerances import TOLERANCES
 
 
@@ -52,11 +55,6 @@ def _clamped_nonnegative(value: float, slop: float, what: str) -> float:
 def _entropy_of_probs(probs: np.ndarray, cut: float = 0.0) -> float:
     p = np.minimum(probs[probs > cut], 1.0)
     return float(0.0 - (p * np.log2(p)).sum())
-
-
-def shannon_entropy(dist: DiagonalDistribution) -> float:
-    """H(p) = -sum_i p_i log2 p_i, in [0, log2 d]."""
-    return _entropy_of_probs(dist.probs)
 
 
 def binary_entropy(x: float) -> float:
@@ -118,7 +116,8 @@ def relative_entropy_coherence(rho: DensityMatrix) -> float:
 
 
 def pure_state_coherence(state: StateVector) -> float:
-    """Coherence of a pure state: Shannon entropy of its squared amplitudes.
+    """Coherence of a pure state: C(psi) = H(|psi_i|^2), the entropy in bits of
+    its squared amplitudes.
 
     Equals ``relative_entropy_coherence`` on the corresponding projector, but
     needs no eigensolver.

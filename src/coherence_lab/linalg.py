@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatchError, NotHermitianError, ZeroVectorError
+from .errors import NotHermitianError, ZeroVectorError
 from .tolerances import TOLERANCES
 
 
@@ -99,32 +99,6 @@ class DensityMatrix:
         return cls(np.outer(state.amps, state.amps.conj()))
 
 
-@dataclass(frozen=True, eq=False)
-class DiagonalDistribution:
-    """Probability vector: the diagonal of a dephased state."""
-
-    probs: np.ndarray
-
-    def __post_init__(self):
-        probs = np.array(self.probs, dtype=np.float64)
-        if probs.ndim != 1 or probs.size < 1:
-            raise ValueError(f"expected a 1-d probability vector, got shape {probs.shape}")
-        if not np.all(np.isfinite(probs)):
-            raise ValueError("probabilities have non-finite entries")
-        if probs.min() < -TOLERANCES.psd:
-            raise ValueError(f"negative probability {probs.min():.3e}")
-        probs = np.clip(probs, 0.0, None)
-        total = float(probs.sum())
-        if abs(total - 1.0) > TOLERANCES.norm:
-            raise ValueError(f"probabilities sum to {total!r}, not 1")
-        probs.setflags(write=False)
-        object.__setattr__(self, "probs", probs)
-
-    @property
-    def dim(self) -> int:
-        return self.probs.size
-
-
 def scaled_state(vec: np.ndarray, n: float) -> StateVector:
     """The state ``vec / n`` of a finite 1-d complex128 ``vec`` whose norm ``n``
     is above the degeneracy threshold.
@@ -194,23 +168,6 @@ def normalize_rows(raw: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]
     n = row_norms(raw)
     ok = (n > TOLERANCES.zero_vector) & (n < np.inf)
     return raw / n[..., None], n, ok
-
-
-def inner_product(a: StateVector, b: StateVector) -> complex:
-    """<a|b> = sum_i conj(a_i) * b_i."""
-    if a.dim != b.dim:
-        raise DimensionMismatchError(f"dimensions differ: {a.dim} vs {b.dim}")
-    return complex(np.vdot(a.amps, b.amps))
-
-
-def dephase_pure(state: StateVector) -> DiagonalDistribution:
-    """Squared-amplitude distribution of a pure state (its dephased diagonal)."""
-    return DiagonalDistribution(np.abs(state.amps) ** 2)
-
-
-def dephase_mixed(rho: DensityMatrix) -> DiagonalDistribution:
-    """Diagonal of a density matrix with all off-diagonal entries removed."""
-    return DiagonalDistribution(rho.matrix.diagonal().real)
 
 
 def hermitian_eigenvalues(matrix) -> np.ndarray:

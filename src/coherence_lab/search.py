@@ -219,30 +219,6 @@ def _objective(spec: SearchSpec, X: np.ndarray) -> tuple[np.ndarray, dict[int, E
     return values, errors
 
 
-def encode_inputs(
-    coeffs: SuperpositionCoefficients, phi: StateVector, psi: StateVector
-) -> np.ndarray:
-    """Inverse of ``parameterize`` up to the coefficients' global phase.
-
-    A coefficient pair with complex alpha is first rotated so alpha is real
-    (a global phase on the superposition, invisible to every coherence);
-    triples produced by ``parameterize`` encode exactly.
-    """
-    alpha, beta = coeffs.alpha, coeffs.beta
-    if alpha.imag != 0.0:
-        rotation = np.exp(-1j * np.angle(alpha))
-        alpha = alpha * rotation
-        beta = beta * rotation
-    x = np.empty(parameter_count(phi.dim))
-    x[0] = np.arctan2(abs(beta), alpha.real)
-    x[1] = np.angle(beta) if beta != 0 else 0.0
-    x[2 : 2 + 2 * phi.dim : 2] = phi.amps.real
-    x[3 : 2 + 2 * phi.dim : 2] = phi.amps.imag
-    x[2 + 2 * phi.dim :: 2] = psi.amps.real
-    x[3 + 2 * phi.dim :: 2] = psi.amps.imag
-    return x
-
-
 def _diameter(simplex: np.ndarray) -> float:
     """max over rows i and columns j of |simplex[i, j] - simplex[0, j]|.
 

@@ -98,21 +98,16 @@ def coefficient_weights(
 
 @dataclass(frozen=True, eq=False)
 class SuperposedState:
-    """Raw two-term superposition with its norm and normalized form.
+    """A two-term superposition alpha*|phi> + beta*|psi>: its norm ``s`` and
+    the normalized state.
 
     ``normalized`` is None when the branches cancel (norm at or below the
     degeneracy threshold); callers that need the normalized state decide
     whether that is an error.
     """
 
-    raw: np.ndarray
     s: float
     normalized: Optional[StateVector]
-
-    def __post_init__(self):
-        raw = np.array(self.raw, dtype=np.complex128)
-        raw.setflags(write=False)
-        object.__setattr__(self, "raw", raw)
 
 
 def _require_same_dim(phi: StateVector, psi: StateVector) -> None:
@@ -123,13 +118,14 @@ def _require_same_dim(phi: StateVector, psi: StateVector) -> None:
 def superpose(
     coeffs: SuperpositionCoefficients, phi: StateVector, psi: StateVector
 ) -> SuperposedState:
-    """Form alpha*|phi> + beta*|psi> and record its norm."""
+    """Form alpha*|phi> + beta*|psi>: its norm s and, above the degeneracy
+    threshold, the state scaled by 1/s."""
     _require_same_dim(phi, psi)
     raw = coeffs.alpha * phi.amps + coeffs.beta * psi.amps
     s = norm(raw)
     # raw is finite (unit states, finite coefficients): seal raw / s directly.
     normalized = scaled_state(raw, s) if s > TOLERANCES.zero_vector else None
-    return SuperposedState(raw=raw, s=s, normalized=normalized)
+    return SuperposedState(s=s, normalized=normalized)
 
 
 def superpose_rows(

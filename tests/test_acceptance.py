@@ -31,7 +31,7 @@ from coherence_lab import (
     pure_state_coherence,
     random_coefficients,
     relative_entropy_coherence,
-    summarize_ensemble,
+    summarize_ensembles,
 )
 from coherence_lab.linalg import DensityMatrix
 from coherence_lab.rng import make_generator
@@ -61,7 +61,7 @@ def _summary(config: EnsembleConfig, bound_ids) -> dict:
     """``verify``'s summary of an ensemble, after the checks every criterion
     shares: no trial raised, and each of ``bound_ids`` was reported by every
     trial."""
-    summary = summarize_ensemble(config)
+    summary = summarize_ensembles([config])[0]
     assert summary["errors"] == 0, summary["error_samples"]
     for bound_id in bound_ids:
         assert summary["bounds"][bound_id]["count"] == config.trials

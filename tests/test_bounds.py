@@ -32,7 +32,6 @@ from coherence_lab import (
     haar_random_state,
     normalize,
     random_coefficients,
-    random_disjoint_support_pair,
     random_orthogonal_pair,
 )
 from coherence_lab.ensembles import sample_pair
@@ -123,7 +122,7 @@ def test_gain_sweep_never_exceeds_one():
         config = EnsembleConfig(
             dim=dim, trials=1, pair_kind=PairKind.DISJOINT_SUPPORT, seed=seed
         )
-        phi, psi = random_disjoint_support_pair(config)
+        phi, psi = sample_pair(make_generator(config.seed), config)
         report = evaluate_bound(GAIN_LE_1, random_coefficients(seed + 1), phi, psi)
         assert report.lhs <= 1.0 + 1e-9
         assert report.satisfied
@@ -266,7 +265,7 @@ def test_orthogonal_bound_never_tighter_than_equality():
         config = EnsembleConfig(
             dim=8, trials=1, pair_kind=PairKind.DISJOINT_SUPPORT, seed=seed
         )
-        phi, psi = random_disjoint_support_pair(config)
+        phi, psi = sample_pair(make_generator(config.seed), config)
         coeffs = random_coefficients(seed)
         equality = evaluate_bound(T1_EQUALITY, coeffs, phi, psi)
         upper = evaluate_bound(T2_UPPER, coeffs, phi, psi)
@@ -371,7 +370,7 @@ def test_bounds_registry_covers_every_bound():
 def test_evaluate_bound_matches_evaluate_all():
     config = EnsembleConfig(dim=4, trials=1, pair_kind=PairKind.DISJOINT_SUPPORT, seed=17)
     pairs = [
-        random_disjoint_support_pair(config),
+        sample_pair(make_generator(config.seed), config),
         random_orthogonal_pair(4, 18),
         (haar_random_state(4, 19), haar_random_state(4, 20)),
     ]
@@ -397,7 +396,7 @@ def test_each_context_computes_each_quantity_once(monkeypatch):
     coherences = count_calls(monkeypatch, bounds_module, "pure_state_coherence")
     superposes = count_calls(monkeypatch, bounds_module, "superpose")
     config = EnsembleConfig(dim=4, trials=1, pair_kind=PairKind.DISJOINT_SUPPORT, seed=17)
-    phi, psi = random_disjoint_support_pair(config)
+    phi, psi = sample_pair(make_generator(config.seed), config)
     coeffs = random_coefficients(21)
 
     evaluate_bound(T4_LOWER_A, coeffs, phi, psi)

@@ -164,7 +164,7 @@ def test_verify_report_is_the_per_ensemble_summaries(monkeypatch, capsys):
     together = capsys.readouterr().out
 
     def one_by_one(configs, *, tolerance):
-        return [ensembles.summarize_ensemble(c, tolerance=tolerance) for c in configs]
+        return [ensembles.summarize_ensembles([c], tolerance=tolerance)[0] for c in configs]
 
     monkeypatch.setattr(cli, "summarize_ensembles", one_by_one)
     assert run_cli(argv) == 0

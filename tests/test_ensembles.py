@@ -22,16 +22,10 @@ from coherence_lab import (
     default_split,
     haar_random_state,
     random_coefficients,
-    random_disjoint_support_pair,
     random_orthogonal_pair,
     run_ensemble,
 )
-from coherence_lab.ensembles import (
-    _coefficients,
-    _haar_state,
-    summarize_ensemble,
-    summarize_ensembles,
-)
+from coherence_lab.ensembles import _coefficients, _haar_state, sample_pair, summarize_ensembles
 from coherence_lab.rng import MASK64, make_generator, philox_uniforms, subseed, subseeds
 
 
@@ -106,7 +100,7 @@ def test_disjoint_pair_minimal_blocks():
     config = EnsembleConfig(
         dim=2, trials=1, pair_kind=PairKind.DISJOINT_SUPPORT, seed=5, split=(1, 1)
     )
-    phi, psi = random_disjoint_support_pair(config)
+    phi, psi = sample_pair(make_generator(config.seed), config)
     assert abs(abs(phi.amps[0]) - 1.0) < 1e-12 and phi.amps[1] == 0
     assert psi.amps[0] == 0 and abs(abs(psi.amps[1]) - 1.0) < 1e-12
 
@@ -115,7 +109,7 @@ def test_disjoint_pair_out_of_block_amplitudes_are_exactly_zero():
     config = EnsembleConfig(
         dim=8, trials=1, pair_kind=PairKind.DISJOINT_SUPPORT, seed=17, split=(3, 4)
     )
-    phi, psi = random_disjoint_support_pair(config)
+    phi, psi = sample_pair(make_generator(config.seed), config)
     assert np.all(phi.amps[3:] == 0)
     assert np.all(psi.amps[:3] == 0)
     assert phi.amps[7] == 0 and psi.amps[7] == 0
@@ -126,7 +120,7 @@ def test_disjoint_pair_classifies_as_declared():
         config = EnsembleConfig(
             dim=6, trials=1, pair_kind=PairKind.DISJOINT_SUPPORT, seed=seed
         )
-        phi, psi = random_disjoint_support_pair(config)
+        phi, psi = sample_pair(make_generator(config.seed), config)
         assert classify_pair(phi, psi).tag is PairKind.DISJOINT_SUPPORT
 
 
@@ -282,7 +276,7 @@ def scalar_summary(config, tolerance):
 def assert_matches_scalar(config, tolerance=1e-9):
     """The batched summary is the scalar fold: equal as dicts (floats bit for
     bit) and as canonical bytes."""
-    got = summarize_ensemble(config, tolerance=tolerance)
+    got = summarize_ensembles([config], tolerance=tolerance)[0]
     want = scalar_summary(config, tolerance)
     assert got == want
     assert canonical_json(got) == canonical_json(want)
@@ -551,7 +545,7 @@ def _count_scalar_trials(monkeypatch):
 def test_clean_summary_builds_no_trial_records(monkeypatch):
     calls = _count_scalar_trials(monkeypatch)
     config = EnsembleConfig(dim=4, trials=300, pair_kind=PairKind.ARBITRARY, seed=5)
-    summary = summarize_ensemble(config)
+    summary = summarize_ensembles([config])[0]
     assert summary["violations"] == 0 and summary["errors"] == 0
     assert calls == []
 
@@ -566,7 +560,7 @@ def test_summary_with_forced_resamples_matches_scalar_path(monkeypatch, floor):
     monkeypatch.setattr(ensembles, "_CHUNK_ELEMENTS", 64)
     config = EnsembleConfig(dim=4, trials=200, pair_kind=PairKind.ORTHOGONAL_SAME_SPACE, seed=77)
     calls = _count_scalar_trials(monkeypatch)
-    summarize_ensemble(config)
+    summarize_ensembles([config])[0]
     scalar_trials = len(calls)
     summary = assert_matches_scalar(config)
     if floor < 2:
@@ -592,7 +586,7 @@ def test_summary_keeps_first_twenty_batched_violations(monkeypatch):
     monkeypatch.setattr(ensembles, "_CHUNK_ELEMENTS", 32)
     calls = _count_scalar_trials(monkeypatch)
     config = EnsembleConfig(dim=4, trials=90, pair_kind=PairKind.DISJOINT_SUPPORT, seed=21)
-    summarize_ensemble(config)
+    summarize_ensembles([config])[0]
     assert sorted(calls) == list(range(20))
     summary = assert_matches_scalar(config)
     assert summary["bounds"][GAIN_LE_1]["violations"] == 90

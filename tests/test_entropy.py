@@ -9,7 +9,6 @@ import pytest
 from coherence_lab import entropy
 from coherence_lab import (
     DensityMatrix,
-    DiagonalDistribution,
     DomainError,
     StateVector,
     TOLERANCES,
@@ -17,7 +16,6 @@ from coherence_lab import (
     normalize,
     pure_state_coherence,
     relative_entropy_coherence,
-    shannon_entropy,
     von_neumann_entropy,
 )
 
@@ -29,6 +27,12 @@ def shannon_oracle(probs) -> float:
     return -sum(p * math.log2(p) for p in probs if p > 0.0)
 
 
+def shannon(probs) -> float:
+    """The package's Shannon entropy of ``probs``: the coherence of the state
+    whose squared amplitudes they are."""
+    return pure_state_coherence(StateVector(np.sqrt(probs)))
+
+
 def random_distribution(rng, dim):
     raw = rng.random(dim) + 1e-3
     return raw / raw.sum()
@@ -38,15 +42,15 @@ def random_distribution(rng, dim):
 
 
 def test_shannon_deterministic_distribution():
-    assert shannon_entropy(DiagonalDistribution([1.0, 0.0])) == 0.0
+    assert shannon([1.0, 0.0]) == 0.0
 
 
 def test_shannon_uniform_qubit():
-    assert abs(shannon_entropy(DiagonalDistribution([0.5, 0.5])) - 1.0) < 1e-15
+    assert abs(shannon([0.5, 0.5]) - 1.0) < 1e-15
 
 
 def test_shannon_dyadic_example():
-    value = shannon_entropy(DiagonalDistribution([0.5, 0.25, 0.25]))
+    value = shannon([0.5, 0.25, 0.25])
     assert abs(value - 1.5) < 1e-15
 
 
@@ -54,9 +58,7 @@ def test_shannon_matches_oracle_on_random_distributions():
     rng = np.random.default_rng(21)
     for _ in range(100):
         probs = random_distribution(rng, int(rng.integers(2, 17)))
-        assert abs(
-            shannon_entropy(DiagonalDistribution(probs)) - shannon_oracle(probs)
-        ) < 1e-12
+        assert abs(shannon(probs) - shannon_oracle(probs)) < 1e-12
 
 
 # --- binary entropy ----------------------------------------------------------
@@ -253,7 +255,7 @@ def test_pure_coherence_of_a_state_above_unit_norm_is_zero():
 
 
 def test_shannon_entropy_of_a_probability_above_one_is_zero():
-    assert shannon_entropy(DiagonalDistribution([1 + 5e-11])) == 0.0
+    assert shannon([1 + 5e-11]) == 0.0
 
 
 def test_von_neumann_entropy_of_a_trace_above_one_is_zero():
@@ -294,7 +296,7 @@ def test_inputs_at_the_edges_of_the_norm_tolerance_have_nonnegative_entropies():
             assert ok.all() and rows[0, 0].tobytes() == np.float64(value).tobytes()
     for limit in (TOLERANCES.norm / 2, -TOLERANCES.norm / 2):
         for p in _at_edge(probs, lambda v: float(v.sum()), limit):
-            assert _nonnegative(shannon_entropy(DiagonalDistribution(p))), p
+            assert _nonnegative(shannon(p)), p
         for matrix in _at_edge(matrices, lambda m: float(np.trace(m).real), limit):
             rho = DensityMatrix(matrix)
             assert _nonnegative(von_neumann_entropy(rho)), matrix
@@ -316,10 +318,8 @@ def test_entropy_concavity_sweep():
     rng = np.random.default_rng(12)
     for _ in range(1000):
         p, q, lam = _entropy_triple(rng)
-        mixed = shannon_entropy(DiagonalDistribution(lam * p + (1 - lam) * q))
-        average = lam * shannon_entropy(DiagonalDistribution(p)) + (
-            1 - lam
-        ) * shannon_entropy(DiagonalDistribution(q))
+        mixed = shannon(lam * p + (1 - lam) * q)
+        average = lam * shannon(p) + (1 - lam) * shannon(q)
         assert average <= mixed + 1e-12
 
 
@@ -327,10 +327,8 @@ def test_entropy_mixing_upper_bound_sweep():
     rng = np.random.default_rng(13)
     for _ in range(1000):
         p, q, lam = _entropy_triple(rng)
-        mixed = shannon_entropy(DiagonalDistribution(lam * p + (1 - lam) * q))
-        average = lam * shannon_entropy(DiagonalDistribution(p)) + (
-            1 - lam
-        ) * shannon_entropy(DiagonalDistribution(q))
+        mixed = shannon(lam * p + (1 - lam) * q)
+        average = lam * shannon(p) + (1 - lam) * shannon(q)
         assert mixed <= average + binary_entropy(lam) + 1e-12
 
 
@@ -341,10 +339,8 @@ def test_mixing_upper_bound_tight_on_disjoint_supports():
         p = np.concatenate([random_distribution(rng, half), np.zeros(half)])
         q = np.concatenate([np.zeros(half), random_distribution(rng, half)])
         lam = float(rng.uniform(0.01, 0.99))
-        mixed = shannon_entropy(DiagonalDistribution(lam * p + (1 - lam) * q))
-        average = lam * shannon_entropy(DiagonalDistribution(p)) + (
-            1 - lam
-        ) * shannon_entropy(DiagonalDistribution(q))
+        mixed = shannon(lam * p + (1 - lam) * q)
+        average = lam * shannon(p) + (1 - lam) * shannon(q)
         assert abs(mixed - (average + binary_entropy(lam))) < 1e-12
 
 
@@ -353,5 +349,5 @@ def test_concavity_tight_on_identical_distributions():
     for _ in range(100):
         p = random_distribution(rng, int(rng.integers(2, 17)))
         lam = float(rng.uniform(0.01, 0.99))
-        mixed = shannon_entropy(DiagonalDistribution(lam * p + (1 - lam) * p))
-        assert abs(mixed - shannon_entropy(DiagonalDistribution(p))) < 1e-12
+        mixed = shannon(lam * p + (1 - lam) * p)
+        assert abs(mixed - shannon(p)) < 1e-12

@@ -9,15 +9,12 @@ import pytest
 from coherence_lab import linalg
 from coherence_lab import (
     DensityMatrix,
-    DiagonalDistribution,
     DimensionMismatchError,
     NotHermitianError,
     StateVector,
     ZeroVectorError,
-    dephase_mixed,
-    dephase_pure,
+    classify_pair,
     hermitian_eigenvalues,
-    inner_product,
     normalize,
 )
 
@@ -248,6 +245,11 @@ def test_array_trig_and_exp_equal_the_scalar_calls():
 
 
 # --- inner product -----------------------------------------------------------
+# <a|b> = sum_i conj(a_i) b_i, the overlap that ``classify_pair`` returns.
+
+
+def inner_product(a, b):
+    return classify_pair(a, b).overlap
 
 
 def test_inner_product_orthogonal_basis_states():
@@ -276,59 +278,6 @@ def test_inner_product_conjugate_symmetry():
 def test_inner_product_dimension_mismatch():
     with pytest.raises(DimensionMismatchError):
         inner_product(StateVector([1, 0]), StateVector([1, 0, 0]))
-
-
-# --- dephasing ---------------------------------------------------------------
-
-
-def test_dephase_pure_basis_state():
-    assert np.allclose(dephase_pure(StateVector([1, 0])).probs, [1.0, 0.0])
-
-
-def test_dephase_pure_uniform_superposition():
-    probs = dephase_pure(StateVector([INV_SQRT2, INV_SQRT2])).probs
-    assert np.allclose(probs, [0.5, 0.5], atol=1e-15)
-
-
-def test_dephase_pure_drops_phases():
-    probs = dephase_pure(StateVector([INV_SQRT2, 1j * INV_SQRT2])).probs
-    assert np.allclose(probs, [0.5, 0.5], atol=1e-15)
-
-
-def test_dephase_pure_preserves_trace():
-    rng = np.random.default_rng(5)
-    for _ in range(50):
-        dim = int(rng.integers(1, 17))
-        state = normalize(rng.standard_normal(dim) + 1j * rng.standard_normal(dim))
-        assert abs(float(dephase_pure(state).probs.sum()) - 1.0) < 1e-12
-
-
-def test_dephase_pure_global_phase_invariance():
-    state = normalize([0.3, 0.4 - 0.2j, 0.7j])
-    # Multiplication by exact units commutes with the modulus bit-for-bit.
-    for unit in (-1.0, 1j, -1j):
-        rotated = StateVector(unit * state.amps)
-        assert np.array_equal(dephase_pure(rotated).probs, dephase_pure(state).probs)
-    generic = StateVector(np.exp(0.7j) * state.amps)
-    assert np.max(np.abs(dephase_pure(generic).probs - dephase_pure(state).probs)) < 1e-15
-
-
-def test_dephase_mixed_already_diagonal():
-    rho = DensityMatrix(np.eye(2) / 2.0)
-    assert np.allclose(dephase_mixed(rho).probs, [0.5, 0.5])
-
-
-def test_dephase_mixed_plus_projector():
-    plus = StateVector([INV_SQRT2, INV_SQRT2])
-    outer = np.outer(plus.amps, plus.amps.conj())
-    probs = dephase_mixed(DensityMatrix(outer)).probs
-    assert np.allclose(probs, np.diag(outer).real, atol=1e-15)
-    assert np.allclose(probs, [0.5, 0.5], atol=1e-15)
-
-
-def test_dephase_mixed_diagonal_fixed_point():
-    rho = DensityMatrix(np.diag([0.3, 0.7]))
-    assert np.allclose(dephase_mixed(rho).probs, [0.3, 0.7])
 
 
 # --- eigensolver -------------------------------------------------------------
@@ -451,13 +400,3 @@ def test_density_matrix_from_pure_caches_spectrum():
     rho = DensityMatrix.from_pure(state)
     assert abs(rho.eigenvalues()[0] - 1.0) < 1e-12
     assert abs(rho.eigenvalues()[1]) < 1e-12
-
-
-def test_diagonal_distribution_rejects_bad_sum():
-    with pytest.raises(ValueError):
-        DiagonalDistribution([0.6, 0.6])
-
-
-def test_diagonal_distribution_rejects_negative():
-    with pytest.raises(ValueError):
-        DiagonalDistribution([1.2, -0.2])

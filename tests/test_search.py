@@ -17,7 +17,6 @@ from coherence_lab import (
     PairKind,
     SearchSpec,
     ZeroVectorError,
-    encode_inputs,
     evaluate_bound,
     minimize_slack,
     parameter_count,
@@ -62,6 +61,15 @@ def test_parameterize_encodes_uniform_basis_pair():
     assert np.allclose(psi.amps, [0.0, 1.0])
 
 
+def encoded(coeffs, phi, psi):
+    """The parameter vector of a triple that ``parameterize`` produced (alpha
+    real): (theta, phase), then the states' interleaved re/im amplitudes."""
+    beta = coeffs.beta
+    head = [np.arctan2(abs(beta), coeffs.alpha.real), np.angle(beta) if beta != 0 else 0.0]
+    amps = np.concatenate([phi.amps, psi.amps])
+    return np.concatenate([head, np.column_stack([amps.real, amps.imag]).ravel()])
+
+
 @pytest.mark.parametrize(
     "pair_kind",
     [PairKind.DISJOINT_SUPPORT, PairKind.ORTHOGONAL_SAME_SPACE,
@@ -71,7 +79,7 @@ def test_parameterize_projection_is_idempotent(pair_kind):
     for seed in range(30):
         x = random_vector(seed, 4)
         coeffs, phi, psi = parameterize(x, 4, pair_kind)
-        again = parameterize(encode_inputs(coeffs, phi, psi), 4, pair_kind)
+        again = parameterize(encoded(coeffs, phi, psi), 4, pair_kind)
         assert abs(again[0].alpha - coeffs.alpha) < 1e-12
         assert abs(again[0].beta - coeffs.beta) < 1e-12
         assert np.max(np.abs(again[1].amps - phi.amps)) < 1e-12

@@ -74,7 +74,7 @@ def test_coefficients_weights():
 
 def test_superpose_uniform_basis_pair():
     sup = superpose(EQUAL, E0, E1)
-    assert np.allclose(sup.raw, [INV_SQRT2, INV_SQRT2])
+    assert np.allclose(sup.s * sup.normalized.amps, [INV_SQRT2, INV_SQRT2])
     assert abs(sup.s - 1.0) < 1e-12
     assert sup.normalized is not None
 
@@ -96,14 +96,16 @@ def test_superpose_exact_cancellation_yields_absent_normalized():
 def test_superpose_normalizes_only_above_the_zero_vector_threshold(eps):
     # s = ||(E0 - psi) / sqrt(2)|| = eps / sqrt(2) for psi = (1, eps).
     psi = StateVector([1.0, eps])
-    sup = superpose(SuperpositionCoefficients(INV_SQRT2, -INV_SQRT2), E0, psi)
-    assert sup.s == float(np.linalg.norm(sup.raw))
+    coeffs = SuperpositionCoefficients(INV_SQRT2, -INV_SQRT2)
+    sup = superpose(coeffs, E0, psi)
+    raw = coeffs.alpha * E0.amps + coeffs.beta * psi.amps
+    assert sup.s == float(np.linalg.norm(raw))
     if sup.s <= TOLERANCES.zero_vector:
         assert eps < 1.5e-12
         assert sup.normalized is None
     else:
         assert eps >= 1.5e-12
-        expected = StateVector(sup.raw / sup.s).amps
+        expected = StateVector(raw / sup.s).amps
         assert sup.normalized.amps.tobytes() == expected.tobytes()
 
 
