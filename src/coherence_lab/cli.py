@@ -33,11 +33,11 @@ from typing import Optional
 
 from . import __version__
 from .bounds import ALL_BOUND_IDS, BOUNDS, evaluate_all, evaluate_bound
-from .ensembles import EnsembleConfig, sample_pair, summarize_ensembles
+from .ensembles import EnsembleConfig, sample_pair, summarize_ensembles, trial_stream
 from .entropy import pure_state_coherence
 from .errors import CoherenceLabError, ConfigError, ConsistencyError
 from .linalg import StateVector
-from .rng import make_generator, subseed
+from .rng import subseed
 from .search import SearchSpec, minimize_slack
 from .superpose import PairKind, SuperpositionCoefficients, classify_pair, superpose
 from .tolerances import TOLERANCES
@@ -384,7 +384,7 @@ def cmd_sweep(args, config: dict) -> int:
     ensemble = EnsembleConfig(
         dim=dim, trials=1, pair_kind=BOUNDS[bound_id].default_kind, seed=seed
     )
-    phi, psi = sample_pair(make_generator(subseed(seed, 0)), ensemble)
+    phi, psi = sample_pair(trial_stream(ensemble, 0), ensemble)
     rows = []
     violations = 0
     for alpha_sq in grid:

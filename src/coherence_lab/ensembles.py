@@ -1,10 +1,11 @@
 """Seeded random generation of states, pairs, and coefficients.
 
-Every trial of an ensemble owns its own Philox generator keyed by a sub-seed
+Every trial of an ensemble reads its own Philox stream keyed by a sub-seed
 derived from the master seed and the trial index (see ``rng``), so runs are
 bit-for-bit reproducible and each trial is independent of every other.
-Within a trial the draw order is fixed: first state, second state (including
-any resampling), then coefficients.
+Within a trial the draw order is fixed: first state, second state, then
+coefficients, ``_stream_length`` uniforms in all; a draw that cannot give a
+pair of its kind raises ``DegeneratePairError`` and is not redrawn.
 
 ``run_ensemble`` runs trials one at a time and is the reference.
 ``summarize_ensembles`` computes the same summaries in passes over the trials
@@ -12,7 +13,7 @@ of all its ensembles, held in (trials, dim) arrays.  The batched values are
 the scalar path's floats bit for bit (the row-local forms in ``linalg``,
 ``superpose``, ``entropy`` and ``bounds.evaluate_rows``), so every comparison
 comes out as it does there, and exactly the trials at which the scalar path
-would resample or raise are handed back to it.
+would raise are handed back to it.
 
 A pass holds at most ``_CHUNK_ELEMENTS`` trial x dim elements, or one trial,
 so memory grows neither with the trial count nor with the ensembles, and
@@ -39,7 +40,7 @@ from .bounds import BoundReport, evaluate_all, evaluate_rows
 from .entropy import row_coherences
 from .errors import BadSplitError, CoherenceLabError, DegeneratePairError
 from .linalg import StateVector, norm, normalize, normalize_rows, project_out_rows
-from .rng import UniformRows, complex_normals, make_generator, philox_uniforms, subseed, subseeds
+from .rng import UniformRows, complex_normals, philox_uniforms, stream, subseed, subseeds
 from .superpose import (
     PairKind,
     SuperpositionCoefficients,
@@ -52,7 +53,6 @@ from .superpose import (
 )
 from .tolerances import TOLERANCES
 
-_MAX_RESAMPLES = 8
 # Projected-norm floor below which an orthogonalization attempt is discarded.
 _PROJECTION_FLOOR = 1e-6
 # A summary keeps the records of this many violating trials and this many
@@ -114,74 +114,58 @@ def default_split(dim: int) -> tuple[int, int]:
     return dim // 2, dim - dim // 2
 
 
-def _haar_state(gen: np.random.Generator, dim: int) -> StateVector:
-    for _ in range(_MAX_RESAMPLES):
-        raw = complex_normals(gen, dim)
-        if norm(raw) > TOLERANCES.zero_vector:
-            return normalize(raw)
-    raise DegeneratePairError("Gaussian sampling produced only degenerate vectors")
+def _haar_state(gen: UniformRows, dim: int) -> StateVector:
+    raw = complex_normals(gen, dim)
+    if norm(raw) <= TOLERANCES.zero_vector:
+        raise DegeneratePairError("Gaussian sampling produced a degenerate vector")
+    return normalize(raw)
 
 
 def haar_random_state(dim: int, seed: int) -> StateVector:
-    """Uniform (unitarily invariant) random pure state.
-
-    Independent standard complex Gaussian amplitudes, then normalization.
-    """
+    """Uniform (unitarily invariant) random pure state: independent standard
+    complex Gaussian amplitudes, then normalization."""
     if dim < 1:
         raise ValueError(f"dimension must be >= 1, got {dim}")
-    return _haar_state(make_generator(seed), dim)
+    return _haar_state(stream(seed, 2 * dim), dim)
 
 
-def _orthogonal_pair(
-    gen: np.random.Generator, dim: int
-) -> tuple[StateVector, StateVector]:
+def _orthogonal_pair(gen: UniformRows, dim: int) -> tuple[StateVector, StateVector]:
     phi = _haar_state(gen, dim)
-    for _ in range(_MAX_RESAMPLES):
-        raw = complex_normals(gen, dim)
-        projected = raw - np.vdot(phi.amps, raw) * phi.amps
-        if norm(projected) <= _PROJECTION_FLOOR:
-            continue
-        # One re-orthogonalization pass scrubs the first projection's round-off.
-        projected = projected - np.vdot(phi.amps, projected) * phi.amps
-        psi = normalize(projected)
-        return phi, psi
-    raise DegeneratePairError(
-        f"could not orthogonalize against the first state in {_MAX_RESAMPLES} attempts"
-    )
+    raw = complex_normals(gen, dim)
+    projected = raw - np.vdot(phi.amps, raw) * phi.amps
+    if norm(projected) <= _PROJECTION_FLOOR:
+        raise DegeneratePairError("the second state is nearly parallel to the first")
+    # One re-orthogonalization pass scrubs the first projection's round-off.
+    projected = projected - np.vdot(phi.amps, projected) * phi.amps
+    return phi, normalize(projected)
 
 
 def random_orthogonal_pair(dim: int, seed: int) -> tuple[StateVector, StateVector]:
-    """Two random states with |<phi|psi>| below the support tolerance.
-
-    Gram-Schmidt with one re-orthogonalization pass; the second raw sample is
-    redrawn (up to a small cap) if it is nearly parallel to the first.
-    """
+    """Two random states with |<phi|psi>| below the support tolerance: Gram-Schmidt
+    with one re-orthogonalization pass, raising ``DegeneratePairError`` if the
+    second raw sample is nearly parallel to the first."""
     if dim < 2:
         raise ValueError(f"dimension must be >= 2, got {dim}")
-    return _orthogonal_pair(make_generator(seed), dim)
+    return _orthogonal_pair(stream(seed, 4 * dim), dim)
 
 
 def _disjoint_pair(
-    gen: np.random.Generator, dim: int, split: tuple[int, int]
+    gen: UniformRows, dim: int, split: tuple[int, int]
 ) -> tuple[StateVector, StateVector]:
     d1, d2 = split
-    phi_block = _haar_state(gen, d1)
-    psi_block = _haar_state(gen, d2)
-    phi = np.zeros(dim, dtype=np.complex128)
-    psi = np.zeros(dim, dtype=np.complex128)
-    phi[:d1] = phi_block.amps
-    psi[d1 : d1 + d2] = psi_block.amps
+    phi, psi = np.zeros((2, dim), dtype=np.complex128)
+    phi[:d1] = _haar_state(gen, d1).amps
+    psi[d1 : d1 + d2] = _haar_state(gen, d2).amps
     return StateVector(phi), StateVector(psi)
 
 
-def _coefficient_pair(gen):
-    """alpha and beta from the next two uniforms: floats from a generator,
-    (trials,) arrays from ``UniformRows``."""
+def _coefficient_pair(gen: UniformRows):
+    """alpha and beta from the next two uniforms: scalars or (trials,) rows."""
     theta = 0.5 * np.pi * gen.random()
     return coefficient_map(theta, 2.0 * np.pi * gen.random())
 
 
-def _coefficients(gen: np.random.Generator) -> SuperpositionCoefficients:
+def _coefficients(gen: UniformRows) -> SuperpositionCoefficients:
     alpha, beta = _coefficient_pair(gen)
     return SuperpositionCoefficients(alpha=alpha, beta=beta)
 
@@ -189,51 +173,38 @@ def _coefficients(gen: np.random.Generator) -> SuperpositionCoefficients:
 def random_coefficients(seed: int) -> SuperpositionCoefficients:
     """alpha = cos(theta), beta = sin(theta) e^{i phase}; theta uniform on
     [0, pi/2], phase uniform on [0, 2 pi)."""
-    return _coefficients(make_generator(seed))
+    return _coefficients(stream(seed, 2))
 
 
-def sample_pair(
-    gen: np.random.Generator, config: EnsembleConfig
-) -> tuple[StateVector, StateVector]:
+def sample_pair(gen: UniformRows, config: EnsembleConfig) -> tuple[StateVector, StateVector]:
     """Draw one pair of ``config.pair_kind`` from ``gen``, as a trial does."""
     kind = config.pair_kind
     if kind is PairKind.DISJOINT_SUPPORT:
         return _disjoint_pair(gen, config.dim, config.split)
     if kind is PairKind.ORTHOGONAL_SAME_SPACE:
         return _orthogonal_pair(gen, config.dim)
-    if kind is PairKind.NON_ORTHOGONAL:
-        phi = _haar_state(gen, config.dim)
-        for _ in range(_MAX_RESAMPLES):
-            psi = _haar_state(gen, config.dim)
-            if not is_orthogonal(np.vdot(phi.amps, psi.amps)):
-                return phi, psi
-        raise DegeneratePairError("every resample was accidentally orthogonal")
-    return _haar_state(gen, config.dim), _haar_state(gen, config.dim)
+    phi, psi = _haar_state(gen, config.dim), _haar_state(gen, config.dim)
+    if kind is PairKind.NON_ORTHOGONAL and is_orthogonal(np.vdot(phi.amps, psi.amps)):
+        raise DegeneratePairError("the pair is accidentally orthogonal")
+    return phi, psi
+
+
+def trial_stream(config: EnsembleConfig, index: int) -> UniformRows:
+    """The uniforms trial ``index`` of ``config`` reads: its pair, then alpha and beta."""
+    return stream(subseed(config.seed, index), _stream_length(config))
 
 
 def _run_trial(config: EnsembleConfig, index: int, tolerance: float) -> TrialRecord:
     trial_seed = subseed(config.seed, index)
-    gen = make_generator(trial_seed)
+    gen = trial_stream(config, index)
     try:
         phi, psi = sample_pair(gen, config)
         coeffs = _coefficients(gen)
         pair_class = classify_pair(phi, psi)
         reports = evaluate_all(coeffs, phi, psi, tolerance=tolerance)
     except CoherenceLabError as exc:
-        return TrialRecord(
-            index=index,
-            seed=trial_seed,
-            pair_class=None,
-            reports=(),
-            error=f"{type(exc).__name__}: {exc}",
-        )
-    return TrialRecord(
-        index=index,
-        seed=trial_seed,
-        pair_class=pair_class.tag.value,
-        reports=tuple(reports),
-        error=None,
-    )
+        return TrialRecord(index, trial_seed, None, (), f"{type(exc).__name__}: {exc}")
+    return TrialRecord(index, trial_seed, pair_class.tag.value, tuple(reports), None)
 
 
 def run_ensemble(
@@ -242,7 +213,7 @@ def run_ensemble(
     """Run all trials of an ensemble, ordered by trial index.
 
     The result is a pure function of ``config`` and ``tolerance``: each trial
-    derives its own generator from (master seed, index).
+    reads its own stream, keyed by (master seed, index).
     """
     return [_run_trial(config, k, tolerance) for k in range(config.trials)]
 
@@ -276,9 +247,9 @@ def _group_rows(members: list, uniforms: np.ndarray, alpha: np.ndarray, beta: np
     overlaps, ``ok`` and the values ``evaluate_rows`` reads)."""
     _, dim, (d1, d2) = _group(members[0][1])
     kinds = [(config.pair_kind, len(trials)) for _, config, trials in members]
-    stream = UniformRows(uniforms)
-    phi, _, ok = normalize_rows(complex_normals(stream, d1))
-    raw = complex_normals(stream, d2)
+    gen = UniformRows(uniforms)
+    phi, _, ok = normalize_rows(complex_normals(gen, d1))
+    raw = complex_normals(gen, d2)
     orthogonal = sum(n for kind, n in kinds if kind is PairKind.ORTHOGONAL_SAME_SPACE)
     if orthogonal:
         last = slice(len(raw) - orthogonal, None)
@@ -316,8 +287,8 @@ def _pass(segments: list, tolerance: float):
     ``segments`` holds (summary, config, trials), each segment's trial indices
     as a ``range``, sorted by ``_group`` with orthogonal ones last in a group.
 
-    Returns the mask of rows at which the scalar path resamples or raises,
-    which it must run, and for the others, per class and bound id, the rows,
+    Returns the mask of rows at which the scalar path raises, which it must
+    run, and for the others, per class and bound id, the rows,
     slacks and verdicts: the scalar path's, bit for bit.
     """
     groups = [list(members) for _, members in itertools.groupby(segments, lambda seg: _group(seg[1]))]

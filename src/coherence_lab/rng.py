@@ -7,20 +7,19 @@ Generator scheme (stable by construction, documented here on purpose):
   applied to ``master + (k+1) * GOLDEN mod 2^64``.  The finalizer is a
   bijection on 64-bit words and the golden-ratio stride is odd, so sub-seeds
   never collide for a fixed master.
-* Stream: each sub-seed keys a counter-based Philox generator (numpy's
-  ``Philox`` bit generator), whose raw uniform doubles are platform-stable.
+* Stream: each sub-seed keys a counter-based Philox4x64-10 stream, whose
+  uniform doubles are the top 53 bits of each word: numpy's ``Philox`` bit
+  generator's ``random()`` words, bit for bit, and platform-stable.
 * Gaussians: Box-Muller on consecutive uniforms; a complex Gaussian consumes
   exactly one uniform pair (radius and angle).
 
-``subseeds`` and ``philox_uniforms`` compute the same sub-seeds and uniform
-streams for a whole array of keys at once (``verify``'s batched pass and the
-starts of search restarts draw so, read row by row through ``UniformRows``;
-single-stream scalar draws use numpy's ``Generator``): SplitMix64 and
-Philox4x64-10 (Salmon et al., "Parallel Random Numbers: As Easy as 1, 2, 3",
-SC'11) written in numpy over a vector of keys, bit-exact with ``subseed`` and
-numpy's ``Philox``.  numpy's zero words in the counter and key make Philox
-rounds 1-2 per-key and per-block products, computed on (keys,) and (blocks,)
-arrays; rounds 3-10 run in place on two paired lanes, (c0, c2) and (c1, c3).
+``subseeds`` and ``philox_uniforms`` compute the sub-seeds and uniform
+streams of an array of keys at once, ``stream`` one key's; every draw reads
+them through ``UniformRows``, so the package never loads numpy's random
+module.  ``philox_uniforms`` is Philox4x64-10 (Salmon et al., "Parallel
+Random Numbers: As Easy as 1, 2, 3", SC'11) in numpy over a vector of keys
+(``philox_raw``); a call costs about 0.2 ms even at one key, so draws that
+can wait for each other share one.
 """
 
 from __future__ import annotations
@@ -41,15 +40,9 @@ def subseed(master: int, index: int) -> int:
     return z ^ (z >> 31)
 
 
-def make_generator(seed: int) -> np.random.Generator:
-    """Counter-based Philox stream keyed by a 64-bit seed, for scalar draws from
-    one stream; batched draws use ``philox_uniforms``, without ``numpy.random``."""
-    return np.random.Generator(np.random.Philox(key=seed & MASK64))
-
-
 class UniformRows:
-    """Pre-drawn uniforms, one stream per row, read like a generator: ``random(n)``
-    returns the next n columns and ``random()`` the next one."""
+    """Pre-drawn uniforms, one stream per row (or a 1-d stream), read like a
+    generator: ``random(n)`` returns the next n columns, ``random()`` the next."""
 
     def __init__(self, uniforms: np.ndarray):
         self.uniforms = uniforms
@@ -58,10 +51,40 @@ class UniformRows:
     def random(self, n: Optional[int] = None) -> np.ndarray:
         start = self.pos
         self.pos += 1 if n is None else n
-        return self.uniforms[:, start] if n is None else self.uniforms[:, start:self.pos]
+        if self.pos > self.uniforms.shape[-1]:
+            raise IndexError(f"read {self.pos} uniforms from a stream of {self.uniforms.shape[-1]}")
+        return self.uniforms[..., start] if n is None else self.uniforms[..., start:self.pos]
 
 
-def _box_muller(gen: np.random.Generator, pairs: int) -> tuple[np.ndarray, np.ndarray]:
+def stream(seed: int, n: int) -> UniformRows:
+    """``philox_uniforms``'s row for one key, read like a generator.
+
+    The same rounds run on Python ints, every block at once: block j's word
+    c_i sits in bits [128 j, 128 j + 64) of one int per i, so a round's
+    64 x 64-bit products stay in their 128-bit lanes and ``low`` keeps each
+    lane's low word.  That skips the array form's fixed 0.2 ms per call:
+    about 12 us for 2 words and 25 us for 66.
+    """
+    blocks = (n + 3) // 4
+    spread = int.from_bytes((b"\x01" + bytes(15)) * blocks, "little")  # a 1 in every lane
+    low = MASK64 * spread
+    c0 = int.from_bytes(b"".join(j.to_bytes(16, "little") for j in range(1, blocks + 1)), "little")
+    c1 = c2 = c3 = 0
+    (m0, m1), (w0, w1) = _PHILOX_M, _PHILOX_W
+    k0, k1 = seed & MASK64, 0
+    for _ in range(_PHILOX_ROUNDS):
+        p0, p1 = m0 * c0, m1 * c2
+        c0, c1 = ((p1 >> 64) & low) ^ c1 ^ k0 * spread, p1 & low
+        c2, c3 = ((p0 >> 64) & low) ^ c3 ^ k1 * spread, p0 & low
+        k0, k1 = (k0 + w0) & MASK64, (k1 + w1) & MASK64
+    # Lane j of c0 | c1 << 64 holds words 4j and 4j + 1; of c2 | c3 << 64, 4j + 2 and 4j + 3.
+    size = 16 * blocks
+    raw = (c0 | c1 << 64).to_bytes(size, "little") + (c2 | c3 << 64).to_bytes(size, "little")
+    words = np.frombuffer(raw, dtype="<u8").reshape(2, blocks, 2).transpose(1, 0, 2).reshape(-1)[:n]
+    return UniformRows((words >> _U64(11)) * _UNIT)
+
+
+def _box_muller(gen: UniformRows, pairs: int) -> tuple[np.ndarray, np.ndarray]:
     # 1 - U keeps the radius argument in (0, 1]; log(0) is unreachable.
     u1 = 1.0 - gen.random(pairs)
     u2 = gen.random(pairs)
@@ -70,14 +93,13 @@ def _box_muller(gen: np.random.Generator, pairs: int) -> tuple[np.ndarray, np.nd
     return radius * np.cos(angle), radius * np.sin(angle)
 
 
-def standard_normals(gen: np.random.Generator, n: int) -> np.ndarray:
+def standard_normals(gen: UniformRows, n: int) -> np.ndarray:
     """n independent N(0, 1) reals via Box-Muller (n per row from ``UniformRows``)."""
-    pairs = (n + 1) // 2
-    first, second = _box_muller(gen, pairs)
+    first, second = _box_muller(gen, (n + 1) // 2)
     return np.concatenate([first, second], axis=-1)[..., :n]
 
 
-def complex_normals(gen: np.random.Generator, n: int) -> np.ndarray:
+def complex_normals(gen: UniformRows, n: int) -> np.ndarray:
     """n independent standard complex Gaussians (N(0,1) real and imaginary parts)."""
     first, second = _box_muller(gen, n)
     out = np.empty(first.shape, dtype=np.complex128)
@@ -92,6 +114,7 @@ _SHIFT32 = _U64(32)
 _PHILOX_M = (0xD2E7470EE14C6C93, 0xCA5A826395121157)
 _PHILOX_W = (0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B)
 _PHILOX_ROUNDS = 10
+_UNIT = 1.0 / 9007199254740992.0  # a uniform is a word's top 53 bits times 2^-53
 
 
 def subseeds(master: int, indices: np.ndarray) -> np.ndarray:
@@ -187,8 +210,8 @@ def philox_raw(keys: np.ndarray, n: int) -> np.ndarray:
 
 
 def philox_uniforms(keys: np.ndarray, n: int) -> np.ndarray:
-    """The first ``n`` values of ``make_generator(k).random()`` for each key k."""
+    """The first ``n`` uniforms of the stream keyed by k, for each key k."""
     words = philox_raw(keys, n)
     words >>= _U64(11)
     # The conversion writes the C-ordered (keys, n) array callers get.
-    return np.multiply(words, 1.0 / 9007199254740992.0, order="C")
+    return np.multiply(words, _UNIT, order="C")

@@ -34,7 +34,7 @@ from coherence_lab import (
     summarize_ensembles,
 )
 from coherence_lab.linalg import DensityMatrix
-from coherence_lab.rng import make_generator
+from philox_oracle import numpy_generator
 
 TRIALS_PER_DIM = 10_000
 SWEEP_DIMS = (2, 4, 8, 16)
@@ -269,7 +269,7 @@ def test_acceptance_8_oracle_equivalence():
         assert gap <= 1e-8
         worst_path = max(worst_path, gap)
 
-    gen = make_generator(81_000)
+    gen = numpy_generator(81_000)
     worst_eig = 0.0
     for _ in range(1_000):
         entries = gen.standard_normal(4) + 1j * gen.standard_normal(4)

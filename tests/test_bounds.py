@@ -35,7 +35,7 @@ from coherence_lab import (
     random_orthogonal_pair,
 )
 from coherence_lab.ensembles import sample_pair
-from coherence_lab.rng import make_generator
+from philox_oracle import numpy_generator
 
 INV_SQRT2 = 1.0 / math.sqrt(2.0)
 
@@ -122,7 +122,7 @@ def test_gain_sweep_never_exceeds_one():
         config = EnsembleConfig(
             dim=dim, trials=1, pair_kind=PairKind.DISJOINT_SUPPORT, seed=seed
         )
-        phi, psi = sample_pair(make_generator(config.seed), config)
+        phi, psi = sample_pair(numpy_generator(config.seed), config)
         report = evaluate_bound(GAIN_LE_1, random_coefficients(seed + 1), phi, psi)
         assert report.lhs <= 1.0 + 1e-9
         assert report.satisfied
@@ -265,7 +265,7 @@ def test_orthogonal_bound_never_tighter_than_equality():
         config = EnsembleConfig(
             dim=8, trials=1, pair_kind=PairKind.DISJOINT_SUPPORT, seed=seed
         )
-        phi, psi = sample_pair(make_generator(config.seed), config)
+        phi, psi = sample_pair(numpy_generator(config.seed), config)
         coeffs = random_coefficients(seed)
         equality = evaluate_bound(T1_EQUALITY, coeffs, phi, psi)
         upper = evaluate_bound(T2_UPPER, coeffs, phi, psi)
@@ -300,7 +300,7 @@ def test_reports_are_invariant_under_a_basis_permutation(kind):
     for dim in range(2, 17):
         config = EnsembleConfig(dim=dim, trials=1, pair_kind=kind, seed=dim)
         for seed in range(40):
-            gen = make_generator(1000 * dim + seed)
+            gen = numpy_generator(1000 * dim + seed)
             phi, psi = sample_pair(gen, config)
             coeffs = random_coefficients(seed)
             order = np.random.default_rng(seed).permutation(dim)
@@ -358,7 +358,7 @@ def test_bounds_registry_covers_every_bound():
     for kind in set(PairKind) - {PairKind.ARBITRARY}:
         config = EnsembleConfig(dim=4, trials=1, pair_kind=kind, seed=3)
         for seed in range(5):
-            phi, psi = sample_pair(make_generator(seed), config)
+            phi, psi = sample_pair(numpy_generator(seed), config)
             for bound_id, bound in BOUNDS.items():
                 if kind in bound.kinds:
                     assert math.isfinite(evaluate_bound(bound_id, coeffs, phi, psi).slack)
@@ -370,7 +370,7 @@ def test_bounds_registry_covers_every_bound():
 def test_evaluate_bound_matches_evaluate_all():
     config = EnsembleConfig(dim=4, trials=1, pair_kind=PairKind.DISJOINT_SUPPORT, seed=17)
     pairs = [
-        sample_pair(make_generator(config.seed), config),
+        sample_pair(numpy_generator(config.seed), config),
         random_orthogonal_pair(4, 18),
         (haar_random_state(4, 19), haar_random_state(4, 20)),
     ]
@@ -396,7 +396,7 @@ def test_each_context_computes_each_quantity_once(monkeypatch):
     coherences = count_calls(monkeypatch, bounds_module, "pure_state_coherence")
     superposes = count_calls(monkeypatch, bounds_module, "superpose")
     config = EnsembleConfig(dim=4, trials=1, pair_kind=PairKind.DISJOINT_SUPPORT, seed=17)
-    phi, psi = sample_pair(make_generator(config.seed), config)
+    phi, psi = sample_pair(numpy_generator(config.seed), config)
     coeffs = random_coefficients(21)
 
     evaluate_bound(T4_LOWER_A, coeffs, phi, psi)
@@ -483,7 +483,7 @@ def hypothesis_rows():
     pairs = []
     for kind in (PairKind.ORTHOGONAL_SAME_SPACE, PairKind.NON_ORTHOGONAL, PairKind.ARBITRARY):
         config = EnsembleConfig(dim=4, trials=1, pair_kind=kind, seed=0)
-        pairs += [sample_pair(make_generator(seed), config) for seed in range(3)]
+        pairs += [sample_pair(numpy_generator(seed), config) for seed in range(3)]
 
     def shared(x):  # disjoint but for the real amplitude x in the other's block
         return normalize([0.8, 0.6j, x, x]), normalize([x, x, 0.6, -0.8j])

@@ -171,11 +171,12 @@ def test_verify_report_is_the_per_ensemble_summaries(monkeypatch, capsys):
     assert capsys.readouterr().out == together
 
 
-# Run in a fresh interpreter: the modules loaded after each command, by name.
+# Run in a fresh interpreter: the modules loaded after each command and each
+# public sampler call, by name.
 FOOTPRINT = """
 import contextlib, io, json, sys
-from coherence_lab import cli
-HEAVY = ("hashlib", "_hashlib", "numpy.random", "secrets")
+from coherence_lab import cli, haar_random_state, random_coefficients, random_orthogonal_pair
+HEAVY = ("hashlib", "_hashlib", "numpy.random", "secrets", "numpy.ma")
 steps = []
 for argv in (["verify", "--trials", "125", "--seed", "3"],
              ["saturate", "--bound", "GAIN_LE_1", "--restarts", "2", "--iterations", "50"],
@@ -183,25 +184,28 @@ for argv in (["verify", "--trials", "125", "--seed", "3"],
     with contextlib.redirect_stdout(io.StringIO()):
         code = cli.main(argv)
     steps.append([code, [name for name in HEAVY if name in sys.modules]])
+haar_random_state(4, 1), random_orthogonal_pair(4, 2), random_coefficients(3)
+steps.append([0, [name for name in HEAVY if name in sys.modules]])
 print(json.dumps(steps))
 """
 
 
-def test_only_sweep_loads_openssl_or_numpy_random():
-    # At seeds 0-31 this shape runs every trial on the batched path, which
-    # draws with the package's own Philox.  A search draws its restarts'
-    # starts with that Philox too, and demo's cases are fixed, so none of the
-    # three loads a heavy module; sweep reads one numpy Generator, and
-    # numpy.random brings in hashlib.
+def test_no_command_or_sampler_loads_openssl_or_numpy_random():
+    # At seeds 0-31 this shape runs every trial on the batched path.  Every
+    # draw, the scalar path's, sweep's and the public samplers' included,
+    # reads the package's own Philox, and demo's cases are fixed, so nothing
+    # loads numpy.random, which brings in hashlib and so OpenSSL; nor
+    # numpy.ma (1.4 MB), which a numpy set operation such as np.union1d loads.
     env = dict(os.environ, PYTHONPATH=str(SRC))
     run = subprocess.run([sys.executable, "-c", FOOTPRINT], env=env,
                          capture_output=True, text=True)
     assert run.returncode == 0, run.stderr
-    verify, saturate, demo, sweep = json.loads(run.stdout)
+    verify, saturate, demo, sweep, samplers = json.loads(run.stdout)
     assert verify == [0, []]
     assert saturate == [0, []]
     assert demo == [0, []]
-    assert sweep == [0, ["hashlib", "_hashlib", "numpy.random", "secrets"]]
+    assert sweep == [0, []]
+    assert samplers == [0, []]
 
 
 def test_verify_flag_overrides_config(tmp_path):

@@ -15,6 +15,7 @@ from coherence_lab.cli import canonical_json
 from coherence_lab import (
     BadSplitError,
     CoherenceLabError,
+    DegeneratePairError,
     EnsembleConfig,
     PairKind,
     Tolerances,
@@ -25,8 +26,19 @@ from coherence_lab import (
     random_orthogonal_pair,
     run_ensemble,
 )
-from coherence_lab.ensembles import _coefficients, _haar_state, sample_pair, summarize_ensembles
-from coherence_lab.rng import MASK64, make_generator, philox_uniforms, subseed, subseeds
+from coherence_lab.ensembles import (
+    _coefficient_pair,
+    _coefficients,
+    _haar_state,
+    _orthogonal_pair,
+    _stream_length,
+    sample_pair,
+    summarize_ensembles,
+    trial_stream,
+)
+from coherence_lab.linalg import normalize_rows
+from coherence_lab.rng import MASK64, UniformRows, complex_normals, philox_uniforms, subseed, subseeds
+from philox_oracle import numpy_generator
 
 
 # --- sub-seed mixing -----------------------------------------------------------
@@ -59,13 +71,13 @@ def test_haar_state_is_deterministic():
 
 
 def test_haar_qubit_population_is_symmetric():
-    # |amps_0|^2 of a Haar qubit is uniform on [0, 1]: mean 1/2.
-    gen = make_generator(2024)
-    total = 0.0
+    # |amps_0|^2 of a Haar qubit is uniform on [0, 1]: mean 1/2.  The samples
+    # are rows, one stream of 4 uniforms each, drawn as a batched pass draws them.
     samples = 100_000
-    for _ in range(samples):
-        total += abs(_haar_state(gen, 2).amps[0]) ** 2
-    assert abs(total / samples - 0.5) < 0.01
+    gen = UniformRows(philox_uniforms(subseeds(2024, np.arange(samples)), 4))
+    states, _, ok = normalize_rows(complex_normals(gen, 2))
+    assert ok.all()
+    assert abs(np.mean(np.abs(states[:, 0]) ** 2) - 0.5) < 0.01
 
 
 # --- orthogonal pairs --------------------------------------------------------------
@@ -100,7 +112,7 @@ def test_disjoint_pair_minimal_blocks():
     config = EnsembleConfig(
         dim=2, trials=1, pair_kind=PairKind.DISJOINT_SUPPORT, seed=5, split=(1, 1)
     )
-    phi, psi = sample_pair(make_generator(config.seed), config)
+    phi, psi = sample_pair(numpy_generator(config.seed), config)
     assert abs(abs(phi.amps[0]) - 1.0) < 1e-12 and phi.amps[1] == 0
     assert psi.amps[0] == 0 and abs(abs(psi.amps[1]) - 1.0) < 1e-12
 
@@ -109,7 +121,7 @@ def test_disjoint_pair_out_of_block_amplitudes_are_exactly_zero():
     config = EnsembleConfig(
         dim=8, trials=1, pair_kind=PairKind.DISJOINT_SUPPORT, seed=17, split=(3, 4)
     )
-    phi, psi = sample_pair(make_generator(config.seed), config)
+    phi, psi = sample_pair(numpy_generator(config.seed), config)
     assert np.all(phi.amps[3:] == 0)
     assert np.all(psi.amps[:3] == 0)
     assert phi.amps[7] == 0 and psi.amps[7] == 0
@@ -120,7 +132,7 @@ def test_disjoint_pair_classifies_as_declared():
         config = EnsembleConfig(
             dim=6, trials=1, pair_kind=PairKind.DISJOINT_SUPPORT, seed=seed
         )
-        phi, psi = sample_pair(make_generator(config.seed), config)
+        phi, psi = sample_pair(numpy_generator(config.seed), config)
         assert classify_pair(phi, psi).tag is PairKind.DISJOINT_SUPPORT
 
 
@@ -152,10 +164,47 @@ def test_coefficients_deterministic():
 
 
 def test_coefficients_weight_is_symmetric_on_average():
-    gen = make_generator(31337)
+    # One row of 2 uniforms per sample, read as ``_coefficients`` reads them.
     samples = 100_000
-    total = sum(_coefficients(gen).alpha_sq for _ in range(samples))
-    assert abs(total / samples - 0.5) < 0.01
+    gen = UniformRows(philox_uniforms(subseeds(31337, np.arange(samples)), 2))
+    alpha, _ = _coefficient_pair(gen)
+    assert abs(np.mean(np.abs(alpha) ** 2) - 0.5) < 0.01
+
+
+# --- the package's streams against numpy's Philox ---------------------------------
+
+
+@pytest.mark.parametrize("seed", [0, 5, MASK64, -3])
+def test_public_samplers_read_numpy_philox_bit_for_bit(seed):
+    # Up to d = 40, where an orthogonal pair reads 160 uniforms.
+    for dim in (2, 3, 8, 16, 40):
+        want = _haar_state(numpy_generator(seed), dim)
+        assert haar_random_state(dim, seed).amps.tobytes() == want.amps.tobytes()
+        got, want = random_orthogonal_pair(dim, seed), _orthogonal_pair(numpy_generator(seed), dim)
+        assert [s.amps.tobytes() for s in got] == [s.amps.tobytes() for s in want]
+    assert random_coefficients(seed) == _coefficients(numpy_generator(seed))
+
+
+@pytest.mark.parametrize("kind", list(PairKind), ids=lambda k: k.value)
+def test_run_ensemble_reads_numpy_philox_bit_for_bit(monkeypatch, kind):
+    config = EnsembleConfig(dim=5, trials=11, pair_kind=kind, seed=404)
+    got = run_ensemble(config, tolerance=1e-9)
+    # The same trials, each reading numpy's generator keyed by its sub-seed.
+    monkeypatch.setattr(ensembles, "stream", lambda seed, n: numpy_generator(seed))
+    assert got == run_ensemble(config, tolerance=1e-9)
+
+
+@pytest.mark.parametrize("kind", list(PairKind), ids=lambda k: k.value)
+def test_a_trial_stream_is_the_trials_pair_then_its_coefficients(kind):
+    config = EnsembleConfig(dim=6, trials=3, pair_kind=kind, seed=17)
+    for record in run_ensemble(config):
+        gen = trial_stream(config, record.index)
+        want = numpy_generator(record.seed).random(_stream_length(config))
+        assert gen.uniforms.tobytes() == want.tobytes()
+        phi, psi = sample_pair(gen, config)
+        coeffs = _coefficients(gen)
+        assert gen.pos == _stream_length(config)  # exactly the trial's uniforms
+        assert [r.slack for r in bounds.evaluate_all(coeffs, phi, psi)] == [r.slack for r in record.reports]
 
 
 # --- ensembles ----------------------------------------------------------------------------
@@ -429,7 +478,7 @@ def assert_pass_matches_records(monkeypatch, configs):
     """Per trial, not only the extremes a summary keeps: in one pass over
     every trial of ``configs``, every batched slack and verdict is the scalar
     report's, and a trial the pass keeps is one the scalar path evaluates
-    without resampling or error.  Each summary is its scalar fold.  Returns,
+    without error.  Each summary is its scalar fold.  Returns,
     per ensemble, the mask of trials the pass hands to the scalar path."""
     monkeypatch.setattr(ensembles, "_CHUNK_ELEMENTS", sum(c.trials * c.dim for c in configs))
     passes = _record_passes(monkeypatch)
@@ -500,13 +549,14 @@ def test_the_benchmark_shape_runs_no_trial_on_the_scalar_path(monkeypatch, seed)
 
 
 THRESHOLDS = {
-    # Many Haar pairs count as orthogonal: NonOrthogonal resamples, and T2
-    # applies to Arbitrary pairs with a sizeable overlap.
+    # Many Haar pairs count as orthogonal: NonOrthogonal trials raise
+    # DegeneratePairError, and T2 applies to Arbitrary pairs with a sizeable
+    # overlap.
     "overlap": Tolerances(overlap=0.3),
     # Pairs that share small amplitudes count as disjoint; a NonOrthogonal
     # one then fails T2's overlap hypothesis and errors.
     "support": Tolerances(support=0.4),
-    # Short raw vectors resample or error, short superpositions error.
+    # Short raw vectors and short superpositions error.
     "zero_vector": Tolerances(zero_vector=0.9),
 }
 
@@ -551,11 +601,11 @@ def test_clean_summary_builds_no_trial_records(monkeypatch):
 
 
 @pytest.mark.parametrize("floor", [1.0, 2.5])
-def test_summary_with_forced_resamples_matches_scalar_path(monkeypatch, floor):
-    # A high projection floor makes orthogonal trials resample. The batch
+def test_summary_with_forced_degenerate_draws_matches_scalar_path(monkeypatch, floor):
+    # A high projection floor makes orthogonal draws degenerate. The batch
     # hands the scalar path exactly the trials whose projected norm is at or
-    # below the floor: at 1.0 some of them, at 2.5 all, most of which
-    # resample and some of which run out of resamples and error.
+    # below the floor, at 1.0 some of them and at 2.5 many, and each records
+    # the DegeneratePairError it raises.
     monkeypatch.setattr(ensembles, "_PROJECTION_FLOOR", floor)
     monkeypatch.setattr(ensembles, "_CHUNK_ELEMENTS", 64)
     config = EnsembleConfig(dim=4, trials=200, pair_kind=PairKind.ORTHOGONAL_SAME_SPACE, seed=77)
@@ -563,6 +613,9 @@ def test_summary_with_forced_resamples_matches_scalar_path(monkeypatch, floor):
     summarize_ensembles([config])[0]
     scalar_trials = len(calls)
     summary = assert_matches_scalar(config)
+    assert summary["errors"] == scalar_trials
+    assert all(error.startswith(DegeneratePairError.__name__ + ":")
+               for error in summary["error_samples"])
     if floor < 2:
         assert 0 < scalar_trials < config.trials
     else:
@@ -585,9 +638,13 @@ def test_summary_keeps_first_twenty_batched_violations(monkeypatch):
     monkeypatch.setitem(BOUNDS, GAIN_LE_1, replace(BOUNDS[GAIN_LE_1], direction="lower"))
     monkeypatch.setattr(ensembles, "_CHUNK_ELEMENTS", 32)
     calls = _count_scalar_trials(monkeypatch)
+    draws = _record_draws(monkeypatch)
     config = EnsembleConfig(dim=4, trials=90, pair_kind=PairKind.DISJOINT_SUPPORT, seed=21)
     summarize_ensembles([config])[0]
     assert sorted(calls) == list(range(20))
+    # 12 passes of 8 trials (the last of 2), each drawn in one Philox call; the
+    # trials the scalar path reruns read their own streams, not that call.
+    assert [keys for keys, _ in draws] == [8] * 11 + [2]
     summary = assert_matches_scalar(config)
     assert summary["bounds"][GAIN_LE_1]["violations"] == 90
 

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from coherence_lab import rng
-from coherence_lab.rng import MASK64, make_generator, philox_raw, philox_uniforms, subseed, subseeds
+from coherence_lab.rng import MASK64, philox_raw, philox_uniforms, subseed, subseeds
+from philox_oracle import numpy_generator
 
 KEYS = 10_000
 MAX_DRAWS = 70
@@ -47,9 +48,36 @@ def test_philox_raw_of_no_keys_is_empty():
 
 def test_philox_uniforms_match_generator_random():
     keys = _keys()
-    expected = np.array([make_generator(int(k)).random(MAX_DRAWS) for k in keys])
+    expected = np.array([numpy_generator(int(k)).random(MAX_DRAWS) for k in keys])
     for n in (1, 2, 3, 5, 34, 66, MAX_DRAWS):
         assert np.array_equal(philox_uniforms(keys, n), expected[:, :n]), n
+
+
+@pytest.mark.parametrize("seed", EDGE_KEYS + [-1, -(2**63)])
+def test_one_stream_reads_like_numpy_generator(seed):
+    # Blocks and single values in turn, as the samplers read them; a negative
+    # seed keys the stream of its two's complement.
+    sizes = [3, None, 8, None, None, 1, 20]
+    stream = rng.stream(seed, sum(1 if n is None else n for n in sizes))
+    oracle = numpy_generator(seed)
+    for n in sizes:
+        got, want = stream.random(n), oracle.random(n)
+        assert np.shape(got) == np.shape(want)
+        assert np.asarray(got).tobytes() == np.asarray(want).tobytes(), n
+    assert stream.pos == stream.uniforms.size
+    # Every partial block, and streams longer than one trial reads.
+    for n in (0, 1, 2, 3, 4, 5, 66, 128, 129, 300):
+        assert rng.stream(seed, n).uniforms.tobytes() == numpy_generator(seed).random(n).tobytes(), n
+
+
+def test_a_stream_read_past_its_end_raises():
+    # Two complex normals need four uniforms; three give no short draw.
+    with pytest.raises(IndexError):
+        rng.complex_normals(rng.stream(5, 3), 2)
+    rows = rng.UniformRows(np.zeros((4, 2)))
+    rows.random(2)
+    with pytest.raises(IndexError):
+        rows.random()
 
 
 def test_subseeds_match_subseed():

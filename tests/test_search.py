@@ -24,9 +24,7 @@ from coherence_lab import (
 )
 from coherence_lab import bounds, entropy, linalg, search
 from coherence_lab.errors import ConsistencyError
-from coherence_lab.rng import (
-    MASK64, UniformRows, make_generator, philox_uniforms, standard_normals, subseed
-)
+from coherence_lab.rng import MASK64, UniformRows, philox_uniforms, standard_normals, subseed
 from coherence_lab.search import (
     _DIAMETER_TOL,
     _MAX_SEARCH_DIM,
@@ -38,10 +36,11 @@ from coherence_lab.search import (
     _starts,
 )
 from coherence_lab.tolerances import Tolerances
+from philox_oracle import numpy_generator
 
 
 def random_vector(seed, dim):
-    return standard_normals(make_generator(seed), parameter_count(dim))
+    return standard_normals(numpy_generator(seed), parameter_count(dim))
 
 
 # --- parameterize -----------------------------------------------------------------
@@ -600,7 +599,7 @@ def hex_rows(rows):
 def box_muller(seed, n):
     """n Box-Muller normals from the stream keyed by ``seed``, written out here."""
     pairs = (n + 1) // 2
-    u = make_generator(seed).random(2 * pairs)
+    u = numpy_generator(seed).random(2 * pairs)
     radius = np.sqrt(-2.0 * np.log(1.0 - u[:pairs]))
     angle = 2.0 * np.pi * u[pairs:]
     return np.concatenate([radius * np.cos(angle), radius * np.sin(angle)])[:n]
@@ -612,7 +611,7 @@ def box_muller(seed, n):
 def test_starts_are_each_restarts_own_stream_bit_for_bit(seed, first, count):
     for n in (10, 34, 2050):
         keys = [subseed(seed, restart) for restart in range(first, first + count)]
-        expected = [standard_normals(make_generator(key), n) for key in keys]
+        expected = [standard_normals(numpy_generator(key), n) for key in keys]
         assert hex_rows(expected) == hex_rows([box_muller(key, n) for key in keys])
         # At n = 2050 the group width is 3, so a search draws these in split groups.
         width = _group_width(n)
@@ -628,7 +627,7 @@ def test_standard_normals_reads_rows_like_generators():
     streams = UniformRows(philox_uniforms(np.array(seeds, dtype=np.uint64), 8))
     rows = standard_normals(streams, 7)
     assert rows.shape == (2, 7)
-    expected = [standard_normals(make_generator(seed), 7) for seed in seeds]
+    expected = [standard_normals(numpy_generator(seed), 7) for seed in seeds]
     assert hex_rows(rows) == hex_rows(expected)
 
 

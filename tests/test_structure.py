@@ -1,6 +1,7 @@
 """Package structure: modules use each other only through public names, every
 vector norm goes through ``linalg.norm``, only ``entropy`` takes a
-logarithm, and every exported name has a user outside the tests."""
+logarithm, no module names numpy's random module, and every exported name
+has a user outside the tests."""
 
 import ast
 from pathlib import Path
@@ -93,6 +94,53 @@ def test_only_entropy_takes_logarithms():
         for path in sorted(PACKAGE.glob("*.py"))
         if path.name != "entropy.py"
         for line in log2_lines(path.read_text(encoding="utf-8"))
+    ]
+    assert hits == []
+
+
+def numpy_random_lines(source):
+    """Lines that name numpy's random module: ``np.random`` or ``numpy.random``,
+    or an import of it or from it."""
+    for node in ast.walk(ast.parse(source)):
+        if (
+            isinstance(node, ast.Attribute)
+            and node.attr == "random"
+            and isinstance(node.value, ast.Name)
+            and node.value.id in ("np", "numpy")
+        ):
+            yield node.lineno
+        if isinstance(node, ast.Import) and any(
+            alias.name.split(".")[:2] == ["numpy", "random"] for alias in node.names
+        ):
+            yield node.lineno
+        if isinstance(node, ast.ImportFrom) and (
+            (node.module or "").split(".")[:2] == ["numpy", "random"]
+            or (node.module == "numpy" and any(alias.name == "random" for alias in node.names))
+        ):
+            yield node.lineno
+
+
+def test_numpy_random_scan_finds_each_spelling():
+    source = (
+        "import numpy as np\n"
+        "import numpy.random\n"
+        "from numpy.random import Philox\n"
+        "from numpy import random\n"
+        "g = np.random.Generator(p)\n"
+        "u = numpy.random.default_rng()\n"
+        "v = gen.random(3)\n"  # a reader of uniforms, not the module
+        "from numpy.random._philox import Philox as P\n"
+    )
+    assert sorted(numpy_random_lines(source)) == [2, 3, 4, 5, 6, 8]
+
+
+def test_no_module_names_numpy_random():
+    # Any numpy.random import loads secrets and hashlib (OpenSSL), about 6 MB;
+    # every draw reads the package's own Philox instead.
+    hits = [
+        f"{path.name}:{line}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        for line in numpy_random_lines(path.read_text(encoding="utf-8"))
     ]
     assert hits == []
 
