@@ -17,14 +17,19 @@ would raise are handed back to it.
 
 A pass holds at most ``_CHUNK_ELEMENTS`` trial x dim elements, or one trial,
 so memory grows neither with the trial count nor with the ensembles, and
-pays numpy's per-call cost per pass, not per ensemble.  It draws once per
-stream length (at most 5 ``_CHUNK_ELEMENTS`` words, 4 d + 2 per trial), runs
-the Box-Muller draws, projection, ``class_masks``, ``superpose_rows`` and
-``row_coherences`` once per group (one dimension and pair of raw block
-lengths, disjoint or not), and the coefficients and ``evaluate_rows`` (per
-class) once.  Disjoint rows keep their own coherence call: beside Haar rows,
-which support every column, their zero amplitudes would be NaN, and they
-would fall back to the scalar path.
+pays numpy's per-call cost per pass, not per ensemble.  It draws once: one
+``subseeds`` call over its rows' masters and indices, then one Philox call
+over every row's stream, whatever their lengths (4 d + 2 uniforms per
+trial, so at most 5 ``_CHUNK_ELEMENTS`` uniforms per pass).  Each group
+(one dimension and pair of raw block lengths, disjoint or not) reads its
+rows' uniforms as a reshaped slice of that draw and runs the Box-Muller
+draws, projection, ``class_masks``, ``superpose_rows`` and one
+``row_coherences`` call over phi, psi and omega side by side; the
+coefficients and ``evaluate_rows`` (per class) run once per pass.  Disjoint
+rows keep their own coherence call: beside Haar rows, which support every
+column, their zero amplitudes would be NaN, and they would fall back to the
+scalar path.  Each (bound, class) result folds into the pass's ensembles
+with one ``reduceat`` per extreme.
 """
 
 from __future__ import annotations
@@ -40,7 +45,7 @@ from .bounds import BoundReport, evaluate_all, evaluate_rows
 from .entropy import row_coherences
 from .errors import BadSplitError, CoherenceLabError, DegeneratePairError
 from .linalg import StateVector, norm, normalize, normalize_rows, project_out_rows
-from .rng import UniformRows, complex_normals, philox_uniforms, stream, subseed, subseeds
+from .rng import MASK64, UniformRows, complex_normals, ragged_uniforms, stream, subseed, subseeds
 from .superpose import (
     PairKind,
     SuperpositionCoefficients,
@@ -236,8 +241,8 @@ def _stream_length(config: EnsembleConfig) -> int:
 
 def _group(config: EnsembleConfig) -> tuple[int, int, tuple[int, int]]:
     """Trials that share a pass's row-wise stages: of one dimension and pair
-    of raw block lengths, hence disjoint or not.  The stream length leads, so
-    groups that share a Philox call sort side by side."""
+    of raw block lengths, hence disjoint or not.  Passes take ensembles in
+    the order of this key, stream length first."""
     return _stream_length(config), config.dim, _blocks(config)
 
 
@@ -248,38 +253,51 @@ def _group_rows(members: list, uniforms: np.ndarray, alpha: np.ndarray, beta: np
     _, dim, (d1, d2) = _group(members[0][1])
     kinds = [(config.pair_kind, len(trials)) for _, config, trials in members]
     gen = UniformRows(uniforms)
-    phi, _, ok = normalize_rows(complex_normals(gen, d1))
+    # phi, psi and omega side by side, for the group's one coherence call; a
+    # disjoint pair's blocks sit at columns [0, d1) and [d1, d1 + d2).
+    states = np.zeros((3, len(uniforms), dim), dtype=np.complex128)
+    phi, psi, omega = states
+    phi[:, :d1], _, ok = normalize_rows(complex_normals(gen, d1))
     raw = complex_normals(gen, d2)
     orthogonal = sum(n for kind, n in kinds if kind is PairKind.ORTHOGONAL_SAME_SPACE)
     if orthogonal:
         last = slice(len(raw) - orthogonal, None)
         raw[last], norms = project_out_rows(phi[last], raw[last])
         ok[last] &= norms > _PROJECTION_FLOOR
-    psi, _, psi_ok = normalize_rows(raw)
+    first = d1 if members[0][1].pair_kind is PairKind.DISJOINT_SUPPORT else 0
+    psi[:, first : first + d2], _, psi_ok = normalize_rows(raw)
+    del raw
     ok &= psi_ok
-    if members[0][1].pair_kind is PairKind.DISJOINT_SUPPORT:
-        n = len(raw)
-        phi = np.concatenate([phi, np.zeros((n, dim - d1))], axis=1)
-        psi = np.concatenate([np.zeros((n, d1)), psi, np.zeros((n, dim - d1 - d2))], axis=1)
     classes, overlap = class_masks(phi, psi)
     start = 0
     for kind, n in kinds:
         if kind is PairKind.NON_ORTHOGONAL:
             ok[start : start + n] &= ~is_orthogonal(overlap[start : start + n])
         start += n
-    s, omega, superposed = superpose_rows(alpha, beta, phi, psi)
-    values = {"overlap": overlap, "ok": ok & superposed, "s": s}
-    for name, state in (("phi", phi), ("psi", psi), ("t1", omega)):
-        # The group's own call: beside Haar rows, a disjoint row's zeros are NaN.
-        coherence, vouched = row_coherences(state[:, None])
-        values["coherence_" + name] = coherence[:, 0]
-        values["ok"] &= vouched
+    s, omega[:], superposed = superpose_rows(alpha, beta, phi, psi)
+    # The group's own call: beside Haar rows, a disjoint row's zeros are NaN.
+    coherence, vouched = row_coherences(states.transpose(1, 0, 2))
+    values = {"overlap": overlap, "ok": ok & superposed & vouched, "s": s}
+    for i, name in enumerate(("phi", "psi", "t1")):
+        values["coherence_" + name] = coherence[:, i]
     return classes, values
 
 
 def _joined(parts: list) -> np.ndarray:
     """``np.concatenate(parts)``, without its copy when there is one part."""
     return parts[0] if len(parts) == 1 else np.concatenate(parts)
+
+
+def _draw(segments: list) -> np.ndarray:
+    """The uniforms of a pass's rows, one row's stream after another: one
+    ``subseeds`` call over the rows' masters and indices, then one Philox
+    call.  Row r of a segment is trial ``trials.start + r``."""
+    sizes = [len(trials) for _, _, trials in segments]
+    masters = np.array([config.seed & MASK64 for _, config, _ in segments], dtype=np.uint64)
+    shifts = np.array([trials.start for _, _, trials in segments]) - np.cumsum([0] + sizes[:-1])
+    keys = subseeds(np.repeat(masters, sizes), np.arange(sum(sizes)) + np.repeat(shifts, sizes))
+    lengths = [_stream_length(config) for _, config, _ in segments]
+    return ragged_uniforms(keys, np.repeat(lengths, sizes))
 
 
 def _pass(segments: list, tolerance: float):
@@ -292,15 +310,14 @@ def _pass(segments: list, tolerance: float):
     slacks and verdicts: the scalar path's, bit for bit.
     """
     groups = [list(members) for _, members in itertools.groupby(segments, lambda seg: _group(seg[1]))]
-    uniforms = []
-    for length, same in itertools.groupby(groups, lambda members: _stream_length(members[0][1])):
-        same = list(same)
-        drawn = philox_uniforms(np.concatenate([
-            subseeds(config.seed, np.arange(trials.start, trials.stop))
-            for members in same for _, config, trials in members
-        ]), length)
-        sizes = [sum(len(trials) for _, _, trials in members) for members in same]
-        uniforms += np.split(drawn, np.cumsum(sizes)[:-1])
+    drawn = _draw(segments)
+    # Each group's (rows, length) uniforms are a reshaped slice of the draw.
+    uniforms, start = [], 0
+    for members in groups:
+        length = _stream_length(members[0][1])
+        stop = start + length * sum(len(trials) for _, _, trials in members)
+        uniforms.append(drawn[start:stop].reshape(-1, length))
+        start = stop
     alpha, beta = _coefficient_pair(UniformRows(_joined([u[:, -2:] for u in uniforms])))
     alpha_sq, beta_sq, ok = coefficient_weights(alpha, beta)
     edges = np.cumsum([len(u) for u in uniforms])[:-1]
@@ -365,13 +382,16 @@ def _fold_pass(segments: list, tolerance: float) -> None:
     for bound_id, rows, slack, satisfied in results:
         unsatisfied = rows[~satisfied]
         violated[unsatisfied] = True
-        cuts = np.searchsorted(rows, edges).tolist()
-        bad = np.searchsorted(unsatisfied, edges).tolist()
-        for i, (summary, _, _) in enumerate(segments):
-            lo, hi = cuts[i], cuts[i + 1]
-            if hi > lo:
-                _fold(summary, bound_id, hi - lo, bad[i + 1] - bad[i],
-                      float(slack[lo:hi].min()), float(slack[lo:hi].max()))
+        # Each segment's rows are a run of ``rows``; fold the runs that are not empty.
+        cuts = np.searchsorted(rows, edges)
+        counts = np.diff(cuts)
+        live = np.flatnonzero(counts)
+        folds = zip(live.tolist(), counts[live].tolist(),
+                    np.diff(np.searchsorted(unsatisfied, edges))[live].tolist(),
+                    np.minimum.reduceat(slack, cuts[live]).tolist(),
+                    np.maximum.reduceat(slack, cuts[live]).tolist())
+        for i, count, violations, low, high in folds:
+            _fold(segments[i][0], bound_id, count, violations, low, high)
     for (summary, config, trials), first in zip(segments, edges.tolist()):
         rows = slice(first, first + len(trials))
         _fold_scalar(summary, config, trials.start, redo[rows], violated[rows], tolerance)
@@ -389,8 +409,9 @@ def summarize_ensembles(
 
     A pass takes the next trials of each ensemble in turn, ordered by
     ``_group``, up to ``_CHUNK_ELEMENTS`` trial x dim elements and at least
-    one trial, so each ensemble folds its trials in index order.  Its stages
-    run per stream length, per group and per pass (module docstring).
+    one trial, so each ensemble folds its trials in index order.  A pass
+    draws once, and its other stages run per group or per pass (module
+    docstring).
     """
     summaries = [
         {

@@ -138,12 +138,16 @@ def row_coherences(amps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     p = np.minimum(np.abs(amps) ** 2, 1.0)
     support = np.logical_or.reduce(p, axis=0)
     if support.all():
-        value = 0.0 - np.add.reduce(p * np.log2(p), axis=-1)
+        terms = np.log2(p)
+        terms *= p
+        del p  # each step holds at most two arrays of the input's size
+        value = np.add.reduce(terms, axis=-1)
     else:
         value = np.empty(p.shape[:2])
         for j, columns in enumerate(support):
             # compress keeps rows contiguous (a boolean index would not), so
             # each row sums in the scalar path's pairwise order.
             block = p[:, j].compress(columns, axis=1)
-            value[:, j] = 0.0 - np.add.reduce(block * np.log2(block), axis=-1)
+            value[:, j] = np.add.reduce(block * np.log2(block), axis=-1)
+    np.subtract(0.0, value, out=value)
     return value, ~np.isnan(value).any(axis=1)

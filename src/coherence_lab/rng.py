@@ -13,13 +13,17 @@ Generator scheme (stable by construction, documented here on purpose):
 * Gaussians: Box-Muller on consecutive uniforms; a complex Gaussian consumes
   exactly one uniform pair (radius and angle).
 
-``subseeds`` and ``philox_uniforms`` compute the sub-seeds and uniform
-streams of an array of keys at once, ``stream`` one key's; every draw reads
-them through ``UniformRows``, so the package never loads numpy's random
-module.  ``philox_uniforms`` is Philox4x64-10 (Salmon et al., "Parallel
-Random Numbers: As Easy as 1, 2, 3", SC'11) in numpy over a vector of keys
-(``philox_raw``); a call costs about 0.2 ms even at one key, so draws that
-can wait for each other share one.
+``subseeds`` computes the sub-seeds of arrays of masters and indices at
+once, ``ragged_uniforms`` the uniform streams of an array of keys, each of
+its own length, in one call, and ``stream`` one key's stream; every draw
+reads them through ``UniformRows``, so the package never loads numpy's
+random module.  ``ragged_uniforms`` is Philox4x64-10 (Salmon et al.,
+"Parallel Random Numbers: As Easy as 1, 2, 3", SC'11) in numpy over a vector
+of (key, block) counters (``philox_blocks``), and ``philox_uniforms`` its
+form with one length for every key.  A call costs about 0.4 ms even at one key,
+and about 2 ms for the 2000 streams (15 125 blocks) of the benchmark's
+``verify`` unit, so draws that can wait for each other share one:
+``ensembles`` draws once per pass, whatever the stream lengths in it.
 """
 
 from __future__ import annotations
@@ -62,7 +66,7 @@ def stream(seed: int, n: int) -> UniformRows:
     The same rounds run on Python ints, every block at once: block j's word
     c_i sits in bits [128 j, 128 j + 64) of one int per i, so a round's
     64 x 64-bit products stay in their 128-bit lanes and ``low`` keeps each
-    lane's low word.  That skips the array form's fixed 0.2 ms per call:
+    lane's low word.  That skips the array form's fixed 0.4 ms per call:
     about 12 us for 2 words and 25 us for 66.
     """
     blocks = (n + 3) // 4
@@ -117,21 +121,21 @@ _PHILOX_ROUNDS = 10
 _UNIT = 1.0 / 9007199254740992.0  # a uniform is a word's top 53 bits times 2^-53
 
 
-def subseeds(master: int, indices: np.ndarray) -> np.ndarray:
-    """``subseed(master, k)`` for every k in ``indices``, as uint64."""
-    z = _U64(master & MASK64) + (indices.astype(_U64) + _U64(1)) * _U64(_GOLDEN)
+def subseeds(masters, indices: np.ndarray) -> np.ndarray:
+    """``subseed(m, k)`` for every master m and index k, broadcast together, as
+    uint64.  ``masters`` is an int, taken mod 2^64, or an integer array,
+    whose entries are cast to uint64, which takes them mod 2^64 too."""
+    if isinstance(masters, int):
+        masters = _U64(masters & MASK64)
+    z = np.asarray(masters).astype(_U64) + (indices.astype(_U64) + _U64(1)) * _U64(_GOLDEN)
     z = (z ^ (z >> _U64(30))) * _U64(0xBF58476D1CE4E5B9)
     z = (z ^ (z >> _U64(27))) * _U64(0x94D049BB133111EB)
     return z ^ (z >> _U64(31))
 
 
-# Each multiplier with its low and high 32-bit limbs, as uint64 scalars, and
-# stacked for rounds 3-10, which multiply the lanes (c0, c2) by (M0, M1) at
-# once.  Python ints build them, so importing runs no ufunc.
+# Each multiplier with its low and high 32-bit limbs, as uint64 scalars.
+# Python ints build them, so importing runs no ufunc.
 _M0, _M1 = ((_U64(m), _U64(m & 0xFFFFFFFF), _U64(m >> 32)) for m in _PHILOX_M)
-_LANES_M = tuple(np.array(pair, dtype=_U64).reshape(2, 1, 1) for pair in zip(_M0, _M1))
-# Each round after the first adds (W0, W1) to the key (k0, k1), wrapping mod 2^64.
-_KEY_BUMP = np.array(_PHILOX_W, dtype=_U64).reshape(2, 1, 1)
 
 
 def _mulhilo(a: np.ndarray, multiplier, out=None) -> tuple[np.ndarray, np.ndarray]:
@@ -140,78 +144,113 @@ def _mulhilo(a: np.ndarray, multiplier, out=None) -> tuple[np.ndarray, np.ndarra
     numpy has no 64x64->128 multiply, so the high word is assembled from
     32-bit limbs (no partial sum below overflows 64 bits); uint64
     multiplication wraps, which gives the low word.  ``multiplier`` is m
-    and its two limbs as uint64, broadcasting against ``a``.  The low words
-    overwrite ``a``; the high words go to ``out[0]``, and ``out[1:]`` is
-    scratch.  ``out`` is four arrays of ``a``'s shape, allocated if not given.
+    and its two limbs as uint64 scalars.  The low words overwrite ``a``; the
+    high words go to ``out[0]``, and ``out[1:]`` is scratch.  ``out`` is
+    three arrays of ``a``'s shape, allocated if not given.
     """
     m, m_lo, m_hi = multiplier
-    hi, a_lo, a_hi, t = np.empty((4,) + a.shape, dtype=_U64) if out is None else out
-    np.bitwise_and(a, _LOW32, out=a_lo)
-    np.right_shift(a, _SHIFT32, out=a_hi)
-    np.multiply(a_lo, m_lo, out=t)
+    hi, t, u = np.empty((3,) + a.shape, dtype=_U64) if out is None else out
+    np.bitwise_and(a, _LOW32, out=t)
+    np.multiply(t, m_hi, out=u)
+    t *= m_lo
     t >>= _SHIFT32
-    np.multiply(a_hi, m_hi, out=hi)
-    a_hi *= m_lo
-    a_hi += t  # the middle partial sum
-    np.multiply(a_lo, m_hi, out=t)
-    np.bitwise_and(a_hi, _LOW32, out=a_lo)
-    t += a_lo  # the cross partial sum
-    a_hi >>= _SHIFT32
-    hi += a_hi
-    t >>= _SHIFT32
-    hi += t
+    np.right_shift(a, _SHIFT32, out=hi)
+    hi *= m_lo
+    hi += t  # the middle partial sum
+    np.bitwise_and(hi, _LOW32, out=t)
+    u += t  # the cross partial sum
+    hi >>= _SHIFT32
+    u >>= _SHIFT32
+    hi += u
+    np.right_shift(a, _SHIFT32, out=u)
+    u *= m_hi
+    hi += u
     a *= m
     return hi, a
 
 
-def philox_raw(keys: np.ndarray, n: int) -> np.ndarray:
-    """The first ``n`` words of ``Philox(key=k).random_raw()`` for each key k.
+def philox_blocks(keys: np.ndarray, blocks: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The words c0-c3 of the first ``blocks[i]`` Philox4x64-10 blocks keyed by
+    ``keys[i]``, for each i: four (F,) uint64 arrays, F = ``sum(blocks)``, one
+    key's blocks after another.  Word 4 j + r of
+    ``Philox(key=k).random_raw()`` is c_r of key k's block j.
 
-    Row i holds key ``keys[i]``'s stream: key ``(k, 0)``, and block j is
-    counter ``(j + 1, 0, 0, 0)`` because numpy increments the counter before
-    each block.  Those zeros make rounds 1-2 cheap: each of their products
+    Key k's stream is key ``(k, 0)``, and its block j is counter
+    ``(j + 1, 0, 0, 0)`` because numpy increments the counter before each
+    block.  Those zeros make rounds 1-2 cheap: each of their products
     depends on the key alone or on the block alone, so they run on (keys,)
-    and (blocks,) arrays.  Rounds 3-10 run in place on two lanes of shape
-    (2, blocks, keys), (c0, c2) and (c1, c3), in preallocated buffers; a
-    round's lane swap is a reversed view, not a copy.  The result is the
-    transposed view of a word-major array.
+    and (blocks,) arrays, then are repeated and gathered out to the F
+    blocks drawn.  Rounds 3-10 run in place on the four arrays: a round
+    overwrites c0 and c2 with their products' low words, the new c3 and c1,
+    and xors the high words into c3 and c1, the new c2 and c0, so it renames
+    the arrays instead of copying them.  A call holds at most 8 F words at
+    once.
     """
     k = keys.astype(_U64, copy=False)
-    size, blocks = k.size, (n + 3) // 4
+    blocks = np.asarray(blocks, dtype=np.intp)
+    size = k.size
     # Round 1 leaves (k, 0, hi_1, lo_1) with (hi_1, lo_1) = mulhilo(j + 1, M0);
     # round 2 multiplies c0 = k by M0 and c2 = hi_1 by M1, under key (k + W0, W1).
-    hi, lo = _mulhilo(np.concatenate([k, np.arange(1, blocks + 1, dtype=_U64)]), _M0)
+    counters = np.arange(1, blocks.max(initial=0) + 1, dtype=_U64)
+    hi, lo = _mulhilo(np.concatenate([k, counters]), _M0)
     hi_k, lo_k, lo_1 = hi[:size], lo[:size], lo[size:]
     hi_b, lo_b = _mulhilo(hi[size:], _M1)
-    # The lanes after round 2: (hi_b ^ k0, lo_b, hi_k ^ lo_1 ^ k1, lo_k).
-    shape = (2, blocks, size)
-    a, b = np.empty((2,) + shape, dtype=_U64)
-    key = np.stack([k, np.zeros_like(k)])[:, None] + _KEY_BUMP
-    np.bitwise_xor(key, np.stack([hi_b, lo_1])[:, :, None], out=a)
-    a[1] ^= hi_k
-    b[0] = lo_b[:, None]
-    b[1] = lo_k
+    (w0, w1), k1 = _PHILOX_W, _PHILOX_W[1]
+    # The words after round 2, (hi_b ^ k0, lo_b, hi_k ^ lo_1 ^ k1, lo_k), where
+    # block f of the draw is block j[f] of its key.
+    j = np.arange(int(blocks.sum()))
+    j -= np.repeat(np.cumsum(blocks) - blocks, blocks)
+    key = np.repeat(k, blocks)
+    key += _U64(w0)
+    c0, c1, c2 = hi_b[j], lo_b[j], lo_1[j]
+    del j
+    c0 ^= key
+    c2 ^= np.repeat(hi_k, blocks)
+    c2 ^= _U64(k1)
+    c3 = np.repeat(lo_k, blocks)
 
-    scratch = np.empty((4,) + shape, dtype=_U64)
+    scratch = np.empty((3,) + key.shape, dtype=_U64)
     for _ in range(_PHILOX_ROUNDS - 2):
-        hi, lo = _mulhilo(a, _LANES_M, out=scratch)
-        key += _KEY_BUMP
-        np.bitwise_xor(hi[::-1], b, out=b)
-        b ^= key
-        a, b = b, lo[::-1]
-    del hi, scratch  # so the words below can take the scratch's memory
+        key += _U64(w0)
+        k1 = (k1 + w1) & MASK64
+        hi, _ = _mulhilo(c0, _M0, out=scratch)
+        c3 ^= hi
+        c3 ^= _U64(k1)
+        hi, _ = _mulhilo(c2, _M1, out=scratch)
+        c1 ^= hi
+        c1 ^= key
+        c0, c1, c2, c3 = c1, c2, c3, c0
+    return c0, c1, c2, c3
 
-    # words[j, p, h] is word 4j + 2p + h, c_{2p+h} of block j, for every key:
-    # row p of lane h.  Both copies run along contiguous rows of keys.
-    words = np.empty((blocks, 2, 2, size), dtype=_U64)
-    words[:, :, 0] = a.transpose(1, 0, 2)
-    words[:, :, 1] = b.transpose(1, 0, 2)
-    return words.reshape(4 * blocks, size)[:n].T
+
+def ragged_uniforms(keys: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """The first ``lengths[i]`` uniforms of the stream keyed by ``keys[i]``,
+    for each i, one key's after another in a flat array.
+
+    One ``philox_blocks`` call draws the blocks that hold them.  Each run of
+    keys of one length then takes its rows' words c_r straight into
+    columns r, r + 4, ... of its (rows, length) uniforms, so the call holds
+    no interleaved copy of the words, and the words of a partly read last
+    block are dropped.
+    """
+    lengths = np.asarray(lengths, dtype=np.intp)
+    words = philox_blocks(keys, (lengths + 3) // 4)
+    for c in words:
+        c >>= _U64(11)
+    uniforms = np.empty(int(lengths.sum()))
+    starts = np.flatnonzero(np.diff(lengths, prepend=-1)).tolist()
+    drawn = done = 0
+    for first, stop in zip(starts, starts[1:] + [lengths.size]):
+        rows, n = stop - first, int(lengths[first])
+        blocks = (n + 3) // 4
+        run = uniforms[done : done + rows * n].reshape(rows, n)
+        for r, c in enumerate(words):
+            ours = c[drawn : drawn + rows * blocks].reshape(rows, blocks)[:, : (n - r + 3) // 4]
+            np.multiply(ours, _UNIT, out=run[:, r::4])
+        drawn, done = drawn + rows * blocks, done + rows * n
+    return uniforms
 
 
 def philox_uniforms(keys: np.ndarray, n: int) -> np.ndarray:
     """The first ``n`` uniforms of the stream keyed by k, for each key k."""
-    words = philox_raw(keys, n)
-    words >>= _U64(11)
-    # The conversion writes the C-ordered (keys, n) array callers get.
-    return np.multiply(words, _UNIT, order="C")
+    return ragged_uniforms(keys, np.full(keys.size, n)).reshape(keys.size, n)

@@ -1,4 +1,4 @@
-"""A 50-digit mpmath oracle for entropies, coherences and four bounds.
+"""A 50-digit mpmath oracle for entropies, coherences and the six relations.
 
 Every function starts from the float inputs exactly as given (a double is
 exact in mpmath) and computes with 50 significant digits, so comparing a
@@ -66,8 +66,9 @@ def von_neumann_entropy(states, weights):
 
 
 def slack(bound_id, alpha, beta, phi, psi, renormalize=False):
-    """Slack of T2_UPPER, T3_UPPER, T4_LOWER_A or T4_LOWER_B, signed as
-    ``BoundReport.slack`` is (rhs - lhs for upper bounds, lhs - rhs for lower)."""
+    """Slack of any of the six relations, signed as ``BoundReport.slack`` is:
+    rhs - lhs for upper bounds, lhs - rhs for lower ones, and T1_EQUALITY's
+    residual |lhs - rhs|."""
     with mpmath.workdps(DIGITS):
         (alpha, beta), phi, psi = _mp([alpha, beta]), _mp(phi), _mp(psi)
         if renormalize:
@@ -77,6 +78,10 @@ def slack(bound_id, alpha, beta, phi, psi, renormalize=False):
         s_sq = mpmath.fsum(abs(z) ** 2 for z in raw)
         c_phi, c_psi, c_t1 = _coherence(phi), _coherence(psi), _coherence(_unit(raw))
         mix = a * c_phi + b * c_psi + _h(a)
+        if bound_id == "T1_EQUALITY":
+            return abs(c_t1 - mix)
+        if bound_id == "GAIN_LE_1":
+            return 1 - (c_t1 - a * c_phi - b * c_psi)
         if bound_id == "T2_UPPER":
             return 2 * mix - c_t1
         if bound_id == "T3_UPPER":

@@ -1,6 +1,6 @@
 """numpy's own Philox generator: the independent oracle for the package's streams.
 
-The package computes Philox4x64-10 itself (``rng.philox_uniforms``) and never
+The package computes Philox4x64-10 itself (``rng.philox_blocks``) and never
 loads numpy's random module; the tests compare its draws with numpy's C
 implementation through this one helper.
 """

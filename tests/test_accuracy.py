@@ -5,15 +5,23 @@ import pytest
 
 import mp_oracle
 from coherence_lab import (
+    ALL_BOUND_IDS,
     BOUNDS,
+    GAIN_LE_1,
+    T1_EQUALITY,
     T2_UPPER,
     T3_UPPER,
     T4_LOWER_A,
     T4_LOWER_B,
     DensityMatrix,
+    EnsembleConfig,
+    PairKind,
     SearchSpec,
+    SuperpositionCoefficients,
     StateVector,
+    WrongPairClassError,
     binary_entropy,
+    evaluate_bound,
     haar_random_state,
     minimize_slack,
     normalize,
@@ -23,6 +31,7 @@ from coherence_lab import (
     von_neumann_entropy,
 )
 from coherence_lab import entropy
+from coherence_lab.ensembles import sample_pair, trial_stream
 from coherence_lab.rng import subseed
 
 
@@ -63,6 +72,46 @@ def test_saturating_points_match_the_oracle(saturating_points, bound_id):
     assert abs(best_slack - mp_oracle.slack(bound_id, *inputs)) <= 1e-14
     # At the same inputs scaled to unit norm the relation holds exactly.
     assert mp_oracle.slack(bound_id, *inputs, renormalize=True) >= -1e-40
+
+
+def _oracle_cases():
+    """``demo``'s two qubit cases, then three sampled disjoint pairs at each of
+    d = 2, 3, 8 and 16 with their own coefficients."""
+    inv = 1.0 / np.sqrt(2.0)
+    half = SuperpositionCoefficients(inv, inv)
+    cases = [(half, StateVector([1.0, 0.0]), StateVector([0.0, 1.0])),
+             (half, StateVector([inv, inv]), StateVector([inv, -inv]))]
+    for dim in (2, 3, 8, 16):
+        config = EnsembleConfig(dim=dim, trials=3, pair_kind=PairKind.DISJOINT_SUPPORT, seed=dim)
+        for index in range(config.trials):
+            phi, psi = sample_pair(trial_stream(config, index), config)
+            cases.append((random_coefficients(subseed(dim + 100, index)), phi, psi))
+    return cases
+
+
+def test_every_relation_matches_the_oracle_on_demo_and_disjoint_pairs():
+    # The largest errors measured here were 3.3e-16 (T1_EQUALITY's residual),
+    # 5.5e-16 (GAIN_LE_1) and 1.04e-15 (T4_LOWER_A, the largest of the other
+    # four); the bounds below are about twice those.
+    worst = dict.fromkeys(ALL_BOUND_IDS, 0.0)
+    for coeffs, phi, psi in _oracle_cases():
+        inputs = (coeffs.alpha, coeffs.beta, phi.amps, psi.amps)
+        for bound_id in ALL_BOUND_IDS:
+            try:
+                report = evaluate_bound(bound_id, coeffs, phi, psi)
+            except WrongPairClassError:  # demo's second pair is not disjoint
+                continue
+            error = float(abs(report.slack - mp_oracle.slack(bound_id, *inputs)))
+            worst[bound_id] = max(worst[bound_id], error)
+            # At the inputs scaled to unit norm, the equality holds exactly
+            # and the gain is h(a) <= 1.
+            exact = mp_oracle.slack(bound_id, *inputs, renormalize=True)
+            if bound_id == T1_EQUALITY:
+                assert exact <= 1e-40
+            elif bound_id == GAIN_LE_1:
+                assert exact >= -1e-40
+    assert max(worst[T1_EQUALITY], worst[GAIN_LE_1]) <= 1e-15, worst
+    assert max(worst.values()) <= 2e-15, worst
 
 
 @pytest.mark.parametrize("dim", [1, 2, 3, 8])

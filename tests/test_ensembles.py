@@ -37,7 +37,9 @@ from coherence_lab.ensembles import (
     trial_stream,
 )
 from coherence_lab.linalg import normalize_rows
-from coherence_lab.rng import MASK64, UniformRows, complex_normals, philox_uniforms, subseed, subseeds
+from coherence_lab.rng import (
+    MASK64, UniformRows, complex_normals, philox_uniforms, ragged_uniforms, subseed, subseeds,
+)
 from philox_oracle import numpy_generator
 
 
@@ -354,22 +356,43 @@ def test_summary_of_zero_trials():
     assert_matches_scalar(config)
 
 
-def _record_draws(monkeypatch, draw=philox_uniforms):
-    """Wrap the Philox call ``ensembles`` makes; returns the (keys, words) of each."""
-    draws = []
+def _record_draws(monkeypatch, draw=ragged_uniforms):
+    """Wrap the Philox and sub-seed calls ``ensembles`` makes; returns each
+    Philox call's (keys, stream lengths) as lists, and each sub-seed call's size."""
+    draws, seedings = [], []
 
-    def recorded(keys, n):
-        draws.append((keys.size, keys.size * n))
-        return draw(keys, n)
+    def recorded(keys, lengths):
+        draws.append((keys.tolist(), lengths.tolist()))
+        return draw(keys, lengths)
 
-    monkeypatch.setattr(ensembles, "philox_uniforms", recorded)
-    return draws
+    def seeded(masters, indices):
+        seedings.append(indices.size)
+        return subseeds(masters, indices)
+
+    monkeypatch.setattr(ensembles, "ragged_uniforms", recorded)
+    monkeypatch.setattr(ensembles, "subseeds", seeded)
+    return draws, seedings
+
+
+def _draws_per_pass(passes, draws, seedings):
+    """Check that each pass made one sub-seed call and one Philox call, which
+    drew its trials' streams in row order, each at its ``_stream_length``;
+    returns the (trials, uniforms) each pass hands out."""
+    assert len(draws) == len(seedings) == len(passes)
+    handed = []
+    for (segments, _, _), (keys, lengths), rows in zip(passes, draws, seedings):
+        streams = [(subseed(config.seed, index), _stream_length(config))
+                   for _, config, trials in segments for index in trials]
+        assert rows == len(streams)
+        assert list(zip(keys, lengths)) == streams
+        handed.append((len(streams), sum(lengths)))
+    return handed
 
 
 MIXED = [
     # Stream length 10: three kinds at d = 2 (one group) and two disjoint
-    # groups, one with an explicit split, share a pass's Philox call; the
-    # d = 3 ones (length 14, one of them with 0 trials) do not.
+    # groups, one with an explicit split; then two at d = 3 (length 14, one
+    # of them with 0 trials).
     EnsembleConfig(dim=2, trials=50, pair_kind=PairKind.ARBITRARY, seed=1),
     EnsembleConfig(dim=2, trials=40, pair_kind=PairKind.NON_ORTHOGONAL, seed=2),
     EnsembleConfig(dim=2, trials=30, pair_kind=PairKind.ORTHOGONAL_SAME_SPACE, seed=3),
@@ -382,20 +405,22 @@ MIXED = [
 
 def test_summaries_of_many_ensembles_are_each_ones_scalar_fold(monkeypatch):
     # Passes of at most 16 trial x dim elements: d = 2 and d = 4 ensembles
-    # share passes, and the length-10 streams of a pass share one Philox call
-    # of at most 5 x 16 words.
+    # share passes, and each pass draws all its streams in one Philox call
+    # of at most 5 x 16 uniforms.
     monkeypatch.setattr(ensembles, "_CHUNK_ELEMENTS", 16)
-    draws = _record_draws(monkeypatch)
+    draws, seedings = _record_draws(monkeypatch)
+    passes = _record_passes(monkeypatch)
     got = summarize_ensembles(MIXED, tolerance=1e-9)
     assert len(got) == len(MIXED)
     for summary, config in zip(got, MIXED):
         want = scalar_summary(config, 1e-9)
         assert summary == want
         assert canonical_json(summary) == canonical_json(want)
-    assert max(words for _, words in draws) <= 5 * 16
+    handed = _draws_per_pass(passes, draws, seedings)
+    assert max(uniforms for _, uniforms in handed) <= 5 * 16
     chunks = sum(-(-c.trials // max(1, 16 // c.dim)) for c in MIXED)
     assert len(draws) < chunks
-    assert sum(keys for keys, _ in draws) == sum(c.trials for c in MIXED)
+    assert sum(trials for trials, _ in handed) == sum(c.trials for c in MIXED)
 
 
 def _record_passes(monkeypatch):
@@ -424,19 +449,29 @@ def _folded_trials(passes, summaries):
 def test_default_verify_draws_stay_under_the_pack_cap(monkeypatch):
     # Zero uniforms make every row degenerate, and the scalar fallback is
     # replaced by a no-op, so this runs the passes and their draws only.
-    draws = _record_draws(monkeypatch, lambda keys, n: np.zeros((keys.size, n)))
+    draws, seedings = _record_draws(monkeypatch, lambda keys, lengths: np.zeros(lengths.sum()))
     passes = _record_passes(monkeypatch)
     monkeypatch.setattr(ensembles, "_fold_scalar", lambda *args: None)
+    group_rows = ensembles._group_rows
+
+    def checked(members, uniforms, alpha, beta):
+        # A group's rows get their streams' uniforms, no more.
+        rows = sum(len(trials) for _, _, trials in members)
+        assert uniforms.shape == (rows, _stream_length(members[0][1]))
+        return group_rows(members, uniforms, alpha, beta)
+
+    monkeypatch.setattr(ensembles, "_group_rows", checked)
     configs = [
         EnsembleConfig(dim=dim, trials=10**4, pair_kind=kind, seed=dim)
         for kind in PairKind
         for dim in (2, 4, 8, 16)
     ]
     summaries = summarize_ensembles(configs)
-    assert max(words for _, words in draws) <= 5 * ensembles._CHUNK_ELEMENTS
+    handed = _draws_per_pass(passes, draws, seedings)
+    assert max(uniforms for _, uniforms in handed) <= 5 * ensembles._CHUNK_ELEMENTS
     drawn, want = collections.Counter(), collections.Counter()
-    for keys, words in draws:  # every trial's stream, once, at its length
-        drawn[words // keys] += keys
+    for _, lengths in draws:  # every trial's stream, once, at its length
+        drawn.update(lengths)
     for config in configs:
         want[ensembles._stream_length(config)] += config.trials
     assert drawn == want
@@ -452,7 +487,7 @@ def test_a_pass_over_the_budget_holds_one_trial(monkeypatch):
     # that trial, the d = 2 trials fill passes of their own, and every
     # trial folds once, in index order.
     monkeypatch.setattr(ensembles, "_CHUNK_ELEMENTS", 16)
-    draws = _record_draws(monkeypatch)
+    draws, seedings = _record_draws(monkeypatch)
     passes = _record_passes(monkeypatch)
     configs = [
         EnsembleConfig(dim=2, trials=21, pair_kind=PairKind.NON_ORTHOGONAL, seed=8),
@@ -468,8 +503,8 @@ def test_a_pass_over_the_budget_holds_one_trial(monkeypatch):
     assert len(passes) == 3 + 2 + 3  # 21 d = 2 trials, 8 per pass
     for trials, config in zip(_folded_trials(passes, summaries), configs):
         assert trials == list(range(config.trials))
-    for keys, words in draws:
-        assert words <= 5 * 16 or (keys == 1 and words == 4 * 33 + 2)
+    for trials, uniforms in _draws_per_pass(passes, draws, seedings):
+        assert uniforms <= 5 * 16 or (trials == 1 and uniforms == 4 * 33 + 2)
     for summary, config in zip(summaries, configs):
         assert summary == scalar_summary(config, 1e-9)
 
@@ -528,6 +563,22 @@ def test_batched_trials_equal_the_scalar_reports_bit_for_bit(monkeypatch, kind, 
 def test_one_pass_of_mixed_ensembles_equals_the_scalar_reports_bit_for_bit(monkeypatch):
     # Mixed kinds, odd dims, the (1, 3) split and an empty ensemble.
     assert_pass_matches_records(monkeypatch, MIXED)
+
+
+def test_a_pass_draws_once_whatever_stream_lengths_it_holds(monkeypatch):
+    # One pass of MIXED holds stream lengths 10 and 14; one of the benchmark
+    # shape (16 ensembles of 125 trials) holds 6, 10, 18, 34 and 66.
+    benchmark = [EnsembleConfig(dim=dim, trials=125, pair_kind=kind, seed=dim)
+                 for kind in PairKind for dim in (2, 4, 8, 16)]
+    for configs, lengths in ((MIXED, {10, 14}), (benchmark, {6, 10, 18, 34, 66})):
+        draws, seedings = _record_draws(monkeypatch)
+        passes = _record_passes(monkeypatch)
+        summaries = summarize_ensembles(configs, tolerance=1e-9)
+        [(segments, _, _)] = passes
+        assert {_stream_length(config) for _, config, _ in segments} == lengths
+        [(trials, _)] = _draws_per_pass(passes, draws, seedings)
+        assert trials == sum(c.trials for c in configs)
+        assert summaries == [scalar_summary(config, 1e-9) for config in configs]
 
 
 @pytest.mark.parametrize("seed", [0, 1, 7])
@@ -638,13 +689,13 @@ def test_summary_keeps_first_twenty_batched_violations(monkeypatch):
     monkeypatch.setitem(BOUNDS, GAIN_LE_1, replace(BOUNDS[GAIN_LE_1], direction="lower"))
     monkeypatch.setattr(ensembles, "_CHUNK_ELEMENTS", 32)
     calls = _count_scalar_trials(monkeypatch)
-    draws = _record_draws(monkeypatch)
+    draws, seedings = _record_draws(monkeypatch)
     config = EnsembleConfig(dim=4, trials=90, pair_kind=PairKind.DISJOINT_SUPPORT, seed=21)
     summarize_ensembles([config])[0]
     assert sorted(calls) == list(range(20))
     # 12 passes of 8 trials (the last of 2), each drawn in one Philox call; the
     # trials the scalar path reruns read their own streams, not that call.
-    assert [keys for keys, _ in draws] == [8] * 11 + [2]
+    assert [len(keys) for keys, _ in draws] == seedings == [8] * 11 + [2]
     summary = assert_matches_scalar(config)
     assert summary["bounds"][GAIN_LE_1]["violations"] == 90
 

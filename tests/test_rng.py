@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 from coherence_lab import rng
-from coherence_lab.rng import MASK64, philox_raw, philox_uniforms, subseed, subseeds
+from coherence_lab.rng import (
+    MASK64, philox_blocks, philox_uniforms, ragged_uniforms, subseed, subseeds,
+)
 from philox_oracle import numpy_generator
 
 KEYS = 10_000
@@ -21,12 +23,25 @@ def _keys() -> np.ndarray:
     return keys
 
 
+def philox_raw(keys: np.ndarray, blocks: np.ndarray) -> np.ndarray:
+    """``philox_blocks``'s words in stream order: each key's first
+    ``4 * blocks[i]`` raw words, one key's after another."""
+    return np.stack(philox_blocks(keys, blocks), axis=1).reshape(-1)
+
+
+def _equal_rows(keys: np.ndarray, n: int) -> np.ndarray:
+    """``philox_raw`` with every key drawing the blocks that hold n words: the
+    first n words of each key's stream, as rows."""
+    blocks = (n + 3) // 4
+    return philox_raw(keys, np.full(keys.size, blocks)).reshape(keys.size, 4 * blocks)[:, :n]
+
+
 def test_philox_raw_matches_numpy_philox():
     keys = _keys()
     # A stream's first n words are the first n of any longer draw from it.
     expected = np.array([np.random.Philox(key=int(k)).random_raw(MAX_DRAWS) for k in keys])
     for n in range(1, MAX_DRAWS + 1):
-        assert np.array_equal(philox_raw(keys, n), expected[:, :n]), n
+        assert np.array_equal(_equal_rows(keys, n), expected[:, :n]), n
 
 
 @pytest.mark.parametrize("count", [1, 2, 3, 7])
@@ -36,14 +51,48 @@ def test_philox_raw_matches_numpy_philox_on_few_keys(count):
     keys = np.array(EDGE_KEYS[:count], dtype=np.uint64)
     expected = np.array([np.random.Philox(key=int(k)).random_raw(MAX_DRAWS) for k in keys])
     for n in range(1, MAX_DRAWS + 1):
-        got = philox_raw(keys, n)
+        got = _equal_rows(keys, n)
         assert got.shape == (count, n)
         assert np.array_equal(got, expected[:, :n]), n
 
 
+def test_one_ragged_draw_matches_numpy_philox_key_by_key():
+    # One call mixes block counts 1-18 over the edge keys, each at every
+    # count, and over random keys; each key's words are its stream's prefix.
+    counts = np.arange(1, 19)
+    edges = np.repeat(np.array(EDGE_KEYS, dtype=np.uint64), counts.size)
+    keys = np.concatenate([edges, _keys()[:500]])
+    blocks = np.concatenate([np.tile(counts, len(EDGE_KEYS)),
+                             np.random.default_rng(7).integers(1, 19, 500)])
+    words = philox_raw(keys, blocks)
+    assert words.dtype == np.uint64 and words.shape == (4 * blocks.sum(),)
+    start = 0
+    for key, count in zip(keys.tolist(), blocks.tolist()):
+        stop = start + 4 * count
+        assert np.array_equal(words[start:stop], np.random.Philox(key=key).random_raw(4 * count))
+        start = stop
+
+
+def test_ragged_uniforms_are_each_keys_stream_prefix():
+    # Runs of one length and single keys, lengths 0-72 (every partial last
+    # block), in one call; each key's uniforms are its generator's first ones.
+    keys = np.concatenate([np.array(EDGE_KEYS, dtype=np.uint64), _keys()[:300]])
+    lengths = np.concatenate([np.arange(len(EDGE_KEYS)) * 11,
+                              np.repeat(np.random.default_rng(8).integers(0, 73, 60), 5)])
+    uniforms = ragged_uniforms(keys, lengths)
+    assert uniforms.shape == (lengths.sum(),)
+    start = 0
+    for key, n in zip(keys.tolist(), lengths.tolist()):
+        want = numpy_generator(key).random(n)
+        assert uniforms[start : start + n].tobytes() == want.tobytes(), (key, n)
+        start += n
+
+
 def test_philox_raw_of_no_keys_is_empty():
-    assert philox_raw(np.empty(0, np.uint64), 5).shape == (0, 5)
-    assert philox_uniforms(np.empty(0, np.uint64), 5).shape == (0, 5)
+    none = np.empty(0, np.uint64)
+    assert [c.shape for c in philox_blocks(none, np.empty(0, np.intp))] == [(0,)] * 4
+    assert ragged_uniforms(none, np.empty(0, np.intp)).shape == (0,)
+    assert philox_uniforms(none, 5).shape == (0, 5)
 
 
 def test_philox_uniforms_match_generator_random():
@@ -86,6 +135,16 @@ def test_subseeds_match_subseed():
         got = subseeds(master, indices)
         assert got.dtype == np.uint64
         assert [int(z) for z in got] == [subseed(master, int(k)) for k in indices]
+
+
+def test_subseeds_of_an_array_of_masters_match_subseed():
+    # Row i pairs masters[i] with indices[i]; an int master is taken mod 2^64.
+    masters = np.array([0, 2**63, MASK64] * 3, dtype=np.uint64)
+    indices = np.array([0, 0, 0, 1, 7, 2**40, 9999, 3, 2**63 - 1])
+    got = subseeds(masters, indices)
+    assert got.dtype == np.uint64
+    assert got.tolist() == [subseed(int(m), int(k)) for m, k in zip(masters, indices)]
+    assert subseeds(-1, indices).tolist() == subseeds(MASK64, indices).tolist()
 
 
 class _Stub:
