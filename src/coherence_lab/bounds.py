@@ -27,19 +27,23 @@ and each row of ``row_slacks``, and (R,) arrays of one pair class for
 is the scalar reference for one triple's slack.  Its hypothesis on the pair
 (disjoint support, orthogonal branches, or none) is written once too, as
 ``Bound.hypothesis``, and checked through ``_meets``: on a pair (raising
-WrongPairClassError) or on rows (masking them out).
+WrongPairClassError) or on a pair class's rows (masking them out).
+``row_slacks`` computes only the quantity the hypothesis reads, and none for
+rows drawn disjoint.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import asdict, dataclass
+from itertools import repeat
 from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
 from .entropy import binary_entropy, binary_entropy_rows, pure_state_coherence, row_coherences
 from .errors import CoherenceLabError, WrongPairClassError, ZeroVectorError
-from .linalg import StateVector, row_vdot
+from .linalg import StateVector, normalizable, row_vdot
 from .superpose import (
     PairClass,
     PairKind,
@@ -242,45 +246,57 @@ def row_slacks(
     bound_id: str,
     alpha: np.ndarray,
     beta: np.ndarray,
-    phi: np.ndarray,
-    psi: np.ndarray,
+    states: np.ndarray,
+    norms: np.ndarray,
+    *,
+    kind: PairKind = PairKind.ARBITRARY,
 ) -> tuple[np.ndarray, np.ndarray]:
     """``evaluate_bound(...).slack`` of each row triple: (slacks, ok).
 
-    ``alpha``/``beta`` are (R,) coefficients and ``phi``/``psi`` (R, d) arrays
-    of rows that ``SuperpositionCoefficients`` and ``StateVector`` accept.
-    Where ``ok`` holds, slacks[i] is that slack on row i bit for bit.
-    Elsewhere the row's superposition is degenerate, a coherence is not one
-    ``entropy.row_coherences`` vouches for (a zero probability inside a
-    support), the pair does not meet the bound's hypothesis, or the sides
-    raised; then ``evaluate_bound`` on that row gives the value or raises the
-    exception.  The hypothesis is checked on arrays, before the rows run one
-    at a time through ``Bound.sides`` on a record of their floats.
+    ``alpha``/``beta`` are (R,) coefficients.  Slots 0 and 1 of the
+    (R, 3, d) ``states`` hold phi and psi, scaled to unit norm by columns 0
+    and 1 of the (R, 3) ``norms``.  This writes the superposition and its s
+    into slot and column 2 (``superpose_rows``), takes the three slots'
+    coherences in one ``entropy.row_coherences`` call, and checks each row
+    in the loop that reads its floats into a record for ``Bound.sides``.
+    Row i is ok, and slacks[i] that slack bit for bit, when beta is finite,
+    all three norms are ``linalg.normalizable``, the pair meets the bound's
+    hypothesis, the sides do not raise and the slack is not NaN, as a NaN
+    coherence (a zero probability inside a support) makes it: every
+    relation reads all three.  Elsewhere ``evaluate_bound`` on that row
+    gives the value or raises the exception.  ``kind`` is the pair
+    kind the rows were drawn as: a ``DISJOINT_SUPPORT`` draw zeroes the
+    off-block amplitudes exactly, so its rows meet the disjointness
+    hypothesis with no test.
     """
     bound = BOUNDS[bound_id]
-    s, t1, ok = superpose_rows(alpha, beta, phi, psi)
-    coherence, vouched = row_coherences(
-        np.concatenate((phi[:, None], psi[:, None], t1[:, None]), axis=1)
-    )
-    ok &= vouched
-    if bound.hypothesis is not None:
-        ok &= _meets(bound.hypothesis, disjoint_rows(phi, psi), row_vdot(phi, psi))
-    slacks = []
-    for i, (good, a, b, s_i, c) in enumerate(
-        zip(ok.tolist(), alpha.tolist(), beta.tolist(), s.tolist(), coherence.tolist())
+    superpose_rows(alpha, beta, states, norms)
+    coherence = row_coherences(states)
+    # The hypothesis test computes only the quantity it reads.
+    phi, psi = states[:, 0], states[:, 1]
+    if bound.hypothesis is None or bound.hypothesis is kind is PairKind.DISJOINT_SUPPORT:
+        meets = repeat(True)
+    elif bound.hypothesis is PairKind.DISJOINT_SUPPORT:
+        meets = disjoint_rows(phi, psi).tolist()
+    else:
+        meets = is_orthogonal(row_vdot(phi, psi)).tolist()
+    slacks, ok = [], []
+    for a, b, (n_phi, n_psi, s), c, met in zip(
+        alpha.tolist(), beta.tolist(), norms.tolist(), coherence.tolist(), meets
     ):
-        if not good:
-            slacks.append(np.nan)
-            continue
-        # The weights as SuperpositionCoefficients computes them: on a few
-        # rows, Python floats cost less than coefficient_weights.
-        q = _Quantities(abs(a) * abs(a), abs(b) * abs(b), s_i, *c)
-        try:
-            slacks.append(_slack(bound, *bound.sides(q, binary_entropy)))
-        except CoherenceLabError:  # evaluate_bound raises it again, for this row alone
-            slacks.append(np.nan)
-            ok[i] = False
-    return np.array(slacks), ok
+        slack = math.nan
+        usable = normalizable(n_phi) and normalizable(n_psi) and normalizable(s)
+        if met and usable and abs(b) < math.inf:
+            # The weights as SuperpositionCoefficients computes them: on a
+            # few rows, Python floats cost less than coefficient_weights.
+            q = _Quantities(abs(a) * abs(a), abs(b) * abs(b), s, *c)
+            try:
+                slack = _slack(bound, *bound.sides(q, binary_entropy))
+            except CoherenceLabError:  # evaluate_bound raises it again, for this row alone
+                pass
+        slacks.append(slack)
+        ok.append(slack == slack)
+    return np.array(slacks), np.array(ok)
 
 
 def evaluate_bound(

@@ -44,7 +44,7 @@ import numpy as np
 from .bounds import BoundReport, evaluate_all, evaluate_rows
 from .entropy import row_coherences
 from .errors import BadSplitError, CoherenceLabError, DegeneratePairError
-from .linalg import StateVector, norm, normalize, normalize_rows, project_out_rows
+from .linalg import StateVector, norm, normalizable, normalize, normalize_rows, project_out_rows
 from .rng import MASK64, UniformRows, complex_normals, ragged_uniforms, stream, subseed, subseeds
 from .superpose import (
     PairKind,
@@ -256,8 +256,9 @@ def _group_rows(members: list, uniforms: np.ndarray, alpha: np.ndarray, beta: np
     # phi, psi and omega side by side, for the group's one coherence call; a
     # disjoint pair's blocks sit at columns [0, d1) and [d1, d1 + d2).
     states = np.zeros((3, len(uniforms), dim), dtype=np.complex128)
-    phi, psi, omega = states
-    phi[:, :d1], _, ok = normalize_rows(complex_normals(gen, d1))
+    phi, psi, _ = states
+    phi[:, :d1], norms = normalize_rows(complex_normals(gen, d1))
+    ok = normalizable(norms)
     raw = complex_normals(gen, d2)
     orthogonal = sum(n for kind, n in kinds if kind is PairKind.ORTHOGONAL_SAME_SPACE)
     if orthogonal:
@@ -265,19 +266,22 @@ def _group_rows(members: list, uniforms: np.ndarray, alpha: np.ndarray, beta: np
         raw[last], norms = project_out_rows(phi[last], raw[last])
         ok[last] &= norms > _PROJECTION_FLOOR
     first = d1 if members[0][1].pair_kind is PairKind.DISJOINT_SUPPORT else 0
-    psi[:, first : first + d2], _, psi_ok = normalize_rows(raw)
+    psi[:, first : first + d2], norms = normalize_rows(raw)
     del raw
-    ok &= psi_ok
+    ok &= normalizable(norms)
     classes, overlap = class_masks(phi, psi)
     start = 0
     for kind, n in kinds:
         if kind is PairKind.NON_ORTHOGONAL:
             ok[start : start + n] &= ~is_orthogonal(overlap[start : start + n])
         start += n
-    s, omega[:], superposed = superpose_rows(alpha, beta, phi, psi)
+    rows, norms = states.transpose(1, 0, 2), np.empty((3, len(uniforms)))
+    superpose_rows(alpha, beta, rows, norms.T)  # omega into states[2], s into norms[2]
+    s = norms[2]
     # The group's own call: beside Haar rows, a disjoint row's zeros are NaN.
-    coherence, vouched = row_coherences(states.transpose(1, 0, 2))
-    values = {"overlap": overlap, "ok": ok & superposed & vouched, "s": s}
+    coherence = row_coherences(rows)
+    vouched = ~np.isnan(coherence).any(axis=1)
+    values = {"overlap": overlap, "ok": ok & normalizable(s) & vouched, "s": s}
     for i, name in enumerate(("phi", "psi", "t1")):
         values["coherence_" + name] = coherence[:, i]
     return classes, values

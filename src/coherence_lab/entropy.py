@@ -29,8 +29,9 @@ by -1.44e-10.  A state built with ``linalg.normalize`` has round-off only.
 Every logarithm is ``np.log2``, on a scalar as on an array (``math.log2``
 rounds differently), and this is the only module that takes one.  The row
 forms ``row_coherences`` and ``binary_entropy_rows`` therefore give the scalar
-functions' floats bit for bit, and say where they cannot: a zero probability
-inside a support makes a row's value NaN (0 * log2 0), hence not ok.
+functions' floats bit for bit, and say where they cannot: the second with a
+mask, the first with a NaN value (0 * log2 0, a zero probability inside a
+support).
 """
 
 from __future__ import annotations
@@ -125,19 +126,22 @@ def pure_state_coherence(state: StateVector) -> float:
     return _entropy_of_probs(np.abs(state.amps) ** 2)
 
 
-def row_coherences(amps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``pure_state_coherence`` of each (R, k, d) row state: (values (R, k), ok (R,)).
+def row_coherences(amps: np.ndarray) -> np.ndarray:
+    """``pure_state_coherence`` of each (R, k, d) row state, as (R, k) values.
 
-    A column of one of the k states that is exactly zero in all R rows lies
-    outside that state's support and is left out, as the scalar path leaves
-    out p = 0.  Where ``ok`` holds, each value sums the terms the scalar path
-    sums, in the same order, to the same float.  Elsewhere the row has p = 0
-    in a column another row supports, which makes its value NaN (0 * log2 0)
-    and numpy warn.
+    A column of one of the k states where no row has p > 0 lies outside that
+    state's support and is left out, as the scalar path leaves out p = 0.
+    Each value of a row of finite amplitudes sums the terms the scalar path
+    sums, in the same order, to the same float, unless the row has p = 0 in a
+    column another row supports: that makes the value NaN (0 * log2 0) and
+    numpy warn, so a NaN marks a value only the scalar path gives.  A NaN
+    amplitude (of a row whose norm a caller rejects) supports no column, so
+    it spoils no other row's value.
     """
     p = np.minimum(np.abs(amps) ** 2, 1.0)
-    support = np.logical_or.reduce(p, axis=0)
-    if support.all():
+    # With no p = 0 (a NaN counts as nonzero here), every column is supported.
+    support = None if p.all() else np.logical_or.reduce(p > 0.0, axis=0)
+    if support is None or support.all():
         terms = np.log2(p)
         terms *= p
         del p  # each step holds at most two arrays of the input's size
@@ -150,4 +154,4 @@ def row_coherences(amps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
             block = p[:, j].compress(columns, axis=1)
             value[:, j] = np.add.reduce(block * np.log2(block), axis=-1)
     np.subtract(0.0, value, out=value)
-    return value, ~np.isnan(value).any(axis=1)
+    return value

@@ -138,10 +138,11 @@ def moduli(z: np.ndarray) -> np.ndarray:
     return np.hypot(z.real, z.imag)
 
 
-def row_norms(rows: np.ndarray) -> np.ndarray:
-    """``norm`` of each row (last axis) of a complex array, bit for bit."""
+def row_norms(rows: np.ndarray, out=None) -> np.ndarray:
+    """``norm`` of each row (last axis) of a complex array, bit for bit, into
+    ``out`` if given."""
     re, im = rows.real, rows.imag
-    return np.sqrt(row_vdot(re, re) + row_vdot(im, im))
+    return np.sqrt(row_vdot(re, re) + row_vdot(im, im), out=out)
 
 
 def project_out_rows(base: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -152,22 +153,31 @@ def project_out_rows(base: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np
     return projected - row_vdot(base, projected)[:, None] * base, row_norms(projected)
 
 
-def normalize_rows(raw: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``normalize`` on each row (last axis) of a complex array: (states, norms, ok).
+def normalizable(n):
+    """Whether ``normalize`` accepts a vector of norm ``n`` (a float or an
+    array): n lies strictly inside (``TOLERANCES.zero_vector``, inf).  NaN
+    does not."""
+    return (n > TOLERANCES.zero_vector) & (n < math.inf)
 
-    Where ``ok`` holds, a row of ``states`` is ``normalize(row).amps`` bit for
-    bit.  Elsewhere ``normalize`` rejects the row: its norm is at or below the
-    degeneracy threshold, or it is not finite.  A non-finite entry makes the
-    norm NaN or inf, and so does a finite row whose norm overflows (its scaled
-    row then holds zeros, which the unit-norm check rejects), so no separate
-    scan is needed.  A finite norm n above the threshold passes that check:
-    the scaled row's norm is 1 to within about (d + 4) u, u = 2^-53, for d
-    entries (7e-12 at d = 2^16), far inside ``TOLERANCES.norm``.  Rows that
-    are not ok may hold NaN or inf; numpy warns as usual about them.
+
+def normalize_rows(raw: np.ndarray, out=None) -> tuple[np.ndarray, np.ndarray]:
+    """``normalize`` on each row (last axis) of a complex array: (states,
+    norms), written into the arrays ``out`` = (states, norms) if given.
+
+    Where ``normalizable(norms)`` holds, a row of ``states`` is
+    ``normalize(row).amps`` bit for bit.  Elsewhere ``normalize`` rejects the
+    row: its norm is at or below the degeneracy threshold, or it is not
+    finite.  A non-finite entry makes the norm NaN or inf, and so does a
+    finite row whose norm overflows (its scaled row then holds zeros, which
+    the unit-norm check rejects), so no separate scan is needed.  A finite
+    norm n above the threshold passes that check: the scaled row's norm is 1
+    to within about (d + 4) u, u = 2^-53, for d entries (7e-12 at d = 2^16),
+    far inside ``TOLERANCES.norm``.  Rows that are not normalizable may hold
+    NaN or inf; numpy warns as usual about them.
     """
-    n = row_norms(raw)
-    ok = (n > TOLERANCES.zero_vector) & (n < np.inf)
-    return raw / n[..., None], n, ok
+    states, norms = (None, None) if out is None else out
+    norms = row_norms(raw, out=norms)
+    return np.divide(raw, norms[..., None], out=states), norms
 
 
 def hermitian_eigenvalues(matrix) -> np.ndarray:

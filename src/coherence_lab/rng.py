@@ -23,7 +23,9 @@ of (key, block) counters (``philox_blocks``), and ``philox_uniforms`` its
 form with one length for every key.  A call costs about 0.4 ms even at one key,
 and about 2 ms for the 2000 streams (15 125 blocks) of the benchmark's
 ``verify`` unit, so draws that can wait for each other share one:
-``ensembles`` draws once per pass, whatever the stream lengths in it.
+``ensembles`` draws once per pass, whatever the stream lengths in it.  A
+few streams cost less one at a time, so ``search`` draws each restart's
+start with ``stream``.
 """
 
 from __future__ import annotations

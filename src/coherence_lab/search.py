@@ -10,14 +10,18 @@ used because the slack landscape is non-smooth where entropy terms hit their
 boundary.
 
 The objective (``_objective``) gives the slacks at a batch of points with
-the scalar path's arithmetic; a row it cannot vouch for (a degenerate or
-non-finite block, a zero probability inside a support, a failed unit-norm
-check, sides that raise) goes once through the scalar path.  Each restart is
-a generator (``_descent``) that runs the one-start descent and yields the
-points it needs; ``_lockstep`` runs a group of restarts in rounds and puts
-the points of all live restarts through batched objective calls.  A restart
-whose point raised stops there, and the search raises the exception of the
-lowest such restart.
+the scalar path's arithmetic, in one pass: ``_parameterize_rows`` writes
+phi and psi into one (R, 3, d) buffer and their norms into one (R, 3) array,
+``bounds.row_slacks`` adds the superposition and its s, takes every
+coherence in one call, and checks each row in the loop that reads its
+floats.  A row it cannot vouch for (a degenerate or non-finite block, a zero
+probability inside a support, a failed unit-norm check, sides that raise)
+goes once through the scalar path.  Each restart is a generator
+(``_descent``) that runs the one-start descent and yields the points it
+needs; ``_lockstep`` runs a group of restarts in rounds and puts the points
+of all live restarts through batched objective calls.  A restart whose point
+raised stops there, and the search raises the exception of the lowest such
+restart.
 
 A simplex holds about 8 * n^2 bytes, n = 4 * dim + 2, hence the
 ``SearchSpec`` dimension ceiling of 1024.  Restarts run in groups whose
@@ -40,7 +44,7 @@ from .bounds import BOUNDS, BoundReport, evaluate_bound, row_slacks
 from .ensembles import default_split
 from .errors import ConsistencyError, ZeroVectorError
 from .linalg import StateVector, norm, normalize, normalize_rows, project_out_rows
-from .rng import UniformRows, philox_uniforms, standard_normals, subseeds
+from .rng import UniformRows, standard_normals, stream, subseed
 from .superpose import PairKind, SuperpositionCoefficients, coefficient_map
 from .tolerances import TOLERANCES
 
@@ -153,60 +157,62 @@ def parameterize(
 
 def _parameterize_rows(
     X: np.ndarray, dim: int, pair_kind: PairKind
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """``parameterize`` on each row of X: (alpha, beta, phi, psi, ok).
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """``parameterize`` on each row of X: (alpha, beta, states, norms).
 
-    The same numpy expressions run on arrays, so where ``ok`` holds, row i
-    gives ``parameterize(X[i])``'s coefficients and amplitudes bit for bit.
+    Slots 0 and 1 of the (R, 3, d) ``states`` hold phi and psi, and columns
+    0 and 1 of the (R, 3) ``norms`` the norms they were scaled by; slot and
+    column 2 are left for ``bounds.row_slacks`` to fill with the
+    superposition.  The same numpy expressions run on arrays, so where beta
+    is finite and both norms are ``linalg.normalizable``, row i gives
+    ``parameterize(X[i])``'s coefficients and amplitudes bit for bit.
     Elsewhere ``parameterize`` raises for the row: a non-finite theta or
     phase (which makes beta NaN), a block ``normalize`` rejects, or a
-    degenerate orthogonal projection.  Finite theta and phase put
-    |alpha|^2 + |beta|^2 within a few ulps of 1, so the coefficient check
-    cannot fail on a row marked ok.  alpha stays real: numpy multiplies a
-    real by a complex array as (alpha + 0j) times it, as the scalar path does.
+    degenerate orthogonal projection, whose psi norm reads 0.  Finite theta
+    and phase put |alpha|^2 + |beta|^2 within a few ulps of 1, so the
+    coefficient check cannot fail on such a row.  alpha stays real: numpy
+    multiplies a real by a complex array as (alpha + 0j) times it, as the
+    scalar path does.
     """
+    rows = len(X)
     alpha, beta = coefficient_map(X[:, 0], X[:, 1])
-    raw = _complex_block(X[:, 2:]).reshape(len(X), 2, dim)  # the phi and psi blocks
+    raw = _complex_block(X[:, 2:]).reshape(rows, 2, dim)  # the phi and psi blocks
     if pair_kind is PairKind.DISJOINT_SUPPORT:
         d1 = default_split(dim)[0]
         raw[:, 0, d1:] = 0.0
         raw[:, 1, :d1] = 0.0
+    # Each block is normalized from a contiguous array straight into its slot:
+    # at a few rows, numpy's calls on strided slot views cost more.
+    states, norms = np.empty((rows, 3, dim), dtype=np.complex128), np.empty((rows, 3))
     if pair_kind is PairKind.ORTHOGONAL_SAME_SPACE:
-        phi, _, ok = normalize_rows(raw[:, 0])
-        projected, norms = project_out_rows(phi, raw[:, 1])
-        ok &= norms > TOLERANCES.zero_vector
-        psi, _, ok_psi = normalize_rows(projected)
-        ok &= ok_psi
+        phi, _ = normalize_rows(raw[:, 0], out=(states[:, 0], norms[:, 0]))
+        projected, first = project_out_rows(phi, raw[:, 1])
+        normalize_rows(projected, out=(states[:, 1], norms[:, 1]))
+        norms[:, 1][~(first > TOLERANCES.zero_vector)] = 0.0
     else:
-        states, _, ok = normalize_rows(raw)
-        phi, psi = states[:, 0], states[:, 1]
-        ok = ok[:, 0] & ok[:, 1]
-    return alpha, beta, phi, psi, ok & np.isfinite(beta)
+        normalize_rows(raw, out=(states[:, :2], norms[:, :2]))
+    return alpha, beta, states, norms
 
 
 def _objective(spec: SearchSpec, X: np.ndarray) -> tuple[np.ndarray, dict[int, Exception]]:
     """The slack of ``spec``'s bound at each row of X, times its ``_SIGN``: (values, errors).
 
-    Rows that ``_parameterize_rows`` and ``row_slacks`` vouch for keep their
-    batched value.  Every other row runs once through ``parameterize`` and
-    ``evaluate_bound``, outside ``np.errstate``, so it warns as it always has:
-    ``ZeroVectorError`` reads as +inf, which steers the simplex elsewhere, and
-    any other exception goes into ``errors[row]`` (in row order) with value NaN.
+    Rows that ``row_slacks`` vouches for keep their batched value.  Every
+    other row runs once through ``parameterize`` and ``evaluate_bound``,
+    outside ``np.errstate``, so it warns as it always has: ``ZeroVectorError``
+    reads as +inf, which steers the simplex elsewhere, and any other exception
+    goes into ``errors[row]`` (in row order) with value NaN.
     """
     sign = _SIGN[BOUNDS[spec.bound_id].direction]
     with np.errstate(all="ignore"):
-        alpha, beta, phi, psi, ok = _parameterize_rows(X, spec.dim, spec.pair_kind)
-        if np.logical_and.reduce(ok):
-            values, ok = row_slacks(spec.bound_id, alpha, beta, phi, psi)
-        else:
-            values = np.full(len(X), np.nan)
-            values[ok], ok[ok] = row_slacks(
-                spec.bound_id, alpha[ok], beta[ok], phi[ok], psi[ok]
-            )
+        inputs = _parameterize_rows(X, spec.dim, spec.pair_kind)
+        values, ok = row_slacks(spec.bound_id, *inputs, kind=spec.pair_kind)
     if sign < 0:
         values = -values
     errors: dict[int, Exception] = {}
-    for i in (~ok).nonzero()[0].tolist():
+    for i, good in enumerate(ok.tolist()):
+        if good:
+            continue
         try:
             values[i] = sign * evaluate_bound(
                 spec.bound_id, *parameterize(X[i], spec.dim, spec.pair_kind)
@@ -358,9 +364,14 @@ def _lockstep(objective, starts: np.ndarray, iterations: int) -> list:
 
 
 def _starts(seed: int, first: int, stop: int, n: int) -> np.ndarray:
-    """Row r: ``standard_normals`` of n on the stream of sub-seed (seed, first + r)."""
-    keys = subseeds(seed, np.arange(first, stop))
-    return standard_normals(UniformRows(philox_uniforms(keys, 2 * ((n + 1) // 2))), n)
+    """Row r: ``standard_normals`` of n on the stream of sub-seed (seed, first + r).
+
+    Each restart's stream is its own ``stream`` call, which costs microseconds
+    where one array Philox call over the group costs about 0.4 ms at any size.
+    """
+    length = 2 * ((n + 1) // 2)
+    rows = [stream(subseed(seed, r), length).uniforms for r in range(first, stop)]
+    return standard_normals(UniformRows(np.stack(rows)), n)
 
 
 def minimize_slack(
@@ -368,8 +379,8 @@ def minimize_slack(
 ) -> SearchResult:
     """Seeded multi-restart Nelder-Mead over the slack of one bound.
 
-    Restart r starts from a Gaussian point drawn from sub-seed (spec.seed, r),
-    in one Philox call per lockstep group; the global best is the minimum
+    Restart r starts from a Gaussian point drawn from the stream of sub-seed
+    (spec.seed, r); the global best is the minimum
     across restarts with ties broken by the lowest restart index.  Every point
     is evaluated by ``_objective``, which owns the fallback to the scalar path
     and negates an equality's residual, so that its worst one is sought.  An

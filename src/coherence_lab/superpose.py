@@ -129,16 +129,18 @@ def superpose(
 
 
 def superpose_rows(
-    alpha: np.ndarray, beta: np.ndarray, phi: np.ndarray, psi: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``superpose`` on rows: (s, normalized rows, ok).
+    alpha: np.ndarray, beta: np.ndarray, states: np.ndarray, norms: np.ndarray
+) -> None:
+    """``superpose`` on rows, in place: slot 2 of the (R, 3, d) ``states``
+    gets the normalized superposition of the unit rows in slots 0 and 1, and
+    column 2 of the (R, 3) ``norms`` its s.
 
-    ``alpha``/``beta`` are (R,) coefficients, ``phi``/``psi`` (R, d) unit rows.
-    Where ``ok`` holds, s[i] and row i are ``superpose``'s ``s`` and
-    ``normalized.amps`` bit for bit; elsewhere ``normalized`` is None.
+    ``alpha``/``beta`` are (R,) coefficients.  s[i] is ``superpose``'s ``s``
+    bit for bit, and where ``linalg.normalizable(s[i])`` holds, row i of slot 2 is
+    its ``normalized.amps``; elsewhere ``normalized`` is None.
     """
-    normalized, s, ok = normalize_rows(alpha[:, None] * phi + beta[:, None] * psi)
-    return s, normalized, ok
+    raw = alpha[:, None] * states[:, 0] + beta[:, None] * states[:, 1]
+    normalize_rows(raw, out=(states[:, 2], norms[:, 2]))
 
 
 def _branches(

@@ -41,8 +41,8 @@ def test_qubit_coherence_and_binary_entropy_match_the_oracle():
     p = np.concatenate([np.geomspace(1e-300, 0.5, 301), 1.0 - 2.0 ** -np.arange(1.0, 53.0)])
     amps = np.stack([np.sqrt(p), np.sqrt(1.0 - p)], axis=-1).astype(complex)
     h_rows, h_ok = entropy.binary_entropy_rows(p)
-    c_rows, c_ok = entropy.row_coherences(amps[:, None])
-    assert h_ok.all() and c_ok.all()
+    c_rows = entropy.row_coherences(amps[:, None])
+    assert h_ok.all() and not np.isnan(c_rows).any()
     worst = 0.0
     for x, state, h_row, c_row in zip(p.tolist(), amps, h_rows.tolist(), c_rows[:, 0].tolist()):
         h_mp = mp_oracle.binary_entropy(x)
@@ -128,8 +128,8 @@ def test_rows_with_a_probability_above_one_match_the_scalar_path_and_the_oracle(
         state = normalize(raw)
         if (np.abs(state.amps) ** 2 > 1.0).any():
             states.append(state)
-    values, ok = entropy.row_coherences(np.stack([s.amps for s in states])[:, None])
-    assert ok.all()
+    values = entropy.row_coherences(np.stack([s.amps for s in states])[:, None])
+    assert not np.isnan(values).any()
     for state, value in zip(states, values[:, 0].tolist()):
         assert np.float64(value).tobytes() == np.float64(pure_state_coherence(state)).tobytes()
         assert abs(value - mp_oracle.pure_state_coherence(state.amps, renormalize=True)) <= 1e-15

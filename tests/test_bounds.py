@@ -475,6 +475,12 @@ def overlap_modulus(phi, psi) -> float:
     return abs(complex(np.vdot(phi.amps, psi.amps)))
 
 
+def unit_slots(phi, psi):
+    """(R, d) unit rows as ``row_slacks`` reads them: (states, norms), phi and
+    psi in slots 0 and 1 (slot 2 is for the superposition), each of norm 1."""
+    return np.stack([phi, psi, psi], axis=1), np.ones((len(phi), 3))
+
+
 def hypothesis_rows():
     """Pairs of every kind at d = 4, some exactly at the support or overlap
     threshold they are returned with, and no zero amplitude in any of them:
@@ -523,7 +529,7 @@ def test_the_three_paths_agree_on_each_hypothesis(monkeypatch):
     psi = np.array([q.amps for _, q in pairs])
     vouched_slacks = {}
     for bound_id, bound in BOUNDS.items():
-        slacks, vouched = bounds_module.row_slacks(bound_id, alpha, beta, phi, psi)
+        slacks, vouched = bounds_module.row_slacks(bound_id, alpha, beta, *unit_slots(phi, psi))
         assert vouched.tolist() == meets[bound.hypothesis], bound_id
         for i, (c, (p, q)) in enumerate(zip(coeffs, pairs)):
             if vouched[i]:
@@ -551,6 +557,29 @@ def test_the_three_paths_agree_on_each_hypothesis(monkeypatch):
             assert ok.tolist() == [False, True]  # the support row fails T2
 
 
+@pytest.mark.parametrize("kind", [PairKind.ARBITRARY, PairKind.DISJOINT_SUPPORT],
+                         ids=lambda k: k.value)
+def test_a_hypothesis_test_computes_only_what_it_reads(monkeypatch, kind):
+    # A disjointness hypothesis reads the supports, an orthogonality one the
+    # overlap; rows drawn disjoint meet the first with no test at all.
+    calls = []
+    for name in ("disjoint_rows", "row_vdot"):
+        def counted(*args, _name=name, _real=getattr(bounds_module, name)):
+            calls.append(_name)
+            return _real(*args)
+        monkeypatch.setattr(bounds_module, name, counted)
+    expected = {None: [], PairKind.ORTHOGONAL_SAME_SPACE: ["row_vdot"],
+                PairKind.DISJOINT_SUPPORT: [] if kind is PairKind.DISJOINT_SUPPORT
+                else ["disjoint_rows"]}
+    coefficients = np.array([EQUAL.alpha]), np.array([EQUAL.beta])
+    for bound_id, bound in BOUNDS.items():
+        calls.clear()
+        _, ok = bounds_module.row_slacks(
+            bound_id, *coefficients, *unit_slots(E0.amps[None], E1.amps[None]), kind=kind
+        )
+        assert ok.tolist() == [True] and calls == expected[bound.hypothesis], bound_id
+
+
 def test_one_mutant_reaches_every_evaluator(monkeypatch):
     # Each relation is written once: T2 loosened from 2 to 2.1 in BOUNDS alone
     # moves the slack of all four evaluators (evaluate_bound, evaluate_all,
@@ -574,7 +603,8 @@ def test_one_mutant_reaches_every_evaluator(monkeypatch):
     rows, ok = bounds_module.row_slacks(
         T2_UPPER,
         np.array([c.alpha for c, _, _ in triples]), np.array([c.beta for c, _, _ in triples]),
-        np.array([p.amps for _, p, _ in triples]), np.array([q.amps for _, _, q in triples]),
+        *unit_slots(np.array([p.amps for _, p, _ in triples]),
+                    np.array([q.amps for _, _, q in triples])),
     )
     verdicts, vouched = bounds_module.evaluate_rows(
         PairKind.ORTHOGONAL_SAME_SPACE,

@@ -549,7 +549,7 @@ def test_invariant_failure_inside_a_restart_exits_three(monkeypatch, capsys):
         return real_evaluate_bound(*args, **kwargs)
 
     # The batch vouches for no row, so every point takes the scalar path.
-    monkeypatch.setattr(search, "row_slacks", lambda bound_id, alpha, *rest: (
+    monkeypatch.setattr(search, "row_slacks", lambda bound_id, alpha, *rest, **kind: (
         np.full(len(alpha), np.nan), np.zeros(len(alpha), dtype=bool)))
     monkeypatch.setattr(search, "evaluate_bound", failing)
     code = run_cli(

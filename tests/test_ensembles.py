@@ -36,7 +36,7 @@ from coherence_lab.ensembles import (
     summarize_ensembles,
     trial_stream,
 )
-from coherence_lab.linalg import normalize_rows
+from coherence_lab.linalg import normalizable, normalize_rows
 from coherence_lab.rng import (
     MASK64, UniformRows, complex_normals, philox_uniforms, ragged_uniforms, subseed, subseeds,
 )
@@ -77,8 +77,8 @@ def test_haar_qubit_population_is_symmetric():
     # are rows, one stream of 4 uniforms each, drawn as a batched pass draws them.
     samples = 100_000
     gen = UniformRows(philox_uniforms(subseeds(2024, np.arange(samples)), 4))
-    states, _, ok = normalize_rows(complex_normals(gen, 2))
-    assert ok.all()
+    states, norms = normalize_rows(complex_normals(gen, 2))
+    assert normalizable(norms).all()
     assert abs(np.mean(np.abs(states[:, 0]) ** 2) - 0.5) < 0.01
 
 

@@ -230,7 +230,8 @@ def test_row_coherences_match_pure_state_coherence(dim):
             amps[3, 2, 0] = 1e-170
             amps[3:5, 2] /= np.sqrt((np.abs(amps[3:5, 2]) ** 2).sum(axis=-1, keepdims=True))
         with np.errstate(all="ignore"):
-            values, ok = entropy.row_coherences(amps)
+            values = entropy.row_coherences(amps)
+        ok = ~np.isnan(values).any(axis=1)
         assert values.shape == (6, 3)
         assert ok.tolist() == [True] * 3 + [dim == 1] * 2 + [True]
         assert np.isnan(values[3:5, 2]).all() == (dim > 1)
@@ -240,6 +241,24 @@ def test_row_coherences_match_pure_state_coherence(dim):
             for j in range(3):
                 expected = pure_state_coherence(StateVector(amps[r, j]))
                 assert values[r, j].tobytes() == np.float64(expected).tobytes()
+
+
+def test_a_nan_row_supports_no_column():
+    # A row whose norm a caller rejects (0/0 amplitudes) beside rows with
+    # exactly-zero columns, as a disjoint search batch holds: the other rows
+    # keep their values, ok, to the bit.
+    rng = np.random.default_rng(5)
+    amps = unit_rows(rng, (4, 3, 6))
+    amps[:, 0, 3:] = 0.0
+    amps[:, 0] /= np.sqrt((np.abs(amps[:, 0]) ** 2).sum(axis=-1, keepdims=True))
+    spoiled = amps.copy()
+    spoiled[2] = np.nan
+    values = entropy.row_coherences(amps)
+    with np.errstate(invalid="ignore"):
+        spoiled_values = entropy.row_coherences(spoiled)
+    others = [0, 1, 3]
+    assert not np.isnan(values).any() and np.isnan(spoiled_values[2]).all()
+    assert spoiled_values[others].tobytes() == values[others].tobytes()
 
 
 # --- validated inputs with a probability above 1 --------------------------------
@@ -292,8 +311,8 @@ def test_inputs_at_the_edges_of_the_norm_tolerance_have_nonnegative_entropies():
             state = StateVector(amps)
             value = pure_state_coherence(state)
             assert _nonnegative(value), (amps, value)
-            rows, ok = entropy.row_coherences(state.amps[None, None])
-            assert ok.all() and rows[0, 0].tobytes() == np.float64(value).tobytes()
+            rows = entropy.row_coherences(state.amps[None, None])
+            assert rows[0, 0].tobytes() == np.float64(value).tobytes()
     for limit in (TOLERANCES.norm / 2, -TOLERANCES.norm / 2):
         for p in _at_edge(probs, lambda v: float(v.sum()), limit):
             assert _nonnegative(shannon(p)), p

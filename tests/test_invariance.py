@@ -39,6 +39,7 @@ from coherence_lab import (
 from coherence_lab.bounds import evaluate_rows, row_slacks
 from coherence_lab.ensembles import _coefficients, sample_pair, trial_stream
 from coherence_lab.entropy import row_coherences
+from coherence_lab.linalg import normalizable
 from coherence_lab.superpose import class_masks, coefficient_weights, superpose_rows
 
 DIMS = (2, 4, 8, 16)
@@ -137,8 +138,8 @@ def test_row_slacks_are_invariant(name):
         scales = [max(max(abs(rep.lhs), abs(rep.rhs)) for rep in reports.values())
                   for reports in scalar_reports(original)]
         for bound_id in ALL_BOUND_IDS:
-            want, want_ok = row_slacks(bound_id, *original)
-            got, got_ok = row_slacks(image(name, bound_id), *moved)
+            want, want_ok = row_slacks(bound_id, *slotted(original))
+            got, got_ok = row_slacks(image(name, bound_id), *slotted(moved))
             assert np.array_equal(got_ok, want_ok), (kind, dim, bound_id)
             if name == "branch_swap" and bound_id in BRANCH_SWAP:
                 assert got[got_ok].tobytes() == want[want_ok].tobytes()
@@ -147,7 +148,15 @@ def test_row_slacks_are_invariant(name):
                 assert_close(name, got[r], want[r], scales[r])
         # Every bound that evaluate_all applies to a trial is vouched for here.
         applied = {bound_id for reports in scalar_reports(original) for bound_id in reports}
-        assert all(row_slacks(bound_id, *original)[1].any() for bound_id in applied)
+        assert all(row_slacks(bound_id, *slotted(original))[1].any() for bound_id in applied)
+
+
+def slotted(rows):
+    """(alpha, beta, phi, psi) as ``row_slacks`` reads them: phi and psi in
+    slots 0 and 1 of (R, 3, d) states (slot 2 is for the superposition), each
+    with norm 1."""
+    alpha, beta, phi, psi = rows
+    return alpha, beta, np.stack([phi, psi, psi], axis=1), np.ones((len(phi), 3))
 
 
 def row_values(alpha, beta, phi, psi):
@@ -155,11 +164,14 @@ def row_values(alpha, beta, phi, psi):
     class masks, the overlaps, the six fields and where they are vouched for."""
     classes, overlap = class_masks(phi, psi)
     alpha_sq, beta_sq, ok = coefficient_weights(alpha, beta)
-    s, t1, superposed = superpose_rows(alpha, beta, phi, psi)
-    coherence, vouched = row_coherences(np.stack([phi, psi, t1], axis=1))
+    _, _, states, norms = slotted((alpha, beta, phi, psi))
+    superpose_rows(alpha, beta, states, norms)
+    s = norms[:, 2]
+    coherence = row_coherences(states)
+    vouched = ~np.isnan(coherence).any(axis=1)
     values = {"alpha_sq": alpha_sq, "beta_sq": beta_sq, "s": s, "coherence_phi": coherence[:, 0],
               "coherence_psi": coherence[:, 1], "coherence_t1": coherence[:, 2]}
-    return classes, overlap, values, ok & superposed & vouched
+    return classes, overlap, values, ok & normalizable(s) & vouched
 
 
 @pytest.mark.parametrize("name", list(TRANSFORMS))

@@ -194,7 +194,11 @@ def test_row_helpers_equal_norm_and_vdot_bit_for_bit():
 
 def assert_normalize_rows_is_normalize(block):
     with np.errstate(all="ignore"):
-        states, norms, ok = linalg.normalize_rows(block)
+        states, norms = linalg.normalize_rows(block)
+        ok = linalg.normalizable(norms)
+        into = np.empty_like(block), np.empty(block.shape[:-1])
+        assert linalg.normalize_rows(block, out=into)[0] is into[0]
+        assert into[0].tobytes() == states.tobytes() and into[1].tobytes() == norms.tobytes()
         for row, state, n, good in zip(block, states, norms.tolist(), ok.tolist()):
             try:
                 expected = normalize(row)

@@ -35,7 +35,7 @@ from coherence_lab.search import (
     _parameterize_rows,
     _starts,
 )
-from coherence_lab.tolerances import Tolerances
+from coherence_lab.tolerances import TOLERANCES, Tolerances
 from philox_oracle import numpy_generator
 
 
@@ -494,8 +494,8 @@ def test_lockstep_matches_reference_through_fallback_rows(
     real_row_slacks, real_parameterize = search.row_slacks, search.parameterize
     real_evaluate_bound = search.evaluate_bound
 
-    def counted_rows(*args):
-        values, ok = real_row_slacks(*args)
+    def counted_rows(*args, **kwargs):
+        values, ok = real_row_slacks(*args, **kwargs)
         counts["batched"] += int(ok.sum())
         return values, ok
 
@@ -545,12 +545,21 @@ def test_batched_rows_equal_the_scalar_objective_bit_for_bit(bound_id, pair_kind
         else:
             X[7, 2:4] = 0.0
         with np.errstate(all="ignore"):
-            alpha, beta, phi, psi, ok = _parameterize_rows(X, dim, pair_kind)
+            alpha, beta, states, norms = _parameterize_rows(X, dim, pair_kind)
+            # The rows parameterize accepts: a finite beta and both norms
+            # ones normalize accepts.
+            ok = np.isfinite(beta) & linalg.normalizable(norms[:, :2]).all(axis=1)
             slacks, vouched = bounds.row_slacks(
-                bound_id, alpha[ok], beta[ok], phi[ok], psi[ok]
+                bound_id, alpha[ok], beta[ok], states[ok], norms[ok], kind=pair_kind
+            )
+            # One call over the whole batch vouches for the same rows, with the same bits.
+            whole, whole_vouched = bounds.row_slacks(
+                bound_id, alpha, beta, states, norms, kind=pair_kind
             )
         assert not ok[2:6].any() and ok[6:].all()
         assert vouched.sum() >= 16
+        assert np.flatnonzero(whole_vouched).tolist() == np.flatnonzero(ok)[vouched].tolist()
+        assert whole[whole_vouched].tobytes() == slacks[vouched].tobytes()
         zero = np.flatnonzero(np.flatnonzero(ok) == 7)[0]
         assert not vouched[zero] and math.isnan(slacks[zero])
         inputs = parameterize(X[7], dim, pair_kind)
@@ -560,8 +569,8 @@ def test_batched_rows_equal_the_scalar_objective_bit_for_bit(bound_id, pair_kind
             assert np.float64(coeffs.alpha.real).tobytes() == alpha[i].tobytes()
             assert coeffs.alpha.imag == 0.0
             assert np.complex128(coeffs.beta).tobytes() == beta[i].tobytes()
-            assert phi[i].tobytes() == phi_i.amps.tobytes()
-            assert psi[i].tobytes() == psi_i.amps.tobytes()
+            assert states[i, 0].tobytes() == phi_i.amps.tobytes()
+            assert states[i, 1].tobytes() == psi_i.amps.tobytes()
             if good:
                 expected = bounds.evaluate_bound(bound_id, coeffs, phi_i, psi_i).slack
                 assert struct_bits(slack) == struct_bits(expected)
@@ -587,6 +596,61 @@ def test_batched_rows_equal_the_scalar_objective_bit_for_bit(bound_id, pair_kind
 
 def struct_bits(value: float) -> bytes:
     return np.float64(value).tobytes()
+
+
+def scalar_calls(monkeypatch):
+    """Record each ``parameterize`` and ``evaluate_bound`` call the search
+    makes, as ("parameterize", x's bytes) and ("evaluate_bound", keywords)."""
+    calls = []
+    real_parameterize, real_evaluate_bound = search.parameterize, search.evaluate_bound
+
+    def parameterize_(x, *args):
+        calls.append(("parameterize", x.tobytes()))
+        return real_parameterize(x, *args)
+
+    def evaluate_bound_(*args, **kwargs):
+        calls.append(("evaluate_bound", kwargs))
+        return real_evaluate_bound(*args, **kwargs)
+
+    monkeypatch.setattr(search, "parameterize", parameterize_)
+    monkeypatch.setattr(search, "evaluate_bound", evaluate_bound_)
+    return calls
+
+
+def test_a_degenerate_row_alone_takes_the_scalar_path(monkeypatch):
+    # A zero phi block makes the row's amplitudes 0/0 = NaN.  Beside the good
+    # rows of a disjoint search, whose off-block amplitudes are exact zeros,
+    # it must not mark those columns as supported: only it reaches the scalar
+    # path, and every good row keeps its batched value, the scalar one's bits.
+    dim = 4
+    spec = SearchSpec(bound_id=GAIN_LE_1, dim=dim, pair_kind=PairKind.DISJOINT_SUPPORT, seed=0)
+    X = np.random.default_rng(11).standard_normal((5, parameter_count(dim)))
+    X[2, 2 : 2 + 2 * dim] = 0.0
+    calls = scalar_calls(monkeypatch)
+    values, errors = search._objective(spec, X)
+    assert calls == [("parameterize", X[2].tobytes())]
+    assert errors == {} and values[2] == math.inf
+    for i in (0, 1, 3, 4):
+        expected = signed_slack(GAIN_LE_1, *parameterize(X[i], dim, spec.pair_kind))
+        assert struct_bits(values[i]) == struct_bits(expected)
+
+
+@pytest.mark.parametrize("bound_id, dim, pair_kind, restarts", [
+    (GAIN_LE_1, 2, PairKind.DISJOINT_SUPPORT, 4), (T4_LOWER_A, 8, PairKind.ARBITRARY, 2),
+])
+def test_the_benchmark_searches_never_leave_the_batched_path(
+    monkeypatch, bound_id, dim, pair_kind, restarts
+):
+    # The searches of the benchmark's saturate-mix workload, at one of its
+    # seeds: every point keeps its batched value, so the only scalar calls
+    # are the final report's (which passes its tolerance).  The bytes would
+    # not show good rows routed through the slower scalar path; this does.
+    calls = scalar_calls(monkeypatch)
+    spec = SearchSpec(bound_id=bound_id, dim=dim, pair_kind=pair_kind, seed=3, restarts=restarts)
+    result = minimize_slack(spec)
+    assert result.evaluations > 1000
+    assert [name for name, _ in calls] == ["parameterize", "evaluate_bound"]
+    assert calls[1][1] == {"tolerance": TOLERANCES.bound_slack}
 
 
 # --- restart starts -----------------------------------------------------------------
@@ -703,7 +767,7 @@ def test_a_restart_that_raises_ends_the_search_with_its_exception(monkeypatch):
         return types.SimpleNamespace(slack=1.0)
 
     # Every row goes through the scalar path, whose evaluate_bound fails once.
-    monkeypatch.setattr(search, "row_slacks", lambda bound_id, a, b, phi, psi: (
+    monkeypatch.setattr(search, "row_slacks", lambda bound_id, a, *rest, **kind: (
         np.full(len(a), np.nan), np.zeros(len(a), dtype=bool)))
     monkeypatch.setattr(search, "evaluate_bound", failing)
     spec = SearchSpec(bound_id=GAIN_LE_1, dim=2, pair_kind=PairKind.DISJOINT_SUPPORT, seed=1,

@@ -23,6 +23,7 @@ from coherence_lab import (
     superpose,
     t_states,
 )
+from coherence_lab.linalg import normalizable
 from coherence_lab.superpose import class_masks, coefficient_map, is_orthogonal, superpose_rows
 
 INV_SQRT2 = 1.0 / math.sqrt(2.0)
@@ -145,8 +146,12 @@ def test_superpose_rows_match_superpose_row_by_row():
     beta = np.array([c.beta for c, _, _ in triples])
     phi = np.array([p.amps for _, p, _ in triples])
     psi = np.array([q.amps for _, _, q in triples])
+    states = np.stack([phi, psi, np.zeros_like(phi)], axis=1)
+    norms = np.ones((len(triples), 3))
     with np.errstate(all="ignore"):
-        s, normalized, ok = superpose_rows(alpha, beta, phi, psi)
+        superpose_rows(alpha, beta, states, norms)
+    s, normalized, ok = norms[:, 2], states[:, 2], normalizable(norms[:, 2])
+    assert states[:, 0].tobytes() == phi.tobytes() and states[:, 1].tobytes() == psi.tobytes()
     assert ok.tolist() == [True] * (len(triples) - 1) + [False]
     for (coeffs, p, q), s_i, row, good in zip(triples, s.tolist(), normalized, ok.tolist()):
         state = superpose(coeffs, p, q)
