@@ -9,25 +9,25 @@ Commands:
 
 Machine-readable payloads go to stdout or ``--out``; log lines go to stderr.
 Exit codes: 0 success, 1 at least one bound report unsatisfied, 2 usage or
-configuration error, 3 an internal invariant failed (``ConsistencyError``).
+configuration error (an ``--out`` path or a stdout that cannot be written
+among them), 3 an internal invariant failed (``ConsistencyError``).
 
 Reports are byte-reproducible: canonical JSON uses sorted keys and writes
 each float as Python's shortest round-trip ``repr``, the format of ``sweep``'s
-CSV, and the ``started_at`` / ``finished_at`` fields stay null unless
-``--timestamps`` is passed (wall-clock time would break byte-identical
-re-runs).
+CSV, and a report holds no wall-clock time, so it is a function of its
+config alone.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import itertools
 import json
 import math
 import os
 import sys
-from datetime import datetime, timezone
 from pathlib import Path
 from typing import Optional
 
@@ -61,11 +61,6 @@ def canonical_json(obj) -> str:
     return json.dumps(obj, sort_keys=True, indent=2, allow_nan=False) + "\n"
 
 
-def _now(args) -> Optional[str]:
-    """Wall-clock time for the report, or None unless ``--timestamps``."""
-    return datetime.now(timezone.utc).isoformat() if args.timestamps else None
-
-
 def _emit(text: str, out_path: Optional[str]) -> None:
     if out_path:
         try:
@@ -73,12 +68,22 @@ def _emit(text: str, out_path: Optional[str]) -> None:
         except OSError as exc:
             raise ConfigError(f"cannot write {out_path}: {exc.strerror or exc}")
         _log(f"wrote {out_path}")
-    else:
+        return
+    try:
         sys.stdout.write(text)
+        sys.stdout.flush()
+    except OSError as exc:
+        # A buffered stdout still holds the report, and the interpreter
+        # flushes it again at exit; with its file descriptor, if it has one,
+        # on the null device that flush cannot print "Exception ignored".
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        with contextlib.suppress(AttributeError, OSError, ValueError):
+            os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        raise ConfigError(f"cannot write the report to stdout: {exc.strerror or exc}")
 
 
-def _finish(args, config: dict, echo: dict, results, violations: int,
-            started: Optional[str]) -> int:
+def _finish(args, config: dict, echo: dict, results, violations: int) -> int:
     """Write the JSON report envelope; return the exit code."""
     report = {
         "version": __version__,
@@ -86,8 +91,6 @@ def _finish(args, config: dict, echo: dict, results, violations: int,
         "config": echo,
         "results": results,
         "violations": violations,
-        "started_at": started,
-        "finished_at": _now(args),
     }
     _emit(canonical_json(report), _setting(args, config, "out"))
     return 0 if violations == 0 else 1
@@ -267,7 +270,6 @@ def _seed(args, config: dict) -> int:
 
 def cmd_demo(args, config: dict) -> int:
     tolerance = _setting(args, config, "tolerance")
-    started = _now(args)
     inv = 1.0 / math.sqrt(2.0)
     coeffs = SuperpositionCoefficients(inv, inv)
     cases = [
@@ -298,7 +300,7 @@ def cmd_demo(args, config: dict) -> int:
             f"{term_coherences[1]:.6f}; superposition coherence = {omega_coherence:.6f}"
         )
     violations = sum(not r["satisfied"] for e in entries for r in e["reports"])
-    return _finish(args, config, {"tolerance": tolerance}, entries, violations, started)
+    return _finish(args, config, {"tolerance": tolerance}, entries, violations)
 
 
 # ---------------------------------------------------------------------------
@@ -313,7 +315,6 @@ def cmd_verify(args, config: dict) -> int:
     pair_kinds = _setting(args, config, "pair_kinds")
     tolerance = _setting(args, config, "tolerance")
     split = _setting(args, config, "split")
-    started = _now(args)
     ensembles = [
         EnsembleConfig(
             dim=dim,
@@ -341,7 +342,7 @@ def cmd_verify(args, config: dict) -> int:
         "tolerance": tolerance,
         "split": list(split) if split else None,
     }
-    return _finish(args, config, echo, {"ensembles": summaries}, total_violations, started)
+    return _finish(args, config, echo, {"ensembles": summaries}, total_violations)
 
 
 # ---------------------------------------------------------------------------
@@ -379,7 +380,6 @@ def cmd_sweep(args, config: dict) -> int:
     seed = _seed(args, config)
     tolerance = _setting(args, config, "tolerance")
     grid = _parse_grid(_required(args, config, "grid"))
-    started = _now(args)
 
     ensemble = EnsembleConfig(
         dim=dim, trials=1, pair_kind=BOUNDS[bound_id].default_kind, seed=seed
@@ -404,7 +404,7 @@ def cmd_sweep(args, config: dict) -> int:
     echo = {"bound": bound_id, "dim": dim, "seed": seed, "tolerance": tolerance,
             "grid": grid}
     payload = [{"alpha_sq": a, "lhs": l, "rhs": r, "slack": s} for a, l, r, s in rows]
-    return _finish(args, config, echo, payload, violations, started)
+    return _finish(args, config, echo, payload, violations)
 
 
 # ---------------------------------------------------------------------------
@@ -429,7 +429,6 @@ def cmd_saturate(args, config: dict) -> int:
     except ValueError as exc:
         raise ConfigError(str(exc))
 
-    started = _now(args)
     result = minimize_slack(spec, tolerance=tolerance)
     coeffs, phi, psi = result.best_inputs
     violations = 0 if result.report.satisfied else 1
@@ -466,7 +465,7 @@ def cmd_saturate(args, config: dict) -> int:
         f"saturate: best alpha = {coeffs.alpha.real:.12g}{coeffs.alpha.imag:+.12g}j, "
         f"beta = {coeffs.beta.real:.12g}{coeffs.beta.imag:+.12g}j"
     )
-    return _finish(args, config, echo, payload, violations, started)
+    return _finish(args, config, echo, payload, violations)
 
 
 # ---------------------------------------------------------------------------
@@ -476,7 +475,7 @@ def cmd_saturate(args, config: dict) -> int:
 @functools.cache
 def _parser() -> argparse.ArgumentParser:
     """The command tree, built at the first ``main`` call and reused: it holds
-    no per-call state (the seed variable, config files and clock are read per run)."""
+    no per-call state (the seed variable and config files are read per run)."""
     parser = argparse.ArgumentParser(
         prog="coherence-lab",
         description=(
@@ -499,11 +498,6 @@ def _parser() -> argparse.ArgumentParser:
         p.set_defaults(handler=handler)
         option(p, "out", "write the payload to this path instead of stdout")
         option(p, "tolerance", "bound verdict tolerance (default {default})")
-        p.add_argument(
-            "--timestamps",
-            action="store_true",
-            help="fill started_at/finished_at (breaks byte-identical re-runs)",
-        )
         return p
 
     command("demo", "evaluate the built-in qubit examples", cmd_demo)

@@ -19,10 +19,9 @@ its own length, in one call, and ``stream`` one key's stream; every draw
 reads them through ``UniformRows``, so the package never loads numpy's
 random module.  ``ragged_uniforms`` is Philox4x64-10 (Salmon et al.,
 "Parallel Random Numbers: As Easy as 1, 2, 3", SC'11) in numpy over a vector
-of (key, block) counters (``philox_blocks``), and ``philox_uniforms`` its
-form with one length for every key.  A call costs about 0.4 ms even at one key,
-and about 2 ms for the 2000 streams (15 125 blocks) of the benchmark's
-``verify`` unit, so draws that can wait for each other share one:
+of (key, block) counters (``philox_blocks``).  A call costs about 0.4 ms
+even at one key, and about 2 ms for the 2000 streams (15 125 blocks) of the
+benchmark's ``verify`` unit, so draws that can wait for each other share one:
 ``ensembles`` draws once per pass, whatever the stream lengths in it.  A
 few streams cost less one at a time, so ``search`` draws each restart's
 start with ``stream``.
@@ -63,12 +62,13 @@ class UniformRows:
 
 
 def stream(seed: int, n: int) -> UniformRows:
-    """``philox_uniforms``'s row for one key, read like a generator.
+    """The first ``n`` uniforms of the stream keyed by ``seed``, the ones
+    ``ragged_uniforms`` draws for that key, read like a generator.
 
-    The same rounds run on Python ints, every block at once: block j's word
-    c_i sits in bits [128 j, 128 j + 64) of one int per i, so a round's
-    64 x 64-bit products stay in their 128-bit lanes and ``low`` keeps each
-    lane's low word.  That skips the array form's fixed 0.4 ms per call:
+    ``philox_blocks``'s rounds run on Python ints, every block at once:
+    block j's word c_i sits in bits [128 j, 128 j + 64) of one int per i, so
+    a round's 64 x 64-bit products stay in their 128-bit lanes and ``low``
+    keeps each lane's low word.  That skips the array form's fixed 0.4 ms per call:
     about 12 us for 2 words and 25 us for 66.
     """
     blocks = (n + 3) // 4
@@ -251,8 +251,3 @@ def ragged_uniforms(keys: np.ndarray, lengths: np.ndarray) -> np.ndarray:
             np.multiply(ours, _UNIT, out=run[:, r::4])
         drawn, done = drawn + rows * blocks, done + rows * n
     return uniforms
-
-
-def philox_uniforms(keys: np.ndarray, n: int) -> np.ndarray:
-    """The first ``n`` uniforms of the stream keyed by k, for each key k."""
-    return ragged_uniforms(keys, np.full(keys.size, n)).reshape(keys.size, n)

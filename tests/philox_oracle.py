@@ -1,8 +1,8 @@
 """numpy's own Philox generator: the independent oracle for the package's streams.
 
-The package computes Philox4x64-10 itself (``rng.philox_blocks``) and never
-loads numpy's random module; the tests compare its draws with numpy's C
-implementation through this one helper.
+The package computes Philox4x64-10 itself, on arrays (``rng.philox_blocks``)
+and on Python ints (``rng.stream``), and never loads numpy's random module;
+the tests compare both with numpy's C implementation through this one helper.
 """
 
 import numpy as np

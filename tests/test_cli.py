@@ -2,6 +2,7 @@
 
 import argparse
 import dataclasses
+import errno
 import json
 import math
 import os
@@ -9,7 +10,6 @@ import re
 import struct
 import subprocess
 import sys
-from datetime import datetime, timedelta
 from pathlib import Path
 
 import numpy as np
@@ -54,16 +54,6 @@ def test_demo_reports_both_examples(tmp_path):
     assert abs(omega_2["term_coherences"][0] - 1.0) < 1e-12
     assert abs(omega_2["term_coherences"][1] - 1.0) < 1e-12
     assert omega_2["pair_class"] == "OrthogonalSameSpace"
-
-
-def test_demo_timestamps_are_null_by_default(tmp_path):
-    out = tmp_path / "demo.json"
-    run_cli(["demo", "--out", str(out)])
-    report = read_json(out)
-    assert report["started_at"] is None and report["finished_at"] is None
-    run_cli(["demo", "--out", str(out), "--timestamps"])
-    report = read_json(out)
-    assert report["started_at"] is not None
 
 
 # --- verify --------------------------------------------------------------------
@@ -208,6 +198,19 @@ def test_no_command_or_sampler_loads_openssl_or_numpy_random():
     assert samplers == [0, []]
 
 
+@pytest.mark.parametrize("flag, config", [([], "dim = 3\ndims = 2,4\n"),
+                                          (["--dim", "3"], "dims = 2,4\n")],
+                         ids=["config-key", "flag"])
+def test_verify_dim_wins_over_dims(tmp_path, flag, config):
+    path = tmp_path / "run.cfg"
+    path.write_text("trials = 1\n" + config, encoding="utf-8")
+    out = tmp_path / "r.json"
+    assert run_cli(["verify", "--config", str(path), *flag, "--out", str(out)]) == 0
+    report = read_json(out)
+    assert report["config"]["dims"] == [3]
+    assert [e["dim"] for e in report["results"]["ensembles"]] == [3] * 4
+
+
 def test_verify_flag_overrides_config(tmp_path):
     config = tmp_path / "run.cfg"
     config.write_text("seed = 31\ntrials = 10\ndims = 2\n", encoding="utf-8")
@@ -279,6 +282,52 @@ def test_out_into_missing_directory_is_a_usage_error(tmp_path, capsys):
     out = tmp_path / "missing" / "demo.json"
     assert run_cli(["demo", "--out", str(out)]) == 2
     assert "error: cannot write" in capsys.readouterr().err
+
+
+def test_unwritable_stdout_is_a_usage_error(monkeypatch, capsys):
+    # Exit 1 would claim a violated bound; a stdout with no file descriptor
+    # must still reach exit 2.
+    class Unwritable:
+        def write(self, text):
+            raise OSError(errno.EPIPE, "Broken pipe")
+
+    monkeypatch.setattr(sys, "stdout", Unwritable())
+    assert run_cli(["demo"]) == 2
+    err = capsys.readouterr().err
+    assert [line for line in err.splitlines() if line.startswith("error:")] == [
+        "error: cannot write the report to stdout: Broken pipe"]
+    assert "Traceback" not in err
+
+
+def _run_with_stdout(argv, stdout):
+    # A buffered stdout keeps the report after the failed write, so the
+    # interpreter's flush at exit fails again unless the CLI prevents it.
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = str(SRC)
+    return subprocess.run([sys.executable, "-m", "coherence_lab", *argv], stdout=stdout,
+                          stderr=subprocess.PIPE, env=env, text=True)
+
+
+def _assert_clean_usage_error(run):
+    assert run.returncode == 2, run.stderr
+    assert "error: cannot write the report to stdout" in run.stderr
+    assert "Traceback" not in run.stderr and "Exception ignored" not in run.stderr
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+def test_stdout_on_a_full_device_is_a_usage_error():
+    with open("/dev/full", "w") as full:
+        _assert_clean_usage_error(_run_with_stdout(["demo"], full))
+
+
+def test_stdout_into_a_closed_pipe_is_a_usage_error():
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        run = _run_with_stdout(["verify", "--trials", "1", "--dim", "2"], write_end)
+    finally:
+        os.close(write_end)
+    _assert_clean_usage_error(run)
 
 
 # --- seed resolution --------------------------------------------------------------
@@ -409,24 +458,6 @@ def test_sweep_rejects_range_grid_with_too_many_points(capsys, step):
     assert run_cli(argv) == 2
     err = capsys.readouterr().err
     assert "more than" in err and "Traceback" not in err
-
-
-def test_sweep_json_timestamps_bracket_the_work(tmp_path, monkeypatch):
-    ticks = iter(range(100))
-
-    class Clock:
-        @staticmethod
-        def now(tz):
-            return datetime(2000, 1, 1, tzinfo=tz) + timedelta(seconds=next(ticks))
-
-    monkeypatch.setattr(cli, "datetime", Clock)
-    out = tmp_path / "sweep.json"
-    run_cli(
-        ["sweep", "--bound", "T2_UPPER", "--grid", "0.5", "--format", "json",
-         "--timestamps", "--out", str(out)]
-    )
-    report = read_json(out)
-    assert report["started_at"] < report["finished_at"]
 
 
 def test_sweep_requires_bound_and_grid():
@@ -605,6 +636,7 @@ def test_canonical_json_round_trips_parsed_reports(tmp_path):
     commands = {
         "demo": ["demo"],
         "verify": ["verify", "--dim", "4", "--trials", "40", "--seed", "3"],
+        "sweep": ["sweep", "--bound", "T2_UPPER", "--grid", "0.5", "--format", "json"],
         "saturate": ["saturate", "--bound", "GAIN_LE_1", "--restarts", "1",
                      "--iterations", "20"],
     }
@@ -613,6 +645,19 @@ def test_canonical_json_round_trips_parsed_reports(tmp_path):
         assert run_cli(args + ["--out", str(out)]) == 0, name
         raw = out.read_text(encoding="utf-8")
         assert canonical_json(json.loads(raw)) == raw, name
+        # A report holds no wall-clock time: the envelope is these five keys.
+        assert sorted(json.loads(raw)) == ["command", "config", "results", "version",
+                                           "violations"], name
+
+
+@pytest.mark.parametrize("command", [["demo"], ["verify"], ["sweep"], ["saturate"]])
+def test_no_command_reads_the_clock(command, capsys):
+    with pytest.raises(SystemExit) as excinfo:
+        run_cli(command + ["--timestamps"])
+    assert excinfo.value.code == 2
+    assert "Traceback" not in capsys.readouterr().err
+    source = Path(cli.__file__).read_text(encoding="utf-8")
+    assert not re.search(r"\bdatetime\b|\b_now\b", source)
 
 
 @pytest.mark.parametrize(

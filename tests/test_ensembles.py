@@ -38,7 +38,7 @@ from coherence_lab.ensembles import (
 )
 from coherence_lab.linalg import normalizable, normalize_rows
 from coherence_lab.rng import (
-    MASK64, UniformRows, complex_normals, philox_uniforms, ragged_uniforms, subseed, subseeds,
+    MASK64, UniformRows, complex_normals, ragged_uniforms, subseed, subseeds,
 )
 from philox_oracle import numpy_generator
 
@@ -76,7 +76,8 @@ def test_haar_qubit_population_is_symmetric():
     # |amps_0|^2 of a Haar qubit is uniform on [0, 1]: mean 1/2.  The samples
     # are rows, one stream of 4 uniforms each, drawn as a batched pass draws them.
     samples = 100_000
-    gen = UniformRows(philox_uniforms(subseeds(2024, np.arange(samples)), 4))
+    keys = subseeds(2024, np.arange(samples))
+    gen = UniformRows(ragged_uniforms(keys, np.full(samples, 4)).reshape(samples, 4))
     states, norms = normalize_rows(complex_normals(gen, 2))
     assert normalizable(norms).all()
     assert abs(np.mean(np.abs(states[:, 0]) ** 2) - 0.5) < 0.01
@@ -168,7 +169,8 @@ def test_coefficients_deterministic():
 def test_coefficients_weight_is_symmetric_on_average():
     # One row of 2 uniforms per sample, read as ``_coefficients`` reads them.
     samples = 100_000
-    gen = UniformRows(philox_uniforms(subseeds(31337, np.arange(samples)), 2))
+    keys = subseeds(31337, np.arange(samples))
+    gen = UniformRows(ragged_uniforms(keys, np.full(samples, 2)).reshape(samples, 2))
     alpha, _ = _coefficient_pair(gen)
     assert abs(np.mean(np.abs(alpha) ** 2) - 0.5) < 0.01
 

@@ -5,7 +5,7 @@ import pytest
 
 from coherence_lab import rng
 from coherence_lab.rng import (
-    MASK64, philox_blocks, philox_uniforms, ragged_uniforms, subseed, subseeds,
+    MASK64, philox_blocks, ragged_uniforms, subseed, subseeds,
 )
 from philox_oracle import numpy_generator
 
@@ -92,14 +92,15 @@ def test_philox_raw_of_no_keys_is_empty():
     none = np.empty(0, np.uint64)
     assert [c.shape for c in philox_blocks(none, np.empty(0, np.intp))] == [(0,)] * 4
     assert ragged_uniforms(none, np.empty(0, np.intp)).shape == (0,)
-    assert philox_uniforms(none, 5).shape == (0, 5)
+    assert ragged_uniforms(none, np.full(0, 5)).reshape(0, 5).shape == (0, 5)
 
 
 def test_philox_uniforms_match_generator_random():
     keys = _keys()
     expected = np.array([numpy_generator(int(k)).random(MAX_DRAWS) for k in keys])
     for n in (1, 2, 3, 5, 34, 66, MAX_DRAWS):
-        assert np.array_equal(philox_uniforms(keys, n), expected[:, :n]), n
+        rows = ragged_uniforms(keys, np.full(keys.size, n)).reshape(keys.size, n)
+        assert np.array_equal(rows, expected[:, :n]), n
 
 
 @pytest.mark.parametrize("seed", EDGE_KEYS + [-1, -(2**63)])

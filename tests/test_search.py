@@ -24,7 +24,7 @@ from coherence_lab import (
 )
 from coherence_lab import bounds, entropy, linalg, search
 from coherence_lab.errors import ConsistencyError
-from coherence_lab.rng import MASK64, UniformRows, philox_uniforms, standard_normals, subseed
+from coherence_lab.rng import MASK64, UniformRows, ragged_uniforms, standard_normals, subseed
 from coherence_lab.search import (
     _DIAMETER_TOL,
     _MAX_SEARCH_DIM,
@@ -688,7 +688,8 @@ def test_starts_are_each_restarts_own_stream_bit_for_bit(seed, first, count):
 
 def test_standard_normals_reads_rows_like_generators():
     seeds = [5, 6]
-    streams = UniformRows(philox_uniforms(np.array(seeds, dtype=np.uint64), 8))
+    keys = np.array(seeds, dtype=np.uint64)
+    streams = UniformRows(ragged_uniforms(keys, np.full(keys.size, 8)).reshape(keys.size, 8))
     rows = standard_normals(streams, 7)
     assert rows.shape == (2, 7)
     expected = [standard_normals(numpy_generator(seed), 7) for seed in seeds]
