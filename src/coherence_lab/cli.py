@@ -48,7 +48,8 @@ _MAX_GRID_POINTS = 10**6
 
 
 def _log(message: str) -> None:
-    print(message, file=sys.stderr)
+    with contextlib.suppress(OSError):  # a log line that cannot be written is dropped
+        print(message, file=sys.stderr)
 
 
 # ---------------------------------------------------------------------------

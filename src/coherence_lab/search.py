@@ -16,12 +16,13 @@ phi and psi into one (R, 3, d) buffer and their norms into one (R, 3) array,
 coherence in one call, and checks each row in the loop that reads its
 floats.  A row it cannot vouch for (a degenerate or non-finite block, a zero
 probability inside a support, a failed unit-norm check, sides that raise)
-goes once through the scalar path.  Each restart is a generator
-(``_descent``) that runs the one-start descent and yields the points it
-needs; ``_lockstep`` runs a group of restarts in rounds and puts the points
-of all live restarts through batched objective calls.  A restart whose point
-raised stops there, and the search raises the exception of the lowest such
-restart.
+goes once through the scalar path.  Each restart is a generator (``_descent``)
+that yields the points it needs.  It stops at a simplex diameter below
+``_DIAMETER_TOL``, after a pre-test on the worst and best vertices' gap in
+coordinate 0, which never exceeds the diameter: the stop is exactly the
+diameter's.  ``_lockstep`` runs restarts in rounds and batches the points of
+all live ones into objective calls.  A restart whose point raised stops
+there, and the search raises the exception of the lowest such restart.
 
 A simplex holds about 8 * n^2 bytes, n = 4 * dim + 2, hence the
 ``SearchSpec`` dimension ceiling of 1024.  Restarts run in groups whose
@@ -111,8 +112,10 @@ def parameter_count(dim: int) -> int:
     return 2 + 4 * dim
 
 
+# A new array, x[..., 0::2] + 1j * x[..., 1::2] bit for bit except that a -0.0
+# part keeps its sign: it never shares x's memory, so blocks can be zeroed in place.
 def _complex_block(x: np.ndarray) -> np.ndarray:
-    return x[..., 0::2] + 1j * x[..., 1::2]
+    return x.copy().view(np.complex128)
 
 
 def parameterize(
@@ -132,15 +135,11 @@ def parameterize(
         raise ValueError(
             f"parameter vector must have length {parameter_count(dim)}, got {x.shape}"
         )
-    alpha, beta = coefficient_map(float(x[0]), float(x[1]))
-    coeffs = SuperpositionCoefficients(alpha=alpha, beta=beta)
+    coeffs = SuperpositionCoefficients(*coefficient_map(float(x[0]), float(x[1])))
 
-    raw_phi = _complex_block(x[2 : 2 + 2 * dim])
-    raw_psi = _complex_block(x[2 + 2 * dim :])
+    raw_phi, raw_psi = _complex_block(x[2:]).reshape(2, dim)
     if pair_kind is PairKind.DISJOINT_SUPPORT:
         d1 = default_split(dim)[0]
-        raw_phi = raw_phi.copy()
-        raw_psi = raw_psi.copy()
         raw_phi[d1:] = 0.0
         raw_psi[:d1] = 0.0
     phi = normalize(raw_phi)
@@ -271,9 +270,9 @@ def _descent(start: np.ndarray, iterations: int):
     _sort(S, V)
     evaluations = n + 1
     for _ in range(iterations):
-        # max|worst - best| <= the diameter, so it settles most iterations alone; a
-        # NaN it skips comes from a non-finite column, where the diameter is not small.
-        if max(map(abs, (worst - best).tolist())) < _DIAMETER_TOL and _diameter(S) < _DIAMETER_TOL:
+        # |worst[0] - best[0]| <= the diameter settles most iterations alone; the
+        # diameter decides, and a NaN or inf anywhere in S makes it fail the test.
+        if abs(worst[0] - best[0]) < _DIAMETER_TOL and _diameter(S) < _DIAMETER_TOL:
             break
         centroid = np.add.reduce(S[:-1], axis=0) / n  # ndarray.mean's arithmetic
         step = centroid - worst
@@ -346,13 +345,13 @@ def _lockstep(objective, starts: np.ndarray, iterations: int) -> list:
         values, raised = [], {}  # this round's values; the exception of each point that failed
         for X in _calls([X for *_, X in live], width):
             part, errors = objective(X)
-            raised.update((len(values) + i, exc) for i, exc in errors.items())
+            for i, exc in errors.items():
+                raised[len(values) + i] = exc
             values += part.tolist()
         going, end = [], 0
         for r, descent, X in live:
             first, end = end, end + len(X)
-            failed = [raised[i] for i in raised if first <= i < end]
-            if failed:
+            if raised and (failed := [raised[i] for i in raised if first <= i < end]):
                 results[r] = failed[0]
                 continue
             try:

@@ -320,6 +320,20 @@ def test_stdout_on_a_full_device_is_a_usage_error():
         _assert_clean_usage_error(_run_with_stdout(["demo"], full))
 
 
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+def test_a_full_stderr_drops_log_lines_and_keeps_the_exit_code():
+    # Exit 1 claims an unsatisfied report: a log line that cannot be written
+    # is dropped, and stdout and the exit code are those of a writable stderr.
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    for argv, code in ((["demo"], 0), (["verify", "--trials", "2"], 0), (["verify", "--dim", "1"], 2)):
+        command = [sys.executable, "-m", "coherence_lab", *argv]
+        expected = subprocess.run(command, capture_output=True, env=env, text=True)
+        with open("/dev/full", "w") as full:
+            run = subprocess.run(command, stdout=subprocess.PIPE, stderr=full, env=env, text=True)
+        assert expected.stderr and expected.returncode == code, argv
+        assert (run.returncode, run.stdout) == (code, expected.stdout), argv
+
+
 def test_stdout_into_a_closed_pipe_is_a_usage_error():
     read_end, write_end = os.pipe()
     os.close(read_end)

@@ -1,5 +1,6 @@
 """Parameter projection and saturation-search behavior."""
 
+import contextlib
 import dataclasses
 import importlib
 import math
@@ -29,6 +30,8 @@ from coherence_lab.search import (
     _DIAMETER_TOL,
     _MAX_SEARCH_DIM,
     _SIMPLEX_OFFSET,
+    _complex_block,
+    _descent,
     _diameter,
     _group_width,
     _lockstep,
@@ -598,6 +601,42 @@ def struct_bits(value: float) -> bytes:
     return np.float64(value).tobytes()
 
 
+@pytest.mark.parametrize("pair_kind", list(PairKind), ids=[k.value for k in PairKind])
+def test_the_objective_never_writes_into_the_simplex(pair_kind):
+    # The search hands the objective its simplex itself (the initial vertices,
+    # the shrunk ones), so the blocks a disjoint pair zeroes must be copies.
+    # A one-row slice reads as C-contiguous: a copy made only of strided input misses it.
+    dim = 4
+    bound_id = next(b for b, k in SEARCHABLE if k is pair_kind)
+    spec = SearchSpec(bound_id=bound_id, dim=dim, pair_kind=pair_kind, seed=0)
+    simplex = np.random.default_rng(13).standard_normal((6, parameter_count(dim)))
+    simplex[3, 2 : 2 + 2 * dim] = 0.0  # a degenerate row, which takes the scalar path
+    before = simplex.tobytes()
+    for X in (simplex, simplex[1:], simplex[-1:], simplex[3:4]):
+        with np.errstate(all="ignore"):  # the degenerate row's 0/0
+            _parameterize_rows(X, dim, pair_kind)
+        search._objective(spec, X)
+        for x in X:
+            with contextlib.suppress(ZeroVectorError):  # the degenerate row
+                parameterize(x, dim, pair_kind)
+        assert simplex.tobytes() == before
+
+
+def test_complex_block_is_the_interleaved_sum_bit_for_bit():
+    # Exact on finite entries that are not zero: re + 1j * im turns a -0.0
+    # part into +0.0 (0.0 + -0.0 is 0.0), where the complex view keeps its sign.
+    rng = np.random.default_rng(17)
+    for shape in ((2 + 4 * 2,), (3, parameter_count(8)), (1, parameter_count(5))):
+        x = rng.standard_normal(shape) * 10.0 ** rng.integers(-300, 300, size=shape)
+        assert np.all(np.isfinite(x)) and np.all(x != 0.0)
+        for block in (x[..., 2:], x):  # strided rows, as the search slices them, and whole
+            got = _complex_block(block)
+            expected = block[..., 0::2] + 1j * block[..., 1::2]
+            assert got.dtype == expected.dtype and got.shape == expected.shape
+            assert got.tobytes() == expected.tobytes()
+            assert not np.shares_memory(got, x)
+
+
 def scalar_calls(monkeypatch):
     """Record each ``parameterize`` and ``evaluate_bound`` call the search
     makes, as ("parameterize", x's bytes) and ("evaluate_bound", keywords)."""
@@ -801,17 +840,31 @@ def test_two_reduction_diameter_equals_per_vertex_maximum():
 
 
 def test_worst_gap_never_exceeds_the_diameter():
-    # The descent's first stopping test, max|S[-1] - S[0]|, may only settle
+    # The descent's first stopping test, |S[-1, 0] - S[0, 0]|, may only settle
     # that it goes on: a gap at or above the tolerance implies the diameter is.
     rng = np.random.default_rng(2025)
     checked = 0
     for simplex in extreme_simplices(rng):
         with np.errstate(over="ignore"):
-            gap = max(map(abs, (simplex[-1] - simplex[0]).tolist()))
+            gap = abs(simplex[-1, 0] - simplex[0, 0])
             diameter = _diameter(simplex)
         assert gap <= diameter
         checked += gap == diameter
     assert checked > 0  # the bound is reached, so the test can see a violation
+
+
+def test_descent_goes_on_when_only_coordinate_0_has_converged():
+    # The start (row 0) ranks best and the start moved in its last coordinate
+    # (row n) worst: they agree in coordinate 0, so the pre-test passes, but
+    # the diameter is the simplex offset, and the descent asks for a reflection.
+    start = random_vector(3, 1)
+    n = start.size
+    descent = _descent(start, 1)
+    simplex = next(descent)
+    reflection = descent.send([float(value) for value in range(n + 1)])
+    assert abs(simplex[-1, 0] - simplex[0, 0]) == 0.0 < _DIAMETER_TOL
+    assert _diameter(simplex) >= _SIMPLEX_OFFSET / 2
+    assert reflection.shape == (1, n)
 
 
 def extreme_simplices(rng):
