@@ -52,6 +52,16 @@ def _log(message: str) -> None:
         print(message, file=sys.stderr)
 
 
+def _silence(stream) -> None:
+    # A buffered stream keeps what a failed write could not take, and the interpreter
+    # flushes it again at exit, where a second failure prints "Exception ignored" and
+    # exits 120: the stream's file descriptor, if it has one, goes to the null device.
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    with contextlib.suppress(AttributeError, OSError, ValueError):
+        os.dup2(devnull, stream.fileno())
+    os.close(devnull)
+
+
 # ---------------------------------------------------------------------------
 # canonical JSON and the report envelope
 
@@ -74,13 +84,7 @@ def _emit(text: str, out_path: Optional[str]) -> None:
         sys.stdout.write(text)
         sys.stdout.flush()
     except OSError as exc:
-        # A buffered stdout still holds the report, and the interpreter
-        # flushes it again at exit; with its file descriptor, if it has one,
-        # on the null device that flush cannot print "Exception ignored".
-        devnull = os.open(os.devnull, os.O_WRONLY)
-        with contextlib.suppress(AttributeError, OSError, ValueError):
-            os.dup2(devnull, sys.stdout.fileno())
-        os.close(devnull)
+        _silence(sys.stdout)
         raise ConfigError(f"cannot write the report to stdout: {exc.strerror or exc}")
 
 
@@ -532,8 +536,8 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = _parser().parse_args(argv)
     try:
+        args = _parser().parse_args(argv)
         config = parse_config_file(args.config) if getattr(args, "config", None) else {}
         return args.handler(args, config)
     except ConfigError as exc:
@@ -542,6 +546,11 @@ def main(argv=None) -> int:
     except CoherenceLabError as exc:
         _log(f"error: {type(exc).__name__}: {exc}")
         return 3 if isinstance(exc, ConsistencyError) else 2
+    finally:
+        try:  # log lines stderr could not take, ours or argparse's, change no exit code
+            sys.stderr.flush()
+        except OSError:
+            _silence(sys.stderr)
 
 
 if __name__ == "__main__":

@@ -112,10 +112,10 @@ def parameter_count(dim: int) -> int:
     return 2 + 4 * dim
 
 
-# A new array, x[..., 0::2] + 1j * x[..., 1::2] bit for bit except that a -0.0
-# part keeps its sign: it never shares x's memory, so blocks can be zeroed in place.
+# A float64 copy viewed as complex, never x's memory (blocks are zeroed in place):
+# x[..., 0::2] + 1j * x[..., 1::2] bit for bit, but a -0.0 part keeps its sign.
 def _complex_block(x: np.ndarray) -> np.ndarray:
-    return x.copy().view(np.complex128)
+    return x.astype(np.float64, order="C").view(np.complex128)
 
 
 def parameterize(
@@ -135,7 +135,8 @@ def parameterize(
         raise ValueError(
             f"parameter vector must have length {parameter_count(dim)}, got {x.shape}"
         )
-    coeffs = SuperpositionCoefficients(*coefficient_map(float(x[0]), float(x[1])))
+    alpha, beta = coefficient_map(float(x[0]), float(x[1]))
+    coeffs = SuperpositionCoefficients(alpha=alpha, beta=beta)
 
     raw_phi, raw_psi = _complex_block(x[2:]).reshape(2, dim)
     if pair_kind is PairKind.DISJOINT_SUPPORT:

@@ -299,13 +299,14 @@ def test_unwritable_stdout_is_a_usage_error(monkeypatch, capsys):
     assert "Traceback" not in err
 
 
-def _run_with_stdout(argv, stdout):
-    # A buffered stdout keeps the report after the failed write, so the
-    # interpreter's flush at exit fails again unless the CLI prevents it.
+def _run_child(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE):
+    # Buffered streams, as a user's are by default: a buffered stream keeps
+    # what a failed write could not take, so the interpreter's flush at exit
+    # fails again unless the CLI prevents it.
     env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
     env["PYTHONPATH"] = str(SRC)
     return subprocess.run([sys.executable, "-m", "coherence_lab", *argv], stdout=stdout,
-                          stderr=subprocess.PIPE, env=env, text=True)
+                          stderr=stderr, env=env, text=True)
 
 
 def _assert_clean_usage_error(run):
@@ -317,19 +318,18 @@ def _assert_clean_usage_error(run):
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
 def test_stdout_on_a_full_device_is_a_usage_error():
     with open("/dev/full", "w") as full:
-        _assert_clean_usage_error(_run_with_stdout(["demo"], full))
+        _assert_clean_usage_error(_run_child(["demo"], full))
 
 
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
 def test_a_full_stderr_drops_log_lines_and_keeps_the_exit_code():
     # Exit 1 claims an unsatisfied report: a log line that cannot be written
     # is dropped, and stdout and the exit code are those of a writable stderr.
-    env = dict(os.environ, PYTHONPATH=str(SRC))
+    # verify --dim 1 is an argparse error, whose usage lines argparse writes itself.
     for argv, code in ((["demo"], 0), (["verify", "--trials", "2"], 0), (["verify", "--dim", "1"], 2)):
-        command = [sys.executable, "-m", "coherence_lab", *argv]
-        expected = subprocess.run(command, capture_output=True, env=env, text=True)
+        expected = _run_child(argv)
         with open("/dev/full", "w") as full:
-            run = subprocess.run(command, stdout=subprocess.PIPE, stderr=full, env=env, text=True)
+            run = _run_child(argv, stderr=full)
         assert expected.stderr and expected.returncode == code, argv
         assert (run.returncode, run.stdout) == (code, expected.stdout), argv
 
@@ -338,7 +338,7 @@ def test_stdout_into_a_closed_pipe_is_a_usage_error():
     read_end, write_end = os.pipe()
     os.close(read_end)
     try:
-        run = _run_with_stdout(["verify", "--trials", "1", "--dim", "2"], write_end)
+        run = _run_child(["verify", "--trials", "1", "--dim", "2"], write_end)
     finally:
         os.close(write_end)
     _assert_clean_usage_error(run)

@@ -635,6 +635,10 @@ def test_complex_block_is_the_interleaved_sum_bit_for_bit():
             assert got.dtype == expected.dtype and got.shape == expected.shape
             assert got.tobytes() == expected.tobytes()
             assert not np.shares_memory(got, x)
+    # Any other real dtype is read as its float64 values, never as raw bytes.
+    for x in (np.arange(1, 13, dtype=np.int32), np.linspace(-3, 3, 12, dtype=np.float32)):
+        y = x.astype(np.float64)
+        assert _complex_block(x).tobytes() == (y[0::2] + 1j * y[1::2]).tobytes()
 
 
 def scalar_calls(monkeypatch):
