@@ -73,12 +73,19 @@ def canonical_json(obj) -> str:
 
 
 def _emit(text: str, out_path: Optional[str]) -> None:
+    """Write text to ``out_path``, else to stdout and flush it.  A stdout that
+    fails is pointed at the null device by ``_silence``; it raises
+    ``ConfigError``, as does a closed stdout (None) given text."""
     if out_path:
         try:
             Path(out_path).write_text(text, encoding="utf-8")
         except OSError as exc:
             raise ConfigError(f"cannot write {out_path}: {exc.strerror or exc}")
         _log(f"wrote {out_path}")
+        return
+    if sys.stdout is None:
+        if text:
+            raise ConfigError("cannot write the report to stdout: it is closed")
         return
     try:
         sys.stdout.write(text)
@@ -537,7 +544,10 @@ def _parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     try:
-        args = _parser().parse_args(argv)
+        try:
+            args = _parser().parse_args(argv)
+        finally:  # --help and --version write to a buffered stdout, then raise SystemExit
+            _emit("", None)
         config = parse_config_file(args.config) if getattr(args, "config", None) else {}
         return args.handler(args, config)
     except ConfigError as exc:

@@ -24,12 +24,13 @@ diameter's.  ``_lockstep`` runs restarts in rounds and batches the points of
 all live ones into objective calls.  A restart whose point raised stops
 there, and the search raises the exception of the lowest such restart.
 
-A simplex holds about 8 * n^2 bytes, n = 4 * dim + 2, hence the
-``SearchSpec`` dimension ceiling of 1024.  Restarts run in groups whose
-simplices fit in the bytes of one simplex at that ceiling (one restart at a
-time at d = 1024).  A batched evaluation computes only the slack (a row
-on the scalar path reads ``evaluate_bound(...).slack``); the search's
-``BoundReport`` is built for the best point at the end.
+A simplex holds about 8 * n^2 bytes, n = ``parameter_count(dim, kind)``
+(4 * dim + 2, or 2 * dim + 2 for disjoint pairs), hence the ``SearchSpec``
+dimension ceiling of 1024.  Restarts run in groups whose simplices fit in the
+bytes of one 4 * dim + 2 simplex at that ceiling (one restart at a time at
+d = 1024, three for disjoint pairs).  A batched evaluation computes only the
+slack (a row on the scalar path reads ``evaluate_bound(...).slack``); the
+search's ``BoundReport`` is built for the best point at the end.
 """
 
 from __future__ import annotations
@@ -51,8 +52,8 @@ from .tolerances import TOLERANCES
 
 _SIMPLEX_OFFSET = 0.1
 _DIAMETER_TOL = 1e-10
-# The simplex holds 8 * (4 * dim + 2)^2 bytes: 134 MB at this ceiling, about
-# 550 GB at the 2^16 that verify and sweep accept.
+# The simplex holds 8 * (4 * dim + 2)^2 bytes (8 * (2 * dim + 2)^2 for disjoint
+# pairs): 134 MB at this ceiling, about 550 GB at the 2^16 that verify and sweep accept.
 _MAX_SEARCH_DIM = 1024
 # The objective is the slack times this sign: an equality's worst residual is its largest.
 _SIGN = {"equality": -1.0, "upper": 1.0, "lower": 1.0}
@@ -79,8 +80,8 @@ class SearchSpec:
             )
         if not 2 <= self.dim <= _MAX_SEARCH_DIM:
             raise ValueError(
-                f"dimension must be in [2, {_MAX_SEARCH_DIM}] (the search simplex holds "
-                f"8 * (4 * dim + 2)^2 bytes), got {self.dim}"
+                f"dimension must be in [2, {_MAX_SEARCH_DIM}] (the search simplex holds 8 * n^2 "
+                f"bytes, n = {parameter_count(self.dim, self.pair_kind)}), got {self.dim}"
             )
         if self.restarts < 1 or self.iterations < 1:
             raise ValueError("restarts and iterations must be positive")
@@ -107,15 +108,30 @@ class SearchResult:
         return self.report.slack
 
 
-def parameter_count(dim: int) -> int:
-    """Length of the unconstrained parameter vector: 2 + 4 * dim."""
-    return 2 + 4 * dim
+def parameter_count(dim: int, pair_kind: PairKind = PairKind.ARBITRARY) -> int:
+    """Length of the unconstrained parameter vector: 2 + 2 * dim for disjoint
+    pairs, whose states have dim amplitudes between them, else 2 + 4 * dim."""
+    return 2 + (2 if pair_kind is PairKind.DISJOINT_SUPPORT else 4) * dim
 
 
-# A float64 copy viewed as complex, never x's memory (blocks are zeroed in place):
+# A float64 copy of x viewed as complex, never x's memory:
 # x[..., 0::2] + 1j * x[..., 1::2] bit for bit, but a -0.0 part keeps its sign.
 def _complex_block(x: np.ndarray) -> np.ndarray:
     return x.astype(np.float64, order="C").view(np.complex128)
+
+
+def _blocks(x: np.ndarray, dim: int, pair_kind: PairKind) -> np.ndarray:
+    """The (..., 2, dim) raw phi and psi blocks of parameter vectors x, a new array:
+    all 2 * dim amplitudes, or for a disjoint pair phi's first d1 =
+    ``default_split(dim)[0]`` and psi's last dim - d1, with 0.0 elsewhere."""
+    shape = x.shape[:-1] + (2, dim)
+    if pair_kind is not PairKind.DISJOINT_SUPPORT:
+        return _complex_block(x[..., 2:]).reshape(shape)
+    raw = np.zeros(shape, dtype=np.complex128)
+    parts = raw.view(np.float64)  # (..., 2, 2 * dim): re and im interleaved, as in x
+    cut = 2 + 2 * default_split(dim)[0]
+    parts[..., 0, : cut - 2], parts[..., 1, cut - 2 :] = x[..., 2:cut], x[..., cut:]
+    return raw
 
 
 def parameterize(
@@ -124,25 +140,22 @@ def parameterize(
     """Map an unconstrained real vector to a valid input triple.
 
     Layout: (theta, phase) for the coefficients, then interleaved re/im
-    amplitudes for each state.  Coefficients become
-    ``coefficient_map(theta, phase)`` = (cos theta, sin theta * e^{i phase});
-    states are normalized after the pair-kind projection (amplitudes outside
-    the blocks of ``default_split(dim)`` zeroed for disjoint support,
-    Gram-Schmidt for orthogonal same-space pairs).
+    amplitudes for each state, for a disjoint pair only those inside its
+    block (``_blocks``).  Coefficients become ``coefficient_map(theta, phase)``
+    = (cos theta, sin theta * e^{i phase}); states are normalized after the
+    pair-kind projection (Gram-Schmidt for orthogonal same-space pairs).
     """
     x = np.asarray(x, dtype=np.float64)
-    if x.shape != (parameter_count(dim),):
+    n = parameter_count(dim, pair_kind)
+    if x.shape != (n,):
         raise ValueError(
-            f"parameter vector must have length {parameter_count(dim)}, got {x.shape}"
+            f"parameter vector must have length {n} for {pair_kind.value} pairs "
+            f"at dim {dim}, got {x.shape}"
         )
     alpha, beta = coefficient_map(float(x[0]), float(x[1]))
     coeffs = SuperpositionCoefficients(alpha=alpha, beta=beta)
 
-    raw_phi, raw_psi = _complex_block(x[2:]).reshape(2, dim)
-    if pair_kind is PairKind.DISJOINT_SUPPORT:
-        d1 = default_split(dim)[0]
-        raw_phi[d1:] = 0.0
-        raw_psi[:d1] = 0.0
+    raw_phi, raw_psi = _blocks(x, dim, pair_kind)
     phi = normalize(raw_phi)
     if pair_kind is PairKind.ORTHOGONAL_SAME_SPACE:
         projected = raw_psi - np.vdot(phi.amps, raw_psi) * phi.amps
@@ -176,11 +189,7 @@ def _parameterize_rows(
     """
     rows = len(X)
     alpha, beta = coefficient_map(X[:, 0], X[:, 1])
-    raw = _complex_block(X[:, 2:]).reshape(rows, 2, dim)  # the phi and psi blocks
-    if pair_kind is PairKind.DISJOINT_SUPPORT:
-        d1 = default_split(dim)[0]
-        raw[:, 0, d1:] = 0.0
-        raw[:, 1, :d1] = 0.0
+    raw = _blocks(X, dim, pair_kind)
     # Each block is normalized from a contiguous array straight into its slot:
     # at a few rows, numpy's calls on strided slot views cost more.
     states, norms = np.empty((rows, 3, dim), dtype=np.complex128), np.empty((rows, 3))
@@ -238,7 +247,8 @@ def _diameter(simplex: np.ndarray) -> float:
 
 def _group_width(n: int) -> int:
     """Restarts that run in lockstep: as many (n + 1, n) simplices as fit in
-    the bytes of one simplex at ``_MAX_SEARCH_DIM``, and at least one.
+    the bytes of the largest simplex, of ``parameter_count(_MAX_SEARCH_DIM)``
+    parameters, and at least one.
 
     A batched objective call takes at most this many rows too, so its
     temporaries stay within a few simplices' bytes.
@@ -388,7 +398,7 @@ def minimize_slack(
     counterexample.  If restarts raise, the lowest one's exception is raised.
     """
     objective = partial(_objective, spec)
-    n = parameter_count(spec.dim)
+    n = parameter_count(spec.dim, spec.pair_kind)
     width = _group_width(n)
     results = []
     for first in range(0, spec.restarts, width):

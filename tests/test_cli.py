@@ -299,14 +299,16 @@ def test_unwritable_stdout_is_a_usage_error(monkeypatch, capsys):
     assert "Traceback" not in err
 
 
-def _run_child(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE):
+def _run_child(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, close_stdout=False):
     # Buffered streams, as a user's are by default: a buffered stream keeps
     # what a failed write could not take, so the interpreter's flush at exit
     # fails again unless the CLI prevents it.
     env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
     env["PYTHONPATH"] = str(SRC)
-    return subprocess.run([sys.executable, "-m", "coherence_lab", *argv], stdout=stdout,
-                          stderr=stderr, env=env, text=True)
+    command = [sys.executable, "-m", "coherence_lab", *argv]
+    if close_stdout:  # sh closes file descriptor 1 first, so the child's sys.stdout is None
+        command = ["sh", "-c", 'exec "$@" >&-', "sh", *command]
+    return subprocess.run(command, stdout=stdout, stderr=stderr, env=env, text=True)
 
 
 def _assert_clean_usage_error(run):
@@ -332,6 +334,29 @@ def test_a_full_stderr_drops_log_lines_and_keeps_the_exit_code():
             run = _run_child(argv, stderr=full)
         assert expected.stderr and expected.returncode == code, argv
         assert (run.returncode, run.stdout) == (code, expected.stdout), argv
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize("argv", [["--help"], ["--version"], ["verify", "-h"]])
+def test_help_and_version_into_a_full_stdout_are_usage_errors(argv):
+    # argparse writes these to a buffered stdout and raises SystemExit(0):
+    # the text reaches the device only at the flush, which fails.
+    with open("/dev/full", "w") as full:
+        _assert_clean_usage_error(_run_child(argv, full))
+
+
+@pytest.mark.skipif(os.name != "posix", reason="closes stdout with sh")
+@pytest.mark.parametrize("argv", [["demo"], ["verify", "--trials", "5"]])
+def test_a_closed_stdout_is_a_usage_error(argv):
+    _assert_clean_usage_error(_run_child(argv, close_stdout=True))
+
+
+def test_a_closed_stdout_fails_only_a_run_that_writes_to_it(monkeypatch, tmp_path, capsys):
+    monkeypatch.setattr(sys, "stdout", None)
+    out = tmp_path / "demo.json"
+    assert run_cli(["demo", "--out", str(out)]) == 0 and out.exists()
+    assert run_cli(["demo"]) == 2
+    assert "error: cannot write the report to stdout: it is closed" in capsys.readouterr().err
 
 
 def test_stdout_into_a_closed_pipe_is_a_usage_error():

@@ -24,6 +24,7 @@ from coherence_lab import (
     parameterize,
 )
 from coherence_lab import bounds, entropy, linalg, search
+from coherence_lab.ensembles import default_split
 from coherence_lab.errors import ConsistencyError
 from coherence_lab.rng import MASK64, UniformRows, ragged_uniforms, standard_normals, subseed
 from coherence_lab.search import (
@@ -38,23 +39,25 @@ from coherence_lab.search import (
     _parameterize_rows,
     _starts,
 )
+from coherence_lab.superpose import coefficient_map
 from coherence_lab.tolerances import TOLERANCES, Tolerances
 from philox_oracle import numpy_generator
 
 
-def random_vector(seed, dim):
-    return standard_normals(numpy_generator(seed), parameter_count(dim))
+def random_vector(seed, dim, pair_kind=PairKind.ARBITRARY):
+    return standard_normals(numpy_generator(seed), parameter_count(dim, pair_kind))
 
 
 # --- parameterize -----------------------------------------------------------------
 
 
 def test_parameterize_encodes_uniform_basis_pair():
-    # Layout: [theta, phase, re f0, im f0, re f1, im f1, re p0, im p0, re p1, im p1]
-    x = np.zeros(parameter_count(2))
+    # Disjoint layout at d = 2: [theta, phase, re f0, im f0, re p1, im p1]
+    x = np.zeros(parameter_count(2, PairKind.DISJOINT_SUPPORT))
+    assert x.size == 6
     x[0] = math.pi / 4.0  # theta -> alpha = beta = 1/sqrt(2)
     x[2] = 1.0  # phi block -> |0>
-    x[8] = 1.0  # psi block -> |1>
+    x[4] = 1.0  # psi block -> |1>
     coeffs, phi, psi = parameterize(x, 2, PairKind.DISJOINT_SUPPORT)
     inv = 1.0 / math.sqrt(2.0)
     assert abs(coeffs.alpha - inv) < 1e-12
@@ -63,12 +66,16 @@ def test_parameterize_encodes_uniform_basis_pair():
     assert np.allclose(psi.amps, [0.0, 1.0])
 
 
-def encoded(coeffs, phi, psi):
+def encoded(coeffs, phi, psi, pair_kind):
     """The parameter vector of a triple that ``parameterize`` produced (alpha
-    real): (theta, phase), then the states' interleaved re/im amplitudes."""
+    real): (theta, phase), then the states' interleaved re/im amplitudes, for a
+    disjoint pair only those inside the blocks of ``default_split``."""
     beta = coeffs.beta
     head = [np.arctan2(abs(beta), coeffs.alpha.real), np.angle(beta) if beta != 0 else 0.0]
     amps = np.concatenate([phi.amps, psi.amps])
+    if pair_kind is PairKind.DISJOINT_SUPPORT:
+        d1 = default_split(phi.dim)[0]
+        amps = np.concatenate([phi.amps[:d1], psi.amps[d1:]])
     return np.concatenate([head, np.column_stack([amps.real, amps.imag]).ravel()])
 
 
@@ -79,9 +86,9 @@ def encoded(coeffs, phi, psi):
 )
 def test_parameterize_projection_is_idempotent(pair_kind):
     for seed in range(30):
-        x = random_vector(seed, 4)
+        x = random_vector(seed, 4, pair_kind)
         coeffs, phi, psi = parameterize(x, 4, pair_kind)
-        again = parameterize(encoded(coeffs, phi, psi), 4, pair_kind)
+        again = parameterize(encoded(coeffs, phi, psi, pair_kind), 4, pair_kind)
         assert abs(again[0].alpha - coeffs.alpha) < 1e-12
         assert abs(again[0].beta - coeffs.beta) < 1e-12
         assert np.max(np.abs(again[1].amps - phi.amps)) < 1e-12
@@ -91,7 +98,7 @@ def test_parameterize_projection_is_idempotent(pair_kind):
 def test_parameterize_fuzz_outputs_are_valid():
     for seed in range(100):
         kind = list(PairKind)[seed % 4]
-        coeffs, phi, psi = parameterize(random_vector(seed, 5), 5, kind)
+        coeffs, phi, psi = parameterize(random_vector(seed, 5, kind), 5, kind)
         assert abs(coeffs.alpha_sq + coeffs.beta_sq - 1.0) < 1e-12
         assert abs(float(np.linalg.norm(phi.amps)) - 1.0) < 1e-12
         assert abs(float(np.linalg.norm(psi.amps)) - 1.0) < 1e-12
@@ -103,9 +110,9 @@ def test_parameterize_fuzz_outputs_are_valid():
 
 
 def test_parameterize_rejects_degenerate_block():
-    x = np.zeros(parameter_count(2))
+    x = np.zeros(parameter_count(2, PairKind.DISJOINT_SUPPORT))
     x[0] = math.pi / 4.0
-    x[8] = 1.0  # psi block only; phi block is all zeros
+    x[4] = 1.0  # psi block only; phi block is all zeros
     with pytest.raises(ZeroVectorError):
         parameterize(x, 2, PairKind.DISJOINT_SUPPORT)
 
@@ -113,6 +120,48 @@ def test_parameterize_rejects_degenerate_block():
 def test_parameterize_rejects_wrong_length():
     with pytest.raises(ValueError):
         parameterize(np.zeros(5), 2, PairKind.ARBITRARY)
+
+
+def test_parameter_count_drops_the_off_block_amplitudes_of_disjoint_pairs():
+    for dim in (2, 3, 16, _MAX_SEARCH_DIM):
+        assert parameter_count(dim, PairKind.DISJOINT_SUPPORT) == 2 * dim + 2
+        for kind in (PairKind.ORTHOGONAL_SAME_SPACE, PairKind.NON_ORTHOGONAL, PairKind.ARBITRARY):
+            assert parameter_count(dim, kind) == parameter_count(dim) == 4 * dim + 2
+
+
+def test_parameterize_rejects_the_full_layout_for_a_disjoint_pair():
+    for dim in (2, 5):
+        with pytest.raises(ValueError, match=f"must have length {2 * dim + 2} for DisjointSupport"):
+            parameterize(np.zeros(4 * dim + 2), dim, PairKind.DISJOINT_SUPPORT)
+
+
+@pytest.mark.parametrize("dim", [2, 3, 5, 16])
+def test_disjoint_layout_gives_the_zeroing_layouts_triples_bit_for_bit(dim):
+    # The former disjoint layout read 4d + 2 parameters and zeroed the
+    # amplitudes outside each state's block.  Rebuilt here from the same block
+    # entries, with noise off the blocks, it gives the triple that
+    # parameterize and _parameterize_rows give now.
+    rng = np.random.default_rng(dim)
+    d1 = default_split(dim)[0]
+    X = rng.standard_normal((8, parameter_count(dim, PairKind.DISJOINT_SUPPORT)))
+    X[1, 1], X[2, 2], X[3, -1] = -0.0, -0.0, -0.0  # a sign the complex view keeps
+    full = rng.standard_normal((8, parameter_count(dim)))
+    full[:, : 2 + 2 * d1] = X[:, : 2 + 2 * d1]  # theta, phase and phi's block
+    full[:, 2 + 2 * (dim + d1) :] = X[:, 2 + 2 * d1 :]  # psi's block
+    alpha, beta, states, norms = _parameterize_rows(X, dim, PairKind.DISJOINT_SUPPORT)
+    for i, (x, y) in enumerate(zip(X, full)):
+        raw_phi, raw_psi = y[2:].copy().view(np.complex128).reshape(2, dim)
+        raw_phi[d1:] = 0.0
+        raw_psi[:d1] = 0.0
+        old_alpha, old_beta = coefficient_map(float(y[0]), float(y[1]))
+        old_phi, old_psi = linalg.normalize(raw_phi), linalg.normalize(raw_psi)
+        coeffs, phi, psi = parameterize(x, dim, PairKind.DISJOINT_SUPPORT)
+        old_coeffs = np.complex128([old_alpha, old_beta]).tobytes()
+        assert np.complex128([coeffs.alpha, coeffs.beta]).tobytes() == old_coeffs
+        assert np.complex128([alpha[i], beta[i]]).tobytes() == old_coeffs
+        assert phi.amps.tobytes() == states[i, 0].tobytes() == old_phi.amps.tobytes()
+        assert psi.amps.tobytes() == states[i, 1].tobytes() == old_psi.amps.tobytes()
+        assert norms[i, :2].tolist() == [linalg.norm(raw_phi), linalg.norm(raw_psi)]
 
 
 # --- minimize_slack ------------------------------------------------------------------
@@ -386,7 +435,7 @@ def test_nelder_mead_matches_list_reference_on_slack(monkeypatch, bound_id, pair
                               restarts=2, iterations=60)
             monkeypatch.setattr(search, "_lockstep", checked_lockstep(runs, spec))
             minimize_slack(spec)
-    assert runs == [(parameter_count(dim), 2) for dim in (2, 3, 4) for _ in range(2)]
+    assert runs == [(parameter_count(dim, pair_kind), 2) for dim in (2, 3, 4) for _ in range(2)]
 
 
 def test_nelder_mead_matches_list_reference_across_an_infinite_region():
@@ -523,7 +572,7 @@ def test_lockstep_matches_reference_through_fallback_rows(
     runs = []
     monkeypatch.setattr(search, "_lockstep", checked_lockstep(runs, spec))
     minimize_slack(spec)
-    assert runs == [(parameter_count(3), 3)]
+    assert runs == [(parameter_count(3, pair_kind), 3)]
     assert counts["batched"] > 0 and counts["fallback"] > 0
 
 
@@ -533,7 +582,7 @@ def test_lockstep_matches_reference_through_fallback_rows(
 def test_batched_rows_equal_the_scalar_objective_bit_for_bit(bound_id, pair_kind):
     rng = np.random.default_rng(7)
     for dim in (2, 5, 16):
-        X = rng.standard_normal((24, parameter_count(dim)))
+        X = rng.standard_normal((24, parameter_count(dim, pair_kind)))
         X[1] *= 1e-12  # blocks near the degeneracy threshold, on either side
         X[2, 2:] = 0.0  # zero blocks
         X[3, 0] = math.inf
@@ -604,13 +653,13 @@ def struct_bits(value: float) -> bytes:
 @pytest.mark.parametrize("pair_kind", list(PairKind), ids=[k.value for k in PairKind])
 def test_the_objective_never_writes_into_the_simplex(pair_kind):
     # The search hands the objective its simplex itself (the initial vertices,
-    # the shrunk ones), so the blocks a disjoint pair zeroes must be copies.
-    # A one-row slice reads as C-contiguous: a copy made only of strided input misses it.
+    # the shrunk ones), so the blocks it reads must be copies.  A one-row
+    # slice reads as C-contiguous: a copy made only of strided input misses it.
     dim = 4
     bound_id = next(b for b, k in SEARCHABLE if k is pair_kind)
     spec = SearchSpec(bound_id=bound_id, dim=dim, pair_kind=pair_kind, seed=0)
-    simplex = np.random.default_rng(13).standard_normal((6, parameter_count(dim)))
-    simplex[3, 2 : 2 + 2 * dim] = 0.0  # a degenerate row, which takes the scalar path
+    simplex = np.random.default_rng(13).standard_normal((6, parameter_count(dim, pair_kind)))
+    simplex[3, 2:] = 0.0  # a degenerate row, which takes the scalar path
     before = simplex.tobytes()
     for X in (simplex, simplex[1:], simplex[-1:], simplex[3:4]):
         with np.errstate(all="ignore"):  # the degenerate row's 0/0
@@ -667,8 +716,8 @@ def test_a_degenerate_row_alone_takes_the_scalar_path(monkeypatch):
     # path, and every good row keeps its batched value, the scalar one's bits.
     dim = 4
     spec = SearchSpec(bound_id=GAIN_LE_1, dim=dim, pair_kind=PairKind.DISJOINT_SUPPORT, seed=0)
-    X = np.random.default_rng(11).standard_normal((5, parameter_count(dim)))
-    X[2, 2 : 2 + 2 * dim] = 0.0
+    X = np.random.default_rng(11).standard_normal((5, parameter_count(dim, spec.pair_kind)))
+    X[2, 2:] = 0.0
     calls = scalar_calls(monkeypatch)
     values, errors = search._objective(spec, X)
     assert calls == [("parameterize", X[2].tobytes())]
