@@ -23,6 +23,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import functools
+import io
 import itertools
 import json
 import math
@@ -544,10 +545,12 @@ def _parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     try:
+        printed = io.StringIO()  # what --help or --version print to a closed stdout
         try:
-            args = _parser().parse_args(argv)
+            with contextlib.redirect_stdout(sys.stdout or printed):
+                args = _parser().parse_args(argv)
         finally:  # --help and --version write to a buffered stdout, then raise SystemExit
-            _emit("", None)
+            _emit(printed.getvalue(), None)
         config = parse_config_file(args.config) if getattr(args, "config", None) else {}
         return args.handler(args, config)
     except ConfigError as exc:

@@ -25,12 +25,12 @@ all live ones into objective calls.  A restart whose point raised stops
 there, and the search raises the exception of the lowest such restart.
 
 A simplex holds about 8 * n^2 bytes, n = ``parameter_count(dim, kind)``
-(4 * dim + 2, or 2 * dim + 2 for disjoint pairs), hence the ``SearchSpec``
-dimension ceiling of 1024.  Restarts run in groups whose simplices fit in the
-bytes of one 4 * dim + 2 simplex at that ceiling (one restart at a time at
-d = 1024, three for disjoint pairs).  A batched evaluation computes only the
-slack (a row on the scalar path reads ``evaluate_bound(...).slack``); the
-search's ``BoundReport`` is built for the best point at the end.
+(4 * dim + 2, or dim + 1 for disjoint pairs: ``_unpack``), hence the
+``SearchSpec`` dimension ceiling of 1024.  Restarts run in groups whose
+simplices fit in one 4 * dim + 2 simplex at that ceiling (one at a time at
+d = 1024, fifteen for disjoint pairs).  A batched evaluation computes only
+the slack (a row on the scalar path reads ``evaluate_bound(...).slack``);
+the search's ``BoundReport`` is built for the best point at the end.
 """
 
 from __future__ import annotations
@@ -52,8 +52,8 @@ from .tolerances import TOLERANCES
 
 _SIMPLEX_OFFSET = 0.1
 _DIAMETER_TOL = 1e-10
-# The simplex holds 8 * (4 * dim + 2)^2 bytes (8 * (2 * dim + 2)^2 for disjoint
-# pairs): 134 MB at this ceiling, about 550 GB at the 2^16 that verify and sweep accept.
+# The simplex holds 8 * (4 * dim + 2)^2 bytes (8 * (dim + 1)^2 for disjoint pairs):
+# 134 MB at this ceiling, about 550 GB at the 2^16 that verify and sweep accept.
 _MAX_SEARCH_DIM = 1024
 # The objective is the slack times this sign: an equality's worst residual is its largest.
 _SIGN = {"equality": -1.0, "upper": 1.0, "lower": 1.0}
@@ -109,9 +109,9 @@ class SearchResult:
 
 
 def parameter_count(dim: int, pair_kind: PairKind = PairKind.ARBITRARY) -> int:
-    """Length of the unconstrained parameter vector: 2 + 2 * dim for disjoint
-    pairs, whose states have dim amplitudes between them, else 2 + 4 * dim."""
-    return 2 + (2 if pair_kind is PairKind.DISJOINT_SUPPORT else 4) * dim
+    """Length of the unconstrained parameter vector: 1 + dim for disjoint pairs
+    (theta and the dim amplitudes of the two blocks, as reals), else 2 + 4 * dim."""
+    return 1 + dim if pair_kind is PairKind.DISJOINT_SUPPORT else 2 + 4 * dim
 
 
 # A float64 copy of x viewed as complex, never x's memory:
@@ -120,31 +120,30 @@ def _complex_block(x: np.ndarray) -> np.ndarray:
     return x.astype(np.float64, order="C").view(np.complex128)
 
 
-def _blocks(x: np.ndarray, dim: int, pair_kind: PairKind) -> np.ndarray:
-    """The (..., 2, dim) raw phi and psi blocks of parameter vectors x, a new array:
-    all 2 * dim amplitudes, or for a disjoint pair phi's first d1 =
-    ``default_split(dim)[0]`` and psi's last dim - d1, with 0.0 elsewhere."""
+def _unpack(x: np.ndarray, dim: int, pair_kind: PairKind) -> tuple:
+    """(alpha, beta, raw) of parameter vectors x: ``coefficient_map(theta, phase)``
+    and the (..., 2, dim) raw phi and psi blocks, a new array.  x holds theta, the
+    phase and the re/im pairs of all 2 * dim amplitudes; for a disjoint pair only
+    theta (phase 0.0), then the reals of phi's first d1 = ``default_split(dim)[0]``
+    amplitudes and psi's last dim - d1, with 0.0 elsewhere.  There every phase is
+    flat, beta's too: a diagonal unitary on the two blocks sets them and moves no
+    coherence (Baumgratz, Cramer & Plenio, PRL 113, 140401, 2014)."""
     shape = x.shape[:-1] + (2, dim)
     if pair_kind is not PairKind.DISJOINT_SUPPORT:
-        return _complex_block(x[..., 2:]).reshape(shape)
+        return (*coefficient_map(x[..., 0], x[..., 1]), _complex_block(x[..., 2:]).reshape(shape))
     raw = np.zeros(shape, dtype=np.complex128)
-    parts = raw.view(np.float64)  # (..., 2, 2 * dim): re and im interleaved, as in x
-    cut = 2 + 2 * default_split(dim)[0]
-    parts[..., 0, : cut - 2], parts[..., 1, cut - 2 :] = x[..., 2:cut], x[..., cut:]
-    return raw
+    cut = 1 + default_split(dim)[0]
+    raw.real[..., 0, : cut - 1], raw.real[..., 1, cut - 1 :] = x[..., 1:cut], x[..., cut:]
+    return (*coefficient_map(x[..., 0], 0.0), raw)
 
 
 def parameterize(
     x, dim: int, pair_kind: PairKind
 ) -> tuple[SuperpositionCoefficients, StateVector, StateVector]:
-    """Map an unconstrained real vector to a valid input triple.
-
-    Layout: (theta, phase) for the coefficients, then interleaved re/im
-    amplitudes for each state, for a disjoint pair only those inside its
-    block (``_blocks``).  Coefficients become ``coefficient_map(theta, phase)``
-    = (cos theta, sin theta * e^{i phase}); states are normalized after the
-    pair-kind projection (Gram-Schmidt for orthogonal same-space pairs).
-    """
+    """Map an unconstrained real vector, laid out as ``_unpack`` reads it, to a
+    valid input triple: coefficients ``coefficient_map(theta, phase)`` = (cos
+    theta, sin theta * e^{i phase}), and states normalized after the pair-kind
+    projection (Gram-Schmidt for orthogonal same-space pairs)."""
     x = np.asarray(x, dtype=np.float64)
     n = parameter_count(dim, pair_kind)
     if x.shape != (n,):
@@ -152,10 +151,8 @@ def parameterize(
             f"parameter vector must have length {n} for {pair_kind.value} pairs "
             f"at dim {dim}, got {x.shape}"
         )
-    alpha, beta = coefficient_map(float(x[0]), float(x[1]))
+    alpha, beta, (raw_phi, raw_psi) = _unpack(x, dim, pair_kind)
     coeffs = SuperpositionCoefficients(alpha=alpha, beta=beta)
-
-    raw_phi, raw_psi = _blocks(x, dim, pair_kind)
     phi = normalize(raw_phi)
     if pair_kind is PairKind.ORTHOGONAL_SAME_SPACE:
         projected = raw_psi - np.vdot(phi.amps, raw_psi) * phi.amps
@@ -188,8 +185,7 @@ def _parameterize_rows(
     scalar path does.
     """
     rows = len(X)
-    alpha, beta = coefficient_map(X[:, 0], X[:, 1])
-    raw = _blocks(X, dim, pair_kind)
+    alpha, beta, raw = _unpack(X, dim, pair_kind)
     # Each block is normalized from a contiguous array straight into its slot:
     # at a few rows, numpy's calls on strided slot views cost more.
     states, norms = np.empty((rows, 3, dim), dtype=np.complex128), np.empty((rows, 3))

@@ -351,6 +351,15 @@ def test_a_closed_stdout_is_a_usage_error(argv):
     _assert_clean_usage_error(_run_child(argv, close_stdout=True))
 
 
+@pytest.mark.skipif(os.name != "posix", reason="closes stdout with sh")
+@pytest.mark.parametrize("argv", [["--help"], ["--version"], ["verify", "-h"]])
+def test_help_and_version_to_a_closed_stdout_are_usage_errors(argv):
+    # With sys.stdout None, argparse would print the text to stderr and exit 0.
+    run = _run_child(argv, close_stdout=True)
+    _assert_clean_usage_error(run)
+    assert run.stderr.splitlines() == ["error: cannot write the report to stdout: it is closed"]
+
+
 def test_a_closed_stdout_fails_only_a_run_that_writes_to_it(monkeypatch, tmp_path, capsys):
     monkeypatch.setattr(sys, "stdout", None)
     out = tmp_path / "demo.json"

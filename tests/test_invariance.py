@@ -11,13 +11,18 @@ diagonal phases, acts on both states (Baumgratz, Cramer & Plenio, PRL 113,
       were, and maps T4_LOWER_A's sides to T4_LOWER_B's exactly: the
       superposition is the same sum, and T4_B is T4_A with the branches'
       roles exchanged;
-(iii) alpha -> alpha e^{i chi} with phi -> e^{-i chi} phi changes nothing.
+(iii) alpha -> alpha e^{i chi} with phi -> e^{-i chi} phi changes nothing;
+(iv)  on a disjoint pair, an independent phase on beta and on every
+      amplitude changes no slack: beta's phase is one on psi's block, so
+      together they are one diagonal unitary on the two blocks.  So a
+      disjoint search reads only theta and real amplitudes.
 
 A wrong block or index (a split, an off-by-one in a disjoint block), an
 a <-> b swap in T4, or a formula that reads an amplitude for a probability
 breaks one of them; a scaled constant does not.  Each runs on the scalar
-path (``evaluate_all``), on ``row_slacks`` and on ``evaluate_rows``, over
-trials of every pair kind at d in {2, 4, 8, 16}.
+path (``evaluate_all``, or ``evaluate_bound`` for (iv)), on ``row_slacks``
+and on ``evaluate_rows``, over trials of every pair kind at d in {2, 4, 8,
+16}, or (iv) of disjoint pairs at d in {2, 3, 8, 16}.
 """
 
 import functools
@@ -35,6 +40,7 @@ from coherence_lab import (
     SuperpositionCoefficients,
     classify_pair,
     evaluate_all,
+    evaluate_bound,
 )
 from coherence_lab.bounds import evaluate_rows, row_slacks
 from coherence_lab.ensembles import _coefficients, sample_pair, trial_stream
@@ -49,6 +55,10 @@ TRIALS = 20
 # each bound allows about four times that.  (ii) is held exact for T4.
 RELATIVE = {"incoherent_unitary": 8e-15, "branch_swap": 2e-14, "coefficient_phase": 2e-14}
 BRANCH_SWAP = {T4_LOWER_A: T4_LOWER_B, T4_LOWER_B: T4_LOWER_A}
+# Over 1500 sampled disjoint triples (300 at each d in {2, 3, 4, 8, 16}), the
+# phases of (iv) moved no slack by more than 2.2e-15 of max(1, |slack|) on any
+# of the three paths; the bound allows about four and a half times that.
+BLOCK_PHASES = 1e-14
 
 
 @functools.cache
@@ -201,3 +211,38 @@ def test_evaluate_rows_is_invariant(name):
                     continue
                 for r, row in enumerate(rows.tolist()):
                     assert_close(name, new[r], slack[r], scales[row])
+
+
+def block_phases(alpha, beta, phi, psi, rng):
+    def turned(z):
+        return z * np.exp(2j * np.pi * rng.random(z.shape))
+
+    return alpha, turned(beta), turned(phi), turned(psi)
+
+
+def assert_slacks_close(got, want):
+    assert np.all(np.abs(got - want) <= BLOCK_PHASES * np.maximum(1.0, np.abs(want))), (got, want)
+
+
+@pytest.mark.parametrize("dim", [2, 3, 8, 16])
+def test_disjoint_slacks_ignore_every_phase(dim):
+    kind = PairKind.DISJOINT_SUPPORT
+    original = trials(kind, dim)
+    moved = block_phases(*original, np.random.default_rng(dim))
+    assert not np.allclose(moved[1], original[1]) and not np.allclose(moved[3], original[3])
+    for bound_id in ALL_BOUND_IDS:
+        want = [evaluate_bound(bound_id, *triple(original, r)).slack for r in range(TRIALS)]
+        got = [evaluate_bound(bound_id, *triple(moved, r)).slack for r in range(TRIALS)]
+        assert_slacks_close(np.array(got), np.array(want))
+        want, want_ok = row_slacks(bound_id, *slotted(original), kind=kind)
+        got, got_ok = row_slacks(bound_id, *slotted(moved), kind=kind)
+        assert want_ok.all() and got_ok.all(), bound_id
+        assert_slacks_close(got, want)
+    classes, overlap, values, ok = row_values(*original)
+    new_classes, new_overlap, new_values, new_ok = row_values(*moved)
+    assert ok.all() and new_ok.all() and classes[kind].all() and new_classes[kind].all()
+    want, want_ok = evaluate_rows(kind, overlap, values)
+    got, got_ok = evaluate_rows(kind, new_overlap, new_values)
+    assert want_ok.all() and got_ok.all() and sorted(got) == sorted(want)
+    for bound_id, (slack, _) in want.items():
+        assert_slacks_close(got[bound_id][0], slack)
