@@ -24,7 +24,6 @@ from .bounds import (
 from .ensembles import (
     EnsembleConfig,
     TrialRecord,
-    default_split,
     haar_random_state,
     random_coefficients,
     random_orthogonal_pair,
@@ -68,6 +67,7 @@ from .superpose import (
     SuperposedState,
     SuperpositionCoefficients,
     classify_pair,
+    default_split,
     mixing_identity_residual,
     norm_identity_residual,
     superpose,

@@ -462,7 +462,7 @@ def cmd_saturate(args, config: dict) -> int:
             "phi": [complex_pair(z) for z in phi.amps],
             "psi": [complex_pair(z) for z in psi.amps],
         },
-        "restart_best": list(result.restart_best),
+        "restart_best": [v if math.isfinite(v) else None for v in result.restart_best],
         "evaluations": result.evaluations,
         "report": result.report.to_dict(),
     }
@@ -544,26 +544,28 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    try:
-        printed = io.StringIO()  # what --help or --version print to a closed stdout
+    # A closed stderr is None, for which print and argparse write on stdout: drop what it gets.
+    with contextlib.redirect_stderr(sys.stderr or io.StringIO()):
         try:
-            with contextlib.redirect_stdout(sys.stdout or printed):
-                args = _parser().parse_args(argv)
-        finally:  # --help and --version write to a buffered stdout, then raise SystemExit
-            _emit(printed.getvalue(), None)
-        config = parse_config_file(args.config) if getattr(args, "config", None) else {}
-        return args.handler(args, config)
-    except ConfigError as exc:
-        _log(f"error: {exc}")
-        return 2
-    except CoherenceLabError as exc:
-        _log(f"error: {type(exc).__name__}: {exc}")
-        return 3 if isinstance(exc, ConsistencyError) else 2
-    finally:
-        try:  # log lines stderr could not take, ours or argparse's, change no exit code
-            sys.stderr.flush()
-        except OSError:
-            _silence(sys.stderr)
+            printed = io.StringIO()  # what --help or --version print to a closed stdout
+            try:
+                with contextlib.redirect_stdout(sys.stdout or printed):
+                    args = _parser().parse_args(argv)
+            finally:  # --help and --version write to a buffered stdout, then raise SystemExit
+                _emit(printed.getvalue(), None)
+            config = parse_config_file(args.config) if getattr(args, "config", None) else {}
+            return args.handler(args, config)
+        except ConfigError as exc:
+            _log(f"error: {exc}")
+            return 2
+        except CoherenceLabError as exc:
+            _log(f"error: {type(exc).__name__}: {exc}")
+            return 3 if isinstance(exc, ConsistencyError) else 2
+        finally:
+            try:  # log lines stderr could not take, ours or argparse's, change no exit code
+                sys.stderr.flush()
+            except OSError:
+                _silence(sys.stderr)
 
 
 if __name__ == "__main__":

@@ -53,6 +53,7 @@ from .superpose import (
     classify_pair,
     coefficient_map,
     coefficient_weights,
+    default_split,
     is_orthogonal,
     superpose_rows,
 )
@@ -112,11 +113,6 @@ class TrialRecord:
         record = asdict(self)
         record["reports"] = list(record["reports"])  # asdict keeps the tuple
         return record
-
-
-def default_split(dim: int) -> tuple[int, int]:
-    """Even contiguous index partition used when none is configured."""
-    return dim // 2, dim - dim // 2
 
 
 def _haar_state(gen: UniformRows, dim: int) -> StateVector:

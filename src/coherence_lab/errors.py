@@ -26,7 +26,7 @@ class WrongPairClassError(CoherenceLabError):
 
 
 class DegeneratePairError(CoherenceLabError):
-    """Random pair sampling repeatedly failed to produce an acceptable pair."""
+    """Pair sampling, or every restart of a search, found no acceptable pair."""
 
 
 class BadSplitError(CoherenceLabError):

@@ -3,11 +3,12 @@
 The slack of a bound is minimized as a function of an unconstrained real
 parameter vector; an equality's residual |lhs - rhs| is maximized, so that the
 search reports its worst residual.  Feasibility (normalization, index-block
-support, orthogonality) is handled by projection inside ``parameterize`` so
-every evaluated point is a valid input triple.  Nelder-Mead with standard
-coefficients (Lagarias, Reeds, Wright & Wright, SIAM J. Optim. 9, 1998) is
-used because the slack landscape is non-smooth where entropy terms hit their
-boundary.
+support, orthogonality) is handled by projection inside ``parameterize``, and
+a point with no valid input triple reads +inf, the extreme barrier of
+derivative-free search (Audet & Dennis, SIAM J. Optim. 17, 2006).  Nelder-Mead
+with standard coefficients (Lagarias, Reeds, Wright & Wright, SIAM J. Optim.
+9, 1998) is used because the slack landscape is non-smooth where entropy terms
+hit their boundary.
 
 The objective (``_objective``) gives the slacks at a batch of points with
 the scalar path's arithmetic, in one pass: ``_parameterize_rows`` writes
@@ -16,13 +17,13 @@ phi and psi into one (R, 3, d) buffer and their norms into one (R, 3) array,
 coherence in one call, and checks each row in the loop that reads its
 floats.  A row it cannot vouch for (a degenerate or non-finite block, a zero
 probability inside a support, a failed unit-norm check, sides that raise)
-goes once through the scalar path.  Each restart is a generator (``_descent``)
-that yields the points it needs.  It stops at a simplex diameter below
-``_DIAMETER_TOL``, after a pre-test on the worst and best vertices' gap in
-coordinate 0, which never exceeds the diameter: the stop is exactly the
-diameter's.  ``_lockstep`` runs restarts in rounds and batches the points of
-all live ones into objective calls.  A restart whose point raised stops
-there, and the search raises the exception of the lowest such restart.
+goes once through the scalar path, for its value or +inf; any other
+exception there is a bug and ends the search.  Each restart is a generator
+(``_descent``) that yields the points it needs.  It stops at a simplex
+diameter below ``_DIAMETER_TOL``, after a pre-test on the worst and best
+vertices' gap in coordinate 0, which never exceeds the diameter: the stop is
+exactly the diameter's.  ``_lockstep`` runs restarts in rounds and batches
+the points of all live ones into objective calls.
 
 A simplex holds about 8 * n^2 bytes, n = ``parameter_count(dim, kind)``
 (4 * dim + 2, or dim + 1 for disjoint pairs: ``_unpack``), hence the
@@ -35,6 +36,7 @@ the search's ``BoundReport`` is built for the best point at the end.
 
 from __future__ import annotations
 
+import contextlib
 from bisect import bisect_right
 from dataclasses import dataclass
 from functools import partial
@@ -43,11 +45,10 @@ from operator import itemgetter
 import numpy as np
 
 from .bounds import BOUNDS, BoundReport, evaluate_bound, row_slacks
-from .ensembles import default_split
-from .errors import ConsistencyError, ZeroVectorError
+from .errors import ConsistencyError, DegeneratePairError, WrongPairClassError, ZeroVectorError
 from .linalg import StateVector, norm, normalize, normalize_rows, project_out_rows
 from .rng import UniformRows, standard_normals, stream, subseed
-from .superpose import PairKind, SuperpositionCoefficients, coefficient_map
+from .superpose import PairKind, SuperpositionCoefficients, coefficient_map, default_split
 from .tolerances import TOLERANCES
 
 _SIMPLEX_OFFSET = 0.1
@@ -94,8 +95,9 @@ class SearchResult:
     ``report`` is ``evaluate_bound`` re-run on ``best_inputs`` at the
     caller's tolerance; its slack is the search's value bit for bit, and
     ``min(restart_best)``.  ``restart_best[r]`` is the lowest slack restart r
-    reached.  An equality's are its largest residuals instead, and its slack
-    is ``max(restart_best)``.
+    reached, +inf if it reached no valid input triple.  An equality's are its
+    largest residuals instead (-inf for no triple), and its slack is
+    ``max(restart_best)``.
     """
 
     best_inputs: tuple[SuperpositionCoefficients, StateVector, StateVector]
@@ -199,14 +201,16 @@ def _parameterize_rows(
     return alpha, beta, states, norms
 
 
-def _objective(spec: SearchSpec, X: np.ndarray) -> tuple[np.ndarray, dict[int, Exception]]:
-    """The slack of ``spec``'s bound at each row of X, times its ``_SIGN``: (values, errors).
+def _objective(spec: SearchSpec, X: np.ndarray) -> np.ndarray:
+    """The slack of ``spec``'s bound at each row of X, times its ``_SIGN``.
 
     Rows that ``row_slacks`` vouches for keep their batched value.  Every
     other row runs once through ``parameterize`` and ``evaluate_bound``,
-    outside ``np.errstate``, so it warns as it always has: ``ZeroVectorError``
-    reads as +inf, which steers the simplex elsewhere, and any other exception
-    goes into ``errors[row]`` (in row order) with value NaN.
+    outside ``np.errstate``, so it warns as it always has.  It reads +inf
+    where it has no valid input triple: ``parameterize`` rejects it
+    (``ValueError``, ``ZeroVectorError``), or ``evaluate_bound`` does
+    (``ZeroVectorError``, ``WrongPairClassError``).  Any other exception is a
+    bug and propagates.
     """
     sign = _SIGN[BOUNDS[spec.bound_id].direction]
     with np.errstate(all="ignore"):
@@ -214,20 +218,17 @@ def _objective(spec: SearchSpec, X: np.ndarray) -> tuple[np.ndarray, dict[int, E
         values, ok = row_slacks(spec.bound_id, *inputs, kind=spec.pair_kind)
     if sign < 0:
         values = -values
-    errors: dict[int, Exception] = {}
     for i, good in enumerate(ok.tolist()):
         if good:
             continue
+        values[i] = np.inf  # unless both calls below succeed
         try:
-            values[i] = sign * evaluate_bound(
-                spec.bound_id, *parameterize(X[i], spec.dim, spec.pair_kind)
-            ).slack
-        except ZeroVectorError:
-            values[i] = np.inf
-        except Exception as exc:  # the caller decides what a failed row means
-            values[i] = np.nan
-            errors[i] = exc
-    return values, errors
+            inputs = parameterize(X[i], spec.dim, spec.pair_kind)
+        except (ValueError, ZeroVectorError):
+            continue
+        with contextlib.suppress(ZeroVectorError, WrongPairClassError):
+            values[i] = sign * evaluate_bound(spec.bound_id, *inputs).slack
+    return values
 
 
 def _diameter(simplex: np.ndarray) -> float:
@@ -332,35 +333,25 @@ def _calls(batches: list, width: int):
 
 
 def _lockstep(objective, starts: np.ndarray, iterations: int) -> list:
-    """Nelder-Mead from each row of ``starts``, one ``_descent`` per start.
+    """Nelder-Mead from each row of ``starts``, one ``_descent`` per start:
+    result r is what ``_descent(starts[r], iterations)`` returns.
 
-    Result r is what ``_descent(starts[r], iterations)`` returns or, if the
-    objective failed at one of its points, the first such exception in the
-    order the descent evaluates them, which ends that descent.
-
-    ``objective(X)`` returns (values, errors) for the rows of X, where
-    ``errors`` maps each row that failed to its exception, in row order.
-    Each round packs the points that all live descents ask for, in start
-    order, into calls of at most ``_group_width`` rows, and sends each
-    descent its values.
+    ``objective(X)`` returns the values of the rows of X as one array.  Each
+    round packs the points that all live descents ask for, in start order,
+    into calls of at most ``_group_width`` rows, and sends each descent its
+    values.  An exception the objective raises ends every descent.
     """
     width = _group_width(starts.shape[1])
     results: list = [None] * len(starts)
     descents = enumerate(_descent(start, iterations) for start in starts)
     live = [(r, descent, next(descent)) for r, descent in descents]  # (start, descent, its points)
     while live:
-        values, raised = [], {}  # this round's values; the exception of each point that failed
+        values = []  # this round's values, in the order of the live descents' points
         for X in _calls([X for *_, X in live], width):
-            part, errors = objective(X)
-            for i, exc in errors.items():
-                raised[len(values) + i] = exc
-            values += part.tolist()
+            values += objective(X).tolist()
         going, end = [], 0
         for r, descent, X in live:
             first, end = end, end + len(X)
-            if raised and (failed := [raised[i] for i in raised if first <= i < end]):
-                results[r] = failed[0]
-                continue
             try:
                 going.append((r, descent, descent.send(values[first:end])))
             except StopIteration as stop:
@@ -391,7 +382,8 @@ def minimize_slack(
     is evaluated by ``_objective``, which owns the fallback to the scalar path
     and negates an equality's residual, so that its worst one is sought.  An
     inequality's slack below -tolerance indicates an implementation bug, not a
-    counterexample.  If restarts raise, the lowest one's exception is raised.
+    counterexample.  If no restart reaches a valid input triple (every value
+    +inf), the search raises ``DegeneratePairError``.
     """
     objective = partial(_objective, spec)
     n = parameter_count(spec.dim, spec.pair_kind)
@@ -399,13 +391,15 @@ def minimize_slack(
     results = []
     for first in range(0, spec.restarts, width):
         starts = _starts(spec.seed, first, min(first + width, spec.restarts), n)
-        for outcome in _lockstep(objective, starts, spec.iterations):
-            if isinstance(outcome, Exception):
-                raise outcome  # the lowest failing restart, as run one after another
-            results.append(outcome)
+        results += _lockstep(objective, starts, spec.iterations)
 
     sign = _SIGN[BOUNDS[spec.bound_id].direction]
     best_x, best_slack, _ = min(results, key=itemgetter(1))  # the first of equal minima
+    if best_slack == np.inf:
+        raise DegeneratePairError(
+            f"no valid input triple in the {spec.bound_id} search over {spec.pair_kind.value} "
+            f"pairs at dim {spec.dim} ({spec.restarts} restarts)"
+        )
     best_slack *= sign
     coeffs, phi, psi = parameterize(best_x, spec.dim, spec.pair_kind)
     report = evaluate_bound(spec.bound_id, coeffs, phi, psi, tolerance=tolerance)

@@ -41,6 +41,11 @@ class PairKind(enum.Enum):
     ARBITRARY = "Arbitrary"
 
 
+def default_split(dim: int) -> tuple[int, int]:
+    """Even contiguous index partition used when none is configured."""
+    return dim // 2, dim - dim // 2
+
+
 @dataclass(frozen=True)
 class PairClass:
     tag: PairKind

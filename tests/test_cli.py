@@ -6,6 +6,7 @@ import errno
 import json
 import math
 import os
+import platform
 import re
 import struct
 import subprocess
@@ -299,7 +300,8 @@ def test_unwritable_stdout_is_a_usage_error(monkeypatch, capsys):
     assert "Traceback" not in err
 
 
-def _run_child(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, close_stdout=False):
+def _run_child(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, close_stdout=False,
+               close_stderr=False):
     # Buffered streams, as a user's are by default: a buffered stream keeps
     # what a failed write could not take, so the interpreter's flush at exit
     # fails again unless the CLI prevents it.
@@ -308,6 +310,8 @@ def _run_child(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, close_stdou
     command = [sys.executable, "-m", "coherence_lab", *argv]
     if close_stdout:  # sh closes file descriptor 1 first, so the child's sys.stdout is None
         command = ["sh", "-c", 'exec "$@" >&-', "sh", *command]
+    if close_stderr:  # likewise, the child's sys.stderr is None
+        command = ["sh", "-c", 'exec "$@" 2>&-', "sh", *command]
     return subprocess.run(command, stdout=stdout, stderr=stderr, env=env, text=True)
 
 
@@ -376,6 +380,66 @@ def test_stdout_into_a_closed_pipe_is_a_usage_error():
     finally:
         os.close(write_end)
     _assert_clean_usage_error(run)
+
+
+# Every command against every stream failure: README's exit code, and no
+# "Traceback" or "Exception ignored".  Its 42 child processes take about
+# 7 s, so tier-1 skips the matrix and CI runs it as a step of its own.
+STREAM_MATRIX_COMMANDS = {
+    "demo": ["demo"],
+    "verify": ["verify", "--trials", "2"],
+    "sweep": ["sweep", "--bound", "T2_UPPER", "--grid", "0.25,0.5"],
+    "saturate": ["saturate", "--bound", "GAIN_LE_1", "--restarts", "2"],
+    "help": ["--help"],
+    "version": ["--version"],
+    "usage-error": ["verify", "--dim", "1"],
+}
+
+
+def _closed_pipe_run(argv):
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        return _run_child(argv, write_end)
+    finally:
+        os.close(write_end)
+
+
+def _full_device_run(argv, stream):
+    with open("/dev/full", "w") as full:
+        return _run_child(argv, **{stream: full})
+
+
+STREAM_FAILURES = {
+    "stdout-full": lambda argv: _full_device_run(argv, "stdout"),
+    "stdout-closed": lambda argv: _run_child(argv, close_stdout=True),
+    "stdout-closed-pipe": _closed_pipe_run,
+    "stderr-full": lambda argv: _full_device_run(argv, "stderr"),
+    "stderr-closed": lambda argv: _run_child(argv, close_stderr=True),
+}
+
+
+@pytest.mark.skipif(not os.environ.get("COHERENCE_LAB_STREAM_MATRIX"),
+                    reason="the stream matrix takes about 7 s: set COHERENCE_LAB_STREAM_MATRIX=1")
+@pytest.mark.skipif(os.name != "posix" or not os.path.exists("/dev/full"),
+                    reason="needs sh and /dev/full")
+@pytest.mark.parametrize("command", STREAM_MATRIX_COMMANDS)
+def test_every_stream_failure_exits_with_readmes_code(command):
+    argv = STREAM_MATRIX_COMMANDS[command]
+    clean = _run_child(argv)
+    assert clean.returncode == (2 if command == "usage-error" else 0), clean.stderr
+    for failure, run_with in STREAM_FAILURES.items():
+        run = run_with(argv)
+        if failure.startswith("stdout"):
+            # A report, help or version text that cannot be written is a usage
+            # error; a usage error writes nothing to stdout and stays one.
+            assert run.returncode == 2, (failure, run.stderr)
+            assert "Traceback" not in run.stderr, failure
+            assert "Exception ignored" not in run.stderr, failure
+        else:
+            # stderr cannot be read back here: its failure changes no exit
+            # code and no byte of stdout.
+            assert (run.returncode, run.stdout) == (clean.returncode, clean.stdout), failure
 
 
 # --- seed resolution --------------------------------------------------------------
@@ -637,7 +701,9 @@ def test_invariant_failure_inside_a_restart_exits_three(monkeypatch, capsys):
     assert code == 3
     err = capsys.readouterr().err
     assert "ConsistencyError" in err and "in a restart" in err and "Traceback" not in err
-    assert len(calls) > 25  # the other restarts went on in lockstep
+    assert [line for line in err.splitlines() if line.startswith("error:")] == [
+        "error: ConsistencyError: simulated invariant failure in a restart"]
+    assert len(calls) == 25  # the search stopped at that call
 
 
 def test_saturate_finds_an_equality_that_is_off_by_a_millionth(monkeypatch, capsys):
@@ -722,3 +788,59 @@ def test_canonical_json_rejects_non_finite():
     for value in (float("nan"), float("inf"), float("-inf")):
         with pytest.raises(ValueError):
             canonical_json({"bad": value})
+
+
+# --- reports across CPU classes ----------------------------------------------------------
+
+# ROADMAP's "The bytes depend on the CPU" measured floats moving by at most
+# 1.4e-15 of max(1, |x|) between the AVX-512, AVX2 and x86-64-v2 classes;
+# this bound gives that a margin of 4x.
+CROSS_CLASS_BOUND = 4 * 1.4e-15
+# numpy's runtime dispatch narrowed to the AVX2 class: its AVX-512 targets off.
+AVX2_CLASS = "X86_V4 AVX512_ICL AVX512_SPR"
+
+
+def report_differences(a, b, path="report"):
+    """Where two parsed reports differ: a non-float that is not equal, or a
+    float that moved by more than ``CROSS_CLASS_BOUND`` of max(1, |x|)."""
+    if type(a) is float and type(b) is float:
+        if not abs(a - b) <= CROSS_CLASS_BOUND * max(1.0, abs(a)):
+            yield path
+    elif type(a) is dict and type(b) is dict and a.keys() == b.keys():
+        for key in a:
+            yield from report_differences(a[key], b[key], f"{path}.{key}")
+    elif type(a) is list and type(b) is list and len(a) == len(b):
+        for i, (x, y) in enumerate(zip(a, b)):
+            yield from report_differences(x, y, f"{path}[{i}]")
+    elif type(a) is not type(b) or a != b:
+        yield path
+
+
+def test_report_differences_finds_each_kind():
+    report = {"n": 3, "ok": True, "x": [1.0, 250.0], "id": "T1"}
+    close = {"n": 3, "ok": True, "x": [1.0 + 4e-15, 250.0 * (1 + 4e-15)], "id": "T1"}
+    assert list(report_differences(report, close)) == []
+    far = {"n": 4, "ok": 1, "x": [1.0 + 8e-15, 250.0], "id": "T1", "extra": 0}
+    assert list(report_differences(report, far)) == ["report"]
+    del far["extra"]
+    assert list(report_differences(report, far)) == ["report.n", "report.ok", "report.x[0]"]
+
+
+@pytest.mark.skipif(platform.machine().lower() not in ("x86_64", "amd64"),
+                    reason="the CPU classes narrowed here are x86-64's")
+def test_verify_within_the_stated_bound_under_the_avx2_class(capsys):
+    # README: verdicts, counts, key sets and exit codes hold on every host,
+    # and a float moves by about 1e-15 of max(1, |x|) from one class to another.
+    argv = ["verify", "--trials", "125", "--seed", "1"]
+    env = {k: v for k, v in os.environ.items() if k != "COHERENCE_LAB_SEED"}
+    env.update(PYTHONPATH=str(SRC), NPY_DISABLE_CPU_FEATURES=AVX2_CLASS)
+    # numpy warns (an ImportWarning) of a feature it cannot disable, and
+    # raises for one of its baseline.
+    child = subprocess.run([sys.executable, "-W", "always::ImportWarning", "-m", "coherence_lab",
+                            *argv], env=env, capture_output=True, text=True)
+    if "cannot disable" in child.stderr:
+        pytest.skip(f"numpy rejects NPY_DISABLE_CPU_FEATURES={AVX2_CLASS!r}: "
+                    f"{' '.join(child.stderr.split())}")
+    assert child.returncode == run_cli(argv) == 0, child.stderr
+    here = json.loads(capsys.readouterr().out)
+    assert list(report_differences(here, json.loads(child.stdout))) == []

@@ -3,6 +3,7 @@
 import contextlib
 import dataclasses
 import importlib
+import json
 import math
 import types
 
@@ -23,9 +24,13 @@ from coherence_lab import (
     parameter_count,
     parameterize,
 )
-from coherence_lab import bounds, entropy, linalg, search
-from coherence_lab.ensembles import default_split
-from coherence_lab.errors import ConsistencyError
+from coherence_lab import bounds, cli, entropy, linalg, search
+from coherence_lab.errors import (
+    ConsistencyError,
+    DegeneratePairError,
+    DomainError,
+    WrongPairClassError,
+)
 from coherence_lab.rng import MASK64, UniformRows, ragged_uniforms, standard_normals, subseed
 from coherence_lab.search import (
     _DIAMETER_TOL,
@@ -39,7 +44,7 @@ from coherence_lab.search import (
     _parameterize_rows,
     _starts,
 )
-from coherence_lab.superpose import coefficient_map
+from coherence_lab.superpose import coefficient_map, default_split
 from coherence_lab.tolerances import TOLERANCES, Tolerances
 from philox_oracle import numpy_generator
 
@@ -361,19 +366,8 @@ def list_nelder_mead(objective, x0, iterations):
 
 
 def batched(objective):
-    """A batched objective for ``_lockstep`` from a scalar one: each row's
-    value, or its exception in ``errors`` and NaN."""
-
-    def rows(X):
-        values, errors = np.full(len(X), np.nan), {}
-        for i, x in enumerate(X):
-            try:
-                values[i] = objective(x)
-            except Exception as exc:
-                errors[i] = exc
-        return values, errors
-
-    return rows
+    """A batched objective for ``_lockstep`` from a scalar one: each row's value."""
+    return lambda X: np.array([objective(x) for x in X], dtype=np.float64)
 
 
 def signed_slack(bound_id, *inputs):
@@ -383,12 +377,17 @@ def signed_slack(bound_id, *inputs):
 
 
 def scalar_objective(spec):
-    """The search's objective at one point on the scalar path alone."""
+    """The search's objective at one point on the scalar path alone: +inf
+    where the point has no valid input triple."""
 
     def objective(x):
         try:
-            return signed_slack(spec.bound_id, *parameterize(x, spec.dim, spec.pair_kind))
-        except ZeroVectorError:
+            inputs = parameterize(x, spec.dim, spec.pair_kind)
+        except (ValueError, ZeroVectorError):
+            return math.inf
+        try:
+            return signed_slack(spec.bound_id, *inputs)
+        except (ZeroVectorError, WrongPairClassError):
             return math.inf
 
     return objective
@@ -509,36 +508,18 @@ def test_lockstep_shrinks_in_only_some_restarts():
     assert any(count == 0 for count in shrinks) and any(count > 0 for count in shrinks)
 
 
-def test_lockstep_keeps_each_restarts_first_exception():
-    class Wall(Exception):
-        pass
-
-    def fenced(x):
-        if x[1] > 3.0:
-            raise Wall(f"crossed at {x[0]!r}")
-        return float(np.sum(x**2))
-
-    starts = [random_vector(seed, 1) for seed in range(4)]
-    starts[2][1] = 5.0  # fails on its very first point
-    results = _lockstep(batched(fenced), np.array(starts), 400)
-    raised = 0
-    for x0, outcome in zip(starts, results):
-        try:
-            expected = list_nelder_mead(fenced, x0, 400)[:3]
-        except Wall as exc:
-            assert type(outcome) is Wall and str(outcome) == str(exc)
-            raised += 1
-            continue
-        x, f, evaluations = outcome
-        assert x.tobytes() == expected[0].tobytes()
-        assert (f, evaluations) == expected[1:]
-    assert 1 <= raised < len(starts)
-
-
 FALLBACKS = {
     # Blocks and superpositions this short are degenerate: the objective is inf.
     "zero_vector": Tolerances(zero_vector=0.99),
 }
+
+
+def patch_tolerances(monkeypatch, tolerances):
+    # Every module that reads a tolerance, so both paths see the same ones
+    # (the package re-exports a function named ``superpose``).
+    for module in (bounds, entropy, linalg, search,
+                   importlib.import_module("coherence_lab.superpose")):
+        monkeypatch.setattr(module, "TOLERANCES", tolerances)
 
 
 @pytest.mark.parametrize(
@@ -549,11 +530,7 @@ FALLBACKS = {
 def test_lockstep_matches_reference_through_fallback_rows(
     monkeypatch, bound_id, pair_kind, threshold
 ):
-    # Every module that reads a tolerance, so both paths see the same ones
-    # (the package re-exports a function named ``superpose``).
-    for module in (bounds, entropy, linalg, search,
-                   importlib.import_module("coherence_lab.superpose")):
-        monkeypatch.setattr(module, "TOLERANCES", FALLBACKS[threshold])
+    patch_tolerances(monkeypatch, FALLBACKS[threshold])
     counts = {"batched": 0, "fallback": 0}
     real_row_slacks, real_parameterize = search.row_slacks, search.parameterize
     real_evaluate_bound = search.evaluate_bound
@@ -589,6 +566,32 @@ def test_lockstep_matches_reference_through_fallback_rows(
     minimize_slack(spec)
     assert runs == [(parameter_count(3, pair_kind), restarts)]
     assert counts["batched"] > 0 and counts["fallback"] > 0
+
+
+def test_restarts_that_reach_no_valid_triple_read_inf(monkeypatch, capsys):
+    # The GAIN_LE_1 search above, whose restarts 0-3 see only degenerate
+    # points: a search of them alone raises DegeneratePairError, not a bare
+    # ZeroVectorError from the best point's parameterize.  Of 8 restarts,
+    # 4 and 6 reach a valid triple; the others keep +inf, which the CLI
+    # writes as null.
+    patch_tolerances(monkeypatch, FALLBACKS["zero_vector"])
+    spec = SearchSpec(bound_id=GAIN_LE_1, dim=3, pair_kind=PairKind.DISJOINT_SUPPORT, seed=4,
+                      restarts=8, iterations=80)
+    for restarts in (3, 4):
+        with pytest.raises(DegeneratePairError, match=rf"GAIN_LE_1 .* dim 3 \({restarts} restarts"):
+            minimize_slack(dataclasses.replace(spec, restarts=restarts))
+    result = minimize_slack(spec)
+    infinite = [r for r, value in enumerate(result.restart_best) if value == math.inf]
+    assert infinite == [0, 1, 2, 3, 5, 7]
+    assert math.isfinite(result.best_slack) and result.report.satisfied
+
+    argv = ["saturate", "--bound", GAIN_LE_1, "--dim", "3", "--seed", "4",
+            "--restarts", "8", "--iterations", "80"]
+    assert cli.main(argv) == 0
+    out, err = capsys.readouterr()
+    restart_best = json.loads(out)["results"]["restart_best"]
+    assert [r for r, value in enumerate(restart_best) if value is None] == infinite
+    assert "Traceback" not in err
 
 
 @pytest.mark.parametrize(
@@ -647,23 +650,21 @@ def test_batched_rows_equal_the_scalar_objective_bit_for_bit(bound_id, pair_kind
                 expected = bounds.evaluate_bound(bound_id, coeffs, phi_i, psi_i).slack
                 assert struct_bits(slack) == struct_bits(expected)
 
-        # The search's objective gives every row the scalar path's outcome.
+        # The search's objective gives every row the scalar path's value, and
+        # +inf to a row with no valid input triple: the zero blocks, and the
+        # non-finite and overflowing rows, which parameterize rejects.  The
+        # scalar path warns at those (cos of inf, an overflowing dot), and the
+        # test's warning filter would turn a warning into an exception.
         spec = SearchSpec(bound_id=bound_id, dim=dim, pair_kind=pair_kind, seed=0)
-        values, errors = search._objective(spec, X)
-        degenerate = []
-        for i, x in enumerate(X):
-            try:
-                expected = signed_slack(bound_id, *parameterize(x, dim, pair_kind))
-            except ZeroVectorError:
-                expected = math.inf
-                degenerate.append(i)
-            except Exception as exc:
-                assert type(errors[i]) is type(exc) and str(errors[i]) == str(exc)
-                assert math.isnan(values[i])
-                continue
-            assert i not in errors
-            assert struct_bits(values[i]) == struct_bits(expected)
-        assert sorted(errors) == [3, 4, 5] and 2 in degenerate
+        with np.errstate(all="ignore"):
+            values = search._objective(spec, X)
+            expected = [scalar_objective(spec)(x) for x in X]
+            for i in (3, 4, 5):
+                with pytest.raises(ValueError):
+                    parameterize(X[i], dim, pair_kind)
+        assert values.dtype == np.float64 and values.shape == (len(X),)
+        assert [struct_bits(v) for v in values] == [struct_bits(v) for v in expected]
+        assert values[2:6].tolist() == [math.inf] * 4
 
 
 def struct_bits(value: float) -> bytes:
@@ -739,9 +740,9 @@ def test_a_degenerate_row_alone_takes_the_scalar_path(monkeypatch):
     X = np.random.default_rng(11).standard_normal((5, parameter_count(dim, spec.pair_kind)))
     X[2, 2:] = 0.0
     calls = scalar_calls(monkeypatch)
-    values, errors = search._objective(spec, X)
+    values = search._objective(spec, X)
     assert calls == [("parameterize", X[2].tobytes())]
-    assert errors == {} and values[2] == math.inf
+    assert values[2] == math.inf
     for i in (0, 1, 3, 4):
         expected = signed_slack(GAIN_LE_1, *parameterize(X[i], dim, spec.pair_kind))
         assert struct_bits(values[i]) == struct_bits(expected)
@@ -832,7 +833,7 @@ def test_large_searches_run_in_groups_of_the_width(monkeypatch, dim, groups):
     def first_points(objective, starts, iterations):
         # Only the group sizes matter here; no simplex is built.
         seen.append(len(starts))
-        values, _ = objective(starts)
+        values = objective(starts)
         return [(x0, f, 1) for x0, f in zip(starts, values.tolist())]
 
     monkeypatch.setattr(search, "_lockstep", first_points)
@@ -889,7 +890,30 @@ def test_a_restart_that_raises_ends_the_search_with_its_exception(monkeypatch):
                       restarts=3, iterations=50)
     with pytest.raises(ConsistencyError, match="in a restart"):
         minimize_slack(spec)
-    assert len(calls) > 20
+    assert len(calls) == 20  # the search stopped at that call
+
+
+@pytest.mark.parametrize("error, infeasible", [
+    (ZeroVectorError, True), (WrongPairClassError, True),
+    (ConsistencyError, False), (DomainError, False), (ValueError, False),
+])
+def test_only_an_invalid_triple_reads_inf(monkeypatch, error, infeasible):
+    # evaluate_bound rejecting the triple makes the row +inf; any other
+    # exception there is a bug, which leaves the objective.  parameterize's
+    # own ValueError is a row with no triple (the bit-for-bit test's rows 3-5).
+    def raising(*args, **kwargs):
+        raise error("simulated")
+
+    monkeypatch.setattr(search, "row_slacks", lambda bound_id, a, *rest, **kind: (
+        np.full(len(a), np.nan), np.zeros(len(a), dtype=bool)))
+    monkeypatch.setattr(search, "evaluate_bound", raising)
+    spec = SearchSpec(bound_id=GAIN_LE_1, dim=2, pair_kind=PairKind.DISJOINT_SUPPORT, seed=1)
+    X = np.random.default_rng(3).standard_normal((2, parameter_count(2, spec.pair_kind)))
+    if infeasible:
+        assert search._objective(spec, X).tolist() == [math.inf, math.inf]
+    else:
+        with pytest.raises(error, match="simulated"):
+            search._objective(spec, X)
 
 
 def test_a_re_evaluated_slack_one_ulp_off_is_an_inconsistency(monkeypatch):

@@ -1,7 +1,8 @@
-"""Package structure: modules use each other only through public names, every
-vector norm goes through ``linalg.norm``, only ``entropy`` takes a
-logarithm, no module names numpy's random module, and every exported name
-has a user outside the tests."""
+"""Package structure: modules use each other only through public names,
+``search`` and ``ensembles`` import nothing from each other, every vector
+norm goes through ``linalg.norm``, only ``entropy`` takes a logarithm, no
+module names numpy's random module, and every exported name has a user
+outside the tests."""
 
 import ast
 from pathlib import Path
@@ -29,6 +30,25 @@ def test_no_module_imports_a_private_name_from_a_sibling():
     modules = sorted(PACKAGE.glob("*.py"))
     assert len(modules) > 1
     assert [hit for path in modules for hit in private_imports(path)] == []
+
+
+def sibling_imports(path):
+    """The sibling modules one module imports from (``from .x import ...``)."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    return {
+        node.module.rpartition(".")[2]
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.module
+        and (node.level == 1 or node.module.startswith("coherence_lab."))
+    }
+
+
+def test_search_and_ensembles_import_nothing_from_each_other():
+    # Both draw and project pairs; what they share (``default_split``,
+    # ``PairKind``) lives in ``superpose``, below both.
+    assert "superpose" in sibling_imports(PACKAGE / "search.py")
+    assert "ensembles" not in sibling_imports(PACKAGE / "search.py")
+    assert "search" not in sibling_imports(PACKAGE / "ensembles.py")
 
 
 def numpy_norm_lines(source):
