@@ -9,8 +9,9 @@ Commands:
 
 Machine-readable payloads go to stdout or ``--out``; log lines go to stderr.
 Exit codes: 0 success, 1 at least one bound report unsatisfied, 2 usage or
-configuration error (an ``--out`` path or a stdout that cannot be written
-among them), 3 an internal invariant failed (``ConsistencyError``).
+configuration error, 3 an internal invariant failed (``ConsistencyError``).
+A stdout that cannot take the run's text (a report, help or version), for
+any cause, gives 2; a stderr failure changes nothing.
 
 Reports are byte-reproducible: canonical JSON uses sorted keys and writes
 each float as Python's shortest round-trip ``repr``, the format of ``sweep``'s
@@ -49,18 +50,24 @@ _MAX_GRID_POINTS = 10**6
 
 
 def _log(message: str) -> None:
-    with contextlib.suppress(OSError):  # a log line that cannot be written is dropped
-        print(message, file=sys.stderr)
+    print(message, file=sys.stderr)
 
 
-def _silence(stream) -> None:
-    # A buffered stream keeps what a failed write could not take, and the interpreter
-    # flushes it again at exit, where a second failure prints "Exception ignored" and
-    # exits 120: the stream's file descriptor, if it has one, goes to the null device.
-    devnull = os.open(os.devnull, os.O_WRONLY)
-    with contextlib.suppress(AttributeError, OSError, ValueError):
-        os.dup2(devnull, stream.fileno())
-    os.close(devnull)
+def _deliver(text: str, stream) -> Optional[str]:
+    """Write text to a real stream and flush it: None, or why it could not."""
+    if not text:
+        return None
+    if stream is None:
+        return "it is closed"
+    try:
+        stream.write(text)
+        stream.flush()
+    except (OSError, ValueError) as exc:  # null it, or its buffer fails again at exit
+        with (open(os.devnull, "w") as devnull,
+              contextlib.suppress(AttributeError, OSError, ValueError)):
+            os.dup2(devnull.fileno(), stream.fileno())
+        return getattr(exc, "strerror", None) or str(exc)
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -73,31 +80,8 @@ def canonical_json(obj) -> str:
     return json.dumps(obj, sort_keys=True, indent=2, allow_nan=False) + "\n"
 
 
-def _emit(text: str, out_path: Optional[str]) -> None:
-    """Write text to ``out_path``, else to stdout and flush it.  A stdout that
-    fails is pointed at the null device by ``_silence``; it raises
-    ``ConfigError``, as does a closed stdout (None) given text."""
-    if out_path:
-        try:
-            Path(out_path).write_text(text, encoding="utf-8")
-        except OSError as exc:
-            raise ConfigError(f"cannot write {out_path}: {exc.strerror or exc}")
-        _log(f"wrote {out_path}")
-        return
-    if sys.stdout is None:
-        if text:
-            raise ConfigError("cannot write the report to stdout: it is closed")
-        return
-    try:
-        sys.stdout.write(text)
-        sys.stdout.flush()
-    except OSError as exc:
-        _silence(sys.stdout)
-        raise ConfigError(f"cannot write the report to stdout: {exc.strerror or exc}")
-
-
-def _finish(args, config: dict, echo: dict, results, violations: int) -> int:
-    """Write the JSON report envelope; return the exit code."""
+def _finish(args, echo: dict, results, violations: int) -> int:
+    """Write the JSON report envelope to stdout in one write; return the exit code."""
     report = {
         "version": __version__,
         "command": args.command,
@@ -105,7 +89,7 @@ def _finish(args, config: dict, echo: dict, results, violations: int) -> int:
         "results": results,
         "violations": violations,
     }
-    _emit(canonical_json(report), _setting(args, config, "out"))
+    sys.stdout.write(canonical_json(report))
     return 0 if violations == 0 else 1
 
 
@@ -313,7 +297,7 @@ def cmd_demo(args, config: dict) -> int:
             f"{term_coherences[1]:.6f}; superposition coherence = {omega_coherence:.6f}"
         )
     violations = sum(not r["satisfied"] for e in entries for r in e["reports"])
-    return _finish(args, config, {"tolerance": tolerance}, entries, violations)
+    return _finish(args, {"tolerance": tolerance}, entries, violations)
 
 
 # ---------------------------------------------------------------------------
@@ -355,7 +339,7 @@ def cmd_verify(args, config: dict) -> int:
         "tolerance": tolerance,
         "split": list(split) if split else None,
     }
-    return _finish(args, config, echo, {"ensembles": summaries}, total_violations)
+    return _finish(args, echo, {"ensembles": summaries}, total_violations)
 
 
 # ---------------------------------------------------------------------------
@@ -412,12 +396,12 @@ def cmd_sweep(args, config: dict) -> int:
     if _setting(args, config, "format") == "csv":
         lines = ["alpha_sq,lhs,rhs,slack"]
         lines += [f"{a!r},{l!r},{r!r},{s!r}" for a, l, r, s in rows]
-        _emit("\n".join(lines) + "\n", _setting(args, config, "out"))
+        sys.stdout.write("\n".join(lines) + "\n")
         return 0 if violations == 0 else 1
     echo = {"bound": bound_id, "dim": dim, "seed": seed, "tolerance": tolerance,
             "grid": grid}
     payload = [{"alpha_sq": a, "lhs": l, "rhs": r, "slack": s} for a, l, r, s in rows]
-    return _finish(args, config, echo, payload, violations)
+    return _finish(args, echo, payload, violations)
 
 
 # ---------------------------------------------------------------------------
@@ -449,6 +433,9 @@ def cmd_saturate(args, config: dict) -> int:
     def complex_pair(z: complex) -> list[float]:
         return [z.real, z.imag]
 
+    def shown(z: complex) -> str:
+        return f"{z.real:.12g}{z.imag:+.12g}j"
+
     payload = {
         "bound_id": bound_id,
         "pair_kind": pair_kind.value,
@@ -470,15 +457,10 @@ def cmd_saturate(args, config: dict) -> int:
             "restarts": spec.restarts, "iterations": spec.iterations,
             "tolerance": tolerance}
     _log(f"saturate: {bound_id} best slack = {result.best_slack:.6e}")
-    amps = ", ".join(f"{z.real:.12g}{z.imag:+.12g}j" for z in phi.amps)
-    _log(f"saturate: best phi = [{amps}]")
-    amps = ", ".join(f"{z.real:.12g}{z.imag:+.12g}j" for z in psi.amps)
-    _log(f"saturate: best psi = [{amps}]")
-    _log(
-        f"saturate: best alpha = {coeffs.alpha.real:.12g}{coeffs.alpha.imag:+.12g}j, "
-        f"beta = {coeffs.beta.real:.12g}{coeffs.beta.imag:+.12g}j"
-    )
-    return _finish(args, config, echo, payload, violations)
+    for name, state in (("phi", phi), ("psi", psi)):
+        _log(f"saturate: best {name} = [{', '.join(map(shown, state.amps))}]")
+    _log(f"saturate: best alpha = {shown(coeffs.alpha)}, beta = {shown(coeffs.beta)}")
+    return _finish(args, echo, payload, violations)
 
 
 # ---------------------------------------------------------------------------
@@ -543,29 +525,47 @@ def _parser() -> argparse.ArgumentParser:
     return parser
 
 
-def main(argv=None) -> int:
-    # A closed stderr is None, for which print and argparse write on stdout: drop what it gets.
-    with contextlib.redirect_stderr(sys.stderr or io.StringIO()):
-        try:
-            printed = io.StringIO()  # what --help or --version print to a closed stdout
-            try:
-                with contextlib.redirect_stdout(sys.stdout or printed):
-                    args = _parser().parse_args(argv)
-            finally:  # --help and --version write to a buffered stdout, then raise SystemExit
-                _emit(printed.getvalue(), None)
-            config = parse_config_file(args.config) if getattr(args, "config", None) else {}
+def _run(argv) -> int:
+    """Parse argv and run its command; ``--out`` takes the payload it prints."""
+    args = _parser().parse_args(argv)
+    try:
+        config = parse_config_file(args.config) if getattr(args, "config", None) else {}
+        out_path = _setting(args, config, "out")
+        if not out_path:
             return args.handler(args, config)
-        except ConfigError as exc:
-            _log(f"error: {exc}")
-            return 2
-        except CoherenceLabError as exc:
-            _log(f"error: {type(exc).__name__}: {exc}")
-            return 3 if isinstance(exc, ConsistencyError) else 2
-        finally:
-            try:  # log lines stderr could not take, ours or argparse's, change no exit code
-                sys.stderr.flush()
-            except OSError:
-                _silence(sys.stderr)
+        with contextlib.redirect_stdout(io.StringIO()) as payload:
+            code = args.handler(args, config)
+        try:
+            Path(out_path).write_text(payload.getvalue(), encoding="utf-8")
+        except OSError as exc:
+            raise ConfigError(f"cannot write {out_path}: {exc.strerror or exc}")
+        _log(f"wrote {out_path}")
+        return code
+    except ConfigError as exc:
+        _log(f"error: {exc}")
+        return 2
+    except CoherenceLabError as exc:
+        _log(f"error: {type(exc).__name__}: {exc}")
+        return 3 if isinstance(exc, ConsistencyError) else 2
+
+
+def main(argv=None) -> int:
+    """Run one command into two buffers, then deliver them (the module docstring)."""
+    out, err = io.StringIO(), io.StringIO()
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = _run(argv)
+    except SystemExit as exc:  # argparse's: raised again once stdout has taken its text
+        code = exc
+    finally:  # a run that crashes keeps the log lines written before it
+        _deliver(err.getvalue(), sys.stderr)
+    reason = _deliver(out.getvalue(), sys.stdout)
+    if reason is not None:
+        _deliver(f"error: cannot write the report to stdout: {reason}\n", sys.stderr)
+        return 2
+    if isinstance(code, SystemExit):
+        raise code
+    return code
 
 
 if __name__ == "__main__":

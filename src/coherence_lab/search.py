@@ -205,29 +205,29 @@ def _objective(spec: SearchSpec, X: np.ndarray) -> np.ndarray:
     """The slack of ``spec``'s bound at each row of X, times its ``_SIGN``.
 
     Rows that ``row_slacks`` vouches for keep their batched value.  Every
-    other row runs once through ``parameterize`` and ``evaluate_bound``,
-    outside ``np.errstate``, so it warns as it always has.  It reads +inf
-    where it has no valid input triple: ``parameterize`` rejects it
-    (``ValueError``, ``ZeroVectorError``), or ``evaluate_bound`` does
+    other row runs once through ``parameterize`` and ``evaluate_bound``.  It
+    reads +inf where it has no valid input triple: ``parameterize`` rejects
+    it (``ValueError``, ``ZeroVectorError``), or ``evaluate_bound`` does
     (``ZeroVectorError``, ``WrongPairClassError``).  Any other exception is a
-    bug and propagates.
+    bug and propagates.  Both paths run under ``np.errstate(all="ignore")``:
+    a warnings-as-errors filter would end the search at a non-finite row.
     """
     sign = _SIGN[BOUNDS[spec.bound_id].direction]
     with np.errstate(all="ignore"):
         inputs = _parameterize_rows(X, spec.dim, spec.pair_kind)
         values, ok = row_slacks(spec.bound_id, *inputs, kind=spec.pair_kind)
-    if sign < 0:
-        values = -values
-    for i, good in enumerate(ok.tolist()):
-        if good:
-            continue
-        values[i] = np.inf  # unless both calls below succeed
-        try:
-            inputs = parameterize(X[i], spec.dim, spec.pair_kind)
-        except (ValueError, ZeroVectorError):
-            continue
-        with contextlib.suppress(ZeroVectorError, WrongPairClassError):
-            values[i] = sign * evaluate_bound(spec.bound_id, *inputs).slack
+        if sign < 0:
+            values = -values
+        for i, good in enumerate(ok.tolist()):
+            if good:
+                continue
+            values[i] = np.inf  # unless both calls below succeed
+            try:
+                inputs = parameterize(X[i], spec.dim, spec.pair_kind)
+            except (ValueError, ZeroVectorError):
+                continue
+            with contextlib.suppress(ZeroVectorError, WrongPairClassError):
+                values[i] = sign * evaluate_bound(spec.bound_id, *inputs).slack
     return values
 
 

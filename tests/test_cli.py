@@ -442,6 +442,84 @@ def test_every_stream_failure_exits_with_readmes_code(command):
             assert (run.returncode, run.stdout) == (clean.returncode, clean.stdout), failure
 
 
+class _FailingStream:
+    """A stream whose ``write`` or ``flush`` raises ``OSError(code)``."""
+
+    def __init__(self, method, code):
+        self.method, self.code = method, code
+
+    def _fail(self, method):
+        if method == self.method:
+            raise OSError(self.code, os.strerror(self.code))
+
+    def write(self, text):
+        self._fail("write")
+        return len(text)
+
+    def flush(self):
+        self._fail("flush")
+
+
+# The matrix's failures as the process sees them: (stream, replacement, the
+# reason of a stdout failure's error line).
+IN_PROCESS_FAILURES = {
+    "stdout-none": ("stdout", None, "it is closed"),
+    "stdout-write-epipe": ("stdout", _FailingStream("write", errno.EPIPE),
+                           os.strerror(errno.EPIPE)),
+    "stdout-flush-enospc": ("stdout", _FailingStream("flush", errno.ENOSPC),
+                            os.strerror(errno.ENOSPC)),
+    "stderr-none": ("stderr", None, None),
+    "stderr-raises": ("stderr", _FailingStream("write", errno.EIO), None),
+}
+
+
+def _exit_code(argv):
+    """``main``'s exit code, returned or carried by ``SystemExit``."""
+    try:
+        return main(list(argv))
+    except SystemExit as exc:
+        return exc.code
+
+
+@pytest.mark.parametrize("failure", IN_PROCESS_FAILURES)
+@pytest.mark.parametrize("command", STREAM_MATRIX_COMMANDS)
+def test_stream_failures_in_process_keep_readmes_rule(capsys, monkeypatch, command, failure):
+    # The child-process matrix's rule in tier-1: a stdout that cannot take the
+    # run's text gives 2; a stderr failure changes no code and no stdout byte.
+    argv = STREAM_MATRIX_COMMANDS[command]
+    clean_code = _exit_code(argv)
+    clean = capsys.readouterr()
+    assert clean_code == (2 if command == "usage-error" else 0), clean.err
+    stream, replacement, reason = IN_PROCESS_FAILURES[failure]
+    monkeypatch.setattr(sys, stream, replacement)
+    code = _exit_code(argv)
+    run = capsys.readouterr()
+    if stream == "stdout":
+        assert code == 2
+        if command != "usage-error":  # the one run that writes nothing to stdout
+            assert run.err.splitlines()[-1] == f"error: cannot write the report to stdout: {reason}"
+    else:
+        assert (code, run.out) == (clean_code, clean.out)
+
+
+def test_a_crash_keeps_the_log_lines_written_before_it(monkeypatch, capsys):
+    # A bug propagates, but only after stderr has taken what the run logged.
+    calls = []
+
+    def evaluate_all(*args, **kwargs):
+        calls.append(args)
+        if len(calls) == 2:
+            raise RuntimeError("a bug in the second case")
+        return bounds.evaluate_all(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "evaluate_all", evaluate_all)
+    with pytest.raises(RuntimeError, match="a bug in the second case"):
+        run_cli(["demo"])
+    run = capsys.readouterr()
+    assert run.out == ""
+    assert [line.split(":")[0] for line in run.err.splitlines()] == ["omega_1"]
+
+
 # --- seed resolution --------------------------------------------------------------
 
 
@@ -844,3 +922,18 @@ def test_verify_within_the_stated_bound_under_the_avx2_class(capsys):
     assert child.returncode == run_cli(argv) == 0, child.stderr
     here = json.loads(capsys.readouterr().out)
     assert list(report_differences(here, json.loads(child.stdout))) == []
+    # This sweep's bytes differ under the AVX2 class (ROADMAP item 17).  A
+    # search may fork across classes, so saturate's floats are not compared:
+    # its exit code, its violations and its best slack's verdict are.
+    sweep = ["sweep", "--bound", "T2_UPPER", "--grid", "0.1:0.9:0.1", "--format", "json"]
+    for argv in (sweep, ["saturate", "--bound", "GAIN_LE_1", "--restarts", "2"]):
+        child = subprocess.run([sys.executable, "-m", "coherence_lab", *argv], env=env,
+                               capture_output=True, text=True)
+        assert child.returncode == run_cli(argv) == 0, child.stderr
+        here, there = json.loads(capsys.readouterr().out), json.loads(child.stdout)
+        if argv is sweep:
+            assert list(report_differences(here, there)) == []
+            continue
+        assert here["violations"] == there["violations"] == 0
+        for report in (here, there):
+            assert report["results"]["best_slack"] >= -report["config"]["tolerance"]

@@ -916,6 +916,18 @@ def test_only_an_invalid_triple_reads_inf(monkeypatch, error, infeasible):
             search._objective(spec, X)
 
 
+def test_a_non_finite_row_reads_inf_under_the_suites_warning_filter():
+    # pyproject.toml raises every RuntimeWarning, as `python -W error` does.
+    # Rows with theta = inf ("invalid value encountered in cos") and scaled by
+    # 1e160 ("overflow encountered in dot") take the scalar fallback, which must
+    # not warn: no np.errstate here.
+    spec = SearchSpec(bound_id=T4_LOWER_A, dim=8, pair_kind=PairKind.ARBITRARY, seed=3)
+    X = _starts(spec.seed, 0, 2, parameter_count(spec.dim, spec.pair_kind))
+    X[0, 0] = math.inf
+    X[1] *= 1e160
+    assert search._objective(spec, X).tolist() == [math.inf, math.inf]
+
+
 def test_a_re_evaluated_slack_one_ulp_off_is_an_inconsistency(monkeypatch):
     # Batched and scalar slacks are bit-identical, so the best point's report
     # must reproduce the search's value exactly.
