@@ -129,46 +129,53 @@ def _parse_pos_float(text: str) -> float:
     return value
 
 
-def _parse_dims(text: str) -> tuple[int, ...]:
-    dims = tuple(_parse_dim(part) for part in text.split(",") if part.strip())
-    if not dims:
-        raise ValueError(f"dims must be a comma list of integers in [2, {_MAX_DIM}]")
-    return dims
+def _one_of(choices: dict):
+    """Parser of one name: ``choices`` maps each accepted name to its value."""
+    def parse(text: str):
+        name = text.strip()
+        if name not in choices:
+            raise ValueError(f"unknown value {name!r} (expected one of: {', '.join(choices)})")
+        return choices[name]
+
+    return parse
 
 
-def _parse_pair_kind(text: str) -> PairKind:
-    name = text.strip()
-    try:
-        return PairKind(name)
-    except ValueError:
-        valid = ", ".join(k.value for k in PairKind)
-        raise ValueError(f"unknown pair kind {name!r} (expected one of: {valid})")
+def _listed(parse, count: Optional[int] = None):
+    """Parser of a comma list of ``parse``'s values, empty parts skipped:
+    at least one value, or exactly ``count``."""
+    def parse_list(text: str) -> tuple:
+        values = tuple(parse(part) for part in text.split(",") if part.strip())
+        if count is None and not values:
+            raise ValueError("expected a comma list of at least one value")
+        if count is not None and len(values) != count:
+            raise ValueError(f"expected {count} comma-separated values, got {len(values)}")
+        return values
+
+    return parse_list
 
 
-def _parse_pair_kinds(text: str) -> tuple[PairKind, ...]:
-    kinds = tuple(_parse_pair_kind(part) for part in text.split(",") if part.strip())
-    if not kinds:
-        raise ValueError("pair_kinds must name at least one kind")
-    return kinds
+_parse_pair_kind = _one_of({kind.value: kind for kind in PairKind})
 
 
-def _parse_bound(text: str) -> str:
-    if text not in ALL_BOUND_IDS:
-        raise ValueError(f"unknown bound id {text!r} (expected one of: {', '.join(ALL_BOUND_IDS)})")
-    return text
-
-
-def _parse_split(text: str) -> tuple[int, int]:
-    parts = [int(p.strip()) for p in text.split(",")]
-    if len(parts) != 2:
-        raise ValueError("split must be two comma-separated sizes")
-    return parts[0], parts[1]
-
-
-def _parse_format(text: str) -> str:
-    if text not in ("json", "csv"):
-        raise ValueError("format must be 'json' or 'csv'")
-    return text
+def _parse_grid(text: str) -> tuple[float, ...]:
+    """|alpha|^2 values, 'start:stop:step' or a comma list, all in (0, 1)."""
+    if ":" not in text:
+        values = _listed(float)(text)
+    else:
+        parts = [float(p) for p in text.split(":")]
+        if len(parts) != 3:
+            raise ValueError("range grid must be start:stop:step")
+        start, stop, step = parts
+        if not (step > 0 and stop >= start):
+            raise ValueError("grid requires step > 0 and stop >= start")
+        points = (stop - start) / step + 0.5
+        if not points < _MAX_GRID_POINTS:
+            raise ValueError(f"range grid has more than {_MAX_GRID_POINTS} points")
+        values = tuple(start + i * step for i in range(int(math.floor(points)) + 1))
+    for v in values:
+        if not 0.0 < v < 1.0:
+            raise ValueError(f"grid point {v!r} outside the open interval (0, 1)")
+    return values
 
 
 # Config key (and flag of the same name, with '-' for '_') -> (parser,
@@ -177,19 +184,19 @@ def _parse_format(text: str) -> str:
 _SETTINGS = {
     "seed": (_parse_u64, 42),
     "trials": (_int_in(0), 10_000),
-    "dims": (_parse_dims, (2, 4, 8, 16)),
+    "dims": (_listed(_parse_dim), (2, 4, 8, 16)),
     "dim": (_parse_dim, 2),
-    "pair_kinds": (_parse_pair_kinds, tuple(PairKind)),
+    "pair_kinds": (_listed(_parse_pair_kind), tuple(PairKind)),
     "pair_kind": (_parse_pair_kind, None),
     "tolerance": (_parse_pos_float, TOLERANCES.bound_slack),
     "workers": (_int_in(1), 1),
     "out": (str, None),
-    "bound": (_parse_bound, None),
-    "split": (_parse_split, None),
+    "bound": (_one_of({bound_id: bound_id for bound_id in ALL_BOUND_IDS}), None),
+    "split": (_listed(_int_in(1), 2), None),
     "restarts": (_int_in(1), SearchSpec.restarts),
     "iterations": (_int_in(1), SearchSpec.iterations),
-    "grid": (str, None),
-    "format": (_parse_format, "csv"),
+    "grid": (_parse_grid, None),
+    "format": (_one_of({"csv": "csv", "json": "json"}), "csv"),
 }
 
 
@@ -346,37 +353,12 @@ def cmd_verify(args, config: dict) -> int:
 # sweep
 
 
-def _parse_grid(text: str) -> list[float]:
-    try:
-        if ":" in text:
-            parts = [float(p) for p in text.split(":")]
-            if len(parts) != 3:
-                raise ValueError("range grid must be start:stop:step")
-            start, stop, step = parts
-            if not (step > 0 and stop >= start):
-                raise ValueError("grid requires step > 0 and stop >= start")
-            points = (stop - start) / step + 0.5
-            if not points < _MAX_GRID_POINTS:
-                raise ValueError(f"range grid has more than {_MAX_GRID_POINTS} points")
-            values = [start + i * step for i in range(int(math.floor(points)) + 1)]
-        else:
-            values = [float(p) for p in text.split(",") if p.strip()]
-    except ValueError as exc:
-        raise ConfigError(f"bad grid {text!r}: {exc}")
-    if not values:
-        raise ConfigError(f"grid {text!r} contains no points")
-    for v in values:
-        if not 0.0 < v < 1.0:
-            raise ConfigError(f"grid point {v!r} outside the open interval (0, 1)")
-    return values
-
-
 def cmd_sweep(args, config: dict) -> int:
     bound_id = _required(args, config, "bound")
     dim = _setting(args, config, "dim")
     seed = _seed(args, config)
     tolerance = _setting(args, config, "tolerance")
-    grid = _parse_grid(_required(args, config, "grid"))
+    grid = _required(args, config, "grid")
 
     ensemble = EnsembleConfig(
         dim=dim, trials=1, pair_kind=BOUNDS[bound_id].default_kind, seed=seed

@@ -243,11 +243,14 @@ def _group(config: EnsembleConfig) -> tuple[int, int, tuple[int, int]]:
 
 
 def _group_rows(members: list, uniforms: np.ndarray, alpha: np.ndarray, beta: np.ndarray):
-    """Per-row values of one group's segments, orthogonal ones last, one trial
-    per row of ``uniforms`` and of the coefficients: (the class masks, the
-    overlaps, ``ok`` and the values ``evaluate_rows`` reads)."""
+    """Per-row values of one group's segments, one trial per row of
+    ``uniforms`` and of the coefficients: (the class masks, the overlaps,
+    ``ok`` and the values ``evaluate_rows`` reads)."""
     _, dim, (d1, d2) = _group(members[0][1])
-    kinds = [(config.pair_kind, len(trials)) for _, config, trials in members]
+    sizes = [len(trials) for _, _, trials in members]
+    orthogonal, non_orthogonal = np.repeat(
+        [[config.pair_kind is kind for _, config, _ in members]
+         for kind in (PairKind.ORTHOGONAL_SAME_SPACE, PairKind.NON_ORTHOGONAL)], sizes, axis=1)
     gen = UniformRows(uniforms)
     # phi, psi and omega side by side, for the group's one coherence call; a
     # disjoint pair's blocks sit at columns [0, d1) and [d1, d1 + d2).
@@ -256,21 +259,15 @@ def _group_rows(members: list, uniforms: np.ndarray, alpha: np.ndarray, beta: np
     phi[:, :d1], norms = normalize_rows(complex_normals(gen, d1))
     ok = normalizable(norms)
     raw = complex_normals(gen, d2)
-    orthogonal = sum(n for kind, n in kinds if kind is PairKind.ORTHOGONAL_SAME_SPACE)
-    if orthogonal:
-        last = slice(len(raw) - orthogonal, None)
-        raw[last], norms = project_out_rows(phi[last], raw[last])
-        ok[last] &= norms > _PROJECTION_FLOOR
+    if orthogonal.any():  # never in a disjoint group, whose phi and raw differ in width
+        raw[orthogonal], norms = project_out_rows(phi[orthogonal], raw[orthogonal])
+        ok[orthogonal] &= norms > _PROJECTION_FLOOR
     first = d1 if members[0][1].pair_kind is PairKind.DISJOINT_SUPPORT else 0
     psi[:, first : first + d2], norms = normalize_rows(raw)
     del raw
     ok &= normalizable(norms)
     classes, overlap = class_masks(phi, psi)
-    start = 0
-    for kind, n in kinds:
-        if kind is PairKind.NON_ORTHOGONAL:
-            ok[start : start + n] &= ~is_orthogonal(overlap[start : start + n])
-        start += n
+    ok[non_orthogonal & is_orthogonal(overlap)] = False
     rows, norms = states.transpose(1, 0, 2), np.empty((3, len(uniforms)))
     superpose_rows(alpha, beta, rows, norms.T)  # omega into states[2], s into norms[2]
     s = norms[2]
@@ -303,7 +300,7 @@ def _draw(segments: list) -> np.ndarray:
 def _pass(segments: list, tolerance: float):
     """Evaluate a pass on arrays, one trial per row in segment order.
     ``segments`` holds (summary, config, trials), each segment's trial indices
-    as a ``range``, sorted by ``_group`` with orthogonal ones last in a group.
+    as a ``range``, sorted by ``_group``.
 
     Returns the mask of rows at which the scalar path raises, which it must
     run, and for the others, per class and bound id, the rows,
@@ -427,8 +424,7 @@ def summarize_ensembles(
         }
         for config in configs
     ]
-    order = sorted(range(len(configs)), key=lambda i: (
-        _group(configs[i]), configs[i].pair_kind is PairKind.ORTHOGONAL_SAME_SPACE))
+    order = sorted(range(len(configs)), key=lambda i: _group(configs[i]))
     done = [0] * len(configs)
     while True:
         segments, elements = [], 0

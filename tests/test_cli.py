@@ -112,6 +112,46 @@ def test_verify_rejects_bad_config_value(tmp_path, capsys):
     assert "trials" in capsys.readouterr().err
 
 
+# A value each setting's parser rejects, and a command with its flag (None: a
+# config key only).  ``out`` takes any path, so it has no entry; every other
+# key of ``cli._SETTINGS`` needs one.
+BAD_VALUES = {
+    "seed": ("-1", "verify"),
+    "trials": ("-1", "verify"),
+    "dims": ("2,1", None),
+    "dim": ("1", "saturate"),
+    "pair_kinds": ("Arbitrary,Bogus", None),
+    "pair_kind": ("Bogus", "saturate"),
+    "tolerance": ("nan", "demo"),
+    "workers": ("0", "verify"),
+    "bound": ("NOT_A_BOUND", "sweep"),
+    "split": ("0,4", None),
+    "restarts": ("0", "saturate"),
+    "iterations": ("0", "saturate"),
+    "grid": ("0.5,1.5", "sweep"),
+    "format": ("xml", "sweep"),
+}
+
+
+@pytest.mark.parametrize("key", [key for key in cli._SETTINGS if key != "out"])
+def test_a_bad_value_is_rejected_from_a_file_and_a_flag_alike(tmp_path, capsys, key):
+    # Every key in a file is checked, whichever command reads it.
+    value, command = BAD_VALUES[key]
+    config = tmp_path / "bad.cfg"
+    config.write_text(f"{key} = {value}\n", encoding="utf-8")
+    assert run_cli(["verify", "--trials", "1", "--config", str(config)]) == 2
+    err = capsys.readouterr().err
+    assert f"{config}:1: bad value for key '{key}'" in err and "Traceback" not in err
+    if command is None:
+        return
+    flag = "--" + key.replace("_", "-")
+    with pytest.raises(SystemExit) as excinfo:
+        run_cli([command, flag, value])
+    assert excinfo.value.code == 2
+    err = capsys.readouterr().err
+    assert f"argument {flag}: " in err and "Traceback" not in err
+
+
 def test_verify_rejects_missing_config_file():
     assert run_cli(["verify", "--config", "/nonexistent/path.cfg"]) == 2
 
@@ -636,16 +676,17 @@ def test_sweep_single_point_grid(tmp_path):
 
 
 def test_sweep_rejects_out_of_range_grid(capsys):
-    assert run_cli(
-        ["sweep", "--bound", "T2_UPPER", "--dim", "2", "--grid", "0.5,1.5"]
-    ) == 2
+    with pytest.raises(SystemExit) as excinfo:  # argparse rejects a bad flag value this way
+        run_cli(["sweep", "--bound", "T2_UPPER", "--dim", "2", "--grid", "0.5,1.5"])
+    assert excinfo.value.code == 2
     assert "grid" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("step", ["1e-300", "1e-320"])
 def test_sweep_rejects_range_grid_with_too_many_points(capsys, step):
-    argv = ["sweep", "--bound", "T2_UPPER", "--grid", f"0.1:0.9:{step}"]
-    assert run_cli(argv) == 2
+    with pytest.raises(SystemExit) as excinfo:
+        run_cli(["sweep", "--bound", "T2_UPPER", "--grid", f"0.1:0.9:{step}"])
+    assert excinfo.value.code == 2
     err = capsys.readouterr().err
     assert "more than" in err and "Traceback" not in err
 
@@ -874,8 +915,16 @@ def test_canonical_json_rejects_non_finite():
 # 1.4e-15 of max(1, |x|) between the AVX-512, AVX2 and x86-64-v2 classes;
 # this bound gives that a margin of 4x.
 CROSS_CLASS_BOUND = 4 * 1.4e-15
-# numpy's runtime dispatch narrowed to the AVX2 class: its AVX-512 targets off.
-AVX2_CLASS = "X86_V4 AVX512_ICL AVX512_SPR"
+# Older CPU classes, each emulated in a child's environment only: numpy's
+# runtime dispatch narrowed (its newer targets off) and, for two of them, an
+# older OpenBLAS kernel.
+CPU_CLASSES = {
+    "avx2": {"NPY_DISABLE_CPU_FEATURES": "X86_V4 AVX512_ICL AVX512_SPR"},
+    "avx2-haswell-blas": {"NPY_DISABLE_CPU_FEATURES": "X86_V4 AVX512_ICL AVX512_SPR",
+                          "OPENBLAS_CORETYPE": "Haswell"},
+    "x86-64-v2-prescott-blas": {"NPY_DISABLE_CPU_FEATURES": "X86_V3 X86_V4 AVX512_ICL AVX512_SPR",
+                                "OPENBLAS_CORETYPE": "Prescott"},
+}
 
 
 def report_differences(a, b, path="report"):
@@ -905,35 +954,34 @@ def test_report_differences_finds_each_kind():
 
 
 @pytest.mark.skipif(platform.machine().lower() not in ("x86_64", "amd64"),
-                    reason="the CPU classes narrowed here are x86-64's")
-def test_verify_within_the_stated_bound_under_the_avx2_class(capsys):
+                    reason="the CPU classes emulated here are x86-64's")
+@pytest.mark.parametrize("cpu_class", CPU_CLASSES)
+def test_reports_within_the_stated_bound_under_an_emulated_cpu_class(capsys, cpu_class):
     # README: verdicts, counts, key sets and exit codes hold on every host,
     # and a float moves by about 1e-15 of max(1, |x|) from one class to another.
-    argv = ["verify", "--trials", "125", "--seed", "1"]
     env = {k: v for k, v in os.environ.items() if k != "COHERENCE_LAB_SEED"}
-    env.update(PYTHONPATH=str(SRC), NPY_DISABLE_CPU_FEATURES=AVX2_CLASS)
-    # numpy warns (an ImportWarning) of a feature it cannot disable, and
-    # raises for one of its baseline.
-    child = subprocess.run([sys.executable, "-W", "always::ImportWarning", "-m", "coherence_lab",
-                            *argv], env=env, capture_output=True, text=True)
-    if "cannot disable" in child.stderr:
-        pytest.skip(f"numpy rejects NPY_DISABLE_CPU_FEATURES={AVX2_CLASS!r}: "
-                    f"{' '.join(child.stderr.split())}")
-    assert child.returncode == run_cli(argv) == 0, child.stderr
-    here = json.loads(capsys.readouterr().out)
-    assert list(report_differences(here, json.loads(child.stdout))) == []
-    # This sweep's bytes differ under the AVX2 class (ROADMAP item 17).  A
-    # search may fork across classes, so saturate's floats are not compared:
-    # its exit code, its violations and its best slack's verdict are.
+    env.update(PYTHONPATH=str(SRC), OPENBLAS_VERBOSE="2", **CPU_CLASSES[cpu_class])
+    verify = ["verify", "--trials", "125", "--seed", "1"]
+    # This sweep's bytes differ under each class (ROADMAP item 17).
     sweep = ["sweep", "--bound", "T2_UPPER", "--grid", "0.1:0.9:0.1", "--format", "json"]
-    for argv in (sweep, ["saturate", "--bound", "GAIN_LE_1", "--restarts", "2"]):
-        child = subprocess.run([sys.executable, "-m", "coherence_lab", *argv], env=env,
-                               capture_output=True, text=True)
+    saturate = ["saturate", "--bound", "GAIN_LE_1", "--restarts", "2"]
+    for argv in (verify, sweep, saturate):
+        # numpy warns (an ImportWarning) of a feature it cannot disable and
+        # raises for one of its baseline; a verbose OpenBLAS names a kernel
+        # it does not know.
+        child = subprocess.run([sys.executable, "-W", "always::ImportWarning", "-m",
+                                "coherence_lab", *argv], env=env, capture_output=True, text=True)
+        for rejected in ("cannot disable", "Core not found"):
+            if rejected in child.stderr:
+                pytest.skip(f"this host cannot emulate {CPU_CLASSES[cpu_class]}: "
+                            f"{' '.join(child.stderr.split())}")
         assert child.returncode == run_cli(argv) == 0, child.stderr
         here, there = json.loads(capsys.readouterr().out), json.loads(child.stdout)
-        if argv is sweep:
+        if argv is not saturate:
             assert list(report_differences(here, there)) == []
             continue
+        # A search may fork across classes, so saturate's floats are not
+        # compared: its exit code, its violations and its best slack's verdict are.
         assert here["violations"] == there["violations"] == 0
         for report in (here, there):
             assert report["results"]["best_slack"] >= -report["config"]["tolerance"]
