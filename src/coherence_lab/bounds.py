@@ -29,7 +29,7 @@ is the scalar reference for one triple's slack.  Its hypothesis on the pair
 ``Bound.hypothesis``, and checked through ``_meets``: on a pair (raising
 WrongPairClassError) or on a pair class's rows (masking them out).
 ``row_slacks`` computes only the quantity the hypothesis reads, and none for
-rows drawn disjoint.
+rows drawn disjoint; a row that fails its checks reads NaN.
 """
 
 from __future__ import annotations
@@ -42,7 +42,7 @@ from typing import Callable, NamedTuple, Optional
 import numpy as np
 
 from .entropy import binary_entropy, binary_entropy_rows, pure_state_coherence, row_coherences
-from .errors import CoherenceLabError, WrongPairClassError, ZeroVectorError
+from .errors import WrongPairClassError, ZeroVectorError
 from .linalg import StateVector, normalizable, row_vdot
 from .superpose import (
     PairClass,
@@ -250,8 +250,8 @@ def row_slacks(
     norms: np.ndarray,
     *,
     kind: PairKind = PairKind.ARBITRARY,
-) -> tuple[np.ndarray, np.ndarray]:
-    """``evaluate_bound(...).slack`` of each row triple: (slacks, ok).
+) -> np.ndarray:
+    """``evaluate_bound(...).slack`` of each row triple, NaN where it has none.
 
     ``alpha``/``beta`` are (R,) coefficients.  Slots 0 and 1 of the
     (R, 3, d) ``states`` hold phi and psi, scaled to unit norm by columns 0
@@ -259,15 +259,13 @@ def row_slacks(
     into slot and column 2 (``superpose_rows``), takes the three slots'
     coherences in one ``entropy.row_coherences`` call, and checks each row
     in the loop that reads its floats into a record for ``Bound.sides``.
-    Row i is ok, and slacks[i] that slack bit for bit, when beta is finite,
-    all three norms are ``linalg.normalizable``, the pair meets the bound's
-    hypothesis, the sides do not raise and the slack is not NaN, as a NaN
-    coherence (a zero probability inside a support) makes it: every
-    relation reads all three.  Elsewhere ``evaluate_bound`` on that row
-    gives the value or raises the exception.  ``kind`` is the pair
-    kind the rows were drawn as: a ``DISJOINT_SUPPORT`` draw zeroes the
-    off-block amplitudes exactly, so its rows meet the disjointness
-    hypothesis with no test.
+    Where beta is finite, all three norms are ``linalg.normalizable`` and
+    the pair meets the bound's hypothesis, slacks[i] is that slack bit for
+    bit; elsewhere it is NaN, and ``parameterize`` or ``evaluate_bound``
+    rejects the row's triple.  An exception from the sides of a checked row
+    is a bug, and propagates.  ``kind`` is the pair kind the rows were
+    drawn as: a ``DISJOINT_SUPPORT`` draw zeroes the off-block amplitudes
+    exactly, so its rows meet the disjointness hypothesis with no test.
     """
     bound = BOUNDS[bound_id]
     superpose_rows(alpha, beta, states, norms)
@@ -280,23 +278,19 @@ def row_slacks(
         meets = disjoint_rows(phi, psi).tolist()
     else:
         meets = is_orthogonal(row_vdot(phi, psi)).tolist()
-    slacks, ok = [], []
+    slacks = []
     for a, b, (n_phi, n_psi, s), c, met in zip(
         alpha.tolist(), beta.tolist(), norms.tolist(), coherence.tolist(), meets
     ):
-        slack = math.nan
         usable = normalizable(n_phi) and normalizable(n_psi) and normalizable(s)
         if met and usable and abs(b) < math.inf:
             # The weights as SuperpositionCoefficients computes them: on a
             # few rows, Python floats cost less than coefficient_weights.
             q = _Quantities(abs(a) * abs(a), abs(b) * abs(b), s, *c)
-            try:
-                slack = _slack(bound, *bound.sides(q, binary_entropy))
-            except CoherenceLabError:  # evaluate_bound raises it again, for this row alone
-                pass
-        slacks.append(slack)
-        ok.append(slack == slack)
-    return np.array(slacks), np.array(ok)
+            slacks.append(_slack(bound, *bound.sides(q, binary_entropy)))
+        else:
+            slacks.append(math.nan)
+    return np.array(slacks)
 
 
 def evaluate_bound(

@@ -24,12 +24,11 @@ trial, so at most 5 ``_CHUNK_ELEMENTS`` uniforms per pass).  Each group
 (one dimension and pair of raw block lengths, disjoint or not) reads its
 rows' uniforms as a reshaped slice of that draw and runs the Box-Muller
 draws, projection, ``class_masks``, ``superpose_rows`` and one
-``row_coherences`` call over phi, psi and omega side by side; the
-coefficients and ``evaluate_rows`` (per class) run once per pass.  Disjoint
-rows keep their own coherence call: beside Haar rows, which support every
-column, their zero amplitudes would be NaN, and they would fall back to the
-scalar path.  Each (bound, class) result folds into the pass's ensembles
-with one ``reduceat`` per extreme.
+``row_coherences`` call over phi, psi and omega side by side, where a
+disjoint pair's zero amplitudes are -0.0 terms as on the scalar path; the
+coefficients and ``evaluate_rows`` (per class) run once per pass.  Each
+(bound, class) result folds into the pass's ensembles with one ``reduceat``
+per extreme.
 """
 
 from __future__ import annotations
@@ -271,10 +270,8 @@ def _group_rows(members: list, uniforms: np.ndarray, alpha: np.ndarray, beta: np
     rows, norms = states.transpose(1, 0, 2), np.empty((3, len(uniforms)))
     superpose_rows(alpha, beta, rows, norms.T)  # omega into states[2], s into norms[2]
     s = norms[2]
-    # The group's own call: beside Haar rows, a disjoint row's zeros are NaN.
     coherence = row_coherences(rows)
-    vouched = ~np.isnan(coherence).any(axis=1)
-    values = {"overlap": overlap, "ok": ok & normalizable(s) & vouched, "s": s}
+    values = {"overlap": overlap, "ok": ok & normalizable(s), "s": s}
     for i, name in enumerate(("phi", "psi", "t1")):
         values["coherence_" + name] = coherence[:, i]
     return classes, values

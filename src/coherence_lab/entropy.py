@@ -4,7 +4,8 @@ All entropies are in bits (logarithm base 2); with that convention the binary
 entropy peaks at exactly 1, which is what makes the dimension-independent
 coherence-gain ceiling come out as 1.  The 0*log(0) = 0 convention is applied
 pointwise at p = 0 exactly: log2 of a positive double, subnormals included,
-is finite, so every p > 0 contributes its term.  The Shannon entropy
+is finite, so every p > 0 contributes its term, and a state's p = 0 is a
+-0.0 term, which leaves any sum as it is.  The Shannon entropy
 H(p) = -sum_i p_i log2 p_i has no public spelling of its own:
 ``pure_state_coherence`` is H of a state's squared amplitudes, and
 ``von_neumann_entropy`` H of a spectrum.
@@ -29,9 +30,9 @@ by -1.44e-10.  A state built with ``linalg.normalize`` has round-off only.
 Every logarithm is ``np.log2``, on a scalar as on an array (``math.log2``
 rounds differently), and this is the only module that takes one.  The row
 forms ``row_coherences`` and ``binary_entropy_rows`` therefore give the scalar
-functions' floats bit for bit, and say where they cannot: the second with a
-mask, the first with a NaN value (0 * log2 0, a zero probability inside a
-support).
+functions' floats bit for bit: the first is the same function as
+``pure_state_coherence`` over the last axis, and the second says with a mask
+where ``binary_entropy`` raises.
 """
 
 from __future__ import annotations
@@ -116,6 +117,17 @@ def relative_entropy_coherence(rho: DensityMatrix) -> float:
     )
 
 
+def _coherences(amps: np.ndarray) -> np.ndarray:
+    """H(|amps|^2) over the last axis.  A p = 0 is raised to the least
+    positive double, 2^-1074, at its logarithm, so its term is 0 * -1074 =
+    -0.0; every p > 0 is at least that double and keeps its own term."""
+    p = np.minimum(np.abs(amps) ** 2, 1.0)
+    terms = np.maximum(p, 5e-324)
+    np.log2(terms, out=terms)  # in place: at most two arrays of the input's size
+    terms *= p
+    return 0.0 - np.add.reduce(terms, axis=-1)
+
+
 def pure_state_coherence(state: StateVector) -> float:
     """Coherence of a pure state: C(psi) = H(|psi_i|^2), the entropy in bits of
     its squared amplitudes.
@@ -123,35 +135,12 @@ def pure_state_coherence(state: StateVector) -> float:
     Equals ``relative_entropy_coherence`` on the corresponding projector, but
     needs no eigensolver.
     """
-    return _entropy_of_probs(np.abs(state.amps) ** 2)
+    return float(_coherences(state.amps))
 
 
 def row_coherences(amps: np.ndarray) -> np.ndarray:
-    """``pure_state_coherence`` of each (R, k, d) row state, as (R, k) values.
-
-    A column of one of the k states where no row has p > 0 lies outside that
-    state's support and is left out, as the scalar path leaves out p = 0.
-    Each value of a row of finite amplitudes sums the terms the scalar path
-    sums, in the same order, to the same float, unless the row has p = 0 in a
-    column another row supports: that makes the value NaN (0 * log2 0) and
-    numpy warn, so a NaN marks a value only the scalar path gives.  A NaN
-    amplitude (of a row whose norm a caller rejects) supports no column, so
-    it spoils no other row's value.
-    """
-    p = np.minimum(np.abs(amps) ** 2, 1.0)
-    # With no p = 0 (a NaN counts as nonzero here), every column is supported.
-    support = None if p.all() else np.logical_or.reduce(p > 0.0, axis=0)
-    if support is None or support.all():
-        terms = np.log2(p)
-        terms *= p
-        del p  # each step holds at most two arrays of the input's size
-        value = np.add.reduce(terms, axis=-1)
-    else:
-        value = np.empty(p.shape[:2])
-        for j, columns in enumerate(support):
-            # compress keeps rows contiguous (a boolean index would not), so
-            # each row sums in the scalar path's pairwise order.
-            block = p[:, j].compress(columns, axis=1)
-            value[:, j] = np.add.reduce(block * np.log2(block), axis=-1)
-    np.subtract(0.0, value, out=value)
-    return value
+    """``pure_state_coherence`` of each (R, k, d) row state, as (R, k) values,
+    bit for bit: each row's terms are summed alone, in the same order.  A row
+    of NaN amplitudes (one whose norm a caller rejects) reads NaN and leaves
+    every other row's value as it is."""
+    return _coherences(amps)

@@ -15,14 +15,13 @@ the scalar path's arithmetic, in one pass: ``_parameterize_rows`` writes
 phi and psi into one (R, 3, d) buffer and their norms into one (R, 3) array,
 ``bounds.row_slacks`` adds the superposition and its s, takes every
 coherence in one call, and checks each row in the loop that reads its
-floats.  A row it cannot vouch for (a degenerate or non-finite block, a zero
-probability inside a support, a failed unit-norm check, sides that raise)
-goes once through the scalar path, for its value or +inf; any other
-exception there is a bug and ends the search.  Each restart is a generator
-(``_descent``) that yields the points it needs.  It stops at a simplex
-diameter below ``_DIAMETER_TOL``, after a pre-test on the worst and best
-vertices' gap in coordinate 0, which never exceeds the diameter: the stop is
-exactly the diameter's.  ``_lockstep`` runs restarts in rounds and batches
+floats.  A row those checks reject (a degenerate or non-finite block or
+superposition, a pair outside the bound's class) has no valid input triple
+and reads +inf; an exception from a checked row's sides is a bug and ends
+the search.  Each restart is a generator (``_descent``) that yields the
+points it needs.  It stops at a simplex diameter below ``_DIAMETER_TOL``,
+after a pre-test on the worst and best vertices' gap in coordinate 0, which
+never exceeds the diameter: the stop is exactly the diameter's.  ``_lockstep`` runs restarts in rounds and batches
 the points of all live ones into objective calls.
 
 A simplex holds about 8 * n^2 bytes, n = ``parameter_count(dim, kind)``
@@ -30,13 +29,12 @@ A simplex holds about 8 * n^2 bytes, n = ``parameter_count(dim, kind)``
 ``SearchSpec`` dimension ceiling of 1024.  Restarts run in groups whose
 simplices fit in one 4 * dim + 2 simplex at that ceiling (one at a time at
 d = 1024, fifteen for disjoint pairs).  A batched evaluation computes only
-the slack (a row on the scalar path reads ``evaluate_bound(...).slack``);
-the search's ``BoundReport`` is built for the best point at the end.
+the slack, ``evaluate_bound(...).slack`` bit for bit; the search's
+``BoundReport`` is built for the best point at the end.
 """
 
 from __future__ import annotations
 
-import contextlib
 from bisect import bisect_right
 from dataclasses import dataclass
 from functools import partial
@@ -45,7 +43,7 @@ from operator import itemgetter
 import numpy as np
 
 from .bounds import BOUNDS, BoundReport, evaluate_bound, row_slacks
-from .errors import ConsistencyError, DegeneratePairError, WrongPairClassError, ZeroVectorError
+from .errors import ConsistencyError, DegeneratePairError, ZeroVectorError
 from .linalg import StateVector, norm, normalize, normalize_rows, project_out_rows
 from .rng import UniformRows, standard_normals, stream, subseed
 from .superpose import PairKind, SuperpositionCoefficients, coefficient_map, default_split
@@ -202,33 +200,15 @@ def _parameterize_rows(
 
 
 def _objective(spec: SearchSpec, X: np.ndarray) -> np.ndarray:
-    """The slack of ``spec``'s bound at each row of X, times its ``_SIGN``.
-
-    Rows that ``row_slacks`` vouches for keep their batched value.  Every
-    other row runs once through ``parameterize`` and ``evaluate_bound``.  It
-    reads +inf where it has no valid input triple: ``parameterize`` rejects
-    it (``ValueError``, ``ZeroVectorError``), or ``evaluate_bound`` does
-    (``ZeroVectorError``, ``WrongPairClassError``).  Any other exception is a
-    bug and propagates.  Both paths run under ``np.errstate(all="ignore")``:
-    a warnings-as-errors filter would end the search at a non-finite row.
+    """The slack of ``spec``'s bound at each row of X, times its ``_SIGN``:
+    ``row_slacks``' value, and +inf where it reads NaN, a row with no valid
+    input triple.  It runs under ``np.errstate(all="ignore")``: a
+    warnings-as-errors filter would end the search at a non-finite row.
     """
-    sign = _SIGN[BOUNDS[spec.bound_id].direction]
     with np.errstate(all="ignore"):
         inputs = _parameterize_rows(X, spec.dim, spec.pair_kind)
-        values, ok = row_slacks(spec.bound_id, *inputs, kind=spec.pair_kind)
-        if sign < 0:
-            values = -values
-        for i, good in enumerate(ok.tolist()):
-            if good:
-                continue
-            values[i] = np.inf  # unless both calls below succeed
-            try:
-                inputs = parameterize(X[i], spec.dim, spec.pair_kind)
-            except (ValueError, ZeroVectorError):
-                continue
-            with contextlib.suppress(ZeroVectorError, WrongPairClassError):
-                values[i] = sign * evaluate_bound(spec.bound_id, *inputs).slack
-    return values
+        values = row_slacks(spec.bound_id, *inputs, kind=spec.pair_kind)
+    return np.fmin(_SIGN[BOUNDS[spec.bound_id].direction] * values, np.inf)
 
 
 def _diameter(simplex: np.ndarray) -> float:
@@ -377,13 +357,12 @@ def minimize_slack(
     """Seeded multi-restart Nelder-Mead over the slack of one bound.
 
     Restart r starts from a Gaussian point drawn from the stream of sub-seed
-    (spec.seed, r); the global best is the minimum
-    across restarts with ties broken by the lowest restart index.  Every point
-    is evaluated by ``_objective``, which owns the fallback to the scalar path
-    and negates an equality's residual, so that its worst one is sought.  An
-    inequality's slack below -tolerance indicates an implementation bug, not a
-    counterexample.  If no restart reaches a valid input triple (every value
-    +inf), the search raises ``DegeneratePairError``.
+    (spec.seed, r); the global best is the minimum across restarts with ties
+    broken by the lowest restart index.  Every point is evaluated by
+    ``_objective``, which negates an equality's residual, so that its worst
+    one is sought.  An inequality's slack below -tolerance indicates an
+    implementation bug, not a counterexample.  If no restart reaches a valid
+    input triple (every value +inf), the search raises ``DegeneratePairError``.
     """
     objective = partial(_objective, spec)
     n = parameter_count(spec.dim, spec.pair_kind)

@@ -13,10 +13,9 @@ import subprocess
 import sys
 from pathlib import Path
 
-import numpy as np
 import pytest
 
-from coherence_lab import bounds, cli, ensembles, search
+from coherence_lab import bounds, cli, ensembles
 from coherence_lab.cli import canonical_json, main
 from coherence_lab.errors import ConsistencyError
 
@@ -802,18 +801,16 @@ def test_internal_invariant_failure_exits_three(monkeypatch, capsys):
 
 def test_invariant_failure_inside_a_restart_exits_three(monkeypatch, capsys):
     calls = []
-    real_evaluate_bound = search.evaluate_bound
+    gain = bounds.BOUNDS["GAIN_LE_1"]
 
-    def failing(*args, **kwargs):
-        calls.append(args[0])
-        if len(calls) == 25:  # in restart 2's initial simplex (11 points each)
+    def failing(q, entropy):
+        calls.append(q)
+        if len(calls) == 25:  # after the three restarts' initial simplices (4 points each)
             raise ConsistencyError("simulated invariant failure in a restart")
-        return real_evaluate_bound(*args, **kwargs)
+        return gain.sides(q, entropy)
 
-    # The batch vouches for no row, so every point takes the scalar path.
-    monkeypatch.setattr(search, "row_slacks", lambda bound_id, alpha, *rest, **kind: (
-        np.full(len(alpha), np.nan), np.zeros(len(alpha), dtype=bool)))
-    monkeypatch.setattr(search, "evaluate_bound", failing)
+    replaced = dataclasses.replace(gain, sides=failing)
+    monkeypatch.setattr(bounds, "BOUNDS", {**bounds.BOUNDS, "GAIN_LE_1": replaced})
     code = run_cli(
         ["saturate", "--bound", "GAIN_LE_1", "--restarts", "3", "--iterations", "50"]
     )
@@ -917,7 +914,9 @@ def test_canonical_json_rejects_non_finite():
 CROSS_CLASS_BOUND = 4 * 1.4e-15
 # Older CPU classes, each emulated in a child's environment only: numpy's
 # runtime dispatch narrowed (its newer targets off) and, for two of them, an
-# older OpenBLAS kernel.
+# older OpenBLAS kernel.  The kernel that runs is the OpenBLAS build's choice
+# (numpy 2.4.6's reports Katmai for Prescott), so the test reads it from the
+# child's verbose "Core:" line and names it in its messages.
 CPU_CLASSES = {
     "avx2": {"NPY_DISABLE_CPU_FEATURES": "X86_V4 AVX512_ICL AVX512_SPR"},
     "avx2-haswell-blas": {"NPY_DISABLE_CPU_FEATURES": "X86_V4 AVX512_ICL AVX512_SPR",
@@ -971,17 +970,19 @@ def test_reports_within_the_stated_bound_under_an_emulated_cpu_class(capsys, cpu
         # it does not know.
         child = subprocess.run([sys.executable, "-W", "always::ImportWarning", "-m",
                                 "coherence_lab", *argv], env=env, capture_output=True, text=True)
+        core = re.search(r"^Core: (.*)$", child.stderr, re.M)
+        ran = f"OpenBLAS kernel {core.group(1) if core else 'not reported'}"
         for rejected in ("cannot disable", "Core not found"):
             if rejected in child.stderr:
-                pytest.skip(f"this host cannot emulate {CPU_CLASSES[cpu_class]}: "
+                pytest.skip(f"this host cannot emulate {CPU_CLASSES[cpu_class]} ({ran}): "
                             f"{' '.join(child.stderr.split())}")
-        assert child.returncode == run_cli(argv) == 0, child.stderr
+        assert child.returncode == run_cli(argv) == 0, (ran, child.stderr)
         here, there = json.loads(capsys.readouterr().out), json.loads(child.stdout)
         if argv is not saturate:
-            assert list(report_differences(here, there)) == []
+            assert list(report_differences(here, there)) == [], ran
             continue
         # A search may fork across classes, so saturate's floats are not
         # compared: its exit code, its violations and its best slack's verdict are.
-        assert here["violations"] == there["violations"] == 0
+        assert here["violations"] == there["violations"] == 0, ran
         for report in (here, there):
-            assert report["results"]["best_slack"] >= -report["config"]["tolerance"]
+            assert report["results"]["best_slack"] >= -report["config"]["tolerance"], ran

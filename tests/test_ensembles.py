@@ -586,9 +586,8 @@ def test_a_pass_draws_once_whatever_stream_lengths_it_holds(monkeypatch):
 @pytest.mark.parametrize("seed", [0, 1, 7])
 def test_the_benchmark_shape_runs_no_trial_on_the_scalar_path(monkeypatch, seed):
     # README's default kinds and dims at 125 trials fit in one pass.  A row
-    # the pass cannot vouch for (a disjoint row sharing a coherence call
-    # with Haar rows, say) would keep every summary right but run the scalar
-    # path.
+    # the pass handed back to the scalar path would keep every summary right
+    # but run slower.
     calls = _count_scalar_trials(monkeypatch)
     passes = _record_passes(monkeypatch)
     configs = [

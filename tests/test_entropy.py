@@ -3,6 +3,7 @@
 import math
 import struct
 
+import mp_oracle
 import numpy as np
 import pytest
 
@@ -194,8 +195,8 @@ def test_pure_coherence_biased_superposition():
 
 
 def test_row_sums_of_entropy_terms_equal_the_one_row_sums():
-    # The row form of _entropy_of_probs's sum gives each row's bits whatever
-    # the batch around it; the lockstep search relies on it.
+    # The row form of the entropy sum gives each row's bits whatever the
+    # batch around it; the lockstep search relies on it.
     rng = np.random.default_rng(31)
     for dim in [*range(1, 71), 128, 1024]:
         for rows in (1, 3, 16):
@@ -216,7 +217,7 @@ def test_row_coherences_match_pure_state_coherence(dim):
     rng = np.random.default_rng(dim)
     full = unit_rows(rng, (6, 3, dim))
     # Zero columns in every row, as parameterize leaves outside a disjoint
-    # support: dropped like p = 0 on the scalar path.
+    # support: a -0.0 term on both paths.
     gapped = full.copy()
     gapped[:, 0, dim // 2 + 1 :] = 0.0
     gapped[:, 1, : dim // 3] = 0.0
@@ -224,23 +225,41 @@ def test_row_coherences_match_pure_state_coherence(dim):
     gapped[:, 1] /= np.sqrt((np.abs(gapped[:, 1]) ** 2).sum(axis=-1, keepdims=True))
     for amps in (full, gapped):
         if dim > 1:
-            # p = 0 inside the other rows' support: exactly, and by underflow
-            # (1e-170 squared). The scalar path drops it; the row value is NaN.
+            # p = 0 where the other rows have none: exactly, and by underflow
+            # (1e-170 squared).  It is a -0.0 term on both paths too.
             amps[4, 2, -1] = 0.0
             amps[3, 2, 0] = 1e-170
             amps[3:5, 2] /= np.sqrt((np.abs(amps[3:5, 2]) ** 2).sum(axis=-1, keepdims=True))
-        with np.errstate(all="ignore"):
-            values = entropy.row_coherences(amps)
-        ok = ~np.isnan(values).any(axis=1)
-        assert values.shape == (6, 3)
-        assert ok.tolist() == [True] * 3 + [dim == 1] * 2 + [True]
-        assert np.isnan(values[3:5, 2]).all() == (dim > 1)
-        for r in (3, 4):
-            assert math.isfinite(pure_state_coherence(StateVector(amps[r, 2])))
-        for r in np.flatnonzero(ok):
+        values = entropy.row_coherences(amps)
+        assert values.shape == (6, 3) and np.isfinite(values).all()
+        for r in range(6):
             for j in range(3):
                 expected = pure_state_coherence(StateVector(amps[r, j]))
                 assert values[r, j].tobytes() == np.float64(expected).tobytes()
+
+
+@pytest.mark.parametrize("dim", range(2, 18))
+def test_zero_padded_states_have_one_coherence_on_both_paths(dim):
+    # A unit block of every width below dim, zero-padded at the start, at the
+    # end and in the middle.  numpy sums fewer than 8 terms in order and more
+    # pairwise; either way the -0.0 terms of p = 0 leave the sum at the
+    # oracle's value, the same on both paths, and a basis state (width 1, an
+    # amplitude of modulus 1 exactly) at +0.0, not -0.0.
+    rng = np.random.default_rng(dim)
+    states = []
+    for width in range(1, dim):
+        block = unit_rows(rng, (width,)) if width > 1 else [(-1j) ** dim]
+        for start in (0, dim - width, (dim - width) // 2):
+            amps = np.zeros(dim, dtype=np.complex128)
+            amps[start : start + width] = block
+            states.append(amps)
+    values = entropy.row_coherences(np.array(states)[:, None])[:, 0].tolist()
+    for amps, value in zip(states, values):
+        scalar = pure_state_coherence(StateVector(amps))
+        assert struct.pack("<d", value) == struct.pack("<d", scalar)
+        assert abs(value - float(mp_oracle.pure_state_coherence(amps))) <= 1e-15
+        if np.count_nonzero(amps) == 1:
+            assert value == 0.0 and math.copysign(1.0, value) == 1.0
 
 
 def test_a_nan_row_supports_no_column():

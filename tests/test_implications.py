@@ -63,7 +63,7 @@ def assert_close(got, want, scale):
 
 
 def slacks(evaluator, bound_id, rows, kind):
-    """The slack of ``bound_id`` at each row, on one evaluator; every row must be vouched for.
+    """The slack of ``bound_id`` at each row, on one evaluator; every row must have one.
 
     ``evaluate_rows`` applies T3 to the non-orthogonal class only, so the
     orthogonal rows are passed to it as that class for T3: T3 has no hypothesis.
@@ -72,7 +72,8 @@ def slacks(evaluator, bound_id, rows, kind):
         return np.array([evaluate_bound(bound_id, *triple(rows, r)).slack
                          for r in range(len(rows[0]))])
     if evaluator == "row_slacks":
-        values, ok = row_slacks(bound_id, *slotted(rows), kind=kind)
+        values = row_slacks(bound_id, *slotted(rows), kind=kind)
+        ok = ~np.isnan(values)
     else:
         _, overlap, fields, _ = row_values(*rows)
         if bound_id == T3_UPPER:

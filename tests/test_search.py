@@ -5,7 +5,6 @@ import dataclasses
 import importlib
 import json
 import math
-import types
 
 import numpy as np
 import pytest
@@ -286,8 +285,8 @@ def test_search_result_reevaluates_consistently(monkeypatch):
     report = evaluate_bound(T4_LOWER_A, coeffs, phi, psi, tolerance=1e-9)
     assert result.report == report
     assert report.slack == result.best_slack
-    # Every row is vouched for, so the objective builds no report: the search's
-    # one evaluate_bound call is its final report.
+    # The objective builds no report: the search's one evaluate_bound call is
+    # its final report.
     assert len(reports) == 1
 
 
@@ -508,9 +507,15 @@ def test_lockstep_shrinks_in_only_some_restarts():
     assert any(count == 0 for count in shrinks) and any(count > 0 for count in shrinks)
 
 
-FALLBACKS = {
+THRESHOLDS = {
     # Blocks and superpositions this short are degenerate: the objective is inf.
     "zero_vector": Tolerances(zero_vector=0.99),
+    # About half of the orthogonal search's projected pairs, whose overlaps
+    # are round-off (up to about 1e-16), fail T2's hypothesis.
+    "overlap": Tolerances(overlap=3e-17),
+    # The tightest support: a disjoint draw's off-block zeros still meet it,
+    # as row_slacks assumes without a test.
+    "support": Tolerances(support=0.0),
 }
 
 
@@ -522,40 +527,53 @@ def patch_tolerances(monkeypatch, tolerances):
         monkeypatch.setattr(module, "TOLERANCES", tolerances)
 
 
+@pytest.mark.parametrize("threshold", list(THRESHOLDS))
+@pytest.mark.parametrize(
+    "bound_id, pair_kind", SEARCHABLE, ids=[f"{b}-{k.value}" for b, k in SEARCHABLE]
+)
+def test_the_objective_equals_the_scalar_reference_at_moved_thresholds(
+    monkeypatch, bound_id, pair_kind, threshold
+):
+    # The batched checks (block and superposition norms, the hypothesis)
+    # reject exactly the rows whose triple parameterize or evaluate_bound
+    # rejects, and every other row keeps the scalar path's slack bits.
+    patch_tolerances(monkeypatch, THRESHOLDS[threshold])
+    rng = np.random.default_rng(len(threshold))
+    values = []
+    for dim in (2, 3, 8):
+        spec = SearchSpec(bound_id=bound_id, dim=dim, pair_kind=pair_kind, seed=0)
+        X = rng.standard_normal((40, parameter_count(dim, pair_kind)))
+        got = search._objective(spec, X)
+        expected = [scalar_objective(spec)(x) for x in X]
+        assert [struct_bits(v) for v in got] == [struct_bits(v) for v in expected]
+        values += got.tolist()
+    # Where the threshold moves a check of this search, both outcomes occur.
+    orthogonal = bound_id == T2_UPPER and pair_kind is PairKind.ORTHOGONAL_SAME_SPACE
+    if threshold == "zero_vector" or threshold == "overlap" and orthogonal:
+        assert math.inf in values and np.isfinite(values).any()
+
+
 @pytest.mark.parametrize(
     "bound_id, pair_kind, threshold",
     [(GAIN_LE_1, PairKind.DISJOINT_SUPPORT, "zero_vector"),
      (T4_LOWER_A, PairKind.ARBITRARY, "zero_vector")],
 )
-def test_lockstep_matches_reference_through_fallback_rows(
+def test_lockstep_matches_reference_through_degenerate_rows(
     monkeypatch, bound_id, pair_kind, threshold
 ):
-    patch_tolerances(monkeypatch, FALLBACKS[threshold])
-    counts = {"batched": 0, "fallback": 0}
-    real_row_slacks, real_parameterize = search.row_slacks, search.parameterize
-    real_evaluate_bound = search.evaluate_bound
+    # Degenerate rows read +inf from the batched checks: the only scalar
+    # calls are the final report's.
+    patch_tolerances(monkeypatch, THRESHOLDS[threshold])
+    values = []
+    real_objective = search._objective
 
-    def counted_rows(*args, **kwargs):
-        values, ok = real_row_slacks(*args, **kwargs)
-        counts["batched"] += int(ok.sum())
-        return values, ok
+    def recorded(spec, X):
+        result = real_objective(spec, X)
+        values.extend(result.tolist())
+        return result
 
-    def counted_scalar(*args, **kwargs):
-        # The final report's call passes its tolerance; the objective's do not.
-        counts["fallback"] += not kwargs
-        return real_evaluate_bound(*args, **kwargs)
-
-    def counted_parameterize(*args):
-        # A degenerate row ends here; the final best point's call does not.
-        try:
-            return real_parameterize(*args)
-        except ZeroVectorError:
-            counts["fallback"] += 1
-            raise
-
-    monkeypatch.setattr(search, "row_slacks", counted_rows)
-    monkeypatch.setattr(search, "evaluate_bound", counted_scalar)
-    monkeypatch.setattr(search, "parameterize", counted_parameterize)
+    monkeypatch.setattr(search, "_objective", recorded)
+    calls = scalar_calls(monkeypatch)
     # A disjoint pair's phi block at d = 3 is one real, which a start rarely
     # puts above 0.99: restarts 0-3 see only degenerate points, restart 4 does not.
     restarts = 5 if pair_kind is PairKind.DISJOINT_SUPPORT else 3
@@ -565,7 +583,8 @@ def test_lockstep_matches_reference_through_fallback_rows(
     monkeypatch.setattr(search, "_lockstep", checked_lockstep(runs, spec))
     minimize_slack(spec)
     assert runs == [(parameter_count(3, pair_kind), restarts)]
-    assert counts["batched"] > 0 and counts["fallback"] > 0
+    assert math.inf in values and np.isfinite(values).any()
+    assert [name for name, _ in calls] == ["parameterize", "evaluate_bound"]
 
 
 def test_restarts_that_reach_no_valid_triple_read_inf(monkeypatch, capsys):
@@ -574,7 +593,7 @@ def test_restarts_that_reach_no_valid_triple_read_inf(monkeypatch, capsys):
     # ZeroVectorError from the best point's parameterize.  Of 8 restarts,
     # 4 and 6 reach a valid triple; the others keep +inf, which the CLI
     # writes as null.
-    patch_tolerances(monkeypatch, FALLBACKS["zero_vector"])
+    patch_tolerances(monkeypatch, THRESHOLDS["zero_vector"])
     spec = SearchSpec(bound_id=GAIN_LE_1, dim=3, pair_kind=PairKind.DISJOINT_SUPPORT, seed=4,
                       restarts=8, iterations=80)
     for restarts in (3, 4):
@@ -612,9 +631,9 @@ def test_batched_rows_equal_the_scalar_objective_bit_for_bit(bound_id, pair_kind
         # d = 2 a disjoint pair's blocks hold one amplitude each, so none).
         if not disjoint or dim > 2:
             X[6, 1] = -0.0
-        # One exact-zero amplitude inside the other rows' support: phi[0], or
+        # One exact-zero amplitude where the other rows have none: phi[0], or
         # at d = 2 with disjoint support (phi's block is one amplitude) T1's
-        # psi amplitude, through beta = 0.
+        # psi amplitude, through beta = 0.  Its term is -0.0 on both paths.
         if disjoint and dim == 2:
             X[7, 0] = 0.0
         else:
@@ -624,21 +643,21 @@ def test_batched_rows_equal_the_scalar_objective_bit_for_bit(bound_id, pair_kind
             # The rows parameterize accepts: a finite beta and both norms
             # ones normalize accepts.
             ok = np.isfinite(beta) & linalg.normalizable(norms[:, :2]).all(axis=1)
-            slacks, vouched = bounds.row_slacks(
+            slacks = bounds.row_slacks(
                 bound_id, alpha[ok], beta[ok], states[ok], norms[ok], kind=pair_kind
             )
-            # One call over the whole batch vouches for the same rows, with the same bits.
-            whole, whole_vouched = bounds.row_slacks(
-                bound_id, alpha, beta, states, norms, kind=pair_kind
-            )
+            # One call over the whole batch accepts the same rows, with the same bits.
+            whole = bounds.row_slacks(bound_id, alpha, beta, states, norms, kind=pair_kind)
+        vouched, whole_vouched = ~np.isnan(slacks), ~np.isnan(whole)
         assert not ok[2:6].any() and ok[6:].all()
         assert vouched.sum() >= 16
         assert np.flatnonzero(whole_vouched).tolist() == np.flatnonzero(ok)[vouched].tolist()
         assert whole[whole_vouched].tobytes() == slacks[vouched].tobytes()
         zero = np.flatnonzero(np.flatnonzero(ok) == 7)[0]
-        assert not vouched[zero] and math.isnan(slacks[zero])
         inputs = parameterize(X[7], dim, pair_kind)
-        assert math.isfinite(bounds.evaluate_bound(bound_id, *inputs).slack)
+        assert vouched[zero]
+        expected = bounds.evaluate_bound(bound_id, *inputs).slack
+        assert struct_bits(slacks[zero]) == struct_bits(expected)
         for i, slack, good in zip(np.flatnonzero(ok), slacks, vouched):
             coeffs, phi_i, psi_i = parameterize(X[i], dim, pair_kind)
             assert np.float64(coeffs.alpha.real).tobytes() == alpha[i].tobytes()
@@ -730,18 +749,18 @@ def scalar_calls(monkeypatch):
     return calls
 
 
-def test_a_degenerate_row_alone_takes_the_scalar_path(monkeypatch):
+def test_a_degenerate_row_alone_reads_inf(monkeypatch):
     # A zero phi block makes the row's amplitudes 0/0 = NaN.  Beside the good
     # rows of a disjoint search, whose off-block amplitudes are exact zeros,
-    # it must not mark those columns as supported: only it reaches the scalar
-    # path, and every good row keeps its batched value, the scalar one's bits.
+    # it reads +inf with no scalar call, and every good row keeps its batched
+    # value, the scalar one's bits.
     dim = 4
     spec = SearchSpec(bound_id=GAIN_LE_1, dim=dim, pair_kind=PairKind.DISJOINT_SUPPORT, seed=0)
     X = np.random.default_rng(11).standard_normal((5, parameter_count(dim, spec.pair_kind)))
     X[2, 2:] = 0.0
     calls = scalar_calls(monkeypatch)
     values = search._objective(spec, X)
-    assert calls == [("parameterize", X[2].tobytes())]
+    assert calls == []
     assert values[2] == math.inf
     for i in (0, 1, 3, 4):
         expected = signed_slack(GAIN_LE_1, *parameterize(X[i], dim, spec.pair_kind))
@@ -873,19 +892,24 @@ def result_bits(result):
             [struct_bits(value) for value in result.restart_best], result.evaluations)
 
 
+def raising_sides(monkeypatch, bound_id, error, after=0):
+    """Replace the sides of ``bound_id`` in a copy of ``BOUNDS`` with ones that
+    raise ``error`` at their call ``after`` + 1; returns the list of calls."""
+    calls, bound = [], BOUNDS[bound_id]
+
+    def sides(q, entropy):
+        calls.append(q)
+        if len(calls) > after:
+            raise error("simulated invariant failure in a restart")
+        return bound.sides(q, entropy)
+
+    replaced = dataclasses.replace(bound, sides=sides)
+    monkeypatch.setattr(bounds, "BOUNDS", {**BOUNDS, bound_id: replaced})
+    return calls
+
+
 def test_a_restart_that_raises_ends_the_search_with_its_exception(monkeypatch):
-    calls = []
-
-    def failing(bound_id, coeffs, phi, psi):
-        calls.append(bound_id)
-        if len(calls) == 20:
-            raise ConsistencyError("simulated invariant failure in a restart")
-        return types.SimpleNamespace(slack=1.0)
-
-    # Every row goes through the scalar path, whose evaluate_bound fails once.
-    monkeypatch.setattr(search, "row_slacks", lambda bound_id, a, *rest, **kind: (
-        np.full(len(a), np.nan), np.zeros(len(a), dtype=bool)))
-    monkeypatch.setattr(search, "evaluate_bound", failing)
+    calls = raising_sides(monkeypatch, GAIN_LE_1, ConsistencyError, after=19)
     spec = SearchSpec(bound_id=GAIN_LE_1, dim=2, pair_kind=PairKind.DISJOINT_SUPPORT, seed=1,
                       restarts=3, iterations=50)
     with pytest.raises(ConsistencyError, match="in a restart"):
@@ -898,28 +922,35 @@ def test_a_restart_that_raises_ends_the_search_with_its_exception(monkeypatch):
     (ConsistencyError, False), (DomainError, False), (ValueError, False),
 ])
 def test_only_an_invalid_triple_reads_inf(monkeypatch, error, infeasible):
-    # evaluate_bound rejecting the triple makes the row +inf; any other
-    # exception there is a bug, which leaves the objective.  parameterize's
-    # own ValueError is a row with no triple (the bit-for-bit test's rows 3-5).
-    def raising(*args, **kwargs):
-        raise error("simulated")
-
-    monkeypatch.setattr(search, "row_slacks", lambda bound_id, a, *rest, **kind: (
-        np.full(len(a), np.nan), np.zeros(len(a), dtype=bool)))
-    monkeypatch.setattr(search, "evaluate_bound", raising)
-    spec = SearchSpec(bound_id=GAIN_LE_1, dim=2, pair_kind=PairKind.DISJOINT_SUPPORT, seed=1)
-    X = np.random.default_rng(3).standard_normal((2, parameter_count(2, spec.pair_kind)))
+    # A row whose triple parameterize or evaluate_bound rejects with
+    # ZeroVectorError (a zero block) or WrongPairClassError (a pair that fails
+    # T2's hypothesis) reads +inf from the batched checks, with no sides call.
+    # Any exception from the sides of a checked row is a bug, which leaves
+    # the objective.
+    bound_id = T2_UPPER if error is WrongPairClassError else GAIN_LE_1
+    kind = BOUNDS[bound_id].hypothesis
+    spec = SearchSpec(bound_id=bound_id, dim=2, pair_kind=kind, seed=1)
+    X = np.random.default_rng(3).standard_normal((2, parameter_count(2, kind)))
+    if error is ZeroVectorError:
+        X[:, 1] = 0.0  # phi's block
+    if error is WrongPairClassError:
+        patch_tolerances(monkeypatch, Tolerances(overlap=0.0))
+    for x in X:
+        with pytest.raises(error) if infeasible else contextlib.nullcontext():
+            evaluate_bound(bound_id, *parameterize(x, 2, kind))
+    calls = raising_sides(monkeypatch, bound_id, error)
     if infeasible:
-        assert search._objective(spec, X).tolist() == [math.inf, math.inf]
+        assert search._objective(spec, X).tolist() == [math.inf, math.inf] and calls == []
     else:
         with pytest.raises(error, match="simulated"):
             search._objective(spec, X)
+        assert len(calls) == 1
 
 
 def test_a_non_finite_row_reads_inf_under_the_suites_warning_filter():
     # pyproject.toml raises every RuntimeWarning, as `python -W error` does.
     # Rows with theta = inf ("invalid value encountered in cos") and scaled by
-    # 1e160 ("overflow encountered in dot") take the scalar fallback, which must
+    # 1e160 ("overflow encountered in dot") read +inf, and the objective must
     # not warn: no np.errstate here.
     spec = SearchSpec(bound_id=T4_LOWER_A, dim=8, pair_kind=PairKind.ARBITRARY, seed=3)
     X = _starts(spec.seed, 0, 2, parameter_count(spec.dim, spec.pair_kind))
