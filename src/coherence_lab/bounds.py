@@ -22,12 +22,13 @@ report is satisfied when slack >= -tolerance (equality: residual <=
 tolerance).  Each relation is written once, as ``Bound.sides``: a function
 of one record of the six numbers a, b, s, C(phi), C(psi) and C(T1).  The
 record holds one triple's floats for ``evaluate_all``, ``evaluate_bound``
-and each row of ``row_slacks``, and (R,) arrays of one pair class for
+and each row of ``row_slacks``, and (R,) arrays over all rows of a pass for
 ``evaluate_rows``, which gives the same floats.  ``evaluate_bound(...).slack``
 is the scalar reference for one triple's slack.  Its hypothesis on the pair
 (disjoint support, orthogonal branches, or none) is written once too, as
 ``Bound.hypothesis``, and checked through ``_meets``: on a pair (raising
-WrongPairClassError) or on a pair class's rows (masking them out).
+WrongPairClassError) or on rows (masking them out).  The pair classes
+``evaluate_all`` and ``evaluate_rows`` check it on are ``Bound.classes``.
 ``row_slacks`` computes only the quantity the hypothesis reads, and none for
 rows drawn disjoint; a row that fails its checks reads NaN.
 """
@@ -186,7 +187,8 @@ class Bound:
 
     ``hypothesis`` is what a pair must meet: None (any pair),
     ``DISJOINT_SUPPORT``, or ``ORTHOGONAL_SAME_SPACE``, which means
-    |<phi|psi>| <= ``TOLERANCES.overlap``.  ``default_kind`` is the kind
+    |<phi|psi>| <= ``TOLERANCES.overlap``.  ``classes`` are the pair classes
+    ``evaluate_all`` and ``verify`` check it on, ``default_kind`` is the kind
     ``sweep`` and ``saturate`` sample when none is given, ``direction`` is
     ``"equality"``, ``"upper"`` or ``"lower"``, and ``sides(q, entropy)``
     computes (lhs, rhs) from the record ``q`` of a pair that meets the
@@ -195,6 +197,7 @@ class Bound:
     """
 
     hypothesis: Optional[PairKind]
+    classes: frozenset[PairKind]
     default_kind: PairKind
     direction: str
     sides: Callable[[_Quantities, Callable], tuple[float, float]]
@@ -209,17 +212,26 @@ class Bound:
         return frozenset({PairKind.DISJOINT_SUPPORT, self.hypothesis})
 
 
+_DISJOINT = frozenset({PairKind.DISJOINT_SUPPORT})
+_EVERY_CLASS = frozenset(PairKind) - {PairKind.ARBITRARY}  # the tags classify_pair gives
+
 BOUNDS: dict[str, Bound] = {
     T1_EQUALITY: Bound(
-        PairKind.DISJOINT_SUPPORT, PairKind.DISJOINT_SUPPORT, "equality", _t1_sides
+        PairKind.DISJOINT_SUPPORT, _DISJOINT, PairKind.DISJOINT_SUPPORT, "equality", _t1_sides
     ),
-    GAIN_LE_1: Bound(PairKind.DISJOINT_SUPPORT, PairKind.DISJOINT_SUPPORT, "upper", _gain_sides),
+    GAIN_LE_1: Bound(
+        PairKind.DISJOINT_SUPPORT, _DISJOINT, PairKind.DISJOINT_SUPPORT, "upper", _gain_sides
+    ),
     T2_UPPER: Bound(
-        PairKind.ORTHOGONAL_SAME_SPACE, PairKind.ORTHOGONAL_SAME_SPACE, "upper", _t2_sides
+        PairKind.ORTHOGONAL_SAME_SPACE, _DISJOINT | {PairKind.ORTHOGONAL_SAME_SPACE},
+        PairKind.ORTHOGONAL_SAME_SPACE, "upper", _t2_sides,
     ),
-    T3_UPPER: Bound(None, PairKind.NON_ORTHOGONAL, "upper", _t3_sides),
-    T4_LOWER_A: Bound(None, PairKind.ARBITRARY, "lower", _t4a_sides),
-    T4_LOWER_B: Bound(None, PairKind.ARBITRARY, "lower", _t4b_sides),
+    # T3 reduces to T2 when s = 1, so it is checked only where T2 is not.
+    T3_UPPER: Bound(
+        None, frozenset({PairKind.NON_ORTHOGONAL}), PairKind.NON_ORTHOGONAL, "upper", _t3_sides
+    ),
+    T4_LOWER_A: Bound(None, _EVERY_CLASS, PairKind.ARBITRARY, "lower", _t4a_sides),
+    T4_LOWER_B: Bound(None, _EVERY_CLASS, PairKind.ARBITRARY, "lower", _t4b_sides),
 }
 
 ALL_BOUND_IDS = tuple(BOUNDS)
@@ -306,16 +318,6 @@ def evaluate_bound(
     return _report(bound_id, q, tolerance)
 
 
-# Bounds evaluate_all applies to each pair class, ahead of the lower bounds.
-# T3 reduces to T2 when s = 1, so it is applied only where T2 is not.
-_CLASS_BOUNDS = {
-    PairKind.DISJOINT_SUPPORT: (T1_EQUALITY, GAIN_LE_1, T2_UPPER),
-    PairKind.ORTHOGONAL_SAME_SPACE: (T2_UPPER,),
-    PairKind.NON_ORTHOGONAL: (T3_UPPER,),
-}
-_LOWER_BOUNDS = (T4_LOWER_A, T4_LOWER_B)
-
-
 def evaluate_all(
     coeffs: SuperpositionCoefficients,
     phi: StateVector,
@@ -323,53 +325,63 @@ def evaluate_all(
     *,
     tolerance: float = TOLERANCES.bound_slack,
 ) -> list[BoundReport]:
-    """Evaluate every bound applicable to the pair's classification.
+    """Evaluate, in ``BOUNDS`` order, every bound whose ``classes`` hold the
+    pair's class.
 
     Disjoint support: equality, gain ceiling, orthogonal upper bound, and
     both lower-bound branches.  Orthogonal same-space: orthogonal upper bound
     plus lower bounds.  Non-orthogonal: general upper bound plus lower
-    bounds.  Every class bound reads the normalized superposition, so when
-    the branches cancel (norm numerically zero) this raises
-    ``ZeroVectorError``.
+    bounds.  Every bound reads the normalized superposition, so when the
+    branches cancel (norm numerically zero) this raises ``ZeroVectorError``.
     """
     pair_class = classify_pair(phi, psi)
-    # The class meets its first bound's hypothesis; a disjoint pair may fail T2's.
+    # The class meets the hypotheses of its bounds but T2's, which a disjoint pair may fail.
     q = _record(coeffs, phi, psi)
     reports = []
-    for bound_id in _CLASS_BOUNDS[pair_class.tag] + _LOWER_BOUNDS:
-        _require(BOUNDS[bound_id].hypothesis, pair_class)
-        reports.append(_report(bound_id, q, tolerance))
+    for bound_id, bound in BOUNDS.items():
+        if pair_class.tag in bound.classes:
+            _require(bound.hypothesis, pair_class)
+            reports.append(_report(bound_id, q, tolerance))
     return reports
 
 
 def evaluate_rows(
-    kind: PairKind,
+    classes: dict[PairKind, np.ndarray],
     overlap: np.ndarray,
     values: dict[str, np.ndarray],
+    ok: np.ndarray,
     tolerance: float = TOLERANCES.bound_slack,
-) -> tuple[dict[str, tuple[np.ndarray, np.ndarray]], np.ndarray]:
-    """``evaluate_all`` on R input triples of pair class ``kind``, each formula
-    run once on (R,) arrays: ``overlap`` holds <phi|psi> and ``values`` the
-    six fields of the record (``alpha_sq``, ``beta_sq``, ``s`` and
-    ``coherence_phi``/``_psi``/``_t1``).  Returns (slacks, satisfied) per
-    bound id, and ``ok``: where it holds, row i is ``evaluate_all``'s bit for
-    bit; elsewhere that raises for triple i (a degenerate superposition, an
-    entropy argument outside [0, 1], a disjoint pair against T2's hypothesis).
+) -> tuple[np.ndarray, list[tuple[str, np.ndarray, np.ndarray, np.ndarray]]]:
+    """``evaluate_all`` on R input triples, each bound's formula run once on
+    (R,) arrays.  ``classes`` holds the row mask of each pair class
+    (``superpose.class_masks``), ``overlap`` <phi|psi>, ``values`` the six
+    fields of the record (``alpha_sq``, ``beta_sq``, ``s`` and
+    ``coherence_phi``/``_psi``/``_t1``), and ``ok`` the rows whose record the
+    scalar path builds without raising (s ``normalizable`` among them).
+
+    Returns ``ok`` less the rows at which ``evaluate_all`` raises (an entropy
+    argument outside [0, 1], a disjoint pair against T2's hypothesis), and
+    per bound, in ``BOUNDS`` order, (bound id, rows, slacks, satisfied) over
+    the ok rows of its classes: there each is ``evaluate_all``'s bit for bit.
     """
     q = _Quantities(**values)
-    ok = q.s > TOLERANCES.zero_vector  # else _record raises
+    ok = ok.copy()
+    disjoint = classes[PairKind.DISJOINT_SUPPORT]
+    verdicts = []
+    for bound_id, bound in BOUNDS.items():
+        applies = np.logical_or.reduce([classes[kind] for kind in bound.classes])
 
-    def entropy(x: np.ndarray) -> np.ndarray:
-        nonlocal ok
-        value, inside = binary_entropy_rows(x)
-        ok &= inside
-        return value
+        def entropy(x: np.ndarray) -> np.ndarray:
+            value, inside = binary_entropy_rows(x)
+            ok[applies & ~inside] = False
+            return value
 
-    verdicts = {}
-    for bound_id in _CLASS_BOUNDS[kind] + _LOWER_BOUNDS:
-        bound = BOUNDS[bound_id]
         if bound.hypothesis is not None:
-            ok &= _meets(bound.hypothesis, kind is PairKind.DISJOINT_SUPPORT, overlap)
+            ok[applies & ~_meets(bound.hypothesis, disjoint, overlap)] = False
         slack = _slack(bound, *bound.sides(q, entropy))
-        verdicts[bound_id] = slack, _satisfied(bound, slack, tolerance)
-    return verdicts, ok
+        verdicts.append((bound_id, applies, slack, _satisfied(bound, slack, tolerance)))
+    results = []
+    for bound_id, applies, slack, satisfied in verdicts:
+        rows = np.flatnonzero(applies & ok)
+        results.append((bound_id, rows, slack[rows], satisfied[rows]))
+    return ok, results

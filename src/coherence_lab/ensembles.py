@@ -25,10 +25,10 @@ trial, so at most 5 ``_CHUNK_ELEMENTS`` uniforms per pass).  Each group
 rows' uniforms as a reshaped slice of that draw and runs the Box-Muller
 draws, projection, ``class_masks``, ``superpose_rows`` and one
 ``row_coherences`` call over phi, psi and omega side by side, where a
-disjoint pair's zero amplitudes are -0.0 terms as on the scalar path; the
-coefficients and ``evaluate_rows`` (per class) run once per pass.  Each
-(bound, class) result folds into the pass's ensembles with one ``reduceat``
-per extreme.
+disjoint pair's zero amplitudes are -0.0 terms as on the scalar path.  The
+coefficients and ``evaluate_rows``, which runs each bound once over the rows
+of its classes, run once per pass, and each bound's result folds into the
+pass's ensembles with one ``reduceat`` per extreme.
 """
 
 from __future__ import annotations
@@ -131,12 +131,9 @@ def haar_random_state(dim: int, seed: int) -> StateVector:
 
 def _orthogonal_pair(gen: UniformRows, dim: int) -> tuple[StateVector, StateVector]:
     phi = _haar_state(gen, dim)
-    raw = complex_normals(gen, dim)
-    projected = raw - np.vdot(phi.amps, raw) * phi.amps
-    if norm(projected) <= _PROJECTION_FLOOR:
+    (projected,), (first,) = project_out_rows(phi.amps[None], complex_normals(gen, dim)[None])
+    if first <= _PROJECTION_FLOOR:
         raise DegeneratePairError("the second state is nearly parallel to the first")
-    # One re-orthogonalization pass scrubs the first projection's round-off.
-    projected = projected - np.vdot(phi.amps, projected) * phi.amps
     return phi, normalize(projected)
 
 
@@ -300,8 +297,8 @@ def _pass(segments: list, tolerance: float):
     as a ``range``, sorted by ``_group``.
 
     Returns the mask of rows at which the scalar path raises, which it must
-    run, and for the others, per class and bound id, the rows,
-    slacks and verdicts: the scalar path's, bit for bit.
+    run, and for the others, per bound id, the rows, slacks and verdicts: the
+    scalar path's, bit for bit.
     """
     groups = [list(members) for _, members in itertools.groupby(segments, lambda seg: _group(seg[1]))]
     drawn = _draw(segments)
@@ -321,17 +318,7 @@ def _pass(segments: list, tolerance: float):
     overlap = values.pop("overlap")
     ok &= values.pop("ok")
     values.update(alpha_sq=alpha_sq, beta_sq=beta_sq)
-
-    results = []
-    for pair_class, members in classes.items():
-        rows = np.flatnonzero(members & ok)
-        if rows.size:
-            verdicts, vouched = evaluate_rows(
-                pair_class, overlap[rows], {k: v[rows] for k, v in values.items()}, tolerance
-            )
-            ok[rows] = vouched
-            results += [(bound_id, rows[vouched], slack[vouched], satisfied[vouched])
-                        for bound_id, (slack, satisfied) in verdicts.items()]
+    ok, results = evaluate_rows(classes, overlap, values, ok, tolerance)
     return ~ok, results
 
 

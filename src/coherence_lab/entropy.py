@@ -117,10 +117,13 @@ def relative_entropy_coherence(rho: DensityMatrix) -> float:
     )
 
 
-def _coherences(amps: np.ndarray) -> np.ndarray:
-    """H(|amps|^2) over the last axis.  A p = 0 is raised to the least
+def row_coherences(amps: np.ndarray) -> np.ndarray:
+    """H(|amps|^2) over the last axis: ``pure_state_coherence`` of each row
+    state, each row's terms summed alone.  A p = 0 is raised to the least
     positive double, 2^-1074, at its logarithm, so its term is 0 * -1074 =
-    -0.0; every p > 0 is at least that double and keeps its own term."""
+    -0.0; every p > 0 is at least that double and keeps its own term.  A row
+    of NaN amplitudes (one whose norm a caller rejects) reads NaN and leaves
+    every other row's value as it is."""
     p = np.minimum(np.abs(amps) ** 2, 1.0)
     terms = np.maximum(p, 5e-324)
     np.log2(terms, out=terms)  # in place: at most two arrays of the input's size
@@ -135,12 +138,4 @@ def pure_state_coherence(state: StateVector) -> float:
     Equals ``relative_entropy_coherence`` on the corresponding projector, but
     needs no eigensolver.
     """
-    return float(_coherences(state.amps))
-
-
-def row_coherences(amps: np.ndarray) -> np.ndarray:
-    """``pure_state_coherence`` of each (R, k, d) row state, as (R, k) values,
-    bit for bit: each row's terms are summed alone, in the same order.  A row
-    of NaN amplitudes (one whose norm a caller rejects) reads NaN and leaves
-    every other row's value as it is."""
-    return _coherences(amps)
+    return float(row_coherences(state.amps))

@@ -44,7 +44,7 @@ import numpy as np
 
 from .bounds import BOUNDS, BoundReport, evaluate_bound, row_slacks
 from .errors import ConsistencyError, DegeneratePairError, ZeroVectorError
-from .linalg import StateVector, norm, normalize, normalize_rows, project_out_rows
+from .linalg import StateVector, normalize, normalize_rows, project_out_rows
 from .rng import UniformRows, standard_normals, stream, subseed
 from .superpose import PairKind, SuperpositionCoefficients, coefficient_map, default_split
 from .tolerances import TOLERANCES
@@ -155,10 +155,9 @@ def parameterize(
     coeffs = SuperpositionCoefficients(alpha=alpha, beta=beta)
     phi = normalize(raw_phi)
     if pair_kind is PairKind.ORTHOGONAL_SAME_SPACE:
-        projected = raw_psi - np.vdot(phi.amps, raw_psi) * phi.amps
-        if norm(projected) <= TOLERANCES.zero_vector:
+        (projected,), (first,) = project_out_rows(phi.amps[None], raw_psi[None])
+        if first <= TOLERANCES.zero_vector:
             raise ZeroVectorError("second state degenerated under orthogonal projection")
-        projected = projected - np.vdot(phi.amps, projected) * phi.amps
         psi = normalize(projected)
     else:
         psi = normalize(raw_psi)

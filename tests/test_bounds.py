@@ -347,10 +347,24 @@ SEARCH_KINDS = {
 }
 
 
+# The pair classes evaluate_all and verify check each bound on, as a literal:
+# T3 reduces to T2 when s = 1, so it is checked only where T2 is not.
+CHECKED_CLASSES = {
+    T1_EQUALITY: {PairKind.DISJOINT_SUPPORT},
+    GAIN_LE_1: {PairKind.DISJOINT_SUPPORT},
+    T2_UPPER: {PairKind.DISJOINT_SUPPORT, PairKind.ORTHOGONAL_SAME_SPACE},
+    T3_UPPER: {PairKind.NON_ORTHOGONAL},
+    T4_LOWER_A: set(PairKind) - {PairKind.ARBITRARY},
+    T4_LOWER_B: set(PairKind) - {PairKind.ARBITRARY},
+}
+
+
 def test_bounds_registry_covers_every_bound():
     assert set(BOUNDS) == set(ALL_BOUND_IDS)
     for bound_id, bound in BOUNDS.items():
         assert bound.kinds == SEARCH_KINDS[bound_id]
+        assert bound.classes == CHECKED_CLASSES[bound_id]
+        assert bound.classes <= bound.kinds
         assert bound.default_kind in bound.kinds
         assert bound.direction in ("equality", "upper", "lower")
     # A sampled pair of a kind a bound does not take is outside its hypothesis.
@@ -442,23 +456,31 @@ def test_evaluate_rows_runs_the_scalar_formulas_on_arrays(kind):
     assert len(pow_rows) >= 5
     rows = np.array(pow_rows + list(range(200)))
     values = {k: v[rows] for k, v in values.items()}
-    verdicts, ok = bounds_module.evaluate_rows(kind, overlap[rows], values, tolerance=1e-9)
-    # The bounds evaluate_all reports for the class, in its order.
+    classes = {pair_class: np.full(len(rows), pair_class is kind) for pair_class in CLASS_EXEMPLARS}
+    ok, results = bounds_module.evaluate_rows(
+        classes, overlap[rows], values, np.ones(len(rows), dtype=bool), tolerance=1e-9
+    )
+    # The bounds evaluate_all reports for the class, in its order, each at every ok row.
+    verdicts = {bound_id: (slack, satisfied) for bound_id, applied, slack, satisfied in results
+                if applied.size}
     assert list(verdicts) == [rep.bound_id for rep in evaluate_all(EQUAL, *CLASS_EXEMPLARS[kind])]
-    for i in range(len(rows)):
-        # Row i's floats as a scalar record, as row_slacks builds one per row,
-        # and the pair class evaluate_all checks each hypothesis on.
+    for bound_id, applied, _, _ in results:
+        assert applied.tolist() == (np.flatnonzero(ok).tolist() if bound_id in verdicts else [])
+    for j, i in enumerate(np.flatnonzero(ok).tolist()):
+        # Row i's floats as a scalar record, as row_slacks builds one per row.
         record = bounds_module._Quantities(**{k: v[i].item() for k, v in values.items()})
+        for bound_id, (slack, satisfied) in verdicts.items():
+            report = bounds_module._report(bound_id, record, 1e-9)
+            assert (slack[j].hex(), bool(satisfied[j])) == (report.slack.hex(), report.satisfied)
+    for i in range(len(rows)):
+        # The pair class evaluate_all checks each hypothesis on.
         pair_class = PairClass(kind, complex(overlap[rows[i]]))
         raised = False
-        for bound_id, (slack, satisfied) in verdicts.items():
+        for bound_id in verdicts:
             try:
                 bounds_module._require(BOUNDS[bound_id].hypothesis, pair_class)
             except WrongPairClassError:
                 raised = True
-                continue
-            report = bounds_module._report(bound_id, record, 1e-9)
-            assert (slack[i].hex(), bool(satisfied[i])) == (report.slack.hex(), report.satisfied)
         assert bool(ok[i]) is not raised
     if kind is PairKind.NON_ORTHOGONAL:
         assert ok.all()
@@ -506,7 +528,8 @@ def test_the_three_paths_agree_on_each_hypothesis(monkeypatch):
     # One row_slacks call per bound over rows of every pair kind.  A row has
     # evaluate_bound's slack bits exactly where it meets the bound's hypothesis
     # by the rule written out here; elsewhere it is NaN and evaluate_bound
-    # raises WrongPairClassError.  evaluate_rows keeps the same rows of each class.
+    # raises WrongPairClassError.  evaluate_rows keeps the rows that meet every
+    # hypothesis of their class.
     pairs, moved = hypothesis_rows()
     for module in (bounds_module, importlib.import_module("coherence_lab.superpose")):
         monkeypatch.setattr(module, "TOLERANCES", moved)
@@ -541,19 +564,22 @@ def test_the_three_paths_agree_on_each_hypothesis(monkeypatch):
 
     classes = [classify_pair(p, q) for p, q in pairs]
     records = [bounds_module._record(c, p, q) for c, (p, q) in zip(coeffs, pairs)]
-    for kind in (PairKind.DISJOINT_SUPPORT, PairKind.ORTHOGONAL_SAME_SPACE, PairKind.NON_ORTHOGONAL):
-        rows = [i for i, pair_class in enumerate(classes) if pair_class.tag is kind]
-        values = {name: np.array([getattr(records[i], name) for i in rows])
-                  for name in bounds_module._Quantities._fields}
-        overlaps = np.array([classes[i].overlap for i in rows])
-        verdicts, ok = bounds_module.evaluate_rows(kind, overlaps, values)
-        for j, i in enumerate(rows):
-            assert bool(ok[j]) is all(vouched_slacks[b][0][i] for b in verdicts), (kind, i)
-            if ok[j]:
-                for bound_id, (slack, _) in verdicts.items():
-                    assert slack[j].hex() == vouched_slacks[bound_id][1][i].hex()
-        if kind is PairKind.DISJOINT_SUPPORT:
-            assert ok.tolist() == [False, True]  # the support row fails T2
+    values = {name: np.array([getattr(record, name) for record in records])
+              for name in bounds_module._Quantities._fields}
+    masks = {kind: np.array([c.tag is kind for c in classes]) for kind in CLASS_EXEMPLARS}
+    ok, results = bounds_module.evaluate_rows(
+        masks, np.array([c.overlap for c in classes]), values, np.ones(len(pairs), dtype=bool)
+    )
+    for i, pair_class in enumerate(classes):
+        checked = [b for b, bound in BOUNDS.items() if pair_class.tag in bound.classes]
+        assert bool(ok[i]) is all(vouched_slacks[b][0][i] for b in checked), i
+    for bound_id, rows, slack, _ in results:
+        assert rows.tolist() == [i for i in np.flatnonzero(ok).tolist()
+                                 if classes[i].tag in BOUNDS[bound_id].classes], bound_id
+        assert [x.hex() for x in slack.tolist()] == [
+            vouched_slacks[bound_id][1][i].hex() for i in rows.tolist()]
+    disjoint = masks[PairKind.DISJOINT_SUPPORT]
+    assert ok[disjoint].tolist() == [False, True]  # the support row fails T2
 
 
 @pytest.mark.parametrize("kind", [PairKind.ARBITRARY, PairKind.DISJOINT_SUPPORT],
@@ -605,17 +631,20 @@ def test_one_mutant_reaches_every_evaluator(monkeypatch):
         *unit_slots(np.array([p.amps for _, p, _ in triples]),
                     np.array([q.amps for _, _, q in triples])),
     )
-    verdicts, vouched = bounds_module.evaluate_rows(
-        PairKind.ORTHOGONAL_SAME_SPACE,
+    vouched, results = bounds_module.evaluate_rows(
+        {kind: np.full(len(triples), kind is PairKind.ORTHOGONAL_SAME_SPACE)
+         for kind in CLASS_EXEMPLARS},
         np.array([classify_pair(p, q).overlap for _, p, q in triples]),
         {name: np.array([getattr(r, name) for r in records])
          for name in bounds_module._Quantities._fields},
+        np.ones(len(triples), dtype=bool),
     )
     assert not np.isnan(rows).any() and vouched.all()
+    verdicts = {bound_id: slack for bound_id, _, slack, _ in results}
     for i, triple in enumerate(triples):
         report = evaluate_all(*triple)[0]
         assert report.bound_id == T2_UPPER
         slacks = [evaluate_bound(T2_UPPER, *triple).slack, report.slack, rows[i].item(),
-                  verdicts[T2_UPPER][0][i].item()]
+                  verdicts[T2_UPPER][i].item()]
         assert {slack.hex() for slack in slacks} == {expected[i].hex()}
         assert expected[i] != before[i]

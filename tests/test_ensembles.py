@@ -567,6 +567,31 @@ def test_one_pass_of_mixed_ensembles_equals_the_scalar_reports_bit_for_bit(monke
     assert_pass_matches_records(monkeypatch, MIXED)
 
 
+def test_a_pass_evaluates_each_bound_once(monkeypatch):
+    # One pass holding all three pair classes runs each bound's sides once on
+    # arrays, over the rows of every class it is checked on.
+    calls = collections.Counter()
+
+    def counted(bound_id, sides):
+        def wrapped(q, entropy):
+            calls[bound_id] += isinstance(q.s, np.ndarray)
+            return sides(q, entropy)
+        return wrapped
+
+    monkeypatch.setattr(bounds, "BOUNDS", {
+        bound_id: replace(bound, sides=counted(bound_id, bound.sides))
+        for bound_id, bound in BOUNDS.items()
+    })
+    passes = _record_passes(monkeypatch)
+    kinds = (PairKind.DISJOINT_SUPPORT, PairKind.ORTHOGONAL_SAME_SPACE, PairKind.NON_ORTHOGONAL)
+    configs = [EnsembleConfig(dim=4, trials=20, pair_kind=kind, seed=5) for kind in kinds]
+    summaries = summarize_ensembles(configs)
+    assert len(passes) == 1
+    for summary, config in zip(summaries, configs):
+        assert summary["bounds"] and summary == scalar_summary(config, 1e-9)
+    assert calls == {bound_id: 1 for bound_id in BOUNDS}
+
+
 def test_a_pass_draws_once_whatever_stream_lengths_it_holds(monkeypatch):
     # One pass of MIXED holds stream lengths 10 and 14; one of the benchmark
     # shape (16 ensembles of 125 trials) holds 6, 10, 18, 34 and 66.

@@ -196,22 +196,19 @@ def test_evaluate_rows_is_invariant(name):
         assert ok.all() and new_ok.all()
         for pair_class, members in classes.items():
             assert np.array_equal(new_classes[pair_class], members), (kind, dim, pair_class)
-            rows = np.flatnonzero(members)
-            if not rows.size:
+        want_ok, want = evaluate_rows(classes, overlap, values, ok)
+        got_ok, got = evaluate_rows(new_classes, new_overlap, new_values, new_ok)
+        assert want_ok.all() and got_ok.all()
+        got = {bound_id: (rows, slack) for bound_id, rows, slack, _ in got}
+        assert sorted(image(name, bound_id) for bound_id, *_ in want) == sorted(got)
+        for bound_id, rows, slack, _ in want:
+            new_rows, new = got[image(name, bound_id)]
+            assert np.array_equal(new_rows, rows), (kind, dim, bound_id)
+            if name == "branch_swap" and bound_id in BRANCH_SWAP:
+                assert new.tobytes() == slack.tobytes()
                 continue
-            want, want_ok = evaluate_rows(
-                pair_class, overlap[rows], {k: v[rows] for k, v in values.items()})
-            got, got_ok = evaluate_rows(
-                pair_class, new_overlap[rows], {k: v[rows] for k, v in new_values.items()})
-            assert want_ok.all() and got_ok.all()
-            assert sorted(image(name, bound_id) for bound_id in want) == sorted(got)
-            for bound_id, (slack, _) in want.items():
-                new = got[image(name, bound_id)][0]
-                if name == "branch_swap" and bound_id in BRANCH_SWAP:
-                    assert new.tobytes() == slack.tobytes()
-                    continue
-                for r, row in enumerate(rows.tolist()):
-                    assert_close(name, new[r], slack[r], scales[row])
+            for r, row in enumerate(rows.tolist()):
+                assert_close(name, new[r], slack[r], scales[row])
 
 
 def block_phases(alpha, beta, phi, psi, rng):
@@ -242,8 +239,9 @@ def test_disjoint_slacks_ignore_every_phase(dim):
     classes, overlap, values, ok = row_values(*original)
     new_classes, new_overlap, new_values, new_ok = row_values(*moved)
     assert ok.all() and new_ok.all() and classes[kind].all() and new_classes[kind].all()
-    want, want_ok = evaluate_rows(kind, overlap, values)
-    got, got_ok = evaluate_rows(kind, new_overlap, new_values)
-    assert want_ok.all() and got_ok.all() and sorted(got) == sorted(want)
-    for bound_id, (slack, _) in want.items():
-        assert_slacks_close(got[bound_id][0], slack)
+    want_ok, want = evaluate_rows(classes, overlap, values, ok)
+    got_ok, got = evaluate_rows(new_classes, new_overlap, new_values, new_ok)
+    assert want_ok.all() and got_ok.all()
+    for (bound_id, rows, slack, _), (new_id, new_rows, new, _) in zip(want, got, strict=True):
+        assert (new_id, new_rows.tolist()) == (bound_id, rows.tolist())
+        assert_slacks_close(new, slack)
