@@ -26,11 +26,14 @@ and each row of ``row_slacks``, and (R,) arrays over all rows of a pass for
 ``evaluate_rows``, which gives the same floats.  ``evaluate_bound(...).slack``
 is the scalar reference for one triple's slack.  Its hypothesis on the pair
 (disjoint support, orthogonal branches, or none) is written once too, as
-``Bound.hypothesis``, and checked through ``_meets``: on a pair (raising
-WrongPairClassError) or on rows (masking them out).  The pair classes
-``evaluate_all`` and ``evaluate_rows`` check it on are ``Bound.classes``.
-``row_slacks`` computes only the quantity the hypothesis reads, and none for
-rows drawn disjoint; a row that fails its checks reads NaN.
+``Bound.hypothesis``, and the pair classes that meet it are ``Bound.kinds``:
+``classify_pair`` calls a pair DisjointSupport only when it is also
+orthogonal.  ``evaluate_bound`` raises WrongPairClassError on a pair of
+another class.  ``evaluate_all`` and ``evaluate_rows`` check each bound on
+the classes in ``Bound.classes``, all within ``kinds``, so they test no
+hypothesis.  ``row_slacks`` tests on each row only what its draw does not
+guarantee, and nothing on rows drawn disjoint; a row that fails its checks
+reads NaN.
 """
 
 from __future__ import annotations
@@ -46,7 +49,6 @@ from .entropy import binary_entropy, binary_entropy_rows, pure_state_coherence, 
 from .errors import WrongPairClassError, ZeroVectorError
 from .linalg import StateVector, normalizable, row_vdot
 from .superpose import (
-    PairClass,
     PairKind,
     SuperpositionCoefficients,
     classify_pair,
@@ -91,44 +93,11 @@ class _Quantities(NamedTuple):
     coherence_t1: float
 
 
-def _meets(hypothesis: PairKind, disjoint, overlap):
-    """Whether pairs meet ``hypothesis`` (``DISJOINT_SUPPORT`` or
-    ``ORTHOGONAL_SAME_SPACE``), given whether their supports are disjoint and
-    <phi|psi>: as a bool and a complex, or as (R,) arrays."""
-    if hypothesis is PairKind.DISJOINT_SUPPORT:
-        return disjoint
-    return is_orthogonal(overlap)
-
-
-def _require(hypothesis: Optional[PairKind], pair_class: PairClass) -> None:
-    """Raise WrongPairClassError unless the pair meets ``hypothesis``."""
-    tag, overlap = pair_class.tag, pair_class.overlap
-    if hypothesis is None or _meets(hypothesis, tag is PairKind.DISJOINT_SUPPORT, overlap):
-        return
-    if hypothesis is PairKind.DISJOINT_SUPPORT:
-        raise WrongPairClassError(
-            f"pair classified as {tag.value}; disjoint support required"
-        )
-    raise WrongPairClassError(
-        f"|<phi|psi>| = {abs(overlap):.3e} exceeds the "
-        f"orthogonality threshold {TOLERANCES.overlap:g}"
-    )
-
-
 def _record(
-    coeffs: SuperpositionCoefficients,
-    phi: StateVector,
-    psi: StateVector,
-    hypothesis: Optional[PairKind] = None,
+    coeffs: SuperpositionCoefficients, phi: StateVector, psi: StateVector
 ) -> _Quantities:
-    """The record of one input triple whose pair meets ``hypothesis``.
-
-    The pair is classified only when there is a hypothesis, and
-    WrongPairClassError says why it is not met; ZeroVectorError is raised when
-    the branches cancel.
-    """
-    if hypothesis is not None:
-        _require(hypothesis, classify_pair(phi, psi))
+    """The record of one input triple; ZeroVectorError is raised when the
+    branches cancel."""
     superposed = superpose(coeffs, phi, psi)
     if superposed.normalized is None:
         raise ZeroVectorError("superposition norm is numerically zero")
@@ -188,12 +157,12 @@ class Bound:
     ``hypothesis`` is what a pair must meet: None (any pair),
     ``DISJOINT_SUPPORT``, or ``ORTHOGONAL_SAME_SPACE``, which means
     |<phi|psi>| <= ``TOLERANCES.overlap``.  ``classes`` are the pair classes
-    ``evaluate_all`` and ``verify`` check it on, ``default_kind`` is the kind
-    ``sweep`` and ``saturate`` sample when none is given, ``direction`` is
-    ``"equality"``, ``"upper"`` or ``"lower"``, and ``sides(q, entropy)``
-    computes (lhs, rhs) from the record ``q`` of a pair that meets the
-    hypothesis, with ``entropy`` as the binary entropy: floats or arrays in,
-    the same out.
+    ``evaluate_all`` and ``verify`` check it on, each one of ``kinds``,
+    ``default_kind`` is the kind ``sweep`` and ``saturate`` sample when none
+    is given, ``direction`` is ``"equality"``, ``"upper"`` or ``"lower"``,
+    and ``sides(q, entropy)`` computes (lhs, rhs) from the record ``q`` of a
+    pair that meets the hypothesis, with ``entropy`` as the binary entropy:
+    floats or arrays in, the same out.
     """
 
     hypothesis: Optional[PairKind]
@@ -204,9 +173,11 @@ class Bound:
 
     @property
     def kinds(self) -> frozenset[PairKind]:
-        """The pair kinds a search may sample: every kind without a
-        hypothesis, else disjoint pairs (whose overlap is 0 as sampled) and
-        the hypothesis's own kind."""
+        """The pair kinds that meet the hypothesis, and so the kinds a search
+        may sample: every kind without a hypothesis, else the hypothesis's
+        own kind and DisjointSupport, which ``classify_pair`` gives only to
+        an orthogonal pair.  A pair meets the hypothesis exactly when its
+        class is one of these."""
         if self.hypothesis is None:
             return frozenset(PairKind)
         return frozenset({PairKind.DISJOINT_SUPPORT, self.hypothesis})
@@ -277,19 +248,22 @@ def row_slacks(
     rejects the row's triple.  An exception from the sides of a checked row
     is a bug, and propagates.  ``kind`` is the pair kind the rows were
     drawn as: a ``DISJOINT_SUPPORT`` draw zeroes the off-block amplitudes
-    exactly, so its rows meet the disjointness hypothesis with no test.
+    exactly, so <phi|psi> is exactly 0 and its rows meet every hypothesis
+    with no test.  Other rows are tested as ``classify_pair`` classifies:
+    orthogonal, and for a disjointness hypothesis disjoint too.
     """
     bound = BOUNDS[bound_id]
     superpose_rows(alpha, beta, states, norms)
     coherence = row_coherences(states)
     # The hypothesis test computes only the quantity it reads.
     phi, psi = states[:, 0], states[:, 1]
-    if bound.hypothesis is None or bound.hypothesis is kind is PairKind.DISJOINT_SUPPORT:
+    if bound.hypothesis is None or kind is PairKind.DISJOINT_SUPPORT:
         meets = repeat(True)
-    elif bound.hypothesis is PairKind.DISJOINT_SUPPORT:
-        meets = disjoint_rows(phi, psi).tolist()
     else:
-        meets = is_orthogonal(row_vdot(phi, psi)).tolist()
+        meets = is_orthogonal(row_vdot(phi, psi))
+        if bound.hypothesis is PairKind.DISJOINT_SUPPORT:
+            meets &= disjoint_rows(phi, psi)
+        meets = meets.tolist()
     slacks = []
     for a, b, (n_phi, n_psi, s), c, met in zip(
         alpha.tolist(), beta.tolist(), norms.tolist(), coherence.tolist(), meets
@@ -313,9 +287,22 @@ def evaluate_bound(
     *,
     tolerance: float = TOLERANCES.bound_slack,
 ) -> BoundReport:
-    """Evaluate one bound of ``BOUNDS`` on an input triple."""
-    q = _record(coeffs, phi, psi, BOUNDS[bound_id].hypothesis)
-    return _report(bound_id, q, tolerance)
+    """Evaluate one bound of ``BOUNDS`` on an input triple.
+
+    A bound with a hypothesis classifies the pair and raises
+    WrongPairClassError unless its class is one of ``Bound.kinds``.
+    """
+    bound = BOUNDS[bound_id]
+    if bound.hypothesis is not None:
+        pair_class = classify_pair(phi, psi)
+        if pair_class.tag not in bound.kinds:
+            raise WrongPairClassError(
+                f"pair classified as {pair_class.tag.value}; disjoint support required"
+                if bound.hypothesis is PairKind.DISJOINT_SUPPORT else
+                f"|<phi|psi>| = {abs(pair_class.overlap):.3e} exceeds the "
+                f"orthogonality threshold {TOLERANCES.overlap:g}"
+            )
+    return _report(bound_id, _record(coeffs, phi, psi), tolerance)
 
 
 def evaluate_all(
@@ -334,39 +321,33 @@ def evaluate_all(
     bounds.  Every bound reads the normalized superposition, so when the
     branches cancel (norm numerically zero) this raises ``ZeroVectorError``.
     """
-    pair_class = classify_pair(phi, psi)
-    # The class meets the hypotheses of its bounds but T2's, which a disjoint pair may fail.
+    tag = classify_pair(phi, psi).tag
     q = _record(coeffs, phi, psi)
-    reports = []
-    for bound_id, bound in BOUNDS.items():
-        if pair_class.tag in bound.classes:
-            _require(bound.hypothesis, pair_class)
-            reports.append(_report(bound_id, q, tolerance))
-    return reports
+    return [_report(bound_id, q, tolerance)
+            for bound_id, bound in BOUNDS.items() if tag in bound.classes]
 
 
 def evaluate_rows(
     classes: dict[PairKind, np.ndarray],
-    overlap: np.ndarray,
     values: dict[str, np.ndarray],
     ok: np.ndarray,
     tolerance: float = TOLERANCES.bound_slack,
 ) -> tuple[np.ndarray, list[tuple[str, np.ndarray, np.ndarray, np.ndarray]]]:
     """``evaluate_all`` on R input triples, each bound's formula run once on
     (R,) arrays.  ``classes`` holds the row mask of each pair class
-    (``superpose.class_masks``), ``overlap`` <phi|psi>, ``values`` the six
-    fields of the record (``alpha_sq``, ``beta_sq``, ``s`` and
-    ``coherence_phi``/``_psi``/``_t1``), and ``ok`` the rows whose record the
-    scalar path builds without raising (s ``normalizable`` among them).
+    (``superpose.class_masks``), whose rows meet the hypothesis of each bound
+    checked on the class, ``values`` the six fields of the record
+    (``alpha_sq``, ``beta_sq``, ``s`` and ``coherence_phi``/``_psi``/``_t1``),
+    and ``ok`` the rows whose record the scalar path builds without raising
+    (s ``normalizable`` among them).
 
     Returns ``ok`` less the rows at which ``evaluate_all`` raises (an entropy
-    argument outside [0, 1], a disjoint pair against T2's hypothesis), and
-    per bound, in ``BOUNDS`` order, (bound id, rows, slacks, satisfied) over
-    the ok rows of its classes: there each is ``evaluate_all``'s bit for bit.
+    argument outside [0, 1]), and per bound, in ``BOUNDS`` order, (bound id,
+    rows, slacks, satisfied) over the ok rows of its classes: there each is
+    ``evaluate_all``'s bit for bit.
     """
     q = _Quantities(**values)
     ok = ok.copy()
-    disjoint = classes[PairKind.DISJOINT_SUPPORT]
     verdicts = []
     for bound_id, bound in BOUNDS.items():
         applies = np.logical_or.reduce([classes[kind] for kind in bound.classes])
@@ -376,8 +357,6 @@ def evaluate_rows(
             ok[applies & ~inside] = False
             return value
 
-        if bound.hypothesis is not None:
-            ok[applies & ~_meets(bound.hypothesis, disjoint, overlap)] = False
         slack = _slack(bound, *bound.sides(q, entropy))
         verdicts.append((bound_id, applies, slack, _satisfied(bound, slack, tolerance)))
     results = []

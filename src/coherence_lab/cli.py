@@ -158,7 +158,8 @@ _parse_pair_kind = _one_of({kind.value: kind for kind in PairKind})
 
 
 def _parse_grid(text: str) -> tuple[float, ...]:
-    """|alpha|^2 values, 'start:stop:step' or a comma list, all in (0, 1)."""
+    """|alpha|^2 values, 'start:stop:step' (from start up to stop inclusive)
+    or a comma list, all in (0, 1)."""
     if ":" not in text:
         values = _listed(float)(text)
     else:
@@ -168,10 +169,12 @@ def _parse_grid(text: str) -> tuple[float, ...]:
         start, stop, step = parts
         if not (step > 0 and stop >= start):
             raise ValueError("grid requires step > 0 and stop >= start")
-        points = (stop - start) / step + 0.5
-        if not points < _MAX_GRID_POINTS:
+        # The steps that fit, allowing 1e-9 of a step for rounding (0.1:0.9:0.1
+        # ends at 0.9), so no point passes stop by more than that.
+        steps = (stop - start) / step + 1e-9
+        if not steps < _MAX_GRID_POINTS:
             raise ValueError(f"range grid has more than {_MAX_GRID_POINTS} points")
-        values = tuple(start + i * step for i in range(int(math.floor(points)) + 1))
+        values = tuple(start + i * step for i in range(int(math.floor(steps)) + 1))
     for v in values:
         if not 0.0 < v < 1.0:
             raise ValueError(f"grid point {v!r} outside the open interval (0, 1)")

@@ -240,8 +240,10 @@ def _group(config: EnsembleConfig) -> tuple[int, int, tuple[int, int]]:
 
 def _group_rows(members: list, uniforms: np.ndarray, alpha: np.ndarray, beta: np.ndarray):
     """Per-row values of one group's segments, one trial per row of
-    ``uniforms`` and of the coefficients: (the class masks, the overlaps,
-    ``ok`` and the values ``evaluate_rows`` reads)."""
+    ``uniforms`` and of the coefficients: (the class masks, and ``ok`` and
+    the values ``evaluate_rows`` reads).  A NonOrthogonal draw that
+    ``class_masks`` does not class NonOrthogonal is not ok, as
+    ``sample_pair`` raises there."""
     _, dim, (d1, d2) = _group(members[0][1])
     sizes = [len(trials) for _, _, trials in members]
     orthogonal, non_orthogonal = np.repeat(
@@ -262,13 +264,13 @@ def _group_rows(members: list, uniforms: np.ndarray, alpha: np.ndarray, beta: np
     psi[:, first : first + d2], norms = normalize_rows(raw)
     del raw
     ok &= normalizable(norms)
-    classes, overlap = class_masks(phi, psi)
-    ok[non_orthogonal & is_orthogonal(overlap)] = False
+    classes, _ = class_masks(phi, psi)
+    ok[non_orthogonal & ~classes[PairKind.NON_ORTHOGONAL]] = False
     rows, norms = states.transpose(1, 0, 2), np.empty((3, len(uniforms)))
     superpose_rows(alpha, beta, rows, norms.T)  # omega into states[2], s into norms[2]
     s = norms[2]
     coherence = row_coherences(rows)
-    values = {"overlap": overlap, "ok": ok & normalizable(s), "s": s}
+    values = {"ok": ok & normalizable(s), "s": s}
     for i, name in enumerate(("phi", "psi", "t1")):
         values["coherence_" + name] = coherence[:, i]
     return classes, values
@@ -315,10 +317,9 @@ def _pass(segments: list, tolerance: float):
     parts = list(map(_group_rows, groups, uniforms, np.split(alpha, edges), np.split(beta, edges)))
     classes = {kind: _joined([c[kind] for c, _ in parts]) for kind in parts[0][0]}
     values = {name: _joined([v[name] for _, v in parts]) for name in parts[0][1]}
-    overlap = values.pop("overlap")
     ok &= values.pop("ok")
     values.update(alpha_sq=alpha_sq, beta_sq=beta_sq)
-    ok, results = evaluate_rows(classes, overlap, values, ok, tolerance)
+    ok, results = evaluate_rows(classes, values, ok, tolerance)
     return ~ok, results
 
 

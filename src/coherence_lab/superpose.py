@@ -178,9 +178,10 @@ def t_states(
 def classify_pair(phi: StateVector, psi: StateVector) -> PairClass:
     """Classify a state pair for bound routing.
 
-    DisjointSupport (no shared basis index, checked amplitude-wise) takes
-    precedence over OrthogonalSameSpace (vanishing overlap); everything else
-    is NonOrthogonal.
+    A pair whose overlap does not vanish is NonOrthogonal.  An orthogonal
+    pair is DisjointSupport when no basis index is shared (checked
+    amplitude-wise), else OrthogonalSameSpace.  So every pair of a class
+    meets the hypothesis of each bound that takes the class.
     """
     _require_same_dim(phi, psi)
     masks, overlaps = class_masks(phi.amps[None], psi.amps[None])
@@ -205,14 +206,17 @@ def class_masks(
 ) -> tuple[dict[PairKind, np.ndarray], np.ndarray]:
     """The class of each pair of rows of two (R, d) unit arrays as (the mask
     of the rows of each class, the overlaps <phi|psi>); ``classify_pair`` is
-    this on one row."""
+    this on one row.  A row is NonOrthogonal whenever its overlap is above
+    ``TOLERANCES.overlap``, whatever its supports; disjoint supports give
+    |<phi|psi>| <= 2 sqrt(d) ``TOLERANCES.support``, so that takes moved
+    tolerances or d > 2500."""
     overlaps = row_vdot(phi, psi)
-    disjoint = disjoint_rows(phi, psi)
     orthogonal = is_orthogonal(overlaps)
+    disjoint = disjoint_rows(phi, psi) & orthogonal
     classes = {
         PairKind.DISJOINT_SUPPORT: disjoint,
         PairKind.ORTHOGONAL_SAME_SPACE: orthogonal & ~disjoint,
-        PairKind.NON_ORTHOGONAL: ~(disjoint | orthogonal),
+        PairKind.NON_ORTHOGONAL: ~orthogonal,
     }
     return classes, overlaps
 

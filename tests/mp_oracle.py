@@ -65,33 +65,46 @@ def von_neumann_entropy(states, weights):
         return _entropy(mpmath.eighe(rho, eigvals_only=True))
 
 
+def _sides(bound_id, alpha, beta, phi, psi, renormalize):
+    (alpha, beta), phi, psi = _mp([alpha, beta]), _mp(phi), _mp(psi)
+    if renormalize:
+        (alpha, beta), phi, psi = _unit([alpha, beta]), _unit(phi), _unit(psi)
+    a, b = abs(alpha) ** 2, abs(beta) ** 2
+    raw = [alpha * x + beta * y for x, y in zip(phi, psi)]
+    s_sq = mpmath.fsum(abs(z) ** 2 for z in raw)
+    c_phi, c_psi, c_t1 = _coherence(phi), _coherence(psi), _coherence(_unit(raw))
+    mix = a * c_phi + b * c_psi + _h(a)
+    if bound_id == "T1_EQUALITY":
+        return c_t1, mix
+    if bound_id == "GAIN_LE_1":
+        return c_t1 - a * c_phi - b * c_psi, mpmath.mpf(1)
+    if bound_id == "T2_UPPER":
+        return c_t1, 2 * mix
+    if bound_id == "T3_UPPER":
+        return s_sq * c_t1, 2 * mix
+    if bound_id == "T4_LOWER_A":
+        w_own, c_own, w_other, c_other = a, c_phi, b, c_psi
+    elif bound_id == "T4_LOWER_B":
+        w_own, c_own, w_other, c_other = b, c_psi, a, c_phi
+    else:
+        raise ValueError(f"no oracle for {bound_id}")
+    rhs = (w_own / 2 * c_own - w_other * c_other
+           - (s_sq + w_other) * _h(w_other / (s_sq + w_other)))
+    return s_sq * c_t1, rhs
+
+
+def sides(bound_id, alpha, beta, phi, psi, renormalize=False):
+    """(lhs, rhs) of any of the six relations, as ``BoundReport`` holds them."""
+    with mpmath.workdps(DIGITS):
+        return _sides(bound_id, alpha, beta, phi, psi, renormalize)
+
+
 def slack(bound_id, alpha, beta, phi, psi, renormalize=False):
     """Slack of any of the six relations, signed as ``BoundReport.slack`` is:
     rhs - lhs for upper bounds, lhs - rhs for lower ones, and T1_EQUALITY's
     residual |lhs - rhs|."""
     with mpmath.workdps(DIGITS):
-        (alpha, beta), phi, psi = _mp([alpha, beta]), _mp(phi), _mp(psi)
-        if renormalize:
-            (alpha, beta), phi, psi = _unit([alpha, beta]), _unit(phi), _unit(psi)
-        a, b = abs(alpha) ** 2, abs(beta) ** 2
-        raw = [alpha * x + beta * y for x, y in zip(phi, psi)]
-        s_sq = mpmath.fsum(abs(z) ** 2 for z in raw)
-        c_phi, c_psi, c_t1 = _coherence(phi), _coherence(psi), _coherence(_unit(raw))
-        mix = a * c_phi + b * c_psi + _h(a)
+        lhs, rhs = _sides(bound_id, alpha, beta, phi, psi, renormalize)
         if bound_id == "T1_EQUALITY":
-            return abs(c_t1 - mix)
-        if bound_id == "GAIN_LE_1":
-            return 1 - (c_t1 - a * c_phi - b * c_psi)
-        if bound_id == "T2_UPPER":
-            return 2 * mix - c_t1
-        if bound_id == "T3_UPPER":
-            return 2 * mix - s_sq * c_t1
-        if bound_id == "T4_LOWER_A":
-            w_own, c_own, w_other, c_other = a, c_phi, b, c_psi
-        elif bound_id == "T4_LOWER_B":
-            w_own, c_own, w_other, c_other = b, c_psi, a, c_phi
-        else:
-            raise ValueError(f"no oracle for {bound_id}")
-        rhs = (w_own / 2 * c_own - w_other * c_other
-               - (s_sq + w_other) * _h(w_other / (s_sq + w_other)))
-        return s_sq * c_t1 - rhs
+            return abs(lhs - rhs)
+        return lhs - rhs if bound_id.startswith("T4_LOWER") else rhs - lhs

@@ -18,7 +18,6 @@ from coherence_lab import (
     T4_LOWER_A,
     T4_LOWER_B,
     EnsembleConfig,
-    PairClass,
     PairKind,
     StateVector,
     SuperpositionCoefficients,
@@ -451,15 +450,16 @@ def test_evaluate_rows_runs_the_scalar_formulas_on_arrays(kind):
         "coherence_phi": rng.uniform(0.0, 3.0, n), "coherence_psi": rng.uniform(0.0, 3.0, n),
         "coherence_t1": rng.uniform(0.0, 3.0, n),
     }
-    overlap = rng.uniform(0.0, 2e-10, n) * np.exp(2j * np.pi * rng.random(n))
     pow_rows = [i for i, x in enumerate(s.tolist()) if x ** 2 != x * x]
     assert len(pow_rows) >= 5
     rows = np.array(pow_rows + list(range(200)))
     values = {k: v[rows] for k, v in values.items()}
     classes = {pair_class: np.full(len(rows), pair_class is kind) for pair_class in CLASS_EXEMPLARS}
     ok, results = bounds_module.evaluate_rows(
-        classes, overlap[rows], values, np.ones(len(rows), dtype=bool), tolerance=1e-9
+        classes, values, np.ones(len(rows), dtype=bool), tolerance=1e-9
     )
+    # The class labels vouch for the hypotheses, and every entropy argument is in [0, 1].
+    assert ok.all()
     # The bounds evaluate_all reports for the class, in its order, each at every ok row.
     verdicts = {bound_id: (slack, satisfied) for bound_id, applied, slack, satisfied in results
                 if applied.size}
@@ -472,20 +472,6 @@ def test_evaluate_rows_runs_the_scalar_formulas_on_arrays(kind):
         for bound_id, (slack, satisfied) in verdicts.items():
             report = bounds_module._report(bound_id, record, 1e-9)
             assert (slack[j].hex(), bool(satisfied[j])) == (report.slack.hex(), report.satisfied)
-    for i in range(len(rows)):
-        # The pair class evaluate_all checks each hypothesis on.
-        pair_class = PairClass(kind, complex(overlap[rows[i]]))
-        raised = False
-        for bound_id in verdicts:
-            try:
-                bounds_module._require(BOUNDS[bound_id].hypothesis, pair_class)
-            except WrongPairClassError:
-                raised = True
-        assert bool(ok[i]) is not raised
-    if kind is PairKind.NON_ORTHOGONAL:
-        assert ok.all()
-    else:  # T2's overlap hypothesis fails on some rows and holds on others
-        assert 0 < np.count_nonzero(ok) < len(rows)
 
 
 def largest_shared(phi, psi) -> float:
@@ -528,20 +514,20 @@ def test_the_three_paths_agree_on_each_hypothesis(monkeypatch):
     # One row_slacks call per bound over rows of every pair kind.  A row has
     # evaluate_bound's slack bits exactly where it meets the bound's hypothesis
     # by the rule written out here; elsewhere it is NaN and evaluate_bound
-    # raises WrongPairClassError.  evaluate_rows keeps the rows that meet every
-    # hypothesis of their class.
+    # raises WrongPairClassError.  Each class meets the hypotheses of the
+    # bounds checked on it, so evaluate_rows keeps every row.
     pairs, moved = hypothesis_rows()
     for module in (bounds_module, importlib.import_module("coherence_lab.superpose")):
         monkeypatch.setattr(module, "TOLERANCES", moved)
     coeffs = [random_coefficients(40 + i) for i in range(len(pairs))]
     disjoint = [largest_shared(phi, psi) <= moved.support for phi, psi in pairs]
     orthogonal = [overlap_modulus(phi, psi) <= moved.overlap for phi, psi in pairs]
-    # The support row is disjoint and fails T2's overlap test; the overlap row is orthogonal.
+    # The support row is disjoint but not orthogonal; the overlap row is orthogonal.
     assert disjoint[-6:] == [True, True, False, False, False, False]
     assert orthogonal[-6:] == [False, True, False, True, True, False]
     meets = {
         None: [True] * len(pairs),
-        PairKind.DISJOINT_SUPPORT: disjoint,
+        PairKind.DISJOINT_SUPPORT: [d and o for d, o in zip(disjoint, orthogonal)],
         PairKind.ORTHOGONAL_SAME_SPACE: orthogonal,
     }
     alpha = np.array([c.alpha for c in coeffs])
@@ -567,9 +553,7 @@ def test_the_three_paths_agree_on_each_hypothesis(monkeypatch):
     values = {name: np.array([getattr(record, name) for record in records])
               for name in bounds_module._Quantities._fields}
     masks = {kind: np.array([c.tag is kind for c in classes]) for kind in CLASS_EXEMPLARS}
-    ok, results = bounds_module.evaluate_rows(
-        masks, np.array([c.overlap for c in classes]), values, np.ones(len(pairs), dtype=bool)
-    )
+    ok, results = bounds_module.evaluate_rows(masks, values, np.ones(len(pairs), dtype=bool))
     for i, pair_class in enumerate(classes):
         checked = [b for b, bound in BOUNDS.items() if pair_class.tag in bound.classes]
         assert bool(ok[i]) is all(vouched_slacks[b][0][i] for b in checked), i
@@ -578,24 +562,42 @@ def test_the_three_paths_agree_on_each_hypothesis(monkeypatch):
                                  if classes[i].tag in BOUNDS[bound_id].classes], bound_id
         assert [x.hex() for x in slack.tolist()] == [
             vouched_slacks[bound_id][1][i].hex() for i in rows.tolist()]
-    disjoint = masks[PairKind.DISJOINT_SUPPORT]
-    assert ok[disjoint].tolist() == [False, True]  # the support row fails T2
+    # The support row is NonOrthogonal, and only the shared(1e-12) row is DisjointSupport.
+    assert ok.all() and classes[-6].tag is PairKind.NON_ORTHOGONAL
+    assert np.flatnonzero(masks[PairKind.DISJOINT_SUPPORT]).tolist() == [len(pairs) - 5]
+
+
+def test_a_support_disjoint_pair_that_is_not_orthogonal_is_non_orthogonal(monkeypatch):
+    # Disjoint support within a support tolerance above 0 does not make the
+    # overlap vanish.  Such a pair meets neither hypothesis: it is classed
+    # NonOrthogonal and checked on the bounds that take any pair.
+    pairs, moved = hypothesis_rows()
+    for module in (bounds_module, importlib.import_module("coherence_lab.superpose")):
+        monkeypatch.setattr(module, "TOLERANCES", moved)
+    phi, psi = pairs[-6]  # shared(1e-3)
+    assert largest_shared(phi, psi) <= moved.support and overlap_modulus(phi, psi) > moved.overlap
+    assert classify_pair(phi, psi).tag is PairKind.NON_ORTHOGONAL
+    reports = evaluate_all(EQUAL, phi, psi)
+    assert [r.bound_id for r in reports] == [T3_UPPER, T4_LOWER_A, T4_LOWER_B]
+    with pytest.raises(WrongPairClassError, match="disjoint support required"):
+        evaluate_bound(T1_EQUALITY, EQUAL, phi, psi)
 
 
 @pytest.mark.parametrize("kind", [PairKind.ARBITRARY, PairKind.DISJOINT_SUPPORT],
                          ids=lambda k: k.value)
 def test_a_hypothesis_test_computes_only_what_it_reads(monkeypatch, kind):
-    # A disjointness hypothesis reads the supports, an orthogonality one the
-    # overlap; rows drawn disjoint meet the first with no test at all.
+    # An orthogonality hypothesis reads the overlap, a disjointness one the
+    # overlap and the supports; rows drawn disjoint meet both with no test at all.
     calls = []
     for name in ("disjoint_rows", "row_vdot"):
         def counted(*args, _name=name, _real=getattr(bounds_module, name)):
             calls.append(_name)
             return _real(*args)
         monkeypatch.setattr(bounds_module, name, counted)
-    expected = {None: [], PairKind.ORTHOGONAL_SAME_SPACE: ["row_vdot"],
-                PairKind.DISJOINT_SUPPORT: [] if kind is PairKind.DISJOINT_SUPPORT
-                else ["disjoint_rows"]}
+    drawn_disjoint = kind is PairKind.DISJOINT_SUPPORT
+    expected = {None: [], PairKind.ORTHOGONAL_SAME_SPACE: [] if drawn_disjoint else ["row_vdot"],
+                PairKind.DISJOINT_SUPPORT: [] if drawn_disjoint
+                else ["row_vdot", "disjoint_rows"]}
     coefficients = np.array([EQUAL.alpha]), np.array([EQUAL.beta])
     for bound_id, bound in BOUNDS.items():
         calls.clear()
@@ -634,7 +636,6 @@ def test_one_mutant_reaches_every_evaluator(monkeypatch):
     vouched, results = bounds_module.evaluate_rows(
         {kind: np.full(len(triples), kind is PairKind.ORTHOGONAL_SAME_SPACE)
          for kind in CLASS_EXEMPLARS},
-        np.array([classify_pair(p, q).overlap for _, p, q in triples]),
         {name: np.array([getattr(r, name) for r in records])
          for name in bounds_module._Quantities._fields},
         np.ones(len(triples), dtype=bool),

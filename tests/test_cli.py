@@ -690,6 +690,24 @@ def test_sweep_rejects_range_grid_with_too_many_points(capsys, step):
     assert "more than" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("grid, count", [
+    ("0.1:0.9:0.1", 9), ("0.1:0.86:0.1", 8), ("0.1:0.95:0.1", 9), ("0.05:0.95:0.05", 19),
+    ("0.001:0.999:0.001", 999), ("0.01:0.99:0.01", 99),
+])
+def test_range_grid_runs_from_start_up_to_stop(grid, count):
+    start, stop, step = (float(part) for part in grid.split(":"))
+    values = cli._parse_grid(grid)
+    assert len(values) == count and values[0] == start
+    assert values[-1] <= stop + 1e-9 * step and stop - values[-1] < step
+
+
+def test_range_grid_holds_at_most_a_million_points():
+    step = 2.0**-21  # start, step and stop exact in binary
+    assert len(cli._parse_grid(f"0.25:{0.25 + 999_999 * step!r}:{step!r}")) == 10**6
+    with pytest.raises(ValueError, match="more than"):
+        cli._parse_grid(f"0.25:{0.25 + 10**6 * step!r}:{step!r}")
+
+
 def test_sweep_requires_bound_and_grid():
     assert run_cli(["sweep", "--grid", "0.5"]) == 2
     assert run_cli(["sweep", "--bound", "T2_UPPER"]) == 2

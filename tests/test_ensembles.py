@@ -630,8 +630,9 @@ THRESHOLDS = {
     # DegeneratePairError, and T2 applies to Arbitrary pairs with a sizeable
     # overlap.
     "overlap": Tolerances(overlap=0.3),
-    # Pairs that share small amplitudes count as disjoint; a NonOrthogonal
-    # one then fails T2's overlap hypothesis and errors.
+    # Orthogonal pairs that share small amplitudes count as disjoint, so T1
+    # and the gain ceiling are checked (and fail) on them; a pair that is
+    # not orthogonal stays NonOrthogonal.
     "support": Tolerances(support=0.4),
     # Short raw vectors and short superpositions error.
     "zero_vector": Tolerances(zero_vector=0.9),

@@ -75,13 +75,13 @@ def slacks(evaluator, bound_id, rows, kind):
         values = row_slacks(bound_id, *slotted(rows), kind=kind)
         ok = ~np.isnan(values)
     else:
-        classes, overlap, fields, ok = row_values(*rows)
+        classes, fields, ok = row_values(*rows)
         if bound_id == T3_UPPER:
             kind = PairKind.NON_ORTHOGONAL
-        classes = {pair_class: np.full(len(overlap), pair_class is kind) for pair_class in classes}
-        ok, results = evaluate_rows(classes, overlap, fields, ok)
+        classes = {pair_class: np.full(len(ok), pair_class is kind) for pair_class in classes}
+        ok, results = evaluate_rows(classes, fields, ok)
         ((applied, values),) = [(r, v) for b, r, v, _ in results if b == bound_id]
-        assert applied.tolist() == list(range(len(overlap)))
+        assert applied.tolist() == list(range(len(ok)))
     assert ok.all()
     return values
 

@@ -173,8 +173,8 @@ def slotted(rows):
 
 def row_values(alpha, beta, phi, psi):
     """What ``evaluate_rows`` reads, as ``verify``'s pass computes it: the
-    class masks, the overlaps, the six fields and where they hold."""
-    classes, overlap = class_masks(phi, psi)
+    class masks, the six fields and where they hold."""
+    classes, _ = class_masks(phi, psi)
     alpha_sq, beta_sq, ok = coefficient_weights(alpha, beta)
     _, _, states, norms = slotted((alpha, beta, phi, psi))
     superpose_rows(alpha, beta, states, norms)
@@ -182,7 +182,7 @@ def row_values(alpha, beta, phi, psi):
     coherence = row_coherences(states)
     values = {"alpha_sq": alpha_sq, "beta_sq": beta_sq, "s": s, "coherence_phi": coherence[:, 0],
               "coherence_psi": coherence[:, 1], "coherence_t1": coherence[:, 2]}
-    return classes, overlap, values, ok & normalizable(s)
+    return classes, values, ok & normalizable(s)
 
 
 @pytest.mark.parametrize("name", list(TRANSFORMS))
@@ -191,13 +191,13 @@ def test_evaluate_rows_is_invariant(name):
         original, moved = transformed(name, kind, dim)
         scales = [max(max(abs(rep.lhs), abs(rep.rhs)) for rep in reports.values())
                   for reports in scalar_reports(original)]
-        classes, overlap, values, ok = row_values(*original)
-        new_classes, new_overlap, new_values, new_ok = row_values(*moved)
+        classes, values, ok = row_values(*original)
+        new_classes, new_values, new_ok = row_values(*moved)
         assert ok.all() and new_ok.all()
         for pair_class, members in classes.items():
             assert np.array_equal(new_classes[pair_class], members), (kind, dim, pair_class)
-        want_ok, want = evaluate_rows(classes, overlap, values, ok)
-        got_ok, got = evaluate_rows(new_classes, new_overlap, new_values, new_ok)
+        want_ok, want = evaluate_rows(classes, values, ok)
+        got_ok, got = evaluate_rows(new_classes, new_values, new_ok)
         assert want_ok.all() and got_ok.all()
         got = {bound_id: (rows, slack) for bound_id, rows, slack, _ in got}
         assert sorted(image(name, bound_id) for bound_id, *_ in want) == sorted(got)
@@ -236,11 +236,11 @@ def test_disjoint_slacks_ignore_every_phase(dim):
         got = row_slacks(bound_id, *slotted(moved), kind=kind)
         assert not np.isnan(want).any() and not np.isnan(got).any(), bound_id
         assert_slacks_close(got, want)
-    classes, overlap, values, ok = row_values(*original)
-    new_classes, new_overlap, new_values, new_ok = row_values(*moved)
+    classes, values, ok = row_values(*original)
+    new_classes, new_values, new_ok = row_values(*moved)
     assert ok.all() and new_ok.all() and classes[kind].all() and new_classes[kind].all()
-    want_ok, want = evaluate_rows(classes, overlap, values, ok)
-    got_ok, got = evaluate_rows(new_classes, new_overlap, new_values, new_ok)
+    want_ok, want = evaluate_rows(classes, values, ok)
+    got_ok, got = evaluate_rows(new_classes, new_values, new_ok)
     assert want_ok.all() and got_ok.all()
     for (bound_id, rows, slack, _), (new_id, new_rows, new, _) in zip(want, got, strict=True):
         assert (new_id, new_rows.tolist()) == (bound_id, rows.tolist())
