@@ -348,12 +348,13 @@ def evaluate_rows(
     """
     q = _Quantities(**values)
     ok = ok.copy()
+    h_alpha = binary_entropy_rows(q.alpha_sq)  # read by T1, T2 and T3
     verdicts = []
     for bound_id, bound in BOUNDS.items():
         applies = np.logical_or.reduce([classes[kind] for kind in bound.classes])
 
         def entropy(x: np.ndarray) -> np.ndarray:
-            value, inside = binary_entropy_rows(x)
+            value, inside = h_alpha if x is q.alpha_sq else binary_entropy_rows(x)
             ok[applies & ~inside] = False
             return value
 

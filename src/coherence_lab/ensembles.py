@@ -23,9 +23,12 @@ over every row's stream, whatever their lengths (4 d + 2 uniforms per
 trial, so at most 5 ``_CHUNK_ELEMENTS`` uniforms per pass).  Each group
 (one dimension and pair of raw block lengths, disjoint or not) reads its
 rows' uniforms as a reshaped slice of that draw and runs the Box-Muller
-draws, projection, ``class_masks``, ``superpose_rows`` and one
-``row_coherences`` call over phi, psi and omega side by side, where a
-disjoint pair's zero amplitudes are -0.0 terms as on the scalar path.  The
+draws, ``superpose_rows`` and one ``row_coherences`` call over phi, psi and
+omega side by side, where a disjoint pair's zero amplitudes are -0.0 terms
+as on the scalar path.  A kind's own rule (the projection of an orthogonal
+draw, the rejection of an accidentally orthogonal one) runs on the slice of
+each of its segments.  ``class_masks`` runs once per non-disjoint group; a
+disjoint group's rows are DisjointSupport by construction of its draw.  The
 coefficients and ``evaluate_rows``, which runs each bound once over the rows
 of its classes, run once per pass, and each bound's result folds into the
 pass's ensembles with one ``reduceat`` per extreme.
@@ -241,14 +244,20 @@ def _group(config: EnsembleConfig) -> tuple[int, int, tuple[int, int]]:
 def _group_rows(members: list, uniforms: np.ndarray, alpha: np.ndarray, beta: np.ndarray):
     """Per-row values of one group's segments, one trial per row of
     ``uniforms`` and of the coefficients: (the class masks, and ``ok`` and
-    the values ``evaluate_rows`` reads).  A NonOrthogonal draw that
-    ``class_masks`` does not class NonOrthogonal is not ok, as
-    ``sample_pair`` raises there."""
+    the values ``evaluate_rows`` reads).  Each segment is a run of rows, on
+    whose slice its kind's rule runs: an OrthogonalSameSpace draw projects
+    its second vector, and a NonOrthogonal draw that ``class_masks`` does
+    not class NonOrthogonal is not ok, as ``sample_pair`` raises there.  A
+    disjoint group's classes come from its draw, by the rule
+    ``bounds.row_slacks`` applies: each block is normalized into its own
+    columns of zeros, so every term of <phi|psi> has an exact-zero factor
+    and every ok row is DisjointSupport; a row that is not ok goes to the
+    scalar path whatever its class."""
     _, dim, (d1, d2) = _group(members[0][1])
-    sizes = [len(trials) for _, _, trials in members]
-    orthogonal, non_orthogonal = np.repeat(
-        [[config.pair_kind is kind for _, config, _ in members]
-         for kind in (PairKind.ORTHOGONAL_SAME_SPACE, PairKind.NON_ORTHOGONAL)], sizes, axis=1)
+    disjoint = members[0][1].pair_kind is PairKind.DISJOINT_SUPPORT
+    edges = list(itertools.accumulate((len(trials) for _, _, trials in members), initial=0))
+    segments = [(config.pair_kind, slice(start, stop))
+                for (_, config, _), start, stop in zip(members, edges, edges[1:])]
     gen = UniformRows(uniforms)
     # phi, psi and omega side by side, for the group's one coherence call; a
     # disjoint pair's blocks sit at columns [0, d1) and [d1, d1 + d2).
@@ -257,15 +266,23 @@ def _group_rows(members: list, uniforms: np.ndarray, alpha: np.ndarray, beta: np
     phi[:, :d1], norms = normalize_rows(complex_normals(gen, d1))
     ok = normalizable(norms)
     raw = complex_normals(gen, d2)
-    if orthogonal.any():  # never in a disjoint group, whose phi and raw differ in width
-        raw[orthogonal], norms = project_out_rows(phi[orthogonal], raw[orthogonal])
-        ok[orthogonal] &= norms > _PROJECTION_FLOOR
-    first = d1 if members[0][1].pair_kind is PairKind.DISJOINT_SUPPORT else 0
+    for kind, rows in segments:
+        if kind is PairKind.ORTHOGONAL_SAME_SPACE:
+            raw[rows], norms = project_out_rows(phi[rows], raw[rows])
+            ok[rows] &= norms > _PROJECTION_FLOOR
+    first = d1 if disjoint else 0
     psi[:, first : first + d2], norms = normalize_rows(raw)
     del raw
     ok &= normalizable(norms)
-    classes, _ = class_masks(phi, psi)
-    ok[non_orthogonal & ~classes[PairKind.NON_ORTHOGONAL]] = False
+    if disjoint:
+        none = np.zeros(len(uniforms), dtype=bool)
+        classes = {PairKind.DISJOINT_SUPPORT: ~none, PairKind.ORTHOGONAL_SAME_SPACE: none,
+                   PairKind.NON_ORTHOGONAL: none}
+    else:
+        classes, _ = class_masks(phi, psi)
+        for kind, rows in segments:
+            if kind is PairKind.NON_ORTHOGONAL:
+                ok[rows] &= classes[PairKind.NON_ORTHOGONAL][rows]
     rows, norms = states.transpose(1, 0, 2), np.empty((3, len(uniforms)))
     superpose_rows(alpha, beta, rows, norms.T)  # omega into states[2], s into norms[2]
     s = norms[2]

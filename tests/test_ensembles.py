@@ -2,13 +2,14 @@
 
 import collections
 import importlib
+import json
 import math
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from coherence_lab import bounds, ensembles, entropy, linalg
+from coherence_lab import bounds, cli, ensembles, entropy, linalg
 from coherence_lab.bounds import BOUNDS, GAIN_LE_1
 from coherence_lab.cli import canonical_json
 
@@ -29,6 +30,7 @@ from coherence_lab import (
 from coherence_lab.ensembles import (
     _coefficient_pair,
     _coefficients,
+    _group,
     _haar_state,
     _orthogonal_pair,
     _stream_length,
@@ -36,10 +38,11 @@ from coherence_lab.ensembles import (
     summarize_ensembles,
     trial_stream,
 )
-from coherence_lab.linalg import normalizable, normalize_rows
+from coherence_lab.linalg import normalizable, normalize_rows, row_norms
 from coherence_lab.rng import (
     MASK64, UniformRows, complex_normals, ragged_uniforms, subseed, subseeds,
 )
+from coherence_lab.superpose import class_masks
 from philox_oracle import numpy_generator
 
 
@@ -343,14 +346,100 @@ def test_summary_matches_scalar_path(kind):
         assert_matches_scalar(config)
 
 
-@pytest.mark.parametrize(
-    "dim, split", [(d, (1, d - 1)) for d in range(2, 17)] + [(5, (1, 1)), (8, (2, 3)), (16, (3, 9))]
-)
+# (5, (1, 1)) and (5, (1, 3)) leave trailing columns unused.
+SPLITS = [(d, (1, d - 1)) for d in range(2, 17)] + [(5, (1, 1)), (5, (1, 3)), (8, (2, 3)),
+                                                     (16, (3, 9))]
+
+
+@pytest.mark.parametrize("dim, split", SPLITS)
 def test_summary_matches_scalar_path_for_splits(dim, split):
     config = EnsembleConfig(
         dim=dim, trials=30, pair_kind=PairKind.DISJOINT_SUPPORT, seed=dim + 101, split=split
     )
     assert_matches_scalar(config)
+
+
+@pytest.mark.parametrize("dim, split", SPLITS)
+def test_class_masks_class_every_disjoint_draw_disjoint(monkeypatch, dim, split):
+    # A disjoint group takes its classes from its draw and runs no
+    # class_masks: on the phi and psi the pass draws, class_masks would class
+    # every row with finite amplitudes DisjointSupport, at an overlap of
+    # exactly 0.
+    drawn = []
+    coherences = ensembles.row_coherences
+
+    def captured(rows):
+        drawn.append(rows[:, :2].copy())
+        return coherences(rows)
+
+    monkeypatch.setattr(ensembles, "row_coherences", captured)
+    config = EnsembleConfig(
+        dim=dim, trials=200, pair_kind=PairKind.DISJOINT_SUPPORT, seed=dim + 101, split=split
+    )
+    summarize_ensembles([config])
+    [states] = drawn
+    phi, psi = states[:, 0], states[:, 1]
+    finite = normalizable(row_norms(phi)) & normalizable(row_norms(psi))
+    assert finite.all()
+    classes, overlaps = class_masks(phi, psi)
+    assert classes[PairKind.DISJOINT_SUPPORT].all() and not overlaps.any()
+
+
+def test_a_disjoint_group_runs_no_class_masks(monkeypatch):
+    calls = []
+    masks = ensembles.class_masks
+
+    def counted(phi, psi):
+        calls.append(len(phi))
+        return masks(phi, psi)
+
+    monkeypatch.setattr(ensembles, "class_masks", counted)
+    configs = [
+        EnsembleConfig(dim=dim, trials=60, pair_kind=PairKind.DISJOINT_SUPPORT, seed=dim, split=split)
+        for dim, split in ((5, (1, 3)), (16, (3, 9)), (4, None))
+    ]
+    summaries = summarize_ensembles(configs, tolerance=1e-9)
+    assert calls == []
+    assert summaries == [scalar_summary(config, 1e-9) for config in configs]
+    # A non-disjoint group in the same pass is classified, once.
+    summarize_ensembles([EnsembleConfig(dim=4, trials=20, pair_kind=PairKind.ARBITRARY, seed=1),
+                         *configs])
+    assert calls == [20]
+
+
+def _move_tolerances(monkeypatch, tolerances):
+    """Set ``tolerances`` in every module that reads one, so both paths see
+    the same ones (the package re-exports a function named ``superpose``)."""
+    for module in (bounds, ensembles, entropy, linalg,
+                   importlib.import_module("coherence_lab.superpose")):
+        monkeypatch.setattr(module, "TOLERANCES", tolerances)
+
+
+@pytest.mark.parametrize("overlap", [None, 0.3])
+def test_a_group_of_two_segments_per_kind_equals_the_scalar_fold(
+    monkeypatch, tmp_path, capsys, overlap
+):
+    # verify with dims = 2,2,16 puts two d = 2 ensembles of each non-disjoint
+    # kind into one group, so each kind's rule runs on two slices of it.  At
+    # an overlap threshold of 0.3 many NonOrthogonal draws are rejected.
+    if overlap is not None:
+        _move_tolerances(monkeypatch, Tolerances(overlap=overlap))
+    path = tmp_path / "run.cfg"
+    path.write_text("dims = 2,2,16\ntrials = 125\nseed = 5\n", encoding="utf-8")
+    passes = _record_passes(monkeypatch)
+    cli.main(["verify", "--config", str(path)])
+    report = json.loads(capsys.readouterr().out)
+    [(segments, _, _)] = passes
+    group = [config.pair_kind for _, config, _ in segments if _group(config) == (10, 2, (2, 2))]
+    kinds = (PairKind.ORTHOGONAL_SAME_SPACE, PairKind.NON_ORTHOGONAL, PairKind.ARBITRARY)
+    assert collections.Counter(group) == dict.fromkeys(kinds, 2)
+    configs = [
+        EnsembleConfig(dim=summary["dim"], trials=summary["trials"],
+                       pair_kind=PairKind(summary["pair_kind"]), seed=summary["seed"])
+        for summary in report["results"]["ensembles"]
+    ]
+    want = [scalar_summary(config, report["config"]["tolerance"]) for config in configs]
+    assert report["results"]["ensembles"] == json.loads(canonical_json(want))
 
 
 def test_summary_of_zero_trials():
@@ -642,11 +731,7 @@ THRESHOLDS = {
 @pytest.mark.parametrize("threshold", list(THRESHOLDS))
 @pytest.mark.parametrize("kind", list(PairKind), ids=lambda k: k.value)
 def test_summary_matches_scalar_path_at_moved_thresholds(monkeypatch, kind, threshold):
-    # Every module that reads a tolerance, so both paths see the same ones
-    # (the package re-exports a function named ``superpose``).
-    for module in (bounds, ensembles, entropy, linalg,
-                   importlib.import_module("coherence_lab.superpose")):
-        monkeypatch.setattr(module, "TOLERANCES", THRESHOLDS[threshold])
+    _move_tolerances(monkeypatch, THRESHOLDS[threshold])
     config = EnsembleConfig(dim=3, trials=120, pair_kind=kind, seed=7 + len(threshold))
     # One pass holds the ensemble and the three other kinds at d = 3 and 4.
     others = [
