@@ -62,9 +62,7 @@ from .search import (
     parameterize,
 )
 from .superpose import (
-    PairClass,
     PairKind,
-    SuperposedState,
     SuperpositionCoefficients,
     classify_pair,
     default_split,
@@ -95,12 +93,10 @@ __all__ = [
     "DomainError",
     "EnsembleConfig",
     "NotHermitianError",
-    "PairClass",
     "PairKind",
     "SearchResult",
     "SearchSpec",
     "StateVector",
-    "SuperposedState",
     "SuperpositionCoefficients",
     "TOLERANCES",
     "Tolerances",

@@ -16,6 +16,11 @@ the raw superposition, the evaluated relations are:
       s^2*C(T1) >= (a/2)*C(phi) - b*C(psi) - (s^2+b)*h(b/(s^2+b))
       s^2*C(T1) >= (b/2)*C(psi) - a*C(phi) - (s^2+a)*h(a/(s^2+a))
 
+Neither factor 2 of T2 and T3 can be lowered.  Along the orthogonal family
+phi = (cos e, sin e), psi = (-sin e, cos e), alpha = e, beta = -sqrt(1 - e^2),
+where s = 1, lhs/rhs of both tends to 1 as e -> 0, as 1 - ln 4 / ln(1/e^2)
+to leading order; both sides vanish there.
+
 Slack sign conventions: upper bounds report rhs - lhs, lower bounds report
 lhs - rhs, and the equality reports the absolute residual |lhs - rhs|.  A
 report is satisfied when slack >= -tolerance (equality: residual <=
@@ -46,7 +51,7 @@ from typing import Callable, NamedTuple, Optional
 import numpy as np
 
 from .entropy import binary_entropy, binary_entropy_rows, pure_state_coherence, row_coherences
-from .errors import WrongPairClassError, ZeroVectorError
+from .errors import WrongPairClassError
 from .linalg import StateVector, normalizable, row_vdot
 from .superpose import (
     PairKind,
@@ -96,14 +101,12 @@ class _Quantities(NamedTuple):
 def _record(
     coeffs: SuperpositionCoefficients, phi: StateVector, psi: StateVector
 ) -> _Quantities:
-    """The record of one input triple; ZeroVectorError is raised when the
-    branches cancel."""
-    superposed = superpose(coeffs, phi, psi)
-    if superposed.normalized is None:
-        raise ZeroVectorError("superposition norm is numerically zero")
+    """The record of one input triple; ``superpose`` raises ZeroVectorError
+    when the branches cancel."""
+    s, omega = superpose(coeffs, phi, psi)
     return _Quantities(
-        coeffs.alpha_sq, coeffs.beta_sq, superposed.s, pure_state_coherence(phi),
-        pure_state_coherence(psi), pure_state_coherence(superposed.normalized),
+        coeffs.alpha_sq, coeffs.beta_sq, s, pure_state_coherence(phi),
+        pure_state_coherence(psi), pure_state_coherence(omega),
     )
 
 
@@ -184,7 +187,7 @@ class Bound:
 
 
 _DISJOINT = frozenset({PairKind.DISJOINT_SUPPORT})
-_EVERY_CLASS = frozenset(PairKind) - {PairKind.ARBITRARY}  # the tags classify_pair gives
+_EVERY_CLASS = frozenset(PairKind) - {PairKind.ARBITRARY}  # the kinds classify_pair gives
 
 BOUNDS: dict[str, Bound] = {
     T1_EQUALITY: Bound(
@@ -294,12 +297,12 @@ def evaluate_bound(
     """
     bound = BOUNDS[bound_id]
     if bound.hypothesis is not None:
-        pair_class = classify_pair(phi, psi)
-        if pair_class.tag not in bound.kinds:
+        kind = classify_pair(phi, psi)
+        if kind not in bound.kinds:
             raise WrongPairClassError(
-                f"pair classified as {pair_class.tag.value}; disjoint support required"
+                f"pair classified as {kind.value}; disjoint support required"
                 if bound.hypothesis is PairKind.DISJOINT_SUPPORT else
-                f"|<phi|psi>| = {abs(pair_class.overlap):.3e} exceeds the "
+                f"|<phi|psi>| = {abs(np.vdot(phi.amps, psi.amps)):.3e} exceeds the "
                 f"orthogonality threshold {TOLERANCES.overlap:g}"
             )
     return _report(bound_id, _record(coeffs, phi, psi), tolerance)
@@ -321,10 +324,10 @@ def evaluate_all(
     bounds.  Every bound reads the normalized superposition, so when the
     branches cancel (norm numerically zero) this raises ``ZeroVectorError``.
     """
-    tag = classify_pair(phi, psi).tag
+    kind = classify_pair(phi, psi)
     q = _record(coeffs, phi, psi)
     return [_report(bound_id, q, tolerance)
-            for bound_id, bound in BOUNDS.items() if tag in bound.classes]
+            for bound_id, bound in BOUNDS.items() if kind in bound.classes]
 
 
 def evaluate_rows(

@@ -287,18 +287,18 @@ def cmd_demo(args, config: dict) -> int:
     ]
     entries = []
     for name, phi, psi, description in cases:
-        sup = superpose(coeffs, phi, psi)
+        s, omega = superpose(coeffs, phi, psi)
         reports = evaluate_all(coeffs, phi, psi, tolerance=tolerance)
         term_coherences = [pure_state_coherence(phi), pure_state_coherence(psi)]
-        omega_coherence = pure_state_coherence(sup.normalized)
+        omega_coherence = pure_state_coherence(omega)
         entries.append(
             {
                 "id": name,
                 "description": description,
-                "pair_class": classify_pair(phi, psi).tag.value,
+                "pair_class": classify_pair(phi, psi).value,
                 "term_coherences": term_coherences,
                 "superposition_coherence": omega_coherence,
-                "superposition_norm": sup.s,
+                "superposition_norm": s,
                 "reports": [r.to_dict() for r in reports],
             }
         )

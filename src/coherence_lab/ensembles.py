@@ -200,11 +200,11 @@ def _run_trial(config: EnsembleConfig, index: int, tolerance: float) -> TrialRec
     try:
         phi, psi = sample_pair(gen, config)
         coeffs = _coefficients(gen)
-        pair_class = classify_pair(phi, psi)
+        kind = classify_pair(phi, psi)
         reports = evaluate_all(coeffs, phi, psi, tolerance=tolerance)
     except CoherenceLabError as exc:
         return TrialRecord(index, trial_seed, None, (), f"{type(exc).__name__}: {exc}")
-    return TrialRecord(index, trial_seed, pair_class.tag.value, tuple(reports), None)
+    return TrialRecord(index, trial_seed, kind.value, tuple(reports), None)
 
 
 def run_ensemble(

@@ -19,7 +19,6 @@ from __future__ import annotations
 import cmath
 import enum
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -44,12 +43,6 @@ class PairKind(enum.Enum):
 def default_split(dim: int) -> tuple[int, int]:
     """Even contiguous index partition used when none is configured."""
     return dim // 2, dim - dim // 2
-
-
-@dataclass(frozen=True)
-class PairClass:
-    tag: PairKind
-    overlap: complex
 
 
 @dataclass(frozen=True)
@@ -101,20 +94,6 @@ def coefficient_weights(
     return a, b, np.abs(a + b - 1.0) <= TOLERANCES.norm
 
 
-@dataclass(frozen=True, eq=False)
-class SuperposedState:
-    """A two-term superposition alpha*|phi> + beta*|psi>: its norm ``s`` and
-    the normalized state.
-
-    ``normalized`` is None when the branches cancel (norm at or below the
-    degeneracy threshold); callers that need the normalized state decide
-    whether that is an error.
-    """
-
-    s: float
-    normalized: Optional[StateVector]
-
-
 def _require_same_dim(phi: StateVector, psi: StateVector) -> None:
     if phi.dim != psi.dim:
         raise DimensionMismatchError(f"dimensions differ: {phi.dim} vs {psi.dim}")
@@ -122,15 +101,18 @@ def _require_same_dim(phi: StateVector, psi: StateVector) -> None:
 
 def superpose(
     coeffs: SuperpositionCoefficients, phi: StateVector, psi: StateVector
-) -> SuperposedState:
-    """Form alpha*|phi> + beta*|psi>: its norm s and, above the degeneracy
-    threshold, the state scaled by 1/s."""
+) -> tuple[float, StateVector]:
+    """Form alpha*|phi> + beta*|psi>: (s, the state scaled by 1/s), s its norm.
+
+    Raises ZeroVectorError when the branches cancel, that is when s is at or
+    below the degeneracy threshold, as ``normalize`` does."""
     _require_same_dim(phi, psi)
     raw = coeffs.alpha * phi.amps + coeffs.beta * psi.amps
     s = norm(raw)
+    if s <= TOLERANCES.zero_vector:
+        raise ZeroVectorError("superposition norm is numerically zero")
     # raw is finite (unit states, finite coefficients): seal raw / s directly.
-    normalized = scaled_state(raw, s) if s > TOLERANCES.zero_vector else None
-    return SuperposedState(s=s, normalized=normalized)
+    return s, scaled_state(raw, s)
 
 
 def superpose_rows(
@@ -140,9 +122,9 @@ def superpose_rows(
     gets the normalized superposition of the unit rows in slots 0 and 1, and
     column 2 of the (R, 3) ``norms`` its s.
 
-    ``alpha``/``beta`` are (R,) coefficients.  s[i] is ``superpose``'s ``s``
-    bit for bit, and where ``linalg.normalizable(s[i])`` holds, row i of slot 2 is
-    its ``normalized.amps``; elsewhere ``normalized`` is None.
+    ``alpha``/``beta`` are (R,) coefficients.  Where ``linalg.normalizable(s[i])``
+    holds, (s[i], row i of slot 2) is ``superpose``'s (s, state.amps) bit for
+    bit; elsewhere ``superpose`` raises.
     """
     raw = alpha[:, None] * states[:, 0] + beta[:, None] * states[:, 1]
     normalize_rows(raw, out=(states[:, 2], norms[:, 2]))
@@ -175,8 +157,8 @@ def t_states(
     return scaled_state(raw_plus, s_plus), scaled_state(raw_minus, s_minus)
 
 
-def classify_pair(phi: StateVector, psi: StateVector) -> PairClass:
-    """Classify a state pair for bound routing.
+def classify_pair(phi: StateVector, psi: StateVector) -> PairKind:
+    """The ``PairKind`` of a state pair, for bound routing.
 
     A pair whose overlap does not vanish is NonOrthogonal.  An orthogonal
     pair is DisjointSupport when no basis index is shared (checked
@@ -184,9 +166,8 @@ def classify_pair(phi: StateVector, psi: StateVector) -> PairClass:
     meets the hypothesis of each bound that takes the class.
     """
     _require_same_dim(phi, psi)
-    masks, overlaps = class_masks(phi.amps[None], psi.amps[None])
-    tag = next(kind for kind, rows in masks.items() if rows[0])
-    return PairClass(tag=tag, overlap=overlaps.tolist()[0])
+    masks, _ = class_masks(phi.amps[None], psi.amps[None])
+    return next(kind for kind, rows in masks.items() if rows[0])
 
 
 def disjoint_rows(phi: np.ndarray, psi: np.ndarray) -> np.ndarray:

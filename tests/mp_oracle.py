@@ -1,4 +1,5 @@
-"""A 50-digit mpmath oracle for entropies, coherences and the six relations.
+"""A 50-digit mpmath oracle for entropies, coherences, the superposition norm
+and the six relations.
 
 Every function starts from the float inputs exactly as given (a double is
 exact in mpmath) and computes with 50 significant digits, so comparing a
@@ -47,6 +48,13 @@ def pure_state_coherence(amps, renormalize=False):
     with mpmath.workdps(DIGITS):
         amps = _mp(amps)
         return _coherence(_unit(amps) if renormalize else amps)
+
+
+def superposition_norm(alpha, beta, phi, psi):
+    """s = ||alpha*phi + beta*psi||, the norm ``superpose`` returns."""
+    with mpmath.workdps(DIGITS):
+        (alpha, beta), phi, psi = _mp([alpha, beta]), _mp(phi), _mp(psi)
+        return mpmath.sqrt(mpmath.fsum(abs(alpha * x + beta * y) ** 2 for x, y in zip(phi, psi)))
 
 
 def von_neumann_entropy(states, weights):

@@ -1,5 +1,8 @@
 """Float results against the 50-digit mpmath oracle in ``mp_oracle``."""
 
+import math
+from typing import NamedTuple
+
 import mpmath
 import numpy as np
 import pytest
@@ -22,12 +25,15 @@ from coherence_lab import (
     StateVector,
     WrongPairClassError,
     binary_entropy,
+    classify_pair,
+    evaluate_all,
     evaluate_bound,
     haar_random_state,
     minimize_slack,
     normalize,
     pure_state_coherence,
     random_coefficients,
+    superpose,
     t_states,
     von_neumann_entropy,
 )
@@ -113,6 +119,82 @@ def test_every_relation_matches_the_oracle_on_demo_and_disjoint_pairs():
                 assert exact >= -1e-40
     assert max(worst[T1_EQUALITY], worst[GAIN_LE_1]) <= 1e-15, worst
     assert max(worst.values()) <= 2e-15, worst
+
+
+class KnownAnswer(NamedTuple):
+    """One row of the known-answer table: an input triple, the ``PairKind``
+    ``classify_pair`` gives it, and the closed forms of s, C(phi), C(psi),
+    C(omega) and the (lhs, rhs) of each bound ``evaluate_all`` routes it to."""
+
+    name: str
+    coeffs: SuperpositionCoefficients
+    phi: StateVector
+    psi: StateVector
+    kind: PairKind
+    s: object
+    c_phi: object
+    c_psi: object
+    c_omega: object
+    sides: dict
+
+
+def _known_answers():
+    inv = 1.0 / math.sqrt(2.0)
+    half = SuperpositionCoefficients(inv, inv)
+    h = mp_oracle.binary_entropy
+    with mpmath.workdps(mp_oracle.DIGITS):
+        one, third, tenth = mpmath.mpf(1), mpmath.mpf(1) / 3, mpmath.mpf(1) / 10
+        t4 = -1.5 * h(third)  # -(s^2 + 1/2) h(1/3) at s = 1: -1.37744375108...
+        gain = h(3 * tenth)  # C(omega) - 0.3*1 - 0.7*1 on the d = 4 row
+        c = 1 + gain
+        return [
+            KnownAnswer("omega_1", half, StateVector([1.0, 0.0]), StateVector([0.0, 1.0]),
+                        PairKind.DISJOINT_SUPPORT, one, 0, 0, one, {
+                            T1_EQUALITY: (one, one), GAIN_LE_1: (one, one), T2_UPPER: (one, 2),
+                            T4_LOWER_A: (one, t4), T4_LOWER_B: (one, t4)}),
+            KnownAnswer("omega_2", half, StateVector([inv, inv]), StateVector([inv, -inv]),
+                        PairKind.ORTHOGONAL_SAME_SPACE, one, one, one, 0, {
+                            T2_UPPER: (0, 4), T4_LOWER_A: (0, t4 - one / 4),
+                            T4_LOWER_B: (0, t4 - one / 4)}),
+            KnownAnswer("disjoint_d4", SuperpositionCoefficients(math.sqrt(0.3), math.sqrt(0.7)),
+                        StateVector([inv, inv, 0.0, 0.0]), StateVector([0.0, 0.0, inv, inv]),
+                        PairKind.DISJOINT_SUPPORT, one, one, one, c, {
+                            T1_EQUALITY: (c, c), GAIN_LE_1: (gain, one), T2_UPPER: (c, 2 * c),
+                            T4_LOWER_A: (c, -5.5 * tenth - 17 * tenth * h(7 * one / 17)),
+                            T4_LOWER_B: (c, tenth / 2 - 13 * tenth * h(3 * one / 13))}),
+        ]
+
+
+@pytest.mark.parametrize("row", _known_answers(), ids=lambda row: row.name)
+def test_known_answers(row):
+    # Each float result lies within 1e-14 of the 50-digit oracle at the same
+    # double inputs, and the oracle within 1e-15 of the closed form, which
+    # holds at the exact inputs the doubles round (at most 2.9e-16 and
+    # 4.1e-16 were measured).
+    inputs = (row.coeffs.alpha, row.coeffs.beta, row.phi.amps, row.psi.amps)
+    assert classify_pair(row.phi, row.psi) is row.kind
+    s, omega = superpose(row.coeffs, row.phi, row.psi)
+    checks = [
+        ("s", s, mp_oracle.superposition_norm(*inputs), row.s),
+        ("C(phi)", pure_state_coherence(row.phi), mp_oracle.pure_state_coherence(row.phi.amps),
+         row.c_phi),
+        ("C(psi)", pure_state_coherence(row.psi), mp_oracle.pure_state_coherence(row.psi.amps),
+         row.c_psi),
+        ("C(omega)", pure_state_coherence(omega), mp_oracle.sides(T1_EQUALITY, *inputs)[0],
+         row.c_omega),
+    ]
+    reports = evaluate_all(row.coeffs, row.phi, row.psi)
+    assert [report.bound_id for report in reports] == list(row.sides)
+    for report in reports:
+        assert report.satisfied, report.bound_id
+        oracle = mp_oracle.sides(report.bound_id, *inputs)
+        for side, value, reference, closed_form in zip(
+            ("lhs", "rhs"), (report.lhs, report.rhs), oracle, row.sides[report.bound_id]
+        ):
+            checks.append((f"{report.bound_id} {side}", value, reference, closed_form))
+    for name, value, reference, closed_form in checks:
+        assert abs(value - reference) <= 1e-14, name
+        assert abs(reference - closed_form) <= 1e-15, name
 
 
 def _tight_corner(eps):

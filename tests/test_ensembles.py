@@ -19,6 +19,8 @@ from coherence_lab import (
     DegeneratePairError,
     EnsembleConfig,
     PairKind,
+    StateVector,
+    SuperpositionCoefficients,
     Tolerances,
     classify_pair,
     default_split,
@@ -139,7 +141,7 @@ def test_disjoint_pair_classifies_as_declared():
             dim=6, trials=1, pair_kind=PairKind.DISJOINT_SUPPORT, seed=seed
         )
         phi, psi = sample_pair(numpy_generator(config.seed), config)
-        assert classify_pair(phi, psi).tag is PairKind.DISJOINT_SUPPORT
+        assert classify_pair(phi, psi) is PairKind.DISJOINT_SUPPORT
 
 
 def test_default_split_covers_dimension():
@@ -264,6 +266,19 @@ def test_run_ensemble_captures_trial_errors(monkeypatch):
     for record in records:
         assert record.error == "CoherenceLabError: synthetic failure"
         assert record.reports == ()
+
+
+def test_a_trial_whose_branches_cancel_records_the_cancellation_text(monkeypatch):
+    # A scalar trial's error string lands in verify's error_samples, so it is
+    # report bytes.  The draw is patched to an exactly cancelling triple.
+    e0, inv = StateVector([1.0, 0.0]), 1.0 / math.sqrt(2.0)
+    monkeypatch.setattr(ensembles, "sample_pair", lambda gen, config: (e0, e0))
+    monkeypatch.setattr(ensembles, "_coefficients",
+                        lambda gen: SuperpositionCoefficients(inv, -inv))
+    config = EnsembleConfig(dim=2, trials=1, pair_kind=PairKind.ARBITRARY, seed=0)
+    record = ensembles._run_trial(config, 0, 1e-9)
+    assert record.error == "ZeroVectorError: superposition norm is numerically zero"
+    assert record.pair_class is None and record.reports == ()
 
 
 def test_ensemble_config_validation():

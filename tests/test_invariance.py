@@ -129,7 +129,7 @@ def test_scalar_sides_and_pair_class_are_invariant(name):
     for kind, dim in CASES:
         original, moved = transformed(name, kind, dim)
         for r, (before, after) in enumerate(zip(scalar_reports(original), scalar_reports(moved))):
-            assert classify_pair(*triple(moved, r)[1:]).tag is classify_pair(*triple(original, r)[1:]).tag
+            assert classify_pair(*triple(moved, r)[1:]) is classify_pair(*triple(original, r)[1:])
             assert sorted(image(name, bound_id) for bound_id in before) == sorted(after)
             for bound_id, rep in before.items():
                 new = after[image(name, bound_id)]

@@ -249,11 +249,12 @@ def test_array_trig_and_exp_equal_the_scalar_calls():
 
 
 # --- inner product -----------------------------------------------------------
-# <a|b> = sum_i conj(a_i) b_i, the overlap that ``classify_pair`` returns.
+# <a|b> = sum_i conj(a_i) b_i, as ``evaluate_bound``'s orthogonality message
+# reads it: np.vdot on the amplitudes.
 
 
 def inner_product(a, b):
-    return classify_pair(a, b).overlap
+    return complex(np.vdot(a.amps, b.amps))
 
 
 def test_inner_product_orthogonal_basis_states():
@@ -281,7 +282,7 @@ def test_inner_product_conjugate_symmetry():
 
 def test_inner_product_dimension_mismatch():
     with pytest.raises(DimensionMismatchError):
-        inner_product(StateVector([1, 0]), StateVector([1, 0, 0]))
+        classify_pair(StateVector([1, 0]), StateVector([1, 0, 0]))
 
 
 # --- eigensolver -------------------------------------------------------------

@@ -1,10 +1,12 @@
 """Package structure: modules use each other only through public names,
 ``search`` and ``ensembles`` import nothing from each other, every vector
 norm goes through ``linalg.norm``, only ``entropy`` takes a logarithm, no
-module names numpy's random module, and every exported name has a user
-outside the tests."""
+module names numpy's random module, every exported name has a user outside
+the tests, and the console script names a callable."""
 
 import ast
+import importlib
+import re
 from pathlib import Path
 
 import coherence_lab
@@ -192,3 +194,15 @@ def test_every_exported_name_is_used_outside_tests():
     users += sorted((PACKAGE.parents[1] / "benchmarks").glob("*.py"))
     unused = set(coherence_lab.__all__) - used_names(users)
     assert sorted(unused) == sorted(UNUSED_EXPORTS)
+
+
+def test_the_console_script_names_an_importable_callable():
+    # README spells every command ``coherence-lab ...``, and CI runs them as
+    # ``python -m coherence_lab``, so only this reads the installed entry
+    # point.  pyproject.toml is read with a regex: Python 3.10 has no tomllib.
+    text = (PACKAGE.parents[1] / "pyproject.toml").read_text(encoding="utf-8")
+    section = re.search(r"^\[project\.scripts\]\n(.*?)(?=^\[|\Z)", text, re.M | re.S)
+    scripts = dict(re.findall(r'^([\w-]+)\s*=\s*"([^"]*)"', section.group(1), re.M))
+    assert scripts == {"coherence-lab": "coherence_lab.cli:main"}
+    module, _, name = scripts["coherence-lab"].partition(":")
+    assert callable(getattr(importlib.import_module(module), name))

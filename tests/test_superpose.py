@@ -74,23 +74,23 @@ def test_coefficients_weights():
 
 
 def test_superpose_uniform_basis_pair():
-    sup = superpose(EQUAL, E0, E1)
-    assert np.allclose(sup.s * sup.normalized.amps, [INV_SQRT2, INV_SQRT2])
-    assert abs(sup.s - 1.0) < 1e-12
-    assert sup.normalized is not None
+    s, state = superpose(EQUAL, E0, E1)
+    assert np.allclose(s * state.amps, [INV_SQRT2, INV_SQRT2])
+    assert abs(s - 1.0) < 1e-12
 
 
 def test_superpose_plus_minus_collapses_to_basis_state():
-    sup = superpose(EQUAL, PLUS, MINUS)
-    assert abs(sup.s - 1.0) < 1e-12
-    assert np.allclose(sup.normalized.amps, [1.0, 0.0], atol=1e-12)
+    s, state = superpose(EQUAL, PLUS, MINUS)
+    assert abs(s - 1.0) < 1e-12
+    assert np.allclose(state.amps, [1.0, 0.0], atol=1e-12)
 
 
-def test_superpose_exact_cancellation_yields_absent_normalized():
+def test_superpose_raises_when_the_branches_cancel_exactly():
     coeffs = SuperpositionCoefficients(INV_SQRT2, -INV_SQRT2)
-    sup = superpose(coeffs, E0, E0)
-    assert sup.s == 0.0
-    assert sup.normalized is None
+    assert np.linalg.norm(coeffs.alpha * E0.amps + coeffs.beta * E0.amps) == 0.0
+    with pytest.raises(ZeroVectorError) as exc:
+        superpose(coeffs, E0, E0)
+    assert str(exc.value) == "superposition norm is numerically zero"
 
 
 @pytest.mark.parametrize("eps", [1e-12, 1.4e-12, 1.5e-12, 1e-11])
@@ -98,30 +98,31 @@ def test_superpose_normalizes_only_above_the_zero_vector_threshold(eps):
     # s = ||(E0 - psi) / sqrt(2)|| = eps / sqrt(2) for psi = (1, eps).
     psi = StateVector([1.0, eps])
     coeffs = SuperpositionCoefficients(INV_SQRT2, -INV_SQRT2)
-    sup = superpose(coeffs, E0, psi)
     raw = coeffs.alpha * E0.amps + coeffs.beta * psi.amps
-    assert sup.s == float(np.linalg.norm(raw))
-    if sup.s <= TOLERANCES.zero_vector:
+    norm = float(np.linalg.norm(raw))
+    if norm <= TOLERANCES.zero_vector:
         assert eps < 1.5e-12
-        assert sup.normalized is None
+        with pytest.raises(ZeroVectorError, match="superposition norm is numerically zero"):
+            superpose(coeffs, E0, psi)
     else:
         assert eps >= 1.5e-12
-        expected = StateVector(raw / sup.s).amps
-        assert sup.normalized.amps.tobytes() == expected.tobytes()
+        s, state = superpose(coeffs, E0, psi)
+        assert s == norm
+        assert state.amps.tobytes() == StateVector(raw / s).amps.tobytes()
 
 
 def test_superpose_norm_formula():
     for seed in range(50):
         coeffs, phi, psi = random_triple(seed, 5)
-        sup = superpose(coeffs, phi, psi)
+        s, _ = superpose(coeffs, phi, psi)
         overlap = complex(np.vdot(phi.amps, psi.amps))
         expected_sq = 1.0 + 2.0 * (np.conj(coeffs.alpha) * coeffs.beta * overlap).real
-        assert abs(sup.s**2 - expected_sq) < 1e-10
+        assert abs(s**2 - expected_sq) < 1e-10
 
 
 def test_superpose_orthogonal_inputs_have_unit_norm():
-    sup = superpose(random_coefficients(7), PLUS, MINUS)
-    assert abs(sup.s - 1.0) < 1e-10
+    s, _ = superpose(random_coefficients(7), PLUS, MINUS)
+    assert abs(s - 1.0) < 1e-10
 
 
 def test_superpose_dimension_mismatch():
@@ -132,10 +133,10 @@ def test_superpose_dimension_mismatch():
 def test_superpose_seals_the_state_normalize_would_return():
     for seed in range(40):
         coeffs, phi, psi = random_triple(seed, 2 + seed % 9)
-        state = superpose(coeffs, phi, psi)
+        _, state = superpose(coeffs, phi, psi)
         expected = normalize(coeffs.alpha * phi.amps + coeffs.beta * psi.amps)
-        assert state.normalized.amps.tobytes() == expected.amps.tobytes()
-        assert not state.normalized.amps.flags.writeable
+        assert state.amps.tobytes() == expected.amps.tobytes()
+        assert not state.amps.flags.writeable
 
 
 def test_superpose_rows_match_superpose_row_by_row():
@@ -153,13 +154,15 @@ def test_superpose_rows_match_superpose_row_by_row():
     s, normalized, ok = norms[:, 2], states[:, 2], normalizable(norms[:, 2])
     assert states[:, 0].tobytes() == phi.tobytes() and states[:, 1].tobytes() == psi.tobytes()
     assert ok.tolist() == [True] * (len(triples) - 1) + [False]
+    # A row normalizable(s) rejects is exactly a row on which superpose raises.
     for (coeffs, p, q), s_i, row, good in zip(triples, s.tolist(), normalized, ok.tolist()):
-        state = superpose(coeffs, p, q)
-        assert s_i == state.s
         if good:
-            assert row.tobytes() == state.normalized.amps.tobytes()
+            s_scalar, state = superpose(coeffs, p, q)
+            assert s_i == s_scalar
+            assert row.tobytes() == state.amps.tobytes()
         else:
-            assert state.normalized is None
+            with pytest.raises(ZeroVectorError):
+                superpose(coeffs, p, q)
 
 
 # --- t_states -------------------------------------------------------------------
@@ -197,37 +200,34 @@ def test_t_states_degenerate_branches_are_named():
 # --- classification --------------------------------------------------------------
 
 
-def test_classify_disjoint_pair():
-    assert classify_pair(E0, E1).tag is PairKind.DISJOINT_SUPPORT
+def pair_overlap(phi, psi) -> complex:
+    """<phi|psi> as ``class_masks`` computes it for ``classify_pair``."""
+    _, overlaps = class_masks(phi.amps[None], psi.amps[None])
+    return overlaps.tolist()[0]
 
 
 def test_classify_orthogonal_same_space():
-    result = classify_pair(PLUS, MINUS)
-    assert result.tag is PairKind.ORTHOGONAL_SAME_SPACE
-    assert abs(result.overlap) < 1e-12
+    assert classify_pair(PLUS, MINUS) is PairKind.ORTHOGONAL_SAME_SPACE
+    assert abs(pair_overlap(PLUS, MINUS)) < 1e-12
 
 
 def test_classify_non_orthogonal():
-    result = classify_pair(E0, PLUS)
-    assert result.tag is PairKind.NON_ORTHOGONAL
-    assert abs(result.overlap - INV_SQRT2) < 1e-15
+    assert classify_pair(E0, PLUS) is PairKind.NON_ORTHOGONAL
+    assert abs(pair_overlap(E0, PLUS) - INV_SQRT2) < 1e-15
 
 
 def test_classify_disjoint_takes_precedence_over_orthogonal():
-    # Disjoint supports are orthogonal too; the finer tag wins.
-    result = classify_pair(E0, E1)
-    assert result.tag is PairKind.DISJOINT_SUPPORT
-    assert result.overlap == 0
+    # Disjoint supports are orthogonal too; the finer kind wins.
+    assert classify_pair(E0, E1) is PairKind.DISJOINT_SUPPORT
+    assert pair_overlap(E0, E1) == 0
 
 
 def test_classify_symmetric_with_conjugated_overlap():
     for seed in range(20):
         phi = haar_random_state(4, seed)
         psi = haar_random_state(4, seed + 1000)
-        forward = classify_pair(phi, psi)
-        backward = classify_pair(psi, phi)
-        assert forward.tag is backward.tag
-        assert forward.overlap == np.conj(backward.overlap)
+        assert classify_pair(phi, psi) is classify_pair(psi, phi)
+        assert pair_overlap(phi, psi) == np.conj(pair_overlap(psi, phi))
 
 
 def classification_rule(phi, psi) -> PairKind:
@@ -255,15 +255,15 @@ def test_class_masks_and_classify_pair_follow_the_rule():
     assert expected[-4:] == [PairKind.DISJOINT_SUPPORT, PairKind.ORTHOGONAL_SAME_SPACE,
                              PairKind.DISJOINT_SUPPORT, PairKind.ORTHOGONAL_SAME_SPACE]
     assert PairKind.NON_ORTHOGONAL in expected
-    for (p, q), tag in zip(pairs, expected):
-        got = classify_pair(p, q)
-        assert got.tag is tag
-        assert type(got.overlap) is complex and got.overlap == complex(np.vdot(p.amps, q.amps))
+    for (p, q), kind in zip(pairs, expected):
+        assert classify_pair(p, q) is kind
+        overlap = pair_overlap(p, q)
+        assert type(overlap) is complex and overlap == complex(np.vdot(p.amps, q.amps))
     for dim in (2, 4):
         rows = [(p, q) for p, q in pairs if p.dim == dim]
         masks, overlaps = class_masks(np.array([p.amps for p, _ in rows]),
                                       np.array([q.amps for _, q in rows]))
-        assert overlaps.tolist() == [classify_pair(p, q).overlap for p, q in rows]
+        assert overlaps.tolist() == [pair_overlap(p, q) for p, q in rows]
         for i, (p, q) in enumerate(rows):
             assert [kind for kind, mask in masks.items() if mask[i]] == [classification_rule(p, q)]
 
@@ -280,9 +280,9 @@ def test_class_masks_compare_the_overlap_as_abs_does(monkeypatch):
         phi, psi = StateVector([1.0, 0.0]), StateVector([o, math.sqrt(1.0 - abs(o) ** 2)])
         monkeypatch.setattr(module, "TOLERANCES", Tolerances(overlap=abs(o)))
         want = classify_pair(phi, psi)
-        assert want.tag is PairKind.ORTHOGONAL_SAME_SPACE
+        assert want is PairKind.ORTHOGONAL_SAME_SPACE
         masks, _ = class_masks(phi.amps[None], psi.amps[None])
-        assert [kind for kind, rows in masks.items() if rows[0]] == [want.tag]
+        assert [kind for kind, rows in masks.items() if rows[0]] == [want]
 
 
 def test_is_orthogonal_at_the_overlap_threshold():
@@ -325,8 +325,8 @@ def test_norm_identity_non_orthogonal_example():
 
 def test_norm_identity_parallel_states():
     coeffs = SuperpositionCoefficients(INV_SQRT2, INV_SQRT2)
-    sup_plus = superpose(coeffs, E0, E0)
-    assert abs(sup_plus.s**2 - 2.0) < 1e-12
+    s, _ = superpose(coeffs, E0, E0)
+    assert abs(s**2 - 2.0) < 1e-12
     assert norm_identity_residual(coeffs, E0, E0) <= TOLERANCES.identity_residual
 
 
