@@ -314,9 +314,9 @@ def evaluate_all(
     psi: StateVector,
     *,
     tolerance: float = TOLERANCES.bound_slack,
-) -> list[BoundReport]:
-    """Evaluate, in ``BOUNDS`` order, every bound whose ``classes`` hold the
-    pair's class.
+) -> tuple[PairKind, list[BoundReport]]:
+    """The pair's class, ``classify_pair``'s one call, and the reports, in
+    ``BOUNDS`` order, of every bound whose ``classes`` hold it.
 
     Disjoint support: equality, gain ceiling, orthogonal upper bound, and
     both lower-bound branches.  Orthogonal same-space: orthogonal upper bound
@@ -326,8 +326,8 @@ def evaluate_all(
     """
     kind = classify_pair(phi, psi)
     q = _record(coeffs, phi, psi)
-    return [_report(bound_id, q, tolerance)
-            for bound_id, bound in BOUNDS.items() if kind in bound.classes]
+    return kind, [_report(bound_id, q, tolerance)
+                  for bound_id, bound in BOUNDS.items() if kind in bound.classes]
 
 
 def evaluate_rows(

@@ -41,7 +41,7 @@ from .errors import CoherenceLabError, ConfigError, ConsistencyError
 from .linalg import StateVector
 from .rng import subseed
 from .search import SearchSpec, minimize_slack
-from .superpose import PairKind, SuperpositionCoefficients, classify_pair, superpose
+from .superpose import PairKind, SuperpositionCoefficients, superpose
 from .tolerances import TOLERANCES
 
 SEED_ENV_VAR = "COHERENCE_LAB_SEED"
@@ -288,14 +288,14 @@ def cmd_demo(args, config: dict) -> int:
     entries = []
     for name, phi, psi, description in cases:
         s, omega = superpose(coeffs, phi, psi)
-        reports = evaluate_all(coeffs, phi, psi, tolerance=tolerance)
+        kind, reports = evaluate_all(coeffs, phi, psi, tolerance=tolerance)
         term_coherences = [pure_state_coherence(phi), pure_state_coherence(psi)]
         omega_coherence = pure_state_coherence(omega)
         entries.append(
             {
                 "id": name,
                 "description": description,
-                "pair_class": classify_pair(phi, psi).value,
+                "pair_class": kind.value,
                 "term_coherences": term_coherences,
                 "superposition_coherence": omega_coherence,
                 "superposition_norm": s,

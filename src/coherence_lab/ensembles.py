@@ -46,13 +46,13 @@ import numpy as np
 from .bounds import BoundReport, evaluate_all, evaluate_rows
 from .entropy import row_coherences
 from .errors import BadSplitError, CoherenceLabError, DegeneratePairError
-from .linalg import StateVector, norm, normalizable, normalize, normalize_rows, project_out_rows
+from .linalg import (StateVector, norm, normalizable, normalize, normalize_rows,
+                     project_out_rows, scaled_state)
 from .rng import MASK64, UniformRows, complex_normals, ragged_uniforms, stream, subseed, subseeds
 from .superpose import (
     PairKind,
     SuperpositionCoefficients,
     class_masks,
-    classify_pair,
     coefficient_map,
     coefficient_weights,
     default_split,
@@ -61,8 +61,6 @@ from .superpose import (
 )
 from .tolerances import TOLERANCES
 
-# Projected-norm floor below which an orthogonalization attempt is discarded.
-_PROJECTION_FLOOR = 1e-6
 # A summary keeps the records of this many violating trials and this many
 # error strings, the first ones in trial-index order.
 _MAX_RECORDED_VIOLATIONS = 20
@@ -118,10 +116,11 @@ class TrialRecord:
 
 
 def _haar_state(gen: UniformRows, dim: int) -> StateVector:
-    raw = complex_normals(gen, dim)
-    if norm(raw) <= TOLERANCES.zero_vector:
+    raw = complex_normals(gen, dim)  # finite by construction, so only its norm is checked
+    n = norm(raw)
+    if n <= TOLERANCES.zero_vector:
         raise DegeneratePairError("Gaussian sampling produced a degenerate vector")
-    return normalize(raw)
+    return scaled_state(raw, n)
 
 
 def haar_random_state(dim: int, seed: int) -> StateVector:
@@ -134,8 +133,8 @@ def haar_random_state(dim: int, seed: int) -> StateVector:
 
 def _orthogonal_pair(gen: UniformRows, dim: int) -> tuple[StateVector, StateVector]:
     phi = _haar_state(gen, dim)
-    (projected,), (first,) = project_out_rows(phi.amps[None], complex_normals(gen, dim)[None])
-    if first <= _PROJECTION_FLOOR:
+    (projected,), (kept,) = project_out_rows(phi.amps[None], complex_normals(gen, dim)[None])
+    if not kept:
         raise DegeneratePairError("the second state is nearly parallel to the first")
     return phi, normalize(projected)
 
@@ -200,8 +199,7 @@ def _run_trial(config: EnsembleConfig, index: int, tolerance: float) -> TrialRec
     try:
         phi, psi = sample_pair(gen, config)
         coeffs = _coefficients(gen)
-        kind = classify_pair(phi, psi)
-        reports = evaluate_all(coeffs, phi, psi, tolerance=tolerance)
+        kind, reports = evaluate_all(coeffs, phi, psi, tolerance=tolerance)
     except CoherenceLabError as exc:
         return TrialRecord(index, trial_seed, None, (), f"{type(exc).__name__}: {exc}")
     return TrialRecord(index, trial_seed, kind.value, tuple(reports), None)
@@ -268,8 +266,8 @@ def _group_rows(members: list, uniforms: np.ndarray, alpha: np.ndarray, beta: np
     raw = complex_normals(gen, d2)
     for kind, rows in segments:
         if kind is PairKind.ORTHOGONAL_SAME_SPACE:
-            raw[rows], norms = project_out_rows(phi[rows], raw[rows])
-            ok[rows] &= norms > _PROJECTION_FLOOR
+            raw[rows], kept = project_out_rows(phi[rows], raw[rows])
+            ok[rows] &= kept
     first = d1 if disjoint else 0
     psi[:, first : first + d2], norms = normalize_rows(raw)
     del raw

@@ -147,10 +147,13 @@ def row_norms(rows: np.ndarray, out=None) -> np.ndarray:
 
 def project_out_rows(base: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Each row minus its projection on the unit row of ``base``, taken twice
-    (Gram-Schmidt, then again for round-off): (the projected rows, their
-    norms after the first projection), which a caller holds to its floor."""
+    (Gram-Schmidt, then again for round-off): (the projected rows, the mask
+    of rows whose norm after the first projection is above
+    ``TOLERANCES.zero_vector``, NaN not).  Outside the mask a row lay in
+    ``base``'s span to round-off; each caller chooses only its reaction."""
     projected = rows - row_vdot(base, rows)[:, None] * base
-    return projected - row_vdot(base, projected)[:, None] * base, row_norms(projected)
+    kept = row_norms(projected) > TOLERANCES.zero_vector
+    return projected - row_vdot(base, projected)[:, None] * base, kept
 
 
 def normalizable(n):

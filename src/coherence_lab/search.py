@@ -155,13 +155,10 @@ def parameterize(
     coeffs = SuperpositionCoefficients(alpha=alpha, beta=beta)
     phi = normalize(raw_phi)
     if pair_kind is PairKind.ORTHOGONAL_SAME_SPACE:
-        (projected,), (first,) = project_out_rows(phi.amps[None], raw_psi[None])
-        if first <= TOLERANCES.zero_vector:
+        (raw_psi,), (kept,) = project_out_rows(phi.amps[None], raw_psi[None])
+        if not kept:
             raise ZeroVectorError("second state degenerated under orthogonal projection")
-        psi = normalize(projected)
-    else:
-        psi = normalize(raw_psi)
-    return coeffs, phi, psi
+    return coeffs, phi, normalize(raw_psi)
 
 
 def _parameterize_rows(
@@ -190,9 +187,9 @@ def _parameterize_rows(
     states, norms = np.empty((rows, 3, dim), dtype=np.complex128), np.empty((rows, 3))
     if pair_kind is PairKind.ORTHOGONAL_SAME_SPACE:
         phi, _ = normalize_rows(raw[:, 0], out=(states[:, 0], norms[:, 0]))
-        projected, first = project_out_rows(phi, raw[:, 1])
+        projected, kept = project_out_rows(phi, raw[:, 1])
         normalize_rows(projected, out=(states[:, 1], norms[:, 1]))
-        norms[:, 1][~(first > TOLERANCES.zero_vector)] = 0.0
+        norms[:, 1][~kept] = 0.0
     else:
         normalize_rows(raw, out=(states[:, :2], norms[:, :2]))
     return alpha, beta, states, norms

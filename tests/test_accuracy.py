@@ -183,7 +183,8 @@ def test_known_answers(row):
         ("C(omega)", pure_state_coherence(omega), mp_oracle.sides(T1_EQUALITY, *inputs)[0],
          row.c_omega),
     ]
-    reports = evaluate_all(row.coeffs, row.phi, row.psi)
+    kind, reports = evaluate_all(row.coeffs, row.phi, row.psi)
+    assert kind is row.kind
     assert [report.bound_id for report in reports] == list(row.sides)
     for report in reports:
         assert report.satisfied, report.bound_id

@@ -206,8 +206,9 @@ def test_lower_bound_coefficient_symmetry():
 
 
 def test_evaluate_all_routes_non_orthogonal_pairs():
-    ids = [r.bound_id for r in evaluate_all(EQUAL, E0, PLUS)]
-    assert ids == [T3_UPPER, T4_LOWER_A, T4_LOWER_B]
+    kind, reports = evaluate_all(EQUAL, E0, PLUS)
+    assert kind is PairKind.NON_ORTHOGONAL
+    assert [r.bound_id for r in reports] == [T3_UPPER, T4_LOWER_A, T4_LOWER_B]
 
 
 @pytest.mark.parametrize("state", [E0, PLUS], ids=["E0", "PLUS"])
@@ -273,9 +274,9 @@ def test_reports_are_invariant_under_a_basis_permutation(kind):
             coeffs = random_coefficients(seed)
             order = np.random.default_rng(seed).permutation(dim)
             moved_phi, moved_psi = StateVector(phi.amps[order]), StateVector(psi.amps[order])
-            assert classify_pair(moved_phi, moved_psi) is classify_pair(phi, psi)
-            base = evaluate_all(coeffs, phi, psi)
-            moved = evaluate_all(coeffs, moved_phi, moved_psi)
+            kind, base = evaluate_all(coeffs, phi, psi)
+            moved_kind, moved = evaluate_all(coeffs, moved_phi, moved_psi)
+            assert moved_kind is kind
             assert [(r.bound_id, r.satisfied) for r in moved] == [
                 (r.bound_id, r.satisfied) for r in base
             ]
@@ -287,7 +288,8 @@ def test_weight_at_the_edge_of_validation_is_evaluated():
     # |alpha|^2 = 1 + 8e-11 passes the coefficient check (TOLERANCES.norm),
     # so the binary entropies of the weights must take it too.
     coeffs = SuperpositionCoefficients(1.0 + 4e-11, 0.0)
-    reports = evaluate_all(coeffs, E0, E1)
+    kind, reports = evaluate_all(coeffs, E0, E1)
+    assert kind is PairKind.DISJOINT_SUPPORT
     assert [r.bound_id for r in reports] == [T1_EQUALITY, GAIN_LE_1, T2_UPPER, T4_LOWER_A, T4_LOWER_B]
     assert all(r.satisfied for r in reports)
     for bound_id in (T1_EQUALITY, T2_UPPER, T3_UPPER):
@@ -358,7 +360,9 @@ def test_evaluate_bound_matches_evaluate_all():
     ]
     coeffs = random_coefficients(21)
     for phi, psi in pairs:
-        for report in evaluate_all(coeffs, phi, psi):
+        kind, reports = evaluate_all(coeffs, phi, psi)
+        assert kind is classify_pair(phi, psi)
+        for report in reports:
             assert evaluate_bound(report.bound_id, coeffs, phi, psi) == report
 
 
@@ -383,7 +387,7 @@ def test_each_context_computes_each_quantity_once(monkeypatch):
 
     evaluate_bound(T4_LOWER_A, coeffs, phi, psi)
     assert (len(coherences), len(superposes)) == (3, 1)
-    reports = evaluate_all(coeffs, phi, psi)
+    _, reports = evaluate_all(coeffs, phi, psi)
     assert [r.bound_id for r in reports] == [
         T1_EQUALITY, GAIN_LE_1, T2_UPPER, T4_LOWER_A, T4_LOWER_B
     ]
@@ -391,7 +395,7 @@ def test_each_context_computes_each_quantity_once(monkeypatch):
 
     # A second context recomputes from its own inputs rather than reusing values.
     other = random_coefficients(22)
-    assert evaluate_all(other, phi, psi) != reports
+    assert evaluate_all(other, phi, psi)[1] != reports
     assert (len(coherences), len(superposes)) == (9, 3)
     assert superposes[-1][0] is other
 
@@ -432,7 +436,8 @@ def test_evaluate_rows_runs_the_scalar_formulas_on_arrays(kind):
     # The bounds evaluate_all reports for the class, in its order, each at every ok row.
     verdicts = {bound_id: (slack, satisfied) for bound_id, applied, slack, satisfied in results
                 if applied.size}
-    assert list(verdicts) == [rep.bound_id for rep in evaluate_all(EQUAL, *CLASS_EXEMPLARS[kind])]
+    exemplar_kind, reports = evaluate_all(EQUAL, *CLASS_EXEMPLARS[kind])
+    assert exemplar_kind is kind and list(verdicts) == [rep.bound_id for rep in reports]
     for bound_id, applied, _, _ in results:
         assert applied.tolist() == (np.flatnonzero(ok).tolist() if bound_id in verdicts else [])
     for j, i in enumerate(np.flatnonzero(ok).tolist()):
@@ -545,8 +550,8 @@ def test_a_support_disjoint_pair_that_is_not_orthogonal_is_non_orthogonal(monkey
         monkeypatch.setattr(module, "TOLERANCES", moved)
     phi, psi = pairs[-6]  # shared(1e-3)
     assert largest_shared(phi, psi) <= moved.support and overlap_modulus(phi, psi) > moved.overlap
-    assert classify_pair(phi, psi) is PairKind.NON_ORTHOGONAL
-    reports = evaluate_all(EQUAL, phi, psi)
+    kind, reports = evaluate_all(EQUAL, phi, psi)
+    assert kind is PairKind.NON_ORTHOGONAL
     assert [r.bound_id for r in reports] == [T3_UPPER, T4_LOWER_A, T4_LOWER_B]
     with pytest.raises(WrongPairClassError, match="disjoint support required"):
         evaluate_bound(T1_EQUALITY, EQUAL, phi, psi)
@@ -612,7 +617,7 @@ def test_one_mutant_reaches_every_evaluator(monkeypatch):
     assert not np.isnan(rows).any() and vouched.all()
     verdicts = {bound_id: slack for bound_id, _, slack, _ in results}
     for i, triple in enumerate(triples):
-        report = evaluate_all(*triple)[0]
+        report = evaluate_all(*triple)[1][0]
         assert report.bound_id == T2_UPPER
         slacks = [evaluate_bound(T2_UPPER, *triple).slack, report.slack, rows[i].item(),
                   verdicts[T2_UPPER][i].item()]

@@ -4,6 +4,7 @@ import collections
 import importlib
 import json
 import math
+import sys
 from dataclasses import replace
 
 import numpy as np
@@ -213,7 +214,9 @@ def test_a_trial_stream_is_the_trials_pair_then_its_coefficients(kind):
         phi, psi = sample_pair(gen, config)
         coeffs = _coefficients(gen)
         assert gen.pos == _stream_length(config)  # exactly the trial's uniforms
-        assert [r.slack for r in bounds.evaluate_all(coeffs, phi, psi)] == [r.slack for r in record.reports]
+        kind, reports = bounds.evaluate_all(coeffs, phi, psi)
+        assert kind.value == record.pair_class
+        assert [r.slack for r in reports] == [r.slack for r in record.reports]
 
 
 # --- ensembles ----------------------------------------------------------------------------
@@ -770,6 +773,36 @@ def _count_scalar_trials(monkeypatch):
     return calls
 
 
+def _count_classifications(monkeypatch):
+    """Count the calls of ``classify_pair`` under every name a package
+    module binds it to."""
+    calls = []
+    original = importlib.import_module("coherence_lab.superpose").classify_pair
+
+    def counted(phi, psi):
+        calls.append((phi, psi))
+        return original(phi, psi)
+
+    for name, module in list(sys.modules.items()):
+        bound = getattr(module, "classify_pair", None)
+        if name.split(".")[0] == "coherence_lab" and bound is original:
+            monkeypatch.setattr(module, "classify_pair", counted)
+    return calls
+
+
+def test_a_scalar_trial_and_a_demo_case_classify_their_pair_once(monkeypatch, capsys):
+    # The record's pair class and the bounds it routes to come from one call.
+    calls = _count_classifications(monkeypatch)
+    for kind in PairKind:
+        config = EnsembleConfig(dim=4, trials=3, pair_kind=kind, seed=11)
+        assert all(record.error is None for record in run_ensemble(config))
+        assert len(calls) == config.trials, kind
+        calls.clear()
+    assert cli.main(["demo"]) == 0
+    capsys.readouterr()
+    assert len(calls) == 2  # omega_1 and omega_2
+
+
 def test_clean_summary_builds_no_trial_records(monkeypatch):
     calls = _count_scalar_trials(monkeypatch)
     config = EnsembleConfig(dim=4, trials=300, pair_kind=PairKind.ARBITRARY, seed=5)
@@ -778,26 +811,26 @@ def test_clean_summary_builds_no_trial_records(monkeypatch):
     assert calls == []
 
 
-@pytest.mark.parametrize("floor", [1.0, 2.5])
-def test_summary_with_forced_degenerate_draws_matches_scalar_path(monkeypatch, floor):
-    # A high projection floor makes orthogonal draws degenerate. The batch
-    # hands the scalar path exactly the trials whose projected norm is at or
-    # below the floor, at 1.0 some of them and at 2.5 many, and each records
-    # the DegeneratePairError it raises.
-    monkeypatch.setattr(ensembles, "_PROJECTION_FLOOR", floor)
+@pytest.mark.parametrize("zero_vector", [0.5, 0.9])
+def test_summary_with_forced_degenerate_draws_matches_scalar_path(monkeypatch, zero_vector):
+    # A high degeneracy threshold makes orthogonal draws at d = 2 degenerate:
+    # the projection's mask rejects a short first projection, and some
+    # Gaussian draws are short too, while an orthogonal pair's s = 1 stays
+    # above it.  The batch hands the scalar path exactly the trials at
+    # which a norm is at or below the threshold, at 0.5 some of them and at
+    # 0.9 more, and each records the DegeneratePairError it raises.
+    _move_tolerances(monkeypatch, Tolerances(zero_vector=zero_vector))
     monkeypatch.setattr(ensembles, "_CHUNK_ELEMENTS", 64)
-    config = EnsembleConfig(dim=4, trials=200, pair_kind=PairKind.ORTHOGONAL_SAME_SPACE, seed=77)
+    config = EnsembleConfig(dim=2, trials=200, pair_kind=PairKind.ORTHOGONAL_SAME_SPACE, seed=77)
     calls = _count_scalar_trials(monkeypatch)
     summarize_ensembles([config])[0]
     scalar_trials = len(calls)
     summary = assert_matches_scalar(config)
     assert summary["errors"] == scalar_trials
-    assert all(error.startswith(DegeneratePairError.__name__ + ":")
-               for error in summary["error_samples"])
-    if floor < 2:
-        assert 0 < scalar_trials < config.trials
-    else:
-        assert summary["errors"] > 5
+    assert 5 < scalar_trials < config.trials
+    errors = {record.error for record in run_ensemble(config)} - {None}
+    assert "DegeneratePairError: the second state is nearly parallel to the first" in errors
+    assert all(error.startswith(DegeneratePairError.__name__ + ":") for error in errors)
 
 
 def test_summary_keeps_first_twenty_violating_trials(monkeypatch):

@@ -17,6 +17,7 @@ from coherence_lab import (
     hermitian_eigenvalues,
     normalize,
 )
+from coherence_lab.tolerances import TOLERANCES
 
 INV_SQRT2 = 1.0 / math.sqrt(2.0)
 
@@ -232,6 +233,20 @@ def test_normalize_rows_matches_normalize_row_by_row():
     wide = rng.standard_normal((2, 2**16)) + 1j * rng.standard_normal((2, 2**16))
     wide[1] *= 1e150
     assert assert_normalize_rows_is_normalize(wide) == [True, True]
+
+
+def test_project_out_rows_keeps_the_rows_whose_first_norm_is_above_the_threshold():
+    # Each row's part orthogonal to the unit row (1, 0) is (0, t), of norm t
+    # exactly: t at the threshold is rejected, the next double up is kept,
+    # and a NaN norm is rejected.
+    at = TOLERANCES.zero_vector
+    t = np.array([at, np.nextafter(at, math.inf), math.nan])
+    rows = np.stack([np.full(3, 0.5), t], axis=1).astype(complex)
+    first = rows - [0.5, 0.0]
+    assert linalg.row_norms(first)[:2].tolist() == t[:2].tolist()
+    projected, kept = linalg.project_out_rows(np.tile([1.0 + 0j, 0.0], (3, 1)), rows)
+    assert kept.tolist() == [False, True, False]
+    assert projected[:2].tolist() == first[:2].tolist()
 
 
 def test_array_trig_and_exp_equal_the_scalar_calls():
