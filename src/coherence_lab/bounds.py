@@ -36,9 +36,11 @@ is the scalar reference for one triple's slack.  Its hypothesis on the pair
 orthogonal.  ``evaluate_bound`` raises WrongPairClassError on a pair of
 another class.  ``evaluate_all`` and ``evaluate_rows`` check each bound on
 the classes in ``Bound.classes``, all within ``kinds``, so they test no
-hypothesis.  ``row_slacks`` tests on each row only what its draw does not
-guarantee, and nothing on rows drawn disjoint; a row that fails its checks
-reads NaN.
+hypothesis.  Nor does ``evaluate_rows`` test the binary entropy's domain:
+a row its caller keeps has a <= 1 + ``TOLERANCES.norm`` and s > 0, so
+h(a) and h(w/(s^2 + w)) read arguments inside it.  ``row_slacks`` tests on
+each row only what its draw does not guarantee, and nothing on rows drawn
+disjoint; a row that fails its checks reads NaN.
 """
 
 from __future__ import annotations
@@ -111,7 +113,7 @@ def _record(
 
 
 # Each ``entropy`` below is ``binary_entropy`` on floats, which raises outside
-# [0, 1], and on arrays ``binary_entropy_rows``, which marks such rows not ok.
+# [0, 1], and on arrays ``binary_entropy_rows``, given only rows inside it.
 def _weighted_mix(q: _Quantities, entropy) -> float:
     return q.alpha_sq * q.coherence_phi + q.beta_sq * q.coherence_psi + entropy(q.alpha_sq)
 
@@ -333,38 +335,32 @@ def evaluate_all(
 def evaluate_rows(
     classes: dict[PairKind, np.ndarray],
     values: dict[str, np.ndarray],
-    ok: np.ndarray,
     tolerance: float = TOLERANCES.bound_slack,
-) -> tuple[np.ndarray, list[tuple[str, np.ndarray, np.ndarray, np.ndarray]]]:
+) -> list[tuple[str, np.ndarray, np.ndarray, np.ndarray]]:
     """``evaluate_all`` on R input triples, each bound's formula run once on
     (R,) arrays.  ``classes`` holds the row mask of each pair class
-    (``superpose.class_masks``), whose rows meet the hypothesis of each bound
-    checked on the class, ``values`` the six fields of the record
-    (``alpha_sq``, ``beta_sq``, ``s`` and ``coherence_phi``/``_psi``/``_t1``),
-    and ``ok`` the rows whose record the scalar path builds without raising
-    (s ``normalizable`` among them).
+    (``superpose.class_masks``) over the rows whose record the scalar path
+    builds without raising (s ``normalizable`` among them); its rows meet the
+    hypothesis of each bound checked on the class.  ``values`` holds the six
+    fields of the record (``alpha_sq``, ``beta_sq``, ``s`` and
+    ``coherence_phi``/``_psi``/``_t1``).
 
-    Returns ``ok`` less the rows at which ``evaluate_all`` raises (an entropy
-    argument outside [0, 1]), and per bound, in ``BOUNDS`` order, (bound id,
-    rows, slacks, satisfied) over the ok rows of its classes: there each is
-    ``evaluate_all``'s bit for bit.
+    Returns per bound, in ``BOUNDS`` order, (bound id, rows, slacks,
+    satisfied) over the rows of its classes: there each is
+    ``evaluate_all``'s bit for bit.  No such row leaves the binary entropy's
+    domain, so none is dropped here: ``coefficient_weights`` keeps
+    a <= 1 + ``TOLERANCES.norm``, and in T4's w/(s^2 + w), w >= 0 and
+    s^2 > 0, so fl(s^2 + w) >= w.
     """
     q = _Quantities(**values)
-    ok = ok.copy()
     h_alpha = binary_entropy_rows(q.alpha_sq)  # read by T1, T2 and T3
-    verdicts = []
-    for bound_id, bound in BOUNDS.items():
-        applies = np.logical_or.reduce([classes[kind] for kind in bound.classes])
 
-        def entropy(x: np.ndarray) -> np.ndarray:
-            value, inside = h_alpha if x is q.alpha_sq else binary_entropy_rows(x)
-            ok[applies & ~inside] = False
-            return value
+    def entropy(x: np.ndarray) -> np.ndarray:
+        return h_alpha if x is q.alpha_sq else binary_entropy_rows(x)
 
-        slack = _slack(bound, *bound.sides(q, entropy))
-        verdicts.append((bound_id, applies, slack, _satisfied(bound, slack, tolerance)))
     results = []
-    for bound_id, applies, slack, satisfied in verdicts:
-        rows = np.flatnonzero(applies & ok)
-        results.append((bound_id, rows, slack[rows], satisfied[rows]))
-    return ok, results
+    for bound_id, bound in BOUNDS.items():
+        rows = np.flatnonzero(np.logical_or.reduce([classes[kind] for kind in bound.classes]))
+        slack = _slack(bound, *bound.sides(q, entropy))[rows]
+        results.append((bound_id, rows, slack, _satisfied(bound, slack, tolerance)))
+    return results

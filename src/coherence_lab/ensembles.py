@@ -29,9 +29,12 @@ as on the scalar path.  A kind's own rule (the projection of an orthogonal
 draw, the rejection of an accidentally orthogonal one) runs on the slice of
 each of its segments.  ``class_masks`` runs once per non-disjoint group; a
 disjoint group's rows are DisjointSupport by construction of its draw.  The
-coefficients and ``evaluate_rows``, which runs each bound once over the rows
-of its classes, run once per pass, and each bound's result folds into the
-pass's ensembles with one ``reduceat`` per extreme.
+coefficients and ``evaluate_rows``, which runs each bound once over the kept
+rows of its classes, run once per pass, and each bound's result folds into
+the pass's ensembles with one ``reduceat`` per extreme.  ``_pass`` alone
+decides which rows it keeps: a kept row's weights pass the coefficient check
+and its s is ``normalizable``, so every binary-entropy argument it reaches
+lies in [0, 1 + ``TOLERANCES.norm``].
 """
 
 from __future__ import annotations
@@ -277,7 +280,7 @@ def _group_rows(members: list, uniforms: np.ndarray, alpha: np.ndarray, beta: np
         classes = {PairKind.DISJOINT_SUPPORT: ~none, PairKind.ORTHOGONAL_SAME_SPACE: none,
                    PairKind.NON_ORTHOGONAL: none}
     else:
-        classes, _ = class_masks(phi, psi)
+        classes = class_masks(phi, psi)
         for kind, rows in segments:
             if kind is PairKind.NON_ORTHOGONAL:
                 ok[rows] &= classes[PairKind.NON_ORTHOGONAL][rows]
@@ -330,12 +333,11 @@ def _pass(segments: list, tolerance: float):
     alpha_sq, beta_sq, ok = coefficient_weights(alpha, beta)
     edges = np.cumsum([len(u) for u in uniforms])[:-1]
     parts = list(map(_group_rows, groups, uniforms, np.split(alpha, edges), np.split(beta, edges)))
-    classes = {kind: _joined([c[kind] for c, _ in parts]) for kind in parts[0][0]}
     values = {name: _joined([v[name] for _, v in parts]) for name in parts[0][1]}
     ok &= values.pop("ok")
     values.update(alpha_sq=alpha_sq, beta_sq=beta_sq)
-    ok, results = evaluate_rows(classes, values, ok, tolerance)
-    return ~ok, results
+    classes = {kind: _joined([c[kind] for c, _ in parts]) & ok for kind in parts[0][0]}
+    return ~ok, evaluate_rows(classes, values, tolerance)
 
 
 def _fold(summary: dict, bound_id: str, count: int, violations: int,

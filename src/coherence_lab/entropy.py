@@ -31,8 +31,9 @@ Every logarithm is ``np.log2``, on a scalar as on an array (``math.log2``
 rounds differently), and this is the only module that takes one.  The row
 forms ``row_coherences`` and ``binary_entropy_rows`` therefore give the scalar
 functions' floats bit for bit: the first is the same function as
-``pure_state_coherence`` over the last axis, and the second says with a mask
-where ``binary_entropy`` raises.
+``pure_state_coherence`` over the last axis, and the second is
+``binary_entropy`` on each entry of its domain, the only entries its callers
+pass.
 """
 
 from __future__ import annotations
@@ -77,21 +78,16 @@ def binary_entropy(x: float) -> float:
     return value
 
 
-def binary_entropy_rows(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``binary_entropy`` of each entry of a float array: (values, inside).
-
-    Where ``inside`` holds, values[i] is ``binary_entropy(x[i])`` bit for bit;
-    elsewhere ``binary_entropy`` raises (a non-finite or out-of-domain
-    argument).
-    """
-    inside = (x >= -TOLERANCES.norm) & (x <= 1.0 + TOLERANCES.norm)
+def binary_entropy_rows(x: np.ndarray) -> np.ndarray:
+    """``binary_entropy`` of each entry of a float array, bit for bit where
+    ``binary_entropy`` does not raise; elsewhere the value means nothing."""
     x = np.minimum(np.maximum(x, 0.0), 1.0)
     value = 0.0
     for p in (x, 1.0 - x):
         # At p = 0 the term is 0 * log2(1) = 0.0, and subtracting 0.0 leaves
         # any value as it is, as the scalar function skips the term.
         value = value - p * np.log2(np.where(p > 0.0, p, 1.0))
-    return value, inside
+    return value
 
 
 def von_neumann_entropy(rho: DensityMatrix) -> float:

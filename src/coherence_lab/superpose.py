@@ -166,7 +166,7 @@ def classify_pair(phi: StateVector, psi: StateVector) -> PairKind:
     meets the hypothesis of each bound that takes the class.
     """
     _require_same_dim(phi, psi)
-    masks, _ = class_masks(phi.amps[None], psi.amps[None])
+    masks = class_masks(phi.amps[None], psi.amps[None])
     return next(kind for kind, rows in masks.items() if rows[0])
 
 
@@ -182,24 +182,19 @@ def is_orthogonal(overlap):
     return moduli(overlap) <= TOLERANCES.overlap
 
 
-def class_masks(
-    phi: np.ndarray, psi: np.ndarray
-) -> tuple[dict[PairKind, np.ndarray], np.ndarray]:
-    """The class of each pair of rows of two (R, d) unit arrays as (the mask
-    of the rows of each class, the overlaps <phi|psi>); ``classify_pair`` is
-    this on one row.  A row is NonOrthogonal whenever its overlap is above
-    ``TOLERANCES.overlap``, whatever its supports; disjoint supports give
-    |<phi|psi>| <= 2 sqrt(d) ``TOLERANCES.support``, so that takes moved
-    tolerances or d > 2500."""
-    overlaps = row_vdot(phi, psi)
-    orthogonal = is_orthogonal(overlaps)
+def class_masks(phi: np.ndarray, psi: np.ndarray) -> dict[PairKind, np.ndarray]:
+    """The class of each pair of rows of two (R, d) unit arrays, as the mask
+    of the rows of each class; ``classify_pair`` is this on one row.  A row
+    is NonOrthogonal whenever its overlap is above ``TOLERANCES.overlap``,
+    whatever its supports; disjoint supports give |<phi|psi>| <= 2 sqrt(d)
+    ``TOLERANCES.support``, so that takes moved tolerances or d > 2500."""
+    orthogonal = is_orthogonal(row_vdot(phi, psi))
     disjoint = disjoint_rows(phi, psi) & orthogonal
-    classes = {
+    return {
         PairKind.DISJOINT_SUPPORT: disjoint,
         PairKind.ORTHOGONAL_SAME_SPACE: orthogonal & ~disjoint,
         PairKind.NON_ORTHOGONAL: ~orthogonal,
     }
-    return classes, overlaps
 
 
 def mixing_identity_residual(

@@ -47,9 +47,9 @@ def test_qubit_coherence_and_binary_entropy_match_the_oracle():
     # and 1 - 2^-k up to 1 - 2^-52.
     p = np.concatenate([np.geomspace(1e-300, 0.5, 301), 1.0 - 2.0 ** -np.arange(1.0, 53.0)])
     amps = np.stack([np.sqrt(p), np.sqrt(1.0 - p)], axis=-1).astype(complex)
-    h_rows, h_ok = entropy.binary_entropy_rows(p)
+    h_rows = entropy.binary_entropy_rows(p)
     c_rows = entropy.row_coherences(amps[:, None])
-    assert h_ok.all() and not np.isnan(c_rows).any()
+    assert not np.isnan(c_rows).any()
     worst = 0.0
     for x, state, h_row, c_row in zip(p.tolist(), amps, h_rows.tolist(), c_rows[:, 0].tolist()):
         h_mp = mp_oracle.binary_entropy(x)
@@ -138,6 +138,34 @@ class KnownAnswer(NamedTuple):
     sides: dict
 
 
+def _tight_corner(eps):
+    """alpha = eps, beta = -sqrt(1 - eps^2), phi = (cos eps, sin eps) and
+    psi = (-sin eps, cos eps), with eps the double given, to 50 digits."""
+    with mpmath.workdps(mp_oracle.DIGITS):
+        e = mpmath.mpf(eps)
+        cos, sin = mpmath.mpc(mpmath.cos(e)), mpmath.mpc(mpmath.sin(e))
+        return mpmath.mpc(e), mpmath.mpc(-mpmath.sqrt(1 - e * e)), [cos, sin], [-sin, cos]
+
+
+def _corner_answer(eps):
+    """ROADMAP item 23's orthogonal corner at ``eps``: s = 1, a = eps^2,
+    C(phi) = C(psi) = h(sin^2 eps), and C(omega) is h of omega's first
+    probability, each closed form at the 50-digit inputs."""
+    alpha, beta, phi, psi = _tight_corner(eps)
+    h = mp_oracle.binary_entropy
+    with mpmath.workdps(mp_oracle.DIGITS):
+        a, b = abs(alpha) ** 2, abs(beta) ** 2
+        c = h(abs(phi[1]) ** 2)
+        c_omega = h(abs(alpha * phi[0] + beta * psi[0]) ** 2)
+        sides = {T2_UPPER: (c_omega, 2 * (c + h(a))),
+                 T4_LOWER_A: (c_omega, a / 2 * c - b * c - (1 + b) * h(b / (1 + b))),
+                 T4_LOWER_B: (c_omega, b / 2 * c - a * c - (1 + a) * h(a / (1 + a)))}
+    return KnownAnswer(f"corner_{eps:g}", SuperpositionCoefficients(complex(alpha), complex(beta)),
+                       StateVector([complex(z) for z in phi]),
+                       StateVector([complex(z) for z in psi]),
+                       PairKind.ORTHOGONAL_SAME_SPACE, mpmath.mpf(1), c, c, c_omega, sides)
+
+
 def _known_answers():
     inv = 1.0 / math.sqrt(2.0)
     half = SuperpositionCoefficients(inv, inv)
@@ -162,6 +190,8 @@ def _known_answers():
                             T1_EQUALITY: (c, c), GAIN_LE_1: (gain, one), T2_UPPER: (c, 2 * c),
                             T4_LOWER_A: (c, -5.5 * tenth - 17 * tenth * h(7 * one / 17)),
                             T4_LOWER_B: (c, tenth / 2 - 13 * tenth * h(3 * one / 13))}),
+            _corner_answer(1e-2),
+            _corner_answer(1e-4),
         ]
 
 
@@ -198,15 +228,6 @@ def test_known_answers(row):
         assert abs(reference - closed_form) <= 1e-15, name
 
 
-def _tight_corner(eps):
-    """alpha = eps, beta = -sqrt(1 - eps^2), phi = (cos eps, sin eps) and
-    psi = (-sin eps, cos eps), with eps the double given, to 50 digits."""
-    with mpmath.workdps(mp_oracle.DIGITS):
-        e = mpmath.mpf(eps)
-        cos, sin = mpmath.mpc(mpmath.cos(e)), mpmath.mpc(mpmath.sin(e))
-        return mpmath.mpc(e), mpmath.mpc(-mpmath.sqrt(1 - e * e)), [cos, sin], [-sin, cos]
-
-
 def test_t2_and_t3_are_tight_at_the_corner():
     # Along this orthogonal family T2's lhs/rhs tends to 1, as
     # 1 - ln 4 / ln(1/eps^2) to leading order, so no constant below 2 holds;
@@ -226,7 +247,9 @@ def test_t2_and_t3_are_tight_at_the_corner():
             continue
         coeffs = SuperpositionCoefficients(complex(alpha), complex(beta))
         pair = StateVector([complex(z) for z in phi]), StateVector([complex(z) for z in psi])
-        for bound_id in (T2_UPPER, T3_UPPER):
+        # The known-answer table holds T2's float sides within 1.1e-14 of
+        # these, which is tighter than 1e-9 relative at eps = 1e-2 only.
+        for bound_id in (T3_UPPER,) if eps == 1e-2 else (T2_UPPER, T3_UPPER):
             report = evaluate_bound(bound_id, coeffs, *pair)
             assert abs(report.lhs - lhs) <= 1e-9 * lhs and abs(report.rhs - rhs) <= 1e-9 * rhs
     assert ratios[0] < ratios[1] < ratios[2] < 1.0

@@ -17,6 +17,7 @@ from coherence_lab import (
     T3_UPPER,
     T4_LOWER_A,
     T4_LOWER_B,
+    TOLERANCES,
     EnsembleConfig,
     PairKind,
     StateVector,
@@ -34,7 +35,9 @@ from coherence_lab import (
     random_orthogonal_pair,
 )
 from coherence_lab.ensembles import sample_pair
+from coherence_lab.superpose import coefficient_map
 from philox_oracle import numpy_generator
+from test_invariance import row_values
 
 INV_SQRT2 = 1.0 / math.sqrt(2.0)
 
@@ -428,24 +431,70 @@ def test_evaluate_rows_runs_the_scalar_formulas_on_arrays(kind):
     rows = np.array(pow_rows + list(range(200)))
     values = {k: v[rows] for k, v in values.items()}
     classes = {pair_class: np.full(len(rows), pair_class is kind) for pair_class in CLASS_EXEMPLARS}
-    ok, results = bounds_module.evaluate_rows(
-        classes, values, np.ones(len(rows), dtype=bool), tolerance=1e-9
-    )
-    # The class labels vouch for the hypotheses, and every entropy argument is in [0, 1].
-    assert ok.all()
-    # The bounds evaluate_all reports for the class, in its order, each at every ok row.
+    results = bounds_module.evaluate_rows(classes, values, tolerance=1e-9)
+    # The bounds evaluate_all reports for the class, in its order, each at every row.
     verdicts = {bound_id: (slack, satisfied) for bound_id, applied, slack, satisfied in results
                 if applied.size}
     exemplar_kind, reports = evaluate_all(EQUAL, *CLASS_EXEMPLARS[kind])
     assert exemplar_kind is kind and list(verdicts) == [rep.bound_id for rep in reports]
     for bound_id, applied, _, _ in results:
-        assert applied.tolist() == (np.flatnonzero(ok).tolist() if bound_id in verdicts else [])
-    for j, i in enumerate(np.flatnonzero(ok).tolist()):
+        assert applied.tolist() == (list(range(len(rows))) if bound_id in verdicts else [])
+    for i in range(len(rows)):
         # Row i's floats as a scalar record, as row_slacks builds one per row.
         record = bounds_module._Quantities(**{k: v[i].item() for k, v in values.items()})
         for bound_id, (slack, satisfied) in verdicts.items():
             report = bounds_module._report(bound_id, record, 1e-9)
-            assert (slack[j].hex(), bool(satisfied[j])) == (report.slack.hex(), report.satisfied)
+            assert (slack[i].hex(), bool(satisfied[i])) == (report.slack.hex(), report.satisfied)
+
+
+def edge_triples():
+    """Input triples at the edges of the binary entropy's domain, at d = 2:
+    (alpha, beta, phi, psi) rows."""
+    theta_top = math.nextafter(0.5 * math.pi, 0.0)  # a near 8e-32, b 1 within an ulp
+    # The largest alpha whose weight SuperpositionCoefficients accepts with beta = 0.
+    alpha_top = math.sqrt(1.0 + TOLERANCES.norm)
+    while abs(alpha_top * alpha_top - 1.0) > TOLERANCES.norm:
+        alpha_top = math.nextafter(alpha_top, 0.0)
+    coefficients = [coefficient_map(0.0, 0.3), coefficient_map(theta_top, 0.3),
+                    (alpha_top, 0.0), (0.0, alpha_top)]
+    pairs = [(E0, E1), (PLUS, MINUS), (E0, PLUS)]
+    rows = [(alpha, beta, phi, psi) for alpha, beta in coefficients for phi, psi in pairs]
+    # NonOrthogonal, with alpha phi + beta psi of norm s just above zero_vector.
+    rows.append((INV_SQRT2, -INV_SQRT2, E0, normalize([1.0, 1.42e-12])))
+    return rows
+
+
+def test_a_kept_row_never_leaves_the_binary_entropy_domain(monkeypatch):
+    # evaluate_rows drops no row for the entropy's sake: on every row the
+    # pass keeps, each argument it hands binary_entropy_rows lies in
+    # [-norm, 1 + norm], and every verdict is evaluate_all's.
+    rows = edge_triples()
+    alpha, beta = (np.array([row[k] for row in rows], dtype=complex) for k in (0, 1))
+    phi, psi = (np.array([row[k].amps for row in rows]) for k in (2, 3))
+    classes, values, ok = row_values(alpha, beta, phi, psi)
+    assert ok.all()
+    assert values["alpha_sq"].max() > 1.0 and values["beta_sq"].max() > 1.0
+    assert 0.0 < values["s"].min() - TOLERANCES.zero_vector < 1e-14
+    arguments = []
+    entropy_rows = bounds_module.binary_entropy_rows
+
+    def recorded(x):
+        arguments.append(x.copy())
+        return entropy_rows(x)
+
+    monkeypatch.setattr(bounds_module, "binary_entropy_rows", recorded)
+    results = bounds_module.evaluate_rows(classes, values)
+    assert len(arguments) == 3  # h(a) once, and one per T4 branch
+    for x in arguments:
+        assert ((x >= -TOLERANCES.norm) & (x <= 1.0 + TOLERANCES.norm)).all(), x
+    assert max(x.max() for x in arguments) > 1.0
+    verdicts = {}
+    for bound_id, applied, slack, satisfied in results:
+        for i, value, met in zip(applied.tolist(), slack.tolist(), satisfied.tolist()):
+            verdicts.setdefault(i, []).append((bound_id, value.hex(), met))
+    for i, (a, b, p, q) in enumerate(rows):
+        _, reports = evaluate_all(SuperpositionCoefficients(a, b), p, q)
+        assert verdicts[i] == [(r.bound_id, r.slack.hex(), r.satisfied) for r in reports], i
 
 
 def largest_shared(phi, psi) -> float:
@@ -489,7 +538,7 @@ def test_the_three_paths_agree_on_each_hypothesis(monkeypatch):
     # evaluate_bound's slack bits exactly where it meets the bound's hypothesis
     # by the rule written out here; elsewhere it is NaN and evaluate_bound
     # raises WrongPairClassError.  Each class meets the hypotheses of the
-    # bounds checked on it, so evaluate_rows keeps every row.
+    # bounds checked on it, so evaluate_rows has every row's slack.
     pairs, moved = hypothesis_rows()
     for module in (bounds_module, importlib.import_module("coherence_lab.superpose")):
         monkeypatch.setattr(module, "TOLERANCES", moved)
@@ -527,17 +576,17 @@ def test_the_three_paths_agree_on_each_hypothesis(monkeypatch):
     values = {name: np.array([getattr(record, name) for record in records])
               for name in bounds_module._Quantities._fields}
     masks = {kind: np.array([c is kind for c in classes]) for kind in CLASS_EXEMPLARS}
-    ok, results = bounds_module.evaluate_rows(masks, values, np.ones(len(pairs), dtype=bool))
+    results = bounds_module.evaluate_rows(masks, values)
     for i, pair_class in enumerate(classes):
         checked = [b for b, bound in BOUNDS.items() if pair_class in bound.classes]
-        assert bool(ok[i]) is all(vouched_slacks[b][0][i] for b in checked), i
+        assert all(vouched_slacks[b][0][i] for b in checked), i
     for bound_id, rows, slack, _ in results:
-        assert rows.tolist() == [i for i in np.flatnonzero(ok).tolist()
-                                 if classes[i] in BOUNDS[bound_id].classes], bound_id
+        assert rows.tolist() == [i for i, pair_class in enumerate(classes)
+                                 if pair_class in BOUNDS[bound_id].classes], bound_id
         assert [x.hex() for x in slack.tolist()] == [
             vouched_slacks[bound_id][1][i].hex() for i in rows.tolist()]
     # The support row is NonOrthogonal, and only the shared(1e-12) row is DisjointSupport.
-    assert ok.all() and classes[-6] is PairKind.NON_ORTHOGONAL
+    assert classes[-6] is PairKind.NON_ORTHOGONAL
     assert np.flatnonzero(masks[PairKind.DISJOINT_SUPPORT]).tolist() == [len(pairs) - 5]
 
 
@@ -607,19 +656,19 @@ def test_one_mutant_reaches_every_evaluator(monkeypatch):
         *unit_slots(np.array([p.amps for _, p, _ in triples]),
                     np.array([q.amps for _, _, q in triples])),
     )
-    vouched, results = bounds_module.evaluate_rows(
+    results = bounds_module.evaluate_rows(
         {kind: np.full(len(triples), kind is PairKind.ORTHOGONAL_SAME_SPACE)
          for kind in CLASS_EXEMPLARS},
         {name: np.array([getattr(r, name) for r in records])
          for name in bounds_module._Quantities._fields},
-        np.ones(len(triples), dtype=bool),
     )
-    assert not np.isnan(rows).any() and vouched.all()
-    verdicts = {bound_id: slack for bound_id, _, slack, _ in results}
+    verdicts = {bound_id: (applied, slack) for bound_id, applied, slack, _ in results}
+    assert not np.isnan(rows).any()
+    assert verdicts[T2_UPPER][0].tolist() == list(range(len(triples)))
     for i, triple in enumerate(triples):
         report = evaluate_all(*triple)[1][0]
         assert report.bound_id == T2_UPPER
         slacks = [evaluate_bound(T2_UPPER, *triple).slack, report.slack, rows[i].item(),
-                  verdicts[T2_UPPER][i].item()]
+                  verdicts[T2_UPPER][1][i].item()]
         assert {slack.hex() for slack in slacks} == {expected[i].hex()}
         assert expected[i] != before[i]

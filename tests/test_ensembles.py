@@ -41,7 +41,7 @@ from coherence_lab.ensembles import (
     summarize_ensembles,
     trial_stream,
 )
-from coherence_lab.linalg import normalizable, normalize_rows, row_norms
+from coherence_lab.linalg import normalizable, normalize_rows, row_norms, row_vdot
 from coherence_lab.rng import (
     MASK64, UniformRows, complex_normals, ragged_uniforms, subseed, subseeds,
 )
@@ -399,8 +399,8 @@ def test_class_masks_class_every_disjoint_draw_disjoint(monkeypatch, dim, split)
     phi, psi = states[:, 0], states[:, 1]
     finite = normalizable(row_norms(phi)) & normalizable(row_norms(psi))
     assert finite.all()
-    classes, overlaps = class_masks(phi, psi)
-    assert classes[PairKind.DISJOINT_SUPPORT].all() and not overlaps.any()
+    classes = class_masks(phi, psi)
+    assert classes[PairKind.DISJOINT_SUPPORT].all() and not row_vdot(phi, psi).any()
 
 
 def test_a_disjoint_group_runs_no_class_masks(monkeypatch):

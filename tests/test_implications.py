@@ -79,7 +79,7 @@ def slacks(evaluator, bound_id, rows, kind):
         if bound_id == T3_UPPER:
             kind = PairKind.NON_ORTHOGONAL
         classes = {pair_class: np.full(len(ok), pair_class is kind) for pair_class in classes}
-        ok, results = evaluate_rows(classes, fields, ok)
+        results = evaluate_rows(classes, fields)
         ((applied, values),) = [(r, v) for b, r, v, _ in results if b == bound_id]
         assert applied.tolist() == list(range(len(ok)))
     assert ok.all()

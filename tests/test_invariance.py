@@ -173,8 +173,9 @@ def slotted(rows):
 
 def row_values(alpha, beta, phi, psi):
     """What ``evaluate_rows`` reads, as ``verify``'s pass computes it: the
-    class masks, the six fields and where they hold."""
-    classes, _ = class_masks(phi, psi)
+    class masks over the rows where the six fields hold, the fields, and
+    those rows."""
+    classes = class_masks(phi, psi)
     alpha_sq, beta_sq, ok = coefficient_weights(alpha, beta)
     _, _, states, norms = slotted((alpha, beta, phi, psi))
     superpose_rows(alpha, beta, states, norms)
@@ -182,7 +183,8 @@ def row_values(alpha, beta, phi, psi):
     coherence = row_coherences(states)
     values = {"alpha_sq": alpha_sq, "beta_sq": beta_sq, "s": s, "coherence_phi": coherence[:, 0],
               "coherence_psi": coherence[:, 1], "coherence_t1": coherence[:, 2]}
-    return classes, values, ok & normalizable(s)
+    ok &= normalizable(s)
+    return {kind: mask & ok for kind, mask in classes.items()}, values, ok
 
 
 @pytest.mark.parametrize("name", list(TRANSFORMS))
@@ -196,9 +198,8 @@ def test_evaluate_rows_is_invariant(name):
         assert ok.all() and new_ok.all()
         for pair_class, members in classes.items():
             assert np.array_equal(new_classes[pair_class], members), (kind, dim, pair_class)
-        want_ok, want = evaluate_rows(classes, values, ok)
-        got_ok, got = evaluate_rows(new_classes, new_values, new_ok)
-        assert want_ok.all() and got_ok.all()
+        want = evaluate_rows(classes, values)
+        got = evaluate_rows(new_classes, new_values)
         got = {bound_id: (rows, slack) for bound_id, rows, slack, _ in got}
         assert sorted(image(name, bound_id) for bound_id, *_ in want) == sorted(got)
         for bound_id, rows, slack, _ in want:
@@ -239,9 +240,8 @@ def test_disjoint_slacks_ignore_every_phase(dim):
     classes, values, ok = row_values(*original)
     new_classes, new_values, new_ok = row_values(*moved)
     assert ok.all() and new_ok.all() and classes[kind].all() and new_classes[kind].all()
-    want_ok, want = evaluate_rows(classes, values, ok)
-    got_ok, got = evaluate_rows(new_classes, new_values, new_ok)
-    assert want_ok.all() and got_ok.all()
+    want = evaluate_rows(classes, values)
+    got = evaluate_rows(new_classes, new_values)
     for (bound_id, rows, slack, _), (new_id, new_rows, new, _) in zip(want, got, strict=True):
         assert (new_id, new_rows.tolist()) == (bound_id, rows.tolist())
         assert_slacks_close(new, slack)

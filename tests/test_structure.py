@@ -2,14 +2,17 @@
 ``search`` and ``ensembles`` import nothing from each other, every vector
 norm goes through ``linalg.norm``, only ``entropy`` takes a logarithm, no
 module names numpy's random module, every exported name has a user outside
-the tests, and the console script names a callable."""
+the tests, every tolerance is read, the console script names a callable,
+and pyproject.toml's version is the package's."""
 
 import ast
+import dataclasses
 import importlib
 import re
 from pathlib import Path
 
 import coherence_lab
+from coherence_lab import Tolerances
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "coherence_lab"
 
@@ -196,6 +199,27 @@ def test_every_exported_name_is_used_outside_tests():
     assert sorted(unused) == sorted(UNUSED_EXPORTS)
 
 
+# Tolerances fields no src module reads, each kept on purpose.
+UNREAD_TOLERANCES = {
+    "identity_residual": "the identity residuals' threshold, for verify (ROADMAP item 5)",
+}
+
+
+def tolerance_reads(text):
+    """The ``TOLERANCES`` fields that a module's source reads."""
+    return {node.attr for node in ast.walk(ast.parse(text))
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+            and isinstance(node.value, ast.Name) and node.value.id == "TOLERANCES"}
+
+
+def test_every_tolerance_is_read_by_a_src_module():
+    assert tolerance_reads("TOLERANCES.norm + other.overlap\nTOLERANCES.psd = 1") == {"norm"}
+    read = set().union(*(tolerance_reads(path.read_text(encoding="utf-8"))
+                         for path in PACKAGE.glob("*.py")))
+    unread = {field.name for field in dataclasses.fields(Tolerances)} - read
+    assert sorted(unread) == sorted(UNREAD_TOLERANCES)
+
+
 def test_the_console_script_names_an_importable_callable():
     # README spells every command ``coherence-lab ...``, and CI runs them as
     # ``python -m coherence_lab``, so only this reads the installed entry
@@ -206,3 +230,12 @@ def test_the_console_script_names_an_importable_callable():
     assert scripts == {"coherence-lab": "coherence_lab.cli:main"}
     module, _, name = scripts["coherence-lab"].partition(":")
     assert callable(getattr(importlib.import_module(module), name))
+
+
+def test_pyproject_version_is_the_package_version():
+    # Every report echoes coherence_lab.__version__; pyproject.toml is read
+    # with a regex, as above.
+    text = (PACKAGE.parents[1] / "pyproject.toml").read_text(encoding="utf-8")
+    section = re.search(r"^\[project\]\n(.*?)(?=^\[|\Z)", text, re.M | re.S)
+    versions = re.findall(r'^version\s*=\s*"([^"]*)"', section.group(1), re.M)
+    assert versions == [coherence_lab.__version__]

@@ -23,7 +23,7 @@ from coherence_lab import (
     superpose,
     t_states,
 )
-from coherence_lab.linalg import normalizable
+from coherence_lab.linalg import normalizable, row_vdot
 from coherence_lab.superpose import class_masks, coefficient_map, is_orthogonal, superpose_rows
 
 INV_SQRT2 = 1.0 / math.sqrt(2.0)
@@ -202,8 +202,7 @@ def test_t_states_degenerate_branches_are_named():
 
 def pair_overlap(phi, psi) -> complex:
     """<phi|psi> as ``class_masks`` computes it for ``classify_pair``."""
-    _, overlaps = class_masks(phi.amps[None], psi.amps[None])
-    return overlaps.tolist()[0]
+    return row_vdot(phi.amps[None], psi.amps[None]).tolist()[0]
 
 
 def test_classify_orthogonal_same_space():
@@ -261,9 +260,9 @@ def test_class_masks_and_classify_pair_follow_the_rule():
         assert type(overlap) is complex and overlap == complex(np.vdot(p.amps, q.amps))
     for dim in (2, 4):
         rows = [(p, q) for p, q in pairs if p.dim == dim]
-        masks, overlaps = class_masks(np.array([p.amps for p, _ in rows]),
-                                      np.array([q.amps for _, q in rows]))
-        assert overlaps.tolist() == [pair_overlap(p, q) for p, q in rows]
+        phi, psi = np.array([p.amps for p, _ in rows]), np.array([q.amps for _, q in rows])
+        masks = class_masks(phi, psi)
+        assert row_vdot(phi, psi).tolist() == [pair_overlap(p, q) for p, q in rows]
         for i, (p, q) in enumerate(rows):
             assert [kind for kind, mask in masks.items() if mask[i]] == [classification_rule(p, q)]
 
@@ -281,7 +280,7 @@ def test_class_masks_compare_the_overlap_as_abs_does(monkeypatch):
         monkeypatch.setattr(module, "TOLERANCES", Tolerances(overlap=abs(o)))
         want = classify_pair(phi, psi)
         assert want is PairKind.ORTHOGONAL_SAME_SPACE
-        masks, _ = class_masks(phi.amps[None], psi.amps[None])
+        masks = class_masks(phi.amps[None], psi.amps[None])
         assert [kind for kind, rows in masks.items() if rows[0]] == [want]
 
 
